@@ -501,12 +501,16 @@ def load_trials_csv(path: str) -> TrialSet:
             b_deg.append(float(row[1]))
             alpha.append(int(row[2]))
             beta.append(int(row[3]))
-            lam.append(int(row[4]) if len(row) > 4 and row[4] != "" else -1)
+            lam.append(int(row[4]) if len(row) > 4 and row[4] != "" else None)
     angles = meta.get("settings")
     if angles is None:
         angles = sorted(set(a_deg) | set(b_deg))
     settings = SettingSet(tuple(angles))
-    lam_arr = None if all(v == -1 for v in lam) else lam
+    blank = lam.count(None)
+    if 0 < blank < len(lam):
+        raise ValueError(f"lambda_id is blank on {blank} of {len(lam)} rows; "
+                         "it must be given on every row or on none")
+    lam_arr = None if blank == len(lam) else lam
     return TrialSet(
         settings,
         [settings.index(a) for a in a_deg],

@@ -106,9 +106,13 @@ class _Machine:
     """One execution over a fixed bit prefix.
 
     If exact_bits is False, running out of program bits reports the in-band
-    status "needs_bits" (used by the domain enumerator to fork); otherwise
-    it is malformed.
+    status "needs_bits" and the run can be resumed on a longer tape (the
+    domain enumerator forks it, see _fork); otherwise it is malformed.
+    exact_bits=False also selects the enumerator's loop rule (_loop_check).
     """
+
+    __slots__ = ("tape", "cursor", "exact_bits", "instrs", "pc", "regs", "out", "steps",
+                 "cap", "output_prefix", "_seen")
 
     def __init__(self, program: Sequence[int], exact_bits: bool = True,
                  output_prefix: Optional[Sequence[int]] = None):
@@ -133,61 +137,61 @@ class _Machine:
         self.cursor += 1
         return b
 
+    def _take(self, n: int) -> Bits:
+        """The next n tape bits, all or none."""
+        start = self.cursor
+        end = start + n
+        if end > len(self.tape):
+            raise _NeedBits
+        self.cursor = end
+        return self.tape[start:end]
+
     def _read_fixed(self, width: int) -> int:
         v = 0
-        for _ in range(width):
-            v = (v << 1) | self._read_bit()
+        for b in self._take(width):
+            v = (v << 1) | b
         return v
 
     def _read_gamma0(self) -> int:
         zeros = 0
-        while True:
-            b = self._read_bit()
-            if b == 1:
-                break
+        while not self._read_bit():
             zeros += 1
-        m = 1
-        for _ in range(zeros):
-            m = (m << 1) | self._read_bit()
-        return m - 1
+        return (1 << zeros) - 1 + self._read_fixed(zeros)
 
     # -- decoding ---------------------------------------------------------
 
     def _decode_one(self) -> Optional[str]:
-        """Decode the next instruction from the tape; None on success."""
-        start = self.cursor
-        try:
-            op = self._read_fixed(4)
-            if op in (OP_HALT, OP_OUT0, OP_OUT1):
-                self.instrs.append((op,))
-            elif op == OP_OUTB:
-                self.instrs.append((op, self._read_fixed(2)))
-            elif op == OP_LITN:
-                n = self._read_gamma0()
-                lits = tuple(self._read_bit() for _ in range(n))
-                self.instrs.append((op, lits))
-            elif op == OP_SETI:
-                r = self._read_fixed(2)
-                self.instrs.append((op, r, self._read_gamma0()))
-            elif op in (OP_INC, OP_DEC):
-                self.instrs.append((op, self._read_fixed(2)))
-            elif op in (OP_ADD, OP_SUB, OP_CPY):
-                r = self._read_fixed(2)
-                self.instrs.append((op, r, self._read_fixed(2)))
-            elif op == OP_JZ:
-                r = self._read_fixed(2)
-                d = self._read_bit()
-                self.instrs.append((op, r, d, self._read_gamma0()))
-            elif op == OP_JMP:
-                d = self._read_bit()
-                self.instrs.append((op, d, self._read_gamma0()))
-            elif op == OP_HALTAT:
-                self.instrs.append((op, self._read_gamma0()))
-            else:
-                return f"invalid opcode {op}"
-        except _NeedBits:
-            self.cursor = start
-            raise
+        """Decode the next instruction from the tape; None on success.
+
+        Raises _NeedBits when the tape ends inside the instruction; the
+        caller then restores the cursor to the instruction's start.
+        """
+        op = self._read_fixed(4)
+        if op in (OP_HALT, OP_OUT0, OP_OUT1):
+            self.instrs.append((op,))
+        elif op == OP_OUTB:
+            self.instrs.append((op, self._read_fixed(2)))
+        elif op == OP_LITN:
+            self.instrs.append((op, self._take(self._read_gamma0())))
+        elif op == OP_SETI:
+            r = self._read_fixed(2)
+            self.instrs.append((op, r, self._read_gamma0()))
+        elif op in (OP_INC, OP_DEC):
+            self.instrs.append((op, self._read_fixed(2)))
+        elif op in (OP_ADD, OP_SUB, OP_CPY):
+            r = self._read_fixed(2)
+            self.instrs.append((op, r, self._read_fixed(2)))
+        elif op == OP_JZ:
+            r = self._read_fixed(2)
+            d = self._read_bit()
+            self.instrs.append((op, r, d, self._read_gamma0()))
+        elif op == OP_JMP:
+            d = self._read_bit()
+            self.instrs.append((op, d, self._read_gamma0()))
+        elif op == OP_HALTAT:
+            self.instrs.append((op, self._read_gamma0()))
+        else:
+            return f"invalid opcode {op}"
         return None
 
     # -- running ----------------------------------------------------------
@@ -200,9 +204,11 @@ class _Machine:
             if self.steps >= max_steps:
                 return self._result("timeout", "step budget exhausted")
             while self.pc >= len(self.instrs):
+                start = self.cursor
                 try:
                     err = self._decode_one()
                 except _NeedBits:
+                    self.cursor = start
                     if self.exact_bits:
                         return self._result("malformed", "ran out of program bits")
                     return self._result("needs_bits")
@@ -285,15 +291,40 @@ class _Machine:
                 i = len(out) - 1
                 if i >= len(self.output_prefix) or self.output_prefix[i] != b:
                     return ("mismatch", "output left the requested prefix")
-        self._seen.clear()
+        if symbols and (self.exact_bits or self.cap is not None):
+            self._seen.clear()
         if self.cap is not None and len(out) >= self.cap:
             return ("halted", "")
         return None
 
     def _loop_check(self) -> str:
-        """Exact state recurrence with no intervening output or bit reads
-        proves divergence; reported as a (sound) non-halting timeout."""
-        key = (self.pc, self.cursor, len(self.out), self.cap, tuple(self.regs))
+        """Prove divergence from a repeated state at a jump target.
+
+        The key always holds pc and cursor; an equal cursor means no program
+        bit was read in between, so the decoded program is the same too.
+        Two rules, each sound under its condition:
+
+        - Exact recurrence: (pc, cursor, len(out), cap, regs) repeats.  An
+          equal output length means nothing was emitted in between, so the
+          whole state repeats.  Holds everywhere; since keys with an older
+          output length can never recur, the set is cleared on each emit.
+        - Output loop: (pc, cursor, regs) repeats.  Needs that no HALTAT cap
+          is set (a cap is never unset, so none was set in between): then
+          output cannot steer control, and emitted bits can only end the run
+          by an output-limit timeout or a prefix mismatch, never by a halt.  Used only with exact_bits=False (the domain enumerator);
+          run_machine callers such as hv.Sampler read the output of an
+          uncapped loop up to output_limit, so they keep the first rule.
+          Under this rule the set is not cleared on emit.
+
+        The two rules' keys differ in length, so they never match each other.
+        At most LOOP_TRACK_LIMIT states are tracked; past that a new state is
+        checked but not stored.  A proven loop is reported as a (sound)
+        non-halting timeout.
+        """
+        if self.cap is None and not self.exact_bits:
+            key = (self.pc, self.cursor, tuple(self.regs))
+        else:
+            key = (self.pc, self.cursor, len(self.out), self.cap, tuple(self.regs))
         if key in self._seen:
             return "loop detected"
         if len(self._seen) < LOOP_TRACK_LIMIT:
@@ -302,6 +333,22 @@ class _Machine:
 
     def _result(self, status: str, reason: str = "") -> MachineResult:
         return MachineResult(status, tuple(self.out), self.cursor, self.steps, reason)
+
+    def _fork(self, bit: int) -> "_Machine":
+        """A copy of this paused machine whose tape gains one more bit."""
+        child = object.__new__(_Machine)
+        child.cursor = self.cursor
+        child.exact_bits = self.exact_bits
+        child.pc = self.pc
+        child.steps = self.steps
+        child.cap = self.cap
+        child.output_prefix = self.output_prefix
+        child.tape = self.tape + (bit,)
+        child.instrs = self.instrs.copy()
+        child.regs = self.regs.copy()
+        child.out = self.out.copy()
+        child._seen = self._seen.copy()
+        return child
 
 
 def run_machine(
@@ -344,27 +391,38 @@ def enumerate_domain(
     Walks the prefix tree of demanded bits: a prefix is extended only while
     the machine actually asks for more bits, so each halting program is
     visited exactly once and no halting program is a proper prefix of
-    another.  With output_prefix set, branches whose output leaves that
-    prefix are abandoned (used by the exact-K search).  timeout_log, when
-    given, records bits_consumed for every timed-out branch; those branches
-    are unresolved and bound any exactness claim.
+    another.  A run that needs a bit pauses before the instruction it could
+    not decode; it is forked into a 1 child and a 0 child (the paused
+    machine itself) that resume from the paused state with one more tape
+    bit, so no prefix is ever re-run.  The 0 child is explored first, which
+    gives the same entry order as re-running each prefix from bit 0.
+
+    Both divergence rules of _Machine._loop_check apply: a state that
+    recurs with no output in between, and, while no HALTAT cap is set, a
+    state (pc, cursor, registers) that recurs whatever was emitted.  Either
+    ends the branch as a non-halting timeout that resolves it.
+
+    With output_prefix set, branches whose output leaves that prefix are
+    abandoned (used by the exact-K search).  timeout_log, when given,
+    records bits_consumed for every branch that exhausts the step budget;
+    those branches are unresolved and bound any exactness claim.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    stack: list[Bits] = [()]
+    stack = [_Machine((), exact_bits=False, output_prefix=output_prefix)]
     while stack:
-        prefix = stack.pop()
-        m = _Machine(prefix, exact_bits=False, output_prefix=output_prefix)
+        m = stack.pop()
         res = m.run(max_steps, output_limit)
         if res.status == "halted":
-            if res.bits_consumed == len(prefix):
-                yield DomainEntry(prefix, res.output, res.steps)
+            if res.bits_consumed == len(m.tape):
+                yield DomainEntry(m.tape, res.output, res.steps)
             # else: a shorter run already owns this program; unreachable
             # because only bit-hungry prefixes are ever extended.
         elif res.status == "needs_bits":
-            if len(prefix) < max_len:
-                stack.append(prefix + (1,))
-                stack.append(prefix + (0,))
+            if len(m.tape) < max_len:
+                stack.append(m._fork(1))
+                m.tape += (0,)
+                stack.append(m)
         elif res.status == "timeout":
             if timeout_log is not None and res.reason == "step budget exhausted":
                 timeout_log.append(res.bits_consumed)

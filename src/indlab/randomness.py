@@ -127,7 +127,8 @@ def k_upper_bound(
 
     Tries the literal encoding, generator encodings for recognized structure
     (constant, periodic, counter-concatenation a.k.a. Champernowne), and,
-    when a (max_len, max_steps) budget is supplied, exhaustive search.
+    when a (max_len, max_steps) budget is supplied, exhaustive search; a
+    max_len above EXACT_SEARCH_MAX_LEN is rejected before any search.
     """
     _require_base2(sigma)
     n = len(sigma)
@@ -150,7 +151,7 @@ def k_upper_bound(
                     (tm.prog_champernowne(n, start_at_one), "generator_encoding")
                 )
     if budget is not None:
-        found = exact_k_small(sigma, *budget, _cap_check=False)
+        found = exact_k_small(sigma, *budget)
         if isinstance(found, ComplexityEstimate):
             candidates.append((found.witness, "exhaustive"))
     program, method = min(candidates, key=lambda c: len(c[0]))
@@ -164,7 +165,6 @@ def exact_k_small(
     sigma: SymbolString,
     max_len: int,
     max_steps: int,
-    _cap_check: bool = True,
 ) -> ComplexityEstimate | NoProgramCertificate:
     """Exhaustive search for the shortest program producing sigma.
 
@@ -174,7 +174,7 @@ def exact_k_small(
     no program of length <= max_len produced sigma within the budget.
     """
     _require_base2(sigma)
-    if _cap_check and max_len > EXACT_SEARCH_MAX_LEN:
+    if max_len > EXACT_SEARCH_MAX_LEN:
         raise ValueError(f"max_len {max_len} exceeds the tractability cap "
                          f"{EXACT_SEARCH_MAX_LEN}")
     timeouts: list[int] = []
@@ -372,13 +372,8 @@ def omega_lower_bound(
 
 def prefix_free_violations(programs: Sequence[tm.Bits]) -> list[tuple[tm.Bits, tm.Bits]]:
     """Pairs (p, q) with p a proper prefix of q; empty for a sound log."""
-    violations = []
-    by_len = sorted(programs, key=len)
-    for i, p in enumerate(by_len):
-        for q in by_len[i + 1 :]:
-            if len(p) < len(q) and q[: len(p)] == p:
-                violations.append((p, q))
-    return violations
+    present = set(programs)
+    return [(q[:k], q) for q in programs for k in range(len(q)) if q[:k] in present]
 
 
 def incompressibility_flag(margin_points: Sequence[MarginPoint], c: int) -> Optional[str]:

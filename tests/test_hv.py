@@ -108,6 +108,14 @@ class TestRunModel:
         )
         assert x.to_text() == "101010"
 
+    def test_uncapped_machine_program_fills_states(self):
+        # OUT1 OUT0 JMP -3 never halts: the sampler reads its output
+        program = tm.concat(tm.asm_out(1), tm.asm_out(0), tm.asm_jmp(-3))
+        x = hv.run_model(
+            hv.fair_coin_counter_model(), hv.Sampler.machine_program(program), 64
+        )
+        assert x.to_text() == "10" * 32
+
     def test_machine_program_needs_two_states(self):
         model = hv.parity_counter_model()
         with pytest.raises(ContractViolationError, match="2-state"):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -75,6 +77,14 @@ class TestRunMachine:
     def test_loop_detected_early(self):
         # JMP to itself: state recurrence proves divergence within a few steps
         res = tm.run_machine(tm.asm_jmp(-1), 10_000)
+        assert res.status == "timeout"
+        assert res.reason == "loop detected"
+        assert res.steps < 10
+
+    def test_empty_literal_keeps_loop_tracking(self):
+        # LITN 0 emits nothing, so it must not reset the loop detector
+        program = tm.concat(tm.asm_litn(()), tm.asm_jmp(-2))
+        res = tm.run_machine(program, 100_000)
         assert res.status == "timeout"
         assert res.reason == "loop detected"
         assert res.steps < 10
@@ -222,3 +232,71 @@ class TestEnumeration:
         log: list[int] = []
         list(tm.enumerate_domain(10, 1, timeout_log=log))
         assert log  # a 1-step budget cannot resolve any 2-instruction branch
+
+
+def replay_leaves(max_len, max_steps, output_limit=tm.DEFAULT_OUTPUT_LIMIT,
+                  output_prefix=None, exact_bits=False):
+    """Reference enumerator: re-runs every demanded prefix from bit 0.
+
+    Yields (prefix, result) for every prefix it runs.  exact_bits=False
+    applies the enumerator's loop rules; exact_bits=True applies those of
+    run_machine, reading "ran out of program bits" as a request for more.
+    """
+    stack: list[tm.Bits] = [()]
+    while stack:
+        prefix = stack.pop()
+        m = tm._Machine(prefix, exact_bits=exact_bits, output_prefix=output_prefix)
+        res = m.run(max_steps, output_limit)
+        yield prefix, res
+        if res.status == "needs_bits" or res.reason == "ran out of program bits":
+            if len(prefix) < max_len:
+                stack.append(prefix + (1,))
+                stack.append(prefix + (0,))
+
+
+def replay_enumerate(*args, **kwargs):
+    entries, log = [], []
+    for prefix, res in replay_leaves(*args, **kwargs):
+        if res.halted and res.bits_consumed == len(prefix):
+            entries.append(tm.DomainEntry(prefix, res.output, res.steps))
+        elif res.reason == "step budget exhausted":
+            log.append(res.bits_consumed)
+    return entries, log
+
+
+class TestForkedEnumeration:
+    @pytest.mark.parametrize("output_limit", [tm.DEFAULT_OUTPUT_LIMIT, 3])
+    @pytest.mark.parametrize("output_prefix", [None, (0, 1, 1)])
+    @pytest.mark.parametrize("max_steps", [1, 20, 1000])
+    @pytest.mark.parametrize("max_len", [4, 9, 12])
+    def test_matches_replay(self, max_len, max_steps, output_prefix, output_limit):
+        kwargs = dict(output_limit=output_limit, output_prefix=output_prefix)
+        log: list[int] = []
+        forked = list(tm.enumerate_domain(max_len, max_steps, timeout_log=log, **kwargs))
+        # same loop rules, every prefix re-run: identical stream and log
+        assert replay_enumerate(max_len, max_steps, **kwargs) == (forked, log)
+        # run_machine's loop rule: same stream, every forked timeout also
+        # times out there
+        entries, replay_log = replay_enumerate(max_len, max_steps, exact_bits=True, **kwargs)
+        assert entries == forked
+        assert Counter(log) <= Counter(replay_log)
+
+    def test_output_loop_rule_resolves_timeouts(self):
+        log: list[int] = []
+        entries = list(tm.enumerate_domain(14, 10_000, timeout_log=log))
+        replay_entries, replay_log = replay_enumerate(14, 10_000, exact_bits=True)
+        assert entries == replay_entries
+        assert Counter(log) <= Counter(replay_log)
+        assert len(log) < len(replay_log)
+
+    def test_output_loops_never_halt(self):
+        # every branch the output-loop rule ends, re-run at 100x the budget
+        fork = dict(replay_leaves(12, 1000))
+        plain = dict(replay_leaves(12, 1000, exact_bits=True))
+        assert fork.keys() == plain.keys()
+        flagged = [p for p, res in fork.items()
+                   if res.reason == "loop detected" and plain[p].reason != "loop detected"]
+        assert flagged
+        for program in flagged:
+            res = tm.run_machine(program, 100_000)
+            assert res.status == "timeout", program

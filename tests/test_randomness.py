@@ -260,6 +260,19 @@ class TestOmega:
         est = rl.omega_lower_bound(12, 500)
         assert rl.prefix_free_violations(est.programs) == []
 
+    def test_prefix_violations_match_pairwise_scan(self):
+        programs = list(rl.omega_lower_bound(10, 500).programs)
+        first, second = programs[0], programs[-1]
+        planted = programs + [first[:3], second + (0, 1), second + (1,), first, ()]
+
+        def pairwise(progs):
+            return {(p, q) for p in progs for q in progs
+                    if len(p) < len(q) and q[: len(p)] == p}
+
+        found = rl.prefix_free_violations(planted)
+        assert set(found) == pairwise(planted)
+        assert (first[:3], first) in found and ((), second) in found
+
     def test_kraft_sum_of_log(self):
         est = rl.omega_lower_bound(12, 500)
         total = sum(Fraction(1, 2 ** len(p)) for p in est.programs)
