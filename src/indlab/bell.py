@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 from typing import Optional, Sequence
@@ -511,6 +511,8 @@ def load_trials_csv(path: str) -> TrialSet:
         raise ValueError(f"lambda_id is blank on {blank} of {len(lam)} rows; "
                          "it must be given on every row or on none")
     lam_arr = None if blank == len(lam) else lam
+    if lam_arr is not None and min(lam_arr) < 0:
+        raise ValueError(f"lambda_id must be >= 0, found {min(lam_arr)}")
     return TrialSet(
         settings,
         [settings.index(a) for a in a_deg],

@@ -220,17 +220,6 @@ def joint_spectrum(
     return out
 
 
-def joint_born_measure(
-    omega: State, ops: Sequence[Observable], tol: float = 1e-10,
-    outcome_cap: int = DEFAULT_OUTCOME_CAP,
-) -> BornMeasure:
-    """Born measure on the joint spectrum: p(l1..lN) = omega(e_l1...e_lN)."""
-    joint = joint_spectrum(ops, tol, outcome_cap)
-    outcomes = tuple(values for values, _ in joint)
-    probs = tuple(omega.expectation(proj) for _, proj in joint)
-    return BornMeasure(outcomes, probs)
-
-
 def product_measure(mu: BornMeasure, n: int, cap: int = DEFAULT_OUTCOME_CAP) -> BornMeasure:
     """The n-fold product measure over outcome tuples."""
     if n < 1:

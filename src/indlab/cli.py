@@ -19,8 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import __version__, bell, born, hv, ks, randomness as rl, sequences as sq
-from . import machine as tm
+from . import __version__, bell, hv, ks, randomness as rl, sequences as sq
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -45,7 +44,8 @@ class Manifest:
             "schema": "manifest/v1",
             "tool_version": __version__,
             "subcommand": subcommand,
-            "parameters": {k: v for k, v in params.items() if v is not None},
+            "parameters": {k: v for k, v in params.items()
+                           if v is not None and k != "func"},
             "inputs": {},
             "outputs": {},
         }
@@ -104,7 +104,7 @@ def _resolve_data_path(name: str) -> str:
 # -- subcommands -------------------------------------------------------------
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args, manifest: Manifest) -> int:
     if args.fair_coin:
         source = sq.SequenceSource("born_sampler", seed=args.seed, probs=[0.5, 0.5])
     elif args.kind == "born":
@@ -260,15 +260,13 @@ def cmd_hv(args, manifest: Manifest) -> int:
         if not rep.pushforward_ok:
             raise CheckFailed("model violates its compatibility contract")
         return EXIT_OK
-    if args.hv_command == "audit2":
-        rep = hv.scenario_two_audit(model, sampler, args.n)
-        _write_json(args.json, rep.to_dict())
-        print(f"sampling fairness at 6 sigma: {'pass' if rep.fair else 'FAIL'} "
-              f"(randomness origin: {rep.randomness_origin})")
-        if not rep.fair:
-            raise CheckFailed("sampler failed the Born-measure fairness check")
-        return EXIT_OK
-    raise ValueError(f"unknown hv subcommand {args.hv_command!r}")
+    rep = hv.scenario_two_audit(model, sampler, args.n)
+    _write_json(args.json, rep.to_dict())
+    print(f"sampling fairness at 6 sigma: {'pass' if rep.fair else 'FAIL'} "
+          f"(randomness origin: {rep.randomness_origin})")
+    if not rep.fair:
+        raise CheckFailed("sampler failed the Born-measure fairness check")
+    return EXIT_OK
 
 
 def _load_functional(name: str) -> bell.MismatchFunctional:
@@ -291,66 +289,64 @@ def cmd_bell(args, manifest: Manifest) -> int:
         manifest.add_output(args.out + ".meta.json")
         print(f"wrote {len(trials)} {args.model} trials to {args.out}")
         return EXIT_OK
-    if args.bell_command == "analyze":
-        trials = bell.load_trials_csv(args.infile)
-        manifest.add_input(args.infile)
-        functional = _load_functional(args.functional)
-        report: dict = {"schema": "bell/v1", "input": args.infile,
-                        "n_trials": len(trials), "model": trials.metadata.get("model")}
-        failures: list[str] = []
-        if functional.degenerate:
-            report["functional"] = {"name": functional.name, "skipped": "degenerate"}
-            print("functional: skipped (all coefficients zero)")
-        else:
-            est = bell.empirical_functional(trials, functional)
-            bound, _ = bell.local_bound_bruteforce(functional.settings(), functional)
-            qv = bell.quantum_value(functional)
-            report["functional"] = {
-                "name": functional.name,
-                "empirical": est.value,
-                "six_sigma": est.six_sigma,
-                "quantum": qv,
-                "local_bound": bound,
-                "per_term": est.per_term,
-            }
-            model_kind = trials.metadata.get("model")
-            if model_kind == "hv" and est.value > float(bound) + est.six_sigma:
-                failures.append(
-                    f"local-model run reports functional {est.value:.4f} beyond the "
-                    f"exact local bound {bound} - impossible claim"
-                )
-            if model_kind == "quantum" and abs(est.value - qv) > est.six_sigma:
-                failures.append(
-                    f"quantum run functional {est.value:.4f} not within 6 sigma of "
-                    f"the quantum value {qv:.4f}"
-                )
-            print(f"functional {functional.name}: empirical {est.value:.4f} "
-                  f"(quantum {qv:.4f}, local bound {float(bound):.4f})")
-        mismatches = bell.perfect_correlation_violations(trials)
-        report["equal_setting_mismatches"] = mismatches
-        if trials.metadata.get("model") == "quantum" and mismatches:
-            failures.append(f"{mismatches} equal-setting mismatches in a quantum run")
-        try:
-            ra, rb = bell.no_signaling_check(trials)
-            report["no_signaling"] = {"alice": ra.to_dict(), "bob": rb.to_dict()}
-            print(f"no-signaling: alice {'pass' if ra.passed else 'FAIL'}, "
-                  f"bob {'pass' if rb.passed else 'FAIL'}")
-            if not (ra.passed and rb.passed):
-                failures.append("no-signaling marginal independence failed")
-        except ValueError as exc:
-            report["no_signaling"] = {"skipped": str(exc)}
-        if trials.lam is not None:
-            fc = bell.free_choice_check(trials)
-            report["free_choice"] = fc.to_dict()
-            status = "skip" if fc.skipped else ("pass" if fc.passed else "FAIL")
-            print(f"free-choice independence: {status}")
-            if not fc.passed and not fc.skipped:
-                failures.append("free-choice independence failed")
-        _write_json(args.json, report)
-        if failures:
-            raise CheckFailed("; ".join(failures))
-        return EXIT_OK
-    raise ValueError(f"unknown bell subcommand {args.bell_command!r}")
+    trials = bell.load_trials_csv(args.infile)
+    manifest.add_input(args.infile)
+    functional = _load_functional(args.functional)
+    report: dict = {"schema": "bell/v1", "input": args.infile,
+                    "n_trials": len(trials), "model": trials.metadata.get("model")}
+    failures: list[str] = []
+    if functional.degenerate:
+        report["functional"] = {"name": functional.name, "skipped": "degenerate"}
+        print("functional: skipped (all coefficients zero)")
+    else:
+        est = bell.empirical_functional(trials, functional)
+        bound, _ = bell.local_bound_bruteforce(functional.settings(), functional)
+        qv = bell.quantum_value(functional)
+        report["functional"] = {
+            "name": functional.name,
+            "empirical": est.value,
+            "six_sigma": est.six_sigma,
+            "quantum": qv,
+            "local_bound": bound,
+            "per_term": est.per_term,
+        }
+        model_kind = trials.metadata.get("model")
+        if model_kind == "hv" and est.value > float(bound) + est.six_sigma:
+            failures.append(
+                f"local-model run reports functional {est.value:.4f} beyond the "
+                f"exact local bound {bound} - impossible claim"
+            )
+        if model_kind == "quantum" and abs(est.value - qv) > est.six_sigma:
+            failures.append(
+                f"quantum run functional {est.value:.4f} not within 6 sigma of "
+                f"the quantum value {qv:.4f}"
+            )
+        print(f"functional {functional.name}: empirical {est.value:.4f} "
+              f"(quantum {qv:.4f}, local bound {float(bound):.4f})")
+    mismatches = bell.perfect_correlation_violations(trials)
+    report["equal_setting_mismatches"] = mismatches
+    if trials.metadata.get("model") == "quantum" and mismatches:
+        failures.append(f"{mismatches} equal-setting mismatches in a quantum run")
+    try:
+        ra, rb = bell.no_signaling_check(trials)
+        report["no_signaling"] = {"alice": ra.to_dict(), "bob": rb.to_dict()}
+        print(f"no-signaling: alice {'pass' if ra.passed else 'FAIL'}, "
+              f"bob {'pass' if rb.passed else 'FAIL'}")
+        if not (ra.passed and rb.passed):
+            failures.append("no-signaling marginal independence failed")
+    except ValueError as exc:
+        report["no_signaling"] = {"skipped": str(exc)}
+    if trials.lam is not None:
+        fc = bell.free_choice_check(trials)
+        report["free_choice"] = fc.to_dict()
+        status = "skip" if fc.skipped else ("pass" if fc.passed else "FAIL")
+        print(f"free-choice independence: {status}")
+        if not fc.passed and not fc.skipped:
+            failures.append("free-choice independence failed")
+    _write_json(args.json, report)
+    if failures:
+        raise CheckFailed("; ".join(failures))
+    return EXIT_OK
 
 
 def cmd_ks(args, manifest: Manifest) -> int:
@@ -381,23 +377,19 @@ def cmd_ks(args, manifest: Manifest) -> int:
         if result.status == "colored" and not cert["verified"]:
             raise CheckFailed("searcher returned a coloring the verifier rejects")
         return EXIT_OK
-    if args.ks_command == "verify":
-        with open(args.coloring) as f:
-            manifest.add_input(args.coloring)
-            obj = json.load(f)
-        assignment = obj["coloring"] if isinstance(obj, dict) else obj
-        ok = ks.verify_coloring(problem, assignment)
-        _write_json(args.json, {"schema": "ks/v1", "valid": bool(ok)})
-        print("VALID" if ok else "INVALID")
-        if not ok:
-            raise CheckFailed("coloring claim is false")
-        return EXIT_OK
-    raise ValueError(f"unknown ks subcommand {args.ks_command!r}")
+    with open(args.coloring) as f:
+        manifest.add_input(args.coloring)
+        obj = json.load(f)
+    assignment = obj["coloring"] if isinstance(obj, dict) else obj
+    ok = ks.verify_coloring(problem, assignment)
+    _write_json(args.json, {"schema": "ks/v1", "valid": bool(ok)})
+    print("VALID" if ok else "INVALID")
+    if not ok:
+        raise CheckFailed("coloring claim is false")
+    return EXIT_OK
 
 
 def cmd_report(args, manifest: Manifest) -> int:
-    if not args.inputs:
-        raise ValueError("report needs at least one input JSON")
     known = {"randlab/v1", "bell/v1", "ks/v1", "hv-audit1/v1", "hv-audit2/v1"}
     sections = []
     plot_rows: list[tuple] = []
@@ -406,6 +398,8 @@ def cmd_report(args, manifest: Manifest) -> int:
         with open(path) as f:
             obj = json.load(f)
         schema = obj.get("schema")
+        if schema == "manifest/v1":
+            continue
         if schema not in known:
             raise ValueError(f"{path}: unknown or missing schema {schema!r}; "
                              f"expected one of {sorted(known)}")
@@ -476,8 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
         if json_out:
             sp.add_argument("--json", help="write a JSON report here")
         sp.add_argument("--manifest", help="manifest path (default: <out>.manifest.json)")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker cap; never affects results")
 
     g = sub.add_parser("generate", help="write a seq/v1 sequence file")
     g.add_argument("--kind", default="born",
@@ -491,27 +483,32 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--start-at-one", action="store_true")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--out", required=True)
-    common(g)
+    g.set_defaults(func=cmd_generate)
+    common(g, json_out=False)
 
     a = sub.add_parser("analyze", help="statistical batteries on a sequence file")
     a.add_argument("--in", dest="infile", required=True)
     a.add_argument("--tests", default="borel,blocks")
     a.add_argument("--max-block", type=int, default=3)
     a.add_argument("--target", default="01", help="monkey-search target block")
+    a.set_defaults(func=cmd_analyze)
     common(a, seed=False)
 
     k = sub.add_parser("komplexity", help="description-length estimates")
     k.add_argument("--in", dest="infile", required=True)
     k.add_argument("--exact-max-len", type=int, default=None)
     k.add_argument("--steps", type=int, default=10_000)
+    k.set_defaults(func=cmd_komplexity)
     common(k, seed=False)
 
     o = sub.add_parser("omega", help="halting-probability lower bound")
     o.add_argument("--max-len", type=int, default=16)
     o.add_argument("--steps", type=int, default=10_000)
+    o.set_defaults(func=cmd_omega)
     common(o, seed=False)
 
     h = sub.add_parser("hv", help="hidden-variable model runs and audits")
+    h.set_defaults(func=cmd_hv)
     hsub = h.add_subparsers(dest="hv_command", required=True)
     hr = hsub.add_parser("run")
     hr.add_argument("--model", required=True)
@@ -519,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     hr.add_argument("--bias", help="prng sampling distribution override, e.g. 0.6,0.4")
     hr.add_argument("--n", type=int, required=True)
     hr.add_argument("--out", required=True)
-    common(hr)
+    common(hr, json_out=False)
     h1 = hsub.add_parser("audit1")
     h1.add_argument("--model", required=True)
     h1.add_argument("--sampler", default="counter")
@@ -534,19 +531,21 @@ def build_parser() -> argparse.ArgumentParser:
     common(h2)
 
     b = sub.add_parser("bell", help="bipartite experiments")
+    b.set_defaults(func=cmd_bell)
     bsub = b.add_subparsers(dest="bell_command", required=True)
     br = bsub.add_parser("run")
     br.add_argument("--model", default="quantum", choices=["quantum", "signaling"])
     br.add_argument("--settings", default="0,30,60")
     br.add_argument("--n", type=int, required=True)
     br.add_argument("--out", required=True)
-    common(br)
+    common(br, json_out=False)
     ba = bsub.add_parser("analyze")
     ba.add_argument("--in", dest="infile", required=True)
     ba.add_argument("--functional", default="default")
     common(ba, seed=False)
 
     kk = sub.add_parser("ks", help="Kochen-Specker coloring search")
+    kk.set_defaults(func=cmd_ks)
     ksub = kk.add_subparsers(dest="ks_command", required=True)
     ksearch = ksub.add_parser("search")
     ksearch.add_argument("--rays", required=True)
@@ -559,6 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("report", help="consolidate JSON reports")
     r.add_argument("--in", dest="inputs", nargs="+", required=True)
     r.add_argument("--csv", help="write plot-ready series here")
+    r.set_defaults(func=cmd_report)
     common(r, seed=False)
     return p
 
@@ -569,28 +569,10 @@ def dispatch(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    manifest = Manifest(args.command, vars(args).copy())
+    manifest = Manifest(args.command, vars(args))
     primary_output = getattr(args, "out", None) or getattr(args, "json", None)
     try:
-        if args.command == "generate":
-            code = cmd_generate(args)
-        elif args.command == "analyze":
-            code = cmd_analyze(args, manifest)
-        elif args.command == "komplexity":
-            code = cmd_komplexity(args, manifest)
-        elif args.command == "omega":
-            code = cmd_omega(args, manifest)
-        elif args.command == "hv":
-            code = cmd_hv(args, manifest)
-        elif args.command == "bell":
-            code = cmd_bell(args, manifest)
-        elif args.command == "ks":
-            code = cmd_ks(args, manifest)
-        elif args.command == "report":
-            code = cmd_report(args, manifest)
-        else:
-            print(f"unknown command {args.command!r}", file=sys.stderr)
-            return EXIT_USAGE
+        code = args.func(args, manifest)
     except CheckFailed as exc:
         print(f"CHECK FAILED: {exc}", file=sys.stderr)
         code = EXIT_CHECK_FAILED

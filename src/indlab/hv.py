@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,7 +19,7 @@ import numpy as np
 from . import machine as tm
 from .errors import ContractViolationError
 from .randomness import ComplexityEstimate, k_upper_bound
-from .sequences import SymbolString, read_sequence_file, sample_indices
+from .sequences import SymbolString, os_entropy_symbols, read_sequence_file, sample_indices
 
 HV_SCHEMA = "hv/v1"
 PUSHFORWARD_TOL = 1e-10
@@ -229,18 +228,7 @@ class Sampler:
                 )
             return sample_indices(probs, n, self.params["seed"])
         if self.kind == "external_entropy":
-            out = np.empty(n, dtype=np.int64)
-            chunk = 0
-            limit = 256 - 256 % m
-            filled = 0
-            while filled < n:
-                raw = np.frombuffer(os.urandom(2 * (n - filled) + 64), dtype=np.uint8)
-                good = raw[raw < limit] % m
-                take = min(len(good), n - filled)
-                out[filled : filled + take] = good[:take]
-                filled += take
-                chunk += 1
-            return out
+            return os_entropy_symbols(m, n)
         sigma = read_sequence_file(self.params["path"])
         if len(sigma) < n:
             raise ContractViolationError(

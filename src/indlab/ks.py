@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -314,11 +313,13 @@ class SearchStats:
 @dataclass
 class ColoringResult:
     """colored carries a satisfying assignment; unsat carries search stats
-    certifying that the backtracking exhausted the assignment space."""
+    certifying that the backtracking exhausted the assignment space.
+    solutions lists every coloring found, in trace order."""
 
     status: str  # "colored" | "unsat"
     assignment: Optional[tuple[int, ...]]
     stats: SearchStats
+    solutions: list[tuple[int, ...]] = field(default_factory=list)
 
 
 def _propagate(colors: list[int], bases: list[BasisTriple]) -> bool:
@@ -365,9 +366,7 @@ def _choose_ray(colors: list[int], bases: list[BasisTriple]) -> int:
     return best[0]
 
 
-def search_coloring(
-    problem: ColoringProblem, count_all: bool = False, solution_limit: int = 0
-) -> ColoringResult:
+def search_coloring(problem: ColoringProblem, count_all: bool = False) -> ColoringResult:
     """Complete backtracking with exactly-one constraint propagation.
 
     With count_all the full tree is explored and stats.nodes reflects it;
@@ -385,7 +384,7 @@ def search_coloring(
             return False
         if -1 not in work:
             solutions.append(tuple(work))
-            return not count_all or (solution_limit and len(solutions) >= solution_limit)
+            return not count_all
         idx = _choose_ray(work, problem.bases)
         for value in (1, 0):
             child = work[:]
@@ -396,16 +395,12 @@ def search_coloring(
 
     rec(colors, 0)
     if solutions:
-        result = ColoringResult("colored", solutions[0], stats)
-        result.solutions = solutions  # type: ignore[attr-defined]
-        return result
-    result = ColoringResult("unsat", None, stats)
-    result.solutions = []  # type: ignore[attr-defined]
-    return result
+        return ColoringResult("colored", solutions[0], stats, solutions)
+    return ColoringResult("unsat", None, stats)
 
 
 def count_colorings(problem: ColoringProblem) -> int:
-    return len(search_coloring(problem, count_all=True).solutions)  # type: ignore[attr-defined]
+    return len(search_coloring(problem, count_all=True).solutions)
 
 
 def verify_coloring(problem: ColoringProblem, assignment: Sequence[int]) -> bool:

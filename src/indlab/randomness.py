@@ -13,10 +13,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import machine as tm
-from .sequences import SequenceSource, SymbolString, champernowne_text
+from .sequences import (
+    SequenceSource,
+    SymbolString,
+    _block_symbols,
+    _format_symbols,
+    _window_counts,
+    champernowne_text,
+)
 
 EXACT_SEARCH_MAX_LEN = 24
 DEFAULT_Z_THRESHOLD = 4.0
@@ -285,22 +290,18 @@ def borel_normality_test(
             f"need at least {minimum} symbols for blocks up to {max_block_len}, "
             f"got {len(sigma)}"
         )
-    arr = sigma.array
     reports = []
     for ell in range(1, max_block_len + 1):
         windows = len(sigma) - ell + 1
-        codes = np.zeros(windows, dtype=np.int64)
-        for j in range(ell):
-            codes = codes * k + arr[j : len(sigma) - ell + 1 + j]
-        counts = np.bincount(codes, minlength=k**ell)
+        counts = _window_counts(sigma.array, k, ell, disjoint=False)
         expected = windows * k ** (-ell)
         for code in range(k**ell):
-            pattern = _decode_block(code, k, ell)
+            pattern = _block_symbols(code, k, ell)
             var = _overlap_count_variance(pattern, k, windows)
             z = float(counts[code] - expected) / math.sqrt(var)
             reports.append(
                 TestReport(
-                    test_name=f"block_frequency[l={ell},block={_fmt_block(pattern, k)}]",
+                    test_name=f"block_frequency[l={ell},block={_format_symbols(pattern, k)}]",
                     statistic=float(counts[code]),
                     expected=expected,
                     z_score=float(z),
@@ -310,20 +311,6 @@ def borel_normality_test(
                 )
             )
     return reports
-
-
-def _decode_block(code: int, k: int, ell: int) -> tuple[int, ...]:
-    syms = []
-    for _ in range(ell):
-        code, r = divmod(code, k)
-        syms.append(r)
-    return tuple(reversed(syms))
-
-
-def _fmt_block(pattern: Sequence[int], k: int) -> str:
-    if k <= 10:
-        return "".join(str(s) for s in pattern)
-    return ",".join(str(s) for s in pattern)
 
 
 def monkey_search(

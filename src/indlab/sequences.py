@@ -8,7 +8,7 @@ is a prefix of the prefix of length m > n.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -65,9 +65,7 @@ class SymbolString:
 
     def to_text(self) -> str:
         """Digit string for bases <= 10, comma-separated integers beyond."""
-        if self.alphabet_size <= 10:
-            return "".join(str(s) for s in self.symbols)
-        return ",".join(str(s) for s in self.symbols)
+        return _format_symbols(self.symbols, self.alphabet_size)
 
     @staticmethod
     def from_text(text: str, alphabet_size: int) -> "SymbolString":
@@ -92,22 +90,11 @@ def champernowne_text(base: int, n: int, start_at_one: bool = False) -> str:
         raise ValueError(f"base must be >= 2, got {base}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    digits = "0123456789abcdefghijklmnopqrstuvwxyz"
     chunks: list[str] = []
     total = 0
     t = 1 if start_at_one else 0
     while total < n:
-        if base == 2:
-            numeral = format(t, "b")
-        elif base == 10:
-            numeral = str(t)
-        else:
-            m, numeral = t, ""
-            while True:
-                m, r = divmod(m, base)
-                numeral = digits[r] + numeral
-                if m == 0:
-                    break
+        numeral = _to_base(t, base)
         chunks.append(numeral)
         total += len(numeral)
         t += 1
@@ -134,22 +121,25 @@ def champernowne_digit_at(base: int, position: int, start_at_one: bool = False) 
     t = 1 if start_at_one else 0
     pos = position
     while True:
-        numeral_len = 1 if t == 0 else len(_to_base(t, base))
-        if pos < numeral_len:
-            return int(_to_base(t, base)[pos], 36)
-        pos -= numeral_len
+        numeral = _to_base(t, base)
+        if pos < len(numeral):
+            return int(numeral[pos], 36)
+        pos -= len(numeral)
         t += 1
 
 
 def _to_base(t: int, base: int) -> str:
-    digits = "0123456789abcdefghijklmnopqrstuvwxyz"
-    if t == 0:
-        return "0"
+    """Numeral of t >= 0 in the given base, digits 0-9 then a-z."""
+    if base == 2:
+        return format(t, "b")
+    if base == 10:
+        return str(t)
     out = ""
-    while t:
+    while True:
         t, r = divmod(t, base)
-        out = digits[r] + out
-    return out
+        out = "0123456789abcdefghijklmnopqrstuvwxyz"[r] + out
+        if t == 0:
+            return out
 
 
 def sample_indices(
@@ -267,25 +257,26 @@ class SequenceSource:
                 raise ValueError(f"file holds {len(sigma)} symbols, {n} requested")
             self._cache = list(sigma.symbols[:n])
         elif self.kind == "os_entropy":
-            self._cache.extend(_os_entropy_symbols(k, n - len(self._cache)))
+            self._cache.extend(os_entropy_symbols(k, n - len(self._cache)).tolist())
 
     def __repr__(self) -> str:
         return f"SequenceSource({self.kind!r}, k={self.alphabet_size}, seed={self.seed})"
 
 
-def _os_entropy_symbols(k: int, n: int) -> list[int]:
-    """Uniform symbols from OS entropy via rejection sampling on bytes."""
+def os_entropy_symbols(k: int, n: int) -> np.ndarray:
+    """n uniform symbols in [0, k) from OS entropy via rejection sampling on bytes."""
     if k > 256:
         raise ValueError("os_entropy supports alphabets up to 256 symbols")
     limit = 256 - (256 % k)
-    out: list[int] = []
+    out = np.empty(n, dtype=np.int64)
+    filled = 0
     try:
-        while len(out) < n:
-            for b in os.urandom(2 * (n - len(out)) + 8):
-                if b < limit:
-                    out.append(b % k)
-                    if len(out) == n:
-                        break
+        while filled < n:
+            raw = np.frombuffer(os.urandom(2 * (n - filled) + 64), dtype=np.uint8)
+            good = raw[raw < limit].astype(np.int64) % k
+            take = min(len(good), n - filled)
+            out[filled : filled + take] = good[:take]
+            filled += take
     except (OSError, NotImplementedError) as exc:
         raise OSError(f"OS entropy unavailable: {exc}") from exc
     return out
@@ -312,14 +303,11 @@ def block_frequencies(
     k = sigma.alphabet_size
     counts = _window_counts(sigma.array, k, block_len, disjoint)
     total = counts.sum()
-    freqs: dict[str, float] = {}
-    if k**block_len <= 65536:
-        for code in range(k**block_len):
-            freqs[_block_key(code, k, block_len)] = counts[code] / total
-    else:
-        for code in np.nonzero(counts)[0]:
-            freqs[_block_key(int(code), k, block_len)] = counts[code] / total
-    return freqs
+    codes = range(k**block_len) if k**block_len <= 65536 else np.nonzero(counts)[0]
+    return {
+        _format_symbols(_block_symbols(int(code), k, block_len), k): counts[code] / total
+        for code in codes
+    }
 
 
 def _window_counts(arr: np.ndarray, k: int, block_len: int, disjoint: bool) -> np.ndarray:
@@ -333,15 +321,18 @@ def _window_counts(arr: np.ndarray, k: int, block_len: int, disjoint: bool) -> n
     return np.bincount(codes, minlength=k**block_len)
 
 
-def _block_key(code: int, k: int, block_len: int) -> str:
+def _block_symbols(code: int, k: int, block_len: int) -> tuple[int, ...]:
+    """The length-l block whose base-k code is code (inverse of _window_counts)."""
     syms = []
     for _ in range(block_len):
         code, r = divmod(code, k)
         syms.append(r)
-    syms.reverse()
-    if k <= 10:
-        return "".join(str(s) for s in syms)
-    return ",".join(str(s) for s in syms)
+    return tuple(reversed(syms))
+
+
+def _format_symbols(symbols: Sequence[int], k: int) -> str:
+    """The SymbolString.to_text form of any base-k symbol sequence."""
+    return ("" if k <= 10 else ",").join(str(s) for s in symbols)
 
 
 def write_sequence_file(path: str, sigma: SymbolString) -> None:

@@ -1,8 +1,9 @@
+import json
 import os
 
 import pytest
 
-from indlab import bell, cli
+from indlab import bell, cli, hv, ks
 from indlab import machine as tm
 from indlab import randomness as rl
 from indlab import sequences as sq
@@ -21,8 +22,8 @@ def test_komplexity_rejects_exact_max_len_above_cap(tmp_path, monkeypatch):
     assert not os.path.exists("k.json")
 
 
-def test_bell_analyze_rejects_partly_blank_lambda_column(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
+def _hv_csv_with_first_lambda(lambda_id: str) -> None:
+    """Save a 1,200-trial hv run as run.csv with the first row's lambda_id replaced."""
     strat = bell.LocalDeterministicStrategy((0, 1, 0), (0, 1, 0))
     trials = bell.run_bipartite(
         "hv", bell.DEFAULT_SETTINGS, 1200, seed=6, hv_ensemble=[(1.0, strat)]
@@ -30,10 +31,104 @@ def test_bell_analyze_rejects_partly_blank_lambda_column(tmp_path, monkeypatch, 
     bell.save_trials_csv("run.csv", trials)
     with open("run.csv") as f:
         lines = f.read().splitlines()
-    lines[1] = lines[1].rsplit(",", 1)[0] + ","
+    lines[1] = lines[1].rsplit(",", 1)[0] + "," + lambda_id
     with open("run.csv", "w") as f:
         f.write("\n".join(lines) + "\n")
+
+
+def test_bell_analyze_rejects_partly_blank_lambda_column(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _hv_csv_with_first_lambda("")
     assert cli.dispatch(["bell", "analyze", "--in", "run.csv", "--json", "b.json"]) \
         == cli.EXIT_USAGE
     assert "lambda_id is blank on 1 of 1200 rows" in capsys.readouterr().err
     assert not os.path.exists("b.json")
+
+
+def test_bell_analyze_rejects_negative_lambda_id(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _hv_csv_with_first_lambda("-1")
+    assert cli.dispatch(["bell", "analyze", "--in", "run.csv", "--json", "b.json"]) \
+        == cli.EXIT_USAGE
+    assert "lambda_id must be >= 0, found -1" in capsys.readouterr().err
+    assert not os.path.exists("b.json")
+
+
+def test_report_skips_manifests_but_rejects_other_schemas(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.dispatch(["omega", "--max-len", "6", "--steps", "100", "--json", "o.json"]) \
+        == cli.EXIT_OK
+    assert cli.dispatch(["report", "--in", "o.json", "o.json.manifest.json",
+                         "--json", "r.json"]) == cli.EXIT_OK
+    with open("r.json") as f:
+        assert [s["path"] for s in json.load(f)["sections"]] == ["o.json"]
+    with open("x.json", "w") as f:
+        json.dump({"schema": "other/v1"}, f)
+    assert cli.dispatch(["report", "--in", "o.json", "x.json"]) == cli.EXIT_USAGE
+
+
+def test_hv_audit2_os_sampler_on_300_states_exits_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    g = tuple(i % 2 for i in range(300))
+    hv.save_model("big.json", hv.HVModel(hv.HVSpace("discrete", 300), g, (1 / 300,) * 300))
+    assert cli.dispatch(["hv", "audit2", "--model", "big.json", "--sampler", "os",
+                         "--n", "10000", "--json", "a.json"]) == cli.EXIT_USAGE
+    assert "up to 256 symbols" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    """Tiny inputs for every leaf subcommand."""
+    d = tmp_path_factory.mktemp("contract")
+    sq.write_sequence_file(str(d / "x.seq"),
+                           sq.SequenceSource("born_sampler", seed=1).prefix(400))
+    trials = bell.run_bipartite("quantum", bell.DEFAULT_SETTINGS, 3000, seed=2)
+    bell.save_trials_csv(str(d / "q.csv"), trials)
+    coloring = ks.search_coloring(ks.bundled_problem("demo_colorable")).assignment
+    with open(d / "c.json", "w") as f:
+        json.dump({"schema": "ks/v1", "coloring": list(coloring)}, f)
+    return d
+
+
+LEAF_COMMANDS = {
+    "generate": ["generate", "--fair-coin", "--n", "64", "--out", "g.seq"],
+    "analyze": ["analyze", "--in", "x.seq", "--max-block", "1", "--json", "a.json"],
+    "komplexity": ["komplexity", "--in", "x.seq", "--json", "k.json"],
+    "omega": ["omega", "--max-len", "6", "--steps", "100", "--json", "o.json"],
+    "hv-run": ["hv", "run", "--model", "fair_coin_counter.json", "--n", "16",
+               "--out", "h.seq"],
+    "hv-audit1": ["hv", "audit1", "--model", "fair_coin_counter.json",
+                  "--checkpoints", "16,64", "--json", "h1.json"],
+    "hv-audit2": ["hv", "audit2", "--model", "parity4.json", "--n", "10000",
+                  "--json", "h2.json"],
+    "bell-run": ["bell", "run", "--n", "600", "--out", "b.csv"],
+    "bell-analyze": ["bell", "analyze", "--in", "q.csv", "--json", "b.json"],
+    "ks-search": ["ks", "search", "--rays", "demo_colorable.rays", "--json", "s.json"],
+    "ks-verify": ["ks", "verify", "--rays", "demo_colorable.rays", "--coloring", "c.json"],
+    "report": ["report", "--in", "c.json"],
+}
+
+
+@pytest.mark.parametrize("name", LEAF_COMMANDS)
+def test_every_leaf_subcommand_exits_0_with_a_manifest(name, contract_dir, monkeypatch):
+    monkeypatch.chdir(contract_dir)
+    manifest_path = f"{name}.manifest.json"
+    assert cli.dispatch(LEAF_COMMANDS[name] + ["--manifest", manifest_path]) == cli.EXIT_OK
+    with open(manifest_path) as f:
+        manifest = json.load(f)
+    assert manifest["schema"] == "manifest/v1"
+    assert manifest["subcommand"] == LEAF_COMMANDS[name][0]
+    assert not {"func", "threads"} & set(manifest["parameters"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["omega", "--max-len", "4", "--threads", "2"],
+    ["generate", "--fair-coin", "--n", "8", "--out", "g.seq", "--json", "g.json"],
+    ["hv", "run", "--model", "fair_coin_counter.json", "--n", "8", "--out", "h.seq",
+     "--json", "h.json"],
+    ["bell", "run", "--n", "8", "--out", "b.csv", "--json", "b.json"],
+], ids=["threads", "generate-json", "hv-run-json", "bell-run-json"])
+def test_removed_options_are_usage_errors(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.dispatch(argv) == cli.EXIT_USAGE
+    assert os.listdir() == []

@@ -240,6 +240,20 @@ class TestSamplerContracts:
         b = hv.Sampler.os_entropy().states(model, 64)
         assert (a != b).any()
 
+    @pytest.mark.parametrize("size", [3, 256])
+    def test_entropy_states_cover_the_space(self, size):
+        g = tuple(i % 2 for i in range(size))
+        model = hv.HVModel(hv.HVSpace("discrete", size), g, (1 / size,) * size)
+        lam = hv.Sampler.os_entropy().states(model, 4096)
+        assert lam.dtype == np.int64 and len(lam) == 4096
+        assert 0 <= lam.min() and lam.max() < size and len(set(lam.tolist())) > size // 2
+
+    def test_entropy_rejects_spaces_above_256_states(self):
+        g = tuple(i % 2 for i in range(300))
+        model = hv.HVModel(hv.HVSpace("discrete", 300), g, (1 / 300,) * 300)
+        with pytest.raises(ValueError, match="up to 256 symbols"):
+            hv.Sampler.os_entropy().states(model, 10)
+
     def test_describe_hides_program_bits(self):
         s = hv.Sampler.machine_program(tm.prog_halt())
         assert s.describe() == {"kind": "deterministic_computable", "program_bits": 4}

@@ -365,3 +365,14 @@ class TestConstruction:
         internal = ks.ColoringProblem(problem.rays[:33], problem.bases[:16])
         assert all(max(b.rays) < 33 for b in internal.bases)
         assert ks.search_coloring(internal).status == "colored"
+
+    @pytest.mark.parametrize("name,build", [
+        ("peres33", lambda: ks.build_peres_problem()[0]),
+        ("demo_colorable", ks.build_demo_problem),
+    ])
+    def test_bundled_file_matches_its_builder(self, name, build):
+        built, bundled = build(), ks.bundled_problem(name)
+        assert [(r.name, r.exact) for r in built.rays] == \
+            [(r.name, r.exact) for r in bundled.rays]
+        assert all(r.exact is not None for r in bundled.rays)
+        assert [b.rays for b in built.bases] == [b.rays for b in bundled.bases]

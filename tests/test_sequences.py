@@ -68,6 +68,12 @@ class TestChampernowne:
             for pos in range(0, n, 97):
                 assert s[pos] == sq.champernowne_digit_at(base, pos)
 
+    @pytest.mark.parametrize("base", [2, 3, 7, 10, 16, 36])
+    def test_numerals_parse_back(self, base):
+        for t in list(range(200)) + [base**5 - 1, base**5, 10**9 + 7]:
+            numeral = sq._to_base(t, base)
+            assert int(numeral, base) == t and (numeral == "0" or numeral[0] != "0")
+
     def test_bad_args(self):
         with pytest.raises(ValueError):
             sq.champernowne(1, 5)
