@@ -327,7 +327,7 @@ def sample_sequence(
         raise ValueError("n must be >= 0")
     idx = sample_indices(mu.probabilities, n, seed, chunk_size)
     alphabet = max(2, len(mu))
-    return SymbolString(alphabet, tuple(int(i) for i in idx)), tuple(mu.outcomes)
+    return SymbolString(alphabet, idx), tuple(mu.outcomes)
 
 
 # -- spin-1 helpers ----------------------------------------------------------

@@ -51,9 +51,9 @@ class Manifest:
         }
         self._t0 = time.time()
 
-    def add_input(self, path: str) -> None:
-        if path and os.path.exists(path):
-            self.data["inputs"][path] = _sha256(path)
+    def add_input(self, name: str) -> None:
+        """Key an input by the name it was given, bundled data files included."""
+        self.data["inputs"][name] = _sha256(_resolve_data_path(name))
 
     def add_output(self, path: str) -> None:
         if path and os.path.exists(path):
@@ -243,7 +243,7 @@ def _load_sampler(args) -> hv.Sampler:
 
 def cmd_hv(args, manifest: Manifest) -> int:
     model = hv.load_model(_resolve_data_path(args.model))
-    manifest.add_input(_resolve_data_path(args.model))
+    manifest.add_input(args.model)
     sampler = _load_sampler(args)
     if args.hv_command == "run":
         x = hv.run_model(model, sampler, args.n)
@@ -350,9 +350,8 @@ def cmd_bell(args, manifest: Manifest) -> int:
 
 
 def cmd_ks(args, manifest: Manifest) -> int:
-    path = _resolve_data_path(args.rays)
-    problem = ks.load_rays_file(path)
-    manifest.add_input(path)
+    problem = ks.load_rays_file(_resolve_data_path(args.rays))
+    manifest.add_input(args.rays)
     validation = ks.validate_problem(problem)
     if args.ks_command == "search":
         if not validation.ok:
@@ -397,6 +396,8 @@ def cmd_report(args, manifest: Manifest) -> int:
         manifest.add_input(path)
         with open(path) as f:
             obj = json.load(f)
+        if not isinstance(obj, dict):
+            raise ValueError(f"{path}: expected a JSON object, got a {type(obj).__name__}")
         schema = obj.get("schema")
         if schema == "manifest/v1":
             continue

@@ -234,7 +234,7 @@ class Sampler:
             raise ContractViolationError(
                 f"recorded trace holds {len(sigma)} states, {n} requested"
             )
-        return np.asarray(sigma.symbols[:n], dtype=np.int64)
+        return sigma.array[:n]
 
     def period_over(self, model: HVModel) -> Optional[int]:
         """Period of g(h(.)) for built-in deterministic rules, else None."""
@@ -269,7 +269,7 @@ def run_model(model: HVModel, h: Sampler, n: int) -> SymbolString:
         )
     gmap = np.asarray(model.outcome_map, dtype=np.int64)
     x = gmap[lam]
-    return SymbolString(max(2, model.n_outcomes), tuple(int(v) for v in x))
+    return SymbolString(max(2, model.n_outcomes), x)
 
 
 @dataclass
@@ -330,7 +330,7 @@ def scenario_one_audit(
     period = h.period_over(model)
     points = []
     for n in cps:
-        sigma = SymbolString(2, x.symbols[:n])
+        sigma = SymbolString(2, x.array[:n])
         best: ComplexityEstimate = k_upper_bound(sigma)
         if period is not None and n > 0:
             pattern = tuple(model.outcome_map[int(v)] for v in h.states(model, period))

@@ -47,7 +47,7 @@ class ComplexityEstimate:
         """Re-run the witness and compare with sigma."""
         steps = max_steps if max_steps is not None else 8 * len(sigma) + 256
         res = tm.run_machine(self.witness, steps)
-        return res.halted and res.output == sigma.symbols
+        return res.halted and res.output == tuple(sigma)
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,7 @@ def k_upper_bound(
     """
     _require_base2(sigma)
     n = len(sigma)
-    syms = sigma.symbols
+    syms = tuple(sigma)
     candidates: list[tuple[tm.Bits, str]] = []
     if n == 0:
         candidates.append((tm.prog_halt(), "generator_encoding"))
@@ -150,8 +150,7 @@ def k_upper_bound(
             if p <= n // 2:
                 candidates.append((tm.prog_periodic(syms[:p], n), "generator_encoding"))
         for start_at_one in (False, True):
-            text = champernowne_text(2, n, start_at_one)
-            if tuple(int(c) for c in text) == syms:
+            if champernowne_text(2, n, start_at_one) == sigma.to_text():
                 candidates.append(
                     (tm.prog_champernowne(n, start_at_one), "generator_encoding")
                 )
@@ -182,12 +181,13 @@ def exact_k_small(
     if max_len > EXACT_SEARCH_MAX_LEN:
         raise ValueError(f"max_len {max_len} exceeds the tractability cap "
                          f"{EXACT_SEARCH_MAX_LEN}")
+    want = tuple(sigma)
     timeouts: list[int] = []
     best: Optional[tm.DomainEntry] = None
     for entry in tm.enumerate_domain(
-        max_len, max_steps, output_prefix=sigma.symbols, timeout_log=timeouts
+        max_len, max_steps, output_prefix=want, timeout_log=timeouts
     ):
-        if entry.output == sigma.symbols:
+        if entry.output == want:
             if best is None or len(entry.program) < len(best.program):
                 best = entry
     if best is None:
@@ -323,17 +323,12 @@ def monkey_search(
         raise ValueError("target and source alphabets differ")
     if len(target) == 0:
         raise ValueError("target must be non-empty")
-    hay = source.prefix(horizon).to_text()
-    needle = target.to_text()
-    if target.alphabet_size > 10:
-        hay = "," + hay + ","
-        needle = "," + needle + ","
-    positions = []
-    at = hay.find(needle)
-    while at != -1:
-        positions.append(at if target.alphabet_size <= 10 else hay[:at].count(","))
-        at = hay.find(needle, at + 1)
-    return positions
+    hay = source.prefix(horizon).array
+    needle = target.array
+    starts = (hay[: len(hay) - len(needle) + 1] == needle[0]).nonzero()[0]
+    for j in range(1, len(needle)):
+        starts = starts[hay[starts + j] == needle[j]]
+    return starts.tolist()
 
 
 def omega_lower_bound(

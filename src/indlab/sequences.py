@@ -8,8 +8,8 @@ is a prefix of the prefix of length m > n.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,57 +26,63 @@ SOURCE_KINDS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymbolString:
-    """Immutable finite string over the alphabet {0, ..., k-1}."""
+    """Immutable string over {0..k-1} in a read-only array (uint8 if k <= 256, else int64)."""
 
     alphabet_size: int
-    symbols: tuple[int, ...]
+    array: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.alphabet_size < 2:
-            raise ValueError(f"alphabet size must be >= 2, got {self.alphabet_size}")
-        if not isinstance(self.symbols, tuple):
-            object.__setattr__(self, "symbols", tuple(self.symbols))
         k = self.alphabet_size
-        for s in self.symbols:
-            if not 0 <= s < k:
-                raise ValueError(f"symbol {s} outside alphabet [0, {k})")
+        if k < 2:
+            raise ValueError(f"alphabet size must be >= 2, got {k}")
+        arr = np.asarray(self.array)
+        if arr.ndim != 1 or (len(arr) and not np.issubdtype(arr.dtype, np.integer)):
+            raise ValueError(f"symbols must be a 1-d integer sequence, got {arr.dtype} "
+                             f"of shape {arr.shape}")
+        outside = (arr < 0) | (arr >= k)
+        if outside.any():
+            raise ValueError(f"symbol {arr[outside][0]} outside alphabet [0, {k})")
+        arr = arr.astype(np.uint8 if k <= 256 else np.int64)
+        arr.flags.writeable = False
+        object.__setattr__(self, "array", arr)
 
     def __len__(self) -> int:
-        return len(self.symbols)
+        return len(self.array)
 
-    def __getitem__(self, i):
-        return self.symbols[i]
+    def __getitem__(self, i: int) -> int:
+        return int(self.array[i])
 
     def __iter__(self):
-        return iter(self.symbols)
+        return iter(self.array.tolist())
 
-    @cached_property
-    def array(self) -> np.ndarray:
-        return np.asarray(self.symbols, dtype=np.int64)
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, SymbolString) and len(self) == len(other)
+                and self.is_prefix_of(other))
 
     def is_prefix_of(self, other: "SymbolString") -> bool:
         return (
             self.alphabet_size == other.alphabet_size
-            and len(self) <= len(other)
-            and other.symbols[: len(self)] == self.symbols
+            and np.array_equal(other.array[: len(self)], self.array)
         )
 
     def to_text(self) -> str:
         """Digit string for bases <= 10, comma-separated integers beyond."""
-        return _format_symbols(self.symbols, self.alphabet_size)
+        return _format_symbols(self.array, self.alphabet_size)
 
     @staticmethod
     def from_text(text: str, alphabet_size: int) -> "SymbolString":
+        """Inverse of to_text: ASCII digits, comma-separated beyond base 10."""
         text = text.strip()
-        if not text:
-            return SymbolString(alphabet_size, ())
-        if alphabet_size <= 10:
-            syms = tuple(int(c) for c in text)
-        else:
-            syms = tuple(int(t) for t in text.split(","))
-        return SymbolString(alphabet_size, syms)
+        k = alphabet_size
+        bad = re.search("[^0-9]" if k <= 10 else "[^0-9,]|[0-9]{19}|^,|,,|,$", text)
+        if bad:
+            raise ValueError(f"bad base-{k} symbol text {bad.group()!r}")
+        if k <= 10:
+            return SymbolString(k, np.frombuffer(text.encode(), np.uint8) - ord("0"))
+        tokens = text.split(",") if text else []
+        return SymbolString(k, np.array(tokens, dtype=str).astype(np.int64))
 
 
 def bits(text: str) -> SymbolString:
@@ -103,12 +109,9 @@ def champernowne_text(base: int, n: int, start_at_one: bool = False) -> str:
 
 def champernowne(base: int, n: int, start_at_one: bool = False) -> SymbolString:
     """First n digits of Champernowne's expansion in the given base."""
-    text = champernowne_text(base, n, start_at_one)
-    if base <= 10:
-        syms = tuple(int(c) for c in text)
-    else:
+    if base > 10:
         raise ValueError("champernowne supported for bases 2..10")
-    return SymbolString(base, syms)
+    return SymbolString.from_text(champernowne_text(base, n, start_at_one), base)
 
 
 def champernowne_digit_at(base: int, position: int, start_at_one: bool = False) -> int:
@@ -194,23 +197,17 @@ class SequenceSource:
         self.alphabet_size = alphabet_size
         self.seed = seed
         self.parameters = dict(parameters)
-        self._cache: list[int] = []
+        self._cache = np.empty(0, dtype=np.int64)
         self._validate()
 
     def _validate(self) -> None:
         p = self.parameters
         if self.kind == "constant":
-            sym = p.setdefault("symbol", 0)
-            if not 0 <= sym < self.alphabet_size:
-                raise ValueError(f"constant symbol {sym} outside alphabet")
+            SymbolString(self.alphabet_size, (p.setdefault("symbol", 0),))
         elif self.kind == "periodic":
-            pat = p.get("pattern")
-            if not pat:
+            p["pattern"] = tuple(SymbolString(self.alphabet_size, p.get("pattern", ())))
+            if not p["pattern"]:
                 raise ValueError("periodic source requires a non-empty pattern")
-            p["pattern"] = tuple(int(s) for s in pat)
-            for s in p["pattern"]:
-                if not 0 <= s < self.alphabet_size:
-                    raise ValueError(f"pattern symbol {s} outside alphabet")
         elif self.kind == "born_sampler":
             probs = p.setdefault("probs", [0.5, 0.5])
             if len(probs) > self.alphabet_size:
@@ -231,22 +228,20 @@ class SequenceSource:
             raise ValueError(f"n must be >= 0, got {n}")
         if n > len(self._cache):
             self._extend(n)
-        return SymbolString(self.alphabet_size, tuple(self._cache[:n]))
+        return SymbolString(self.alphabet_size, self._cache[:n])
 
     def _extend(self, n: int) -> None:
         k = self.alphabet_size
         p = self.parameters
         if self.kind == "constant":
-            self._cache.extend([p["symbol"]] * (n - len(self._cache)))
+            self._cache = np.full(n, p["symbol"], dtype=np.int64)
         elif self.kind == "periodic":
-            pat = p["pattern"]
-            self._cache = [pat[i % len(pat)] for i in range(n)]
+            self._cache = np.resize(np.array(p["pattern"], dtype=np.int64), n)
         elif self.kind == "champernowne":
-            text = champernowne_text(k, n, p["start_at_one"])
-            self._cache = [int(c, 36) for c in text]
+            raw = np.frombuffer(champernowne_text(k, n, p["start_at_one"]).encode(), np.uint8)
+            self._cache = np.where(raw >= ord("a"), raw - (ord("a") - 10), raw - ord("0"))
         elif self.kind == "born_sampler":
-            draws = sample_indices(p["probs"], n, self.seed, p.get("chunk_size"))
-            self._cache = draws.tolist()
+            self._cache = sample_indices(p["probs"], n, self.seed, p.get("chunk_size"))
         elif self.kind == "file":
             sigma = read_sequence_file(p["path"])
             if sigma.alphabet_size != k:
@@ -255,9 +250,9 @@ class SequenceSource:
                 )
             if n > len(sigma):
                 raise ValueError(f"file holds {len(sigma)} symbols, {n} requested")
-            self._cache = list(sigma.symbols[:n])
+            self._cache = sigma.array[:n]
         elif self.kind == "os_entropy":
-            self._cache.extend(os_entropy_symbols(k, n - len(self._cache)).tolist())
+            self._cache = np.append(self._cache, os_entropy_symbols(k, n - len(self._cache)))
 
     def __repr__(self) -> str:
         return f"SequenceSource({self.kind!r}, k={self.alphabet_size}, seed={self.seed})"
@@ -332,7 +327,9 @@ def _block_symbols(code: int, k: int, block_len: int) -> tuple[int, ...]:
 
 def _format_symbols(symbols: Sequence[int], k: int) -> str:
     """The SymbolString.to_text form of any base-k symbol sequence."""
-    return ("" if k <= 10 else ",").join(str(s) for s in symbols)
+    if k <= 10:
+        return (np.asarray(symbols, dtype=np.uint8) + ord("0")).tobytes().decode()
+    return ",".join(map(str, np.asarray(symbols).tolist()))
 
 
 def write_sequence_file(path: str, sigma: SymbolString) -> None:
@@ -349,7 +346,11 @@ def read_sequence_file(path: str) -> SymbolString:
     parts = header.split()
     if not parts or parts[0] != SEQ_SCHEMA:
         raise ValueError(f"not a {SEQ_SCHEMA} file: header {header!r}")
-    fields = dict(p.split("=", 1) for p in parts[1:])
+    fields = dict(p.partition("=")[::2] for p in parts[1:])
+    for name in ("k", "n"):
+        if not re.fullmatch("[0-9]+", fields.get(name, "")):
+            raise ValueError(f"{path}: {SEQ_SCHEMA} header field {name}= is missing or "
+                             f"not a non-negative integer: header {header!r}")
     k = int(fields["k"])
     n = int(fields["n"])
     text = "".join(body.split()) if k <= 10 else ",".join(body.split())

@@ -132,3 +132,74 @@ def test_removed_options_are_usage_errors(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert cli.dispatch(argv) == cli.EXIT_USAGE
     assert os.listdir() == []
+
+
+def test_report_rejects_a_json_list(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with open("l.json", "w") as f:
+        json.dump([1, 0], f)
+    assert cli.dispatch(["report", "--in", "l.json"]) == cli.EXIT_USAGE
+    assert "l.json: expected a JSON object" in capsys.readouterr().err
+
+
+def test_manifest_keys_bundled_inputs_by_given_name(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.dispatch(["ks", "search", "--rays", "peres33.rays", "--json", "s.json"]) \
+        == cli.EXIT_OK
+    with open("s.json.manifest.json") as f:
+        inputs = json.load(f)["inputs"]
+    assert list(inputs) == ["peres33.rays"]
+    assert inputs["peres33.rays"] == cli._sha256(os.path.join(ks.data_dir(), "peres33.rays"))
+
+
+@pytest.mark.parametrize("header,field", [
+    ("seq/v1 n=4", "k="),
+    ("seq/v1 k2 n=4", "k="),
+    ("seq/v1 k=x n=4", "k="),
+    ("seq/v1 k=2", "n="),
+    ("seq/v1 k=2 n=-4", "n="),
+])
+def test_komplexity_names_the_bad_header_field(header, field, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with open("x.seq", "w") as f:
+        f.write(header + "\n0110\n")
+    assert cli.dispatch(["komplexity", "--in", "x.seq"]) == cli.EXIT_USAGE
+    assert f"header field {field}" in capsys.readouterr().err
+
+
+# frozen: exit codes of these runs and the sha256 of each seq/v1 file and JSON
+# report they write, computed with the earlier tuple-backed SymbolString
+GOLDEN_RUNS = [
+    (["generate", "--fair-coin", "--n", "5000", "--seed", "7", "--out", "coin.seq"], 0),
+    (["analyze", "--in", "coin.seq", "--tests", "borel,blocks,monkey", "--target", "0110",
+      "--json", "coin.json"], 0),
+    (["komplexity", "--in", "coin.seq", "--json", "coin.k.json"], 0),
+    (["generate", "--kind", "born", "--probs", ",".join(["0.0625"] * 16), "--n", "30000",
+      "--seed", "7", "--out", "born16.seq"], 0),
+    (["analyze", "--in", "born16.seq", "--tests", "borel,blocks,monkey", "--max-block", "2",
+      "--target", "1", "--json", "born16.json"], 0),
+    (["generate", "--kind", "champernowne", "--base", "10", "--n", "3000",
+      "--out", "champ10.seq"], 0),
+]
+GOLDEN_SHA256 = {
+    "born16.json": "3f0985cdb4f5f0e91c61030b49ff5b25cd4c9c8ca342f231204900aad6cfc8f5",
+    "born16.seq": "9705adc20edff79281aa252d61bbf368f31a0e3e200fbf36792cc87e6d83d5d0",
+    "champ10.seq": "55d18fe1a1a7d741a6a8f34be02535c27ff7cc110dd7b32166f1e13de170ecb2",
+    "coin.json": "0d2dd3ccd5a8ddd13c724242b7ac7f564fa25697a2028198fad9c18131e65b77",
+    "coin.k.json": "893fc4049712c236a58fc856fcf33a2a4a98bb2800422669af624fc66dad0285",
+    "coin.seq": "8ec6a5dc387fbf73a3f26bbd7943bd97f3aaf7ca992d4267b275e8e7cb19eee9",
+}
+
+
+def golden_outputs() -> tuple[list[int], dict[str, str]]:
+    """Exit codes of GOLDEN_RUNS and the sha256 of each .seq and .json they write."""
+    codes = [cli.dispatch(argv) for argv, _ in GOLDEN_RUNS]
+    return codes, {name: cli._sha256(name) for name in sorted(os.listdir())
+                   if name.endswith((".seq", ".json")) and "manifest" not in name}
+
+
+def test_golden_outputs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    codes, digests = golden_outputs()
+    assert codes == [code for _, code in GOLDEN_RUNS]
+    assert digests == GOLDEN_SHA256

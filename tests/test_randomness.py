@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indlab import machine as tm
 from indlab import randomness as rl
@@ -18,6 +20,21 @@ GOLDEN_K_ZERO = 8
 
 def fair_coin(n, seed=11):
     return sq.SequenceSource("born_sampler", seed=seed, probs=[0.5, 0.5]).prefix(n)
+
+
+def text_monkey_search(target, source, horizon):
+    """Reference monkey_search: str.find on to_text, commas delimiting beyond base 10."""
+    hay = source.prefix(horizon).to_text()
+    needle = target.to_text()
+    if target.alphabet_size > 10:
+        hay = "," + hay + ","
+        needle = "," + needle + ","
+    positions = []
+    at = hay.find(needle)
+    while at != -1:
+        positions.append(at if target.alphabet_size <= 10 else hay[:at].count(","))
+        at = hay.find(needle, at + 1)
+    return positions
 
 
 class TestKUpperBound:
@@ -228,6 +245,24 @@ class TestMonkeySearch:
     def test_self_overlapping_target(self):
         src = sq.SequenceSource("constant", symbol=1)
         assert rl.monkey_search(sq.bits("11"), src, 5) == [0, 1, 2, 3]
+
+    @settings(max_examples=300)
+    @given(st.sampled_from([2, 3, 10, 11, 16, 200]), st.data())
+    def test_matches_text_oracle(self, k, data):
+        pool = sorted({0, 1, k - 1, min(11, k - 1)})
+        hay = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+        horizon = data.draw(st.integers(1, 2 * len(hay)))
+        target = data.draw(st.lists(st.sampled_from(pool), min_size=1,
+                                    max_size=min(4, horizon)))
+        src = sq.SequenceSource("periodic", alphabet_size=k, pattern=hay)
+        t = sq.SymbolString(k, target)
+        assert rl.monkey_search(t, src, horizon) == text_monkey_search(t, src, horizon)
+
+    def test_large_base_symbol_is_not_a_substring_match(self):
+        src = sq.SequenceSource("periodic", alphabet_size=16, pattern=(11, 1, 11, 1))
+        target = sq.SymbolString.from_text("1", 16)
+        assert rl.monkey_search(target, src, 4) == [1, 3]
+        assert text_monkey_search(target, src, 4) == [1, 3]
 
 
 class TestOmega:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,43 @@ class TestSymbolString:
 
     def test_empty_is_valid(self):
         assert len(sq.SymbolString(2, ())) == 0
+
+    @pytest.mark.parametrize("symbols", [(0.5,), (True, False), np.zeros((2, 2), dtype=int)],
+                             ids=["float", "bool", "2-d"])
+    def test_rejects_non_integer_and_non_1d(self, symbols):
+        with pytest.raises(ValueError, match="1-d integer sequence"):
+            sq.SymbolString(2, symbols)
+
+    def test_error_names_the_bad_symbol(self):
+        with pytest.raises(ValueError, match="symbol 7 outside alphabet"):
+            sq.SymbolString(3, np.array([0, 7, 9]))
+
+    @pytest.mark.parametrize("text", ["01x", "0\u0661"])
+    def test_from_text_rejects_non_ascii_digits(self, text):
+        with pytest.raises(ValueError, match="bad base-2 symbol text"):
+            sq.SymbolString.from_text(text, 2)
+
+    @pytest.mark.parametrize("text", ["0,,1", ",1", "1,", "1;2", "1" * 19])
+    def test_from_text_rejects_malformed_large_base_text(self, text):
+        with pytest.raises(ValueError, match="bad base-16 symbol text"):
+            sq.SymbolString.from_text(text, 16)
+
+    def test_array_is_read_only_and_compact(self):
+        s = sq.SymbolString(256, (0, 255))
+        assert s.array.dtype == np.uint8
+        with pytest.raises(ValueError):
+            s.array[0] = 1
+        assert sq.SymbolString(300, (0, 299)).array.dtype == np.int64
+
+    def test_iteration_yields_python_ints(self):
+        assert tuple(sq.bits("011")) == (0, 1, 1)
+        assert all(type(v) is int for v in sq.SymbolString(300, (5, 299)))
+
+    def test_caller_array_is_copied(self):
+        raw = np.array([0, 1, 1])
+        s = sq.SymbolString(2, raw)
+        raw[0] = 1
+        assert s.to_text() == "011"
 
     def test_text_roundtrip_binary(self):
         s = sq.bits("0110")
@@ -141,6 +179,16 @@ class TestSources:
         with pytest.raises(ValueError):
             sq.SequenceSource("periodic", pattern=(2,))
 
+    def test_non_integer_parameters_rejected(self):
+        with pytest.raises(ValueError, match="integer"):
+            sq.SequenceSource("constant", symbol=0.5)
+        with pytest.raises(ValueError, match="integer"):
+            sq.SequenceSource("periodic", pattern=(0, 1.7))
+
+    def test_large_base_champernowne_source(self):
+        src = sq.SequenceSource("champernowne", alphabet_size=16)
+        assert tuple(src.prefix(19)) == tuple(range(16)) + (1, 0, 1)
+
 
 class TestSampling:
     def test_deterministic_per_seed(self):
@@ -195,7 +243,7 @@ class TestBlockFrequencies:
     def test_champernowne_calibration(self):
         # frozen calibration: exactly 530198 ones in the first 1e6 bits
         s = sq.champernowne(2, 10**6)
-        assert sum(s.symbols) == 530198
+        assert s.array.sum() == 530198
         freqs = sq.block_frequencies(s, 1)
         assert abs(freqs["1"] - 0.5) <= 0.0305
 
