@@ -34,7 +34,6 @@ from .bell import (
     LocalDeterministicStrategy,
     MismatchFunctional,
     SettingSet,
-    TrialRecord,
     local_bound_bruteforce,
     quantum_mismatch,
     quantum_value,

@@ -8,16 +8,17 @@ quantum_mismatch.
 
 from __future__ import annotations
 
-import csv
+import io
 import json
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
+from statistics import NormalDist
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 from .errors import CapacityError
 from .randomness import TestReport
@@ -48,19 +49,9 @@ class SettingSet:
 DEFAULT_SETTINGS = SettingSet((0.0, 30.0, 60.0))
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    a: float
-    b: float
-    alpha: int
-    beta: int
-    lambda_id: Optional[int] = None
-
-
 class TrialSet:
-    """Columnar container of trials; iterates as TrialRecord values.
-
-    Kept columnar so 1e5-trial analyses stay vectorized.
+    """Trials as columns: setting indices a_idx, b_idx, outcomes alpha, beta
+    and the optional hidden-variable ids lam, one entry per trial.
     """
 
     def __init__(self, settings: SettingSet, a_idx, b_idx, alpha, beta,
@@ -75,23 +66,6 @@ class TrialSet:
 
     def __len__(self) -> int:
         return len(self.alpha)
-
-    def __iter__(self):
-        angles = self.settings.angles
-        for i in range(len(self)):
-            yield TrialRecord(
-                angles[self.a_idx[i]],
-                angles[self.b_idx[i]],
-                int(self.alpha[i]),
-                int(self.beta[i]),
-                None if self.lam is None else int(self.lam[i]),
-            )
-
-    def pair_counts(self) -> dict[tuple[int, int], int]:
-        out: dict[tuple[int, int], int] = {}
-        for ai, bi in zip(self.a_idx, self.b_idx):
-            out[(int(ai), int(bi))] = out.get((int(ai), int(bi)), 0) + 1
-        return out
 
 
 def quantum_mismatch(a_deg: float, b_deg: float) -> float:
@@ -323,8 +297,32 @@ def run_bipartite(
     raise ValueError(f"unknown model {model!r}")
 
 
+def _contingency(shape: tuple[int, ...], *codes: np.ndarray) -> np.ndarray:
+    """Counts of each joint value of the code columns; column i indexes axis i."""
+    flat = np.ravel_multi_index(codes, shape)
+    return np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
+
+
+def _chi2_sf(x: float, dof: int) -> float:
+    """P(X > x) for X chi-square with integer dof: with h = x/2, the sum over
+    i < dof//2 of e^-h h^(i+f) / Gamma(i+f+1), f = (dof % 2)/2, taken in log
+    space, plus erfc(sqrt h) when dof is odd."""
+    if x <= 0:
+        return 1.0
+    h = x / 2
+    shift = dof % 2 / 2
+    head = math.erfc(math.sqrt(h)) if dof % 2 else 0.0
+    log_h = math.log(h)
+    return head + math.fsum(
+        math.exp((i + shift) * log_h - h - math.lgamma(i + shift + 1))
+        for i in range(dof // 2)
+    )
+
+
 def _chi2_z(table: np.ndarray) -> tuple[float, bool]:
-    """z-equivalent of a contingency-table independence test.
+    """z-equivalent of a contingency-table independence test: Pearson's
+    chi-square (Yates-corrected on 2x2) p-value as an upper-tail normal
+    quantile, floored at 0, with p floored at 1e-300.
 
     Returns (z, degenerate). Rows/columns with no mass are dropped; a table
     with fewer than two surviving rows or columns is degenerate and cannot
@@ -333,51 +331,45 @@ def _chi2_z(table: np.ndarray) -> tuple[float, bool]:
     table = table[table.sum(axis=1) > 0][:, table.sum(axis=0) > 0]
     if table.shape[0] < 2 or table.shape[1] < 2:
         return 0.0, True
-    chi2, p, dof, _ = sps.chi2_contingency(table)
-    z = sps.norm.isf(max(p, 1e-300))
-    return float(max(0.0, z)), False
+    expected = table.sum(axis=1, keepdims=True) * table.sum(axis=0, keepdims=True) / table.sum()
+    dof = (table.shape[0] - 1) * (table.shape[1] - 1)
+    if dof == 1:
+        diff = expected - table
+        table = table + np.sign(diff) * np.minimum(0.5, np.abs(diff))
+    p = _chi2_sf(float(np.sum((table - expected) ** 2 / expected)), dof)
+    if p >= 0.5:
+        return 0.0, False
+    return -NormalDist().inv_cdf(max(p, 1e-300)), False
 
 
 def no_signaling_check(trials: TrialSet, threshold: float = Z_THRESHOLD) -> tuple[TestReport, TestReport]:
     """Marginal independence both ways: Alice's outcome distribution must
     not depend on Bob's setting, and vice versa."""
-    counts = trials.pair_counts()
-    deficit = [pc for pc in counts.values() if pc < MIN_TRIALS_PER_PAIR]
-    if deficit or not counts:
+    s = len(trials.settings)
+    counts = _contingency((s, s), trials.a_idx, trials.b_idx)
+    counts = counts[counts > 0]
+    deficit = counts[counts < MIN_TRIALS_PER_PAIR]
+    if deficit.size or not counts.size:
         raise ValueError(
             f"need >= {MIN_TRIALS_PER_PAIR} trials per settings pair; "
-            f"smallest observed count {min(deficit) if deficit else 0}"
+            f"smallest observed count {deficit.min() if deficit.size else 0}"
         )
-    s = len(trials.settings)
     reports = []
     for wing, own_idx, other_idx, outcome in (
         ("alice", trials.a_idx, trials.b_idx, trials.alpha),
         ("bob", trials.b_idx, trials.a_idx, trials.beta),
     ):
+        # tables[setting] counts (other setting, outcome) at own setting
+        tables = _contingency((s, s, 2), own_idx, other_idx, outcome)
         worst = 0.0
         details = {}
         for setting in range(s):
-            mask = own_idx == setting
-            table = np.zeros((s, 2))
-            for other in range(s):
-                sub = outcome[mask & (other_idx == other)]
-                table[other, 0] = np.sum(sub == 0)
-                table[other, 1] = np.sum(sub == 1)
-            z, degenerate = _chi2_z(table)
+            z, degenerate = _chi2_z(tables[setting])
             details[f"setting_{setting}_z"] = z if not degenerate else None
-            if not degenerate:
-                worst = max(worst, z)
-        reports.append(
-            TestReport(
-                test_name=f"no_signaling[{wing}]",
-                statistic=worst,
-                expected=0.0,
-                z_score=worst,
-                passed=worst <= threshold,
-                threshold=threshold,
-                parameters=details,
-            )
-        )
+            worst = max(worst, z)  # a degenerate table has z = 0
+        reports.append(TestReport(
+            test_name=f"no_signaling[{wing}]", statistic=worst, expected=0.0, z_score=worst,
+            passed=worst <= threshold, threshold=threshold, parameters=details))
     return reports[0], reports[1]
 
 
@@ -392,33 +384,25 @@ def free_choice_check(trials: TrialSet, threshold: float = Z_THRESHOLD) -> TestR
     if len(trials) < MIN_TRIALS_PER_PAIR:
         raise ValueError(f"need >= {MIN_TRIALS_PER_PAIR} trials")
     s = len(trials.settings)
-    n_lam = int(trials.lam.max()) + 1
+    # lambda is indexed by its distinct values, so no table grows with the ids
+    lam = np.unique(trials.lam, return_inverse=True)[1]
+    n_lam = int(lam.max()) + 1
     pairs = {
-        "a_vs_b": (trials.a_idx, s, trials.b_idx, s),
-        "a_vs_lambda": (trials.a_idx, s, trials.lam, n_lam),
-        "b_vs_lambda": (trials.b_idx, s, trials.lam, n_lam),
+        "a_vs_b": (trials.a_idx, trials.b_idx, (s, s)),
+        "a_vs_lambda": (trials.a_idx, lam, (s, n_lam)),
+        "b_vs_lambda": (trials.b_idx, lam, (s, n_lam)),
     }
     worst = 0.0
     details = {}
-    all_degenerate = True
-    for name, (u, nu, v, nv) in pairs.items():
-        table = np.zeros((nu, nv))
-        np.add.at(table, (u, v), 1)
-        z, degenerate = _chi2_z(table)
+    for name, (u, v, shape) in pairs.items():
+        z, degenerate = _chi2_z(_contingency(shape, u, v))
         details[name + "_z"] = None if degenerate else z
-        if not degenerate:
-            all_degenerate = False
-            worst = max(worst, z)
+        worst = max(worst, z)  # a degenerate table has z = 0
+    skipped = all(z is None for z in details.values())
     return TestReport(
-        test_name="free_choice",
-        statistic=worst,
-        expected=0.0,
-        z_score=worst,
-        passed=(not all_degenerate) and worst <= threshold,
-        threshold=threshold,
-        parameters=details,
-        skipped=all_degenerate,
-    )
+        test_name="free_choice", statistic=worst, expected=0.0, z_score=worst,
+        passed=not skipped and worst <= threshold, threshold=threshold,
+        parameters=details, skipped=skipped)
 
 
 def perfect_correlation_violations(trials: TrialSet) -> int:
@@ -461,64 +445,89 @@ def empirical_functional(trials: TrialSet, functional: MismatchFunctional) -> Fu
 # -- persistence -------------------------------------------------------------
 
 
+CSV_HEADER = ("a_deg", "b_deg", "alpha", "beta", "lambda_id")
+
+
+def _decimal(values: np.ndarray) -> np.ndarray:
+    """Integers as the byte strings str(int) gives, in the narrowest width."""
+    width = max(len(str(values.min(initial=0))), len(str(values.max(initial=0))))
+    return values.astype(f"S{width}")
+
+
 def save_trials_csv(path: str, trials: TrialSet) -> None:
-    """CSV of a_deg,b_deg,alpha,beta,lambda_id plus a JSON metadata sidecar."""
-    angles = trials.settings.angles
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["a_deg", "b_deg", "alpha", "beta", "lambda_id"])
-        lam = trials.lam
-        for i in range(len(trials)):
-            w.writerow(
-                [
-                    angles[trials.a_idx[i]],
-                    angles[trials.b_idx[i]],
-                    int(trials.alpha[i]),
-                    int(trials.beta[i]),
-                    "" if lam is None else int(lam[i]),
-                ]
-            )
+    """CSV of a_deg,b_deg,alpha,beta,lambda_id plus a JSON metadata sidecar.
+
+    Written as csv.writer writes it: angles as str(float), a blank
+    lambda_id when there is none, and CRLF line ends.
+    """
+    n = len(trials)
+    angles = np.array([str(a).encode() for a in trials.settings.angles])
+    lam = np.zeros(n, "S1") if trials.lam is None else _decimal(trials.lam)
+    columns = [angles[trials.a_idx], angles[trials.b_idx],
+               _decimal(trials.alpha), _decimal(trials.beta), lam]
+    # Each column becomes an (n, width) byte matrix padded with NULs; the
+    # rows are joined side by side and the padding dropped in one pass.
+    parts = []
+    for col in columns:
+        parts += [col.view(np.uint8).reshape(n, col.itemsize), np.full((n, 1), ord(","), np.uint8)]
+    parts[-1] = np.tile(np.frombuffer(b"\r\n", np.uint8), (n, 1))
+    body = np.concatenate(parts, axis=1).tobytes().replace(b"\0", b"")
+    with open(path, "wb") as f:
+        f.write(",".join(CSV_HEADER).encode() + b"\r\n" + body)
     with open(path + ".meta.json", "w") as f:
         json.dump(trials.metadata, f, indent=2, sort_keys=True)
         f.write("\n")
 
 
-def load_trials_csv(path: str) -> TrialSet:
-    import os
+def _indices(values: np.ndarray, allowed: Sequence, column: str) -> np.ndarray:
+    """Index of each value in allowed (the first, as tuple.index gives it);
+    a value not in allowed raises a ValueError naming it and its row."""
+    allowed = np.asarray(allowed)
+    order = np.argsort(allowed, kind="stable")
+    found = order[np.minimum(np.searchsorted(allowed, values, sorter=order), len(allowed) - 1)]
+    missing = np.flatnonzero(allowed[found] != values)
+    if missing.size:
+        i = missing[0]
+        raise ValueError(f"{column} {values[i]} on data row {i + 1} is not among "
+                         f"{allowed.tolist()}")
+    return found
 
+
+def load_trials_csv(path: str) -> TrialSet:
+    """Read a save_trials_csv file; settings come from its metadata sidecar,
+    or else are the sorted angles seen.  Every column is checked whole:
+    a row with other than five fields, an outcome other than 0 or 1, an
+    angle outside the settings, or a lambda_id that is negative or blank on
+    only some rows raises a ValueError naming the row or the value."""
     meta = {}
     if os.path.exists(path + ".meta.json"):
         with open(path + ".meta.json") as f:
             meta = json.load(f)
-    a_deg, b_deg, alpha, beta, lam = [], [], [], [], []
-    with open(path, newline="") as f:
-        r = csv.reader(f)
-        header = next(r)
-        if header[:4] != ["a_deg", "b_deg", "alpha", "beta"]:
-            raise ValueError(f"unexpected CSV header {header!r}")
-        for row in r:
-            a_deg.append(float(row[0]))
-            b_deg.append(float(row[1]))
-            alpha.append(int(row[2]))
-            beta.append(int(row[3]))
-            lam.append(int(row[4]) if len(row) > 4 and row[4] != "" else None)
+    with open(path) as f:
+        header = f.readline().rstrip("\n").split(",")
+        body = f.read()
+    if header[:4] != list(CSV_HEADER[:4]):
+        raise ValueError(f"unexpected CSV header {header!r}")
+    if not body.strip():
+        raise ValueError(f"{path}: no trial rows")
+    # once every row has five fields, a row ending in a comma has a blank lambda_id
+    blank = body.count(",\n") + body.endswith(",")
+    dtype = [("a_deg", "f8"), ("b_deg", "f8"), ("alpha", "i8"), ("beta", "i8"),
+             ("lambda_id", "S1" if blank else "i8")]
+    try:
+        rows = np.loadtxt(io.StringIO(body), dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if 0 < blank < len(rows):
+        raise ValueError(f"lambda_id is blank on {blank} of {len(rows)} rows; "
+                         "it must be given on every row or on none")
+    lam = None if blank else rows["lambda_id"]
+    if lam is not None and lam.min() < 0:
+        raise ValueError(f"lambda_id must be >= 0, found {lam.min()}")
     angles = meta.get("settings")
     if angles is None:
-        angles = sorted(set(a_deg) | set(b_deg))
+        angles = np.unique(np.concatenate([rows["a_deg"], rows["b_deg"]])).tolist()
     settings = SettingSet(tuple(angles))
-    blank = lam.count(None)
-    if 0 < blank < len(lam):
-        raise ValueError(f"lambda_id is blank on {blank} of {len(lam)} rows; "
-                         "it must be given on every row or on none")
-    lam_arr = None if blank == len(lam) else lam
-    if lam_arr is not None and min(lam_arr) < 0:
-        raise ValueError(f"lambda_id must be >= 0, found {min(lam_arr)}")
-    return TrialSet(
-        settings,
-        [settings.index(a) for a in a_deg],
-        [settings.index(b) for b in b_deg],
-        alpha,
-        beta,
-        lam_arr,
-        meta,
-    )
+    a_idx, b_idx = (_indices(rows[c], settings.angles, c) for c in ("a_deg", "b_deg"))
+    alpha, beta = (_indices(rows[c], (0, 1), c) for c in ("alpha", "beta"))
+    return TrialSet(settings, a_idx, b_idx, alpha, beta, lam, meta)

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -149,12 +152,10 @@ class TestRunBipartite:
         tr = bell.run_bipartite(
             "hv", bell.DEFAULT_SETTINGS, 5, seed=1, hv_ensemble=[(1.0, strat)]
         )
-        for rec in tr:
-            ai = bell.DEFAULT_SETTINGS.index(rec.a)
-            bi = bell.DEFAULT_SETTINGS.index(rec.b)
-            assert rec.alpha == strat.response_l[ai]
-            assert rec.beta == strat.response_r[bi]
-            assert rec.lambda_id == 0
+        assert len(tr) == 5
+        assert (tr.alpha == np.asarray(strat.response_l)[tr.a_idx]).all()
+        assert (tr.beta == np.asarray(strat.response_r)[tr.b_idx]).all()
+        assert (tr.lam == 0).all()
 
     def test_reproducible_per_seed(self):
         a = bell.run_bipartite("quantum", bell.DEFAULT_SETTINGS, 1000, seed=8)
@@ -240,6 +241,70 @@ class TestFreeChoice:
         with pytest.raises(ValueError, match="lambda"):
             bell.free_choice_check(tr)
 
+    def test_large_lambda_ids_give_the_same_report(self):
+        tr = bell.run_bipartite(
+            "hv", bell.DEFAULT_SETTINGS, 30_000, seed=4,
+            hv_ensemble=self._ensemble(), superdeterministic=True,
+        )
+        far = bell.TrialSet(tr.settings, tr.a_idx, tr.b_idx, tr.alpha, tr.beta,
+                            tr.lam * 10**6, tr.metadata)
+        assert set(far.lam.tolist()) == {0, 10**6}
+        assert bell.free_choice_check(far).to_dict() == bell.free_choice_check(tr).to_dict()
+
+
+def scipy_chi2_z(table: np.ndarray) -> tuple[float, bool]:
+    """The chi-square z as computed with scipy.stats, the reference for bell._chi2_z."""
+    stats = pytest.importorskip("scipy.stats")
+    table = table[table.sum(axis=1) > 0][:, table.sum(axis=0) > 0]
+    if table.shape[0] < 2 or table.shape[1] < 2:
+        return 0.0, True
+    _, p, _, _ = stats.chi2_contingency(table)
+    return float(max(0.0, stats.norm.isf(max(p, 1e-300)))), False
+
+
+def chi2_grid() -> list[np.ndarray]:
+    """Seeded contingency tables: 2x2 (Yates), r x c up to 16 x 40 at counts
+    up to 1e5, dependent tables with p below 1e-300, tables with empty rows
+    or columns, and degenerate ones."""
+    rng = np.random.Generator(np.random.Philox(key=[2003, 3554]))
+    tables = []
+    for i in range(600):
+        r, c = (2, 2) if i % 3 == 0 else (int(rng.integers(2, 17)), int(rng.integers(2, 41)))
+        mean = 10 ** rng.uniform(0, 5) * rng.dirichlet(np.ones(r * c)) * r * c
+        tables.append(rng.poisson(mean).reshape(r, c).astype(float))
+    for n in (10**3, 10**4, 10**5):
+        tables.append(np.array([[n, 1], [1, n]], dtype=float))
+        tables.append(n * np.eye(5, 7) + 1)
+    for t in tables[:60]:
+        padded = np.zeros((t.shape[0] + 1, t.shape[1] + 2))
+        padded[1:, 1:-1] = t
+        tables.append(padded)
+    tables += [np.zeros((3, 3)), np.array([[5.0, 0.0], [7.0, 0.0]]),
+               np.array([[4.0, 9.0, 1.0]]), np.array([[0.0, 0.0], [3.0, 8.0]])]
+    return tables
+
+
+def test_chi2_z_matches_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    tables = chi2_grid()
+    # tables without zero cells have no empty row or column to drop
+    assert sum(stats.chi2_contingency(t)[1] < 1e-300 for t in tables if t.all()) >= 3
+    for table in tables:
+        z, degenerate = bell._chi2_z(table)
+        ref_z, ref_degenerate = scipy_chi2_z(table)
+        assert degenerate == ref_degenerate
+        assert z == pytest.approx(ref_z, rel=1e-9, abs=0)
+
+
+def test_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(bell.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, indlab.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
+
 
 class TestEmpiricalFunctional:
     def test_converges_to_quantum_value(self):
@@ -277,3 +342,22 @@ class TestPersistence:
         bell.save_trials_csv(path, tr)
         back = bell.load_trials_csv(path)
         assert back.lam is not None and (back.lam == tr.lam).all()
+
+    def test_hv_run_roundtrip_with_lambda(self, tmp_path):
+        ensemble = [
+            (0.2, bell.LocalDeterministicStrategy((0, 1, 0, 1), (0, 1, 0, 1))),
+            (0.5, bell.LocalDeterministicStrategy((1, 1, 0, 0), (1, 0, 0, 1))),
+            (0.3, bell.LocalDeterministicStrategy((0, 0, 1, 1), (0, 0, 1, 1))),
+        ]
+        settings = bell.chsh_functional().settings()
+        tr = bell.run_bipartite("hv", settings, 5000, seed=12, hv_ensemble=ensemble)
+        path = str(tmp_path / "hv.csv")
+        bell.save_trials_csv(path, tr)
+        back = bell.load_trials_csv(path)
+        assert back.settings == settings and back.metadata == tr.metadata
+        for column in ("a_idx", "b_idx", "alpha", "beta", "lam"):
+            assert (getattr(back, column) == getattr(tr, column)).all(), column
+        again = str(tmp_path / "again.csv")
+        bell.save_trials_csv(again, back)
+        with open(path, "rb") as f, open(again, "rb") as g:
+            assert f.read() == g.read()

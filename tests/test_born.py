@@ -1,5 +1,6 @@
 import json
 import math
+from itertools import product as iter_product
 
 import numpy as np
 import pytest
@@ -227,6 +228,66 @@ class TestEquivalence:
         psi = random_vector_state(4)
         with pytest.raises(CapacityError):
             born.equivalence_check(psi, random_hermitian(4), 7)
+
+
+def dense_equivalence_check(omega1, a, n, tolerance=1e-10):
+    """The dense-Kronecker equivalence check, kept as the reference for the
+    tensordot one: every projection is embedded as a d^n x d^n matrix and
+    applied to the Kronecker power of the state.  Returns the report and the
+    joint probabilities keyed by eigenvalue tuple."""
+    single = born.born_measure(omega1, a)
+    prod = born.product_measure(single, n) if n > 1 else single
+    spec = born.spectral_decompose(a)
+    dim = a.dim
+    big = omega1.data
+    for _ in range(n - 1):
+        big = np.kron(big, omega1.data)
+    eye_before = [np.eye(dim**k) for k in range(n + 1)]
+    embedded = [
+        [np.kron(np.kron(eye_before[k], e), eye_before[n - 1 - k]) for e in spec.projections]
+        for k in range(n)
+    ]
+    joint_probs = {}
+    for combo in iter_product(range(len(spec.eigenvalues)), repeat=n):
+        m = big
+        for k, i in enumerate(combo):
+            m = embedded[k][i] @ m if omega1.form == "unit_vector" else m @ embedded[k][i]
+        key = tuple(spec.eigenvalues[i] for i in combo)
+        joint_probs[key] = float((np.vdot(big, m) if omega1.form == "unit_vector"
+                                  else np.trace(m)).real)
+    prod_probs = dict(zip(prod.outcomes if n > 1 else [(o,) for o in prod.outcomes],
+                          prod.probabilities))
+    keys = set(joint_probs) | set(prod_probs)
+    dist = max(abs(joint_probs.get(k, 0.0) - prod_probs.get(k, 0.0)) for k in keys)
+    return born.EquivalenceReport(n, a.dim, dist, tolerance, len(keys)), joint_probs
+
+
+def degenerate_hermitian(eigenvalues, rng=RNG):
+    m = rng.normal(size=(len(eigenvalues),) * 2) + 1j * rng.normal(size=(len(eigenvalues),) * 2)
+    q, _ = np.linalg.qr(m)
+    return born.Observable(q @ np.diag(eigenvalues) @ q.conj().T)
+
+
+class TestEquivalenceOracle:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("form", ["vector", "density"])
+    def test_matches_dense_kronecker(self, d, form):
+        rng = np.random.Generator(np.random.Philox(key=[d, form == "density"]))
+        observables = [random_hermitian(d, rng),
+                       degenerate_hermitian([0.0] * (d - 1) + [1.0], rng),
+                       degenerate_hermitian([2.0] * (d // 2) + [-1.0] * (d - d // 2), rng),
+                       born.Observable(np.eye(d))]
+        for a in observables:
+            omega = (random_vector_state if form == "vector" else random_density_state)(d, rng)
+            spec = born.spectral_decompose(a)
+            for n in range(1, 5):
+                ref, ref_joint = dense_equivalence_check(omega, a, n)
+                rep = born.equivalence_check(omega, a, n)
+                assert rep.outcome_count == ref.outcome_count == len(spec.eigenvalues) ** n
+                assert (rep.n, rep.dim) == (ref.n, ref.dim)
+                assert rep.l_inf_distance == pytest.approx(ref.l_inf_distance, abs=1e-12)
+                joint = born._tensor_power_probabilities(omega, spec.projections, n)
+                assert np.allclose(joint.ravel(), list(ref_joint.values()), rtol=0, atol=1e-12)
 
 
 class TestSampling:

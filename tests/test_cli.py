@@ -22,8 +22,8 @@ def test_komplexity_rejects_exact_max_len_above_cap(tmp_path, monkeypatch):
     assert not os.path.exists("k.json")
 
 
-def _hv_csv_with_first_lambda(lambda_id: str) -> None:
-    """Save a 1,200-trial hv run as run.csv with the first row's lambda_id replaced."""
+def _hv_csv_with_first_row(edit) -> None:
+    """Save a 1,200-trial hv run as run.csv with its first data row passed through edit."""
     strat = bell.LocalDeterministicStrategy((0, 1, 0), (0, 1, 0))
     trials = bell.run_bipartite(
         "hv", bell.DEFAULT_SETTINGS, 1200, seed=6, hv_ensemble=[(1.0, strat)]
@@ -31,9 +31,14 @@ def _hv_csv_with_first_lambda(lambda_id: str) -> None:
     bell.save_trials_csv("run.csv", trials)
     with open("run.csv") as f:
         lines = f.read().splitlines()
-    lines[1] = lines[1].rsplit(",", 1)[0] + "," + lambda_id
+    lines[1] = edit(lines[1])
     with open("run.csv", "w") as f:
         f.write("\n".join(lines) + "\n")
+
+
+def _hv_csv_with_first_lambda(lambda_id: str) -> None:
+    """Save a 1,200-trial hv run as run.csv with the first row's lambda_id replaced."""
+    _hv_csv_with_first_row(lambda row: row.rsplit(",", 1)[0] + "," + lambda_id)
 
 
 def test_bell_analyze_rejects_partly_blank_lambda_column(tmp_path, monkeypatch, capsys):
@@ -52,6 +57,39 @@ def test_bell_analyze_rejects_negative_lambda_id(tmp_path, monkeypatch, capsys):
         == cli.EXIT_USAGE
     assert "lambda_id must be >= 0, found -1" in capsys.readouterr().err
     assert not os.path.exists("b.json")
+
+
+@pytest.mark.parametrize("row,messages", [
+    ("0.0,30.0", ("run.csv: ", "row 1")),  # the column count is numpy's wording
+    ("0.0,30.0,2,0,0", ("alpha 2 on data row 1 is not among [0, 1]",)),
+    ("0.0,30.0,0,-1,0", ("beta -1 on data row 1 is not among [0, 1]",)),
+    ("45.0,30.0,0,1,0", ("a_deg 45.0 on data row 1 is not among [0.0, 30.0, 60.0]",)),
+], ids=["short-row", "alpha-2", "beta-minus-1", "angle-not-in-settings"])
+def test_bell_analyze_rejects_malformed_rows(row, messages, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _hv_csv_with_first_row(lambda _: row)
+    assert cli.dispatch(["bell", "analyze", "--in", "run.csv", "--json", "b.json"]) \
+        == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert all(m in err for m in messages), err
+    assert not os.path.exists("b.json")
+
+
+def test_bell_analyze_exit_2_still_writes_report_and_manifest(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.dispatch(["bell", "run", "--model", "signaling", "--n", "20000", "--seed", "3",
+                         "--out", "s.csv"]) == cli.EXIT_OK
+    assert cli.dispatch(["bell", "analyze", "--in", "s.csv", "--json", "s.json"]) \
+        == cli.EXIT_CHECK_FAILED
+    assert "no-signaling marginal independence failed" in capsys.readouterr().err
+    with open("s.json") as f:
+        report = json.load(f)
+    assert report["schema"] == "bell/v1"
+    assert not report["no_signaling"]["alice"]["pass"]
+    with open("s.json.manifest.json") as f:
+        manifest = json.load(f)
+    assert manifest["schema"] == "manifest/v1"
+    assert set(manifest["outputs"]) == {"s.json"}
 
 
 def test_report_skips_manifests_but_rejects_other_schemas(tmp_path, monkeypatch):
@@ -167,8 +205,9 @@ def test_komplexity_names_the_bad_header_field(header, field, tmp_path, monkeypa
     assert f"header field {field}" in capsys.readouterr().err
 
 
-# frozen: exit codes of these runs and the sha256 of each seq/v1 file and JSON
-# report they write, computed with the earlier tuple-backed SymbolString
+# frozen: exit codes of these runs and the sha256 of each seq/v1 file, JSON report
+# and Bell trials CSV (with its sidecar) they write, computed with the earlier
+# tuple-backed SymbolString and row-by-row csv.writer
 GOLDEN_RUNS = [
     (["generate", "--fair-coin", "--n", "5000", "--seed", "7", "--out", "coin.seq"], 0),
     (["analyze", "--in", "coin.seq", "--tests", "borel,blocks,monkey", "--target", "0110",
@@ -180,6 +219,7 @@ GOLDEN_RUNS = [
       "--target", "1", "--json", "born16.json"], 0),
     (["generate", "--kind", "champernowne", "--base", "10", "--n", "3000",
       "--out", "champ10.seq"], 0),
+    (["bell", "run", "--n", "3000", "--seed", "7", "--out", "q.csv"], 0),
 ]
 GOLDEN_SHA256 = {
     "born16.json": "3f0985cdb4f5f0e91c61030b49ff5b25cd4c9c8ca342f231204900aad6cfc8f5",
@@ -188,14 +228,16 @@ GOLDEN_SHA256 = {
     "coin.json": "0d2dd3ccd5a8ddd13c724242b7ac7f564fa25697a2028198fad9c18131e65b77",
     "coin.k.json": "893fc4049712c236a58fc856fcf33a2a4a98bb2800422669af624fc66dad0285",
     "coin.seq": "8ec6a5dc387fbf73a3f26bbd7943bd97f3aaf7ca992d4267b275e8e7cb19eee9",
+    "q.csv": "d0e632dbcec639368d6408c641bb3bd192acd78af271a9bfef536dc1ae9d5a12",
+    "q.csv.meta.json": "aa5fbf298a662b6547c08be20b1ec42f69f031acd1012b877d1b8a96ddbe528b",
 }
 
 
 def golden_outputs() -> tuple[list[int], dict[str, str]]:
-    """Exit codes of GOLDEN_RUNS and the sha256 of each .seq and .json they write."""
+    """Exit codes of GOLDEN_RUNS and the sha256 of each .seq, .json and .csv they write."""
     codes = [cli.dispatch(argv) for argv, _ in GOLDEN_RUNS]
     return codes, {name: cli._sha256(name) for name in sorted(os.listdir())
-                   if name.endswith((".seq", ".json")) and "manifest" not in name}
+                   if name.endswith((".seq", ".json", ".csv")) and "manifest" not in name}
 
 
 def test_golden_outputs(tmp_path, monkeypatch):
