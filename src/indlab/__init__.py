@@ -3,7 +3,7 @@ hidden-variable experiments they feed."""
 
 __version__ = "0.1.0"
 
-from .sequences import SequenceSource, SymbolString, block_frequencies, champernowne, truncate
+from .sequences import SequenceSource, SymbolString, block_frequencies, champernowne
 from .born import (
     BornMeasure,
     Observable,

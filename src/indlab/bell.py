@@ -14,7 +14,6 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
 from statistics import NormalDist
 from typing import Optional, Sequence
 
@@ -30,19 +29,27 @@ MIN_TRIALS_PER_PAIR = 1000
 
 @dataclass(frozen=True)
 class SettingSet:
-    """The finite menu of analyzer angles, in degrees."""
+    """The finite menu of analyzer angles, in degrees: at least two, finite
+    and none repeated, so each angle has one index."""
 
     angles: tuple[float, ...]
 
     def __post_init__(self):
-        if len(set(self.angles)) < 2:
+        angles = tuple(float(a) for a in self.angles)
+        if not all(math.isfinite(a) for a in angles):
+            raise ValueError(f"settings must be finite angles: {list(angles)}")
+        if len(set(angles)) < len(angles):
+            raise ValueError(f"settings repeat an angle: {list(angles)}")
+        if len(angles) < 2:
             raise ValueError("need at least 2 distinct angles")
-        object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
+        object.__setattr__(self, "angles", angles)
 
     def __len__(self) -> int:
         return len(self.angles)
 
     def index(self, angle: float) -> int:
+        if float(angle) not in self.angles:
+            raise ValueError(f"angle {angle} is not among the settings {list(self.angles)}")
         return self.angles.index(float(angle))
 
 
@@ -190,28 +197,6 @@ def local_bound_bruteforce(
             best = total
             best_strategy = LocalDeterministicStrategy(response_l, tuple(response_r))
     return best, best_strategy
-
-
-def local_bound_enumerate_all(
-    settings: SettingSet, functional: MismatchFunctional
-) -> tuple[Fraction, int]:
-    """Plain double enumeration over every (L, R) pair; the oracle for the
-    factored search.  Returns (maximum over admissible strategies,
-    strategies examined)."""
-    s = len(settings)
-    if s > 8:
-        raise CapacityError("oracle enumeration limited to 8 settings")
-    best = None
-    count = 0
-    for l_bits in iter_product((0, 1), repeat=s):
-        for r_bits in iter_product((0, 1), repeat=s):
-            count += 1
-            if functional.perfect_correlation and l_bits != r_bits:
-                continue
-            v = LocalDeterministicStrategy(l_bits, r_bits).value(functional, settings)
-            if best is None or v > best:
-                best = v
-    return best, count
 
 
 def quantum_value(functional: MismatchFunctional) -> float:
@@ -423,11 +408,11 @@ class FunctionalEstimate:
 
 def empirical_functional(trials: TrialSet, functional: MismatchFunctional) -> FunctionalEstimate:
     """The functional evaluated on empirical mismatch frequencies."""
-    angles = trials.settings.angles
+    settings = trials.settings
     value = 0.0
     per_term = []
     for coeff, a, b in functional.terms:
-        mask = (trials.a_idx == angles.index(a)) & (trials.b_idx == angles.index(b))
+        mask = (trials.a_idx == settings.index(a)) & (trials.b_idx == settings.index(b))
         n = int(mask.sum())
         if n == 0:
             raise ValueError(f"no trials at settings pair ({a}, {b})")
@@ -480,10 +465,10 @@ def save_trials_csv(path: str, trials: TrialSet) -> None:
 
 
 def _indices(values: np.ndarray, allowed: Sequence, column: str) -> np.ndarray:
-    """Index of each value in allowed (the first, as tuple.index gives it);
-    a value not in allowed raises a ValueError naming it and its row."""
+    """Index of each value in allowed, whose entries are distinct; a value
+    not in allowed raises a ValueError naming it and its row."""
     allowed = np.asarray(allowed)
-    order = np.argsort(allowed, kind="stable")
+    order = np.argsort(allowed)
     found = order[np.minimum(np.searchsorted(allowed, values, sorter=order), len(allowed) - 1)]
     missing = np.flatnonzero(allowed[found] != values)
     if missing.size:

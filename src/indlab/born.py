@@ -22,7 +22,8 @@ SPECTRUM_TOL = 1e-10
 RECONSTRUCT_TOL = 1e-8
 MEASURE_TOL = 1e-10
 DEFAULT_OUTCOME_CAP = 1_000_000
-DEFAULT_TENSOR_CAP = 4096
+TENSOR_CAP = 4096
+EQUIVALENCE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -275,30 +276,25 @@ def _tensor_power_probabilities(
     return joint.real
 
 
-def equivalence_check(
-    omega1: State,
-    a: Observable,
-    n: int,
-    tolerance: float = 1e-10,
-    tensor_cap: int = DEFAULT_TENSOR_CAP,
-) -> EquivalenceReport:
+def equivalence_check(omega1: State, a: Observable, n: int) -> EquivalenceReport:
     """Compare two descriptions of an n-fold repeated measurement.
 
     Procedure 1 measures the commuting family a x 1 x ... , ..., 1 x ... x a
     on the n-fold tensor-power state; procedure 2 takes the n-fold product
-    of the single-experiment measure.  The two must agree pointwise.
+    of the single-experiment measure.  The two must agree pointwise, within
+    EQUIVALENCE_TOL; a tensor power above TENSOR_CAP dimensions is refused.
     """
     if omega1.dim != a.dim:
         raise ValueError("state and observable dimensions differ")
-    if a.dim**n > tensor_cap:
+    if a.dim**n > TENSOR_CAP:
         raise CapacityError(
-            f"tensor power dimension {a.dim}^{n} exceeds cap {tensor_cap}"
+            f"tensor power dimension {a.dim}^{n} exceeds cap {TENSOR_CAP}"
         )
     prod = product_measure(born_measure(omega1, a), n)
     joint = _tensor_power_probabilities(omega1, spectral_decompose(a).projections, n)
     # both tables list outcome tuples in the same row-major order
     dist = float(np.max(np.abs(joint.ravel() - np.asarray(prod.probabilities))))
-    return EquivalenceReport(n, a.dim, dist, tolerance, joint.size)
+    return EquivalenceReport(n, a.dim, dist, EQUIVALENCE_TOL, joint.size)
 
 
 def sample_sequence(
@@ -331,30 +327,3 @@ def spin1_squared(direction: Sequence[float]) -> Observable:
     d = d / np.linalg.norm(d)
     j = d[0] * SPIN1_JX + d[1] * SPIN1_JY + d[2] * SPIN1_JZ
     return Observable(j @ j)
-
-
-# -- JSON wire format --------------------------------------------------------
-
-
-def matrix_to_json(m: np.ndarray) -> dict:
-    m = np.asarray(m, dtype=complex)
-    return {"dim": m.shape[0], "re": m.real.tolist(), "im": m.imag.tolist()}
-
-
-def matrix_from_json(obj: dict) -> np.ndarray:
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
-    m = re + 1j * im
-    if "dim" in obj and m.shape[0] != obj["dim"]:
-        raise ValueError(f"dim field {obj['dim']} does not match shape {m.shape}")
-    return m
-
-
-def observable_from_json(obj: dict) -> Observable:
-    return Observable(matrix_from_json(obj))
-
-
-def state_from_json(obj: dict) -> State:
-    return State(matrix_from_json(obj) if np.asarray(obj["re"]).ndim == 2
-                 else np.asarray(obj["re"], dtype=float)
-                 + 1j * np.asarray(obj.get("im", [0] * len(obj["re"])), dtype=float))

@@ -131,10 +131,18 @@ def cmd_generate(args, manifest: Manifest) -> int:
     return EXIT_OK
 
 
+ANALYZE_TESTS = ("borel", "blocks", "monkey")
+
+
 def cmd_analyze(args, manifest: Manifest) -> int:
+    tests = args.tests.split(",")
+    unknown = [t for t in tests if t not in ANALYZE_TESTS]
+    if unknown:
+        raise ValueError(f"unknown --tests {unknown}; choose from {list(ANALYZE_TESTS)}")
+    if args.max_block < 1:
+        raise ValueError(f"--max-block must be >= 1, got {args.max_block}")
     sigma = sq.read_sequence_file(args.infile)
     manifest.add_input(args.infile)
-    tests = args.tests.split(",")
     report: dict = {"schema": "randlab/v1", "input": args.infile,
                     "n": len(sigma), "alphabet": sigma.alphabet_size, "tests": {}}
     failed = False
@@ -276,8 +284,12 @@ def _load_functional(name: str) -> bell.MismatchFunctional:
         return bell.chsh_functional()
     terms = []
     for part in name.split(";"):
-        c, a, b = part.split(",")
-        terms.append((Fraction(c), float(a), float(b)))
+        try:
+            c, a, b = part.split(",")
+            terms.append((Fraction(c), float(a), float(b)))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"--functional term {part!r} is not coeff,a_deg,b_deg: {exc}") \
+                from None
     return bell.MismatchFunctional(tuple(terms))
 
 

@@ -1,11 +1,15 @@
-"""Exception types shared across modules."""
+"""Exception types shared across modules.
+
+Each is a ValueError: the input asked for something the program cannot
+give, and the CLI reports it as a usage error (exit 1).
+"""
 
 
-class CapacityError(Exception):
+class CapacityError(ValueError):
     """A requested table or search space exceeds its configured cap."""
 
 
-class CommutationError(Exception):
+class CommutationError(ValueError):
     """Two observables that were required to commute do not."""
 
     def __init__(self, i: int, j: int, norm: float, tol: float):
@@ -17,5 +21,5 @@ class CommutationError(Exception):
         )
 
 
-class ContractViolationError(Exception):
+class ContractViolationError(ValueError):
     """A pluggable component emitted a value outside its declared contract."""

@@ -4,7 +4,10 @@ A model owns the outcome map g and a compatibility measure on its hidden
 state space; the per-run state supplier h is a pluggable sampler whose
 provenance (deterministic rule, seeded PRNG, OS entropy, recorded trace)
 is tracked explicitly, because where the randomness comes from is the whole
-point of the two audit scenarios.
+point of the two audit scenarios.  The scenario-1 audit takes its
+Levin-Chaitin margins from randomness.levin_chaitin_margin and its flag
+from randomness.incompressibility_flag.  Bundled models are JSON files in
+the data directory, read by load_model.
 """
 
 from __future__ import annotations
@@ -18,12 +21,14 @@ import numpy as np
 
 from . import machine as tm
 from .errors import ContractViolationError
-from .randomness import ComplexityEstimate, k_upper_bound
+# k_upper_bound stays bound here: bench/tracer.py wraps it on every module
+# that names it, and bench/test_bench.py reads hv.k_upper_bound.
+from .randomness import incompressibility_flag, k_upper_bound, levin_chaitin_margin
 from .sequences import SymbolString, os_entropy_symbols, read_sequence_file, sample_indices
 
 HV_SCHEMA = "hv/v1"
 PUSHFORWARD_TOL = 1e-10
-DEFAULT_FLAG_MARGIN = -64
+INCOMPRESSIBILITY_C = 64  # the c of K(x|n) >= n - c that the scenario-1 audit tests
 SCENARIO2_MIN_N = 10_000
 DETERMINISTIC_RULES = ("counter", "alternating", "constant")
 
@@ -75,6 +80,8 @@ class HVModel:
             raise ValueError("outcome map must be total on the hidden space")
         if len(self.mu) != self.space.size:
             raise ValueError("mu must cover the hidden space")
+        if not all(math.isfinite(p) for p in self.mu):
+            raise ValueError(f"mu has non-finite weights: {self.mu}")
         total = math.fsum(self.mu)
         if abs(total - 1.0) > PUSHFORWARD_TOL:
             raise ValueError(f"mu sums to {total!r}, need 1")
@@ -183,10 +190,6 @@ class Sampler:
         return Sampler("recorded_file", path=path)
 
     @property
-    def deterministic(self) -> bool:
-        return self.kind in ("deterministic_computable", "recorded_file")
-
-    @property
     def randomness_origin(self) -> str:
         """Provenance note: whatever randomness x shows originates here."""
         return {
@@ -235,19 +238,6 @@ class Sampler:
                 f"recorded trace holds {len(sigma)} states, {n} requested"
             )
         return sigma.array[:n]
-
-    def period_over(self, model: HVModel) -> Optional[int]:
-        """Period of g(h(.)) for built-in deterministic rules, else None."""
-        if self.kind != "deterministic_computable":
-            return None
-        rule = self.params.get("rule")
-        if rule == "counter":
-            return model.space.size
-        if rule == "alternating":
-            return min(2, model.space.size)
-        if rule == "constant":
-            return 1
-        return None
 
     def describe(self) -> dict:
         d = {"kind": self.kind}
@@ -303,18 +293,17 @@ class ScenarioOneReport:
 
 
 def scenario_one_audit(
-    model: HVModel,
-    h: Sampler,
-    checkpoints: Sequence[int],
-    flag_threshold: int = DEFAULT_FLAG_MARGIN,
+    model: HVModel, h: Sampler, checkpoints: Sequence[int]
 ) -> ScenarioOneReport:
     """Audit scenario 1: the theory supplies h, hence states x outright.
 
-    Builds an executable witness program for each checkpoint prefix (the
-    model and rule compile to a periodic emitter; anything else falls back
-    to the structure detectors), reports the description-length margin
-    K_upper(x_|N) - N, and raises the incompatibility flag when the margin
-    at the largest checkpoint is at or below the threshold.
+    Runs the model to the largest checkpoint and reports, per checkpoint,
+    the Levin-Chaitin margin K_upper(x_|N) - N of
+    randomness.levin_chaitin_margin next to stated_bound, the length of the
+    model's own description plus N and the machine overhead.  The
+    incompatibility flag is randomness.incompressibility_flag with
+    c = INCOMPRESSIBILITY_C: raised when some checkpoint has
+    K_upper < N - c.
     """
     if h.kind != "deterministic_computable":
         raise ValueError(
@@ -326,40 +315,25 @@ def scenario_one_audit(
     cps = sorted(checkpoints)
     if not cps:
         raise ValueError("need at least one checkpoint")
-    x = run_model(model, h, cps[-1])
-    period = h.period_over(model)
-    points = []
-    for n in cps:
-        sigma = SymbolString(2, x.array[:n])
-        best: ComplexityEstimate = k_upper_bound(sigma)
-        if period is not None and n > 0:
-            pattern = tuple(model.outcome_map[int(v)] for v in h.states(model, period))
-            witness = tm.prog_periodic(pattern, n)
-            if len(witness) < best.value:
-                best = ComplexityEstimate(
-                    len(witness), "upper_bound", witness, "generator_encoding"
-                )
-                if not best.verify(sigma):
-                    raise AssertionError("compiled witness failed to reproduce x")
-        theory_bound = model.description_bits + 2 * math.ceil(math.log2(n + 1)) \
-            + tm.MACHINE_OVERHEAD_BITS
-        points.append(
-            {
-                "n": n,
-                "k_upper": best.value,
-                "margin": best.value - n,
-                "method": best.method,
-                "stated_bound": theory_bound,
-            }
-        )
-    flagged = points[-1]["margin"] <= flag_threshold
+    margins = levin_chaitin_margin(run_model(model, h, cps[-1]), cps)
+    checkpoint_rows = [
+        {
+            "n": pt.n,
+            "k_upper": pt.k_upper,
+            "margin": pt.margin,
+            "method": pt.method,
+            "stated_bound": model.description_bits + 2 * math.ceil(math.log2(pt.n + 1))
+            + tm.MACHINE_OVERHEAD_BITS,
+        }
+        for pt in margins
+    ]
     return ScenarioOneReport(
         model.name,
         h.describe(),
         model.description_bits,
-        points,
-        flagged,
-        flag_threshold,
+        checkpoint_rows,
+        incompressibility_flag(margins, INCOMPRESSIBILITY_C) is not None,
+        -INCOMPRESSIBILITY_C,
         model.compatible(),
     )
 
@@ -433,30 +407,7 @@ def scenario_two_audit(model: HVModel, h: Sampler, n: int) -> ScenarioTwoReport:
     )
 
 
-# -- bundled models and JSON format -----------------------------------------
-
-
-def fair_coin_counter_model() -> HVModel:
-    """Two hidden states visited in turn, pushing mu = (1/2, 1/2) onto the
-    fair-coin outcome measure through the identity map."""
-    return HVModel(
-        space=HVSpace("discrete", 2),
-        outcome_map=(0, 1),
-        mu=(0.5, 0.5),
-        name="fair-coin-counter",
-        target=(0.5, 0.5),
-    )
-
-
-def parity_counter_model() -> HVModel:
-    """Four hidden states with the parity outcome map."""
-    return HVModel(
-        space=HVSpace("discrete", 4),
-        outcome_map=(0, 1, 0, 1),
-        mu=(0.25, 0.25, 0.25, 0.25),
-        name="parity-4",
-        target=(0.5, 0.5),
-    )
+# -- JSON format --------------------------------------------------------------
 
 
 def model_to_json(model: HVModel) -> str:

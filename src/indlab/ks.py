@@ -19,7 +19,6 @@ from typing import Optional, Sequence
 RAYS_SCHEMA = "rays/v1"
 ORTHO_TOL = 1e-8
 UNIT_TOL = 1e-10
-ORACLE_MAX_RAYS = 20
 DATA_DIR_ENV = "INDLAB_DATA_DIR"
 
 
@@ -207,28 +206,13 @@ class Ray:
         return sum(a * b for a, b in zip(self.direction, other.direction))
 
 
-@dataclass(frozen=True)
-class BasisTriple:
-    """Indices of three pairwise-orthogonal rays in a ColoringProblem."""
-
-    rays: tuple[int, int, int]
-
-    def __iter__(self):
-        return iter(self.rays)
-
-
 @dataclass
 class ColoringProblem:
-    """Deduplicated rays plus basis triples; exactly one mark per basis."""
+    """Deduplicated rays plus basis triples, each the sorted indices of three
+    pairwise-orthogonal rays; exactly one mark per basis."""
 
     rays: list[Ray]
-    bases: list[BasisTriple]
-
-    def ray_index(self, ray: Ray) -> Optional[int]:
-        for i, r in enumerate(self.rays):
-            if r.same_ray(ray):
-                return i
-        return None
+    bases: list[tuple[int, int, int]]
 
 
 def make_problem(ray_vectors: Sequence[Sequence], bases: Sequence[Sequence[int]]) -> ColoringProblem:
@@ -254,7 +238,7 @@ def make_problem(ray_vectors: Sequence[Sequence], bases: Sequence[Sequence[int]]
             raise ValueError(f"basis {tuple(b)} collapses under deduplication")
         if mapped not in seen:
             seen.add(mapped)
-            triples.append(BasisTriple(mapped))
+            triples.append(mapped)
     return ColoringProblem(rays, triples)
 
 
@@ -292,7 +276,7 @@ def validate_problem(problem: ColoringProblem) -> ValidationReport:
                 )
                 continue
             memberships[r].append(bi)
-        for r, s in combinations(basis.rays, 2):
+        for r, s in combinations(basis, 2):
             if not problem.rays[r].orthogonal_to(problem.rays[s]):
                 ip = problem.rays[r].inner(problem.rays[s])
                 issues.append(
@@ -313,48 +297,46 @@ class SearchStats:
 @dataclass
 class ColoringResult:
     """colored carries a satisfying assignment; unsat carries search stats
-    certifying that the backtracking exhausted the assignment space.
-    solutions lists every coloring found, in trace order."""
+    certifying that the backtracking exhausted the assignment space."""
 
     status: str  # "colored" | "unsat"
     assignment: Optional[tuple[int, ...]]
     stats: SearchStats
-    solutions: list[tuple[int, ...]] = field(default_factory=list)
 
 
-def _propagate(colors: list[int], bases: list[BasisTriple]) -> bool:
+def _propagate(colors: list[int], bases: list[tuple[int, int, int]]) -> bool:
     """Exactly-one propagation to fixpoint; False on contradiction."""
     changed = True
     while changed:
         changed = False
         for basis in bases:
-            r0, r1, r2 = basis.rays
+            r0, r1, r2 = basis
             v0, v1, v2 = colors[r0], colors[r1], colors[r2]
             ones = (v0 == 1) + (v1 == 1) + (v2 == 1)
             zeros = (v0 == 0) + (v1 == 0) + (v2 == 0)
             if ones > 1 or zeros == 3:
                 return False
             if ones == 1:
-                for r in basis.rays:
+                for r in basis:
                     if colors[r] == -1:
                         colors[r] = 0
                         changed = True
             elif zeros == 2:
-                for r in basis.rays:
+                for r in basis:
                     if colors[r] == -1:
                         colors[r] = 1
                         changed = True
     return True
 
 
-def _choose_ray(colors: list[int], bases: list[BasisTriple]) -> int:
+def _choose_ray(colors: list[int], bases: list[tuple[int, int, int]]) -> int:
     """Most-constrained unassigned ray: highest count of undecided bases,
     ties broken by lowest index (keeps traces reproducible)."""
     score: dict[int, int] = {}
     for basis in bases:
-        if any(colors[r] == 1 for r in basis.rays):
+        if any(colors[r] == 1 for r in basis):
             continue
-        for r in basis.rays:
+        for r in basis:
             if colors[r] == -1:
                 score[r] = score.get(r, 0) + 1
     if not score:
@@ -366,41 +348,30 @@ def _choose_ray(colors: list[int], bases: list[BasisTriple]) -> int:
     return best[0]
 
 
-def search_coloring(problem: ColoringProblem, count_all: bool = False) -> ColoringResult:
-    """Complete backtracking with exactly-one constraint propagation.
-
-    With count_all the full tree is explored and stats.nodes reflects it;
-    the returned assignment is then the first solution in trace order.
-    """
-    colors = [-1] * len(problem.rays)
+def search_coloring(problem: ColoringProblem) -> ColoringResult:
+    """Complete backtracking with exactly-one constraint propagation; stops
+    at the first coloring in trace order."""
     stats = SearchStats()
-    solutions: list[tuple[int, ...]] = []
 
-    def rec(state: list[int], depth: int) -> bool:
+    def rec(state: list[int], depth: int) -> Optional[tuple[int, ...]]:
         stats.nodes += 1
         stats.max_depth = max(stats.max_depth, depth)
         work = state[:]
         if not _propagate(work, problem.bases):
-            return False
+            return None
         if -1 not in work:
-            solutions.append(tuple(work))
-            return not count_all
+            return tuple(work)
         idx = _choose_ray(work, problem.bases)
         for value in (1, 0):
             child = work[:]
             child[idx] = value
-            if rec(child, depth + 1):
-                return True
-        return False
+            found = rec(child, depth + 1)
+            if found is not None:
+                return found
+        return None
 
-    rec(colors, 0)
-    if solutions:
-        return ColoringResult("colored", solutions[0], stats, solutions)
-    return ColoringResult("unsat", None, stats)
-
-
-def count_colorings(problem: ColoringProblem) -> int:
-    return len(search_coloring(problem, count_all=True).solutions)
+    assignment = rec([-1] * len(problem.rays), 0)
+    return ColoringResult("unsat" if assignment is None else "colored", assignment, stats)
 
 
 def verify_coloring(problem: ColoringProblem, assignment: Sequence[int]) -> bool:
@@ -415,33 +386,7 @@ def verify_coloring(problem: ColoringProblem, assignment: Sequence[int]) -> bool
     for v in assignment:
         if v not in (0, 1):
             raise ValueError(f"assignment must be total over {{0,1}}, found {v!r}")
-    return all(sum(assignment[r] for r in basis.rays) == 1 for basis in problem.bases)
-
-
-def oracle_enumerate(problem: ColoringProblem) -> list[tuple[int, ...]]:
-    """Brute-force 2^n enumeration for small problems; the searcher's oracle."""
-    n = len(problem.rays)
-    if n > ORACLE_MAX_RAYS:
-        raise ValueError(f"oracle limited to {ORACLE_MAX_RAYS} rays, got {n}")
-    out = []
-    for mask in range(1 << n):
-        assignment = tuple((mask >> i) & 1 for i in range(n))
-        if all(sum(assignment[r] for r in basis.rays) == 1 for basis in problem.bases):
-            out.append(assignment)
-    return out
-
-
-def subproblem(problem: ColoringProblem, ray_indices: Sequence[int]) -> ColoringProblem:
-    """Induced problem on a subset of rays: bases fully inside the subset."""
-    keep = sorted(set(ray_indices))
-    pos = {r: i for i, r in enumerate(keep)}
-    rays = [problem.rays[r] for r in keep]
-    bases = [
-        BasisTriple(tuple(sorted(pos[r] for r in basis.rays)))
-        for basis in problem.bases
-        if all(r in pos for r in basis.rays)
-    ]
-    return ColoringProblem(rays, bases)
+    return all(sum(assignment[r] for r in basis) == 1 for basis in problem.bases)
 
 
 # -- the free-will-theorem reduction ---------------------------------------
@@ -488,7 +433,7 @@ def fwt_reduction_check(problem: ColoringProblem, value_map: dict) -> FwtReport:
 
     by_ray: dict[int, dict[int, int]] = {}
     for bi, basis in enumerate(problem.bases):
-        for pos, r in enumerate(basis.rays):
+        for pos, r in enumerate(basis):
             by_ray.setdefault(r, {})[bi] = values[(bi, pos)]
     violations = []
     ray_value: dict[int, int] = {}
@@ -518,7 +463,7 @@ def coloring_to_value_map(problem: ColoringProblem, assignment: Sequence[int]) -
     """Outcome map induced by a coloring: marked ray gets outcome 0."""
     out = {}
     for bi, basis in enumerate(problem.bases):
-        for pos, r in enumerate(basis.rays):
+        for pos, r in enumerate(basis):
             out[(bi, pos)] = 0 if assignment[r] == 1 else 1
     return out
 
@@ -526,7 +471,7 @@ def coloring_to_value_map(problem: ColoringProblem, assignment: Sequence[int]) -
 def outcome_tuples(problem: ColoringProblem, assignment: Sequence[int]) -> list[tuple[int, ...]]:
     """Per-basis squared-spin outcome tuples under marked <-> eigenvalue 0."""
     return [
-        tuple(0 if assignment[r] == 1 else 1 for r in basis.rays)
+        tuple(0 if assignment[r] == 1 else 1 for r in basis)
         for basis in problem.bases
     ]
 
@@ -548,7 +493,7 @@ def save_rays_file(path: str, problem: ColoringProblem, header_notes: Sequence[s
             f.write(f"ray {name} {comps}\n")
         for basis in problem.bases:
             names = " ".join(
-                problem.rays[r].name or f"r{r}" for r in basis.rays
+                problem.rays[r].name or f"r{r}" for r in basis
             )
             f.write(f"basis {names}\n")
 

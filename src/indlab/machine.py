@@ -409,6 +409,8 @@ def enumerate_domain(
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
+    if max_steps < 0:
+        raise ValueError("max_steps must be >= 0")
     stack = [_Machine((), exact_bits=False, output_prefix=output_prefix)]
     while stack:
         m = stack.pop()

@@ -124,16 +124,15 @@ def _smallest_period(symbols: Sequence[int]) -> int:
 
 
 def k_upper_bound(
-    sigma: SymbolString,
-    budget: Optional[tuple[int, int]] = None,
-    verify: bool = True,
+    sigma: SymbolString, budget: Optional[tuple[int, int]] = None
 ) -> ComplexityEstimate:
     """Best witnessed upper bound on the description length of sigma.
 
     Tries the literal encoding, generator encodings for recognized structure
     (constant, periodic, counter-concatenation a.k.a. Champernowne), and,
     when a (max_len, max_steps) budget is supplied, exhaustive search; a
-    max_len above EXACT_SEARCH_MAX_LEN is rejected before any search.
+    max_len above EXACT_SEARCH_MAX_LEN is rejected before any search.  The
+    chosen witness is re-run and must reproduce sigma.
     """
     _require_base2(sigma)
     n = len(sigma)
@@ -160,7 +159,7 @@ def k_upper_bound(
             candidates.append((found.witness, "exhaustive"))
     program, method = min(candidates, key=lambda c: len(c[0]))
     est = ComplexityEstimate(len(program), "upper_bound", program, method)
-    if verify and not est.verify(sigma):
+    if not est.verify(sigma):
         raise AssertionError(f"witness failed to reproduce sigma (method {method})")
     return est
 
@@ -241,21 +240,20 @@ class MarginPoint:
     method: str
 
 
-def levin_chaitin_margin(
-    source: SequenceSource, checkpoints: Sequence[int]
-) -> list[MarginPoint]:
-    """Series of K_upper(x_|N) - N at the given checkpoints.
+def levin_chaitin_margin(x: SymbolString, checkpoints: Sequence[int]) -> list[MarginPoint]:
+    """Series of K_upper(x_|n) - n at the given checkpoints, each in [0, len(x)].
 
     A strongly negative margin refutes 1-randomness relative to this
-    machine; a positive margin confirms nothing.
+    machine (see incompressibility_flag); a positive margin confirms nothing.
     """
     cps = list(checkpoints)
     if cps != sorted(cps):
         raise ValueError("checkpoints must be ascending")
+    if cps and (cps[0] < 0 or cps[-1] > len(x)):
+        raise ValueError(f"checkpoints must lie in [0, {len(x)}], got {cps}")
     points = []
     for n in cps:
-        sigma = source.prefix(n)
-        est = k_upper_bound(sigma)
+        est = k_upper_bound(SymbolString(x.alphabet_size, x.array[:n]))
         points.append(MarginPoint(n, est.value, est.value - n, est.method))
     return points
 
@@ -331,9 +329,7 @@ def monkey_search(
     return starts.tolist()
 
 
-def omega_lower_bound(
-    max_len: int, max_steps: int, output_limit: int = tm.DEFAULT_OUTPUT_LIMIT
-) -> OmegaEstimate:
+def omega_lower_bound(max_len: int, max_steps: int) -> OmegaEstimate:
     """Sum of 2^-|program| over every halting program of length <= max_len.
 
     Each program is the exact bit prefix consumed at halt and is counted
@@ -344,7 +340,7 @@ def omega_lower_bound(
         raise ValueError(f"max_len {max_len} exceeds cap {EXACT_SEARCH_MAX_LEN}")
     total = Fraction(0)
     programs: list[tm.Bits] = []
-    for entry in tm.enumerate_domain(max_len, max_steps, output_limit=output_limit):
+    for entry in tm.enumerate_domain(max_len, max_steps):
         total += Fraction(1, 2 ** len(entry.program))
         programs.append(entry.program)
     if total >= 1:
@@ -359,7 +355,11 @@ def prefix_free_violations(programs: Sequence[tm.Bits]) -> list[tuple[tm.Bits, t
 
 
 def incompressibility_flag(margin_points: Sequence[MarginPoint], c: int) -> Optional[str]:
-    """The exact one-sided claim an upper bound supports, or None."""
+    """The exact one-sided claim an upper bound supports, or None.
+
+    The claim is made when some checkpoint has K_upper < n - c, that is a
+    margin below -c; a margin of exactly -c is not flagged.
+    """
     for pt in margin_points:
         if pt.margin < -c:
             return (

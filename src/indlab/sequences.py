@@ -156,6 +156,8 @@ def sample_indices(
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or len(p) == 0:
         raise ValueError("probs must be a non-empty 1-d sequence")
+    if not np.isfinite(p).all():
+        raise ValueError(f"probabilities must be finite, got {p.tolist()}")
     if np.any(p < -1e-12):
         raise ValueError("probabilities must be non-negative")
     if abs(p.sum() - 1.0) > 1e-9:
@@ -275,11 +277,6 @@ def os_entropy_symbols(k: int, n: int) -> np.ndarray:
     except (OSError, NotImplementedError) as exc:
         raise OSError(f"OS entropy unavailable: {exc}") from exc
     return out
-
-
-def truncate(source: SequenceSource, n: int) -> SymbolString:
-    """First n symbols of the source; deterministic per the source contract."""
-    return source.prefix(n)
 
 
 def block_frequencies(

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product as iter_product
 
 import numpy as np
 import pytest
@@ -11,6 +12,26 @@ from indlab import bell
 from indlab.errors import CapacityError
 
 RNG = np.random.Generator(np.random.Philox(key=[77, 0]))
+
+
+def local_bound_enumerate_all(settings, functional):
+    """Plain double enumeration over every (L, R) pair; the oracle for the
+    factored search.  Returns (maximum over admissible strategies,
+    strategies examined)."""
+    s = len(settings)
+    if s > 8:
+        raise CapacityError("oracle enumeration limited to 8 settings")
+    best = None
+    count = 0
+    for l_bits in iter_product((0, 1), repeat=s):
+        for r_bits in iter_product((0, 1), repeat=s):
+            count += 1
+            if functional.perfect_correlation and l_bits != r_bits:
+                continue
+            v = bell.LocalDeterministicStrategy(l_bits, r_bits).value(functional, settings)
+            if best is None or v > best:
+                best = v
+    return best, count
 
 
 class TestQuantumMismatch:
@@ -33,6 +54,15 @@ class TestSettings:
     def test_default(self):
         assert bell.DEFAULT_SETTINGS.angles == (0.0, 30.0, 60.0)
 
+    @pytest.mark.parametrize("angles", [(0, 0, 30), (0.0, 30.0, 30)])
+    def test_repeated_angle_rejected(self, angles):
+        with pytest.raises(ValueError, match="repeat"):
+            bell.SettingSet(angles)
+
+    def test_index_names_a_missing_angle(self):
+        with pytest.raises(ValueError, match="angle 45 is not among the settings"):
+            bell.DEFAULT_SETTINGS.index(45)
+
 
 class TestLocalBound:
     def test_default_functional_bound_zero(self):
@@ -43,7 +73,7 @@ class TestLocalBound:
 
     def test_oracle_agreement_default(self):
         f = bell.default_functional()
-        oracle, examined = bell.local_bound_enumerate_all(f.settings(), f)
+        oracle, examined = local_bound_enumerate_all(f.settings(), f)
         assert oracle == Fraction(0)
         assert examined == 64
 
@@ -80,7 +110,7 @@ class TestLocalBound:
             for pc in (False, True):
                 f = bell.MismatchFunctional(terms, perfect_correlation=pc)
                 fast, _ = bell.local_bound_bruteforce(settings, f)
-                slow, _ = bell.local_bound_enumerate_all(settings, f)
+                slow, _ = local_bound_enumerate_all(settings, f)
                 assert fast == slow
 
     def test_capacity(self):

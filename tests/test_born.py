@@ -1,4 +1,3 @@
-import json
 import math
 from itertools import product as iter_product
 
@@ -322,23 +321,3 @@ class TestSampling:
         for idx, p in enumerate(mu.probabilities):
             freq = sum(1 for v in tuple(s) if v == idx) / n
             assert abs(freq - p) <= 6 * math.sqrt(p * (1 - p) / n)
-
-
-class TestWireFormat:
-    def test_matrix_roundtrip(self):
-        m = RNG.normal(size=(3, 3)) + 1j * RNG.normal(size=(3, 3))
-        obj = json.loads(json.dumps(born.matrix_to_json(m)))
-        assert np.allclose(born.matrix_from_json(obj), m)
-
-    def test_observable_from_json(self):
-        obj = {"dim": 2, "re": [[0, 1], [1, 0]], "im": [[0, 0], [0, 0]]}
-        a = born.observable_from_json(obj)
-        assert np.allclose(a.matrix, [[0, 1], [1, 0]])
-
-    def test_vector_state_from_json(self):
-        s = born.state_from_json({"re": [1.0, 0.0], "im": [0.0, 0.0]})
-        assert s.form == "unit_vector"
-
-    def test_dim_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="dim"):
-            born.matrix_from_json({"dim": 3, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]})

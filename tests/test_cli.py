@@ -7,6 +7,7 @@ from indlab import bell, cli, hv, ks
 from indlab import machine as tm
 from indlab import randomness as rl
 from indlab import sequences as sq
+from indlab.errors import CapacityError, CommutationError, ContractViolationError
 
 
 def test_komplexity_rejects_exact_max_len_above_cap(tmp_path, monkeypatch):
@@ -112,6 +113,77 @@ def test_hv_audit2_os_sampler_on_300_states_exits_1(tmp_path, monkeypatch, capsy
     assert cli.dispatch(["hv", "audit2", "--model", "big.json", "--sampler", "os",
                          "--n", "10000", "--json", "a.json"]) == cli.EXIT_USAGE
     assert "up to 256 symbols" in capsys.readouterr().err
+
+
+def _one_error_line(capsys, *fragments) -> None:
+    """stderr holds exactly one line, an `error:` line holding every fragment."""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert all(f in lines[0] for f in fragments), lines
+
+
+@pytest.mark.parametrize("argv,fragments", [
+    (["hv", "run", "--model", "fair_coin_counter.json", "--sampler", "constant:5",
+      "--n", "8", "--out", "h.seq"], ("state 5 outside the space of size 2",)),
+    (["hv", "audit2", "--model", "parity4.json", "--bias", "0.5,0.5", "--n", "10000",
+      "--json", "a.json"], ("covers 2 states, space has 4",)),
+    (["generate", "--kind", "born", "--probs", "0.5,nan", "--n", "10", "--out", "x.seq"],
+     ("probabilities must be finite",)),
+    (["bell", "run", "--settings", "0,0,30", "--n", "600", "--out", "b.csv"],
+     ("repeat an angle",)),
+    (["bell", "run", "--settings", "0,nan,30", "--n", "600", "--out", "b.csv"],
+     ("must be finite angles",)),
+    (["omega", "--steps", "-3", "--json", "o.json"], ("max_steps must be >= 0",)),
+], ids=["hv-run-contract", "hv-audit2-contract", "born-nan", "repeated-setting",
+        "nan-setting", "omega-negative-steps"])
+def test_bad_input_exits_1_with_one_error_line(argv, fragments, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.dispatch(argv) == cli.EXIT_USAGE
+    _one_error_line(capsys, *fragments)
+    assert os.listdir() == []
+
+
+def test_library_errors_are_value_errors():
+    assert all(issubclass(e, ValueError)
+               for e in (ContractViolationError, CapacityError, CommutationError))
+
+
+@pytest.mark.parametrize("extra,fragments", [
+    (["--max-block", "0"], ("--max-block must be >= 1",)),
+    (["--tests", "bogus"], ("unknown --tests ['bogus']",)),
+    (["--tests", "borel,"], ("unknown --tests ['']",)),
+], ids=["max-block-0", "unknown-test", "empty-test-name"])
+def test_vacuous_analyze_is_a_usage_error(extra, fragments, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    sq.write_sequence_file("x.seq", sq.SequenceSource("born_sampler", seed=1).prefix(400))
+    assert cli.dispatch(["analyze", "--in", "x.seq", "--json", "a.json"] + extra) \
+        == cli.EXIT_USAGE
+    _one_error_line(capsys, *fragments)
+    assert not os.path.exists("a.json")
+
+
+def test_komplexity_rejects_negative_steps(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    sq.write_sequence_file("x.seq", sq.bits("0110"))
+    assert cli.dispatch(["komplexity", "--in", "x.seq", "--exact-max-len", "4",
+                         "--steps", "-1", "--json", "k.json"]) == cli.EXIT_USAGE
+    _one_error_line(capsys, "max_steps must be >= 0")
+    assert not os.path.exists("k.json")
+
+
+@pytest.mark.parametrize("functional,fragments", [
+    ("1,0,45", ("angle 45.0 is not among the settings [0.0, 30.0, 60.0]",)),
+    ("x", ("--functional term 'x'",)),
+    ("1,0,30;1,0", ("--functional term '1,0'",)),
+], ids=["missing-angle", "not-a-term", "short-term"])
+def test_bell_analyze_names_the_bad_functional(functional, fragments, tmp_path, monkeypatch,
+                                               capsys):
+    monkeypatch.chdir(tmp_path)
+    _hv_csv_with_first_row(lambda row: row)
+    assert cli.dispatch(["bell", "analyze", "--in", "run.csv", "--functional", functional,
+                         "--json", "b.json"]) == cli.EXIT_USAGE
+    _one_error_line(capsys, *fragments)
+    assert not os.path.exists("b.json")
 
 
 @pytest.fixture(scope="module")

@@ -3,10 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from indlab import hv
+from indlab import hv, ks
 from indlab import machine as tm
+from indlab import randomness as rl
 from indlab import sequences as sq
 from indlab.errors import ContractViolationError
+
+FAIR_COIN = hv.load_model(ks.bundled_path("fair_coin_counter.json"))
+PARITY4 = hv.load_model(ks.bundled_path("parity4.json"))
 
 
 class TestSpacesAndModels:
@@ -30,8 +34,24 @@ class TestSpacesAndModels:
         with pytest.raises(ValueError, match="sums to"):
             hv.HVModel(hv.HVSpace("discrete", 2), (0, 1), (0.5, 0.6))
 
+    @pytest.mark.parametrize("mu", [(math.nan, 1.0), (math.inf, 1.0)])
+    def test_mu_must_be_finite(self, mu):
+        with pytest.raises(ValueError, match="non-finite"):
+            hv.HVModel(hv.HVSpace("discrete", 2), (0, 1), mu)
+
+    @pytest.mark.parametrize("filename,model", [
+        ("fair_coin_counter.json", hv.HVModel(
+            hv.HVSpace("discrete", 2), (0, 1), (0.5, 0.5), "fair-coin-counter", (0.5, 0.5))),
+        ("parity4.json", hv.HVModel(
+            hv.HVSpace("discrete", 4), (0, 1, 0, 1), (0.25,) * 4, "parity-4", (0.5, 0.5))),
+    ])
+    def test_bundled_model_files(self, filename, model):
+        with open(ks.bundled_path(filename)) as f:
+            assert f.read() == hv.model_to_json(model) + "\n"
+        assert hv.load_model(ks.bundled_path(filename)) == model
+
     def test_pushforward_and_compatibility(self):
-        model = hv.parity_counter_model()
+        model = PARITY4
         assert model.pushforward() == (0.5, 0.5)
         assert model.compatible()
         bad = hv.HVModel(
@@ -40,7 +60,7 @@ class TestSpacesAndModels:
         assert not bad.compatible()
 
     def test_description_bits_positive_and_stable(self):
-        model = hv.fair_coin_counter_model()
+        model = FAIR_COIN
         assert model.description_bits == 8 * len(hv.model_to_json(model).encode())
 
 
@@ -77,34 +97,34 @@ class TestMeasures:
 
 class TestRunModel:
     def test_identity_alternating(self):
-        model = hv.fair_coin_counter_model()
+        model = FAIR_COIN
         x = hv.run_model(model, hv.Sampler.alternating(), 8)
         assert x.to_text() == "01010101"
 
     def test_parity_counter(self):
-        x = hv.run_model(hv.parity_counter_model(), hv.Sampler.counter(), 8)
+        x = hv.run_model(PARITY4, hv.Sampler.counter(), 8)
         assert x.to_text() == "01010101"
 
     def test_constant_sampler(self):
-        model = hv.fair_coin_counter_model()
+        model = FAIR_COIN
         assert hv.run_model(model, hv.Sampler.constant(1), 5).to_text() == "11111"
 
     def test_recorded_replay(self, tmp_path):
         path = str(tmp_path / "trace.txt")
         sq.write_sequence_file(path, sq.bits("0110"))
-        x = hv.run_model(hv.fair_coin_counter_model(), hv.Sampler.recorded(path), 4)
+        x = hv.run_model(FAIR_COIN, hv.Sampler.recorded(path), 4)
         assert x.to_text() == "0110"
 
     def test_out_of_space_state_rejected(self, tmp_path):
         path = str(tmp_path / "trace.txt")
         sq.write_sequence_file(path, sq.SymbolString(4, (0, 3)))
         with pytest.raises(ContractViolationError, match="outside the space"):
-            hv.run_model(hv.fair_coin_counter_model(), hv.Sampler.recorded(path), 2)
+            hv.run_model(FAIR_COIN, hv.Sampler.recorded(path), 2)
 
     def test_machine_program_sampler(self):
         program = tm.prog_periodic((1, 0), 64)
         x = hv.run_model(
-            hv.fair_coin_counter_model(), hv.Sampler.machine_program(program), 6
+            FAIR_COIN, hv.Sampler.machine_program(program), 6
         )
         assert x.to_text() == "101010"
 
@@ -112,18 +132,18 @@ class TestRunModel:
         # OUT1 OUT0 JMP -3 never halts: the sampler reads its output
         program = tm.concat(tm.asm_out(1), tm.asm_out(0), tm.asm_jmp(-3))
         x = hv.run_model(
-            hv.fair_coin_counter_model(), hv.Sampler.machine_program(program), 64
+            FAIR_COIN, hv.Sampler.machine_program(program), 64
         )
         assert x.to_text() == "10" * 32
 
     def test_machine_program_needs_two_states(self):
-        model = hv.parity_counter_model()
+        model = PARITY4
         with pytest.raises(ContractViolationError, match="2-state"):
             hv.run_model(model, hv.Sampler.machine_program(tm.prog_halt()), 2)
 
     def test_factorization_replay(self):
         # x equals the pointwise composition g(h(i))
-        model = hv.parity_counter_model()
+        model = PARITY4
         sampler = hv.Sampler.counter()
         x = hv.run_model(model, sampler, 100)
         lam = sampler.states(model, 100)
@@ -133,7 +153,7 @@ class TestRunModel:
 class TestScenarioOne:
     def test_counter_model_flagged_at_10k(self):
         rep = hv.scenario_one_audit(
-            hv.fair_coin_counter_model(), hv.Sampler.counter(), [100, 1000, 10_000]
+            FAIR_COIN, hv.Sampler.counter(), [100, 1000, 10_000]
         )
         final = rep.checkpoints[-1]
         assert final["margin"] <= -9000
@@ -142,20 +162,37 @@ class TestScenarioOne:
 
     def test_witness_bound_inside_stated_bound(self):
         rep = hv.scenario_one_audit(
-            hv.parity_counter_model(), hv.Sampler.counter(), [64, 512, 4096]
+            PARITY4, hv.Sampler.counter(), [64, 512, 4096]
         )
         for point in rep.checkpoints:
             assert point["k_upper"] <= point["stated_bound"]
 
+    @pytest.mark.parametrize("margins,flagged", [
+        ([-64], False),
+        ([-65], True),
+        ([-65, 10], True),
+    ], ids=["at-minus-c", "below-minus-c", "early-checkpoint-below"])
+    def test_flag_is_the_incompressibility_rule(self, margins, flagged, monkeypatch):
+        def fixed_margins(x, checkpoints):
+            return [rl.MarginPoint(n, n + m, m, "literal_encoding")
+                    for n, m in zip(checkpoints, margins)]
+
+        monkeypatch.setattr(hv, "levin_chaitin_margin", fixed_margins)
+        checkpoints = [100 * (i + 1) for i in range(len(margins))]
+        rep = hv.scenario_one_audit(FAIR_COIN, hv.Sampler.counter(), checkpoints)
+        assert [p["margin"] for p in rep.checkpoints] == margins
+        assert rep.flagged == flagged
+        assert rep.to_dict()["flag_threshold_bits"] == -64
+
     def test_flag_withheld_at_small_n(self):
-        rep = hv.scenario_one_audit(hv.fair_coin_counter_model(), hv.Sampler.counter(), [8])
+        rep = hv.scenario_one_audit(FAIR_COIN, hv.Sampler.counter(), [8])
         assert rep.checkpoints[-1]["margin"] > rep.flag_threshold
         assert not rep.flagged
 
     def test_refuses_nondeterministic_sampler(self):
         with pytest.raises(ValueError, match="deterministic_computable"):
             hv.scenario_one_audit(
-                hv.fair_coin_counter_model(), hv.Sampler.prng(1), [100]
+                FAIR_COIN, hv.Sampler.prng(1), [100]
             )
 
     def test_binary_outcomes_only(self):
@@ -169,14 +206,14 @@ class TestScenarioOne:
 class TestScenarioTwo:
     def test_fair_prng_passes(self):
         rep = hv.scenario_two_audit(
-            hv.fair_coin_counter_model(), hv.Sampler.prng(7), 100_000
+            FAIR_COIN, hv.Sampler.prng(7), 100_000
         )
         assert rep.fair
         assert "external" in rep.randomness_origin
 
     def test_biased_prng_fails(self):
         rep = hv.scenario_two_audit(
-            hv.fair_coin_counter_model(), hv.Sampler.prng(7, probs=[0.6, 0.4]), 100_000
+            FAIR_COIN, hv.Sampler.prng(7, probs=[0.6, 0.4]), 100_000
         )
         assert not rep.fair
 
@@ -189,17 +226,17 @@ class TestScenarioTwo:
 
     def test_minimum_n(self):
         with pytest.raises(ValueError, match="10000"):
-            hv.scenario_two_audit(hv.fair_coin_counter_model(), hv.Sampler.prng(1), 100)
+            hv.scenario_two_audit(FAIR_COIN, hv.Sampler.prng(1), 100)
 
     def test_deterministic_sampler_rejected(self):
         with pytest.raises(ValueError, match="sampling h"):
             hv.scenario_two_audit(
-                hv.fair_coin_counter_model(), hv.Sampler.counter(), 10_000
+                FAIR_COIN, hv.Sampler.counter(), 10_000
             )
 
     def test_os_entropy_accepted(self):
         rep = hv.scenario_two_audit(
-            hv.fair_coin_counter_model(), hv.Sampler.os_entropy(), 10_000
+            FAIR_COIN, hv.Sampler.os_entropy(), 10_000
         )
         assert "operating-system entropy" in rep.randomness_origin
 
@@ -207,7 +244,7 @@ class TestScenarioTwo:
 class TestModelFiles:
     def test_roundtrip(self, tmp_path):
         path = str(tmp_path / "m.json")
-        model = hv.parity_counter_model()
+        model = PARITY4
         hv.save_model(path, model)
         back = hv.load_model(path)
         assert back == model
@@ -229,13 +266,13 @@ class TestModelFiles:
 
 class TestSamplerContracts:
     def test_prng_reproducible(self):
-        model = hv.fair_coin_counter_model()
+        model = FAIR_COIN
         a = hv.Sampler.prng(5).states(model, 100)
         b = hv.Sampler.prng(5).states(model, 100)
         assert (a == b).all()
 
     def test_entropy_not_reproducible(self):
-        model = hv.fair_coin_counter_model()
+        model = FAIR_COIN
         a = hv.Sampler.os_entropy().states(model, 64)
         b = hv.Sampler.os_entropy().states(model, 64)
         assert (a != b).any()

@@ -208,6 +208,10 @@ class TestEnumeration:
     def test_respects_max_len(self):
         assert all(len(e.program) <= 9 for e in tm.enumerate_domain(9, 100))
 
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError, match="max_steps"):
+            list(tm.enumerate_domain(8, -1))
+
     def test_empty_budget(self):
         assert list(tm.enumerate_domain(0, 100)) == []
         assert list(tm.enumerate_domain(3, 100)) == []  # opcode needs 4 bits

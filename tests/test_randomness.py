@@ -148,32 +148,48 @@ class TestCountingBound:
 class TestLevinChaitinMargin:
     def test_constant_source_diverges_down(self):
         src = sq.SequenceSource("constant", symbol=1)
-        points = rl.levin_chaitin_margin(src, [100, 1000, 5000])
+        points = rl.levin_chaitin_margin(src.prefix(5000), [100, 1000, 5000])
         margins = [p.margin for p in points]
         assert margins[0] > margins[1] > margins[2]
         assert margins[2] < -4800
 
     def test_champernowne_margin(self):
         src = sq.SequenceSource("champernowne")
-        (point,) = rl.levin_chaitin_margin(src, [10**4])
+        (point,) = rl.levin_chaitin_margin(src.prefix(10**4), [10**4])
         assert point.margin <= -(10**4) + 2 * math.ceil(math.log2(10**4)) + 40
 
     def test_fair_coin_margin_stays_positive(self):
         # upper bounds cannot refute randomness of a typical sample
         src = sq.SequenceSource("born_sampler", seed=3)
-        (point,) = rl.levin_chaitin_margin(src, [1000])
+        (point,) = rl.levin_chaitin_margin(src.prefix(1000), [1000])
         assert point.margin > 0
 
     def test_checkpoints_must_ascend(self):
         with pytest.raises(ValueError):
-            rl.levin_chaitin_margin(sq.SequenceSource("constant"), [10, 5])
+            rl.levin_chaitin_margin(sq.SequenceSource("constant").prefix(10), [10, 5])
 
     def test_flag_semantics(self):
         src = sq.SequenceSource("constant", symbol=0)
-        points = rl.levin_chaitin_margin(src, [1000])
+        points = rl.levin_chaitin_margin(src.prefix(1000), [1000])
         claim = rl.incompressibility_flag(points, c=64)
         assert claim is not None and "not 64-incompressible" in claim
         assert rl.incompressibility_flag(points, c=2000) is None
+
+    @pytest.mark.parametrize("margins,flagged", [
+        ([-64], False),
+        ([-65], True),
+        ([-65, 10], True),
+        ([0, -64], False),
+    ], ids=["at-minus-c", "below-minus-c", "early-checkpoint-below", "last-at-minus-c"])
+    def test_flag_boundary(self, margins, flagged):
+        points = [rl.MarginPoint(100 * (i + 1), 100 * (i + 1) + m, m, "literal_encoding")
+                  for i, m in enumerate(margins)]
+        assert (rl.incompressibility_flag(points, c=64) is not None) == flagged
+
+    @pytest.mark.parametrize("checkpoints", [[0, 11], [-1, 5]])
+    def test_checkpoints_must_lie_within_x(self, checkpoints):
+        with pytest.raises(ValueError, match="lie in"):
+            rl.levin_chaitin_margin(sq.SequenceSource("constant").prefix(10), checkpoints)
 
 
 class TestOverlapVariance:

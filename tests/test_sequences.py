@@ -122,7 +122,7 @@ class TestChampernowne:
 class TestSources:
     def test_constant_truncate(self):
         src = sq.SequenceSource("constant", symbol=1)
-        assert sq.truncate(src, 5).to_text() == "11111"
+        assert src.prefix(5).to_text() == "11111"
 
     def test_born_sampler_golden(self):
         src = sq.SequenceSource("born_sampler", seed=42, probs=[0.5, 0.5])
