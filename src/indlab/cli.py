@@ -197,13 +197,15 @@ def cmd_komplexity(args, manifest: Manifest) -> int:
     if args.exact_max_len is not None:
         exact = rl.exact_k_small(sigma, args.exact_max_len, args.steps)
         if isinstance(exact, rl.ComplexityEstimate):
-            out["exact_search"] = {"value": exact.value, "kind": exact.kind}
+            search = {"value": exact.value, "kind": exact.kind}
         else:
-            out["exact_search"] = {
+            search = {
                 "no_program_within": exact.max_len,
                 "steps": exact.max_steps,
                 "unresolved_timeouts": exact.unresolved_timeouts,
             }
+        search["unresolved_bits_consumed"] = list(exact.unresolved_bits_consumed)
+        out["exact_search"] = search
     _write_json(args.json, out)
     print(f"K_upper = {out['k_upper']} bits ({out['method']}), "
           f"margin {out['margin']} over n={out['n']}")

@@ -29,11 +29,18 @@ integer operands are Elias-gamma codes of value+1):
 Jumps are in instruction units relative to the next instruction index.
 Everything is machine-relative: no universality is claimed, and all
 complexity values produced elsewhere are tied to this instruction set.
+
+enumerate_domain walks the halting domain up to a length.  Since the
+encodings are prefix-free, it extends a paused program by one whole
+instruction encoding at a time, and it ends the branches it can prove
+divergent (see _Machine._loop_check) instead of running them to the step
+budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator, Optional, Sequence
 
 NUM_REGISTERS = 4
@@ -105,14 +112,15 @@ class MachineResult:
 class _Machine:
     """One execution over a fixed bit prefix.
 
-    If exact_bits is False, running out of program bits reports the in-band
-    status "needs_bits" and the run can be resumed on a longer tape (the
-    domain enumerator forks it, see _fork); otherwise it is malformed.
-    exact_bits=False also selects the enumerator's loop rule (_loop_check).
+    If exact_bits is False, running out of program bits pauses the run (run
+    returns None) before the instruction it could not decode, and the run
+    can be resumed on a longer tape (the domain enumerator forks it, see
+    _fork); otherwise it is malformed.  exact_bits=False also selects the
+    enumerator's loop rules (_loop_check).
     """
 
     __slots__ = ("tape", "cursor", "exact_bits", "instrs", "pc", "regs", "out", "steps",
-                 "cap", "output_prefix", "_seen")
+                 "cap", "output_prefix", "other_step", "_seen", "_grown")
 
     def __init__(self, program: Sequence[int], exact_bits: bool = True,
                  output_prefix: Optional[Sequence[int]] = None):
@@ -126,7 +134,10 @@ class _Machine:
         self.steps = 0
         self.cap: Optional[int] = None
         self.output_prefix = tuple(output_prefix) if output_prefix is not None else None
+        # step count at the last executed instruction other than INC, JZ, JMP
+        self.other_step = 0
         self._seen: set[tuple] = set()
+        self._grown: dict[tuple, tuple[int, int]] = {}
 
     # -- bit reading ------------------------------------------------------
 
@@ -196,7 +207,9 @@ class _Machine:
 
     # -- running ----------------------------------------------------------
 
-    def run(self, max_steps: int, output_limit: int = DEFAULT_OUTPUT_LIMIT) -> MachineResult:
+    def run(self, max_steps: int,
+            output_limit: int = DEFAULT_OUTPUT_LIMIT) -> Optional[MachineResult]:
+        """Run until a leaf outcome, or None when paused for program bits."""
         emit = self._emit
         while True:
             if self.cap is not None and len(self.out) >= self.cap:
@@ -211,7 +224,7 @@ class _Machine:
                     self.cursor = start
                     if self.exact_bits:
                         return self._result("malformed", "ran out of program bits")
-                    return self._result("needs_bits")
+                    return None
                 if err is not None:
                     return self._result("malformed", err)
             instr = self.instrs[self.pc]
@@ -231,7 +244,8 @@ class _Machine:
                 status = None
             elif op == OP_INC:
                 self.regs[instr[1]] += 1
-                status = None
+                self.pc += 1
+                continue
             elif op == OP_DEC:
                 r = instr[1]
                 if self.regs[r]:
@@ -258,7 +272,8 @@ class _Machine:
                     if status:
                         return self._result("timeout", status)
                     continue
-                status = None
+                self.pc += 1
+                continue
             elif op == OP_JMP:
                 d, delta = instr[1], instr[2]
                 target = self.pc + 1 + delta if d else self.pc + 1 - delta
@@ -275,10 +290,13 @@ class _Machine:
             else:  # pragma: no cover - decode rejects invalid opcodes
                 return self._result("malformed", f"invalid opcode {op}")
 
+            # INC, JZ and JMP continued above (they emit nothing, so the
+            # output limit needs no check); the growth rule sees the rest
             if status is not None:
                 return self._result(*status)
             if len(self.out) > output_limit:
                 return self._result("timeout", "output limit exceeded")
+            self.other_step = self.steps
             self.pc += 1
 
     def _emit(self, symbols: Bits):
@@ -291,8 +309,13 @@ class _Machine:
                 i = len(out) - 1
                 if i >= len(self.output_prefix) or self.output_prefix[i] != b:
                     return ("mismatch", "output left the requested prefix")
-        if symbols and (self.exact_bits or self.cap is not None):
-            self._seen.clear()
+        if symbols:
+            if self.exact_bits:
+                self._seen.clear()
+            else:
+                self._grown.clear()
+                if self.cap is not None:
+                    self._seen.clear()
         if self.cap is not None and len(out) >= self.cap:
             return ("halted", "")
         return None
@@ -300,9 +323,9 @@ class _Machine:
     def _loop_check(self) -> str:
         """Prove divergence from a repeated state at a jump target.
 
-        The key always holds pc and cursor; an equal cursor means no program
-        bit was read in between, so the decoded program is the same too.
-        Two rules, each sound under its condition:
+        Every key holds pc and cursor; an equal cursor means no program bit
+        was read in between, so the decoded program is the same too.  Three
+        rules, each sound under its condition:
 
         - Exact recurrence: (pc, cursor, len(out), cap, regs) repeats.  An
           equal output length means nothing was emitted in between, so the
@@ -311,17 +334,32 @@ class _Machine:
         - Output loop: (pc, cursor, regs) repeats.  Needs that no HALTAT cap
           is set (a cap is never unset, so none was set in between): then
           output cannot steer control, and emitted bits can only end the run
-          by an output-limit timeout or a prefix mismatch, never by a halt.  Used only with exact_bits=False (the domain enumerator);
+          by an output-limit timeout or a prefix mismatch, never by a halt.
+          Used only with exact_bits=False (the domain enumerator);
           run_machine callers such as hv.Sampler read the output of an
           uncapped loop up to output_limit, so they keep the first rule.
           Under this rule the set is not cleared on emit.
+        - Register growth, also enumerator-only: (pc, cursor, len(out), cap)
+          repeats, only INC, JZ and JMP ran since the last visit to it, and
+          the set of zero registers is unchanged.  Only INC wrote, so every
+          register is >= its value at that visit and the zero set can only
+          have shrunk; it is unchanged iff the count of zero registers is.
+          Each register zero at that visit was never incremented since, and
+          the others are still nonzero, so every JZ on the path from there
+          decided as it will decide again: the same path runs again, with
+          the same instructions, no output and the same zero set at its end,
+          and so on forever.  The path condition matters: a SUB or DEC can
+          bring a grown register back to zero and reach a HALT.  This rule
+          keeps its own table of the last visit (step count, zero count) per
+          key, cleared on each emit.
 
-        The two rules' keys differ in length, so they never match each other.
-        At most LOOP_TRACK_LIMIT states are tracked; past that a new state is
-        checked but not stored.  A proven loop is reported as a (sound)
-        non-halting timeout.
+        The keys of the first two rules differ in length, so they never
+        match each other.  Each table tracks at most LOOP_TRACK_LIMIT keys;
+        past that a new key is checked but not stored.  A proven loop is
+        reported as a (sound) non-halting timeout.
         """
-        if self.cap is None and not self.exact_bits:
+        exact = self.exact_bits
+        if self.cap is None and not exact:
             key = (self.pc, self.cursor, tuple(self.regs))
         else:
             key = (self.pc, self.cursor, len(self.out), self.cap, tuple(self.regs))
@@ -329,13 +367,23 @@ class _Machine:
             return "loop detected"
         if len(self._seen) < LOOP_TRACK_LIMIT:
             self._seen.add(key)
+        if exact:
+            return ""
+        # register growth
+        key = (self.pc, self.cursor, len(self.out), self.cap)
+        zeros = self.regs.count(0)
+        last = self._grown.get(key)
+        if last is not None and last[0] >= self.other_step and last[1] == zeros:
+            return "register growth"
+        if last is not None or len(self._grown) < LOOP_TRACK_LIMIT:
+            self._grown[key] = (self.steps, zeros)
         return ""
 
     def _result(self, status: str, reason: str = "") -> MachineResult:
         return MachineResult(status, tuple(self.out), self.cursor, self.steps, reason)
 
-    def _fork(self, bit: int) -> "_Machine":
-        """A copy of this paused machine whose tape gains one more bit."""
+    def _fork(self, instruction: Bits) -> "_Machine":
+        """A copy of this paused machine whose tape gains one instruction."""
         child = object.__new__(_Machine)
         child.cursor = self.cursor
         child.exact_bits = self.exact_bits
@@ -343,12 +391,39 @@ class _Machine:
         child.steps = self.steps
         child.cap = self.cap
         child.output_prefix = self.output_prefix
-        child.tape = self.tape + (bit,)
+        child.other_step = self.other_step
+        child.tape = self.tape + instruction
         child.instrs = self.instrs.copy()
         child.regs = self.regs.copy()
         child.out = self.out.copy()
         child._seen = self._seen.copy()
+        child._grown = self._grown.copy()
         return child
+
+
+@cache
+def _instruction_encodings(room: int) -> tuple[Bits, ...]:
+    """Every valid instruction encoding of at most room bits, in bit order.
+
+    Found by decoding: a string is extended only while the decoder asks for
+    more bits, so each encoding is visited once, 0 before 1, which is
+    sorted order for a prefix-free set.  Invalid opcodes are dropped.  A
+    table is built on first use and kept for the process: 751 encodings at
+    room 16, 25,647 at room 24, where LITN payloads are most of them.
+    """
+    found = []
+    stack: list[Bits] = [()]
+    while stack:
+        bits = stack.pop()
+        try:
+            err = _Machine(bits)._decode_one()
+        except _NeedBits:
+            if len(bits) < room:
+                stack += [bits + (1,), bits + (0,)]
+            continue
+        if err is None:
+            found.append(bits)
+    return tuple(found)
 
 
 def run_machine(
@@ -388,19 +463,23 @@ def enumerate_domain(
 ) -> Iterator[DomainEntry]:
     """Every program of length <= max_len that halts within the step budget.
 
-    Walks the prefix tree of demanded bits: a prefix is extended only while
-    the machine actually asks for more bits, so each halting program is
-    visited exactly once and no halting program is a proper prefix of
-    another.  A run that needs a bit pauses before the instruction it could
-    not decode; it is forked into a 1 child and a 0 child (the paused
-    machine itself) that resume from the paused state with one more tape
-    bit, so no prefix is ever re-run.  The 0 child is explored first, which
-    gives the same entry order as re-running each prefix from bit 0.
+    Walks the prefix tree of demanded instructions: a program is extended
+    only while the machine actually asks for more bits, so each halting
+    program is visited exactly once and no halting program is a proper
+    prefix of another.  A run that needs bits pauses before the instruction
+    it could not decode.  Its children are the paused machine forked once
+    per valid instruction encoding that fits in the remaining length, in
+    bit order; they resume from the paused state, so no prefix is ever
+    re-run.  The encodings are prefix-free, so this is the order in which
+    a walk over single bits, 0 before 1, meets them, and the entry order is
+    the same as re-running each bit prefix from bit 0.  An invalid opcode
+    or an encoding that does not fit gets no child.
 
-    Both divergence rules of _Machine._loop_check apply: a state that
-    recurs with no output in between, and, while no HALTAT cap is set, a
-    state (pc, cursor, registers) that recurs whatever was emitted.  Either
-    ends the branch as a non-halting timeout that resolves it.
+    The three divergence rules of _Machine._loop_check apply: a state that
+    recurs with no output in between; while no HALTAT cap is set, a state
+    (pc, cursor, registers) that recurs whatever was emitted; and a loop of
+    INC, JZ and JMP that keeps the set of zero registers.  Each ends the
+    branch as a non-halting timeout that resolves it.
 
     With output_prefix set, branches whose output leaves that prefix are
     abandoned (used by the exact-K search).  timeout_log, when given,
@@ -411,20 +490,22 @@ def enumerate_domain(
         raise ValueError("max_len must be >= 0")
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
-    stack = [_Machine((), exact_bits=False, output_prefix=output_prefix)]
+    stack: list[Iterator[_Machine]] = [
+        iter([_Machine((), exact_bits=False, output_prefix=output_prefix)])
+    ]
     while stack:
-        m = stack.pop()
+        m = next(stack[-1], None)
+        if m is None:
+            stack.pop()
+            continue
         res = m.run(max_steps, output_limit)
-        if res.status == "halted":
+        if res is None:
+            stack.append(map(m._fork, _instruction_encodings(max_len - len(m.tape))))
+        elif res.status == "halted":
             if res.bits_consumed == len(m.tape):
                 yield DomainEntry(m.tape, res.output, res.steps)
             # else: a shorter run already owns this program; unreachable
             # because only bit-hungry prefixes are ever extended.
-        elif res.status == "needs_bits":
-            if len(m.tape) < max_len:
-                stack.append(m._fork(1))
-                m.tape += (0,)
-                stack.append(m)
         elif res.status == "timeout":
             if timeout_log is not None and res.reason == "step budget exhausted":
                 timeout_log.append(res.bits_consumed)

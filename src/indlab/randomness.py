@@ -35,13 +35,15 @@ class ComplexityEstimate:
     kind "exact" asserts that every shorter program was resolved
     (halt, provable divergence, or output mismatch) within the step budget;
     a single unresolved timeout below the found length degrades the claim
-    to "upper_bound".
+    to "upper_bound".  An exhaustive upper bound lists, sorted, the
+    bits_consumed of the step-budget timeouts that block the exact claim.
     """
 
     value: int
     kind: str  # "exact" | "upper_bound"
     witness: tm.Bits
     method: str  # "exhaustive" | "literal_encoding" | "generator_encoding"
+    unresolved_bits_consumed: tuple[int, ...] = ()
 
     def verify(self, sigma: SymbolString, max_steps: Optional[int] = None) -> bool:
         """Re-run the witness and compare with sigma."""
@@ -55,12 +57,18 @@ class NoProgramCertificate:
     """No program of length <= max_len produced sigma within the step budget.
 
     A lower-bound certificate relative to this machine and this budget; it
-    says nothing about larger budgets.
+    says nothing about larger budgets.  unresolved_bits_consumed lists,
+    sorted, the bits_consumed of the branches that exhausted the step
+    budget: any of them might still produce sigma.
     """
 
     max_len: int
     max_steps: int
-    unresolved_timeouts: int
+    unresolved_bits_consumed: tuple[int, ...]
+
+    @property
+    def unresolved_timeouts(self) -> int:
+        return len(self.unresolved_bits_consumed)
 
 
 @dataclass(frozen=True)
@@ -190,12 +198,11 @@ def exact_k_small(
             if best is None or len(entry.program) < len(best.program):
                 best = entry
     if best is None:
-        return NoProgramCertificate(max_len, max_steps, len(timeouts))
+        return NoProgramCertificate(max_len, max_steps, tuple(sorted(timeouts)))
     found_len = len(best.program)
-    resolved = all(consumed >= found_len for consumed in timeouts)
-    return ComplexityEstimate(
-        found_len, "exact" if resolved else "upper_bound", best.program, "exhaustive"
-    )
+    blocking = tuple(sorted(c for c in timeouts if c < found_len))
+    return ComplexityEstimate(found_len, "upper_bound" if blocking else "exact",
+                              best.program, "exhaustive", blocking)
 
 
 @dataclass(frozen=True)

@@ -162,6 +162,30 @@ def test_vacuous_analyze_is_a_usage_error(extra, fragments, tmp_path, monkeypatc
     assert not os.path.exists("a.json")
 
 
+@pytest.mark.parametrize("steps,max_len,search,blocked", [
+    # at 2 steps only the 13-bit literal emitter finishes on "00"; the
+    # 12-bit OUT0;OUT0;HALT branch stalls first, at 8 consumed bits, and
+    # 391 more branches stall below 13 bits
+    ("2", "13", {"value": 13, "kind": "upper_bound"}, 392),
+    ("100", "13", {"value": 12, "kind": "exact"}, 0),
+    ("2", "8", {"no_program_within": 8, "steps": 2, "unresolved_timeouts": 1}, 1),
+], ids=["upper-bound", "exact", "no-program"])
+def test_komplexity_names_the_timeouts_that_block_exact(steps, max_len, search, blocked,
+                                                        tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    sq.write_sequence_file("x.seq", sq.bits("00"))
+    assert cli.dispatch(["komplexity", "--in", "x.seq", "--exact-max-len", max_len,
+                         "--steps", steps, "--json", "k.json"]) == cli.EXIT_OK
+    with open("k.json") as f:
+        out = json.load(f)["exact_search"]
+    blocking = out.pop("unresolved_bits_consumed")
+    assert out == search
+    assert len(blocking) == blocked and blocking == sorted(blocking)
+    assert blocking[:1] == [8][:blocked] and all(c < 13 for c in blocking)
+    exact = rl.exact_k_small(sq.bits("00"), int(max_len), int(steps))
+    assert tuple(blocking) == exact.unresolved_bits_consumed
+
+
 def test_komplexity_rejects_negative_steps(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     sq.write_sequence_file("x.seq", sq.bits("0110"))
@@ -219,6 +243,28 @@ LEAF_COMMANDS = {
 }
 
 
+# The top-level keys of every JSON report a leaf command above writes.
+REPORT_KEYS = {
+    "analyze": {"a.json": {"alphabet", "input", "n", "schema", "tests"}},
+    "komplexity": {"k.json": {"k_upper", "kind", "margin", "method", "n", "schema",
+                              "witness_bits"}},
+    "omega": {"o.json": {"budget", "omega_lower_bound", "prefix_free_violations",
+                         "programs_found", "schema"}},
+    "hv-audit1": {"h1.json": {"checkpoints", "description_bits", "flag_threshold_bits",
+                              "incompatible_with_1_randomness", "model", "note",
+                              "pushforward_matches_target", "sampler", "schema"}},
+    "hv-audit2": {"h2.json": {"cell_checks", "fair", "model", "n", "outcome_checks",
+                              "pushforward_matches_target", "randomness_origin", "sampler",
+                              "schema"}},
+    "bell-run": {"b.csv.meta.json": {"model", "n_trials", "seed", "settings",
+                                     "superdeterministic"}},
+    "bell-analyze": {"b.json": {"equal_setting_mismatches", "functional", "input", "model",
+                                "n_trials", "no_signaling", "schema"}},
+    "ks-search": {"s.json": {"bases", "coloring", "max_depth", "nodes", "rays", "schema",
+                             "status", "verified"}},
+}
+
+
 @pytest.mark.parametrize("name", LEAF_COMMANDS)
 def test_every_leaf_subcommand_exits_0_with_a_manifest(name, contract_dir, monkeypatch):
     monkeypatch.chdir(contract_dir)
@@ -229,6 +275,9 @@ def test_every_leaf_subcommand_exits_0_with_a_manifest(name, contract_dir, monke
     assert manifest["schema"] == "manifest/v1"
     assert manifest["subcommand"] == LEAF_COMMANDS[name][0]
     assert not {"func", "threads"} & set(manifest["parameters"])
+    for path, keys in REPORT_KEYS.get(name, {}).items():
+        with open(path) as f:
+            assert set(json.load(f)) == keys, path
 
 
 @pytest.mark.parametrize("argv", [

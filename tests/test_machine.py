@@ -1,4 +1,6 @@
+import itertools
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -88,6 +90,49 @@ class TestRunMachine:
         assert res.status == "timeout"
         assert res.reason == "loop detected"
         assert res.steps < 10
+
+    def test_growing_loop_is_flagged_by_the_enumerator_rule(self):
+        # the same loop under the enumerator's rules: a repeated jump target
+        # after INC only, with the same zero registers, proves divergence
+        program = tm.concat(tm.asm_inc(0), tm.asm_jmp(-2))
+        res = tm._Machine(program, exact_bits=False).run(10_000)
+        assert res.status == "timeout"
+        assert res.reason == "register growth"
+        assert res.steps < 10
+
+    def test_growth_rule_needs_an_inc_jz_jmp_path(self):
+        # R0 and R1 both grow from one jump-target visit to the next, with
+        # the same zero set, but the SUB on the path brings R1 to 0 and the
+        # JZ then reaches the HALT
+        program = tm.concat(
+            tm.asm_seti(1, 1),
+            tm.asm_sub(1, 0),    # loop head: R1 -= R0
+            tm.asm_jz(1, 3),     # to HALT
+            tm.asm_inc(0),
+            tm.asm_inc(1),
+            tm.asm_jmp(-5),      # to the SUB
+            tm.asm_halt(),
+        )
+        assert len(program) == 55
+        res = tm._Machine(program, exact_bits=False).run(1000)
+        assert res.status == "halted"
+        assert res.steps == 14
+        assert res.bits_consumed == 55
+
+    def test_growth_rule_needs_the_same_zero_registers(self):
+        # the third pass meets the loop head with R1 no longer zero, so the
+        # first JZ now falls through to the HALT
+        program = tm.concat(
+            tm.asm_jz(1, 1),     # loop head: skip the HALT while R1 == 0
+            tm.asm_halt(),
+            tm.asm_jz(0, 1),     # first pass: skip the INC R1
+            tm.asm_inc(1),
+            tm.asm_inc(0),
+            tm.asm_jmp(-6),      # to the loop head
+        )
+        res = tm._Machine(program, exact_bits=False).run(1000)
+        assert res.status == "halted"
+        assert res.steps == 11
 
     def test_growing_loop_hits_step_budget(self):
         # INC r; JMP back: the register grows, so no state ever recurs
@@ -242,9 +287,10 @@ def replay_leaves(max_len, max_steps, output_limit=tm.DEFAULT_OUTPUT_LIMIT,
                   output_prefix=None, exact_bits=False):
     """Reference enumerator: re-runs every demanded prefix from bit 0.
 
-    Yields (prefix, result) for every prefix it runs.  exact_bits=False
-    applies the enumerator's loop rules; exact_bits=True applies those of
-    run_machine, reading "ran out of program bits" as a request for more.
+    Yields (prefix, result) for every prefix it runs, with result None
+    where the run paused for bits.  exact_bits=False applies the
+    enumerator's loop rules; exact_bits=True applies those of run_machine,
+    reading "ran out of program bits" as a request for more.
     """
     stack: list[tm.Bits] = [()]
     while stack:
@@ -252,7 +298,7 @@ def replay_leaves(max_len, max_steps, output_limit=tm.DEFAULT_OUTPUT_LIMIT,
         m = tm._Machine(prefix, exact_bits=exact_bits, output_prefix=output_prefix)
         res = m.run(max_steps, output_limit)
         yield prefix, res
-        if res.status == "needs_bits" or res.reason == "ran out of program bits":
+        if res is None or res.reason == "ran out of program bits":
             if len(prefix) < max_len:
                 stack.append(prefix + (1,))
                 stack.append(prefix + (0,))
@@ -261,6 +307,8 @@ def replay_leaves(max_len, max_steps, output_limit=tm.DEFAULT_OUTPUT_LIMIT,
 def replay_enumerate(*args, **kwargs):
     entries, log = [], []
     for prefix, res in replay_leaves(*args, **kwargs):
+        if res is None:
+            continue
         if res.halted and res.bits_consumed == len(prefix):
             entries.append(tm.DomainEntry(prefix, res.output, res.steps))
         elif res.reason == "step budget exhausted":
@@ -268,11 +316,57 @@ def replay_enumerate(*args, **kwargs):
     return entries, log
 
 
+def _replay_case(max_len, max_steps, output_prefix, output_limit):
+    # ids as pytest names the cases of stacked parametrize decorators
+    name = "None" if output_prefix is None else "output_prefix1"
+    return pytest.param(max_len, max_steps, output_prefix, output_limit,
+                        id=f"{max_len}-{max_steps}-{name}-{output_limit}")
+
+
+REPLAY_GRID = [
+    _replay_case(*case) for case in itertools.product(
+        [4, 9, 12], [1, 20, 1000], [None, (0, 1, 1)], [tm.DEFAULT_OUTPUT_LIMIT, 3])
+] + [
+    # the shortest length at which register-growth loops fit
+    _replay_case(14, 10_000, (0, 1, 1), tm.DEFAULT_OUTPUT_LIMIT),
+]
+
+
+class TestInstructionEncodings:
+    @pytest.mark.parametrize("room", range(13))
+    def test_table_is_every_fully_decoded_string(self, room):
+        decoded = []
+        for n in range(room + 1):
+            for bits in itertools.product((0, 1), repeat=n):
+                m = tm._Machine(bits)
+                try:
+                    err = m._decode_one()
+                except tm._NeedBits:
+                    continue
+                if err is None and m.cursor == n:
+                    decoded.append(bits)
+        assert tm._instruction_encodings(room) == tuple(sorted(decoded))
+
+
+class TestLeafMeasure:
+    @pytest.mark.parametrize("max_len,max_steps,output_prefix", [
+        (12, 1000, None),
+        (14, 10_000, (0, 1, 1)),
+    ])
+    def test_replay_leaves_partition_program_space(self, max_len, max_steps, output_prefix):
+        # a leaf owns 2^-depth of program space: depth is bits_consumed, or
+        # max_len for a run still paused there
+        total = Fraction(0)
+        for prefix, res in replay_leaves(max_len, max_steps, output_prefix=output_prefix):
+            if res is not None:
+                total += Fraction(1, 2 ** res.bits_consumed)
+            elif len(prefix) == max_len:
+                total += Fraction(1, 2 ** max_len)
+        assert total == 1
+
+
 class TestForkedEnumeration:
-    @pytest.mark.parametrize("output_limit", [tm.DEFAULT_OUTPUT_LIMIT, 3])
-    @pytest.mark.parametrize("output_prefix", [None, (0, 1, 1)])
-    @pytest.mark.parametrize("max_steps", [1, 20, 1000])
-    @pytest.mark.parametrize("max_len", [4, 9, 12])
+    @pytest.mark.parametrize("max_len,max_steps,output_prefix,output_limit", REPLAY_GRID)
     def test_matches_replay(self, max_len, max_steps, output_prefix, output_limit):
         kwargs = dict(output_limit=output_limit, output_prefix=output_prefix)
         log: list[int] = []
@@ -298,8 +392,17 @@ class TestForkedEnumeration:
         fork = dict(replay_leaves(12, 1000))
         plain = dict(replay_leaves(12, 1000, exact_bits=True))
         assert fork.keys() == plain.keys()
-        flagged = [p for p, res in fork.items()
-                   if res.reason == "loop detected" and plain[p].reason != "loop detected"]
+        flagged = [p for p, res in fork.items() if res is not None
+                   and res.reason == "loop detected" and plain[p].reason != "loop detected"]
+        assert flagged
+        for program in flagged:
+            res = tm.run_machine(program, 100_000)
+            assert res.status == "timeout", program
+
+    def test_growth_loops_never_halt(self):
+        # every branch the register-growth rule ends, re-run at 100x the budget
+        flagged = [p for p, res in replay_leaves(14, 1000)
+                   if res is not None and res.reason == "register growth"]
         assert flagged
         for program in flagged:
             res = tm.run_machine(program, 100_000)
