@@ -157,7 +157,7 @@ def cmd_analyze(args, manifest: Manifest) -> int:
         }
     if "monkey" in tests:
         target = sq.SymbolString.from_text(args.target, sigma.alphabet_size)
-        src = sq.SequenceSource("file", alphabet_size=sigma.alphabet_size, path=args.infile)
+        src = sq.SequenceSource.of_file(args.infile, sigma)
         positions = rl.monkey_search(target, src, len(sigma))
         report["tests"]["monkey"] = {
             "target": args.target,

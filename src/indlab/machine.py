@@ -39,6 +39,7 @@ budget.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cache
 from typing import Iterator, Optional, Sequence
@@ -70,9 +71,37 @@ MACHINE_OVERHEAD_BITS = 64
 
 Bits = tuple[int, ...]
 
+# OUTB's numeral: format(v, "b") as bytes, mapped to the bits 0 and 1
+_NUMERAL_BITS = bytes.maketrans(b"01", b"\0\1")
+
 
 class _NeedBits(Exception):
     """Internal: the decoder ran past the available program bits."""
+
+
+def _as_bits(values: Sequence[int], what: str) -> Bits:
+    """values as a tuple of the ints 0 and 1, converted and checked in bulk.
+
+    Integer entries (bools and numpy integers too) become plain ints.  Any
+    other entry, or an integer other than 0 and 1, raises a ValueError that
+    names it: a str "1" or a float 1.0 is not read as a bit.
+    """
+    values = tuple(values)
+    try:
+        raw = bytes(values)
+    except (TypeError, ValueError):  # an entry is no integer, or not in [0, 256)
+        raw = None
+    if raw is None or raw.translate(None, b"\0\1"):
+        bad = next(v for v in values if not _is_bit(v))
+        raise ValueError(f"{what} must be 0/1, got {bad!r}")
+    return tuple(raw)
+
+
+def _is_bit(value) -> bool:
+    try:
+        return operator.index(value) in (0, 1)
+    except TypeError:
+        return False
 
 
 def gamma_encode(m: int) -> Bits:
@@ -236,7 +265,8 @@ class _Machine:
             if op == OP_OUT0 or op == OP_OUT1:
                 status = emit((op - OP_OUT0,))
             elif op == OP_OUTB:
-                status = emit(tuple(int(c) for c in format(self.regs[instr[1]], "b")))
+                status = emit(tuple(format(self.regs[instr[1]], "b").encode()
+                                    .translate(_NUMERAL_BITS)))
             elif op == OP_LITN:
                 status = emit(instr[1])
             elif op == OP_SETI:
@@ -300,15 +330,25 @@ class _Machine:
             self.pc += 1
 
     def _emit(self, symbols: Bits):
+        """Append symbols to the output in one slice, as if bit by bit.
+
+        The slice stops at the HALTAT cap, or at the first bit that leaves
+        output_prefix, which is still appended.  Returns the (status,
+        reason) that ends the run, or None.
+        """
         out = self.out
-        for b in symbols:
-            if self.cap is not None and len(out) >= self.cap:
-                return ("halted", "")
-            out.append(b)
-            if self.output_prefix is not None:
-                i = len(out) - 1
-                if i >= len(self.output_prefix) or self.output_prefix[i] != b:
-                    return ("mismatch", "output left the requested prefix")
+        start = len(out)
+        if self.cap is not None:
+            # run() halts at the cap before any instruction, so start < cap
+            symbols = symbols[:self.cap - start]
+        prefix = self.output_prefix
+        if prefix is not None and prefix[start:start + len(symbols)] != symbols:
+            end = start
+            while end < len(prefix) and prefix[end] == symbols[end - start]:
+                end += 1
+            out.extend(symbols[:end - start + 1])
+            return ("mismatch", "output left the requested prefix")
+        out.extend(symbols)
         if symbols:
             if self.exact_bits:
                 self._seen.clear()
@@ -354,9 +394,10 @@ class _Machine:
           key, cleared on each emit.
 
         The keys of the first two rules differ in length, so they never
-        match each other.  Each table tracks at most LOOP_TRACK_LIMIT keys;
-        past that a new key is checked but not stored.  A proven loop is
-        reported as a (sound) non-halting timeout.
+        match each other.  Each table tracks at most LOOP_TRACK_LIMIT keys
+        stored since the last fork (see _fork); past that a new key is
+        checked but not stored.  A proven loop is reported as a (sound)
+        non-halting timeout.
         """
         exact = self.exact_bits
         if self.cap is None and not exact:
@@ -383,7 +424,13 @@ class _Machine:
         return MachineResult(status, tuple(self.out), self.cursor, self.steps, reason)
 
     def _fork(self, instruction: Bits) -> "_Machine":
-        """A copy of this paused machine whose tape gains one instruction."""
+        """A copy of this paused machine whose tape gains one instruction.
+
+        The child starts with empty loop tables: every stored key holds a
+        cursor at most the pause's, and the child decodes the new
+        instruction, moving its cursor past the pause, before its first
+        loop check, so no stored key could match again.
+        """
         child = object.__new__(_Machine)
         child.cursor = self.cursor
         child.exact_bits = self.exact_bits
@@ -396,8 +443,8 @@ class _Machine:
         child.instrs = self.instrs.copy()
         child.regs = self.regs.copy()
         child.out = self.out.copy()
-        child._seen = self._seen.copy()
-        child._grown = self._grown.copy()
+        child._seen = set()
+        child._grown = {}
         return child
 
 
@@ -436,10 +483,7 @@ def run_machine(
     "halted" implies bits_consumed <= len(program_bits), and re-running the
     consumed prefix alone reproduces the output.
     """
-    program = tuple(int(b) for b in program_bits)
-    for b in program:
-        if b not in (0, 1):
-            raise ValueError(f"program bits must be 0/1, got {b}")
+    program = _as_bits(program_bits, "program bits")
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
     return _Machine(program, exact_bits=True).run(max_steps, output_limit)
@@ -538,7 +582,7 @@ def asm_outb(r: int) -> Bits:
 
 
 def asm_litn(data: Sequence[int]) -> Bits:
-    data = tuple(int(b) for b in data)
+    data = _as_bits(data, "LITN payload bits")
     return _op(OP_LITN) + gamma0_encode(len(data)) + data
 
 
@@ -611,7 +655,7 @@ def prog_constant(bit: int, n: int) -> Bits:
 
 def prog_periodic(pattern: Sequence[int], n: int) -> Bits:
     """Pattern repeated (and truncated) to exactly n bits."""
-    pattern = tuple(int(b) for b in pattern)
+    pattern = _as_bits(pattern, "pattern bits")
     if not pattern:
         raise ValueError("pattern must be non-empty")
     if n == 0:

@@ -117,18 +117,29 @@ def literal_bound(n: int) -> int:
     return n + 2 * (n + 1).bit_length() - 2 + tm.LITERAL_OVERHEAD_BITS
 
 
-def _smallest_period(symbols: Sequence[int]) -> int:
-    """Smallest p with s[i] == s[i-p] for all i >= p (KMP failure function)."""
-    n = len(symbols)
-    fail = [0] * n
-    k = 0
-    for i in range(1, n):
-        while k and symbols[i] != symbols[k]:
-            k = fail[k - 1]
-        if symbols[i] == symbols[k]:
-            k += 1
-        fail[i] = k
-    return n - fail[-1] if n else 1
+# Champernowne's expansion is tested on this many leading bits before the
+# whole text is built.
+_CHAMPERNOWNE_HEAD = 64
+
+
+def _smallest_period(s: bytes) -> Optional[int]:
+    """The smallest period p <= n // 2 of s, or None; p is a period when
+    s[i] == s[i - p] for every i >= p.
+
+    One find and one comparison.  Let h be the first ceil(n/2) symbols and
+    q the first position >= 1 where h occurs (q <= n // 2, as h must fit).
+    Every period p <= n // 2 is such a position, so q <= p, and then q is a
+    period too: s[:q + |h|] has the periods q and p, and p - gcd(p, q) <=
+    |h|, so by Fine and Wilf it has the period g = gcd(p, q); that stretch
+    covers s[:p], so s, with period p, has the period g, and hence q, a
+    multiple of g.  So if q is a period it is the smallest, and if it is
+    not, no p <= n // 2 is.
+    """
+    n = len(s)
+    q = s.find(s[: n - n // 2], 1)
+    if q > 0 and s[q:] == s[: n - q]:
+        return q
+    return None
 
 
 def k_upper_bound(
@@ -140,24 +151,29 @@ def k_upper_bound(
     (constant, periodic, counter-concatenation a.k.a. Champernowne), and,
     when a (max_len, max_steps) budget is supplied, exhaustive search; a
     max_len above EXACT_SEARCH_MAX_LEN is rejected before any search.  The
-    chosen witness is re-run and must reproduce sigma.
+    shortest candidate wins, the first in that order on a tie; the literal
+    is ranked by literal_bound and built only if it wins.  The chosen
+    witness is re-run and must reproduce sigma.
     """
     _require_base2(sigma)
     n = len(sigma)
-    syms = tuple(sigma)
-    candidates: list[tuple[tm.Bits, str]] = []
+    # (program, method); program None stands for the literal encoding
+    candidates: list[tuple[Optional[tm.Bits], str]] = []
     if n == 0:
         candidates.append((tm.prog_halt(), "generator_encoding"))
     else:
-        candidates.append((tm.prog_literal(syms), "literal_encoding"))
-        if all(s == syms[0] for s in syms):
-            candidates.append((tm.prog_constant(syms[0], n), "generator_encoding"))
+        s = sigma.array.tobytes()
+        candidates.append((None, "literal_encoding"))
+        if s.count(s[:1]) == n:
+            candidates.append((tm.prog_constant(s[0], n), "generator_encoding"))
         else:
-            p = _smallest_period(syms)
-            if p <= n // 2:
-                candidates.append((tm.prog_periodic(syms[:p], n), "generator_encoding"))
+            p = _smallest_period(s)
+            if p is not None:
+                candidates.append((tm.prog_periodic(s[:p], n), "generator_encoding"))
+        text = sigma.to_text()
         for start_at_one in (False, True):
-            if champernowne_text(2, n, start_at_one) == sigma.to_text():
+            head = champernowne_text(2, min(n, _CHAMPERNOWNE_HEAD), start_at_one)
+            if text.startswith(head) and champernowne_text(2, n, start_at_one) == text:
                 candidates.append(
                     (tm.prog_champernowne(n, start_at_one), "generator_encoding")
                 )
@@ -165,7 +181,10 @@ def k_upper_bound(
         found = exact_k_small(sigma, *budget)
         if isinstance(found, ComplexityEstimate):
             candidates.append((found.witness, "exhaustive"))
-    program, method = min(candidates, key=lambda c: len(c[0]))
+    program, method = min(
+        candidates, key=lambda c: literal_bound(n) if c[0] is None else len(c[0]))
+    if program is None:
+        program = tm.prog_literal(s)
     est = ComplexityEstimate(len(program), "upper_bound", program, method)
     if not est.verify(sigma):
         raise AssertionError(f"witness failed to reproduce sigma (method {method})")

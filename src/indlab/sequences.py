@@ -220,6 +220,14 @@ class SequenceSource:
             if "path" not in p:
                 raise ValueError("file source requires path=")
 
+    @classmethod
+    def of_file(cls, path: str, sigma: SymbolString) -> "SequenceSource":
+        """The "file" source of path, serving sigma, the symbols already read
+        from it, without reading the file again."""
+        source = cls("file", alphabet_size=sigma.alphabet_size, path=path)
+        source._cache = sigma.array
+        return source
+
     def clone(self) -> "SequenceSource":
         """Fresh cursor with the same configuration (and seed)."""
         return SequenceSource(self.kind, self.alphabet_size, self.seed, **self.parameters)

@@ -186,6 +186,21 @@ def test_komplexity_names_the_timeouts_that_block_exact(steps, max_len, search, 
     assert tuple(blocking) == exact.unresolved_bits_consumed
 
 
+def test_analyze_reads_its_input_once(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    sq.write_sequence_file("x.seq", sq.SequenceSource("born_sampler", seed=1).prefix(400))
+    read = sq.read_sequence_file
+    reads = []
+    monkeypatch.setattr(sq, "read_sequence_file", lambda path: reads.append(path) or read(path))
+    assert cli.dispatch(["analyze", "--in", "x.seq", "--tests", "borel,blocks,monkey",
+                         "--max-block", "1", "--target", "01", "--json", "a.json"]) == cli.EXIT_OK
+    assert reads == ["x.seq"]
+    with open("a.json") as f:
+        monkey = json.load(f)["tests"]["monkey"]
+    sigma = read("x.seq").to_text()
+    assert monkey["positions_head"] == [i for i in range(399) if sigma[i:i + 2] == "01"][:100]
+
+
 def test_komplexity_rejects_negative_steps(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     sq.write_sequence_file("x.seq", sq.bits("0110"))
@@ -341,14 +356,30 @@ GOLDEN_RUNS = [
     (["generate", "--kind", "champernowne", "--base", "10", "--n", "3000",
       "--out", "champ10.seq"], 0),
     (["bell", "run", "--n", "3000", "--seed", "7", "--out", "q.csv"], 0),
+    # komplexity's generator witnesses (Champernowne, periodic, constant), frozen
+    # with the per-bit emit and the KMP period test
+    (["generate", "--kind", "champernowne", "--n", "5000", "--out", "champ2.seq"], 0),
+    (["komplexity", "--in", "champ2.seq", "--json", "champ2.k.json"], 0),
+    (["generate", "--kind", "periodic", "--pattern", "0,1,1,0,1", "--n", "4998",
+      "--out", "periodic.seq"], 0),
+    (["komplexity", "--in", "periodic.seq", "--json", "periodic.k.json"], 0),
+    (["generate", "--kind", "constant", "--symbol", "1", "--n", "5000",
+      "--out", "constant.seq"], 0),
+    (["komplexity", "--in", "constant.seq", "--json", "constant.k.json"], 0),
 ]
 GOLDEN_SHA256 = {
     "born16.json": "3f0985cdb4f5f0e91c61030b49ff5b25cd4c9c8ca342f231204900aad6cfc8f5",
     "born16.seq": "9705adc20edff79281aa252d61bbf368f31a0e3e200fbf36792cc87e6d83d5d0",
     "champ10.seq": "55d18fe1a1a7d741a6a8f34be02535c27ff7cc110dd7b32166f1e13de170ecb2",
+    "champ2.k.json": "d15f89d6ac69ac59cf1a83f08f98644889355c1323b344532a912a0142fd880f",
+    "champ2.seq": "8c9d5dc7aade4b5d9cd6ac8b8da231c9247812a910aaa3059cb51eb728aa44f4",
     "coin.json": "0d2dd3ccd5a8ddd13c724242b7ac7f564fa25697a2028198fad9c18131e65b77",
     "coin.k.json": "893fc4049712c236a58fc856fcf33a2a4a98bb2800422669af624fc66dad0285",
     "coin.seq": "8ec6a5dc387fbf73a3f26bbd7943bd97f3aaf7ca992d4267b275e8e7cb19eee9",
+    "constant.k.json": "50a8a4a54a9fe85a581262ba355933bb84e5cd1b781b9834e98805027b93113a",
+    "constant.seq": "0f57a37c663826561f92896455b57203774b3d239f080616f5b8e82c3d5aa683",
+    "periodic.k.json": "41932ba3fe23c93a1da6d94e2c8ae95258e1de19e0966430b95bd61421d4003f",
+    "periodic.seq": "4605d4caf5c917968193cea2a6ba738db73b731bf376d091f46f1466be1e55c4",
     "q.csv": "d0e632dbcec639368d6408c641bb3bd192acd78af271a9bfef536dc1ae9d5a12",
     "q.csv.meta.json": "aa5fbf298a662b6547c08be20b1ec42f69f031acd1012b877d1b8a96ddbe528b",
 }

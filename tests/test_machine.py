@@ -62,6 +62,36 @@ class TestRunMachine:
         with pytest.raises(ValueError):
             tm.run_machine((0, 2, 0, 0), 10)
 
+    @pytest.mark.parametrize("program,bad", [
+        ("0000", "'0'"),
+        ((0, 0, 1.0, 0), "1.0"),
+        ((0, 0, 0, 2), "2"),
+        ((0, -1, 0, 0), "-1"),
+        ((0, 0, 0, 256), "256"),
+        ((0, 0, 0, None), "None"),
+    ], ids=["str", "float", "two", "minus-one", "byte-overflow", "none"])
+    def test_malformed_bits_are_named_not_coerced(self, program, bad):
+        with pytest.raises(ValueError, match=f"program bits must be 0/1, got {bad}$"):
+            tm.run_machine(program, 10)
+
+    @pytest.mark.parametrize("data,bad", [
+        ([2, 5], "2"),
+        ("01", "'0'"),
+        ((0, 0.0), "0.0"),
+    ], ids=["out-of-range", "str", "float"])
+    def test_malformed_literal_payload_is_named(self, data, bad):
+        with pytest.raises(ValueError, match=f"LITN payload bits must be 0/1, got {bad}$"):
+            tm.asm_litn(data)
+
+    def test_malformed_pattern_is_named(self):
+        with pytest.raises(ValueError, match="pattern bits must be 0/1, got 2$"):
+            tm.prog_periodic((0, 2), 6)
+
+    def test_integer_bits_of_any_type_are_plain_ints(self):
+        program = tm.prog_literal((True, False, True))
+        assert program == tm.prog_literal((1, 0, 1))
+        assert all(type(b) is int for b in program)
+
     def test_consumed_prefix_reproduces_output(self):
         # prefix-freeness witness: rerun exactly the consumed bits
         program = tm.prog_constant(1, 3) + (1, 0, 1)  # trailing junk
@@ -407,3 +437,120 @@ class TestForkedEnumeration:
         for program in flagged:
             res = tm.run_machine(program, 100_000)
             assert res.status == "timeout", program
+
+
+class PerBitMachine(tm._Machine):
+    """The machine with the one-bit-at-a-time _emit that the bulk _emit replaced."""
+
+    __slots__ = ()
+
+    def _emit(self, symbols):
+        out = self.out
+        for b in symbols:
+            if self.cap is not None and len(out) >= self.cap:
+                return ("halted", "")
+            out.append(b)
+            if self.output_prefix is not None:
+                i = len(out) - 1
+                if i >= len(self.output_prefix) or self.output_prefix[i] != b:
+                    return ("mismatch", "output left the requested prefix")
+        if symbols:
+            if self.exact_bits:
+                self._seen.clear()
+            else:
+                self._grown.clear()
+                if self.cap is not None:
+                    self._seen.clear()
+        if self.cap is not None and len(out) >= self.cap:
+            return ("halted", "")
+        return None
+
+
+LITERAL_8 = (0, 1, 1, 0, 1, 1, 0, 1)
+EMIT_PROGRAMS = {
+    "litn": tm.concat(tm.asm_litn(LITERAL_8), tm.asm_halt()),
+    "litn-capped-mid": tm.concat(tm.asm_haltat(5), tm.asm_litn(LITERAL_8), tm.asm_halt()),
+    "litn-capped-at-end": tm.concat(tm.asm_haltat(8), tm.asm_litn(LITERAL_8), tm.asm_jmp(-2)),
+    "litn-loop": tm.concat(tm.asm_litn((0, 1, 1)), tm.asm_jmp(-2)),
+    "litn-empty-then-out": tm.concat(tm.asm_litn(()), tm.asm_out(0), tm.asm_halt()),
+    "champernowne": tm.prog_champernowne(40),
+    "champernowne-uncapped": tm.concat(tm.asm_outb(0), tm.asm_inc(0), tm.asm_jmp(-3)),
+    "periodic": tm.prog_periodic((0, 1, 1), 13),
+}
+EMIT_PREFIXES = {
+    "none": None,
+    "empty": (),
+    "short": (0, 1, 1),
+    "mid-litn": (0, 1, 1, 0, 0, 1, 1, 0, 1),
+    "whole-litn": LITERAL_8,
+    "past-litn": LITERAL_8 + (1, 0, 1, 1, 1, 0),
+    "first-bit": (1,),
+}
+EMIT_LIMITS = [tm.DEFAULT_OUTPUT_LIMIT, 4, 8, 9]
+
+
+class TestBulkEmit:
+    """The slice-at-once _emit against the per-bit one it replaced."""
+
+    @pytest.mark.parametrize("program", EMIT_PROGRAMS.values(), ids=EMIT_PROGRAMS)
+    def test_same_result_as_per_bit(self, program):
+        for case in itertools.product(EMIT_PREFIXES, EMIT_LIMITS, (True, False)):
+            name, limit, exact_bits = case
+            prefix = EMIT_PREFIXES[name]
+            runs = [cls(program, exact_bits=exact_bits, output_prefix=prefix).run(2000, limit)
+                    for cls in (tm._Machine, PerBitMachine)]
+            assert runs[0] == runs[1], case
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        parts=st.lists(st.one_of(
+            st.lists(st.integers(0, 1), max_size=12).map(tm.asm_litn),
+            st.integers(0, 1).map(tm.asm_out),
+            st.integers(0, 3).map(tm.asm_outb),
+            st.tuples(st.integers(0, 3), st.integers(0, 40)).map(lambda a: tm.asm_seti(*a)),
+            st.integers(0, 3).map(tm.asm_inc),
+            st.integers(0, 3).map(tm.asm_dec),
+            st.integers(0, 30).map(tm.asm_haltat),
+            st.integers(-4, 2).map(tm.asm_jmp),
+            st.tuples(st.integers(0, 3), st.integers(-4, 2)).map(lambda a: tm.asm_jz(*a)),
+        ), max_size=8),
+        prefix=st.none() | st.lists(st.integers(0, 1), max_size=30).map(tuple),
+        limit=st.sampled_from([tm.DEFAULT_OUTPUT_LIMIT, 5, 17]),
+        exact_bits=st.booleans(),
+        cut=st.integers(0, 6),
+    )
+    def test_random_programs_same_result_as_per_bit(self, parts, prefix, limit, exact_bits,
+                                                    cut):
+        # cut drops trailing bits, so some runs pause or run out of bits
+        program = tm.concat(*parts, tm.asm_halt())
+        program = program[:len(program) - cut]
+        runs = [cls(program, exact_bits=exact_bits, output_prefix=prefix).run(500, limit)
+                for cls in (tm._Machine, PerBitMachine)]
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("limit", EMIT_LIMITS)
+    def test_run_machine_same_results(self, limit, monkeypatch):
+        bulk = [tm.run_machine(p, 2000, limit) for p in EMIT_PROGRAMS.values()]
+        monkeypatch.setattr(tm, "_Machine", PerBitMachine)
+        assert [tm.run_machine(p, 2000, limit) for p in EMIT_PROGRAMS.values()] == bulk
+
+    @pytest.mark.parametrize("max_len,max_steps,output_prefix,output_limit", [
+        (12, 1000, None, tm.DEFAULT_OUTPUT_LIMIT),
+        (12, 1000, None, 2),
+        (13, 1000, (0, 1, 1), tm.DEFAULT_OUTPUT_LIMIT),
+        (13, 1000, (1, 0), 3),
+        (14, 200, (0, 1), tm.DEFAULT_OUTPUT_LIMIT),
+    ])
+    def test_enumerate_domain_same_entries(self, max_len, max_steps, output_prefix,
+                                           output_limit, monkeypatch):
+        def enumerate_once():
+            log: list[int] = []
+            entries = list(tm.enumerate_domain(max_len, max_steps, output_limit,
+                                               output_prefix, timeout_log=log))
+            return entries, log
+
+        bulk = enumerate_once()
+        # the root machine and every forked child are now PerBitMachines
+        monkeypatch.setattr(tm, "_Machine", PerBitMachine)
+        assert enumerate_once() == bulk
+        assert bulk[0]

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -37,7 +39,94 @@ def text_monkey_search(target, source, horizon):
     return positions
 
 
+def kmp_smallest_period(symbols):
+    """Reference: smallest p with s[i] == s[i-p] for all i >= p (KMP failure
+    function); the Python loop that _smallest_period's single find replaced."""
+    n = len(symbols)
+    fail = [0] * n
+    k = 0
+    for i in range(1, n):
+        while k and symbols[i] != symbols[k]:
+            k = fail[k - 1]
+        if symbols[i] == symbols[k]:
+            k += 1
+        fail[i] = k
+    return n - fail[-1] if n else 1
+
+
+def half_period(symbols):
+    """The reference period where _smallest_period reports one: p <= n // 2."""
+    p = kmp_smallest_period(symbols)
+    return p if p <= len(symbols) // 2 else None
+
+
+def reference_k_upper_bound(sigma):
+    """Reference (witness, method): every candidate built, the first shortest kept."""
+    n = len(sigma)
+    syms = tuple(sigma)
+    if n == 0:
+        return tm.prog_halt(), "generator_encoding"
+    candidates = [(tm.prog_literal(syms), "literal_encoding")]
+    if all(s == syms[0] for s in syms):
+        candidates.append((tm.prog_constant(syms[0], n), "generator_encoding"))
+    elif (p := half_period(syms)) is not None:
+        candidates.append((tm.prog_periodic(syms[:p], n), "generator_encoding"))
+    for start_at_one in (False, True):
+        if sq.champernowne_text(2, n, start_at_one) == sigma.to_text():
+            candidates.append((tm.prog_champernowne(n, start_at_one), "generator_encoding"))
+    return min(candidates, key=lambda c: len(c[0]))
+
+
+class TestSmallestPeriod:
+    def test_every_bit_string_up_to_16(self):
+        for n in range(17):
+            for bits in itertools.product((0, 1), repeat=n):
+                assert rl._smallest_period(bytes(bits)) == half_period(bits), bits
+
+    def test_near_periodic_strings(self):
+        # a periodic string with one bit flipped: the period breaks or survives
+        rng = random.Random(8)
+        for _ in range(2000):
+            n = rng.randint(2, 300)
+            period = [rng.randint(0, 1) for _ in range(rng.randint(1, n))]
+            bits = (period * n)[:n]
+            bits[rng.randrange(n)] ^= 1
+            assert rl._smallest_period(bytes(bits)) == half_period(bits), bits
+
+    @pytest.mark.parametrize("bits", [
+        (0,) * (10**6 - 1) + (1,),
+        (0, 1) * (10**6 // 2 - 1) + (0, 0),
+    ], ids=["zeros-then-one", "alternating-then-00"])
+    def test_million_bit_worst_cases(self, bits):
+        assert len(bits) == 10**6
+        assert rl._smallest_period(bytes(bits)) == half_period(bits) is None
+
+    def test_periodic_million_bits(self):
+        bits = (0, 1, 1, 0, 1) * 200_000
+        assert rl._smallest_period(bytes(bits)) == half_period(bits) == 5
+
+
 class TestKUpperBound:
+    def test_every_short_string_matches_the_reference(self):
+        # ties included: at n = 8 the constant emitter is as long as the literal
+        for n in range(11):
+            for bits in itertools.product((0, 1), repeat=n):
+                sigma = sq.SymbolString(2, bits)
+                est = rl.k_upper_bound(sigma)
+                assert (est.witness, est.method) == reference_k_upper_bound(sigma), bits
+                assert est.value == len(est.witness)
+
+    @pytest.mark.parametrize("sigma", [
+        *(sq.bits(c * n) for c in "01" for n in (7, 8, 9, 64, 1000)),
+        *(sq.bits((pattern * 400)[:n]) for pattern in ("01", "011", "0110100")
+          for n in (9, 14, 15, 16, 17, 100, 2799)),
+        *(sq.champernowne(2, n, start) for start in (False, True)
+          for n in (1, 2, 5, 30, 31, 64, 65, 66, 1000)),
+    ])
+    def test_structured_strings_match_the_reference(self, sigma):
+        est = rl.k_upper_bound(sigma)
+        assert (est.witness, est.method) == reference_k_upper_bound(sigma)
+
     def test_constant_run_far_below_length(self):
         est = rl.k_upper_bound(sq.bits("1" * 30))
         assert est.kind == "upper_bound"

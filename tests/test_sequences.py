@@ -169,6 +169,21 @@ class TestSources:
         with pytest.raises(ValueError, match="holds 6"):
             src.clone().prefix(10)
 
+    def test_file_source_of_symbols_already_read(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "s.seq")
+        sq.write_sequence_file(path, sq.bits("010011"))
+        sigma = sq.read_sequence_file(path)
+        reads = []
+        monkeypatch.setattr(sq, "read_sequence_file",
+                            lambda p: reads.append(p) or sigma)
+        src = sq.SequenceSource.of_file(path, sigma)
+        assert (src.kind, src.alphabet_size) == ("file", 2)
+        assert src.prefix(6) == sigma and src.prefix(4).to_text() == "0100"
+        assert reads == []
+        with pytest.raises(ValueError, match="holds 6"):
+            src.prefix(10)
+        assert reads == [path]
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown source kind"):
             sq.SequenceSource("magic")
