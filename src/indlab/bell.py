@@ -8,7 +8,8 @@ quantum_mismatch.
 
 from __future__ import annotations
 
-import io
+import collections
+import itertools
 import json
 import math
 import os
@@ -434,16 +435,17 @@ CSV_HEADER = ("a_deg", "b_deg", "alpha", "beta", "lambda_id")
 
 
 def _decimal(values: np.ndarray) -> np.ndarray:
-    """Integers as the byte strings str(int) gives, in the narrowest width."""
-    width = max(len(str(values.min(initial=0))), len(str(values.max(initial=0))))
-    return values.astype(f"S{width}")
+    """Integers as the byte strings str(int) gives, each distinct value rendered once."""
+    distinct, codes = np.unique(values, return_inverse=True)
+    return np.array([str(v).encode() for v in distinct.tolist()], dtype=bytes)[codes]
 
 
 def save_trials_csv(path: str, trials: TrialSet) -> None:
     """CSV of a_deg,b_deg,alpha,beta,lambda_id plus a JSON metadata sidecar.
 
     Written as csv.writer writes it: angles as str(float), a blank
-    lambda_id when there is none, and CRLF line ends.
+    lambda_id when there is none, and CRLF line ends.  Beyond copying bytes,
+    the cost follows the distinct values: each is rendered once.
     """
     n = len(trials)
     angles = np.array([str(a).encode() for a in trials.settings.angles])
@@ -464,55 +466,73 @@ def save_trials_csv(path: str, trials: TrialSet) -> None:
         f.write("\n")
 
 
-def _indices(values: np.ndarray, allowed: Sequence, column: str) -> np.ndarray:
-    """Index of each value in allowed, whose entries are distinct; a value
-    not in allowed raises a ValueError naming it and its row."""
+def _indices(values: np.ndarray, allowed: Sequence, column: str, codes: np.ndarray) -> np.ndarray:
+    """Index in allowed, whose entries are distinct, of each row's value values[codes];
+    a value not in allowed raises a ValueError naming it and the first row with it."""
     allowed = np.asarray(allowed)
     order = np.argsort(allowed)
     found = order[np.minimum(np.searchsorted(allowed, values, sorter=order), len(allowed) - 1)]
     missing = np.flatnonzero(allowed[found] != values)
     if missing.size:
         i = missing[0]
-        raise ValueError(f"{column} {values[i]} on data row {i + 1} is not among "
-                         f"{allowed.tolist()}")
-    return found
+        raise ValueError(f"{column} {values[i]} on data row {np.argmax(codes == i) + 1} "
+                         f"is not among {allowed.tolist()}")
+    return found[codes]
 
 
 def load_trials_csv(path: str) -> TrialSet:
     """Read a save_trials_csv file; settings come from its metadata sidecar,
-    or else are the sorted angles seen.  Every column is checked whole:
-    a row with other than five fields, an outcome other than 0 or 1, an
-    angle outside the settings, or a lambda_id that is negative or blank on
-    only some rows raises a ValueError naming the row or the value."""
+    or else are the sorted angles seen.  LF, CRLF and CR line ends read
+    alike and empty lines are skipped.  Every column is checked whole: a
+    header other than CSV_HEADER, a row with other than five fields, an
+    outcome other than 0 or 1, an angle outside the settings, or a
+    lambda_id that is negative or blank on only some rows raises a
+    ValueError naming the header, the row or the value.  Only the distinct
+    lines are kept and parsed, so beyond one pass over the file the cost
+    follows them; the worst case is all rows distinct."""
     meta = {}
     if os.path.exists(path + ".meta.json"):
         with open(path + ".meta.json") as f:
             meta = json.load(f)
     with open(path) as f:
-        header = f.readline().rstrip("\n").split(",")
-        body = f.read()
-    if header[:4] != list(CSV_HEADER[:4]):
-        raise ValueError(f"unexpected CSV header {header!r}")
-    if not body.strip():
+        header = f.readline().rstrip("\n")
+        if header != ",".join(CSV_HEADER):
+            raise ValueError(f"{path}: unexpected CSV header {header!r}, "
+                             f"expected {','.join(CSV_HEADER)!r}")
+        # a line's code is its place among the distinct lines in first-seen order
+        code = collections.defaultdict()
+        code.default_factory = code.__len__
+        codes = np.fromiter(map(code.__getitem__, f), np.int64)
+    if "\n" in code:  # an empty line is no row
+        empty = code.pop("\n")
+        codes = codes[codes != empty]
+        codes -= codes > empty
+    if all(map(str.isspace, code)):
         raise ValueError(f"{path}: no trial rows")
     # once every row has five fields, a row ending in a comma has a blank lambda_id
-    blank = body.count(",\n") + body.endswith(",")
-    dtype = [("a_deg", "f8"), ("b_deg", "f8"), ("alpha", "i8"), ("beta", "i8"),
-             ("lambda_id", "S1" if blank else "i8")]
+    any_blank = any(map(str.endswith, code, itertools.repeat((",\n", ","))))
+    how = dict(dtype=[("a_deg", "f8"), ("b_deg", "f8"), ("alpha", "i8"), ("beta", "i8"),
+                      ("lambda_id", "S1" if any_blank else "i8")],
+               delimiter=",", comments=None, ndmin=1)
     try:
-        rows = np.loadtxt(io.StringIO(body), dtype=dtype, delimiter=",", comments=None, ndmin=1)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    if 0 < blank < len(rows):
-        raise ValueError(f"lambda_id is blank on {blank} of {len(rows)} rows; "
+        rows = np.loadtxt(code.keys(), **how)
+    except ValueError:
+        try:  # numpy's message for the whole file names the file's row
+            np.loadtxt(path, skiprows=1, **how)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        raise
+    blank = np.count_nonzero((rows["lambda_id"] == b"")[codes]) if any_blank else 0
+    if 0 < blank < len(codes):
+        raise ValueError(f"lambda_id is blank on {blank} of {len(codes)} rows; "
                          "it must be given on every row or on none")
-    lam = None if blank else rows["lambda_id"]
+    lam = None if blank else rows["lambda_id"][codes]
     if lam is not None and lam.min() < 0:
         raise ValueError(f"lambda_id must be >= 0, found {lam.min()}")
     angles = meta.get("settings")
     if angles is None:
         angles = np.unique(np.concatenate([rows["a_deg"], rows["b_deg"]])).tolist()
     settings = SettingSet(tuple(angles))
-    a_idx, b_idx = (_indices(rows[c], settings.angles, c) for c in ("a_deg", "b_deg"))
-    alpha, beta = (_indices(rows[c], (0, 1), c) for c in ("alpha", "beta"))
+    a_idx, b_idx = (_indices(rows[c], settings.angles, c, codes) for c in ("a_deg", "b_deg"))
+    alpha, beta = (_indices(rows[c], (0, 1), c, codes) for c in ("alpha", "beta"))
     return TrialSet(settings, a_idx, b_idx, alpha, beta, lam, meta)

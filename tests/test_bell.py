@@ -1,12 +1,18 @@
+import io
+import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from itertools import product as iter_product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indlab import bell
 from indlab.errors import CapacityError
@@ -391,3 +397,219 @@ class TestPersistence:
         bell.save_trials_csv(again, back)
         with open(path, "rb") as f, open(again, "rb") as g:
             assert f.read() == g.read()
+
+
+def reference_save_trials_csv(path, trials):
+    """save_trials_csv before it rendered each distinct value once: every
+    integer column is cast whole with astype to the widest value's width.
+    The oracle for the writer's bytes."""
+    def decimal(values):
+        width = max(len(str(values.min(initial=0))), len(str(values.max(initial=0))))
+        return values.astype(f"S{width}")
+
+    n = len(trials)
+    angles = np.array([str(a).encode() for a in trials.settings.angles])
+    lam = np.zeros(n, "S1") if trials.lam is None else decimal(trials.lam)
+    columns = [angles[trials.a_idx], angles[trials.b_idx],
+               decimal(trials.alpha), decimal(trials.beta), lam]
+    parts = []
+    for col in columns:
+        parts += [col.view(np.uint8).reshape(n, col.itemsize), np.full((n, 1), ord(","), np.uint8)]
+    parts[-1] = np.tile(np.frombuffer(b"\r\n", np.uint8), (n, 1))
+    body = np.concatenate(parts, axis=1).tobytes().replace(b"\0", b"")
+    with open(path, "wb") as f:
+        f.write(",".join(bell.CSV_HEADER).encode() + b"\r\n" + body)
+    with open(path + ".meta.json", "w") as f:
+        json.dump(trials.metadata, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
+def reference_load_trials_csv(path):
+    """load_trials_csv before it parsed only the distinct lines: one
+    np.loadtxt over the whole body.  The oracle for the reader's columns."""
+    def indices(values, allowed):
+        allowed = np.asarray(allowed)
+        order = np.argsort(allowed)
+        found = order[np.minimum(np.searchsorted(allowed, values, sorter=order), len(allowed) - 1)]
+        assert (allowed[found] == values).all()
+        return found
+
+    meta = {}
+    if os.path.exists(path + ".meta.json"):
+        with open(path + ".meta.json") as f:
+            meta = json.load(f)
+    with open(path) as f:
+        f.readline()
+        body = f.read()
+    blank = body.count(",\n") + body.endswith(",")
+    dtype = [("a_deg", "f8"), ("b_deg", "f8"), ("alpha", "i8"), ("beta", "i8"),
+             ("lambda_id", "S1" if blank else "i8")]
+    rows = np.loadtxt(io.StringIO(body), dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    assert blank in (0, len(rows))
+    angles = meta.get("settings")
+    if angles is None:
+        angles = np.unique(np.concatenate([rows["a_deg"], rows["b_deg"]])).tolist()
+    settings = bell.SettingSet(tuple(angles))
+    return bell.TrialSet(settings, indices(rows["a_deg"], settings.angles),
+                         indices(rows["b_deg"], settings.angles), indices(rows["alpha"], (0, 1)),
+                         indices(rows["beta"], (0, 1)), None if blank else rows["lambda_id"], meta)
+
+
+def assert_same_trials(got, want):
+    assert got.settings == want.settings
+    for column in ("a_idx", "b_idx", "alpha", "beta"):
+        assert np.array_equal(getattr(got, column), getattr(want, column)), column
+    assert (got.lam is None) == (want.lam is None)
+    if want.lam is not None:
+        assert np.array_equal(got.lam, want.lam)
+
+
+def assert_io_matches_reference(directory, trials):
+    """Writer bytes, sidecar and read-back columns equal the reference
+    implementations', with the sidecar and without it."""
+    new, ref = os.path.join(directory, "new.csv"), os.path.join(directory, "ref.csv")
+    bell.save_trials_csv(new, trials)
+    reference_save_trials_csv(ref, trials)
+    for suffix in ("", ".meta.json"):
+        with open(new + suffix, "rb") as f, open(ref + suffix, "rb") as g:
+            assert f.read() == g.read(), suffix
+    back = bell.load_trials_csv(new)
+    assert_same_trials(back, reference_load_trials_csv(new))
+    assert back.metadata == reference_load_trials_csv(new).metadata
+    os.remove(new + ".meta.json")
+    try:  # settings are now the angles seen, which may be fewer than two
+        without = reference_load_trials_csv(new)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            bell.load_trials_csv(new)
+    else:
+        assert_same_trials(bell.load_trials_csv(new), without)
+    return back
+
+
+def _oracle_trials(case):
+    gen = np.random.Generator(np.random.Philox(key=[91, 0]))
+    n = 5000
+    if case == "quantum":
+        return bell.run_bipartite("quantum", bell.DEFAULT_SETTINGS, 20_000, seed=7)
+    if case == "hv":
+        ensemble = []
+        for w in gen.dirichlet(np.ones(6)):
+            responses = tuple(int(x) for x in gen.integers(0, 2, 3))
+            ensemble.append((float(w), bell.LocalDeterministicStrategy(responses, responses)))
+        return bell.run_bipartite("hv", bell.DEFAULT_SETTINGS, 20_000, seed=7,
+                                  hv_ensemble=ensemble)
+    if case == "signaling":
+        return bell.run_bipartite("signaling", bell.DEFAULT_SETTINGS, n, seed=3)
+    if case == "fixed_pair":
+        return bell.run_bipartite("quantum", bell.DEFAULT_SETTINGS, n, seed=4,
+                                  fixed_pair=(0.0, 60.0))
+    if case == "odd_settings":
+        return bell.run_bipartite("quantum", bell.SettingSet((-30.0, 1e-05, 45.5)), n, seed=5)
+    columns = [gen.integers(0, 3, n), gen.integers(0, 3, n),
+               gen.integers(0, 2, n), gen.integers(0, 2, n)]
+    if case == "huge_lambda":
+        lam = gen.choice([0, 7, 10**6, 10**12 - 1, 10**12], n)
+    else:  # all_distinct: every row has its own lambda_id
+        lam = gen.permutation(n) * 1_000_003
+    return bell.TrialSet(bell.DEFAULT_SETTINGS, *columns, lam, {"model": case})
+
+
+@st.composite
+def trial_sets(draw):
+    """Random TrialSets: 2-5 finite angles, 1-300 trials, and no lambda_id
+    or ids in [0, 10^12] drawn from a small pool, so rows repeat."""
+    angles = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=2, max_size=5, unique=True))
+    n = draw(st.integers(1, 300))
+    s = len(angles)
+    idx = st.lists(st.integers(0, s - 1), min_size=n, max_size=n)
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    lam = None
+    if draw(st.booleans()):
+        pool = draw(st.lists(st.integers(0, 10**12), min_size=1, max_size=8))
+        lam = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    return bell.TrialSet(bell.SettingSet(tuple(angles)), draw(idx), draw(idx), draw(bits),
+                         draw(bits), lam, {"settings": angles})
+
+
+class TestCsvMatchesReference:
+    """The distinct-value writer and distinct-line reader against the
+    whole-column implementations they replaced."""
+
+    @pytest.mark.parametrize("case", ["quantum", "hv", "signaling", "fixed_pair", "odd_settings",
+                                      "huge_lambda", "all_distinct"])
+    def test_bytes_and_columns(self, case, tmp_path):
+        trials = _oracle_trials(case)
+        back = assert_io_matches_reference(str(tmp_path), trials)
+        assert_same_trials(back, trials)
+
+    @settings(max_examples=150, deadline=None)
+    @given(trial_sets())
+    def test_random_trial_sets(self, trials):
+        with tempfile.TemporaryDirectory() as d:
+            back = assert_io_matches_reference(d, trials)
+        assert_same_trials(back, trials)
+
+
+@pytest.fixture
+def hv_rows(tmp_path, monkeypatch):
+    """A saved 1,200-trial hv run's header and data lines; writing lines
+    back goes to run.csv, which keeps the run's sidecar."""
+    monkeypatch.chdir(tmp_path)
+    strat = bell.LocalDeterministicStrategy((0, 1, 0), (0, 1, 0))
+    trials = bell.run_bipartite("hv", bell.DEFAULT_SETTINGS, 1200, seed=6,
+                                hv_ensemble=[(1.0, strat)])
+    bell.save_trials_csv("run.csv", trials)
+    with open("run.csv") as f:
+        lines = f.read().splitlines()
+    return trials, lines
+
+
+def _write(lines, end="\n"):
+    with open("run.csv", "w", newline="") as f:
+        f.write(end.join(lines) + end)
+
+
+class TestCsvLines:
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_line_ends_read_alike(self, hv_rows, end):
+        trials, lines = hv_rows
+        _write(lines, end)
+        assert_same_trials(bell.load_trials_csv("run.csv"), trials)
+
+    def test_empty_lines_in_the_body_are_skipped(self, hv_rows):
+        trials, lines = hv_rows
+        _write(lines[:1] + [""] + lines[1:600] + ["", ""] + lines[600:])
+        assert_same_trials(bell.load_trials_csv("run.csv"), trials)
+
+    @pytest.mark.parametrize("body", [[], ["", ""], [" ", "", "\t"]],
+                             ids=["header-only", "empty-lines", "whitespace-lines"])
+    def test_no_trial_rows(self, hv_rows, body):
+        _, lines = hv_rows
+        _write(lines[:1] + body)
+        with pytest.raises(ValueError, match="run.csv: no trial rows"):
+            bell.load_trials_csv("run.csv")
+
+    @pytest.mark.parametrize("line", [" ", "\t"], ids=["space", "tab"])
+    def test_whitespace_only_line_names_its_row(self, hv_rows, line):
+        _, lines = hv_rows
+        _write(lines[:600] + [line] + lines[600:])
+        with pytest.raises(ValueError, match="run.csv: .* 1 were found at row 600;"):
+            bell.load_trials_csv("run.csv")
+
+    def test_blank_lambda_is_counted_over_rows(self, hv_rows):
+        _, lines = hv_rows
+        for row in (10, 20, 30):
+            lines[row] = "0.0,0.0,0,0,"
+        _write(lines)
+        with pytest.raises(ValueError, match="lambda_id is blank on 3 of 1200 rows"):
+            bell.load_trials_csv("run.csv")
+
+    def test_bad_value_names_the_first_row_that_has_it(self, hv_rows):
+        _, lines = hv_rows
+        lines[700] = "0.0,30.0,0,1,5"
+        lines[800] = lines[900] = "0.0,30.0,1,2,0"
+        _write(lines)
+        with pytest.raises(ValueError, match="beta 2 on data row 800 is not among"):
+            bell.load_trials_csv("run.csv")

@@ -23,8 +23,9 @@ def test_komplexity_rejects_exact_max_len_above_cap(tmp_path, monkeypatch):
     assert not os.path.exists("k.json")
 
 
-def _hv_csv_with_first_row(edit) -> None:
-    """Save a 1,200-trial hv run as run.csv with its first data row passed through edit."""
+def _hv_csv_with_row(edit, row: int = 1) -> None:
+    """Save a 1,200-trial hv run as run.csv with data row `row` (0: the
+    header) passed through edit."""
     strat = bell.LocalDeterministicStrategy((0, 1, 0), (0, 1, 0))
     trials = bell.run_bipartite(
         "hv", bell.DEFAULT_SETTINGS, 1200, seed=6, hv_ensemble=[(1.0, strat)]
@@ -32,14 +33,14 @@ def _hv_csv_with_first_row(edit) -> None:
     bell.save_trials_csv("run.csv", trials)
     with open("run.csv") as f:
         lines = f.read().splitlines()
-    lines[1] = edit(lines[1])
+    lines[row] = edit(lines[row])
     with open("run.csv", "w") as f:
         f.write("\n".join(lines) + "\n")
 
 
 def _hv_csv_with_first_lambda(lambda_id: str) -> None:
     """Save a 1,200-trial hv run as run.csv with the first row's lambda_id replaced."""
-    _hv_csv_with_first_row(lambda row: row.rsplit(",", 1)[0] + "," + lambda_id)
+    _hv_csv_with_row(lambda row: row.rsplit(",", 1)[0] + "," + lambda_id)
 
 
 def test_bell_analyze_rejects_partly_blank_lambda_column(tmp_path, monkeypatch, capsys):
@@ -60,19 +61,43 @@ def test_bell_analyze_rejects_negative_lambda_id(tmp_path, monkeypatch, capsys):
     assert not os.path.exists("b.json")
 
 
-@pytest.mark.parametrize("row,messages", [
-    ("0.0,30.0", ("run.csv: ", "row 1")),  # the column count is numpy's wording
-    ("0.0,30.0,2,0,0", ("alpha 2 on data row 1 is not among [0, 1]",)),
-    ("0.0,30.0,0,-1,0", ("beta -1 on data row 1 is not among [0, 1]",)),
-    ("45.0,30.0,0,1,0", ("a_deg 45.0 on data row 1 is not among [0.0, 30.0, 60.0]",)),
-], ids=["short-row", "alpha-2", "beta-minus-1", "angle-not-in-settings"])
-def test_bell_analyze_rejects_malformed_rows(row, messages, tmp_path, monkeypatch, capsys):
+MALFORMED_ROWS = [  # (id, row, message naming data row {})
+    # the column count is numpy's wording
+    ("short-row", "0.0,30.0", "run.csv: the dtype passed requires 5 columns but 2 were "
+                              "found at row {};"),
+    ("six-fields", "0.0,30.0,0,1,0,0", "run.csv: the dtype passed requires 5 columns but 6 "
+                                       "were found at row {};"),
+    ("alpha-2", "0.0,30.0,2,0,0", "alpha 2 on data row {} is not among [0, 1]"),
+    ("beta-minus-1", "0.0,30.0,0,-1,0", "beta -1 on data row {} is not among [0, 1]"),
+    ("angle-not-in-settings", "45.0,30.0,0,1,0",
+     "a_deg 45.0 on data row {} is not among [0.0, 30.0, 60.0]"),
+]
+
+
+# a bad row after 699 good ones must be named as the file's row 700, not by
+# its place among the file's distinct lines
+@pytest.mark.parametrize("at,row,message", [
+    pytest.param(at, row, message.format(at), id=name if at == 1 else f"{name}-at-{at}")
+    for at in (1, 5, 700) for name, row, message in MALFORMED_ROWS
+])
+def test_bell_analyze_rejects_malformed_rows(at, row, message, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    _hv_csv_with_first_row(lambda _: row)
+    _hv_csv_with_row(lambda _: row, at)
     assert cli.dispatch(["bell", "analyze", "--in", "run.csv", "--json", "b.json"]) \
         == cli.EXIT_USAGE
     err = capsys.readouterr().err
-    assert all(m in err for m in messages), err
+    assert message in err, err
+    assert not os.path.exists("b.json")
+
+
+@pytest.mark.parametrize("header", ["a_deg,b_deg,alpha,beta,banana", "a_deg,b_deg,alpha,beta"],
+                         ids=["wrong-fifth-name", "four-names"])
+def test_bell_analyze_rejects_a_wrong_header(header, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _hv_csv_with_row(lambda _: header, 0)
+    assert cli.dispatch(["bell", "analyze", "--in", "run.csv", "--json", "b.json"]) \
+        == cli.EXIT_USAGE == 1
+    assert f"unexpected CSV header {header!r}" in capsys.readouterr().err
     assert not os.path.exists("b.json")
 
 
@@ -218,7 +243,7 @@ def test_komplexity_rejects_negative_steps(tmp_path, monkeypatch, capsys):
 def test_bell_analyze_names_the_bad_functional(functional, fragments, tmp_path, monkeypatch,
                                                capsys):
     monkeypatch.chdir(tmp_path)
-    _hv_csv_with_first_row(lambda row: row)
+    _hv_csv_with_row(lambda row: row)
     assert cli.dispatch(["bell", "analyze", "--in", "run.csv", "--functional", functional,
                          "--json", "b.json"]) == cli.EXIT_USAGE
     _one_error_line(capsys, *fragments)
