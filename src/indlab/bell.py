@@ -21,10 +21,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import CapacityError
-from .randomness import TestReport
+from .randomness import DEFAULT_Z_THRESHOLD, TestReport
 
 MAX_SETTINGS = 16
-Z_THRESHOLD = 4.0
 MIN_TRIALS_PER_PAIR = 1000
 
 
@@ -328,9 +327,9 @@ def _chi2_z(table: np.ndarray) -> tuple[float, bool]:
     return -NormalDist().inv_cdf(max(p, 1e-300)), False
 
 
-def no_signaling_check(trials: TrialSet, threshold: float = Z_THRESHOLD) -> tuple[TestReport, TestReport]:
+def no_signaling_check(trials: TrialSet) -> tuple[TestReport, TestReport]:
     """Marginal independence both ways: Alice's outcome distribution must
-    not depend on Bob's setting, and vice versa."""
+    not depend on Bob's setting, and vice versa, at z <= DEFAULT_Z_THRESHOLD."""
     s = len(trials.settings)
     counts = _contingency((s, s), trials.a_idx, trials.b_idx)
     counts = counts[counts > 0]
@@ -355,12 +354,12 @@ def no_signaling_check(trials: TrialSet, threshold: float = Z_THRESHOLD) -> tupl
             worst = max(worst, z)  # a degenerate table has z = 0
         reports.append(TestReport(
             test_name=f"no_signaling[{wing}]", statistic=worst, expected=0.0, z_score=worst,
-            passed=worst <= threshold, threshold=threshold, parameters=details))
+            passed=worst <= DEFAULT_Z_THRESHOLD, parameters=details))
     return reports[0], reports[1]
 
 
-def free_choice_check(trials: TrialSet, threshold: float = Z_THRESHOLD) -> TestReport:
-    """Independence of (a, b), (a, lambda), and (b, lambda).
+def free_choice_check(trials: TrialSet) -> TestReport:
+    """Independence of (a, b), (a, lambda), and (b, lambda), at z <= DEFAULT_Z_THRESHOLD.
 
     Degenerate marginals (a single observed setting or hidden value) make
     the test inconclusive: reported as skipped, never as passed.
@@ -387,8 +386,8 @@ def free_choice_check(trials: TrialSet, threshold: float = Z_THRESHOLD) -> TestR
     skipped = all(z is None for z in details.values())
     return TestReport(
         test_name="free_choice", statistic=worst, expected=0.0, z_score=worst,
-        passed=not skipped and worst <= threshold, threshold=threshold,
-        parameters=details, skipped=skipped)
+        passed=not skipped and worst <= DEFAULT_Z_THRESHOLD, parameters=details,
+        skipped=skipped)
 
 
 def perfect_correlation_violations(trials: TrialSet) -> int:

@@ -26,6 +26,11 @@ TENSOR_CAP = 4096
 EQUIVALENCE_TOL = 1e-10
 
 
+def _hermitian(m: np.ndarray) -> bool:
+    """m equals its conjugate transpose within HERMITIAN_TOL, relative to its largest entry."""
+    return np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL * max(1.0, np.max(np.abs(m)))
+
+
 @dataclass(frozen=True)
 class Observable:
     """A Hermitian matrix."""
@@ -36,7 +41,7 @@ class Observable:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"observable must be square, got shape {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL * max(1.0, np.max(np.abs(m))):
+        if not _hermitian(m):
             raise ValueError("observable is not Hermitian within tolerance")
         object.__setattr__(self, "matrix", m)
 
@@ -60,7 +65,7 @@ class State:
                 raise ValueError(f"vector state has squared norm {norm2!r}, need 1")
             object.__setattr__(self, "form", "unit_vector")
         elif a.ndim == 2 and a.shape[0] == a.shape[1]:
-            if np.max(np.abs(a - a.conj().T)) > HERMITIAN_TOL * max(1.0, np.max(np.abs(a))):
+            if not _hermitian(a):
                 raise ValueError("density matrix is not Hermitian")
             eigs = np.linalg.eigvalsh(a)
             if eigs.min() < -1e-10:
@@ -161,12 +166,6 @@ class BornMeasure:
                 return p
         return 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "outcomes": [list(o) if isinstance(o, tuple) else o for o in self.outcomes],
-            "probabilities": list(self.probabilities),
-        }
-
 
 def born_measure(omega: State, a: Observable) -> BornMeasure:
     """The measure lambda -> omega(e_lambda) on the spectrum of a."""
@@ -178,12 +177,10 @@ def born_measure(omega: State, a: Observable) -> BornMeasure:
 
 
 def joint_spectrum(
-    ops: Sequence[Observable],
-    tol: float = 1e-10,
-    outcome_cap: int = DEFAULT_OUTCOME_CAP,
+    ops: Sequence[Observable], tol: float = 1e-10
 ) -> list[tuple[tuple[float, ...], np.ndarray]]:
     """Joint eigenvalue tuples of commuting observables with their
-    (nonzero) product projections e_l1 ... e_lN."""
+    (nonzero) product projections e_l1 ... e_lN, of at most DEFAULT_OUTCOME_CAP tuples."""
     if not ops:
         raise ValueError("need at least one observable")
     dim = ops[0].dim
@@ -200,9 +197,9 @@ def joint_spectrum(
     n_tuples = 1
     for s in spectra:
         n_tuples *= len(s.eigenvalues)
-        if n_tuples > outcome_cap:
+        if n_tuples > DEFAULT_OUTCOME_CAP:
             raise CapacityError(
-                f"joint spectrum would exceed {outcome_cap} outcome tuples"
+                f"joint spectrum would exceed {DEFAULT_OUTCOME_CAP} outcome tuples"
             )
     out = []
     for combo in iter_product(*(range(len(s.eigenvalues)) for s in spectra)):
@@ -215,13 +212,13 @@ def joint_spectrum(
     return out
 
 
-def product_measure(mu: BornMeasure, n: int, cap: int = DEFAULT_OUTCOME_CAP) -> BornMeasure:
-    """The n-fold product measure over outcome tuples."""
+def product_measure(mu: BornMeasure, n: int) -> BornMeasure:
+    """The n-fold product measure over at most DEFAULT_OUTCOME_CAP outcome tuples."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if len(mu) ** n > cap:
+    if len(mu) ** n > DEFAULT_OUTCOME_CAP:
         raise CapacityError(
-            f"product outcome table of size {len(mu)}^{n} exceeds cap {cap}; "
+            f"product outcome table of size {len(mu)}^{n} exceeds cap {DEFAULT_OUTCOME_CAP}; "
             "use the sampling path instead"
         )
     if n == 1:
@@ -297,18 +294,14 @@ def equivalence_check(omega1: State, a: Observable, n: int) -> EquivalenceReport
     return EquivalenceReport(n, a.dim, dist, EQUIVALENCE_TOL, joint.size)
 
 
-def sample_sequence(
-    mu: BornMeasure, n: int, seed: int, chunk_size: Optional[int] = None
-) -> tuple[SymbolString, tuple]:
+def sample_sequence(mu: BornMeasure, n: int, seed: int) -> tuple[SymbolString, tuple]:
     """n i.i.d. outcome draws from mu, returned as a SymbolString of outcome
     indices plus the index -> outcome key.
 
-    Philox counter-based streams keyed on (seed, chunk) make the draw
-    reproducible and chunk-splittable; see sequences.sample_indices.
+    The draw is sequences.sample_indices: one Philox stream keyed (seed, 0),
+    so the same (mu, n, seed) gives the same indices.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    idx = sample_indices(mu.probabilities, n, seed, chunk_size)
+    idx = sample_indices(mu.probabilities, n, seed)
     alphabet = max(2, len(mu))
     return SymbolString(alphabet, idx), tuple(mu.outcomes)
 

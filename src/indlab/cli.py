@@ -88,6 +88,15 @@ def _json_default(o):
     raise TypeError(f"cannot serialize {type(o)}")
 
 
+def _read_json(path: str):
+    """The JSON value in path; a parse error names the file."""
+    with open(path) as f:
+        try:
+            return json.load(f)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
 def _parse_checkpoints(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t]
 
@@ -390,9 +399,8 @@ def cmd_ks(args, manifest: Manifest) -> int:
         if result.status == "colored" and not cert["verified"]:
             raise CheckFailed("searcher returned a coloring the verifier rejects")
         return EXIT_OK
-    with open(args.coloring) as f:
-        manifest.add_input(args.coloring)
-        obj = json.load(f)
+    obj = _read_json(args.coloring)
+    manifest.add_input(args.coloring)
     assignment = obj["coloring"] if isinstance(obj, dict) else obj
     ok = ks.verify_coloring(problem, assignment)
     _write_json(args.json, {"schema": "ks/v1", "valid": bool(ok)})
@@ -408,8 +416,7 @@ def cmd_report(args, manifest: Manifest) -> int:
     plot_rows: list[tuple] = []
     for path in sorted(args.inputs):
         manifest.add_input(path)
-        with open(path) as f:
-            obj = json.load(f)
+        obj = _read_json(path)
         if not isinstance(obj, dict):
             raise ValueError(f"{path}: expected a JSON object, got a {type(obj).__name__}")
         schema = obj.get("schema")

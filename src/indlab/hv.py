@@ -35,11 +35,10 @@ DETERMINISTIC_RULES = ("counter", "alternating", "constant")
 
 @dataclass(frozen=True)
 class HVSpace:
-    """Hidden state space: discrete labels or a discretized interval."""
+    """Hidden state space: discrete, or a discretized interval (serialized with the model)."""
 
     kind: str  # "discrete" | "interval_discretized"
     size: int
-    labels: tuple = ()
     interval: Optional[tuple[float, float]] = None
 
     def __post_init__(self):
@@ -47,17 +46,6 @@ class HVSpace:
             raise ValueError(f"unknown space kind {self.kind!r}")
         if self.size < 1:
             raise ValueError("space needs at least one state")
-        if not self.labels:
-            if self.kind == "interval_discretized":
-                lo, hi = self.interval if self.interval else (0.0, 1.0)
-                width = (hi - lo) / self.size
-                object.__setattr__(
-                    self,
-                    "labels",
-                    tuple(lo + (i + 0.5) * width for i in range(self.size)),
-                )
-            else:
-                object.__setattr__(self, "labels", tuple(range(self.size)))
 
 
 @dataclass(frozen=True)
@@ -380,31 +368,27 @@ def scenario_two_audit(model: HVModel, h: Sampler, n: int) -> ScenarioTwoReport:
     if n < SCENARIO2_MIN_N:
         raise ValueError(f"need n >= {SCENARIO2_MIN_N} for the 6-sigma checks")
     lam = h.states(model, n)
-    cell_checks = []
-    for cell, p in enumerate(model.mu):
-        freq = float(np.mean(lam == cell))
-        sigma = math.sqrt(p * (1 - p) / n)
-        ok = abs(freq - p) <= 6 * sigma if sigma > 0 else freq == p
-        cell_checks.append(
-            {"cell": cell, "expected": p, "observed": freq,
-             "six_sigma": 6 * sigma, "pass": ok}
-        )
-    gmap = np.asarray(model.outcome_map, dtype=np.int64)
-    x = gmap[lam]
-    outcome_checks = []
-    for outcome, p in enumerate(model.pushforward()):
-        freq = float(np.mean(x == outcome))
-        sigma = math.sqrt(p * (1 - p) / n)
-        ok = abs(freq - p) <= 6 * sigma if sigma > 0 else freq == p
-        outcome_checks.append(
-            {"outcome": outcome, "expected": p, "observed": freq,
-             "six_sigma": 6 * sigma, "pass": ok}
-        )
+    cell_checks = _six_sigma_checks("cell", lam, model.mu)
+    x = np.asarray(model.outcome_map, dtype=np.int64)[lam]
+    outcome_checks = _six_sigma_checks("outcome", x, model.pushforward())
     fair = all(c["pass"] for c in cell_checks) and all(c["pass"] for c in outcome_checks)
     return ScenarioTwoReport(
         model.name, h.describe(), h.randomness_origin, n,
         cell_checks, outcome_checks, fair, model.compatible(),
     )
+
+
+def _six_sigma_checks(key: str, values: np.ndarray, probs: Sequence[float]) -> list[dict]:
+    """Each index i's frequency among values against probs[i], within six binomial sigma."""
+    n = len(values)
+    checks = []
+    for i, p in enumerate(probs):
+        freq = float(np.mean(values == i))
+        sigma = math.sqrt(p * (1 - p) / n)
+        ok = abs(freq - p) <= 6 * sigma if sigma > 0 else freq == p
+        checks.append({key: i, "expected": p, "observed": freq,
+                       "six_sigma": 6 * sigma, "pass": ok})
+    return checks
 
 
 # -- JSON format --------------------------------------------------------------
@@ -433,8 +417,9 @@ def model_to_json(model: HVModel) -> str:
 
 def model_from_json(text: str) -> HVModel:
     obj = json.loads(text)
-    if obj.get("schema") != HV_SCHEMA:
-        raise ValueError(f"expected schema {HV_SCHEMA}, got {obj.get('schema')!r}")
+    schema = obj.get("schema") if isinstance(obj, dict) else None
+    if schema != HV_SCHEMA:
+        raise ValueError(f"expected schema {HV_SCHEMA}, got {schema!r}")
     space = HVSpace(
         obj["space"]["kind"],
         obj["space"]["size"],
@@ -459,8 +444,14 @@ def model_from_json(text: str) -> HVModel:
 
 
 def load_model(path: str) -> HVModel:
-    with open(path) as f:
-        return model_from_json(f.read())
+    """The model in path; a malformed file raises a ValueError naming it."""
+    try:
+        with open(path) as f:
+            return model_from_json(f.read())
+    except KeyError as exc:
+        raise ValueError(f"{path}: hv model has no field {exc}") from None
+    except (TypeError, ValueError) as exc:  # TypeError: a field of the wrong JSON type
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_model(path: str, model: HVModel) -> None:

@@ -253,7 +253,6 @@ class ValidationReport:
     ok: bool
     ray_count: int
     basis_count: int
-    memberships: dict[int, list[int]]
     issues: list[ValidationIssue]
 
 
@@ -267,15 +266,12 @@ def validate_problem(problem: ColoringProblem) -> ValidationReport:
     for i, j in combinations(range(len(problem.rays)), 2):
         if problem.rays[i].same_ray(problem.rays[j]):
             issues.append(ValidationIssue("duplicate", f"rays {i} and {j} coincide"))
-    memberships: dict[int, list[int]] = {i: [] for i in range(len(problem.rays))}
     for bi, basis in enumerate(problem.bases):
-        for r in basis:
-            if not 0 <= r < len(problem.rays):
-                issues.append(
-                    ValidationIssue("reference", f"basis {bi} references missing ray {r}")
-                )
-                continue
-            memberships[r].append(bi)
+        missing = [r for r in basis if not 0 <= r < len(problem.rays)]
+        issues += [ValidationIssue("reference", f"basis {bi} references missing ray {r}")
+                   for r in missing]
+        if missing:
+            continue  # orthogonality needs every ray
         for r, s in combinations(basis, 2):
             if not problem.rays[r].orthogonal_to(problem.rays[s]):
                 ip = problem.rays[r].inner(problem.rays[s])
@@ -285,7 +281,7 @@ def validate_problem(problem: ColoringProblem) -> ValidationReport:
                         f"basis {bi}: rays {r},{s} have inner product {ip:.3e}",
                     )
                 )
-    return ValidationReport(not issues, len(problem.rays), len(problem.bases), memberships, issues)
+    return ValidationReport(not issues, len(problem.rays), len(problem.bases), issues)
 
 
 @dataclass

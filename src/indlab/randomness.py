@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 from . import machine as tm
 from .sequences import (
@@ -90,7 +90,7 @@ class TestReport:
     expected: float
     z_score: float
     passed: bool
-    threshold: float = DEFAULT_Z_THRESHOLD
+    threshold: ClassVar[float] = DEFAULT_Z_THRESHOLD
     parameters: dict = field(default_factory=dict)
     skipped: bool = False
 
@@ -297,12 +297,8 @@ def _overlap_count_variance(pattern: Sequence[int], k: int, windows: int) -> flo
     return var
 
 
-def borel_normality_test(
-    sigma: SymbolString,
-    max_block_len: int,
-    z_threshold: float = DEFAULT_Z_THRESHOLD,
-) -> list[TestReport]:
-    """z-scored comparison of every block frequency with k^-l, l = 1..max.
+def borel_normality_test(sigma: SymbolString, max_block_len: int) -> list[TestReport]:
+    """Every block frequency against k^-l, l = 1..max, passing at |z| <= DEFAULT_Z_THRESHOLD.
 
     Uses the exact variance of overlapping window counts, so the scores are
     honest N(0,1) statistics for a truly i.i.d. uniform source.
@@ -317,7 +313,7 @@ def borel_normality_test(
     reports = []
     for ell in range(1, max_block_len + 1):
         windows = len(sigma) - ell + 1
-        counts = _window_counts(sigma.array, k, ell, disjoint=False)
+        counts = _window_counts(sigma.array, k, ell)
         expected = windows * k ** (-ell)
         for code in range(k**ell):
             pattern = _block_symbols(code, k, ell)
@@ -329,8 +325,7 @@ def borel_normality_test(
                     statistic=float(counts[code]),
                     expected=expected,
                     z_score=float(z),
-                    passed=abs(z) <= z_threshold,
-                    threshold=z_threshold,
+                    passed=abs(z) <= DEFAULT_Z_THRESHOLD,
                     parameters={"block_len": ell, "windows": windows},
                 )
             )

@@ -10,7 +10,7 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -92,8 +92,7 @@ def bits(text: str) -> SymbolString:
 
 def champernowne_text(base: int, n: int, start_at_one: bool = False) -> str:
     """First n digits of the base-k concatenation 0,1,2,... (or 1,2,3,...)."""
-    if base < 2:
-        raise ValueError(f"base must be >= 2, got {base}")
+    _check_base(base)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     chunks: list[str] = []
@@ -108,10 +107,9 @@ def champernowne_text(base: int, n: int, start_at_one: bool = False) -> str:
 
 
 def champernowne(base: int, n: int, start_at_one: bool = False) -> SymbolString:
-    """First n digits of Champernowne's expansion in the given base."""
-    if base > 10:
-        raise ValueError("champernowne supported for bases 2..10")
-    return SymbolString.from_text(champernowne_text(base, n, start_at_one), base)
+    """First n digits of Champernowne's expansion in the given base, 2..36."""
+    raw = np.frombuffer(champernowne_text(base, n, start_at_one).encode(), np.uint8)
+    return SymbolString(base, np.where(raw >= ord("a"), raw - (ord("a") - 10), raw - ord("0")))
 
 
 def champernowne_digit_at(base: int, position: int, start_at_one: bool = False) -> int:
@@ -119,6 +117,7 @@ def champernowne_digit_at(base: int, position: int, start_at_one: bool = False) 
 
     Independent of the concatenating generator; used as its oracle.
     """
+    _check_base(base)
     if position < 0:
         raise ValueError("position must be >= 0")
     t = 1 if start_at_one else 0
@@ -129,6 +128,11 @@ def champernowne_digit_at(base: int, position: int, start_at_one: bool = False) 
             return int(numeral[pos], 36)
         pos -= len(numeral)
         t += 1
+
+
+def _check_base(base: int) -> None:
+    if not 2 <= base <= 36:
+        raise ValueError(f"champernowne base must be in 2..36 (digits 0-9 then a-z), got {base}")
 
 
 def _to_base(t: int, base: int) -> str:
@@ -145,14 +149,9 @@ def _to_base(t: int, base: int) -> str:
             return out
 
 
-def sample_indices(
-    probs: Sequence[float], n: int, seed: int, chunk_size: Optional[int] = None
-) -> np.ndarray:
-    """n i.i.d. draws from a finite distribution, inverse-CDF over Philox streams.
-
-    Chunked draws use the counter-based key (seed, chunk_index), so the result
-    depends only on (probs, n, seed, chunk_size), never on thread count.
-    """
+def sample_indices(probs: Sequence[float], n: int, seed: int) -> np.ndarray:
+    """n i.i.d. int64 draws from a finite distribution: n uniforms from the
+    one Philox stream keyed (seed, 0), each mapped to its outcome by inverse CDF."""
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or len(p) == 0:
         raise ValueError("probs must be a non-empty 1-d sequence")
@@ -166,19 +165,8 @@ def sample_indices(
         raise ValueError("n must be >= 0")
     cdf = np.cumsum(p)
     cdf[-1] = 1.0
-    if chunk_size is None:
-        chunk_size = n
-    out = np.empty(n, dtype=np.int64)
-    pos = 0
-    chunk = 0
-    while pos < n:
-        take = min(chunk_size, n - pos)
-        gen = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), chunk]))
-        u = gen.random(take)
-        out[pos : pos + take] = np.searchsorted(cdf, u, side="right")
-        pos += take
-        chunk += 1
-    return out
+    u = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), 0])).random(n)
+    return np.searchsorted(cdf, u, side="right")
 
 
 class SequenceSource:
@@ -186,8 +174,7 @@ class SequenceSource:
 
     For a fixed (kind, parameters, seed) the emitted prefixes are
     reproducible bit for bit, except for kind "os_entropy".  Requesting n
-    then m > n symbols yields an extension of the first request.  Sources
-    are not shareable across threads; use clone() to parallelize.
+    then m > n symbols yields an extension of the first request.
     """
 
     def __init__(self, kind: str, alphabet_size: int = 2, seed: int = 0, **parameters):
@@ -228,10 +215,6 @@ class SequenceSource:
         source._cache = sigma.array
         return source
 
-    def clone(self) -> "SequenceSource":
-        """Fresh cursor with the same configuration (and seed)."""
-        return SequenceSource(self.kind, self.alphabet_size, self.seed, **self.parameters)
-
     def prefix(self, n: int) -> SymbolString:
         """The first n symbols of the sequence."""
         if n < 0:
@@ -248,10 +231,9 @@ class SequenceSource:
         elif self.kind == "periodic":
             self._cache = np.resize(np.array(p["pattern"], dtype=np.int64), n)
         elif self.kind == "champernowne":
-            raw = np.frombuffer(champernowne_text(k, n, p["start_at_one"]).encode(), np.uint8)
-            self._cache = np.where(raw >= ord("a"), raw - (ord("a") - 10), raw - ord("0"))
+            self._cache = champernowne(k, n, p["start_at_one"]).array
         elif self.kind == "born_sampler":
-            self._cache = sample_indices(p["probs"], n, self.seed, p.get("chunk_size"))
+            self._cache = sample_indices(p["probs"], n, self.seed)
         elif self.kind == "file":
             sigma = read_sequence_file(p["path"])
             if sigma.alphabet_size != k:
@@ -287,21 +269,17 @@ def os_entropy_symbols(k: int, n: int) -> np.ndarray:
     return out
 
 
-def block_frequencies(
-    sigma: SymbolString, block_len: int, disjoint: bool = False
-) -> dict[str, float]:
-    """Relative frequency of each length-l block.
-
-    Overlapping windows by default (the normality convention); disjoint
-    blocks on request.  All k^l blocks are keyed when that table is small,
-    otherwise only observed blocks appear.
+def block_frequencies(sigma: SymbolString, block_len: int) -> dict[str, float]:
+    """Relative frequency of each length-l block over the n - l + 1
+    overlapping windows (the normality convention).  All k^l blocks are
+    keyed when that table is small, otherwise only observed blocks appear.
     """
     if block_len < 1:
         raise ValueError(f"block length must be >= 1, got {block_len}")
     if block_len > len(sigma):
         raise ValueError(f"block length {block_len} exceeds string length {len(sigma)}")
     k = sigma.alphabet_size
-    counts = _window_counts(sigma.array, k, block_len, disjoint)
+    counts = _window_counts(sigma.array, k, block_len)
     total = counts.sum()
     codes = range(k**block_len) if k**block_len <= 65536 else np.nonzero(counts)[0]
     return {
@@ -310,14 +288,13 @@ def block_frequencies(
     }
 
 
-def _window_counts(arr: np.ndarray, k: int, block_len: int, disjoint: bool) -> np.ndarray:
-    """Occurrence counts of every length-l block, encoded base k."""
+def _window_counts(arr: np.ndarray, k: int, block_len: int) -> np.ndarray:
+    """Occurrence counts of every length-l block in the overlapping windows,
+    encoded base k."""
     n = len(arr)
     codes = np.zeros(n - block_len + 1, dtype=np.int64)
     for j in range(block_len):
         codes = codes * k + arr[j : n - block_len + 1 + j]
-    if disjoint:
-        codes = codes[::block_len]
     return np.bincount(codes, minlength=k**block_len)
 
 
@@ -350,7 +327,7 @@ def read_sequence_file(path: str) -> SymbolString:
         body = f.read()
     parts = header.split()
     if not parts or parts[0] != SEQ_SCHEMA:
-        raise ValueError(f"not a {SEQ_SCHEMA} file: header {header!r}")
+        raise ValueError(f"{path}: not a {SEQ_SCHEMA} file: header {header!r}")
     fields = dict(p.partition("=")[::2] for p in parts[1:])
     for name in ("k", "n"):
         if not re.fullmatch("[0-9]+", fields.get(name, "")):
@@ -359,7 +336,10 @@ def read_sequence_file(path: str) -> SymbolString:
     k = int(fields["k"])
     n = int(fields["n"])
     text = "".join(body.split()) if k <= 10 else ",".join(body.split())
-    sigma = SymbolString.from_text(text, k)
+    try:
+        sigma = SymbolString.from_text(text, k)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if len(sigma) != n:
-        raise ValueError(f"header says n={n} but file holds {len(sigma)} symbols")
+        raise ValueError(f"{path}: header says n={n} but file holds {len(sigma)} symbols")
     return sigma

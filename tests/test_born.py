@@ -6,7 +6,7 @@ import pytest
 
 from indlab import born
 from indlab.errors import CapacityError, CommutationError
-from indlab.sequences import SequenceSource
+from indlab.sequences import SequenceSource, sample_indices
 
 RNG = np.random.Generator(np.random.Philox(key=[2024, 0]))
 
@@ -194,7 +194,7 @@ class TestProductMeasure:
     def test_capacity_error(self):
         mu = born.BornMeasure((0.0, 1.0), (0.5, 0.5))
         with pytest.raises(CapacityError, match="sampling path"):
-            born.product_measure(mu, 3, cap=7)
+            born.product_measure(mu, 20)  # 2^20 tuples > DEFAULT_OUTCOME_CAP
 
 
 class TestEquivalence:
@@ -308,11 +308,12 @@ class TestSampling:
         src = SequenceSource("born_sampler", seed=42, probs=[0.5, 0.5])
         assert s.to_text() == src.prefix(8).to_text() == "10100000"
 
-    def test_chunked_reproducible(self):
+    def test_reproducible_per_seed(self):
         mu = born.BornMeasure((0.0, 1.0, 2.0), (0.2, 0.3, 0.5))
-        a, _ = born.sample_sequence(mu, 1000, seed=5, chunk_size=128)
-        b, _ = born.sample_sequence(mu, 1000, seed=5, chunk_size=128)
+        a, _ = born.sample_sequence(mu, 1000, seed=5)
+        b, _ = born.sample_sequence(mu, 1000, seed=5)
         assert a == b
+        assert (a.array == sample_indices(mu.probabilities, 1000, 5)).all()
 
     def test_lln_six_sigma(self):
         mu = born.BornMeasure((0.0, 1.0), (0.3, 0.7))

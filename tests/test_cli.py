@@ -159,13 +159,42 @@ def _one_error_line(capsys, *fragments) -> None:
     (["bell", "run", "--settings", "0,nan,30", "--n", "600", "--out", "b.csv"],
      ("must be finite angles",)),
     (["omega", "--steps", "-3", "--json", "o.json"], ("max_steps must be >= 0",)),
+    (["generate", "--kind", "champernowne", "--base", "40", "--n", "100", "--out", "z.seq"],
+     ("champernowne base must be in 2..36", "got 40")),
 ], ids=["hv-run-contract", "hv-audit2-contract", "born-nan", "repeated-setting",
-        "nan-setting", "omega-negative-steps"])
+        "nan-setting", "omega-negative-steps", "champernowne-base-40"])
 def test_bad_input_exits_1_with_one_error_line(argv, fragments, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.dispatch(argv) == cli.EXIT_USAGE
     _one_error_line(capsys, *fragments)
     assert os.listdir() == []
+
+
+@pytest.mark.parametrize("name,text,argv,fragments", [
+    ("bad.json", "not json", ["hv", "run", "--model", "bad.json", "--n", "8", "--out", "h.seq"],
+     ("bad.json: Expecting value",)),
+    ("nospace.json", json.dumps({"schema": "hv/v1", "g": [0, 1], "mu": [0.5, 0.5]}),
+     ["hv", "run", "--model", "nospace.json", "--n", "8", "--out", "h.seq"],
+     ("nospace.json: hv model has no field 'space'",)),
+    ("strsize.json", json.dumps({"schema": "hv/v1", "space": {"kind": "discrete", "size": "2"},
+                                 "g": [0, 1], "mu": [0.5, 0.5]}),
+     ["hv", "run", "--model", "strsize.json", "--n", "8", "--out", "h.seq"],
+     ("strsize.json: '<' not supported",)),
+    ("c.json", "[0, 1", ["ks", "verify", "--rays", "peres33.rays", "--coloring", "c.json"],
+     ("c.json: Expecting",)),
+    ("r.json", "{", ["report", "--in", "r.json"], ("r.json: Expecting",)),
+    ("x.seq", "seq/v1 k=2 n=4\n0120\n", ["analyze", "--in", "x.seq"],
+     ("x.seq: symbol 2 outside alphabet [0, 2)",)),
+], ids=["hv-model-not-json", "hv-model-without-space", "hv-model-string-size",
+        "ks-coloring-not-json",
+        "report-input-not-json", "seq-bad-symbol"])
+def test_bad_input_file_is_named(name, text, argv, fragments, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with open(name, "w") as f:
+        f.write(text)
+    assert cli.dispatch(argv) == cli.EXIT_USAGE
+    _one_error_line(capsys, *fragments)
+    assert os.listdir() == [name]
 
 
 def test_library_errors_are_value_errors():

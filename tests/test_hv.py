@@ -14,13 +14,14 @@ PARITY4 = hv.load_model(ks.bundled_path("parity4.json"))
 
 
 class TestSpacesAndModels:
-    def test_discrete_labels_default(self):
-        space = hv.HVSpace("discrete", 3)
-        assert space.labels == (0, 1, 2)
-
-    def test_interval_midpoints(self):
-        space = hv.HVSpace("interval_discretized", 4, interval=(0.0, 1.0))
-        assert space.labels == (0.125, 0.375, 0.625, 0.875)
+    def test_interval_model_json_round_trip(self):
+        model = hv.HVModel(hv.HVSpace("interval_discretized", 4, interval=(-1.0, 1.0)),
+                           (0, 1, 1, 0), (0.1, 0.4, 0.4, 0.1), "interval-4", (0.2, 0.8))
+        text = hv.model_to_json(model)
+        assert '"interval": [-1.0, 1.0]' in text
+        back = hv.model_from_json(text)
+        assert back == model and back.space.interval == (-1.0, 1.0)
+        assert hv.model_to_json(back) == text
 
     def test_needs_a_state(self):
         with pytest.raises(ValueError):

@@ -143,7 +143,6 @@ class TestValidation:
         )
         report = ks.validate_problem(problem)
         assert report.ok
-        assert report.memberships[0] == [0]
 
     def test_non_orthogonal_diagnosed(self):
         problem = ks.ColoringProblem(
@@ -160,6 +159,13 @@ class TestValidation:
         assert report.ok
         assert report.ray_count == PERES_RAYS
         assert report.basis_count == PERES_BASES
+
+    def test_missing_ray_reference_diagnosed(self):
+        rays = [ks.Ray.from_components(v) for v in ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])]
+        report = ks.validate_problem(ks.ColoringProblem(rays, [(0, 1, 7), (-1, 0, 1)]))
+        assert not report.ok
+        assert [issue.detail for issue in report.issues] == [
+            "basis 0 references missing ray 7", "basis 1 references missing ray -1"]
 
     def test_duplicate_detection(self):
         rays = [ks.Ray.from_components([1.0, 0.0, 0.0]),
