@@ -22,7 +22,6 @@ from .randomness import (
     OmegaEstimate,
     TestReport,
     borel_normality_test,
-    count_c_incompressible,
     exact_k_small,
     k_upper_bound,
     levin_chaitin_margin,

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import CapacityError
 from .randomness import DEFAULT_Z_THRESHOLD, TestReport
+from .sequences import seeded_stream
 
 MAX_SETTINGS = 16
 MIN_TRIALS_PER_PAIR = 1000
@@ -211,43 +212,30 @@ def run_bipartite(
     settings: SettingSet,
     n_trials: int,
     seed: int,
-    fixed_pair: Optional[tuple[float, float]] = None,
     hv_ensemble: Optional[Sequence[tuple[float, LocalDeterministicStrategy]]] = None,
-    superdeterministic: bool = False,
 ) -> TrialSet:
-    """Generate i.i.d. trial records.
+    """Generate i.i.d. trial records from sequences.seeded_stream(seed); the
+    settings are uniform and independent draws for every model.
 
-    model "quantum": settings uniform (or fixed_pair); outcome mismatch with
-    probability sin^2(a-b), equal/unequal outcomes split evenly, which is
-    the unique symmetric completion with uniform marginals.  At a == b the
-    mismatch probability is exactly 0, so correlation is perfect, not
-    statistical.
+    model "quantum": outcome mismatch with probability sin^2(a-b),
+    equal/unequal outcomes split evenly, which is the unique symmetric
+    completion with uniform marginals.  At a == b the mismatch probability
+    is exactly 0, so correlation is perfect, not statistical.
 
     model "hv": draw lambda from the ensemble weights, answer from the
-    strategy at lambda.  With superdeterministic=True the settings are
-    functions of lambda instead of free draws.
+    strategy at lambda.
 
     model "signaling": a deliberately pathological toy whose Alice outcome
     copies Bob's setting parity; exists to fail the no-signaling check.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    gen = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), 0]))
+    gen = seeded_stream(seed)
     s = len(settings)
-    meta = {
-        "model": model,
-        "settings": list(settings.angles),
-        "n_trials": n_trials,
-        "seed": seed,
-        "superdeterministic": superdeterministic,
-    }
-    if fixed_pair is not None:
-        a_idx = np.full(n_trials, settings.index(fixed_pair[0]), dtype=np.int64)
-        b_idx = np.full(n_trials, settings.index(fixed_pair[1]), dtype=np.int64)
-        meta["fixed_pair"] = list(fixed_pair)
-    else:
-        a_idx = gen.integers(0, s, n_trials)
-        b_idx = gen.integers(0, s, n_trials)
+    meta = {"model": model, "settings": list(settings.angles), "n_trials": n_trials,
+            "seed": seed}
+    a_idx = gen.integers(0, s, n_trials)
+    b_idx = gen.integers(0, s, n_trials)
 
     if model == "quantum":
         angles = np.asarray(settings.angles)
@@ -264,10 +252,6 @@ def run_bipartite(
         if abs(weights.sum() - 1.0) > 1e-9 or np.any(weights < 0):
             raise ValueError("ensemble weights must form a distribution")
         lam = gen.choice(len(hv_ensemble), size=n_trials, p=weights / weights.sum())
-        if superdeterministic:
-            a_idx = lam % s
-            b_idx = (lam // s) % s
-            meta["fixed_pair"] = None
         l_tables = np.asarray([st.response_l for _, st in hv_ensemble], dtype=np.int64)
         r_tables = np.asarray([st.response_r for _, st in hv_ensemble], dtype=np.int64)
         alpha = l_tables[lam, a_idx]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product as iter_product
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -18,8 +18,7 @@ from .errors import CapacityError, CommutationError
 from .sequences import SymbolString, sample_indices
 
 HERMITIAN_TOL = 1e-12
-SPECTRUM_TOL = 1e-10
-RECONSTRUCT_TOL = 1e-8
+COMMUTATION_TOL = 1e-10
 MEASURE_TOL = 1e-10
 DEFAULT_OUTCOME_CAP = 1_000_000
 TENSOR_CAP = 4096
@@ -94,35 +93,12 @@ class Spectrum:
     eigenvalues: tuple[float, ...]
     projections: tuple[np.ndarray, ...]
 
-    def validate(self, observable: Optional[Observable] = None) -> None:
-        """Assert idempotence, orthogonality, completeness, reconstruction."""
-        dim = self.projections[0].shape[0]
-        for e in self.projections:
-            if np.max(np.abs(e @ e - e)) > SPECTRUM_TOL:
-                raise AssertionError("projection is not idempotent")
-            if np.max(np.abs(e - e.conj().T)) > SPECTRUM_TOL:
-                raise AssertionError("projection is not Hermitian")
-        for i in range(len(self.projections)):
-            for j in range(i + 1, len(self.projections)):
-                if np.max(np.abs(self.projections[i] @ self.projections[j])) > SPECTRUM_TOL:
-                    raise AssertionError("projections are not mutually orthogonal")
-        total = sum(self.projections)
-        if np.max(np.abs(total - np.eye(dim))) > SPECTRUM_TOL:
-            raise AssertionError("projections do not resolve the identity")
-        if observable is not None:
-            rebuilt = sum(l * e for l, e in zip(self.eigenvalues, self.projections))
-            if np.max(np.abs(rebuilt - observable.matrix)) > RECONSTRUCT_TOL:
-                raise AssertionError("spectral reconstruction failed")
 
-
-def spectral_decompose(a: Observable, tol: Optional[float] = None) -> Spectrum:
-    """Eigendecomposition with eigenvalues within tol merged (degeneracy).
-
-    tol defaults to 1e-8 * ||a||.
-    """
+def spectral_decompose(a: Observable) -> Spectrum:
+    """Eigendecomposition with eigenvalues within 1e-8 * max(1, ||a||) merged
+    (degeneracy)."""
     eigs, vecs = np.linalg.eigh(a.matrix)
-    if tol is None:
-        tol = 1e-8 * max(1.0, float(np.max(np.abs(eigs))) if len(eigs) else 1.0)
+    tol = 1e-8 * max(1.0, float(np.max(np.abs(eigs))) if len(eigs) else 1.0)
     groups: list[list[int]] = [[0]]
     for i in range(1, len(eigs)):
         if eigs[i] - eigs[groups[-1][-1]] <= tol:
@@ -176,11 +152,10 @@ def born_measure(omega: State, a: Observable) -> BornMeasure:
     return BornMeasure(spec.eigenvalues, tuple(probs))
 
 
-def joint_spectrum(
-    ops: Sequence[Observable], tol: float = 1e-10
-) -> list[tuple[tuple[float, ...], np.ndarray]]:
-    """Joint eigenvalue tuples of commuting observables with their
-    (nonzero) product projections e_l1 ... e_lN, of at most DEFAULT_OUTCOME_CAP tuples."""
+def joint_spectrum(ops: Sequence[Observable]) -> list[tuple[tuple[float, ...], np.ndarray]]:
+    """Joint eigenvalue tuples of observables that commute within COMMUTATION_TOL,
+    with their (nonzero) product projections e_l1 ... e_lN, of at most
+    DEFAULT_OUTCOME_CAP tuples."""
     if not ops:
         raise ValueError("need at least one observable")
     dim = ops[0].dim
@@ -191,8 +166,8 @@ def joint_spectrum(
         for j in range(i + 1, len(ops)):
             comm = ops[i].matrix @ ops[j].matrix - ops[j].matrix @ ops[i].matrix
             norm = float(np.max(np.abs(comm)))
-            if norm > tol:
-                raise CommutationError(i, j, norm, tol)
+            if norm > COMMUTATION_TOL:
+                raise CommutationError(i, j, norm, COMMUTATION_TOL)
     spectra = [spectral_decompose(a) for a in ops]
     n_tuples = 1
     for s in spectra:

@@ -241,6 +241,8 @@ def cmd_omega(args, manifest: Manifest) -> int:
 
 def _load_sampler(args) -> hv.Sampler:
     name = args.sampler
+    if args.bias and name != "prng":
+        raise ValueError(f"--bias applies only to --sampler prng, not {name!r}")
     if name == "counter":
         return hv.Sampler.counter()
     if name == "alternating":
@@ -382,7 +384,7 @@ def cmd_ks(args, manifest: Manifest) -> int:
                 print(f"invalid problem: {issue.kind}: {issue.detail}", file=sys.stderr)
             return EXIT_USAGE
         result = ks.search_coloring(problem)
-        cert = {
+        report = {
             "schema": "ks/v1",
             "rays": validation.ray_count,
             "bases": validation.basis_count,
@@ -391,18 +393,26 @@ def cmd_ks(args, manifest: Manifest) -> int:
             "max_depth": result.stats.max_depth,
         }
         if result.status == "colored":
-            cert["coloring"] = list(result.assignment)
-            cert["verified"] = ks.verify_coloring(problem, result.assignment)
-        _write_json(args.json, cert)
+            report["coloring"] = list(result.assignment)
+            report["verified"] = ks.verify_coloring(problem, result.assignment)
+        _write_json(args.json, report)
         print(f"{result.status.upper()} ({validation.ray_count} rays, "
               f"{validation.basis_count} bases, {result.stats.nodes} nodes)")
-        if result.status == "colored" and not cert["verified"]:
+        if result.status == "colored" and not report["verified"]:
             raise CheckFailed("searcher returned a coloring the verifier rejects")
         return EXIT_OK
     obj = _read_json(args.coloring)
     manifest.add_input(args.coloring)
+    if isinstance(obj, dict) and "coloring" not in obj:
+        raise ValueError(f"{args.coloring}: JSON object has no \"coloring\" key")
     assignment = obj["coloring"] if isinstance(obj, dict) else obj
-    ok = ks.verify_coloring(problem, assignment)
+    if not isinstance(assignment, list):
+        raise ValueError(f"{args.coloring}: coloring must be a list of 0/1 marks, "
+                         f"got {type(assignment).__name__}")
+    try:
+        ok = ks.verify_coloring(problem, assignment)
+    except ValueError as exc:
+        raise ValueError(f"{args.coloring}: {exc}") from None
     _write_json(args.json, {"schema": "ks/v1", "valid": bool(ok)})
     print("VALID" if ok else "INVALID")
     if not ok:

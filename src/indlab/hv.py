@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -31,6 +31,13 @@ PUSHFORWARD_TOL = 1e-10
 INCOMPRESSIBILITY_C = 64  # the c of K(x|n) >= n - c that the scenario-1 audit tests
 SCENARIO2_MIN_N = 10_000
 DETERMINISTIC_RULES = ("counter", "alternating", "constant")
+# The keywords each sampler kind reads.
+SAMPLER_KEYWORDS = {
+    "deterministic_computable": ("rule", "value", "program"),
+    "seeded_prng": ("seed", "probs"),
+    "external_entropy": (),
+    "recorded_file": ("path",),
+}
 
 
 @dataclass(frozen=True)
@@ -90,13 +97,13 @@ class HVModel:
             out[self.outcome_map[lam]] += p
         return tuple(out)
 
-    def compatible(self, tol: float = PUSHFORWARD_TOL) -> bool:
-        """Does the pushforward match the declared target measure?"""
+    def compatible(self) -> bool:
+        """Does the pushforward match the declared target measure, within PUSHFORWARD_TOL?"""
         target = self.target if self.target is not None else self.pushforward()
         push = self.pushforward()
         if len(push) != len(target):
             return False
-        return all(abs(a - b) <= tol for a, b in zip(push, target))
+        return all(abs(a - b) <= PUSHFORWARD_TOL for a, b in zip(push, target))
 
     @property
     def description_bits(self) -> int:
@@ -135,9 +142,12 @@ class Sampler:
     """
 
     def __init__(self, kind: str, **params):
-        if kind not in ("deterministic_computable", "seeded_prng",
-                        "external_entropy", "recorded_file"):
+        if kind not in SAMPLER_KEYWORDS:
             raise ValueError(f"unknown sampler kind {kind!r}")
+        unread = set(params) - set(SAMPLER_KEYWORDS[kind])
+        if unread:
+            raise ValueError(f"sampler kind {kind!r} does not read "
+                             f"{', '.join(map(repr, sorted(unread)))}")
         self.kind = kind
         self.params = params
         if kind == "deterministic_computable":
@@ -261,7 +271,7 @@ class ScenarioOneReport:
     flagged: bool
     flag_threshold: int
     pushforward_ok: bool
-    note: str = (
+    note: ClassVar[str] = (
         "an upper bound this far below N refutes 1-randomness of the "
         "stated sequence relative to the bundled machine"
     )

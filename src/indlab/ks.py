@@ -1,8 +1,9 @@
 """Rays and orthonormal triples in R^3, and 101-coloring search.
 
 A coloring marks exactly one ray per basis triple; suitable ray sets admit
-none, and the searcher returns an UNSAT certificate with complete-search
-statistics.  Bundled data uses coordinates in Q[sqrt2], so orthogonality
+none, and then the searcher reports "unsat" with the statistics of its
+complete search.  Those statistics are not a certificate: no second program
+checks them.  Bundled data uses coordinates in Q[sqrt2], so orthogonality
 and deduplication are exact rational arithmetic; decimal coordinates fall
 back to a 1e-8 tolerance.
 """
@@ -292,8 +293,8 @@ class SearchStats:
 
 @dataclass
 class ColoringResult:
-    """colored carries a satisfying assignment; unsat carries search stats
-    certifying that the backtracking exhausted the assignment space."""
+    """colored carries a satisfying assignment; unsat carries the statistics
+    of a backtracking search that exhausted the assignment space."""
 
     status: str  # "colored" | "unsat"
     assignment: Optional[tuple[int, ...]]
@@ -475,11 +476,9 @@ def outcome_tuples(problem: ColoringProblem, assignment: Sequence[int]) -> list[
 # -- file format ------------------------------------------------------------
 
 
-def save_rays_file(path: str, problem: ColoringProblem, header_notes: Sequence[str] = ()) -> None:
+def save_rays_file(path: str, problem: ColoringProblem) -> None:
     with open(path, "w") as f:
         f.write(f"{RAYS_SCHEMA}\n")
-        for note in header_notes:
-            f.write(f"# {note}\n")
         for i, ray in enumerate(problem.rays):
             if ray.exact is not None:
                 comps = " ".join(c.token() for c in ray.exact)

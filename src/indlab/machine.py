@@ -131,7 +131,7 @@ class MachineResult:
     output: Bits
     bits_consumed: int
     steps: int
-    reason: str = ""
+    reason: str
 
     @property
     def halted(self) -> bool:

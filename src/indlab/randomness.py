@@ -1,4 +1,4 @@
-"""Description-length estimates, counting bounds, normality batteries, and a
+"""Description-length estimates, normality batteries, and a
 halting-probability enumerator, all relative to the bundled toy machine.
 
 Upper bounds on description length can refute incompressibility claims but
@@ -25,7 +25,6 @@ from .sequences import (
 
 EXACT_SEARCH_MAX_LEN = 24
 DEFAULT_Z_THRESHOLD = 4.0
-COUNT_MAX_N = 14
 
 
 @dataclass(frozen=True)
@@ -45,10 +44,9 @@ class ComplexityEstimate:
     method: str  # "exhaustive" | "literal_encoding" | "generator_encoding"
     unresolved_bits_consumed: tuple[int, ...] = ()
 
-    def verify(self, sigma: SymbolString, max_steps: Optional[int] = None) -> bool:
-        """Re-run the witness and compare with sigma."""
-        steps = max_steps if max_steps is not None else 8 * len(sigma) + 256
-        res = tm.run_machine(self.witness, steps)
+    def verify(self, sigma: SymbolString) -> bool:
+        """Re-run the witness, within 8 * len(sigma) + 256 steps, and compare with sigma."""
+        res = tm.run_machine(self.witness, 8 * len(sigma) + 256)
         return res.halted and res.output == tuple(sigma)
 
 
@@ -78,7 +76,7 @@ class OmegaEstimate:
     lower_bound: Fraction
     programs_found: int
     search_budget: tuple[int, int]  # (max program length, max steps)
-    programs: tuple[tm.Bits, ...] = field(repr=False, default=())
+    programs: tuple[tm.Bits, ...] = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -222,40 +220,6 @@ def exact_k_small(
     blocking = tuple(sorted(c for c in timeouts if c < found_len))
     return ComplexityEstimate(found_len, "upper_bound" if blocking else "exact",
                               best.program, "exhaustive", blocking)
-
-
-@dataclass(frozen=True)
-class IncompressibleCount:
-    """Budget-limited census of c-incompressible strings of one length."""
-
-    n: int
-    c: int
-    count: int
-    paper_bound: int
-    compressible_found: int
-
-
-def count_c_incompressible(
-    n: int, c: int, max_steps: int = 4096
-) -> IncompressibleCount:
-    """Count length-n strings whose budget-limited K is >= n - c.
-
-    The budget-limited K only overestimates, so count >= 2^n - 2^(n-c+1) + 1
-    is safe to assert against the returned paper_bound.
-    """
-    if n > COUNT_MAX_N:
-        raise ValueError(f"n {n} exceeds cap {COUNT_MAX_N}")
-    if n < 1 or c < 0:
-        raise ValueError("need n >= 1 and c >= 0")
-    compressible: set[tm.Bits] = set()
-    max_len = n - c - 1
-    if max_len >= 0:
-        for entry in tm.enumerate_domain(max_len, max_steps, output_limit=n + 1):
-            if len(entry.output) == n:
-                compressible.add(entry.output)
-    count = 2**n - len(compressible)
-    bound = 2**n - 2 ** (n - c + 1) + 1 if n - c + 1 >= 0 else 2**n
-    return IncompressibleCount(n, c, count, bound, len(compressible))
 
 
 @dataclass(frozen=True)

@@ -16,14 +16,16 @@ import numpy as np
 
 SEQ_SCHEMA = "seq/v1"
 
-SOURCE_KINDS = (
-    "born_sampler",
-    "champernowne",
-    "constant",
-    "periodic",
-    "file",
-    "os_entropy",
-)
+# The keywords each source kind reads, with their defaults; a file source
+# has no default path.
+SOURCE_KEYWORDS = {
+    "born_sampler": {"probs": (0.5, 0.5)},
+    "champernowne": {"start_at_one": False},
+    "constant": {"symbol": 0},
+    "periodic": {"pattern": ()},
+    "file": {"path": None},
+    "os_entropy": {},
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,7 +94,8 @@ def bits(text: str) -> SymbolString:
 
 def champernowne_text(base: int, n: int, start_at_one: bool = False) -> str:
     """First n digits of the base-k concatenation 0,1,2,... (or 1,2,3,...)."""
-    _check_base(base)
+    if not 2 <= base <= 36:
+        raise ValueError(f"champernowne base must be in 2..36 (digits 0-9 then a-z), got {base}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     chunks: list[str] = []
@@ -112,29 +115,6 @@ def champernowne(base: int, n: int, start_at_one: bool = False) -> SymbolString:
     return SymbolString(base, np.where(raw >= ord("a"), raw - (ord("a") - 10), raw - ord("0")))
 
 
-def champernowne_digit_at(base: int, position: int, start_at_one: bool = False) -> int:
-    """Digit at a given position, by positional arithmetic over numeral lengths.
-
-    Independent of the concatenating generator; used as its oracle.
-    """
-    _check_base(base)
-    if position < 0:
-        raise ValueError("position must be >= 0")
-    t = 1 if start_at_one else 0
-    pos = position
-    while True:
-        numeral = _to_base(t, base)
-        if pos < len(numeral):
-            return int(numeral[pos], 36)
-        pos -= len(numeral)
-        t += 1
-
-
-def _check_base(base: int) -> None:
-    if not 2 <= base <= 36:
-        raise ValueError(f"champernowne base must be in 2..36 (digits 0-9 then a-z), got {base}")
-
-
 def _to_base(t: int, base: int) -> str:
     """Numeral of t >= 0 in the given base, digits 0-9 then a-z."""
     if base == 2:
@@ -150,8 +130,8 @@ def _to_base(t: int, base: int) -> str:
 
 
 def sample_indices(probs: Sequence[float], n: int, seed: int) -> np.ndarray:
-    """n i.i.d. int64 draws from a finite distribution: n uniforms from the
-    one Philox stream keyed (seed, 0), each mapped to its outcome by inverse CDF."""
+    """n i.i.d. int64 draws from a finite distribution: the first n uniforms
+    of seeded_stream(seed), each mapped to its outcome by inverse CDF."""
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or len(p) == 0:
         raise ValueError("probs must be a non-empty 1-d sequence")
@@ -165,8 +145,12 @@ def sample_indices(probs: Sequence[float], n: int, seed: int) -> np.ndarray:
         raise ValueError("n must be >= 0")
     cdf = np.cumsum(p)
     cdf[-1] = 1.0
-    u = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), 0])).random(n)
-    return np.searchsorted(cdf, u, side="right")
+    return np.searchsorted(cdf, seeded_stream(seed).random(n), side="right")
+
+
+def seeded_stream(seed: int) -> np.random.Generator:
+    """The one random stream of a seed: Philox keyed (seed mod 2^64, 0)."""
+    return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), 0]))
 
 
 class SequenceSource:
@@ -178,34 +162,35 @@ class SequenceSource:
     """
 
     def __init__(self, kind: str, alphabet_size: int = 2, seed: int = 0, **parameters):
-        if kind not in SOURCE_KINDS:
-            raise ValueError(f"unknown source kind {kind!r}; expected one of {SOURCE_KINDS}")
+        if kind not in SOURCE_KEYWORDS:
+            raise ValueError(f"unknown source kind {kind!r}; "
+                             f"expected one of {tuple(SOURCE_KEYWORDS)}")
+        unread = set(parameters) - set(SOURCE_KEYWORDS[kind])
+        if unread:
+            raise ValueError(f"source kind {kind!r} does not read "
+                             f"{', '.join(map(repr, sorted(unread)))}")
         if alphabet_size < 2:
             raise ValueError("alphabet_size must be >= 2")
         self.kind = kind
         self.alphabet_size = alphabet_size
         self.seed = seed
-        self.parameters = dict(parameters)
+        self.parameters = {**SOURCE_KEYWORDS[kind], **parameters}
         self._cache = np.empty(0, dtype=np.int64)
         self._validate()
 
     def _validate(self) -> None:
         p = self.parameters
         if self.kind == "constant":
-            SymbolString(self.alphabet_size, (p.setdefault("symbol", 0),))
+            SymbolString(self.alphabet_size, (p["symbol"],))
         elif self.kind == "periodic":
-            p["pattern"] = tuple(SymbolString(self.alphabet_size, p.get("pattern", ())))
+            p["pattern"] = tuple(SymbolString(self.alphabet_size, p["pattern"]))
             if not p["pattern"]:
                 raise ValueError("periodic source requires a non-empty pattern")
         elif self.kind == "born_sampler":
-            probs = p.setdefault("probs", [0.5, 0.5])
-            if len(probs) > self.alphabet_size:
+            if len(p["probs"]) > self.alphabet_size:
                 raise ValueError("more outcomes than alphabet symbols")
-        elif self.kind == "champernowne":
-            p.setdefault("start_at_one", False)
-        elif self.kind == "file":
-            if "path" not in p:
-                raise ValueError("file source requires path=")
+        elif self.kind == "file" and p["path"] is None:
+            raise ValueError("file source requires path=")
 
     @classmethod
     def of_file(cls, path: str, sigma: SymbolString) -> "SequenceSource":

@@ -164,19 +164,17 @@ class TestQuantumValue:
 
 class TestRunBipartite:
     def test_equal_settings_perfectly_correlated(self):
-        for angle in (0.0, 30.0, 60.0):
-            tr = bell.run_bipartite(
-                "quantum", bell.DEFAULT_SETTINGS, 30_000, seed=3,
-                fixed_pair=(angle, angle),
-            )
-            assert bell.perfect_correlation_violations(tr) == 0
+        tr = bell.run_bipartite("quantum", bell.DEFAULT_SETTINGS, 90_000, seed=3)
+        for i in range(3):
+            assert np.count_nonzero((tr.a_idx == i) & (tr.b_idx == i)) > 9000
+        assert bell.perfect_correlation_violations(tr) == 0
 
     def test_mismatch_frequency_six_sigma(self):
-        tr = bell.run_bipartite(
-            "quantum", bell.DEFAULT_SETTINGS, 10**5, seed=11, fixed_pair=(0.0, 30.0)
-        )
-        freq = float(np.mean(tr.alpha != tr.beta))
-        assert abs(freq - 0.25) <= 6 * math.sqrt(0.25 * 0.75 / 10**5)
+        tr = bell.run_bipartite("quantum", bell.DEFAULT_SETTINGS, 9 * 10**5, seed=11)
+        at = (tr.a_idx == 0) & (tr.b_idx == 1)  # the pair (0, 30)
+        n = np.count_nonzero(at)
+        freq = float(np.mean(tr.alpha[at] != tr.beta[at]))
+        assert abs(freq - 0.25) <= 6 * math.sqrt(0.25 * 0.75 / n)
 
     def test_marginals_uniform(self):
         tr = bell.run_bipartite("quantum", bell.DEFAULT_SETTINGS, 10**5, seed=5)
@@ -247,6 +245,16 @@ class TestFreeChoice:
             (0.5, bell.LocalDeterministicStrategy((1, 0, 1), (1, 0, 1))),
         ]
 
+    def _superdeterministic(self, n, seed):
+        """An hv run whose settings are functions of lambda, not free draws:
+        a = lambda mod 3, b = (lambda div 3) mod 3."""
+        ensemble = self._ensemble()
+        tr = bell.run_bipartite("hv", bell.DEFAULT_SETTINGS, n, seed=seed, hv_ensemble=ensemble)
+        a_idx, b_idx = tr.lam % 3, (tr.lam // 3) % 3
+        alpha = np.asarray([st.response_l for _, st in ensemble])[tr.lam, a_idx]
+        beta = np.asarray([st.response_r for _, st in ensemble])[tr.lam, b_idx]
+        return bell.TrialSet(tr.settings, a_idx, b_idx, alpha, beta, tr.lam, tr.metadata)
+
     def test_independent_samplers_pass(self):
         tr = bell.run_bipartite(
             "hv", bell.DEFAULT_SETTINGS, 30_000, seed=4, hv_ensemble=self._ensemble()
@@ -255,19 +263,13 @@ class TestFreeChoice:
         assert rep.passed and not rep.skipped
 
     def test_superdeterministic_wiring_fails(self):
-        tr = bell.run_bipartite(
-            "hv", bell.DEFAULT_SETTINGS, 30_000, seed=4,
-            hv_ensemble=self._ensemble(), superdeterministic=True,
-        )
-        rep = bell.free_choice_check(tr)
+        rep = bell.free_choice_check(self._superdeterministic(30_000, seed=4))
         assert not rep.passed and not rep.skipped
 
     def test_single_setting_skipped_not_passed(self):
-        tr = bell.run_bipartite(
-            "hv", bell.DEFAULT_SETTINGS, 2000, seed=4,
-            hv_ensemble=[(1.0, bell.LocalDeterministicStrategy((0, 1, 0), (0, 1, 0)))],
-            fixed_pair=(0.0, 0.0),
-        )
+        # one setting pair and one hidden state: every table is degenerate
+        zeros = np.zeros(2000, dtype=np.int64)
+        tr = bell.TrialSet(bell.DEFAULT_SETTINGS, zeros, zeros, zeros, zeros, zeros)
         rep = bell.free_choice_check(tr)
         assert rep.skipped
         assert not rep.passed
@@ -278,10 +280,7 @@ class TestFreeChoice:
             bell.free_choice_check(tr)
 
     def test_large_lambda_ids_give_the_same_report(self):
-        tr = bell.run_bipartite(
-            "hv", bell.DEFAULT_SETTINGS, 30_000, seed=4,
-            hv_ensemble=self._ensemble(), superdeterministic=True,
-        )
+        tr = self._superdeterministic(30_000, seed=4)
         far = bell.TrialSet(tr.settings, tr.a_idx, tr.b_idx, tr.alpha, tr.beta,
                             tr.lam * 10**6, tr.metadata)
         assert set(far.lam.tolist()) == {0, 10**6}
@@ -501,9 +500,11 @@ def _oracle_trials(case):
                                   hv_ensemble=ensemble)
     if case == "signaling":
         return bell.run_bipartite("signaling", bell.DEFAULT_SETTINGS, n, seed=3)
-    if case == "fixed_pair":
-        return bell.run_bipartite("quantum", bell.DEFAULT_SETTINGS, n, seed=4,
-                                  fixed_pair=(0.0, 60.0))
+    if case == "fixed_pair":  # every trial at settings (0, 60)
+        tr = bell.run_bipartite("quantum", bell.DEFAULT_SETTINGS, n, seed=4)
+        at = (tr.a_idx == 0) & (tr.b_idx == 2)
+        return bell.TrialSet(tr.settings, tr.a_idx[at], tr.b_idx[at], tr.alpha[at], tr.beta[at],
+                             None, tr.metadata)
     if case == "odd_settings":
         return bell.run_bipartite("quantum", bell.SettingSet((-30.0, 1e-05, 45.5)), n, seed=5)
     columns = [gen.integers(0, 3, n), gen.integers(0, 3, n),

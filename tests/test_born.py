@@ -1,5 +1,5 @@
 import math
-from itertools import product as iter_product
+from itertools import combinations, product as iter_product
 
 import numpy as np
 import pytest
@@ -53,6 +53,26 @@ class TestTypes:
             born.BornMeasure((0.0, 1.0), (1.2, -0.2))
 
 
+def validate_spectrum(spec, observable=None):
+    """The oracle for spectral_decompose: the projections are idempotent,
+    Hermitian, mutually orthogonal and resolve the identity, within 1e-10,
+    and, given the observable, rebuild it within 1e-8."""
+    def close(m, target, tol=1e-10):
+        return np.max(np.abs(m - target)) <= tol
+
+    for e in spec.projections:
+        assert close(e @ e, e), "projection is not idempotent"
+        assert close(e, e.conj().T), "projection is not Hermitian"
+    for i, j in combinations(range(len(spec.projections)), 2):
+        assert close(spec.projections[i] @ spec.projections[j], 0), \
+            "projections are not mutually orthogonal"
+    dim = spec.projections[0].shape[0]
+    assert close(sum(spec.projections), np.eye(dim)), "projections do not resolve the identity"
+    if observable is not None:
+        rebuilt = sum(l * e for l, e in zip(spec.eigenvalues, spec.projections))
+        assert close(rebuilt, observable.matrix, 1e-8), "spectral reconstruction failed"
+
+
 class TestSpectralDecompose:
     def test_diagonal(self):
         spec = born.spectral_decompose(born.Observable(np.diag([0.0, 1.0])))
@@ -72,12 +92,12 @@ class TestSpectralDecompose:
         assert spec.eigenvalues == pytest.approx((-1.0, 1.0))
         assert np.allclose(spec.projections[0], [[0.5, -0.5], [-0.5, 0.5]], atol=1e-12)
         assert np.allclose(spec.projections[1], [[0.5, 0.5], [0.5, 0.5]], atol=1e-12)
-        spec.validate(a)
+        validate_spectrum(spec, a)
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 6])
     def test_invariants_random(self, dim):
         a = random_hermitian(dim)
-        born.spectral_decompose(a).validate(a)
+        validate_spectrum(born.spectral_decompose(a), a)
 
     def test_invariants_degenerate_random(self):
         # built from a random unitary with repeated eigenvalues
@@ -85,7 +105,7 @@ class TestSpectralDecompose:
         a = born.Observable(q @ np.diag([2.0, 2.0, -1.0, -1.0]) @ q.conj().T)
         spec = born.spectral_decompose(a)
         assert len(spec.eigenvalues) == 2
-        spec.validate(a)
+        validate_spectrum(spec, a)
 
     def test_merge_tolerance(self):
         a = born.Observable(np.diag([0.0, 1e-12, 1.0]))
@@ -156,7 +176,7 @@ class TestJointSpectrum:
     def test_spin1_triple_random_basis(self):
         q, _ = np.linalg.qr(RNG.normal(size=(3, 3)))
         ops = [born.spin1_squared(q[:, i]) for i in range(3)]
-        joint = born.joint_spectrum(ops, tol=1e-8)
+        joint = born.joint_spectrum(ops)
         outcomes = sorted(tuple(round(x) for x in v) for v, _ in joint)
         assert outcomes == [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
 

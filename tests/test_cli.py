@@ -118,6 +118,35 @@ def test_bell_analyze_exit_2_still_writes_report_and_manifest(tmp_path, monkeypa
     assert set(manifest["outputs"]) == {"s.json"}
 
 
+@pytest.mark.parametrize("files,argv,schema", [
+    ({"c.seq": "seq/v1 k=2 n=1000\n" + "0" * 1000 + "\n"},
+     ["analyze", "--in", "c.seq", "--tests", "borel", "--max-block", "2", "--json", "r.json"],
+     "randlab/v1"),
+    ({"skew.json": json.dumps({"schema": "hv/v1", "space": {"kind": "discrete", "size": 2},
+                               "g": [0, 1], "mu": [0.5, 0.5], "target": [0.9, 0.1]})},
+     ["hv", "audit1", "--model", "skew.json", "--json", "r.json"], "hv-audit1/v1"),
+    ({}, ["hv", "audit2", "--model", "parity4.json", "--bias", "0.7,0.1,0.1,0.1",
+          "--n", "10000", "--json", "r.json"], "hv-audit2/v1"),
+    ({"marks.json": json.dumps([1, 1, 0, 0, 0, 0, 0])},  # two marks in basis (0, 1, 2)
+     ["ks", "verify", "--rays", "demo_colorable.rays", "--coloring", "marks.json",
+      "--json", "r.json"], "ks/v1"),
+], ids=["analyze-borel", "hv-audit1-target", "hv-audit2-bias", "ks-verify-two-marks"])
+def test_exit_2_still_writes_report_and_manifest(files, argv, schema, tmp_path, monkeypatch,
+                                                 capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        with open(name, "w") as f:
+            f.write(text)
+    assert cli.dispatch(argv) == cli.EXIT_CHECK_FAILED
+    assert capsys.readouterr().err.startswith("CHECK FAILED: ")
+    with open("r.json") as f:
+        assert json.load(f)["schema"] == schema
+    with open("r.json.manifest.json") as f:
+        manifest = json.load(f)
+    assert manifest["schema"] == "manifest/v1"
+    assert set(manifest["outputs"]) == {"r.json"}
+
+
 def test_report_skips_manifests_but_rejects_other_schemas(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert cli.dispatch(["omega", "--max-len", "6", "--steps", "100", "--json", "o.json"]) \
@@ -161,8 +190,16 @@ def _one_error_line(capsys, *fragments) -> None:
     (["omega", "--steps", "-3", "--json", "o.json"], ("max_steps must be >= 0",)),
     (["generate", "--kind", "champernowne", "--base", "40", "--n", "100", "--out", "z.seq"],
      ("champernowne base must be in 2..36", "got 40")),
+    (["hv", "run", "--model", "fair_coin_counter.json", "--bias", "0.6,0.4", "--n", "8",
+      "--out", "h.seq"], ("--bias applies only to --sampler prng", "'counter'")),
+    (["hv", "audit1", "--model", "fair_coin_counter.json", "--sampler", "alternating",
+      "--bias", "0.6,0.4", "--json", "h1.json"], ("--bias applies only to --sampler prng",)),
+    (["hv", "audit2", "--model", "parity4.json", "--sampler", "os",
+      "--bias", "0.7,0.1,0.1,0.1", "--n", "10000", "--json", "h2.json"],
+     ("--bias applies only to --sampler prng", "'os'")),
 ], ids=["hv-run-contract", "hv-audit2-contract", "born-nan", "repeated-setting",
-        "nan-setting", "omega-negative-steps", "champernowne-base-40"])
+        "nan-setting", "omega-negative-steps", "champernowne-base-40", "hv-run-bias-counter",
+        "hv-audit1-bias-alternating", "hv-audit2-bias-os"])
 def test_bad_input_exits_1_with_one_error_line(argv, fragments, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.dispatch(argv) == cli.EXIT_USAGE
@@ -182,11 +219,21 @@ def test_bad_input_exits_1_with_one_error_line(argv, fragments, tmp_path, monkey
      ("strsize.json: '<' not supported",)),
     ("c.json", "[0, 1", ["ks", "verify", "--rays", "peres33.rays", "--coloring", "c.json"],
      ("c.json: Expecting",)),
+    ("c.json", json.dumps({"colors": [1]}),
+     ["ks", "verify", "--rays", "peres33.rays", "--coloring", "c.json"],
+     ('c.json: JSON object has no "coloring" key',)),
+    ("c.json", json.dumps({"coloring": 5}),
+     ["ks", "verify", "--rays", "peres33.rays", "--coloring", "c.json"],
+     ("c.json: coloring must be a list of 0/1 marks, got int",)),
+    ("c.json", json.dumps({"coloring": "abc"}),
+     ["ks", "verify", "--rays", "peres33.rays", "--coloring", "c.json"],
+     ("c.json: coloring must be a list of 0/1 marks, got str",)),
     ("r.json", "{", ["report", "--in", "r.json"], ("r.json: Expecting",)),
     ("x.seq", "seq/v1 k=2 n=4\n0120\n", ["analyze", "--in", "x.seq"],
      ("x.seq: symbol 2 outside alphabet [0, 2)",)),
 ], ids=["hv-model-not-json", "hv-model-without-space", "hv-model-string-size",
-        "ks-coloring-not-json",
+        "ks-coloring-not-json", "ks-coloring-without-key", "ks-coloring-number",
+        "ks-coloring-string",
         "report-input-not-json", "seq-bad-symbol"])
 def test_bad_input_file_is_named(name, text, argv, fragments, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -325,8 +372,7 @@ REPORT_KEYS = {
     "hv-audit2": {"h2.json": {"cell_checks", "fair", "model", "n", "outcome_checks",
                               "pushforward_matches_target", "randomness_origin", "sampler",
                               "schema"}},
-    "bell-run": {"b.csv.meta.json": {"model", "n_trials", "seed", "settings",
-                                     "superdeterministic"}},
+    "bell-run": {"b.csv.meta.json": {"model", "n_trials", "seed", "settings"}},
     "bell-analyze": {"b.json": {"equal_setting_mismatches", "functional", "input", "model",
                                 "n_trials", "no_signaling", "schema"}},
     "ks-search": {"s.json": {"bases", "coloring", "max_depth", "nodes", "rays", "schema",
@@ -435,7 +481,7 @@ GOLDEN_SHA256 = {
     "periodic.k.json": "41932ba3fe23c93a1da6d94e2c8ae95258e1de19e0966430b95bd61421d4003f",
     "periodic.seq": "4605d4caf5c917968193cea2a6ba738db73b731bf376d091f46f1466be1e55c4",
     "q.csv": "d0e632dbcec639368d6408c641bb3bd192acd78af271a9bfef536dc1ae9d5a12",
-    "q.csv.meta.json": "aa5fbf298a662b6547c08be20b1ec42f69f031acd1012b877d1b8a96ddbe528b",
+    "q.csv.meta.json": "52ce58ddfc1f60641b60173285c9c5e3b263ef111d5663fe9ab511e0c0651fee",
 }
 
 

@@ -301,3 +301,13 @@ class TestSamplerContracts:
             hv.Sampler("telepathy")
         with pytest.raises(ValueError):
             hv.Sampler("deterministic_computable", rule="oracle")
+
+    @pytest.mark.parametrize("kind,params,keyword", [
+        ("seeded_prng", {"seed": 1, "probz": [0.9, 0.1]}, "probz"),
+        ("external_entropy", {"seed": 1}, "seed"),
+        ("deterministic_computable", {"rule": "counter", "probs": [0.5, 0.5]}, "probs"),
+        ("recorded_file", {"path": "x.seq", "value": 0}, "value"),
+    ])
+    def test_a_keyword_the_kind_does_not_read_is_rejected(self, kind, params, keyword):
+        with pytest.raises(ValueError, match=f"sampler kind '{kind}' does not read '{keyword}'"):
+            hv.Sampler(kind, **params)

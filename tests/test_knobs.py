@@ -18,19 +18,12 @@ bell.MismatchFunctional: name='custom'
 bell.MismatchFunctional: perfect_correlation=False
 bell.TrialSet: lam=None
 bell.TrialSet: metadata=None
-bell.run_bipartite: fixed_pair=None
 bell.run_bipartite: hv_ensemble=None
-bell.run_bipartite: superdeterministic=False
-born.Spectrum.validate: observable=None
-born.joint_spectrum: tol=1e-10
-born.spectral_decompose: tol=None
-hv.HVModel.compatible: tol=1e-10
 hv.HVModel: name='model'
 hv.HVModel: target=None
 hv.HVSpace: interval=None
 hv.Sampler.constant: value=0
 hv.Sampler.prng: probs=None
-hv.ScenarioOneReport: note='an upper bound this far below N refutes 1-randomness of the stated sequence relative to the bundled machine'
 hv.bohm_measure: bin_width=1.0
 ks.Q2: q=0
 ks.Ray.from_components: name=''
@@ -38,24 +31,18 @@ ks.Ray: exact=None
 ks.Ray: name=''
 ks.SearchStats: max_depth=0
 ks.SearchStats: nodes=0
-ks.save_rays_file: header_notes=()
-machine.MachineResult: reason=''
 machine.enumerate_domain: output_limit=1048576
 machine.enumerate_domain: output_prefix=None
 machine.enumerate_domain: timeout_log=None
 machine.prog_champernowne: start_at_one=False
 machine.run_machine: output_limit=1048576
-randomness.ComplexityEstimate.verify: max_steps=None
 randomness.ComplexityEstimate: unresolved_bits_consumed=()
-randomness.OmegaEstimate: programs=()
 randomness.TestReport: parameters=<factory>
 randomness.TestReport: skipped=False
-randomness.count_c_incompressible: max_steps=4096
 randomness.k_upper_bound: budget=None
 sequences.SequenceSource: alphabet_size=2
 sequences.SequenceSource: seed=0
 sequences.champernowne: start_at_one=False
-sequences.champernowne_digit_at: start_at_one=False
 sequences.champernowne_text: start_at_one=False
 """
 

@@ -347,7 +347,7 @@ class TestFwtReduction:
 class TestFiles:
     def test_roundtrip(self, tmp_path, demo):
         path = str(tmp_path / "demo.rays")
-        ks.save_rays_file(path, demo, header_notes=["demo"])
+        ks.save_rays_file(path, demo)
         back = ks.load_rays_file(path)
         assert len(back.rays) == len(demo.rays)
         assert back.bases == demo.bases

@@ -216,24 +216,6 @@ class TestExactK:
         assert rl.exact_k_small(sq.bits("00"), 13, 100).value == 12
 
 
-class TestCountingBound:
-    @pytest.mark.parametrize("n,c", [(8, 1), (8, 3), (6, 2)])
-    def test_paper_bound_holds(self, n, c):
-        r = rl.count_c_incompressible(n, c, max_steps=2000)
-        assert r.paper_bound == 2**n - 2 ** (n - c + 1) + 1
-        assert r.count >= r.paper_bound
-        assert r.count == 2**n - r.compressible_found
-
-    def test_tiny_full_enumeration(self):
-        r = rl.count_c_incompressible(4, 4, max_steps=2000)
-        assert r.paper_bound == 15
-        assert r.count >= 15
-
-    def test_cap(self):
-        with pytest.raises(ValueError, match="cap"):
-            rl.count_c_incompressible(15, 1)
-
-
 class TestLevinChaitinMargin:
     def test_constant_source_diverges_down(self):
         src = sq.SequenceSource("constant", symbol=1)

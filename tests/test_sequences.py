@@ -15,6 +15,16 @@ GOLDEN_FAIR_COIN_SEED42_N8 = "10100000"
 GOLDEN_SAMPLE_INDICES_SHA256 = "37884c42829c7b4c40ef1c2f27678019aa15b35067f724dc0b7e83cb95d6ef61"
 
 
+def champernowne_digit_at(base: int, position: int) -> int:
+    """Digit at a position of the base-k concatenation 0,1,2,..., by stepping
+    over whole numerals: the oracle for the concatenating generator."""
+    t = 0
+    while position >= len(numeral := sq._to_base(t, base)):
+        position -= len(numeral)
+        t += 1
+    return int(numeral[position], 36)
+
+
 class TestSymbolString:
     def test_symbols_in_range(self):
         with pytest.raises(ValueError):
@@ -108,7 +118,7 @@ class TestChampernowne:
             )
             s = sq.champernowne(base, n)
             for pos in range(0, n, 97):
-                assert s[pos] == sq.champernowne_digit_at(base, pos)
+                assert s[pos] == champernowne_digit_at(base, pos)
 
     @pytest.mark.parametrize("base", [2, 3, 7, 10, 16, 36])
     def test_numerals_parse_back(self, base):
@@ -124,7 +134,7 @@ class TestChampernowne:
 
     @pytest.mark.parametrize("base", [1, 37, 40])
     def test_base_outside_2_to_36_rejected(self, base):
-        for build in (sq.champernowne_text, sq.champernowne_digit_at):
+        for build in (sq.champernowne_text, sq.champernowne):
             with pytest.raises(ValueError, match="2..36"):
                 build(base, 5)
 
@@ -192,6 +202,23 @@ class TestSources:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown source kind"):
             sq.SequenceSource("magic")
+
+    @pytest.mark.parametrize("kind,kwargs,keyword", [
+        ("born_sampler", {"seed": 1, "probz": [0.1, 0.9]}, "probz"),
+        ("constant", {"chunk_size": 4}, "chunk_size"),
+        ("champernowne", {"symbol": 1}, "symbol"),
+        ("os_entropy", {"probs": [0.5, 0.5]}, "probs"),
+    ])
+    def test_a_keyword_the_kind_does_not_read_is_rejected(self, kind, kwargs, keyword):
+        with pytest.raises(ValueError, match=f"source kind '{kind}' does not read '{keyword}'"):
+            sq.SequenceSource(kind, **kwargs)
+
+    def test_defaults_come_from_the_keyword_table(self):
+        fair = sq.SequenceSource("born_sampler", seed=42)
+        assert fair.prefix(8).to_text() == GOLDEN_FAIR_COIN_SEED42_N8
+        assert sq.SequenceSource("constant").prefix(3).to_text() == "000"
+        with pytest.raises(ValueError, match="requires path="):
+            sq.SequenceSource("file")
 
     def test_periodic_pattern_validated(self):
         with pytest.raises(ValueError):
