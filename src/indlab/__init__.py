@@ -38,7 +38,7 @@ from .bell import (
     quantum_value,
     run_bipartite,
 )
-from .ks import ColoringProblem, Ray, search_coloring, validate_problem, verify_coloring
+from .ks import ColoringProblem, Ray, search_coloring, verify_coloring
 from .errors import CapacityError, CommutationError, ContractViolationError
 
 __all__ = [name for name in dir() if not name.startswith("_")]

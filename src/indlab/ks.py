@@ -6,12 +6,16 @@ complete search.  Those statistics are not a certificate: no second program
 checks them.  Bundled data uses coordinates in Q[sqrt2], so orthogonality
 and deduplication are exact rational arithmetic; decimal coordinates fall
 back to a 1e-8 tolerance.
+
+A ColoringProblem is checked when it is built, by make_problem,
+load_rays_file or its own constructor: every basis names three distinct,
+existing, pairwise-orthogonal rays, and no two rays coincide, so a
+problem that exists is valid.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -20,7 +24,6 @@ from typing import Optional, Sequence
 RAYS_SCHEMA = "rays/v1"
 ORTHO_TOL = 1e-8
 UNIT_TOL = 1e-10
-DATA_DIR_ENV = "INDLAB_DATA_DIR"
 
 
 class Q2:
@@ -72,15 +75,6 @@ class Q2:
     def __repr__(self) -> str:
         return f"Q2({self.p}, {self.q})"
 
-    def token(self) -> str:
-        """File token: "3", "r2", "-r2", "2r2", "1/2", "1+r2", "1-2r2"."""
-        if self.q == 0:
-            return str(self.p)
-        qpart = ("" if abs(self.q) == 1 else str(abs(self.q))) + "r2"
-        if self.p == 0:
-            return ("-" if self.q < 0 else "") + qpart
-        return f"{self.p}{'+' if self.q > 0 else '-'}{qpart}"
-
 
 def parse_component(token: str) -> Q2 | float:
     """A coordinate token: exact forms like "3", "-1/2", "r2", "-2r2",
@@ -124,14 +118,6 @@ def _exact_dot(u: ExactVec, v: ExactVec) -> Q2:
     return s
 
 
-def _exact_cross(u: ExactVec, v: ExactVec) -> ExactVec:
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
-
-
 def _canonical_exact(v: ExactVec) -> ExactVec:
     """Primitive representative of the ray through v: cleared denominators,
     content divided out, sqrt2 factored away when common, and the first
@@ -170,6 +156,10 @@ class Ray:
     exact: Optional[ExactVec] = field(default=None, compare=False)
     name: str = field(default="", compare=False)
 
+    def __post_init__(self) -> None:
+        if len(self.direction) != 3 or abs(math.hypot(*self.direction) - 1.0) > UNIT_TOL:
+            raise ValueError(f"ray direction {self.direction!r} is not a unit 3-vector")
+
     @staticmethod
     def from_components(comps: Sequence, name: str = "") -> "Ray":
         if len(comps) != 3:
@@ -207,82 +197,99 @@ class Ray:
         return sum(a * b for a, b in zip(self.direction, other.direction))
 
 
+def _label(rays: Sequence[Ray], i: int) -> str:
+    return rays[i].name or f"r{i}"
+
+
+def _check_references(basis: Sequence[int], ray_count: int) -> None:
+    missing = [r for r in basis if not 0 <= r < ray_count]
+    if missing:
+        raise ValueError(f"basis {tuple(basis)} refers to missing ray {missing[0]} "
+                         f"(there are {ray_count} rays)")
+    if len(basis) != 3:
+        raise ValueError(f"basis {tuple(basis)} does not have 3 rays")
+
+
+def _dedup(rays: Sequence[Ray]) -> tuple[list[Ray], list[int]]:
+    """The distinct rays in first-seen order, and each ray's index among them.
+
+    Exact rays meet by one dict lookup of their canonical coordinates; only
+    a pair involving a decimal ray is compared by inner product.
+    """
+    distinct: list[Ray] = []
+    remap: list[int] = []
+    by_exact: dict[ExactVec, int] = {}
+    decimal: list[int] = []
+    for ray in rays:
+        scan = range(len(distinct)) if ray.exact is None else decimal
+        matches = [j for j in scan if distinct[j].same_ray(ray)]
+        if ray.exact in by_exact:
+            matches.append(by_exact[ray.exact])
+        if matches:
+            remap.append(min(matches))
+            continue
+        if ray.exact is None:
+            decimal.append(len(distinct))
+        else:
+            by_exact[ray.exact] = len(distinct)
+        remap.append(len(distinct))
+        distinct.append(ray)
+    return distinct, remap
+
+
 @dataclass
 class ColoringProblem:
-    """Deduplicated rays plus basis triples, each the sorted indices of three
-    pairwise-orthogonal rays; exactly one mark per basis."""
+    """Distinct rays plus basis triples of ray indices; exactly one mark per
+    basis.
+
+    A problem is checked when it is built, whichever way: no two rays
+    coincide, every basis names three existing rays, and the rays of each
+    basis are pairwise orthogonal (exactly over Q[sqrt2], within ORTHO_TOL
+    for decimal rays).  Otherwise construction raises a ValueError naming
+    the basis and rays at fault.
+    """
 
     rays: list[Ray]
     bases: list[tuple[int, int, int]]
 
+    def __post_init__(self) -> None:
+        distinct, remap = _dedup(self.rays)
+        if len(distinct) < len(self.rays):
+            i = next(i for i, j in enumerate(remap) if i != j)
+            raise ValueError(f"rays {_label(self.rays, remap[i])} and "
+                             f"{_label(self.rays, i)} coincide")
+        for basis in self.bases:
+            _check_references(basis, len(self.rays))
+            for r, s in combinations(basis, 2):
+                a, b = self.rays[r], self.rays[s]
+                if not a.orthogonal_to(b):
+                    names = " ".join(_label(self.rays, t) for t in basis)
+                    raise ValueError(
+                        f"basis {names}: rays {_label(self.rays, r)} and "
+                        f"{_label(self.rays, s)} are not orthogonal "
+                        f"(inner product {a.inner(b):.3e})")
 
-def make_problem(ray_vectors: Sequence[Sequence], bases: Sequence[Sequence[int]]) -> ColoringProblem:
-    """Build a problem from raw vectors, deduplicating by canonical form."""
-    rays: list[Ray] = []
-    remap: list[int] = []
-    for i, comps in enumerate(ray_vectors):
-        ray = comps if isinstance(comps, Ray) else Ray.from_components(comps)
-        idx = None
-        for j, existing in enumerate(rays):
-            if existing.same_ray(ray):
-                idx = j
-                break
-        if idx is None:
-            rays.append(ray)
-            idx = len(rays) - 1
-        remap.append(idx)
+
+def make_problem(ray_vectors: Sequence, bases: Sequence[Sequence[int]]) -> ColoringProblem:
+    """Build a checked problem from rays or raw vectors, merging coinciding
+    rays and repeated bases; a basis that merging leaves without three
+    distinct rays is an error."""
+    given = [v if isinstance(v, Ray) else Ray.from_components(v) for v in ray_vectors]
+    rays, remap = _dedup(given)
     triples = []
     seen = set()
     for b in bases:
+        _check_references(b, len(given))
+        for i, j in combinations(b, 2):
+            if remap[i] == remap[j]:
+                names = " ".join(_label(given, r) for r in b)
+                raise ValueError(f"basis {names} collapses under deduplication: rays "
+                                 f"{_label(given, i)} and {_label(given, j)} coincide")
         mapped = tuple(sorted(remap[i] for i in b))
-        if len(set(mapped)) != 3:
-            raise ValueError(f"basis {tuple(b)} collapses under deduplication")
         if mapped not in seen:
             seen.add(mapped)
             triples.append(mapped)
     return ColoringProblem(rays, triples)
-
-
-@dataclass(frozen=True)
-class ValidationIssue:
-    kind: str
-    detail: str
-
-
-@dataclass
-class ValidationReport:
-    ok: bool
-    ray_count: int
-    basis_count: int
-    issues: list[ValidationIssue]
-
-
-def validate_problem(problem: ColoringProblem) -> ValidationReport:
-    """Check unit norms, basis orthogonality, and deduplication."""
-    issues: list[ValidationIssue] = []
-    for i, ray in enumerate(problem.rays):
-        norm = math.sqrt(sum(x * x for x in ray.direction))
-        if abs(norm - 1.0) > UNIT_TOL:
-            issues.append(ValidationIssue("unit_norm", f"ray {i} has norm {norm!r}"))
-    for i, j in combinations(range(len(problem.rays)), 2):
-        if problem.rays[i].same_ray(problem.rays[j]):
-            issues.append(ValidationIssue("duplicate", f"rays {i} and {j} coincide"))
-    for bi, basis in enumerate(problem.bases):
-        missing = [r for r in basis if not 0 <= r < len(problem.rays)]
-        issues += [ValidationIssue("reference", f"basis {bi} references missing ray {r}")
-                   for r in missing]
-        if missing:
-            continue  # orthogonality needs every ray
-        for r, s in combinations(basis, 2):
-            if not problem.rays[r].orthogonal_to(problem.rays[s]):
-                ip = problem.rays[r].inner(problem.rays[s])
-                issues.append(
-                    ValidationIssue(
-                        "orthogonality",
-                        f"basis {bi}: rays {r},{s} have inner product {ip:.3e}",
-                    )
-                )
-    return ValidationReport(not issues, len(problem.rays), len(problem.bases), issues)
 
 
 @dataclass
@@ -476,183 +483,41 @@ def outcome_tuples(problem: ColoringProblem, assignment: Sequence[int]) -> list[
 # -- file format ------------------------------------------------------------
 
 
-def save_rays_file(path: str, problem: ColoringProblem) -> None:
-    with open(path, "w") as f:
-        f.write(f"{RAYS_SCHEMA}\n")
-        for i, ray in enumerate(problem.rays):
-            if ray.exact is not None:
-                comps = " ".join(c.token() for c in ray.exact)
-            else:
-                comps = " ".join(f"{x:.12f}" for x in ray.direction)
-            name = ray.name or f"r{i}"
-            f.write(f"ray {name} {comps}\n")
-        for basis in problem.bases:
-            names = " ".join(
-                problem.rays[r].name or f"r{r}" for r in basis
-            )
-            f.write(f"basis {names}\n")
-
-
 def load_rays_file(path: str) -> ColoringProblem:
+    """The checked problem in a rays/v1 file; every error names the file,
+    and the line when one line is at fault."""
     rays: list[Ray] = []
     names: dict[str, int] = {}
     bases: list[tuple[int, int, int]] = []
-    with open(path) as f:
-        header = f.readline().strip()
-        if header != RAYS_SCHEMA:
-            raise ValueError(f"not a {RAYS_SCHEMA} file: header {header!r}")
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if parts[0] == "ray":
-                if len(parts) != 5:
-                    raise ValueError(f"line {lineno}: ray needs a name and 3 components")
-                comps = [parse_component(t) for t in parts[2:]]
-                if any(isinstance(c, float) for c in comps):
-                    comps = [float(c) for c in comps]
-                ray = Ray.from_components(comps, name=parts[1])
-                names[parts[1]] = len(rays)
-                rays.append(ray)
-            elif parts[0] == "basis":
-                if len(parts) != 4:
-                    raise ValueError(f"line {lineno}: basis needs 3 ray names")
+    try:
+        with open(path) as f:
+            header = f.readline().strip()
+            if header != RAYS_SCHEMA:
+                raise ValueError(f"not a {RAYS_SCHEMA} file: header {header!r}")
+            for lineno, line in enumerate(f, start=2):
+                parts = line.split()
+                if not parts or parts[0].startswith("#"):
+                    continue
                 try:
-                    bases.append(tuple(names[n] for n in parts[1:]))
-                except KeyError as exc:
-                    raise ValueError(f"line {lineno}: unknown ray {exc}") from exc
-            else:
-                raise ValueError(f"line {lineno}: unknown directive {parts[0]!r}")
-    return make_problem(rays, bases)
-
-
-def data_dir() -> str:
-    override = os.environ.get(DATA_DIR_ENV)
-    if override:
-        return override
-    return os.path.join(os.path.dirname(__file__), "data")
-
-
-def bundled_path(filename: str) -> str:
-    path = os.path.join(data_dir(), filename)
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"no bundled data file {filename!r} in {data_dir()}")
-    return path
-
-
-def bundled_problem(name: str) -> ColoringProblem:
-    """Load a bundled ray set: "peres33" or "demo_colorable"."""
-    return load_rays_file(bundled_path(f"{name}.rays"))
-
-
-# -- construction of the bundled Peres-type set -----------------------------
-
-
-def peres33_directions() -> list[ExactVec]:
-    """The 33 directions with components in {0, +-1, +-sqrt2}: the three
-    axes, the six axis-plane diagonals, and the 1/sqrt2 mixtures."""
-    Z, O, R = Q2(0), Q2(1), Q2(0, 1)
-    out: list[ExactVec] = []
-    seen = set()
-
-    def add(v: ExactVec) -> None:
-        c = _canonical_exact(v)
-        if c not in seen:
-            seen.add(c)
-            out.append(c)
-
-    for i in range(3):
-        v = [Z, Z, Z]
-        v[i] = O
-        add(tuple(v))
-    for i, j in combinations(range(3), 2):
-        for s in (O, -O):
-            v = [Z, Z, Z]
-            v[i] = O
-            v[j] = s
-            add(tuple(v))
-    for zero in range(3):
-        a, b = (i for i in range(3) if i != zero)
-        for one_at, r2_at in ((a, b), (b, a)):
-            for s in (R, -R):
-                v = [Z, Z, Z]
-                v[one_at] = O
-                v[r2_at] = s
-                add(tuple(v))
-    for r2_at in range(3):
-        a, b = (i for i in range(3) if i != r2_at)
-        for sa in (O, -O):
-            for sb in (O, -O):
-                v = [Z, Z, Z]
-                v[r2_at] = R
-                v[a] = sa
-                v[b] = sb
-                add(tuple(v))
-    return out
-
-
-def build_peres_problem() -> tuple[ColoringProblem, dict]:
-    """The bundled KS problem: Peres's 33 directions, all 16 internal
-    triads, and one completing ray for each of the 24 orthogonal dyads not
-    already inside a triad (every orthogonality constraint then lives in a
-    full basis).  Returns the problem and construction statistics."""
-    directions = peres33_directions()
-    rays = list(directions)
-    index = {v: i for i, v in enumerate(rays)}
-    pairs = [
-        (i, j)
-        for i, j in combinations(range(len(rays)), 2)
-        if _exact_dot(rays[i], rays[j]).is_zero()
-    ]
-    pairset = set(pairs)
-    triads = [
-        (i, j, k)
-        for i, j in pairs
-        for k in range(j + 1, len(rays))
-        if (i, k) in pairset and (j, k) in pairset
-    ]
-    covered = set()
-    for t in triads:
-        covered.update(combinations(t, 2))
-    completions = 0
-    bases = list(triads)
-    for i, j in pairs:
-        if (i, j) in covered:
-            continue
-        w = _canonical_exact(_exact_cross(rays[i], rays[j]))
-        if w not in index:
-            index[w] = len(rays)
-            rays.append(w)
-            completions += 1
-        bases.append(tuple(sorted((i, j, index[w]))))
-    stats = {
-        "peres_directions": len(directions),
-        "orthogonal_dyads": len(pairs),
-        "internal_triads": len(triads),
-        "completion_rays": completions,
-        "total_rays": len(rays),
-        "total_bases": len(bases),
-    }
-    ray_objs = [
-        Ray.from_components(v, name=f"p{i}" if i < len(directions) else f"c{i}")
-        for i, v in enumerate(rays)
-    ]
-    return make_problem(ray_objs, bases), stats
-
-
-def build_demo_problem() -> ColoringProblem:
-    """A small colorable set: the standard basis plus two diagonal bases."""
-    Z, O = Q2(0), Q2(1)
-    vecs = [
-        (O, Z, Z),  # x
-        (Z, O, Z),  # y
-        (Z, Z, O),  # z
-        (Z, O, O),
-        (Z, O, -O),
-        (O, Z, O),
-        (O, Z, -O),
-    ]
-    rays = [Ray.from_components(v, name=n) for v, n in zip(vecs, "x y z d1 d2 d3 d4".split())]
-    bases = [(0, 1, 2), (0, 3, 4), (1, 5, 6)]
-    return make_problem(rays, bases)
+                    if parts[0] == "ray":
+                        if len(parts) != 5:
+                            raise ValueError("ray needs a name and 3 components")
+                        comps = [parse_component(t) for t in parts[2:]]
+                        if any(isinstance(c, float) for c in comps):
+                            comps = [float(c) for c in comps]
+                        names[parts[1]] = len(rays)
+                        rays.append(Ray.from_components(comps, name=parts[1]))
+                    elif parts[0] == "basis":
+                        if len(parts) != 4:
+                            raise ValueError("basis needs 3 ray names")
+                        unknown = [n for n in parts[1:] if n not in names]
+                        if unknown:
+                            raise ValueError(f"unknown ray {unknown[0]!r}")
+                        bases.append(tuple(names[n] for n in parts[1:]))
+                    else:
+                        raise ValueError(f"unknown directive {parts[0]!r}")
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: {exc}") from None
+        return make_problem(rays, bases)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -678,6 +678,3 @@ def prog_champernowne(n: int, start_at_one: bool = False) -> Bits:
         asm_jmp(-3),
     )
 
-
-CHAMPERNOWNE_PROGRAM_OVERHEAD = len(prog_champernowne(1)) - gamma0_length(1)
-"""Bits of prog_champernowne(n) beyond the gamma code of n."""

@@ -19,7 +19,7 @@ SEQ_SCHEMA = "seq/v1"
 # The keywords each source kind reads, with their defaults; a file source
 # has no default path.
 SOURCE_KEYWORDS = {
-    "born_sampler": {"probs": (0.5, 0.5)},
+    "born_sampler": {"probs": (0.5, 0.5), "seed": 0},
     "champernowne": {"start_at_one": False},
     "constant": {"symbol": 0},
     "periodic": {"pattern": ()},
@@ -156,12 +156,13 @@ def seeded_stream(seed: int) -> np.random.Generator:
 class SequenceSource:
     """A stateful cursor over a (conceptually infinite) symbol sequence.
 
-    For a fixed (kind, parameters, seed) the emitted prefixes are
-    reproducible bit for bit, except for kind "os_entropy".  Requesting n
-    then m > n symbols yields an extension of the first request.
+    For a fixed kind and parameters (a born_sampler's seed among them) the
+    emitted prefixes are reproducible bit for bit, except for kind
+    "os_entropy".  Requesting n then m > n symbols yields an extension of
+    the first request.
     """
 
-    def __init__(self, kind: str, alphabet_size: int = 2, seed: int = 0, **parameters):
+    def __init__(self, kind: str, alphabet_size: int = 2, **parameters):
         if kind not in SOURCE_KEYWORDS:
             raise ValueError(f"unknown source kind {kind!r}; "
                              f"expected one of {tuple(SOURCE_KEYWORDS)}")
@@ -173,7 +174,6 @@ class SequenceSource:
             raise ValueError("alphabet_size must be >= 2")
         self.kind = kind
         self.alphabet_size = alphabet_size
-        self.seed = seed
         self.parameters = {**SOURCE_KEYWORDS[kind], **parameters}
         self._cache = np.empty(0, dtype=np.int64)
         self._validate()
@@ -218,7 +218,7 @@ class SequenceSource:
         elif self.kind == "champernowne":
             self._cache = champernowne(k, n, p["start_at_one"]).array
         elif self.kind == "born_sampler":
-            self._cache = sample_indices(p["probs"], n, self.seed)
+            self._cache = sample_indices(p["probs"], n, p["seed"])
         elif self.kind == "file":
             sigma = read_sequence_file(p["path"])
             if sigma.alphabet_size != k:
@@ -232,7 +232,7 @@ class SequenceSource:
             self._cache = np.append(self._cache, os_entropy_symbols(k, n - len(self._cache)))
 
     def __repr__(self) -> str:
-        return f"SequenceSource({self.kind!r}, k={self.alphabet_size}, seed={self.seed})"
+        return f"SequenceSource({self.kind!r}, k={self.alphabet_size}, {self.parameters})"
 
 
 def os_entropy_symbols(k: int, n: int) -> np.ndarray:

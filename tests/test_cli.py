@@ -9,6 +9,8 @@ from indlab import randomness as rl
 from indlab import sequences as sq
 from indlab.errors import CapacityError, CommutationError, ContractViolationError
 
+from bundled import bundled_path, bundled_problem
+
 
 def test_komplexity_rejects_exact_max_len_above_cap(tmp_path, monkeypatch):
     def no_search(*args, **kwargs):
@@ -207,41 +209,60 @@ def test_bad_input_exits_1_with_one_error_line(argv, fragments, tmp_path, monkey
     assert os.listdir() == []
 
 
-@pytest.mark.parametrize("name,text,argv,fragments", [
-    ("bad.json", "not json", ["hv", "run", "--model", "bad.json", "--n", "8", "--out", "h.seq"],
+NON_ORTHOGONAL_RAYS = "rays/v1\nray x 1 0 0\nray y 0 1 0\nray d 1 1 0\nbasis x y d\n"
+
+
+@pytest.mark.parametrize("files,argv,fragments", [
+    ({"bad.json": "not json"},
+     ["hv", "run", "--model", "bad.json", "--n", "8", "--out", "h.seq"],
      ("bad.json: Expecting value",)),
-    ("nospace.json", json.dumps({"schema": "hv/v1", "g": [0, 1], "mu": [0.5, 0.5]}),
+    ({"nospace.json": json.dumps({"schema": "hv/v1", "g": [0, 1], "mu": [0.5, 0.5]})},
      ["hv", "run", "--model", "nospace.json", "--n", "8", "--out", "h.seq"],
      ("nospace.json: hv model has no field 'space'",)),
-    ("strsize.json", json.dumps({"schema": "hv/v1", "space": {"kind": "discrete", "size": "2"},
-                                 "g": [0, 1], "mu": [0.5, 0.5]}),
+    ({"strsize.json": json.dumps({"schema": "hv/v1",
+                                  "space": {"kind": "discrete", "size": "2"},
+                                  "g": [0, 1], "mu": [0.5, 0.5]})},
      ["hv", "run", "--model", "strsize.json", "--n", "8", "--out", "h.seq"],
      ("strsize.json: '<' not supported",)),
-    ("c.json", "[0, 1", ["ks", "verify", "--rays", "peres33.rays", "--coloring", "c.json"],
+    ({"c.json": "[0, 1"}, ["ks", "verify", "--rays", "peres33.rays", "--coloring", "c.json"],
      ("c.json: Expecting",)),
-    ("c.json", json.dumps({"colors": [1]}),
+    ({"c.json": json.dumps({"colors": [1]})},
      ["ks", "verify", "--rays", "peres33.rays", "--coloring", "c.json"],
      ('c.json: JSON object has no "coloring" key',)),
-    ("c.json", json.dumps({"coloring": 5}),
+    ({"c.json": json.dumps({"coloring": 5})},
      ["ks", "verify", "--rays", "peres33.rays", "--coloring", "c.json"],
      ("c.json: coloring must be a list of 0/1 marks, got int",)),
-    ("c.json", json.dumps({"coloring": "abc"}),
+    ({"c.json": json.dumps({"coloring": "abc"})},
      ["ks", "verify", "--rays", "peres33.rays", "--coloring", "c.json"],
      ("c.json: coloring must be a list of 0/1 marks, got str",)),
-    ("r.json", "{", ["report", "--in", "r.json"], ("r.json: Expecting",)),
-    ("x.seq", "seq/v1 k=2 n=4\n0120\n", ["analyze", "--in", "x.seq"],
+    ({"r.json": "{"}, ["report", "--in", "r.json"], ("r.json: Expecting",)),
+    ({"x.seq": "seq/v1 k=2 n=4\n0120\n"}, ["analyze", "--in", "x.seq"],
      ("x.seq: symbol 2 outside alphabet [0, 2)",)),
+    ({"bad.rays": NON_ORTHOGONAL_RAYS},
+     ["ks", "search", "--rays", "bad.rays", "--json", "s.json"],
+     ("bad.rays: basis x y d: rays x and d are not orthogonal",)),
+    # [1, 0, 0] marks one ray of the only basis: accepted if the set went unchecked
+    ({"bad.rays": NON_ORTHOGONAL_RAYS, "c.json": "[1, 0, 0]"},
+     ["ks", "verify", "--rays", "bad.rays", "--coloring", "c.json", "--json", "v.json"],
+     ("bad.rays: basis x y d: rays x and d are not orthogonal",)),
+    ({"short.rays": "rays/v1\nray a 1 0\n"}, ["ks", "search", "--rays", "short.rays"],
+     ("short.rays: line 2: ray needs a name and 3 components",)),
+    ({"dup.rays": "rays/v1\nray a 1 0 0\nray b 0 1 0\nray c -1 0 0\nbasis a b c\n"},
+     ["ks", "search", "--rays", "dup.rays", "--json", "s.json"],
+     ("dup.rays: basis a b c collapses under deduplication: rays a and c coincide",)),
 ], ids=["hv-model-not-json", "hv-model-without-space", "hv-model-string-size",
         "ks-coloring-not-json", "ks-coloring-without-key", "ks-coloring-number",
         "ks-coloring-string",
-        "report-input-not-json", "seq-bad-symbol"])
-def test_bad_input_file_is_named(name, text, argv, fragments, tmp_path, monkeypatch, capsys):
+        "report-input-not-json", "seq-bad-symbol", "ks-search-non-orthogonal",
+        "ks-verify-non-orthogonal", "ks-rays-short-line", "ks-rays-collapsing-basis"])
+def test_bad_input_file_is_named(files, argv, fragments, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    with open(name, "w") as f:
-        f.write(text)
+    for name, text in files.items():
+        with open(name, "w") as f:
+            f.write(text)
     assert cli.dispatch(argv) == cli.EXIT_USAGE
     _one_error_line(capsys, *fragments)
-    assert os.listdir() == [name]
+    assert sorted(os.listdir()) == sorted(files)
 
 
 def test_library_errors_are_value_errors():
@@ -334,7 +355,7 @@ def contract_dir(tmp_path_factory):
                            sq.SequenceSource("born_sampler", seed=1).prefix(400))
     trials = bell.run_bipartite("quantum", bell.DEFAULT_SETTINGS, 3000, seed=2)
     bell.save_trials_csv(str(d / "q.csv"), trials)
-    coloring = ks.search_coloring(ks.bundled_problem("demo_colorable")).assignment
+    coloring = ks.search_coloring(bundled_problem("demo_colorable")).assignment
     with open(d / "c.json", "w") as f:
         json.dump({"schema": "ks/v1", "coloring": list(coloring)}, f)
     return d
@@ -423,7 +444,19 @@ def test_manifest_keys_bundled_inputs_by_given_name(tmp_path, monkeypatch):
     with open("s.json.manifest.json") as f:
         inputs = json.load(f)["inputs"]
     assert list(inputs) == ["peres33.rays"]
-    assert inputs["peres33.rays"] == cli._sha256(os.path.join(ks.data_dir(), "peres33.rays"))
+    assert inputs["peres33.rays"] == cli._sha256(bundled_path("peres33.rays"))
+
+
+def test_data_dir_override(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data").mkdir()
+    monkeypatch.setenv(cli.DATA_DIR_ENV, str(tmp_path / "data"))
+    assert cli.data_dir() == str(tmp_path / "data")
+    assert cli.dispatch(["ks", "search", "--rays", "peres33.rays"]) == cli.EXIT_USAGE
+    _one_error_line(capsys, "no such file 'peres33.rays'", str(tmp_path / "data"))
+    with open(bundled_path("demo_colorable.rays")) as f:
+        (tmp_path / "data" / "mine.rays").write_text(f.read())
+    assert cli.dispatch(["ks", "search", "--rays", "mine.rays"]) == cli.EXIT_OK
 
 
 @pytest.mark.parametrize("header,field", [

@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from indlab import hv, ks
+from indlab import hv
 from indlab import machine as tm
 from indlab import randomness as rl
 from indlab import sequences as sq
 from indlab.errors import ContractViolationError
 
-FAIR_COIN = hv.load_model(ks.bundled_path("fair_coin_counter.json"))
-PARITY4 = hv.load_model(ks.bundled_path("parity4.json"))
+from bundled import bundled_path
+
+FAIR_COIN = hv.load_model(bundled_path("fair_coin_counter.json"))
+PARITY4 = hv.load_model(bundled_path("parity4.json"))
 
 
 class TestSpacesAndModels:
@@ -47,9 +49,9 @@ class TestSpacesAndModels:
             hv.HVSpace("discrete", 4), (0, 1, 0, 1), (0.25,) * 4, "parity-4", (0.5, 0.5))),
     ])
     def test_bundled_model_files(self, filename, model):
-        with open(ks.bundled_path(filename)) as f:
+        with open(bundled_path(filename)) as f:
             assert f.read() == hv.model_to_json(model) + "\n"
-        assert hv.load_model(ks.bundled_path(filename)) == model
+        assert hv.load_model(bundled_path(filename)) == model
 
     def test_pushforward_and_compatibility(self):
         model = PARITY4

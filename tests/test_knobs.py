@@ -41,7 +41,6 @@ randomness.TestReport: parameters=<factory>
 randomness.TestReport: skipped=False
 randomness.k_upper_bound: budget=None
 sequences.SequenceSource: alphabet_size=2
-sequences.SequenceSource: seed=0
 sequences.champernowne: start_at_one=False
 sequences.champernowne_text: start_at_one=False
 """

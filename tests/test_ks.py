@@ -1,4 +1,6 @@
+import re
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -6,6 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from indlab import ks
+
+from bundled import bundled_problem
 
 RNG = np.random.Generator(np.random.Philox(key=[31337, 0]))
 
@@ -41,14 +45,163 @@ def subproblem(problem, ray_indices):
     return ks.ColoringProblem(rays, bases)
 
 
+def token(x):
+    """File token of a Q2: "3", "r2", "-r2", "2r2", "1/2", "1+r2", "1-2r2"."""
+    if x.q == 0:
+        return str(x.p)
+    qpart = ("" if abs(x.q) == 1 else str(abs(x.q))) + "r2"
+    if x.p == 0:
+        return ("-" if x.q < 0 else "") + qpart
+    return f"{x.p}{'+' if x.q > 0 else '-'}{qpart}"
+
+
+def save_rays_file(path, problem):
+    """Write problem as a rays/v1 file, exact coordinates where known."""
+    with open(path, "w") as f:
+        f.write(f"{ks.RAYS_SCHEMA}\n")
+        for i, ray in enumerate(problem.rays):
+            if ray.exact is not None:
+                comps = " ".join(token(c) for c in ray.exact)
+            else:
+                comps = " ".join(f"{x:.12f}" for x in ray.direction)
+            f.write(f"ray {ray.name or f'r{i}'} {comps}\n")
+        for basis in problem.bases:
+            f.write(f"basis {' '.join(problem.rays[r].name or f'r{r}' for r in basis)}\n")
+
+
+def canonical(v):
+    return ks.Ray.from_components(v).exact
+
+
+def dot(u, v):
+    return sum((a * b for a, b in zip(u, v)), ks.Q2(0))
+
+
+def cross(u, v):
+    return (
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    )
+
+
+def peres33_directions():
+    """The 33 directions with components in {0, +-1, +-sqrt2}: the three
+    axes, the six axis-plane diagonals, and the 1/sqrt2 mixtures."""
+    Z, O, R = ks.Q2(0), ks.Q2(1), ks.Q2(0, 1)
+    out = []
+    seen = set()
+
+    def add(v):
+        c = canonical(v)
+        if c not in seen:
+            seen.add(c)
+            out.append(c)
+
+    for i in range(3):
+        v = [Z, Z, Z]
+        v[i] = O
+        add(tuple(v))
+    for i, j in combinations(range(3), 2):
+        for s in (O, -O):
+            v = [Z, Z, Z]
+            v[i] = O
+            v[j] = s
+            add(tuple(v))
+    for zero in range(3):
+        a, b = (i for i in range(3) if i != zero)
+        for one_at, r2_at in ((a, b), (b, a)):
+            for s in (R, -R):
+                v = [Z, Z, Z]
+                v[one_at] = O
+                v[r2_at] = s
+                add(tuple(v))
+    for r2_at in range(3):
+        a, b = (i for i in range(3) if i != r2_at)
+        for sa in (O, -O):
+            for sb in (O, -O):
+                v = [Z, Z, Z]
+                v[r2_at] = R
+                v[a] = sa
+                v[b] = sb
+                add(tuple(v))
+    return out
+
+
+def build_peres_problem():
+    """The bundled KS problem: Peres's 33 directions, all 16 internal
+    triads, and one completing ray for each of the 24 orthogonal dyads not
+    already inside a triad (every orthogonality constraint then lives in a
+    full basis).  Returns the problem and construction statistics."""
+    directions = peres33_directions()
+    rays = list(directions)
+    index = {v: i for i, v in enumerate(rays)}
+    pairs = [
+        (i, j)
+        for i, j in combinations(range(len(rays)), 2)
+        if dot(rays[i], rays[j]).is_zero()
+    ]
+    pairset = set(pairs)
+    triads = [
+        (i, j, k)
+        for i, j in pairs
+        for k in range(j + 1, len(rays))
+        if (i, k) in pairset and (j, k) in pairset
+    ]
+    covered = set()
+    for t in triads:
+        covered.update(combinations(t, 2))
+    completions = 0
+    bases = list(triads)
+    for i, j in pairs:
+        if (i, j) in covered:
+            continue
+        w = canonical(cross(rays[i], rays[j]))
+        if w not in index:
+            index[w] = len(rays)
+            rays.append(w)
+            completions += 1
+        bases.append(tuple(sorted((i, j, index[w]))))
+    stats = {
+        "peres_directions": len(directions),
+        "orthogonal_dyads": len(pairs),
+        "internal_triads": len(triads),
+        "completion_rays": completions,
+        "total_rays": len(rays),
+        "total_bases": len(bases),
+    }
+    ray_objs = [
+        ks.Ray.from_components(v, name=f"p{i}" if i < len(directions) else f"c{i}")
+        for i, v in enumerate(rays)
+    ]
+    return ks.make_problem(ray_objs, bases), stats
+
+
+def build_demo_problem():
+    """A small colorable set: the standard basis plus two diagonal bases."""
+    Z, O = ks.Q2(0), ks.Q2(1)
+    vecs = [
+        (O, Z, Z),  # x
+        (Z, O, Z),  # y
+        (Z, Z, O),  # z
+        (Z, O, O),
+        (Z, O, -O),
+        (O, Z, O),
+        (O, Z, -O),
+    ]
+    rays = [ks.Ray.from_components(v, name=n)
+            for v, n in zip(vecs, "x y z d1 d2 d3 d4".split())]
+    return ks.make_problem(rays, [(0, 1, 2), (0, 3, 4), (1, 5, 6)])
+
+
 @pytest.fixture(scope="module")
 def peres():
-    return ks.bundled_problem("peres33")
+    return bundled_problem("peres33")
 
 
 @pytest.fixture(scope="module")
 def demo():
-    return ks.bundled_problem("demo_colorable")
+    return bundled_problem("demo_colorable")
 
 
 fractions = st.fractions(min_value=-8, max_value=8, max_denominator=6)
@@ -74,7 +227,7 @@ class TestQ2:
     @given(fractions, fractions)
     def test_token_roundtrip(self, p, q):
         x = ks.Q2(p, q)
-        back = ks.parse_component(x.token())
+        back = ks.parse_component(token(x))
         assert isinstance(back, ks.Q2) and back == x
 
     @pytest.mark.parametrize(
@@ -133,7 +286,18 @@ class TestRay:
             ks.Ray.from_components([0.0, 0.0, 0.0])
 
 
+AXES = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+# the two public ways to build a problem from vectors
+BUILDERS = [
+    lambda vectors, bases: ks.ColoringProblem([ks.Ray.from_components(v) for v in vectors],
+                                              bases),
+    ks.make_problem,
+]
+
+
 class TestValidation:
+    """A problem is checked when it is built, by every public path."""
+
     def test_standard_basis_valid(self):
         problem = ks.make_problem(
             [[ks.Q2(1), ks.Q2(0), ks.Q2(0)],
@@ -141,37 +305,75 @@ class TestValidation:
              [ks.Q2(0), ks.Q2(0), ks.Q2(1)]],
             [(0, 1, 2)],
         )
-        report = ks.validate_problem(problem)
-        assert report.ok
+        assert (len(problem.rays), problem.bases) == (3, [(0, 1, 2)])
 
     def test_non_orthogonal_diagnosed(self):
-        problem = ks.ColoringProblem(
-            [ks.Ray.from_components(v) for v in
-             ([1.0, 0.0, 0.0], [0.1, 0.995, 0.0], [0.0, 0.0, 1.0])],
-            [(0, 1, 2)],
-        )
-        report = ks.validate_problem(problem)
-        assert not report.ok
-        assert any("inner product" in issue.detail for issue in report.issues)
+        for build in BUILDERS:
+            with pytest.raises(ValueError, match=r"basis r0 r1 r2: rays r0 and r1 are not "
+                                                 r"orthogonal \(inner product 1\.000e-01\)"):
+                build([[1.0, 0.0, 0.0], [0.1, 0.995, 0.0], [0.0, 0.0, 1.0]], [(0, 1, 2)])
+
+    def test_exact_non_orthogonal_basis_rejected(self):
+        o, z = ks.Q2(1), ks.Q2(0)
+        with pytest.raises(ValueError, match="rays r0 and r2 are not orthogonal"):
+            ks.make_problem([(o, z, z), (z, o, z), (o, o, z)], [(0, 1, 2)])
 
     def test_bundled_peres_counts(self, peres):
-        report = ks.validate_problem(peres)
-        assert report.ok
-        assert report.ray_count == PERES_RAYS
-        assert report.basis_count == PERES_BASES
+        assert (len(peres.rays), len(peres.bases)) == (PERES_RAYS, PERES_BASES)
 
     def test_missing_ray_reference_diagnosed(self):
-        rays = [ks.Ray.from_components(v) for v in ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])]
-        report = ks.validate_problem(ks.ColoringProblem(rays, [(0, 1, 7), (-1, 0, 1)]))
-        assert not report.ok
-        assert [issue.detail for issue in report.issues] == [
-            "basis 0 references missing ray 7", "basis 1 references missing ray -1"]
+        for build in BUILDERS:
+            for basis, missing in (((0, 1, 7), 7), ((-1, 0, 1), -1)):
+                with pytest.raises(ValueError, match=re.escape(
+                        f"basis {basis} refers to missing ray {missing} (there are 3 rays)")):
+                    build(AXES, [basis])
+
+    def test_basis_of_two_rays_rejected(self):
+        with pytest.raises(ValueError, match="does not have 3 rays"):
+            ks.make_problem(AXES, [(0, 1)])
 
     def test_duplicate_detection(self):
-        rays = [ks.Ray.from_components([1.0, 0.0, 0.0]),
-                ks.Ray.from_components([-1.0, 0.0, 0.0])]
-        report = ks.validate_problem(ks.ColoringProblem(rays, []))
-        assert any(issue.kind == "duplicate" for issue in report.issues)
+        rays = [ks.Ray.from_components([1.0, 0.0, 0.0], name="a"),
+                ks.Ray.from_components([-1.0, 0.0, 0.0], name="b")]
+        with pytest.raises(ValueError, match="rays a and b coincide"):
+            ks.ColoringProblem(rays, [])
+        assert len(ks.make_problem(rays, []).rays) == 1
+
+    def test_exact_duplicate_detection(self, peres):
+        with pytest.raises(ValueError, match="rays p0 and p0 coincide"):
+            ks.ColoringProblem(peres.rays + [peres.rays[0]], [])
+
+    def test_collapsing_basis_names_its_rays(self):
+        rays = [ks.Ray.from_components(v, name=n)
+                for v, n in ((AXES[0], "a"), (AXES[1], "b"), ([-1.0, 0.0, 0.0], "c"))]
+        with pytest.raises(ValueError, match="basis a b c collapses under deduplication: "
+                                             "rays a and c coincide"):
+            ks.make_problem(rays, [(0, 1, 2)])
+
+    def test_non_unit_direction_rejected(self):
+        with pytest.raises(ValueError, match="not a unit 3-vector"):
+            ks.Ray((1.0, 1.0, 0.0))
+        with pytest.raises(ValueError, match="not a unit 3-vector"):
+            ks.Ray((1.0, 0.0))
+
+    def test_dedup_matches_the_pairwise_scan(self, peres):
+        """Keyed deduplication picks the first same ray, as a pairwise scan
+        does, on a mix of exact and decimal rays."""
+        rays = [ks.Ray.from_components([-c for c in ray.exact]) if i % 3 else ray
+                for i, ray in enumerate(peres.rays[:20])]
+        rays += [ks.Ray.from_components(list(ray.direction)) for ray in peres.rays[5:25]]
+        rays += peres.rays[:10]
+        distinct, remap = ks._dedup(rays)
+        expected_distinct, expected_remap = [], []
+        for ray in rays:
+            j = next((j for j, d in enumerate(expected_distinct) if d.same_ray(ray)), None)
+            if j is None:
+                expected_distinct.append(ray)
+                j = len(expected_distinct) - 1
+            expected_remap.append(j)
+        assert remap == expected_remap
+        assert [(r.direction, r.exact) for r in distinct] == \
+            [(r.direction, r.exact) for r in expected_distinct]
 
 
 class TestSearch:
@@ -285,9 +487,8 @@ class TestSignInvariance:
             flipped_rays.append(ks.Ray.from_components(vec, name=f"r{i}"))
         problem = ks.ColoringProblem(flipped_rays, demo.bases)
         path = str(tmp_path / "flipped.rays")
-        ks.save_rays_file(path, problem)
+        save_rays_file(path, problem)
         back = ks.load_rays_file(path)
-        assert ks.validate_problem(back).ok
         assert len(oracle_enumerate(back)) == len(oracle_enumerate(demo))
 
     def test_peres_spot_flip(self, peres, tmp_path):
@@ -347,7 +548,7 @@ class TestFwtReduction:
 class TestFiles:
     def test_roundtrip(self, tmp_path, demo):
         path = str(tmp_path / "demo.rays")
-        ks.save_rays_file(path, demo)
+        save_rays_file(path, demo)
         back = ks.load_rays_file(path)
         assert len(back.rays) == len(demo.rays)
         assert back.bases == demo.bases
@@ -364,10 +565,23 @@ class TestFiles:
         with pytest.raises(ValueError, match="unknown ray"):
             ks.load_rays_file(str(path))
 
-    def test_data_dir_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(ks.DATA_DIR_ENV, str(tmp_path))
-        with pytest.raises(FileNotFoundError):
-            ks.bundled_path("peres33.rays")
+    @pytest.mark.parametrize("body,message", [
+        ("ray a 1 0\n", "line 2: ray needs a name and 3 components"),
+        ("ray a 1 0 r3\n", "line 2: cannot parse ray component 'r3'"),
+        ("# comment\nray a 0 0 0\n", "line 3: zero vector is not a ray"),
+        ("ray a 1 0 0\nbasis a b c\n", "line 3: unknown ray 'b'"),
+        ("ray a 1 0 0\nray b 0 1 0\nray c -1 0 0\nbasis a b c\n",
+         "basis a b c collapses under deduplication: rays a and c coincide"),
+        ("ray x 1 0 0\nray y 0 1 0\nray d 1 1 0\nbasis x y d\n",
+         "basis x y d: rays x and d are not orthogonal (inner product 7.071e-01)"),
+    ], ids=["short-ray", "bad-component", "zero-vector", "unknown-ray", "collapsed-basis",
+            "non-orthogonal"])
+    def test_errors_name_the_file(self, tmp_path, body, message):
+        path = tmp_path / "bad.rays"
+        path.write_text("rays/v1\n" + body)
+        with pytest.raises(ValueError) as excinfo:
+            ks.load_rays_file(str(path))
+        assert str(excinfo.value) == f"{path}: {message}"
 
     def test_float_rays_file(self, tmp_path):
         path = tmp_path / "f.rays"
@@ -376,13 +590,13 @@ class TestFiles:
             "basis a b c\n"
         )
         problem = ks.load_rays_file(str(path))
-        assert ks.validate_problem(problem).ok
+        assert problem.bases == [(0, 1, 2)]
         assert problem.rays[0].exact is None
 
 
 class TestConstruction:
     def test_stats_frozen(self):
-        problem, stats = ks.build_peres_problem()
+        problem, stats = build_peres_problem()
         assert stats == {
             "peres_directions": 33,
             "orthogonal_dyads": 72,
@@ -395,17 +609,17 @@ class TestConstruction:
 
     def test_internal_triads_alone_are_colorable(self):
         # the documented reason the completions are bundled
-        problem, _ = ks.build_peres_problem()
+        problem, _ = build_peres_problem()
         internal = ks.ColoringProblem(problem.rays[:33], problem.bases[:16])
         assert all(max(b) < 33 for b in internal.bases)
         assert ks.search_coloring(internal).status == "colored"
 
     @pytest.mark.parametrize("name,build", [
-        ("peres33", lambda: ks.build_peres_problem()[0]),
-        ("demo_colorable", ks.build_demo_problem),
+        ("peres33", lambda: build_peres_problem()[0]),
+        ("demo_colorable", build_demo_problem),
     ])
     def test_bundled_file_matches_its_builder(self, name, build):
-        built, bundled = build(), ks.bundled_problem(name)
+        built, bundled = build(), bundled_problem(name)
         assert [(r.name, r.exact) for r in built.rays] == \
             [(r.name, r.exact) for r in bundled.rays]
         assert all(r.exact is not None for r in bundled.rays)

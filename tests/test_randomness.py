@@ -18,6 +18,8 @@ GOLDEN_OMEGA_16_10K_PROGRAMS = 985
 # frozen: exhaustive searches on the bundled machine
 GOLDEN_K_EMPTY = 4
 GOLDEN_K_ZERO = 8
+# bits of prog_champernowne(n) beyond the gamma code of n
+CHAMPERNOWNE_PROGRAM_OVERHEAD = len(tm.prog_champernowne(1)) - tm.gamma0_length(1)
 
 
 def fair_coin(n, seed=11):
@@ -138,7 +140,7 @@ class TestKUpperBound:
         n = 10**4
         sigma = sq.champernowne(2, n)
         est = rl.k_upper_bound(sigma)
-        assert est.value <= tm.CHAMPERNOWNE_PROGRAM_OVERHEAD + 2 * math.ceil(math.log2(n)) + 1
+        assert est.value <= CHAMPERNOWNE_PROGRAM_OVERHEAD + 2 * math.ceil(math.log2(n)) + 1
         assert est.value == 60  # frozen: measured once on the bundled machine
         assert est.verify(sigma)
 

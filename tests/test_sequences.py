@@ -208,6 +208,8 @@ class TestSources:
         ("constant", {"chunk_size": 4}, "chunk_size"),
         ("champernowne", {"symbol": 1}, "symbol"),
         ("os_entropy", {"probs": [0.5, 0.5]}, "probs"),
+        ("constant", {"seed": 5}, "seed"),
+        ("champernowne", {"seed": 9}, "seed"),
     ])
     def test_a_keyword_the_kind_does_not_read_is_rejected(self, kind, kwargs, keyword):
         with pytest.raises(ValueError, match=f"source kind '{kind}' does not read '{keyword}'"):
@@ -216,6 +218,8 @@ class TestSources:
     def test_defaults_come_from_the_keyword_table(self):
         fair = sq.SequenceSource("born_sampler", seed=42)
         assert fair.prefix(8).to_text() == GOLDEN_FAIR_COIN_SEED42_N8
+        assert sq.SequenceSource("born_sampler").prefix(8) == \
+            sq.SequenceSource("born_sampler", seed=0).prefix(8)
         assert sq.SequenceSource("constant").prefix(3).to_text() == "000"
         with pytest.raises(ValueError, match="requires path="):
             sq.SequenceSource("file")
