@@ -98,8 +98,16 @@ def _read_json(path: str):
             raise ValueError(f"{path}: {exc}") from None
 
 
-def _parse_checkpoints(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t]
+def _parse_list(option: str, text: str, convert) -> list:
+    """The comma-separated values of a list option; an empty or bad token
+    raises a ValueError naming the option and the token."""
+    values = []
+    for token in text.split(","):
+        try:
+            values.append(convert(token))
+        except ValueError:
+            raise ValueError(f"{option}: bad entry {token!r} in {text!r}") from None
+    return values
 
 
 def data_dir() -> str:
@@ -123,7 +131,7 @@ def cmd_generate(args, manifest: Manifest) -> int:
     if args.fair_coin:
         source = sq.SequenceSource("born_sampler", seed=args.seed, probs=[0.5, 0.5])
     elif args.kind == "born":
-        probs = [float(p) for p in args.probs.split(",")]
+        probs = _parse_list("--probs", args.probs, float)
         source = sq.SequenceSource(
             "born_sampler", alphabet_size=max(2, len(probs)), seed=args.seed, probs=probs
         )
@@ -134,7 +142,7 @@ def cmd_generate(args, manifest: Manifest) -> int:
     elif args.kind == "constant":
         source = sq.SequenceSource("constant", alphabet_size=args.base, symbol=args.symbol)
     elif args.kind == "periodic":
-        pattern = [int(t) for t in args.pattern.split(",")]
+        pattern = _parse_list("--pattern", args.pattern, int)
         source = sq.SequenceSource("periodic", alphabet_size=args.base, pattern=pattern)
     elif args.kind == "os":
         source = sq.SequenceSource("os_entropy", alphabet_size=args.base)
@@ -259,7 +267,7 @@ def _load_sampler(args) -> hv.Sampler:
     if name == "prng":
         probs = None
         if args.bias:
-            probs = [float(p) for p in args.bias.split(",")]
+            probs = _parse_list("--bias", args.bias, float)
         return hv.Sampler.prng(args.seed, probs)
     if name == "os":
         return hv.Sampler.os_entropy()
@@ -278,7 +286,8 @@ def cmd_hv(args, manifest: Manifest) -> int:
         print(f"wrote {len(x)} outcomes of {model.name} to {args.out}")
         return EXIT_OK
     if args.hv_command == "audit1":
-        rep = hv.scenario_one_audit(model, sampler, _parse_checkpoints(args.checkpoints))
+        checkpoints = _parse_list("--checkpoints", args.checkpoints, int)
+        rep = hv.scenario_one_audit(model, sampler, checkpoints)
         _write_json(args.json, rep.to_dict())
         for p in rep.checkpoints:
             print(f"N={p['n']}: K_upper={p['k_upper']} margin={p['margin']}")
@@ -314,7 +323,7 @@ def _load_functional(name: str) -> bell.MismatchFunctional:
 
 def cmd_bell(args, manifest: Manifest) -> int:
     if args.bell_command == "run":
-        settings = bell.SettingSet(tuple(float(a) for a in args.settings.split(",")))
+        settings = bell.SettingSet(tuple(_parse_list("--settings", args.settings, float)))
         trials = bell.run_bipartite(args.model, settings, args.n, args.seed)
         bell.save_trials_csv(args.out, trials)
         manifest.add_output(args.out + ".meta.json")

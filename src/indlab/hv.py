@@ -462,9 +462,3 @@ def load_model(path: str) -> HVModel:
         raise ValueError(f"{path}: hv model has no field {exc}") from None
     except (TypeError, ValueError) as exc:  # TypeError: a field of the wrong JSON type
         raise ValueError(f"{path}: {exc}") from None
-
-
-def save_model(path: str, model: HVModel) -> None:
-    with open(path, "w") as f:
-        f.write(model_to_json(model))
-        f.write("\n")

@@ -16,6 +16,7 @@ problem that exists is valid.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -388,9 +389,14 @@ def verify_coloring(problem: ColoringProblem, assignment: Sequence[int]) -> bool
             f"assignment covers {len(assignment)} rays, problem has {len(problem.rays)}"
         )
     for v in assignment:
-        if v not in (0, 1):
+        if not _is_mark(v):
             raise ValueError(f"assignment must be total over {{0,1}}, found {v!r}")
     return all(sum(assignment[r] for r in basis) == 1 for basis in problem.bases)
+
+
+def _is_mark(v) -> bool:
+    """A mark or outcome is the integer 0 or 1: True and 1.0 are not."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v in (0, 1)
 
 
 # -- the free-will-theorem reduction ---------------------------------------
@@ -427,7 +433,7 @@ def fwt_reduction_check(problem: ColoringProblem, value_map: dict) -> FwtReport:
         bi, pos = key
         if not (0 <= bi < len(problem.bases) and 0 <= pos < 3):
             raise ValueError(f"value map key {key!r} out of range")
-        if v not in (0, 1):
+        if not _is_mark(v):
             raise ValueError(f"outcome must be 0 or 1, got {v!r}")
         values[(bi, pos)] = v
     for bi in range(len(problem.bases)):
@@ -488,6 +494,7 @@ def load_rays_file(path: str) -> ColoringProblem:
     and the line when one line is at fault."""
     rays: list[Ray] = []
     names: dict[str, int] = {}
+    defined_on: dict[str, int] = {}
     bases: list[tuple[int, int, int]] = []
     try:
         with open(path) as f:
@@ -505,6 +512,10 @@ def load_rays_file(path: str) -> ColoringProblem:
                         comps = [parse_component(t) for t in parts[2:]]
                         if any(isinstance(c, float) for c in comps):
                             comps = [float(c) for c in comps]
+                        if parts[1] in defined_on:
+                            raise ValueError(f"ray {parts[1]!r} is already defined on line "
+                                             f"{defined_on[parts[1]]}")
+                        defined_on[parts[1]] = lineno
                         names[parts[1]] = len(rays)
                         rays.append(Ray.from_components(comps, name=parts[1]))
                     elif parts[0] == "basis":

@@ -30,18 +30,20 @@ Jumps are in instruction units relative to the next instruction index.
 Everything is machine-relative: no universality is claimed, and all
 complexity values produced elsewhere are tied to this instruction set.
 
+The operand layouts are one table, _FIELDS, that the decoder reads.
 enumerate_domain walks the halting domain up to a length.  Since the
 encodings are prefix-free, it extends a paused program by one whole
-instruction encoding at a time, and it ends the branches it can prove
-divergent (see _Machine._loop_check) instead of running them to the step
-budget.
+instruction at a time, taken already decoded from a table of (bits,
+instruction) pairs, so a forked child never decodes; it ends the branches
+it can prove divergent (see _Machine._loop_check) instead of running them
+to the step budget.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from typing import Iterator, Optional, Sequence
 
 NUM_REGISTERS = 4
@@ -119,10 +121,6 @@ def gamma0_encode(n: int) -> Bits:
     return gamma_encode(n + 1)
 
 
-def gamma0_length(n: int) -> int:
-    return 2 * (n + 1).bit_length() - 1
-
-
 @dataclass(frozen=True)
 class MachineResult:
     """Outcome of one run: halted/timeout/malformed are all in-band."""
@@ -198,40 +196,23 @@ class _Machine:
             zeros += 1
         return (1 << zeros) - 1 + self._read_fixed(zeros)
 
+    def _read_literal(self) -> Bits:
+        """LITN's operand: a gamma0 count n, then n bits taken whole."""
+        return self._take(self._read_gamma0())
+
     # -- decoding ---------------------------------------------------------
 
     def _decode_one(self) -> Optional[str]:
         """Decode the next instruction from the tape; None on success.
 
-        Raises _NeedBits when the tape ends inside the instruction; the
-        caller then restores the cursor to the instruction's start.
+        Appends the tuple (opcode, operand fields in _FIELDS order).  Raises
+        _NeedBits when the tape ends inside the instruction; the caller
+        then restores the cursor to the instruction's start.
         """
         op = self._read_fixed(4)
-        if op in (OP_HALT, OP_OUT0, OP_OUT1):
-            self.instrs.append((op,))
-        elif op == OP_OUTB:
-            self.instrs.append((op, self._read_fixed(2)))
-        elif op == OP_LITN:
-            self.instrs.append((op, self._take(self._read_gamma0())))
-        elif op == OP_SETI:
-            r = self._read_fixed(2)
-            self.instrs.append((op, r, self._read_gamma0()))
-        elif op in (OP_INC, OP_DEC):
-            self.instrs.append((op, self._read_fixed(2)))
-        elif op in (OP_ADD, OP_SUB, OP_CPY):
-            r = self._read_fixed(2)
-            self.instrs.append((op, r, self._read_fixed(2)))
-        elif op == OP_JZ:
-            r = self._read_fixed(2)
-            d = self._read_bit()
-            self.instrs.append((op, r, d, self._read_gamma0()))
-        elif op == OP_JMP:
-            d = self._read_bit()
-            self.instrs.append((op, d, self._read_gamma0()))
-        elif op == OP_HALTAT:
-            self.instrs.append((op, self._read_gamma0()))
-        else:
+        if op >= len(_FIELDS):
             return f"invalid opcode {op}"
+        self.instrs.append((op, *[read(self) for read in _FIELDS[op]]))
         return None
 
     # -- running ----------------------------------------------------------
@@ -291,21 +272,11 @@ class _Machine:
             elif op == OP_CPY:
                 self.regs[instr[1]] = self.regs[instr[2]]
                 status = None
-            elif op == OP_JZ:
-                r, d, delta = instr[1], instr[2], instr[3]
-                if self.regs[r] == 0:
-                    target = self.pc + 1 + delta if d else self.pc + 1 - delta
-                    if target < 0:
-                        return self._result("malformed", "jump before program start")
-                    self.pc = target
-                    status = self._loop_check()
-                    if status:
-                        return self._result("timeout", status)
+            elif op == OP_JZ or op == OP_JMP:
+                if op == OP_JZ and self.regs[instr[1]]:
+                    self.pc += 1
                     continue
-                self.pc += 1
-                continue
-            elif op == OP_JMP:
-                d, delta = instr[1], instr[2]
+                d, delta = instr[-2:]
                 target = self.pc + 1 + delta if d else self.pc + 1 - delta
                 if target < 0:
                     return self._result("malformed", "jump before program start")
@@ -423,24 +394,26 @@ class _Machine:
     def _result(self, status: str, reason: str = "") -> MachineResult:
         return MachineResult(status, tuple(self.out), self.cursor, self.steps, reason)
 
-    def _fork(self, instruction: Bits) -> "_Machine":
+    def _fork(self, encoding: tuple[Bits, tuple]) -> "_Machine":
         """A copy of this paused machine whose tape gains one instruction.
 
-        The child starts with empty loop tables: every stored key holds a
-        cursor at most the pause's, and the child decodes the new
-        instruction, moving its cursor past the pause, before its first
-        loop check, so no stored key could match again.
+        encoding is a (bits, instruction) entry of _instruction_encodings;
+        the child appends both and moves its cursor past the bits, so it
+        never decodes them.  It starts with empty loop tables: every stored
+        key holds a cursor at most the pause's, which the child's cursor is
+        already past and never moves back to, so no key could match again.
         """
+        bits, instruction = encoding
         child = object.__new__(_Machine)
-        child.cursor = self.cursor
+        child.cursor = self.cursor + len(bits)
         child.exact_bits = self.exact_bits
         child.pc = self.pc
         child.steps = self.steps
         child.cap = self.cap
         child.output_prefix = self.output_prefix
         child.other_step = self.other_step
-        child.tape = self.tape + instruction
-        child.instrs = self.instrs.copy()
+        child.tape = self.tape + bits
+        child.instrs = self.instrs + [instruction]
         child.regs = self.regs.copy()
         child.out = self.out.copy()
         child._seen = set()
@@ -448,28 +421,42 @@ class _Machine:
         return child
 
 
+# The operand fields of each opcode, read in order after it: a 2-bit
+# register, a direction bit, a gamma0 integer, or LITN's n literal bits.  An
+# opcode past the end of the table (1110, 1111) is invalid.
+_REG = partial(_Machine._read_fixed, width=2)
+_DIR, _INT, _LIT = _Machine._read_bit, _Machine._read_gamma0, _Machine._read_literal
+_FIELDS = (
+    (), (), (), (_REG,), (_LIT,), (_REG, _INT),                  # HALT OUT0 OUT1 OUTB LITN SETI
+    (_REG,), (_REG,), (_REG, _REG), (_REG, _REG), (_REG, _REG),  # INC DEC ADD SUB CPY
+    (_REG, _DIR, _INT), (_DIR, _INT), (_INT,),                   # JZ JMP HALTAT
+)
+
+
 @cache
-def _instruction_encodings(room: int) -> tuple[Bits, ...]:
-    """Every valid instruction encoding of at most room bits, in bit order.
+def _instruction_encodings(room: int) -> tuple[tuple[Bits, tuple], ...]:
+    """Every valid instruction of at most room bits as (bits, instruction).
 
     Found by decoding: a string is extended only while the decoder asks for
     more bits, so each encoding is visited once, 0 before 1, which is
-    sorted order for a prefix-free set.  Invalid opcodes are dropped.  A
-    table is built on first use and kept for the process: 751 encodings at
-    room 16, 25,647 at room 24, where LITN payloads are most of them.
+    sorted order for a prefix-free set.  Invalid opcodes are dropped.  An
+    entry holds its decoded instruction, so a forked child never decodes.
+    A table is built on first use and kept for the process: 751 encodings
+    at room 16, 25,647 at room 24, where LITN payloads are most of them.
     """
     found = []
     stack: list[Bits] = [()]
     while stack:
         bits = stack.pop()
+        m = _Machine(bits)
         try:
-            err = _Machine(bits)._decode_one()
+            err = m._decode_one()
         except _NeedBits:
             if len(bits) < room:
                 stack += [bits + (1,), bits + (0,)]
             continue
         if err is None:
-            found.append(bits)
+            found.append((bits, m.instrs[0]))
     return tuple(found)
 
 
@@ -513,10 +500,12 @@ def enumerate_domain(
     prefix of another.  A run that needs bits pauses before the instruction
     it could not decode.  Its children are the paused machine forked once
     per valid instruction encoding that fits in the remaining length, in
-    bit order; they resume from the paused state, so no prefix is ever
-    re-run.  The encodings are prefix-free, so this is the order in which
-    a walk over single bits, 0 before 1, meets them, and the entry order is
-    the same as re-running each bit prefix from bit 0.  An invalid opcode
+    bit order.  Each child gains the encoding's bits and its decoded
+    instruction from _instruction_encodings, so a child never decodes, and
+    resumes from the paused state, so no prefix is ever re-run.  The
+    encodings are prefix-free, so this is the order in which a walk over
+    single bits, 0 before 1, meets them, and the entry order is the same
+    as re-running each bit prefix from bit 0.  An invalid opcode
     or an encoding that does not fit gets no child.
 
     The three divergence rules of _Machine._loop_check apply: a state that
@@ -592,28 +581,6 @@ def asm_seti(r: int, n: int) -> Bits:
 
 def asm_inc(r: int) -> Bits:
     return _op(OP_INC) + _reg(r)
-
-
-def asm_dec(r: int) -> Bits:
-    return _op(OP_DEC) + _reg(r)
-
-
-def asm_add(r: int, s: int) -> Bits:
-    return _op(OP_ADD) + _reg(r) + _reg(s)
-
-
-def asm_sub(r: int, s: int) -> Bits:
-    return _op(OP_SUB) + _reg(r) + _reg(s)
-
-
-def asm_cpy(r: int, s: int) -> Bits:
-    return _op(OP_CPY) + _reg(r) + _reg(s)
-
-
-def asm_jz(r: int, delta: int) -> Bits:
-    """delta counts instructions from the next one; negative jumps back."""
-    d, dist = (1, delta) if delta >= 0 else (0, -delta)
-    return _op(OP_JZ) + _reg(r) + (d,) + gamma0_encode(dist)
 
 
 def asm_jmp(delta: int) -> Bits:

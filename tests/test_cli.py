@@ -9,6 +9,7 @@ from indlab import randomness as rl
 from indlab import sequences as sq
 from indlab.errors import CapacityError, CommutationError, ContractViolationError
 
+from builders import save_model
 from bundled import bundled_path, bundled_problem
 
 
@@ -165,7 +166,7 @@ def test_report_skips_manifests_but_rejects_other_schemas(tmp_path, monkeypatch)
 def test_hv_audit2_os_sampler_on_300_states_exits_1(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     g = tuple(i % 2 for i in range(300))
-    hv.save_model("big.json", hv.HVModel(hv.HVSpace("discrete", 300), g, (1 / 300,) * 300))
+    save_model("big.json", hv.HVModel(hv.HVSpace("discrete", 300), g, (1 / 300,) * 300))
     assert cli.dispatch(["hv", "audit2", "--model", "big.json", "--sampler", "os",
                          "--n", "10000", "--json", "a.json"]) == cli.EXIT_USAGE
     assert "up to 256 symbols" in capsys.readouterr().err
@@ -199,9 +200,23 @@ def _one_error_line(capsys, *fragments) -> None:
     (["hv", "audit2", "--model", "parity4.json", "--sampler", "os",
       "--bias", "0.7,0.1,0.1,0.1", "--n", "10000", "--json", "h2.json"],
      ("--bias applies only to --sampler prng", "'os'")),
+    (["hv", "audit1", "--model", "fair_coin_counter.json", "--checkpoints", "100,abc",
+      "--json", "h1.json"], ("--checkpoints: bad entry 'abc'",)),
+    (["hv", "audit1", "--model", "fair_coin_counter.json", "--checkpoints", "100,,1000",
+      "--json", "h1.json"], ("--checkpoints: bad entry ''",)),
+    (["generate", "--kind", "born", "--probs", "0.5,x", "--n", "10", "--out", "x.seq"],
+     ("--probs: bad entry 'x'",)),
+    (["generate", "--kind", "periodic", "--pattern", "0,x", "--n", "10", "--out", "x.seq"],
+     ("--pattern: bad entry 'x'",)),
+    (["bell", "run", "--settings", "0,x", "--n", "600", "--out", "b.csv"],
+     ("--settings: bad entry 'x'",)),
+    (["hv", "audit2", "--model", "parity4.json", "--bias", "0.5,y", "--n", "10000",
+      "--json", "h2.json"], ("--bias: bad entry 'y'",)),
 ], ids=["hv-run-contract", "hv-audit2-contract", "born-nan", "repeated-setting",
         "nan-setting", "omega-negative-steps", "champernowne-base-40", "hv-run-bias-counter",
-        "hv-audit1-bias-alternating", "hv-audit2-bias-os"])
+        "hv-audit1-bias-alternating", "hv-audit2-bias-os", "checkpoints-not-int",
+        "checkpoints-empty-entry", "probs-not-float", "pattern-not-int", "settings-not-float",
+        "bias-not-float"])
 def test_bad_input_exits_1_with_one_error_line(argv, fragments, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.dispatch(argv) == cli.EXIT_USAGE
@@ -250,11 +265,23 @@ NON_ORTHOGONAL_RAYS = "rays/v1\nray x 1 0 0\nray y 0 1 0\nray d 1 1 0\nbasis x y
     ({"dup.rays": "rays/v1\nray a 1 0 0\nray b 0 1 0\nray c -1 0 0\nbasis a b c\n"},
      ["ks", "search", "--rays", "dup.rays", "--json", "s.json"],
      ("dup.rays: basis a b c collapses under deduplication: rays a and c coincide",)),
+    ({"redef.rays": "rays/v1\nray a 0 1 1\nray b 0 1 0\nray c 0 0 1\nray a 1 0 0\n"
+                    "basis a b c\n"},
+     ["ks", "search", "--rays", "redef.rays", "--json", "s.json"],
+     ("redef.rays: line 5: ray 'a' is already defined on line 2",)),
+    # the demo set's own coloring, as JSON booleans and with a float mark
+    ({"c.json": json.dumps({"coloring": [True, False, False, False, False, True, False]})},
+     ["ks", "verify", "--rays", "demo_colorable.rays", "--coloring", "c.json"],
+     ("c.json: assignment must be total over {0,1}, found True",)),
+    ({"c.json": "[1.0, 0, 0, 0, 0, 1, 0]"},
+     ["ks", "verify", "--rays", "demo_colorable.rays", "--coloring", "c.json"],
+     ("c.json: assignment must be total over {0,1}, found 1.0",)),
 ], ids=["hv-model-not-json", "hv-model-without-space", "hv-model-string-size",
         "ks-coloring-not-json", "ks-coloring-without-key", "ks-coloring-number",
         "ks-coloring-string",
         "report-input-not-json", "seq-bad-symbol", "ks-search-non-orthogonal",
-        "ks-verify-non-orthogonal", "ks-rays-short-line", "ks-rays-collapsing-basis"])
+        "ks-verify-non-orthogonal", "ks-rays-short-line", "ks-rays-collapsing-basis",
+        "ks-rays-redefined-name", "ks-coloring-bools", "ks-coloring-float-mark"])
 def test_bad_input_file_is_named(files, argv, fragments, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():

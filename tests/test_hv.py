@@ -9,6 +9,7 @@ from indlab import randomness as rl
 from indlab import sequences as sq
 from indlab.errors import ContractViolationError
 
+from builders import save_model
 from bundled import bundled_path
 
 FAIR_COIN = hv.load_model(bundled_path("fair_coin_counter.json"))
@@ -248,7 +249,7 @@ class TestModelFiles:
     def test_roundtrip(self, tmp_path):
         path = str(tmp_path / "m.json")
         model = PARITY4
-        hv.save_model(path, model)
+        save_model(path, model)
         back = hv.load_model(path)
         assert back == model
 

@@ -459,6 +459,14 @@ class TestVerifier:
         with pytest.raises(ValueError, match="covers"):
             ks.verify_coloring(demo, (0, 1))
 
+    @pytest.mark.parametrize("mark", [True, 1.0])
+    def test_marks_are_the_integers_0_and_1(self, demo, mark):
+        coloring = list(ks.search_coloring(demo).assignment)
+        assert ks.verify_coloring(demo, coloring)
+        coloring[coloring.index(1)] = mark
+        with pytest.raises(ValueError, match=f"found {mark}$"):
+            ks.verify_coloring(demo, coloring)
+
 
 class TestOracleAgreement:
     def test_random_subproblems(self, peres):
@@ -537,6 +545,14 @@ class TestFwtReduction:
         value_map = ks.coloring_to_value_map(demo, ks.search_coloring(demo).assignment)
         value_map.pop((0, 0))
         with pytest.raises(ValueError, match="partial"):
+            ks.fwt_reduction_check(demo, value_map)
+
+    @pytest.mark.parametrize("outcome", [False, 0.0])
+    def test_outcomes_are_the_integers_0_and_1(self, demo, outcome):
+        value_map = ks.coloring_to_value_map(demo, ks.search_coloring(demo).assignment)
+        key = next(k for k, v in value_map.items() if v == 0)
+        value_map[key] = outcome
+        with pytest.raises(ValueError, match=f"outcome must be 0 or 1, got {outcome}$"):
             ks.fwt_reduction_check(demo, value_map)
 
     def test_no_consistent_map_on_ks_set(self, peres):

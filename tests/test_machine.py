@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from indlab import machine as tm
 
+from builders import asm_add, asm_cpy, asm_dec, asm_jz, asm_sub, gamma0_length
+
 
 class TestGammaCoding:
     @given(st.integers(0, 10**9))
     def test_gamma0_roundtrip(self, n):
         bits = tm.gamma0_encode(n)
-        assert len(bits) == tm.gamma0_length(n)
+        assert len(bits) == gamma0_length(n)
         m = tm._Machine(bits + (1, 1, 1), exact_bits=True)
         assert m._read_gamma0() == n
 
@@ -136,8 +138,8 @@ class TestRunMachine:
         # JZ then reaches the HALT
         program = tm.concat(
             tm.asm_seti(1, 1),
-            tm.asm_sub(1, 0),    # loop head: R1 -= R0
-            tm.asm_jz(1, 3),     # to HALT
+            asm_sub(1, 0),    # loop head: R1 -= R0
+            asm_jz(1, 3),     # to HALT
             tm.asm_inc(0),
             tm.asm_inc(1),
             tm.asm_jmp(-5),      # to the SUB
@@ -153,9 +155,9 @@ class TestRunMachine:
         # the third pass meets the loop head with R1 no longer zero, so the
         # first JZ now falls through to the HALT
         program = tm.concat(
-            tm.asm_jz(1, 1),     # loop head: skip the HALT while R1 == 0
+            asm_jz(1, 1),     # loop head: skip the HALT while R1 == 0
             tm.asm_halt(),
-            tm.asm_jz(0, 1),     # first pass: skip the INC R1
+            asm_jz(0, 1),     # first pass: skip the INC R1
             tm.asm_inc(1),
             tm.asm_inc(0),
             tm.asm_jmp(-6),      # to the loop head
@@ -188,10 +190,10 @@ class TestRunMachine:
     def test_jz_taken_and_not_taken(self):
         # R0 == 0: skip the OUT1; then R0 = 1: fall through to OUT1
         program = tm.concat(
-            tm.asm_jz(0, 1),     # skip next
+            asm_jz(0, 1),     # skip next
             tm.asm_out(1),
             tm.asm_seti(0, 1),
-            tm.asm_jz(0, 1),     # not taken now
+            asm_jz(0, 1),     # not taken now
             tm.asm_out(0),
             tm.asm_halt(),
         )
@@ -203,15 +205,15 @@ class TestRunMachine:
         program = tm.concat(
             tm.asm_seti(0, 5),
             tm.asm_seti(1, 2),
-            tm.asm_sub(0, 1),    # 3
+            asm_sub(0, 1),    # 3
             tm.asm_outb(0),      # "11"
-            tm.asm_add(0, 1),    # 5
+            asm_add(0, 1),    # 5
             tm.asm_outb(0),      # "101"
-            tm.asm_cpy(2, 1),
+            asm_cpy(2, 1),
             tm.asm_outb(2),      # "10"
-            tm.asm_dec(2),
-            tm.asm_dec(2),
-            tm.asm_dec(2),       # floors at 0
+            asm_dec(2),
+            asm_dec(2),
+            asm_dec(2),       # floors at 0
             tm.asm_outb(2),      # "0"
             tm.asm_halt(),
         )
@@ -362,6 +364,52 @@ REPLAY_GRID = [
 ]
 
 
+def reference_decode(m):
+    """The per-opcode decoder that the operand table _FIELDS replaced."""
+    op = m._read_fixed(4)
+    if op in (tm.OP_HALT, tm.OP_OUT0, tm.OP_OUT1):
+        m.instrs.append((op,))
+    elif op == tm.OP_OUTB:
+        m.instrs.append((op, m._read_fixed(2)))
+    elif op == tm.OP_LITN:
+        m.instrs.append((op, m._take(m._read_gamma0())))
+    elif op == tm.OP_SETI:
+        r = m._read_fixed(2)
+        m.instrs.append((op, r, m._read_gamma0()))
+    elif op in (tm.OP_INC, tm.OP_DEC):
+        m.instrs.append((op, m._read_fixed(2)))
+    elif op in (tm.OP_ADD, tm.OP_SUB, tm.OP_CPY):
+        r = m._read_fixed(2)
+        m.instrs.append((op, r, m._read_fixed(2)))
+    elif op == tm.OP_JZ:
+        r = m._read_fixed(2)
+        d = m._read_bit()
+        m.instrs.append((op, r, d, m._read_gamma0()))
+    elif op == tm.OP_JMP:
+        d = m._read_bit()
+        m.instrs.append((op, d, m._read_gamma0()))
+    elif op == tm.OP_HALTAT:
+        m.instrs.append((op, m._read_gamma0()))
+    else:
+        return f"invalid opcode {op}"
+    return None
+
+
+class TestTableDecoder:
+    def test_same_as_the_per_opcode_decoder_on_every_short_string(self):
+        # same instruction, cursor and error, and _NeedBits on the same strings
+        for n in range(15):
+            for bits in itertools.product((0, 1), repeat=n):
+                outcomes = []
+                for decode in (tm._Machine._decode_one, reference_decode):
+                    m = tm._Machine(bits)
+                    try:
+                        outcomes.append((decode(m), m.instrs, m.cursor))
+                    except tm._NeedBits:
+                        outcomes.append("needs bits")
+                assert outcomes[0] == outcomes[1], bits
+
+
 class TestInstructionEncodings:
     @pytest.mark.parametrize("room", range(13))
     def test_table_is_every_fully_decoded_string(self, room):
@@ -374,8 +422,25 @@ class TestInstructionEncodings:
                 except tm._NeedBits:
                     continue
                 if err is None and m.cursor == n:
-                    decoded.append(bits)
+                    decoded.append((bits, m.instrs[0]))
         assert tm._instruction_encodings(room) == tuple(sorted(decoded))
+
+    def test_forked_children_never_decode(self, monkeypatch):
+        # with every table built, the only decodes left are those that fail
+        # at a pause; each child carries its decoded instruction
+        for room in range(17):
+            tm._instruction_encodings(room)
+        decoded = []
+        decode = tm._Machine._decode_one
+
+        def counting_decode(m):
+            err = decode(m)  # a failed decode raises _NeedBits past the count
+            decoded.append(err)
+            return err
+
+        monkeypatch.setattr(tm._Machine, "_decode_one", counting_decode)
+        assert len(list(tm.enumerate_domain(16, 10_000))) == 985
+        assert decoded == []
 
 
 class TestLeafMeasure:
@@ -509,10 +574,10 @@ class TestBulkEmit:
             st.integers(0, 3).map(tm.asm_outb),
             st.tuples(st.integers(0, 3), st.integers(0, 40)).map(lambda a: tm.asm_seti(*a)),
             st.integers(0, 3).map(tm.asm_inc),
-            st.integers(0, 3).map(tm.asm_dec),
+            st.integers(0, 3).map(asm_dec),
             st.integers(0, 30).map(tm.asm_haltat),
             st.integers(-4, 2).map(tm.asm_jmp),
-            st.tuples(st.integers(0, 3), st.integers(-4, 2)).map(lambda a: tm.asm_jz(*a)),
+            st.tuples(st.integers(0, 3), st.integers(-4, 2)).map(lambda a: asm_jz(*a)),
         ), max_size=8),
         prefix=st.none() | st.lists(st.integers(0, 1), max_size=30).map(tuple),
         limit=st.sampled_from([tm.DEFAULT_OUTPUT_LIMIT, 5, 17]),

@@ -12,6 +12,8 @@ from indlab import machine as tm
 from indlab import randomness as rl
 from indlab import sequences as sq
 
+from builders import gamma0_length
+
 # frozen: one canonical enumeration at the acceptance budget
 GOLDEN_OMEGA_16_10K = Fraction(11737, 65536)
 GOLDEN_OMEGA_16_10K_PROGRAMS = 985
@@ -19,7 +21,7 @@ GOLDEN_OMEGA_16_10K_PROGRAMS = 985
 GOLDEN_K_EMPTY = 4
 GOLDEN_K_ZERO = 8
 # bits of prog_champernowne(n) beyond the gamma code of n
-CHAMPERNOWNE_PROGRAM_OVERHEAD = len(tm.prog_champernowne(1)) - tm.gamma0_length(1)
+CHAMPERNOWNE_PROGRAM_OVERHEAD = len(tm.prog_champernowne(1)) - gamma0_length(1)
 
 
 def fair_coin(n, seed=11):
