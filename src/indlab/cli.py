@@ -261,8 +261,12 @@ def _load_sampler(args) -> hv.Sampler:
         return hv.Sampler.counter()
     if name == "alternating":
         return hv.Sampler.alternating()
-    if name.startswith("constant"):
-        value = int(name.split(":")[1]) if ":" in name else 0
+    kind, colon, state = name.partition(":")
+    if kind == "constant":
+        try:
+            value = int(state) if colon else 0
+        except ValueError:
+            raise ValueError(f"--sampler: bad state {state!r} in {name!r}") from None
         return hv.Sampler.constant(value)
     if name == "prng":
         probs = None
@@ -273,7 +277,7 @@ def _load_sampler(args) -> hv.Sampler:
         return hv.Sampler.os_entropy()
     if name.startswith("file:"):
         return hv.Sampler.recorded(name.split(":", 1)[1])
-    raise ValueError(f"unknown sampler {name!r}")
+    raise ValueError(f"--sampler: unknown sampler {name!r}")
 
 
 def cmd_hv(args, manifest: Manifest) -> int:

@@ -31,12 +31,12 @@ Everything is machine-relative: no universality is claimed, and all
 complexity values produced elsewhere are tied to this instruction set.
 
 The operand layouts are one table, _FIELDS, that the decoder reads.
-enumerate_domain walks the halting domain up to a length.  Since the
-encodings are prefix-free, it extends a paused program by one whole
-instruction at a time, taken already decoded from a table of (bits,
-instruction) pairs, so a forked child never decodes; it ends the branches
-it can prove divergent (see _Machine._loop_check) instead of running them
-to the step budget.
+enumerate_domain walks the halting domain up to a length.  A run pauses
+at the tape's end without decoding; since the encodings are prefix-free,
+the enumerator extends a paused program by one whole instruction at a
+time, taken already decoded from a table of (bits, instruction) pairs.  It
+ends the branches it can prove divergent (see _Machine._loop_check)
+instead of running them to the step budget.
 """
 
 from __future__ import annotations
@@ -140,10 +140,10 @@ class _Machine:
     """One execution over a fixed bit prefix.
 
     If exact_bits is False, running out of program bits pauses the run (run
-    returns None) before the instruction it could not decode, and the run
-    can be resumed on a longer tape (the domain enumerator forks it, see
-    _fork); otherwise it is malformed.  exact_bits=False also selects the
-    enumerator's loop rules (_loop_check).
+    returns None) before the instruction it needs, with no decode when the
+    tape ends right there, and the domain enumerator forks the paused
+    machine onto longer tapes (see _fork); otherwise the run is malformed.
+    exact_bits=False also selects the enumerator's loop rules (_loop_check).
     """
 
     __slots__ = ("tape", "cursor", "exact_bits", "instrs", "pc", "regs", "out", "steps",
@@ -219,120 +219,123 @@ class _Machine:
 
     def run(self, max_steps: int,
             output_limit: int = DEFAULT_OUTPUT_LIMIT) -> Optional[MachineResult]:
-        """Run until a leaf outcome, or None when paused for program bits."""
-        emit = self._emit
-        while True:
-            if self.cap is not None and len(self.out) >= self.cap:
-                return self._result("halted")
-            if self.steps >= max_steps:
-                return self._result("timeout", "step budget exhausted")
-            while self.pc >= len(self.instrs):
-                start = self.cursor
-                try:
-                    err = self._decode_one()
-                except _NeedBits:
-                    self.cursor = start
-                    if self.exact_bits:
-                        return self._result("malformed", "ran out of program bits")
-                    return None
-                if err is not None:
-                    return self._result("malformed", err)
-            instr = self.instrs[self.pc]
-            op = instr[0]
-            self.steps += 1
+        """Run until a leaf outcome, or None when paused for program bits.
 
-            if op == OP_HALT:
-                return self._result("halted")
-            if op == OP_OUT0 or op == OP_OUT1:
-                status = emit((op - OP_OUT0,))
-            elif op == OP_OUTB:
-                status = emit(tuple(format(self.regs[instr[1]], "b").encode()
-                                    .translate(_NUMERAL_BITS)))
-            elif op == OP_LITN:
-                status = emit(instr[1])
-            elif op == OP_SETI:
-                self.regs[instr[1]] = instr[2]
-                status = None
-            elif op == OP_INC:
-                self.regs[instr[1]] += 1
-                self.pc += 1
-                continue
-            elif op == OP_DEC:
-                r = instr[1]
-                if self.regs[r]:
-                    self.regs[r] -= 1
-                status = None
-            elif op == OP_ADD:
-                self.regs[instr[1]] += self.regs[instr[2]]
-                status = None
-            elif op == OP_SUB:
-                r, s = instr[1], instr[2]
-                self.regs[r] = max(0, self.regs[r] - self.regs[s])
-                status = None
-            elif op == OP_CPY:
-                self.regs[instr[1]] = self.regs[instr[2]]
-                status = None
-            elif op == OP_JZ or op == OP_JMP:
-                if op == OP_JZ and self.regs[instr[1]]:
-                    self.pc += 1
+        One loop over local state, written back when the run pauses or ends.
+        A pause is the tape's end (pc past the decoded instructions, cursor
+        at len(tape)) and decodes nothing; with exact_bits it is malformed.
+        An emit appends one slice, as if bit by bit, cut at the HALTAT cap or
+        just past the first bit that leaves output_prefix.  Only an emit or
+        HALTAT can reach the cap, and only an emit the output limit, so only
+        there (and the cap on entry) are they checked.  At a jump, run inlines
+        the one loop rule of exact_bits; the enumerator's are in _loop_check.
+        """
+        instrs, regs, out, prefix, seen, exact = (
+            self.instrs, self.regs, self.out, self.output_prefix, self._seen, self.exact_bits)
+        pc, steps, cap, other_step = self.pc, self.steps, self.cap, self.other_step
+        if cap is not None and len(out) >= cap:
+            return MachineResult("halted", tuple(out), self.cursor, steps, "")
+        status, reason = "halted", ""  # the exit of a bare break
+        while True:
+            if steps >= max_steps:
+                status, reason = "timeout", "step budget exhausted"
+                break
+            if pc >= len(instrs):
+                start = self.cursor
+                if start < len(self.tape):
+                    try:
+                        err = self._decode_one()
+                    except _NeedBits:  # the tape ends inside instruction pc
+                        self.cursor = start
+                    else:
+                        if err is None:
+                            continue
+                        status, reason = "malformed", err
+                        break
+                status, reason = ("malformed", "ran out of program bits") if exact else (None, "")
+                break
+            instr = instrs[pc]
+            op = instr[0]
+            steps += 1
+            if op == OP_JMP or op == OP_JZ:
+                if op == OP_JZ and regs[instr[1]]:
+                    pc += 1
                     continue
                 d, delta = instr[-2:]
-                target = self.pc + 1 + delta if d else self.pc + 1 - delta
+                target = pc + 1 + delta if d else pc + 1 - delta
                 if target < 0:
-                    return self._result("malformed", "jump before program start")
-                self.pc = target
-                status = self._loop_check()
-                if status:
-                    return self._result("timeout", status)
+                    status, reason = "malformed", "jump before program start"
+                    break
+                pc = target
+                if exact:  # the exact-recurrence rule of _loop_check
+                    key = (pc, self.cursor, len(out), cap, tuple(regs))
+                    reason = "loop detected" if key in seen else ""
+                    if len(seen) < LOOP_TRACK_LIMIT:
+                        seen.add(key)
+                else:
+                    reason = self._loop_check(pc, steps, other_step, cap)
+                if reason:
+                    status = "timeout"
+                    break
                 continue
-            elif op == OP_HALTAT:
-                self.cap = instr[1]
-                status = None
-            else:  # pragma: no cover - decode rejects invalid opcodes
-                return self._result("malformed", f"invalid opcode {op}")
+            if op == OP_INC:
+                regs[instr[1]] += 1
+                pc += 1
+                continue
+            if OP_OUT0 <= op <= OP_LITN:
+                if op == OP_LITN:
+                    symbols = instr[1]
+                elif op == OP_OUTB:
+                    symbols = tuple(format(regs[instr[1]], "b").encode().translate(_NUMERAL_BITS))
+                else:
+                    symbols = (op - OP_OUT0,)
+                start = len(out)
+                if cap is not None:
+                    symbols = symbols[:cap - start]  # start < cap, or the run had halted
+                if prefix is not None and prefix[start:start + len(symbols)] != symbols:
+                    i = next(i for i, b in enumerate(symbols)
+                             if prefix[start + i:start + i + 1] != (b,))
+                    out += symbols[:i + 1]  # through the first bit off the prefix
+                    status, reason = "mismatch", "output left the requested prefix"
+                    break
+                if symbols:
+                    out += symbols
+                    if exact or cap is not None:
+                        seen.clear()
+                    if not exact:
+                        self._grown.clear()
+                    if cap is not None and len(out) >= cap:
+                        break
+                    if len(out) > output_limit:
+                        status, reason = "timeout", "output limit exceeded"
+                        break
+            elif op == OP_SETI:
+                regs[instr[1]] = instr[2]
+            elif op == OP_HALT:
+                break
+            elif op == OP_DEC:
+                regs[instr[1]] = max(0, regs[instr[1]] - 1)
+            elif op == OP_ADD:
+                regs[instr[1]] += regs[instr[2]]
+            elif op == OP_SUB:
+                regs[instr[1]] = max(0, regs[instr[1]] - regs[instr[2]])
+            elif op == OP_CPY:
+                regs[instr[1]] = regs[instr[2]]
+            else:  # OP_HALTAT, the last opcode of _FIELDS
+                cap = instr[1]
+                if len(out) >= cap:
+                    break
+            # INC, JZ and JMP continued above; the growth rule sees the rest
+            other_step = steps
+            pc += 1
 
-            # INC, JZ and JMP continued above (they emit nothing, so the
-            # output limit needs no check); the growth rule sees the rest
-            if status is not None:
-                return self._result(*status)
-            if len(self.out) > output_limit:
-                return self._result("timeout", "output limit exceeded")
-            self.other_step = self.steps
-            self.pc += 1
+        self.pc, self.steps, self.cap, self.other_step = pc, steps, cap, other_step
+        if status is None:
+            return None
+        return MachineResult(status, tuple(out), self.cursor, steps, reason)
 
-    def _emit(self, symbols: Bits):
-        """Append symbols to the output in one slice, as if bit by bit.
-
-        The slice stops at the HALTAT cap, or at the first bit that leaves
-        output_prefix, which is still appended.  Returns the (status,
-        reason) that ends the run, or None.
-        """
-        out = self.out
-        start = len(out)
-        if self.cap is not None:
-            # run() halts at the cap before any instruction, so start < cap
-            symbols = symbols[:self.cap - start]
-        prefix = self.output_prefix
-        if prefix is not None and prefix[start:start + len(symbols)] != symbols:
-            end = start
-            while end < len(prefix) and prefix[end] == symbols[end - start]:
-                end += 1
-            out.extend(symbols[:end - start + 1])
-            return ("mismatch", "output left the requested prefix")
-        out.extend(symbols)
-        if symbols:
-            if self.exact_bits:
-                self._seen.clear()
-            else:
-                self._grown.clear()
-                if self.cap is not None:
-                    self._seen.clear()
-        if self.cap is not None and len(out) >= self.cap:
-            return ("halted", "")
-        return None
-
-    def _loop_check(self) -> str:
-        """Prove divergence from a repeated state at a jump target.
+    def _loop_check(self, pc: int, steps: int, other_step: int, cap: Optional[int]) -> str:
+        """The enumerator's proof of divergence at a jump to pc: why, or "".
 
         Every key holds pc and cursor; an equal cursor means no program bit
         was read in between, so the decoded program is the same too.  Three
@@ -340,8 +343,9 @@ class _Machine:
 
         - Exact recurrence: (pc, cursor, len(out), cap, regs) repeats.  An
           equal output length means nothing was emitted in between, so the
-          whole state repeats.  Holds everywhere; since keys with an older
-          output length can never recur, the set is cleared on each emit.
+          whole state repeats.  Holds everywhere; run inlines it as the one
+          rule of exact_bits=True.  Since keys with an older output length
+          can never recur, the set is cleared on each emit.
         - Output loop: (pc, cursor, regs) repeats.  Needs that no HALTAT cap
           is set (a cap is never unset, so none was set in between): then
           output cannot steer control, and emitted bits can only end the run
@@ -370,29 +374,20 @@ class _Machine:
         checked but not stored.  A proven loop is reported as a (sound)
         non-halting timeout.
         """
-        exact = self.exact_bits
-        if self.cap is None and not exact:
-            key = (self.pc, self.cursor, tuple(self.regs))
-        else:
-            key = (self.pc, self.cursor, len(self.out), self.cap, tuple(self.regs))
+        regs, cursor, length = self.regs, self.cursor, len(self.out)
+        key = (pc, cursor, tuple(regs)) if cap is None else (pc, cursor, length, cap, tuple(regs))
         if key in self._seen:
             return "loop detected"
         if len(self._seen) < LOOP_TRACK_LIMIT:
             self._seen.add(key)
-        if exact:
-            return ""
-        # register growth
-        key = (self.pc, self.cursor, len(self.out), self.cap)
-        zeros = self.regs.count(0)
+        key = (pc, cursor, length, cap)  # register growth
+        zeros = regs.count(0)
         last = self._grown.get(key)
-        if last is not None and last[0] >= self.other_step and last[1] == zeros:
+        if last is not None and last[0] >= other_step and last[1] == zeros:
             return "register growth"
         if last is not None or len(self._grown) < LOOP_TRACK_LIMIT:
-            self._grown[key] = (self.steps, zeros)
+            self._grown[key] = (steps, zeros)
         return ""
-
-    def _result(self, status: str, reason: str = "") -> MachineResult:
-        return MachineResult(status, tuple(self.out), self.cursor, self.steps, reason)
 
     def _fork(self, encoding: tuple[Bits, tuple]) -> "_Machine":
         """A copy of this paused machine whose tape gains one instruction.
@@ -473,6 +468,8 @@ def run_machine(
     program = _as_bits(program_bits, "program bits")
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
+    if output_limit < 0:
+        raise ValueError("output_limit must be >= 0")
     return _Machine(program, exact_bits=True).run(max_steps, output_limit)
 
 
@@ -497,16 +494,16 @@ def enumerate_domain(
     Walks the prefix tree of demanded instructions: a program is extended
     only while the machine actually asks for more bits, so each halting
     program is visited exactly once and no halting program is a proper
-    prefix of another.  A run that needs bits pauses before the instruction
-    it could not decode.  Its children are the paused machine forked once
-    per valid instruction encoding that fits in the remaining length, in
-    bit order.  Each child gains the encoding's bits and its decoded
-    instruction from _instruction_encodings, so a child never decodes, and
-    resumes from the paused state, so no prefix is ever re-run.  The
-    encodings are prefix-free, so this is the order in which a walk over
-    single bits, 0 before 1, meets them, and the entry order is the same
-    as re-running each bit prefix from bit 0.  An invalid opcode
-    or an encoding that does not fit gets no child.
+    prefix of another.  A run pauses at the tape's end, when it needs the
+    next instruction, and decodes nothing there.  Its children are the
+    paused machine forked once per valid instruction encoding that fits in
+    the remaining length, in bit order, each gaining the encoding's bits
+    and its decoded instruction from _instruction_encodings (so no child
+    decodes) and resuming from the paused state (so no prefix is re-run).
+    The encodings are prefix-free, so this is the order in which a walk
+    over single bits, 0 before 1, meets them, and the entry order is the
+    same as re-running each bit prefix from bit 0.  An invalid opcode or an
+    encoding that does not fit gets no child.
 
     The three divergence rules of _Machine._loop_check apply: a state that
     recurs with no output in between; while no HALTAT cap is set, a state
@@ -523,6 +520,8 @@ def enumerate_domain(
         raise ValueError("max_len must be >= 0")
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
+    if output_limit < 0:
+        raise ValueError("output_limit must be >= 0")
     stack: list[Iterator[_Machine]] = [
         iter([_Machine((), exact_bits=False, output_prefix=output_prefix)])
     ]

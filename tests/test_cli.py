@@ -212,11 +212,18 @@ def _one_error_line(capsys, *fragments) -> None:
      ("--settings: bad entry 'x'",)),
     (["hv", "audit2", "--model", "parity4.json", "--bias", "0.5,y", "--n", "10000",
       "--json", "h2.json"], ("--bias: bad entry 'y'",)),
+    (["hv", "run", "--model", "fair_coin_counter.json", "--sampler", "constant5",
+      "--n", "8", "--out", "h.seq"], ("--sampler: unknown sampler 'constant5'",)),
+    (["hv", "run", "--model", "fair_coin_counter.json", "--sampler", "constant:1:2",
+      "--n", "8", "--out", "h.seq"], ("--sampler: bad state '1:2' in 'constant:1:2'",)),
+    (["hv", "run", "--model", "fair_coin_counter.json", "--sampler", "constant:x",
+      "--n", "8", "--out", "h.seq"], ("--sampler: bad state 'x' in 'constant:x'",)),
 ], ids=["hv-run-contract", "hv-audit2-contract", "born-nan", "repeated-setting",
         "nan-setting", "omega-negative-steps", "champernowne-base-40", "hv-run-bias-counter",
         "hv-audit1-bias-alternating", "hv-audit2-bias-os", "checkpoints-not-int",
         "checkpoints-empty-entry", "probs-not-float", "pattern-not-int", "settings-not-float",
-        "bias-not-float"])
+        "bias-not-float", "sampler-constant-no-colon", "sampler-constant-two-states",
+        "sampler-constant-not-int"])
 def test_bad_input_exits_1_with_one_error_line(argv, fragments, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.dispatch(argv) == cli.EXIT_USAGE

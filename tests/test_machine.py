@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -59,6 +60,11 @@ class TestRunMachine:
     def test_jump_before_start_is_malformed(self):
         res = tm.run_machine(tm.asm_jmp(-5), 100)
         assert res.status == "malformed"
+
+    def test_negative_output_limit_rejected(self):
+        # SETI; HALT used to time out on "output limit exceeded" after 1 step
+        with pytest.raises(ValueError, match="output_limit must be >= 0"):
+            tm.run_machine(tm.concat(tm.asm_seti(0, 1), tm.asm_halt()), 10, -1)
 
     def test_bad_bits_rejected(self):
         with pytest.raises(ValueError):
@@ -288,6 +294,8 @@ class TestEnumeration:
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError, match="max_steps"):
             list(tm.enumerate_domain(8, -1))
+        with pytest.raises(ValueError, match="output_limit must be >= 0"):
+            list(tm.enumerate_domain(8, 100, -1))
 
     def test_empty_budget(self):
         assert list(tm.enumerate_domain(0, 100)) == []
@@ -426,21 +434,21 @@ class TestInstructionEncodings:
         assert tm._instruction_encodings(room) == tuple(sorted(decoded))
 
     def test_forked_children_never_decode(self, monkeypatch):
-        # with every table built, the only decodes left are those that fail
-        # at a pause; each child carries its decoded instruction
+        # with every table built, no decode is left: each child carries its
+        # decoded instruction, and a pause, the tape's end, decodes nothing
+        # (ReferenceMachine, which decodes at a pause, makes 11,341 calls)
         for room in range(17):
             tm._instruction_encodings(room)
-        decoded = []
+        calls = []
         decode = tm._Machine._decode_one
 
         def counting_decode(m):
-            err = decode(m)  # a failed decode raises _NeedBits past the count
-            decoded.append(err)
-            return err
+            calls.append(m.cursor)  # counted before a failing call raises
+            return decode(m)
 
         monkeypatch.setattr(tm._Machine, "_decode_one", counting_decode)
         assert len(list(tm.enumerate_domain(16, 10_000))) == 985
-        assert decoded == []
+        assert calls == []
 
 
 class TestLeafMeasure:
@@ -504,8 +512,146 @@ class TestForkedEnumeration:
             assert res.status == "timeout", program
 
 
-class PerBitMachine(tm._Machine):
-    """The machine with the one-bit-at-a-time _emit that the bulk _emit replaced."""
+class ReferenceMachine(tm._Machine):
+    """The step machine that the run loop over local state replaced.
+
+    run reads and writes the machine's fields on every step, emits through
+    _emit, checks every loop rule in _loop_check and decodes at every pause,
+    where the decode can only fail.
+    """
+
+    __slots__ = ()
+
+    def run(self, max_steps, output_limit=tm.DEFAULT_OUTPUT_LIMIT):
+        emit = self._emit
+        while True:
+            if self.cap is not None and len(self.out) >= self.cap:
+                return self._result("halted")
+            if self.steps >= max_steps:
+                return self._result("timeout", "step budget exhausted")
+            while self.pc >= len(self.instrs):
+                start = self.cursor
+                try:
+                    err = self._decode_one()
+                except tm._NeedBits:
+                    self.cursor = start
+                    if self.exact_bits:
+                        return self._result("malformed", "ran out of program bits")
+                    return None
+                if err is not None:
+                    return self._result("malformed", err)
+            instr = self.instrs[self.pc]
+            op = instr[0]
+            self.steps += 1
+
+            if op == tm.OP_HALT:
+                return self._result("halted")
+            if op == tm.OP_OUT0 or op == tm.OP_OUT1:
+                status = emit((op - tm.OP_OUT0,))
+            elif op == tm.OP_OUTB:
+                status = emit(tuple(format(self.regs[instr[1]], "b").encode()
+                                    .translate(tm._NUMERAL_BITS)))
+            elif op == tm.OP_LITN:
+                status = emit(instr[1])
+            elif op == tm.OP_SETI:
+                self.regs[instr[1]] = instr[2]
+                status = None
+            elif op == tm.OP_INC:
+                self.regs[instr[1]] += 1
+                self.pc += 1
+                continue
+            elif op == tm.OP_DEC:
+                r = instr[1]
+                if self.regs[r]:
+                    self.regs[r] -= 1
+                status = None
+            elif op == tm.OP_ADD:
+                self.regs[instr[1]] += self.regs[instr[2]]
+                status = None
+            elif op == tm.OP_SUB:
+                r, s = instr[1], instr[2]
+                self.regs[r] = max(0, self.regs[r] - self.regs[s])
+                status = None
+            elif op == tm.OP_CPY:
+                self.regs[instr[1]] = self.regs[instr[2]]
+                status = None
+            elif op == tm.OP_JZ or op == tm.OP_JMP:
+                if op == tm.OP_JZ and self.regs[instr[1]]:
+                    self.pc += 1
+                    continue
+                d, delta = instr[-2:]
+                target = self.pc + 1 + delta if d else self.pc + 1 - delta
+                if target < 0:
+                    return self._result("malformed", "jump before program start")
+                self.pc = target
+                status = self._loop_check()
+                if status:
+                    return self._result("timeout", status)
+                continue
+            elif op == tm.OP_HALTAT:
+                self.cap = instr[1]
+                status = None
+            else:  # pragma: no cover - decode rejects invalid opcodes
+                return self._result("malformed", f"invalid opcode {op}")
+
+            if status is not None:
+                return self._result(*status)
+            if len(self.out) > output_limit:
+                return self._result("timeout", "output limit exceeded")
+            self.other_step = self.steps
+            self.pc += 1
+
+    def _emit(self, symbols):
+        out = self.out
+        start = len(out)
+        if self.cap is not None:
+            symbols = symbols[:self.cap - start]
+        prefix = self.output_prefix
+        if prefix is not None and prefix[start:start + len(symbols)] != symbols:
+            end = start
+            while end < len(prefix) and prefix[end] == symbols[end - start]:
+                end += 1
+            out.extend(symbols[:end - start + 1])
+            return ("mismatch", "output left the requested prefix")
+        out.extend(symbols)
+        if symbols:
+            if self.exact_bits:
+                self._seen.clear()
+            else:
+                self._grown.clear()
+                if self.cap is not None:
+                    self._seen.clear()
+        if self.cap is not None and len(out) >= self.cap:
+            return ("halted", "")
+        return None
+
+    def _loop_check(self):
+        exact = self.exact_bits
+        if self.cap is None and not exact:
+            key = (self.pc, self.cursor, tuple(self.regs))
+        else:
+            key = (self.pc, self.cursor, len(self.out), self.cap, tuple(self.regs))
+        if key in self._seen:
+            return "loop detected"
+        if len(self._seen) < tm.LOOP_TRACK_LIMIT:
+            self._seen.add(key)
+        if exact:
+            return ""
+        key = (self.pc, self.cursor, len(self.out), self.cap)
+        zeros = self.regs.count(0)
+        last = self._grown.get(key)
+        if last is not None and last[0] >= self.other_step and last[1] == zeros:
+            return "register growth"
+        if last is not None or len(self._grown) < tm.LOOP_TRACK_LIMIT:
+            self._grown[key] = (self.steps, zeros)
+        return ""
+
+    def _result(self, status, reason=""):
+        return tm.MachineResult(status, tuple(self.out), self.cursor, self.steps, reason)
+
+
+class PerBitMachine(ReferenceMachine):
+    """The reference machine with the one-bit-at-a-time _emit that preceded it."""
 
     __slots__ = ()
 
@@ -555,7 +701,7 @@ EMIT_LIMITS = [tm.DEFAULT_OUTPUT_LIMIT, 4, 8, 9]
 
 
 class TestBulkEmit:
-    """The slice-at-once _emit against the per-bit one it replaced."""
+    """The slice-at-once emit against the per-bit one and the reference machine."""
 
     @pytest.mark.parametrize("program", EMIT_PROGRAMS.values(), ids=EMIT_PROGRAMS)
     def test_same_result_as_per_bit(self, program):
@@ -563,8 +709,8 @@ class TestBulkEmit:
             name, limit, exact_bits = case
             prefix = EMIT_PREFIXES[name]
             runs = [cls(program, exact_bits=exact_bits, output_prefix=prefix).run(2000, limit)
-                    for cls in (tm._Machine, PerBitMachine)]
-            assert runs[0] == runs[1], case
+                    for cls in (tm._Machine, ReferenceMachine, PerBitMachine)]
+            assert runs[0] == runs[1] == runs[2], case
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -590,14 +736,14 @@ class TestBulkEmit:
         program = tm.concat(*parts, tm.asm_halt())
         program = program[:len(program) - cut]
         runs = [cls(program, exact_bits=exact_bits, output_prefix=prefix).run(500, limit)
-                for cls in (tm._Machine, PerBitMachine)]
-        assert runs[0] == runs[1]
+                for cls in (tm._Machine, ReferenceMachine, PerBitMachine)]
+        assert runs[0] == runs[1] == runs[2]
 
     @pytest.mark.parametrize("limit", EMIT_LIMITS)
     def test_run_machine_same_results(self, limit, monkeypatch):
-        bulk = [tm.run_machine(p, 2000, limit) for p in EMIT_PROGRAMS.values()]
-        monkeypatch.setattr(tm, "_Machine", PerBitMachine)
-        assert [tm.run_machine(p, 2000, limit) for p in EMIT_PROGRAMS.values()] == bulk
+        results = [tm.run_machine(p, 2000, limit) for p in EMIT_PROGRAMS.values()]
+        monkeypatch.setattr(tm, "_Machine", ReferenceMachine)
+        assert [tm.run_machine(p, 2000, limit) for p in EMIT_PROGRAMS.values()] == results
 
     @pytest.mark.parametrize("max_len,max_steps,output_prefix,output_limit", [
         (12, 1000, None, tm.DEFAULT_OUTPUT_LIMIT),
@@ -614,8 +760,54 @@ class TestBulkEmit:
                                                output_prefix, timeout_log=log))
             return entries, log
 
-        bulk = enumerate_once()
-        # the root machine and every forked child are now PerBitMachines
-        monkeypatch.setattr(tm, "_Machine", PerBitMachine)
-        assert enumerate_once() == bulk
-        assert bulk[0]
+        found = enumerate_once()
+        # the root machine and every forked child are now ReferenceMachines
+        monkeypatch.setattr(tm, "_Machine", ReferenceMachine)
+        assert enumerate_once() == found
+        assert found[0]
+
+
+def run_both(program, exact_bits, output_prefix, max_steps, output_limit):
+    """The run of the local-state loop and of ReferenceMachine on one tape.
+
+    A paused run is given as the state that _fork copies into each child.
+    """
+    outcomes = []
+    for cls in (tm._Machine, ReferenceMachine):
+        m = cls(program, exact_bits=exact_bits, output_prefix=output_prefix)
+        res = m.run(max_steps, output_limit)
+        outcomes.append(res if res is not None else (
+            m.cursor, m.instrs, m.pc, m.regs, m.out, m.steps, m.cap, m.other_step))
+    return outcomes
+
+
+SHORT_PREFIXES = {"none": None, "empty": (), "01": (0, 1), "1": (1,)}
+SEEDED_BITS = tuple(random.Random(3554).choices((0, 1), k=10_000))
+LONG_PROGRAMS = {
+    "champernowne": tm.prog_champernowne(10_000),
+    "periodic": tm.prog_periodic((0, 1, 1), 10_000),
+    "constant": tm.prog_constant(1, 10_000),
+    "literal": tm.prog_literal(SEEDED_BITS),
+}
+
+
+class TestLocalStateLoop:
+    """The run loop over local state against ReferenceMachine, the loop it replaced."""
+
+    @pytest.mark.parametrize("exact_bits", [True, False])
+    @pytest.mark.parametrize("output_prefix", SHORT_PREFIXES.values(), ids=SHORT_PREFIXES)
+    def test_every_string_up_to_14_bits(self, output_prefix, exact_bits):
+        for n in range(15):
+            for bits in itertools.product((0, 1), repeat=n):
+                for limit in (tm.DEFAULT_OUTPUT_LIMIT, 0, 9):
+                    ours, reference = run_both(bits, exact_bits, output_prefix, 300, limit)
+                    assert ours == reference, (bits, limit)
+
+    @pytest.mark.parametrize("program", LONG_PROGRAMS.values(), ids=LONG_PROGRAMS)
+    def test_generator_programs_under_run_machine(self, program, monkeypatch):
+        # k_upper_bound re-runs a witness of n bits within 8n + 256 steps
+        max_steps = 8 * 10_000 + 256
+        result = tm.run_machine(program, max_steps)
+        assert result.halted and len(result.output) == 10_000
+        monkeypatch.setattr(tm, "_Machine", ReferenceMachine)
+        assert tm.run_machine(program, max_steps) == result
