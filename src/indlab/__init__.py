@@ -11,9 +11,6 @@ from .born import (
     State,
     born_measure,
     equivalence_check,
-    joint_spectrum,
-    product_measure,
-    sample_sequence,
     spectral_decompose,
 )
 from .machine import MachineResult, run_machine
@@ -28,7 +25,7 @@ from .randomness import (
     monkey_search,
     omega_lower_bound,
 )
-from .hv import HVModel, HVSpace, Sampler, bohm_measure, run_model, thooft_measure
+from .hv import HVModel, HVSpace, Sampler, run_model
 from .bell import (
     LocalDeterministicStrategy,
     MismatchFunctional,
@@ -39,6 +36,6 @@ from .bell import (
     run_bipartite,
 )
 from .ks import ColoringProblem, Ray, search_coloring, verify_coloring
-from .errors import CapacityError, CommutationError, ContractViolationError
+from .errors import CapacityError, ContractViolationError
 
 __all__ = [name for name in dir() if not name.startswith("_")]

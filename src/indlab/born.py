@@ -1,5 +1,5 @@
-"""Born measures of finite-dimensional observables, joint and product
-measures, and seeded outcome sampling.
+"""Born measures of finite-dimensional observables, and the check that
+measuring a tensor-power state agrees with the product of single measures.
 
 Only finite-dimensional Hilbert spaces are handled; an observable is a
 Hermitian matrix, a state is a unit vector or a density matrix, and the
@@ -9,18 +9,15 @@ measure assigns omega(e_lambda) to each (possibly degenerate) eigenvalue.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product as iter_product
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError, CommutationError
-from .sequences import SymbolString, sample_indices
+from .errors import CapacityError
 
 HERMITIAN_TOL = 1e-12
-COMMUTATION_TOL = 1e-10
 MEASURE_TOL = 1e-10
-DEFAULT_OUTCOME_CAP = 1_000_000
 TENSOR_CAP = 4096
 EQUIVALENCE_TOL = 1e-10
 
@@ -116,7 +113,7 @@ def spectral_decompose(a: Observable) -> Spectrum:
 
 @dataclass(frozen=True)
 class BornMeasure:
-    """Probabilities over a finite outcome set (eigenvalues or tuples)."""
+    """Probabilities over a finite outcome set of eigenvalues."""
 
     outcomes: tuple
     probabilities: tuple[float, ...]
@@ -133,15 +130,6 @@ class BornMeasure:
             self, "probabilities", tuple(float(max(0.0, x)) for x in p)
         )
 
-    def __len__(self) -> int:
-        return len(self.outcomes)
-
-    def probability(self, outcome) -> float:
-        for o, p in zip(self.outcomes, self.probabilities):
-            if o == outcome:
-                return p
-        return 0.0
-
 
 def born_measure(omega: State, a: Observable) -> BornMeasure:
     """The measure lambda -> omega(e_lambda) on the spectrum of a."""
@@ -150,63 +138,6 @@ def born_measure(omega: State, a: Observable) -> BornMeasure:
     spec = spectral_decompose(a)
     probs = [omega.expectation(e) for e in spec.projections]
     return BornMeasure(spec.eigenvalues, tuple(probs))
-
-
-def joint_spectrum(ops: Sequence[Observable]) -> list[tuple[tuple[float, ...], np.ndarray]]:
-    """Joint eigenvalue tuples of observables that commute within COMMUTATION_TOL,
-    with their (nonzero) product projections e_l1 ... e_lN, of at most
-    DEFAULT_OUTCOME_CAP tuples."""
-    if not ops:
-        raise ValueError("need at least one observable")
-    dim = ops[0].dim
-    for i, a in enumerate(ops):
-        if a.dim != dim:
-            raise ValueError(f"observable {i} has dim {a.dim}, expected {dim}")
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            comm = ops[i].matrix @ ops[j].matrix - ops[j].matrix @ ops[i].matrix
-            norm = float(np.max(np.abs(comm)))
-            if norm > COMMUTATION_TOL:
-                raise CommutationError(i, j, norm, COMMUTATION_TOL)
-    spectra = [spectral_decompose(a) for a in ops]
-    n_tuples = 1
-    for s in spectra:
-        n_tuples *= len(s.eigenvalues)
-        if n_tuples > DEFAULT_OUTCOME_CAP:
-            raise CapacityError(
-                f"joint spectrum would exceed {DEFAULT_OUTCOME_CAP} outcome tuples"
-            )
-    out = []
-    for combo in iter_product(*(range(len(s.eigenvalues)) for s in spectra)):
-        proj = spectra[0].projections[combo[0]]
-        for k in range(1, len(spectra)):
-            proj = proj @ spectra[k].projections[combo[k]]
-        if float(np.trace(proj).real) > 0.5:
-            values = tuple(spectra[k].eigenvalues[combo[k]] for k in range(len(spectra)))
-            out.append((values, (proj + proj.conj().T) / 2.0))
-    return out
-
-
-def product_measure(mu: BornMeasure, n: int) -> BornMeasure:
-    """The n-fold product measure over at most DEFAULT_OUTCOME_CAP outcome tuples."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if len(mu) ** n > DEFAULT_OUTCOME_CAP:
-        raise CapacityError(
-            f"product outcome table of size {len(mu)}^{n} exceeds cap {DEFAULT_OUTCOME_CAP}; "
-            "use the sampling path instead"
-        )
-    if n == 1:
-        return mu
-    outcomes = []
-    probs = []
-    for combo in iter_product(range(len(mu)), repeat=n):
-        outcomes.append(tuple(mu.outcomes[i] for i in combo))
-        p = 1.0
-        for i in combo:
-            p *= mu.probabilities[i]
-        probs.append(p)
-    return BornMeasure(tuple(outcomes), tuple(probs))
 
 
 @dataclass(frozen=True)
@@ -252,9 +183,11 @@ def equivalence_check(omega1: State, a: Observable, n: int) -> EquivalenceReport
     """Compare two descriptions of an n-fold repeated measurement.
 
     Procedure 1 measures the commuting family a x 1 x ... , ..., 1 x ... x a
-    on the n-fold tensor-power state; procedure 2 takes the n-fold product
-    of the single-experiment measure.  The two must agree pointwise, within
-    EQUIVALENCE_TOL; a tensor power above TENSOR_CAP dimensions is refused.
+    on the n-fold tensor-power state; procedure 2 is the n-fold outer
+    product of the single-experiment Born probabilities.  Both are arrays of
+    shape (m,)*n over the m eigenvalues of a, indexed in the same order, and
+    must agree pointwise within EQUIVALENCE_TOL; a tensor power above
+    TENSOR_CAP dimensions is refused.
     """
     if omega1.dim != a.dim:
         raise ValueError("state and observable dimensions differ")
@@ -262,23 +195,11 @@ def equivalence_check(omega1: State, a: Observable, n: int) -> EquivalenceReport
         raise CapacityError(
             f"tensor power dimension {a.dim}^{n} exceeds cap {TENSOR_CAP}"
         )
-    prod = product_measure(born_measure(omega1, a), n)
+    probs = np.asarray(born_measure(omega1, a).probabilities)
+    prod = reduce(np.multiply.outer, [probs] * n)
     joint = _tensor_power_probabilities(omega1, spectral_decompose(a).projections, n)
-    # both tables list outcome tuples in the same row-major order
-    dist = float(np.max(np.abs(joint.ravel() - np.asarray(prod.probabilities))))
+    dist = float(np.max(np.abs(joint - prod)))
     return EquivalenceReport(n, a.dim, dist, EQUIVALENCE_TOL, joint.size)
-
-
-def sample_sequence(mu: BornMeasure, n: int, seed: int) -> tuple[SymbolString, tuple]:
-    """n i.i.d. outcome draws from mu, returned as a SymbolString of outcome
-    indices plus the index -> outcome key.
-
-    The draw is sequences.sample_indices: one Philox stream keyed (seed, 0),
-    so the same (mu, n, seed) gives the same indices.
-    """
-    idx = sample_indices(mu.probabilities, n, seed)
-    alphabet = max(2, len(mu))
-    return SymbolString(alphabet, idx), tuple(mu.outcomes)
 
 
 # -- spin-1 helpers ----------------------------------------------------------

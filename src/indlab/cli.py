@@ -450,41 +450,56 @@ def cmd_report(args, manifest: Manifest) -> int:
             raise ValueError(f"{path}: unknown or missing schema {schema!r}; "
                              f"expected one of {sorted(known)}")
         sections.append((path, schema, obj))
+    last = [None]  # the last field read: the one named if it is missing or malformed
+
+    def field(o, key, *default):
+        last[0] = key
+        return o.get(key, *default) if default else o[key]
+
     lines = []
     for path, schema, obj in sections:
         lines.append(f"== {path} ({schema}) ==")
-        if schema == "hv-audit1/v1":
-            lines.append("  exercises: determinism clause (theory states h and hence x)")
-            for p in obj["checkpoints"]:
-                lines.append(f"  N={p['n']}: margin {p['margin']}")
-                plot_rows.append((path, "margin", p["n"], p["margin"]))
-            lines.append(f"  incompatible with 1-randomness: "
-                         f"{obj['incompatible_with_1_randomness']}")
-        elif schema == "hv-audit2/v1":
-            lines.append("  exercises: Born-rule clause (h must sample the measure)")
-            lines.append(f"  fair: {obj['fair']}; origin: {obj['randomness_origin']}")
-        elif schema == "bell/v1":
-            lines.append("  exercises: locality + free-choice clauses (Bell functional)")
-            fn = obj.get("functional", {})
-            if "empirical" in fn:
-                bound = fn["local_bound"]
-                if isinstance(bound, dict):
-                    bound = bound["value"]
-                lines.append(f"  functional {fn['name']}: empirical {fn['empirical']:.4f}"
-                             f" vs local bound {bound}")
-                for t in fn.get("per_term", []):
-                    plot_rows.append((path, "mismatch", f"{t['a']}-{t['b']}", t["mismatch"]))
-        elif schema == "randlab/v1":
-            if "tests" in obj and "borel" in obj.get("tests", {}):
-                n_pass = sum(1 for r in obj["tests"]["borel"] if r["pass"])
-                lines.append(f"  borel battery: {n_pass}/{len(obj['tests']['borel'])} pass")
-            if "k_upper" in obj:
-                lines.append(f"  K_upper {obj['k_upper']} (margin {obj['margin']})")
-            if "omega_lower_bound" in obj:
-                lb = obj["omega_lower_bound"]
-                lines.append(f"  omega lower bound {lb['numerator']}/{lb['denominator']}")
-        elif schema == "ks/v1":
-            lines.append(f"  coloring search: {obj.get('status', obj.get('valid'))}")
+        try:
+            if schema == "hv-audit1/v1":
+                lines.append("  exercises: determinism clause (theory states h and hence x)")
+                for p in field(obj, "checkpoints"):
+                    lines.append(f"  N={field(p, 'n')}: margin {field(p, 'margin')}")
+                    plot_rows.append((path, "margin", p["n"], p["margin"]))
+                lines.append(f"  incompatible with 1-randomness: "
+                             f"{field(obj, 'incompatible_with_1_randomness')}")
+            elif schema == "hv-audit2/v1":
+                lines.append("  exercises: Born-rule clause (h must sample the measure)")
+                lines.append(f"  fair: {field(obj, 'fair')}; "
+                             f"origin: {field(obj, 'randomness_origin')}")
+            elif schema == "bell/v1":
+                lines.append("  exercises: locality + free-choice clauses (Bell functional)")
+                fn = field(obj, "functional", {})
+                if "empirical" in fn:
+                    bound = field(fn, "local_bound")
+                    if isinstance(bound, dict):
+                        bound = field(bound, "value")
+                    lines.append(f"  functional {field(fn, 'name')}: empirical "
+                                 f"{field(fn, 'empirical'):.4f} vs local bound {bound}")
+                    for t in field(fn, "per_term", []):
+                        plot_rows.append((path, "mismatch", f"{field(t, 'a')}-{field(t, 'b')}",
+                                          field(t, "mismatch")))
+            elif schema == "randlab/v1":
+                if "borel" in field(obj, "tests", {}):
+                    borel = field(obj["tests"], "borel")
+                    n_pass = sum(1 for r in borel if field(r, "pass"))
+                    lines.append(f"  borel battery: {n_pass}/{len(borel)} pass")
+                if "k_upper" in obj:
+                    lines.append(f"  K_upper {field(obj, 'k_upper')} "
+                                 f"(margin {field(obj, 'margin')})")
+                if "omega_lower_bound" in obj:
+                    lb = field(obj, "omega_lower_bound")
+                    lines.append(f"  omega lower bound {field(lb, 'numerator')}/"
+                                 f"{field(lb, 'denominator')}")
+            elif schema == "ks/v1":
+                lines.append(f"  coloring search: {field(obj, 'status', obj.get('valid'))}")
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            why = "missing" if isinstance(exc, KeyError) else f"malformed: {exc}"
+            raise ValueError(f"{path}: {schema} report field {last[0]!r} is {why}") from None
     text = "\n".join(lines)
     print(text)
     _write_json(args.json, {"schema": "report/v1", "sections": [

@@ -1,10 +1,12 @@
 """Hidden-variable models as an explicit factorization x = g(h(n)).
 
-A model owns the outcome map g and a compatibility measure on its hidden
-state space; the per-run state supplier h is a pluggable sampler whose
-provenance (deterministic rule, seeded PRNG, OS entropy, recorded trace)
-is tracked explicitly, because where the randomness comes from is the whole
-point of the two audit scenarios.  The scenario-1 audit takes its
+A model owns the outcome map g and a compatibility measure mu on its
+hidden state space, stated as numbers in its hv/v1 file: a Bohmian
+|psi(q)|^2 dq over position bins or a 't Hooft |c_m|^2 over basis labels is
+written there as mu.  The per-run state supplier h is a pluggable sampler
+whose provenance (deterministic rule, seeded PRNG, OS entropy, recorded
+trace) is tracked explicitly, because where the randomness comes from is
+the whole point of the two audit scenarios.  The scenario-1 audit takes its
 Levin-Chaitin margins from randomness.levin_chaitin_margin and its flag
 from randomness.incompressibility_flag.  Bundled models are JSON files in
 the data directory, read by load_model.
@@ -33,7 +35,7 @@ SCENARIO2_MIN_N = 10_000
 DETERMINISTIC_RULES = ("counter", "alternating", "constant")
 # The keywords each sampler kind reads.
 SAMPLER_KEYWORDS = {
-    "deterministic_computable": ("rule", "value", "program"),
+    "deterministic_computable": ("rule", "value"),
     "seeded_prng": ("seed", "probs"),
     "external_entropy": (),
     "recorded_file": ("path",),
@@ -110,35 +112,13 @@ class HVModel:
         return 8 * len(model_to_json(self).encode())
 
 
-def bohm_measure(
-    amplitudes: Sequence[complex], bin_width: float | Sequence[float] = 1.0
-) -> tuple[float, ...]:
-    """Bin probabilities |psi(q_i)|^2 * dq_i of a discretized wavefunction."""
-    psi = np.asarray(amplitudes, dtype=complex)
-    widths = np.broadcast_to(np.asarray(bin_width, dtype=float), psi.shape)
-    probs = (np.abs(psi) ** 2) * widths
-    norm = float(probs.sum())
-    if abs(norm - 1.0) > 1e-8:
-        raise ValueError(f"wavefunction is not normalized: sum |psi|^2 dq = {norm!r}")
-    return tuple(float(p) for p in probs)
-
-
-def thooft_measure(coefficients: Sequence[complex]) -> tuple[float, ...]:
-    """Basis-label probabilities |c_m|^2 of an expansion state."""
-    c = np.asarray(coefficients, dtype=complex)
-    probs = np.abs(c) ** 2
-    norm = float(probs.sum())
-    if abs(norm - 1.0) > 1e-8:
-        raise ValueError(f"coefficients are not normalized: sum |c|^2 = {norm!r}")
-    return tuple(float(p) for p in probs)
-
-
 class Sampler:
     """A supplier of hidden states h(0), h(1), ... with tracked provenance.
 
-    Deterministic kinds reproduce exactly; seeded PRNGs reproduce per seed
-    but their randomness is external to any model; OS entropy is external
-    and non-reproducible.  A sampler is a single-owner cursor.
+    The deterministic kind follows one of DETERMINISTIC_RULES and
+    reproduces exactly; seeded PRNGs reproduce per seed but their
+    randomness is external to any model; OS entropy is external and
+    non-reproducible; a recorded file replays a trace.
     """
 
     def __init__(self, kind: str, **params):
@@ -150,13 +130,8 @@ class Sampler:
                              f"{', '.join(map(repr, sorted(unread)))}")
         self.kind = kind
         self.params = params
-        if kind == "deterministic_computable":
-            rule = params.get("rule")
-            program = params.get("program")
-            if rule is None and program is None:
-                raise ValueError("deterministic sampler needs rule= or program=")
-            if rule is not None and rule not in DETERMINISTIC_RULES:
-                raise ValueError(f"unknown deterministic rule {rule!r}")
+        if kind == "deterministic_computable" and params.get("rule") not in DETERMINISTIC_RULES:
+            raise ValueError(f"unknown deterministic rule {params.get('rule')!r}")
 
     @staticmethod
     def counter() -> "Sampler":
@@ -169,10 +144,6 @@ class Sampler:
     @staticmethod
     def constant(value: int = 0) -> "Sampler":
         return Sampler("deterministic_computable", rule="constant", value=value)
-
-    @staticmethod
-    def machine_program(program: tm.Bits) -> "Sampler":
-        return Sampler("deterministic_computable", program=tuple(program))
 
     @staticmethod
     def prng(seed: int, probs: Optional[Sequence[float]] = None) -> "Sampler":
@@ -201,26 +172,12 @@ class Sampler:
         """h(0..n-1) as indices into the model's hidden space."""
         m = model.space.size
         if self.kind == "deterministic_computable":
-            rule = self.params.get("rule")
+            rule = self.params["rule"]
             if rule == "counter":
                 return np.arange(n, dtype=np.int64) % m
             if rule == "alternating":
                 return np.arange(n, dtype=np.int64) % min(2, m)
-            if rule == "constant":
-                value = self.params.get("value", 0)
-                return np.full(n, value, dtype=np.int64)
-            program = self.params["program"]
-            if m != 2:
-                raise ContractViolationError(
-                    "machine-program samplers drive 2-state spaces only"
-                )
-            res = tm.run_machine(program, max_steps=64 * n + 1024,
-                                 output_limit=max(n, 1))
-            if len(res.output) < n:
-                raise ContractViolationError(
-                    f"sampler program produced {len(res.output)} states, {n} needed"
-                )
-            return np.asarray(res.output[:n], dtype=np.int64)
+            return np.full(n, self.params.get("value", 0), dtype=np.int64)
         if self.kind == "seeded_prng":
             probs = self.params.get("probs") or model.mu
             if len(probs) != m:
@@ -238,11 +195,7 @@ class Sampler:
         return sigma.array[:n]
 
     def describe(self) -> dict:
-        d = {"kind": self.kind}
-        d.update({k: v for k, v in self.params.items() if k != "program"})
-        if "program" in self.params:
-            d["program_bits"] = len(self.params["program"])
-        return d
+        return {"kind": self.kind, **self.params}
 
 
 def run_model(model: HVModel, h: Sampler, n: int) -> SymbolString:

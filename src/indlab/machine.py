@@ -351,9 +351,9 @@ class _Machine:
           output cannot steer control, and emitted bits can only end the run
           by an output-limit timeout or a prefix mismatch, never by a halt.
           Used only with exact_bits=False (the domain enumerator);
-          run_machine callers such as hv.Sampler read the output of an
-          uncapped loop up to output_limit, so they keep the first rule.
-          Under this rule the set is not cleared on emit.
+          run_machine returns an uncapped loop's output up to
+          output_limit, so it keeps only the first rule.  Under this rule
+          the set is not cleared on emit.
         - Register growth, also enumerator-only: (pc, cursor, len(out), cap)
           repeats, only INC, JZ and JMP ran since the last visit to it, and
           the set of zero registers is unchanged.  Only INC wrote, so every
@@ -463,7 +463,8 @@ def run_machine(
     """Run the machine on a fixed bit string.
 
     "halted" implies bits_consumed <= len(program_bits), and re-running the
-    consumed prefix alone reproduces the output.
+    consumed prefix alone reproduces the output.  A run that emits forever
+    ends on the step budget or the output limit, never as a detected loop.
     """
     program = _as_bits(program_bits, "program bits")
     if max_steps < 0:

@@ -45,8 +45,8 @@ class ComplexityEstimate:
     unresolved_bits_consumed: tuple[int, ...] = ()
 
     def verify(self, sigma: SymbolString) -> bool:
-        """Re-run the witness, within 8 * len(sigma) + 256 steps, and compare with sigma."""
-        res = tm.run_machine(self.witness, 8 * len(sigma) + 256)
+        """Re-run the witness (8n + 256 steps, n output bits, n = len(sigma)) against sigma."""
+        res = tm.run_machine(self.witness, 8 * len(sigma) + 256, len(sigma))
         return res.halted and res.output == tuple(sigma)
 
 

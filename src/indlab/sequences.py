@@ -257,30 +257,39 @@ def os_entropy_symbols(k: int, n: int) -> np.ndarray:
 def block_frequencies(sigma: SymbolString, block_len: int) -> dict[str, float]:
     """Relative frequency of each length-l block over the n - l + 1
     overlapping windows (the normality convention).  All k^l blocks are
-    keyed when that table is small, otherwise only observed blocks appear.
+    keyed when that table is small, otherwise only observed blocks appear,
+    counted without a k^l table.
     """
     if block_len < 1:
         raise ValueError(f"block length must be >= 1, got {block_len}")
     if block_len > len(sigma):
         raise ValueError(f"block length {block_len} exceeds string length {len(sigma)}")
     k = sigma.alphabet_size
-    counts = _window_counts(sigma.array, k, block_len)
-    total = counts.sum()
-    codes = range(k**block_len) if k**block_len <= 65536 else np.nonzero(counts)[0]
+    if k**block_len > 2**63:
+        raise ValueError(f"block length {block_len}: {k}^{block_len} codes overflow int64")
+    if k**block_len <= 65536:
+        codes, counts = range(k**block_len), _window_counts(sigma.array, k, block_len)
+    else:
+        codes, counts = np.unique(_window_codes(sigma.array, k, block_len), return_counts=True)
+    total = len(sigma) - block_len + 1
     return {
-        _format_symbols(_block_symbols(int(code), k, block_len), k): counts[code] / total
-        for code in codes
+        _format_symbols(_block_symbols(int(code), k, block_len), k): c / total
+        for code, c in zip(codes, counts)
     }
 
 
-def _window_counts(arr: np.ndarray, k: int, block_len: int) -> np.ndarray:
-    """Occurrence counts of every length-l block in the overlapping windows,
-    encoded base k."""
+def _window_codes(arr: np.ndarray, k: int, block_len: int) -> np.ndarray:
+    """The base-k code of each length-l block in the overlapping windows."""
     n = len(arr)
     codes = np.zeros(n - block_len + 1, dtype=np.int64)
     for j in range(block_len):
         codes = codes * k + arr[j : n - block_len + 1 + j]
-    return np.bincount(codes, minlength=k**block_len)
+    return codes
+
+
+def _window_counts(arr: np.ndarray, k: int, block_len: int) -> np.ndarray:
+    """Occurrence counts of every length-l block, indexed by its base-k code."""
+    return np.bincount(_window_codes(arr, k, block_len), minlength=k**block_len)
 
 
 def _block_symbols(code: int, k: int, block_len: int) -> tuple[int, ...]:

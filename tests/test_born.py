@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from indlab import born
-from indlab.errors import CapacityError, CommutationError
-from indlab.sequences import SequenceSource, sample_indices
+from indlab.errors import CapacityError
 
 RNG = np.random.Generator(np.random.Philox(key=[2024, 0]))
 
@@ -117,8 +116,8 @@ class TestBornMeasure:
     def test_fair_quantum_coin(self):
         psi = born.State(np.array([1, 1]) / math.sqrt(2))
         mu = born.born_measure(psi, born.Observable(np.diag([0.0, 1.0])))
-        assert mu.probability(0.0) == pytest.approx(0.5, abs=1e-12)
-        assert mu.probability(1.0) == pytest.approx(0.5, abs=1e-12)
+        assert mu.outcomes == (0.0, 1.0)
+        assert mu.probabilities == pytest.approx((0.5, 0.5), abs=1e-12)
 
     def test_eigenstate_point_mass(self):
         psi = born.State(np.array([1.0, 0.0]))
@@ -128,8 +127,8 @@ class TestBornMeasure:
     def test_degenerate_density(self):
         rho = born.State(np.eye(3) / 3)
         mu = born.born_measure(rho, born.Observable(np.diag([5.0, 5.0, 7.0])))
-        assert mu.probability(5.0) == pytest.approx(2 / 3, abs=1e-12)
-        assert mu.probability(7.0) == pytest.approx(1 / 3, abs=1e-12)
+        assert mu.outcomes == (5.0, 7.0)
+        assert mu.probabilities == pytest.approx((2 / 3, 1 / 3), abs=1e-12)
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError, match="dim"):
@@ -155,66 +154,23 @@ class TestBornMeasure:
                 assert lhs == pytest.approx(omega.expectation(f_of_a), abs=1e-8)
 
 
-class TestJointSpectrum:
-    def test_tensor_pair(self):
-        a = np.diag([0.0, 1.0])
-        a1 = born.Observable(np.kron(a, np.eye(2)))
-        a2 = born.Observable(np.kron(np.eye(2), a))
-        joint = born.joint_spectrum([a1, a2])
-        outcomes = sorted(v for v, _ in joint)
-        assert outcomes == [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
-        for _, proj in joint:
-            assert np.trace(proj).real == pytest.approx(1.0, abs=1e-10)
+class TestSpin1Squared:
+    """The squares of the spin-1 components along an orthonormal triad: the
+    commuting triple of the Kochen-Specker argument."""
 
-    def test_spin1_triple_outcome_set(self):
-        basis = np.eye(3)
-        ops = [born.spin1_squared(basis[i]) for i in range(3)]
-        joint = born.joint_spectrum(ops)
-        outcomes = sorted(tuple(round(x) for x in v) for v, _ in joint)
-        assert outcomes == [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
-
-    def test_spin1_triple_random_basis(self):
-        q, _ = np.linalg.qr(RNG.normal(size=(3, 3)))
-        ops = [born.spin1_squared(q[:, i]) for i in range(3)]
-        joint = born.joint_spectrum(ops)
-        outcomes = sorted(tuple(round(x) for x in v) for v, _ in joint)
-        assert outcomes == [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
-
-    def test_repeated_observable_diagonal_tuples_only(self):
-        a = born.Observable(np.diag([0.0, 1.0]))
-        joint = born.joint_spectrum([a, a])
-        outcomes = sorted(v for v, _ in joint)
-        assert outcomes == [(0.0, 0.0), (1.0, 1.0)]
-
-    def test_noncommuting_rejected_with_diagnostics(self):
-        x = born.Observable(np.array([[0, 1], [1, 0]], dtype=float))
-        z = born.Observable(np.diag([1.0, -1.0]))
-        with pytest.raises(CommutationError) as err:
-            born.joint_spectrum([x, z])
-        assert err.value.pair == (0, 1)
-        assert err.value.norm == pytest.approx(2.0)
-
-
-class TestProductMeasure:
-    def test_fair_coin_two(self):
-        mu = born.BornMeasure((0.0, 1.0), (0.5, 0.5))
-        prod = born.product_measure(mu, 2)
-        assert len(prod) == 4
-        assert all(p == pytest.approx(0.25) for p in prod.probabilities)
-
-    def test_cube_of_point_one(self):
-        mu = born.BornMeasure((0.0, 1.0), (0.9, 0.1))
-        prod = born.product_measure(mu, 3)
-        assert prod.probability((1.0, 1.0, 1.0)) == pytest.approx(0.001)
-
-    def test_identity_case(self):
-        mu = born.BornMeasure((0.0, 1.0), (0.5, 0.5))
-        assert born.product_measure(mu, 1) is mu
-
-    def test_capacity_error(self):
-        mu = born.BornMeasure((0.0, 1.0), (0.5, 0.5))
-        with pytest.raises(CapacityError, match="sampling path"):
-            born.product_measure(mu, 20)  # 2^20 tuples > DEFAULT_OUTCOME_CAP
+    @pytest.mark.parametrize("basis", [
+        np.eye(3),
+        np.linalg.qr(np.random.Generator(np.random.Philox(key=[3, 3])).normal(size=(3, 3)))[0],
+    ], ids=["standard", "qr-random"])
+    def test_triad_commutes_and_sums_to_two(self, basis):
+        ops = [born.spin1_squared(basis[:, i]).matrix for i in range(3)]
+        for x, y in combinations(ops, 2):
+            assert np.max(np.abs(x @ y - y @ x)) <= 1e-10
+        assert np.allclose(sum(ops), 2 * np.eye(3), rtol=0, atol=1e-12)
+        # each has spectrum {0, 1, 1}, so with the sum fixed at 2 every joint
+        # outcome holds exactly one 0
+        for m in ops:
+            assert np.allclose(np.linalg.eigvalsh(m), [0.0, 1.0, 1.0], rtol=0, atol=1e-12)
 
 
 class TestEquivalence:
@@ -232,10 +188,9 @@ class TestEquivalence:
     def test_hand_product(self):
         psi = born.State(np.array([math.sqrt(0.3), math.sqrt(0.7)]))
         a = born.Observable(np.diag([0.0, 1.0]))
-        prod = born.product_measure(born.born_measure(psi, a), 2)
+        _, joint = dense_equivalence_check(psi, a, 2)
         expect = {(0.0, 0.0): 0.09, (0.0, 1.0): 0.21, (1.0, 0.0): 0.21, (1.0, 1.0): 0.49}
-        for k, v in expect.items():
-            assert prod.probability(k) == pytest.approx(v, abs=1e-12)
+        assert joint == pytest.approx(expect, abs=1e-12)
         assert born.equivalence_check(psi, a, 2).l_inf_distance <= 1e-10
 
     def test_density_state_route(self):
@@ -252,10 +207,16 @@ class TestEquivalence:
 def dense_equivalence_check(omega1, a, n, tolerance=1e-10):
     """The dense-Kronecker equivalence check, kept as the reference for the
     tensordot one: every projection is embedded as a d^n x d^n matrix and
-    applied to the Kronecker power of the state.  Returns the report and the
-    joint probabilities keyed by eigenvalue tuple."""
+    applied to the Kronecker power of the state, and the product side is a
+    loop over outcome tuples.  Returns the report and the joint
+    probabilities keyed by eigenvalue tuple."""
     single = born.born_measure(omega1, a)
-    prod = born.product_measure(single, n) if n > 1 else single
+    prod_probs = {}
+    for combo in iter_product(range(len(single.outcomes)), repeat=n):
+        p = 1.0
+        for i in combo:
+            p *= single.probabilities[i]
+        prod_probs[tuple(single.outcomes[i] for i in combo)] = p
     spec = born.spectral_decompose(a)
     dim = a.dim
     big = omega1.data
@@ -274,8 +235,6 @@ def dense_equivalence_check(omega1, a, n, tolerance=1e-10):
         key = tuple(spec.eigenvalues[i] for i in combo)
         joint_probs[key] = float((np.vdot(big, m) if omega1.form == "unit_vector"
                                   else np.trace(m)).real)
-    prod_probs = dict(zip(prod.outcomes if n > 1 else [(o,) for o in prod.outcomes],
-                          prod.probabilities))
     keys = set(joint_probs) | set(prod_probs)
     dist = max(abs(joint_probs.get(k, 0.0) - prod_probs.get(k, 0.0)) for k in keys)
     return born.EquivalenceReport(n, a.dim, dist, tolerance, len(keys)), joint_probs
@@ -307,38 +266,3 @@ class TestEquivalenceOracle:
                 assert rep.l_inf_distance == pytest.approx(ref.l_inf_distance, abs=1e-12)
                 joint = born._tensor_power_probabilities(omega, spec.projections, n)
                 assert np.allclose(joint.ravel(), list(ref_joint.values()), rtol=0, atol=1e-12)
-
-
-class TestSampling:
-    def test_point_mass_constant(self):
-        mu = born.BornMeasure((3.5,), (1.0,))
-        s, key = born.sample_sequence(mu, 5, seed=1)
-        assert s.to_text() == "00000"
-        assert key == (3.5,)
-
-    def test_fair_coin_frequency(self):
-        mu = born.BornMeasure((0.0, 1.0), (0.5, 0.5))
-        s, _ = born.sample_sequence(mu, 10**5, seed=99)
-        freq = sum(tuple(s)) / len(s)
-        assert abs(freq - 0.5) <= 0.01
-
-    def test_golden_matches_sequences_module(self):
-        mu = born.BornMeasure((0.0, 1.0), (0.5, 0.5))
-        s, _ = born.sample_sequence(mu, 8, seed=42)
-        src = SequenceSource("born_sampler", seed=42, probs=[0.5, 0.5])
-        assert s.to_text() == src.prefix(8).to_text() == "10100000"
-
-    def test_reproducible_per_seed(self):
-        mu = born.BornMeasure((0.0, 1.0, 2.0), (0.2, 0.3, 0.5))
-        a, _ = born.sample_sequence(mu, 1000, seed=5)
-        b, _ = born.sample_sequence(mu, 1000, seed=5)
-        assert a == b
-        assert (a.array == sample_indices(mu.probabilities, 1000, 5)).all()
-
-    def test_lln_six_sigma(self):
-        mu = born.BornMeasure((0.0, 1.0), (0.3, 0.7))
-        n = 10**5
-        s, _ = born.sample_sequence(mu, n, seed=12)
-        for idx, p in enumerate(mu.probabilities):
-            freq = sum(1 for v in tuple(s) if v == idx) / n
-            assert abs(freq - p) <= 6 * math.sqrt(p * (1 - p) / n)

@@ -7,7 +7,7 @@ from indlab import bell, cli, hv, ks
 from indlab import machine as tm
 from indlab import randomness as rl
 from indlab import sequences as sq
-from indlab.errors import CapacityError, CommutationError, ContractViolationError
+from indlab.errors import CapacityError, ContractViolationError
 
 from builders import save_model
 from bundled import bundled_path, bundled_problem
@@ -258,6 +258,15 @@ NON_ORTHOGONAL_RAYS = "rays/v1\nray x 1 0 0\nray y 0 1 0\nray d 1 1 0\nbasis x y
      ["ks", "verify", "--rays", "peres33.rays", "--coloring", "c.json"],
      ("c.json: coloring must be a list of 0/1 marks, got str",)),
     ({"r.json": "{"}, ["report", "--in", "r.json"], ("r.json: Expecting",)),
+    ({"r.json": json.dumps({"schema": "hv-audit1/v1"})}, ["report", "--in", "r.json"],
+     ("r.json: hv-audit1/v1 report field 'checkpoints' is missing",)),
+    ({"r.json": json.dumps({"schema": "randlab/v1", "tests": {"borel": 5}})},
+     ["report", "--in", "r.json"],
+     ("r.json: randlab/v1 report field 'borel' is malformed", "not iterable")),
+    ({"r.json": json.dumps({"schema": "bell/v1", "functional": {
+        "name": "chsh", "empirical": "high", "local_bound": 2}})},
+     ["report", "--in", "r.json"],
+     ("r.json: bell/v1 report field 'empirical' is malformed", "format code")),
     ({"x.seq": "seq/v1 k=2 n=4\n0120\n"}, ["analyze", "--in", "x.seq"],
      ("x.seq: symbol 2 outside alphabet [0, 2)",)),
     ({"bad.rays": NON_ORTHOGONAL_RAYS},
@@ -286,7 +295,8 @@ NON_ORTHOGONAL_RAYS = "rays/v1\nray x 1 0 0\nray y 0 1 0\nray d 1 1 0\nbasis x y
 ], ids=["hv-model-not-json", "hv-model-without-space", "hv-model-string-size",
         "ks-coloring-not-json", "ks-coloring-without-key", "ks-coloring-number",
         "ks-coloring-string",
-        "report-input-not-json", "seq-bad-symbol", "ks-search-non-orthogonal",
+        "report-input-not-json", "report-missing-field", "report-field-wrong-type",
+        "report-field-not-a-number", "seq-bad-symbol", "ks-search-non-orthogonal",
         "ks-verify-non-orthogonal", "ks-rays-short-line", "ks-rays-collapsing-basis",
         "ks-rays-redefined-name", "ks-coloring-bools", "ks-coloring-float-mark"])
 def test_bad_input_file_is_named(files, argv, fragments, tmp_path, monkeypatch, capsys):
@@ -301,14 +311,15 @@ def test_bad_input_file_is_named(files, argv, fragments, tmp_path, monkeypatch, 
 
 def test_library_errors_are_value_errors():
     assert all(issubclass(e, ValueError)
-               for e in (ContractViolationError, CapacityError, CommutationError))
+               for e in (ContractViolationError, CapacityError))
 
 
 @pytest.mark.parametrize("extra,fragments", [
     (["--max-block", "0"], ("--max-block must be >= 1",)),
     (["--tests", "bogus"], ("unknown --tests ['bogus']",)),
     (["--tests", "borel,"], ("unknown --tests ['']",)),
-], ids=["max-block-0", "unknown-test", "empty-test-name"])
+    (["--tests", "blocks", "--max-block", "64"], ("block length 64: 2^64 codes overflow int64",)),
+], ids=["max-block-0", "unknown-test", "empty-test-name", "blocks-past-int64"])
 def test_vacuous_analyze_is_a_usage_error(extra, fragments, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     sq.write_sequence_file("x.seq", sq.SequenceSource("born_sampler", seed=1).prefix(400))

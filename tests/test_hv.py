@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from indlab import hv
-from indlab import machine as tm
 from indlab import randomness as rl
 from indlab import sequences as sq
 from indlab.errors import ContractViolationError
@@ -68,37 +67,6 @@ class TestSpacesAndModels:
         assert model.description_bits == 8 * len(hv.model_to_json(model).encode())
 
 
-class TestMeasures:
-    def test_bohm_uniform(self):
-        assert hv.bohm_measure([0.5, 0.5, 0.5, 0.5], 1.0) == (0.25, 0.25, 0.25, 0.25)
-
-    def test_bohm_point_mass(self):
-        probs = hv.bohm_measure([0.0, 0.0, 1.0], 1.0)
-        assert probs == (0.0, 0.0, 1.0)
-
-    def test_bohm_two_bins(self):
-        amp = 1 / math.sqrt(5)
-        assert hv.bohm_measure([amp, 2 * amp], 1.0) == pytest.approx((0.2, 0.8))
-
-    def test_bohm_unnormalized_reports_norm(self):
-        with pytest.raises(ValueError, match="0.5"):
-            hv.bohm_measure([0.5, 0.5], 1.0)
-
-    def test_thooft_fair(self):
-        r = hv.thooft_measure([1 / math.sqrt(2), 1 / math.sqrt(2)])
-        assert r == pytest.approx((0.5, 0.5))
-
-    def test_thooft_point(self):
-        assert hv.thooft_measure([1.0, 0.0]) == (1.0, 0.0)
-
-    def test_thooft_complex(self):
-        assert hv.thooft_measure([0.6, 0.8j]) == pytest.approx((0.36, 0.64))
-
-    def test_thooft_unnormalized(self):
-        with pytest.raises(ValueError, match="normalized"):
-            hv.thooft_measure([1.0, 1.0])
-
-
 class TestRunModel:
     def test_identity_alternating(self):
         model = FAIR_COIN
@@ -124,26 +92,6 @@ class TestRunModel:
         sq.write_sequence_file(path, sq.SymbolString(4, (0, 3)))
         with pytest.raises(ContractViolationError, match="outside the space"):
             hv.run_model(FAIR_COIN, hv.Sampler.recorded(path), 2)
-
-    def test_machine_program_sampler(self):
-        program = tm.prog_periodic((1, 0), 64)
-        x = hv.run_model(
-            FAIR_COIN, hv.Sampler.machine_program(program), 6
-        )
-        assert x.to_text() == "101010"
-
-    def test_uncapped_machine_program_fills_states(self):
-        # OUT1 OUT0 JMP -3 never halts: the sampler reads its output
-        program = tm.concat(tm.asm_out(1), tm.asm_out(0), tm.asm_jmp(-3))
-        x = hv.run_model(
-            FAIR_COIN, hv.Sampler.machine_program(program), 64
-        )
-        assert x.to_text() == "10" * 32
-
-    def test_machine_program_needs_two_states(self):
-        model = PARITY4
-        with pytest.raises(ContractViolationError, match="2-state"):
-            hv.run_model(model, hv.Sampler.machine_program(tm.prog_halt()), 2)
 
     def test_factorization_replay(self):
         # x equals the pointwise composition g(h(i))
@@ -295,20 +243,24 @@ class TestSamplerContracts:
         with pytest.raises(ValueError, match="up to 256 symbols"):
             hv.Sampler.os_entropy().states(model, 10)
 
-    def test_describe_hides_program_bits(self):
-        s = hv.Sampler.machine_program(tm.prog_halt())
-        assert s.describe() == {"kind": "deterministic_computable", "program_bits": 4}
+    def test_describe_is_kind_and_params(self):
+        assert hv.Sampler.constant(1).describe() == {
+            "kind": "deterministic_computable", "rule": "constant", "value": 1}
+        assert hv.Sampler.os_entropy().describe() == {"kind": "external_entropy"}
 
     def test_unknown_kind_and_rule(self):
         with pytest.raises(ValueError):
             hv.Sampler("telepathy")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown deterministic rule 'oracle'"):
             hv.Sampler("deterministic_computable", rule="oracle")
+        with pytest.raises(ValueError, match="unknown deterministic rule None"):
+            hv.Sampler("deterministic_computable")
 
     @pytest.mark.parametrize("kind,params,keyword", [
         ("seeded_prng", {"seed": 1, "probz": [0.9, 0.1]}, "probz"),
         ("external_entropy", {"seed": 1}, "seed"),
         ("deterministic_computable", {"rule": "counter", "probs": [0.5, 0.5]}, "probs"),
+        ("deterministic_computable", {"program": (0, 0, 0, 0)}, "program"),
         ("recorded_file", {"path": "x.seq", "value": 0}, "value"),
     ])
     def test_a_keyword_the_kind_does_not_read_is_rejected(self, kind, params, keyword):

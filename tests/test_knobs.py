@@ -1,15 +1,18 @@
-"""Inventory of the library's knobs: every parameter with a default.
+"""Inventory of the library's knobs and callers.
 
 The table below lists, for every public function and class that
 indlab.__all__ reaches (the names it exports, and the public members of the
 modules it exports), each parameter that has a default, as
 "module.qualname: name=default".  A class contributes its constructor and
 the public methods it defines.  A new option therefore shows up as a
-one-line diff here, and a removed one as a deleted line.
+one-line diff here, and a removed one as a deleted line.  Each of those
+public names must also be used by the library or the benchmark.
 """
 
+import ast
 import inspect
 import types
+from pathlib import Path
 
 import indlab
 
@@ -24,7 +27,6 @@ hv.HVModel: target=None
 hv.HVSpace: interval=None
 hv.Sampler.constant: value=0
 hv.Sampler.prng: probs=None
-hv.bohm_measure: bin_width=1.0
 ks.Q2: q=0
 ks.Ray.from_components: name=''
 ks.Ray: exact=None
@@ -83,3 +85,30 @@ def knob_inventory() -> list[str]:
 
 def test_knob_inventory_matches_the_frozen_table():
     assert knob_inventory() == KNOBS.split("\n")[1:-1]
+
+
+# Public names kept without a caller: the free-will-theorem reduction has no
+# CLI subcommand yet (ROADMAP item 8).
+UNCALLED_ALLOWED = {"ks.fwt_reduction_check", "ks.coloring_to_value_map", "ks.outcome_tuples"}
+
+
+def _used_names() -> set[str]:
+    """Every name read as a variable or an attribute in src/indlab (its
+    modules, not the re-exports of __init__.py) and in bench/."""
+    src = Path(indlab.__file__).parent
+    files = [f for f in src.glob("*.py") if f.name != "__init__.py"]
+    files += (Path(__file__).resolve().parents[1] / "bench").glob("*.py")
+    used = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
+
+def test_every_public_name_has_a_caller():
+    used = _used_names()
+    uncalled = {q for q in _callables() if q.rsplit(".", 1)[1] not in used}
+    assert uncalled == UNCALLED_ALLOWED

@@ -114,6 +114,12 @@ class TestRunMachine:
         b = tm.run_machine(program, 10_000)
         assert (a.output, a.steps, a.bits_consumed) == (b.output, b.steps, b.bits_consumed)
 
+    def test_uncapped_loop_output_runs_to_the_limit(self):
+        # OUT1 OUT0 JMP -3 never halts and repeats no whole state
+        res = tm.run_machine(tm.concat(tm.asm_out(1), tm.asm_out(0), tm.asm_jmp(-3)), 5000, 64)
+        assert (res.status, res.reason) == ("timeout", "output limit exceeded")
+        assert res.output == (1, 0) * 32 + (1,)
+
     def test_loop_detected_early(self):
         # JMP to itself: state recurrence proves divergence within a few steps
         res = tm.run_machine(tm.asm_jmp(-1), 10_000)

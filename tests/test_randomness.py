@@ -173,6 +173,16 @@ class TestKUpperBound:
         with pytest.raises(ValueError):
             rl.k_upper_bound(sq.SymbolString(3, (0, 1, 2)))
 
+    @pytest.mark.parametrize("make,method", [
+        (fair_coin, "literal_encoding"),
+        (lambda n: sq.champernowne(2, n), "generator_encoding"),
+    ], ids=["fair-coin", "champernowne"])
+    def test_witness_longer_than_the_default_output_limit(self, make, method):
+        # the re-run must not stop at run_machine's default output limit
+        sigma = make(tm.DEFAULT_OUTPUT_LIMIT + 2)
+        est = rl.k_upper_bound(sigma)
+        assert est.method == method and est.verify(sigma)
+
     def test_every_estimate_is_witnessed(self):
         for text in ("0", "0000000000", "0110110110", "01101110", "10011"):
             sigma = sq.bits(text)

@@ -256,6 +256,16 @@ class TestSampling:
         empty = sq.sample_indices([0.5, 0.5], 0, 1)
         assert empty.dtype == np.int64 and len(empty) == 0
 
+    def test_point_mass_constant(self):
+        assert sq.sample_indices([1.0], 5, 1).tolist() == [0] * 5
+
+    def test_lln_six_sigma(self):
+        n = 10**5
+        draw = sq.sample_indices([0.3, 0.7], n, 12)
+        for idx, p in enumerate((0.3, 0.7)):
+            freq = np.count_nonzero(draw == idx) / n
+            assert abs(freq - p) <= 6 * math.sqrt(p * (1 - p) / n)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             sq.sample_indices([0.5, 0.6], 10, 0)
@@ -289,6 +299,20 @@ class TestBlockFrequencies:
     def test_block_longer_than_string(self):
         with pytest.raises(ValueError, match="exceeds"):
             sq.block_frequencies(sq.bits("01"), 3)
+
+    @pytest.mark.parametrize("k,block_len", [(2, 40), (2, 63), (3, 39), (16, 15)])
+    def test_long_blocks_key_only_observed_blocks(self, k, block_len):
+        # a k^l table would not fit in memory; only the windows are counted
+        s = sq.SymbolString(k, sq.sample_indices([1 / k] * k, 200, k))
+        windows = [tuple(s.array[i:i + block_len].tolist()) for i in range(201 - block_len)]
+        observed = sorted(set(windows))  # tuple order is base-k code order
+        freqs = sq.block_frequencies(s, block_len)
+        assert list(freqs) == [sq._format_symbols(w, k) for w in observed]
+        assert list(freqs.values()) == [windows.count(w) / len(windows) for w in observed]
+
+    def test_block_codes_past_int64_rejected(self):
+        with pytest.raises(ValueError, match="block length 64: 2\\^64 codes overflow int64"):
+            sq.block_frequencies(sq.bits("01" * 40), 64)
 
     def test_champernowne_calibration(self):
         # frozen calibration: exactly 530198 ones in the first 1e6 bits
