@@ -284,6 +284,8 @@ def cmd_hv(args, manifest: Manifest) -> int:
     model = hv.load_model(_resolve_data_path(args.model))
     manifest.add_input(args.model)
     sampler = _load_sampler(args)
+    if sampler.kind == "recorded_file":
+        manifest.add_input(sampler.params["path"])
     if args.hv_command == "run":
         x = hv.run_model(model, sampler, args.n)
         sq.write_sequence_file(args.out, x)

@@ -115,8 +115,8 @@ class HVModel:
 class Sampler:
     """A supplier of hidden states h(0), h(1), ... with tracked provenance.
 
-    The deterministic kind follows one of DETERMINISTIC_RULES and
-    reproduces exactly; seeded PRNGs reproduce per seed but their
+    The deterministic kind follows one of DETERMINISTIC_RULES, of which
+    only "constant" reads a value, and reproduces exactly; seeded PRNGs reproduce per seed but their
     randomness is external to any model; OS entropy is external and
     non-reproducible; a recorded file replays a trace.
     """
@@ -130,8 +130,12 @@ class Sampler:
                              f"{', '.join(map(repr, sorted(unread)))}")
         self.kind = kind
         self.params = params
-        if kind == "deterministic_computable" and params.get("rule") not in DETERMINISTIC_RULES:
-            raise ValueError(f"unknown deterministic rule {params.get('rule')!r}")
+        if kind == "deterministic_computable":
+            rule = params.get("rule")
+            if rule not in DETERMINISTIC_RULES:
+                raise ValueError(f"unknown deterministic rule {rule!r}")
+            if rule != "constant" and "value" in params:
+                raise ValueError(f"sampler rule {rule!r} does not read 'value'")
 
     @staticmethod
     def counter() -> "Sampler":
@@ -388,6 +392,9 @@ def model_from_json(text: str) -> HVModel:
         obj["space"]["size"],
         interval=tuple(obj["space"]["interval"]) if "interval" in obj["space"] else None,
     )
+    mu = tuple(float(p) for p in obj["mu"])
+    if len(mu) != space.size:  # before a g rule is expanded to space.size entries
+        raise ValueError("mu must cover the hidden space")
     g = obj["g"]
     if isinstance(g, dict):
         rule = g.get("rule")
@@ -400,7 +407,7 @@ def model_from_json(text: str) -> HVModel:
     return HVModel(
         space=space,
         outcome_map=tuple(int(v) for v in g),
-        mu=tuple(float(p) for p in obj["mu"]),
+        mu=mu,
         name=obj.get("name", "model"),
         target=tuple(float(p) for p in obj["target"]) if "target" in obj else None,
     )

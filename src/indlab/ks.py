@@ -3,9 +3,10 @@
 A coloring marks exactly one ray per basis triple; suitable ray sets admit
 none, and then the searcher reports "unsat" with the statistics of its
 complete search.  Those statistics are not a certificate: no second program
-checks them.  Bundled data uses coordinates in Q[sqrt2], so orthogonality
-and deduplication are exact rational arithmetic; decimal coordinates fall
-back to a 1e-8 tolerance.
+checks them.  Every ray holds exact coordinates in Q[sqrt2], so
+orthogonality and deduplication are exact arithmetic with no tolerance: a
+decimal coordinate is the rational it writes ("0.25" is 1/4), and a float
+given to the library is the binary rational it stores.
 
 A ColoringProblem is checked when it is built, by make_problem,
 load_rays_file or its own constructor: every basis names three distinct,
@@ -17,14 +18,16 @@ from __future__ import annotations
 
 import math
 import numbers
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
 RAYS_SCHEMA = "rays/v1"
-ORTHO_TOL = 1e-8
-UNIT_TOL = 1e-10
+# A decimal exponent is read exactly, as a power of ten, so it has at most
+# four digits: 10**9999 is 33,216 bits, 10**999999999 would be 415 MB.
+EXPONENT_DIGITS = 4
 
 
 class Q2:
@@ -57,19 +60,6 @@ class Q2:
     def __hash__(self):
         return hash((self.p, self.q))
 
-    def sign(self) -> int:
-        """Exact sign of p + q*sqrt2 (no floating point)."""
-        if self.p == 0 and self.q == 0:
-            return 0
-        if self.p >= 0 and self.q >= 0:
-            return 1
-        if self.p <= 0 and self.q <= 0:
-            return -1
-        big_rational = self.p * self.p > 2 * self.q * self.q
-        if self.p > 0:
-            return 1 if big_rational else -1
-        return -1 if big_rational else 1
-
     def __float__(self) -> float:
         return float(self.p) + float(self.q) * math.sqrt(2.0)
 
@@ -77,33 +67,24 @@ class Q2:
         return f"Q2({self.p}, {self.q})"
 
 
-def parse_component(token: str) -> Q2 | float:
-    """A coordinate token: exact forms like "3", "-1/2", "r2", "-2r2",
-    "1+r2", "1-3/2r2"; decimal forms fall back to float."""
+def parse_component(token: str) -> Q2:
+    """A coordinate token p, q*"r2" or p+q*"r2", where p and q are exact
+    rationals such as "3", "-1/2", "0.25" or "1e-3": "r2", "-2r2", "1.5r2",
+    "1-3/2r2", "1+2e-3r2".  A sign right after e or E is the exponent's,
+    and an exponent of more than EXPONENT_DIGITS digits is an error."""
     token = token.strip()
-    if "." in token or "e" in token.lower():
-        return float(token)
+    if any(len(e) > EXPONENT_DIGITS for e in re.findall(r"[eE][+-]?0*(\d*)", token)):
+        raise ValueError(f"ray component {token!r} has a decimal exponent of more than "
+                         f"{EXPONENT_DIGITS} digits")
     try:
         if not token.endswith("r2"):
             return Q2(Fraction(token), 0)
         core = token[:-2]
-        split_at = -1
-        for i in range(len(core) - 1, 0, -1):
-            if core[i] in "+-":
-                split_at = i
-                break
-        if split_at == -1:
-            p = Fraction(0)
-            qs = core
-        else:
-            p = Fraction(core[:split_at])
-            qs = core[split_at:]
-        if qs in ("", "+"):
-            q = Fraction(1)
-        elif qs == "-":
-            q = Fraction(-1)
-        else:
-            q = Fraction(qs)
+        split_at = next((i for i in range(len(core) - 1, 0, -1)
+                         if core[i] in "+-" and core[i - 1] not in "eE"), 0)
+        p = Fraction(core[:split_at]) if split_at else Fraction(0)
+        qs = core[split_at:]
+        q = Fraction(1) if qs in ("", "+") else Fraction(-1) if qs == "-" else Fraction(qs)
         return Q2(p, q)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse ray component {token!r}") from exc
@@ -119,80 +100,63 @@ def _exact_dot(u: ExactVec, v: ExactVec) -> Q2:
     return s
 
 
+def _component(c) -> Q2:
+    """A Q2 as given, or the exact value of a number: a float is the binary
+    rational it stores."""
+    try:
+        return c if isinstance(c, Q2) else Q2(c)
+    except (OverflowError, ValueError):  # Fraction of an infinity or a NaN
+        raise ValueError(f"ray component {c!r} is not a finite number") from None
+
+
 def _canonical_exact(v: ExactVec) -> ExactVec:
-    """Primitive representative of the ray through v: cleared denominators,
-    content divided out, sqrt2 factored away when common, and the first
-    nonzero component positive (sign identification of v and -v)."""
-    if all(c.is_zero() for c in v):
+    """The one representative of the ray through v, whatever Q[sqrt2]
+    multiple of it v is: the first nonzero component rational and positive
+    (v times that component's conjugate when it is not), and the p and q of
+    all three coprime integers."""
+    lead = next((c for c in v if not c.is_zero()), None)
+    if lead is None:
         raise ValueError("zero vector is not a ray")
-    m = math.lcm(*(c.p.denominator for c in v), *(c.q.denominator for c in v))
-    v = tuple(Q2(c.p * m, c.q * m) for c in v)
-    if all(c.p == 0 for c in v):
-        # sqrt2 * (q1, q2, q3): same ray as the rational vector (q1, q2, q3)
-        v = tuple(Q2(c.q, 0) for c in v)
-    g = 0
-    for c in v:
-        g = math.gcd(g, abs(c.p.numerator), abs(c.q.numerator))
-    if g > 1:
-        v = tuple(Q2(Fraction(c.p, g), Fraction(c.q, g)) for c in v)
-    for c in v:
-        s = c.sign()
-        if s > 0:
-            return v
-        if s < 0:
-            return tuple(-c for c in v)
-    raise AssertionError("unreachable: nonzero vector has a signed component")
+    if lead.q:
+        conj = Q2(lead.p, -lead.q)
+        v = tuple(c * conj for c in v)
+        lead = lead * conj
+    m = math.lcm(*(x.denominator for c in v for x in (c.p, c.q)))
+    ints = [x.numerator * (m // x.denominator) for c in v for x in (c.p, c.q)]
+    g = math.gcd(*ints) if lead.p > 0 else -math.gcd(*ints)
+    return tuple(Q2(ints[i] // g, ints[i + 1] // g) for i in (0, 2, 4))
 
 
 @dataclass(frozen=True)
 class Ray:
     """A direction in R^3 with v and -v identified.
 
-    direction is the unit float vector, canonicalized so the first nonzero
-    coordinate is positive; exact holds the primitive Q[sqrt2] coordinates
-    when the ray came from exact data.
+    Built from three components, each a Q2 or a number (see _component);
+    exact holds the primitive Q[sqrt2] coordinates of _canonical_exact, so
+    rays compare and hash by the direction itself and name is only a label.
     """
 
-    direction: tuple[float, float, float]
-    exact: Optional[ExactVec] = field(default=None, compare=False)
+    exact: ExactVec
     name: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.direction) != 3 or abs(math.hypot(*self.direction) - 1.0) > UNIT_TOL:
-            raise ValueError(f"ray direction {self.direction!r} is not a unit 3-vector")
+        if len(self.exact) != 3:
+            raise ValueError(f"ray needs 3 components, got {len(self.exact)}")
+        object.__setattr__(self, "exact",
+                           _canonical_exact(tuple(_component(c) for c in self.exact)))
 
-    @staticmethod
-    def from_components(comps: Sequence, name: str = "") -> "Ray":
-        if len(comps) != 3:
-            raise ValueError(f"ray needs 3 components, got {len(comps)}")
-        if all(isinstance(c, Q2) for c in comps):
-            exact = _canonical_exact(tuple(comps))
-            floats = tuple(float(c) for c in exact)
-            norm = math.sqrt(sum(x * x for x in floats))
-            return Ray(tuple(x / norm for x in floats), exact, name)
-        floats = tuple(float(c) for c in comps)
-        norm = math.sqrt(sum(x * x for x in floats))
-        if norm == 0.0:
-            raise ValueError("zero vector is not a ray")
-        unit = tuple(x / norm for x in floats)
-        for x in unit:
-            if abs(x) > UNIT_TOL:
-                if x < 0:
-                    unit = tuple(-y for y in unit)
-                break
-        return Ray(unit, None, name)
-
-    def same_ray(self, other: "Ray") -> bool:
-        if self.exact is not None and other.exact is not None:
-            return self.exact == other.exact
-        d = sum(a * b for a, b in zip(self.direction, other.direction))
-        return abs(abs(d) - 1.0) <= ORTHO_TOL
+    @property
+    def direction(self) -> tuple[float, float, float]:
+        """The unit float vector; the integer coordinates are scaled by a
+        power of two first, so no size of coordinate overflows a float."""
+        bits = max(abs(x.numerator).bit_length() for c in self.exact for x in (c.p, c.q))
+        scale = 1 << max(0, bits - 64)
+        v = [float(Q2(c.p / scale, c.q / scale)) for c in self.exact]
+        norm = math.hypot(*v)
+        return tuple(x / norm for x in v)
 
     def orthogonal_to(self, other: "Ray") -> bool:
-        if self.exact is not None and other.exact is not None:
-            return _exact_dot(self.exact, other.exact).is_zero()
-        d = sum(a * b for a, b in zip(self.direction, other.direction))
-        return abs(d) <= ORTHO_TOL
+        return _exact_dot(self.exact, other.exact).is_zero()
 
     def inner(self, other: "Ray") -> float:
         return sum(a * b for a, b in zip(self.direction, other.direction))
@@ -212,30 +176,10 @@ def _check_references(basis: Sequence[int], ray_count: int) -> None:
 
 
 def _dedup(rays: Sequence[Ray]) -> tuple[list[Ray], list[int]]:
-    """The distinct rays in first-seen order, and each ray's index among them.
-
-    Exact rays meet by one dict lookup of their canonical coordinates; only
-    a pair involving a decimal ray is compared by inner product.
-    """
-    distinct: list[Ray] = []
-    remap: list[int] = []
-    by_exact: dict[ExactVec, int] = {}
-    decimal: list[int] = []
-    for ray in rays:
-        scan = range(len(distinct)) if ray.exact is None else decimal
-        matches = [j for j in scan if distinct[j].same_ray(ray)]
-        if ray.exact in by_exact:
-            matches.append(by_exact[ray.exact])
-        if matches:
-            remap.append(min(matches))
-            continue
-        if ray.exact is None:
-            decimal.append(len(distinct))
-        else:
-            by_exact[ray.exact] = len(distinct)
-        remap.append(len(distinct))
-        distinct.append(ray)
-    return distinct, remap
+    """The distinct rays in first-seen order, and each ray's index among them."""
+    first: dict[Ray, int] = {}
+    remap = [first.setdefault(ray, len(first)) for ray in rays]
+    return list(first), remap
 
 
 @dataclass
@@ -245,9 +189,8 @@ class ColoringProblem:
 
     A problem is checked when it is built, whichever way: no two rays
     coincide, every basis names three existing rays, and the rays of each
-    basis are pairwise orthogonal (exactly over Q[sqrt2], within ORTHO_TOL
-    for decimal rays).  Otherwise construction raises a ValueError naming
-    the basis and rays at fault.
+    basis are pairwise orthogonal, exactly over Q[sqrt2].  Otherwise
+    construction raises a ValueError naming the basis and rays at fault.
     """
 
     rays: list[Ray]
@@ -275,7 +218,7 @@ def make_problem(ray_vectors: Sequence, bases: Sequence[Sequence[int]]) -> Color
     """Build a checked problem from rays or raw vectors, merging coinciding
     rays and repeated bases; a basis that merging leaves without three
     distinct rays is an error."""
-    given = [v if isinstance(v, Ray) else Ray.from_components(v) for v in ray_vectors]
+    given = [v if isinstance(v, Ray) else Ray(v) for v in ray_vectors]
     rays, remap = _dedup(given)
     triples = []
     seen = set()
@@ -510,14 +453,12 @@ def load_rays_file(path: str) -> ColoringProblem:
                         if len(parts) != 5:
                             raise ValueError("ray needs a name and 3 components")
                         comps = [parse_component(t) for t in parts[2:]]
-                        if any(isinstance(c, float) for c in comps):
-                            comps = [float(c) for c in comps]
                         if parts[1] in defined_on:
                             raise ValueError(f"ray {parts[1]!r} is already defined on line "
                                              f"{defined_on[parts[1]]}")
                         defined_on[parts[1]] = lineno
                         names[parts[1]] = len(rays)
-                        rays.append(Ray.from_components(comps, name=parts[1]))
+                        rays.append(Ray(comps, name=parts[1]))
                     elif parts[0] == "basis":
                         if len(parts) != 4:
                             raise ValueError("basis needs 3 ray names")

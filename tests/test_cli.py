@@ -492,6 +492,17 @@ def test_manifest_keys_bundled_inputs_by_given_name(tmp_path, monkeypatch):
     assert inputs["peres33.rays"] == cli._sha256(bundled_path("peres33.rays"))
 
 
+def test_manifest_names_the_trace_of_a_file_sampler(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    sq.write_sequence_file("trace.seq", sq.SymbolString.from_text("01101001", 2))
+    assert cli.dispatch(["hv", "run", "--model", "fair_coin_counter.json", "--n", "8",
+                         "--sampler", "file:trace.seq", "--out", "h.seq"]) == cli.EXIT_OK
+    with open("h.seq.manifest.json") as f:
+        inputs = json.load(f)["inputs"]
+    assert inputs == {"fair_coin_counter.json": cli._sha256(bundled_path("fair_coin_counter.json")),
+                      "trace.seq": cli._sha256("trace.seq")}
+
+
 def test_data_dir_override(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "data").mkdir()

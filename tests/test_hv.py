@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,6 +216,19 @@ class TestModelFiles:
         with pytest.raises(ValueError, match="hv/v1"):
             hv.model_from_json('{"schema": "bogus"}')
 
+    @pytest.mark.parametrize("size", [10 ** 6, 10 ** 12])
+    def test_mu_is_checked_before_a_g_rule_is_expanded(self, size):
+        text = ('{"schema": "hv/v1", "space": {"kind": "discrete", "size": %d}, '
+                '"g": {"rule": "identity"}, "mu": [1.0]}' % size)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="mu must cover the hidden space"):
+                hv.model_from_json(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 class TestSamplerContracts:
     def test_prng_reproducible(self):
@@ -247,6 +261,13 @@ class TestSamplerContracts:
         assert hv.Sampler.constant(1).describe() == {
             "kind": "deterministic_computable", "rule": "constant", "value": 1}
         assert hv.Sampler.os_entropy().describe() == {"kind": "external_entropy"}
+
+    @pytest.mark.parametrize("rule", ["counter", "alternating"])
+    def test_only_the_constant_rule_reads_value(self, rule):
+        with pytest.raises(ValueError, match=f"sampler rule '{rule}' does not read 'value'"):
+            hv.Sampler("deterministic_computable", rule=rule, value=5)
+        assert hv.Sampler("deterministic_computable", rule="constant", value=5).describe() == {
+            "kind": "deterministic_computable", "rule": "constant", "value": 5}
 
     def test_unknown_kind_and_rule(self):
         with pytest.raises(ValueError):

@@ -28,8 +28,6 @@ hv.HVSpace: interval=None
 hv.Sampler.constant: value=0
 hv.Sampler.prng: probs=None
 ks.Q2: q=0
-ks.Ray.from_components: name=''
-ks.Ray: exact=None
 ks.Ray: name=''
 ks.SearchStats: max_depth=0
 ks.SearchStats: nodes=0

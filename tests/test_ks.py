@@ -1,3 +1,4 @@
+import math
 import re
 from fractions import Fraction
 from itertools import combinations
@@ -56,21 +57,18 @@ def token(x):
 
 
 def save_rays_file(path, problem):
-    """Write problem as a rays/v1 file, exact coordinates where known."""
+    """Write problem as a rays/v1 file of exact coordinates."""
     with open(path, "w") as f:
         f.write(f"{ks.RAYS_SCHEMA}\n")
         for i, ray in enumerate(problem.rays):
-            if ray.exact is not None:
-                comps = " ".join(token(c) for c in ray.exact)
-            else:
-                comps = " ".join(f"{x:.12f}" for x in ray.direction)
+            comps = " ".join(token(c) for c in ray.exact)
             f.write(f"ray {ray.name or f'r{i}'} {comps}\n")
         for basis in problem.bases:
             f.write(f"basis {' '.join(problem.rays[r].name or f'r{r}' for r in basis)}\n")
 
 
 def canonical(v):
-    return ks.Ray.from_components(v).exact
+    return ks.Ray(v).exact
 
 
 def dot(u, v):
@@ -171,7 +169,7 @@ def build_peres_problem():
         "total_bases": len(bases),
     }
     ray_objs = [
-        ks.Ray.from_components(v, name=f"p{i}" if i < len(directions) else f"c{i}")
+        ks.Ray(v, name=f"p{i}" if i < len(directions) else f"c{i}")
         for i, v in enumerate(rays)
     ]
     return ks.make_problem(ray_objs, bases), stats
@@ -189,9 +187,95 @@ def build_demo_problem():
         (O, Z, O),
         (O, Z, -O),
     ]
-    rays = [ks.Ray.from_components(v, name=n)
+    rays = [ks.Ray(v, name=n)
             for v, n in zip(vecs, "x y z d1 d2 d3 d4".split())]
     return ks.make_problem(rays, [(0, 1, 2), (0, 3, 4), (1, 5, 6)])
+
+
+def random_q2_problem(seed):
+    """Raw vectors over Q[sqrt2] and basis triples of one seeded problem.
+
+    Each basis starts from a vector already drawn (so bases share rays) or a
+    fresh one with small integer p and q, and is completed by cross
+    products; a few vectors are listed twice more.
+    """
+    rng = np.random.Generator(np.random.Philox(key=[seed, 16]))
+
+    def fresh():
+        v = tuple(ks.Q2(int(p), int(q)) for p, q in rng.integers(-2, 3, size=(3, 2)))
+        return v if not all(c.is_zero() for c in v) else fresh()
+
+    vectors, bases = [], []
+    for _ in range(int(rng.integers(2, 9))):
+        u = vectors[int(rng.integers(len(vectors)))] if vectors and rng.random() < 0.8 \
+            else fresh()
+        w = cross(u, fresh())
+        while all(c.is_zero() for c in w):
+            w = cross(u, fresh())
+        bases.append((len(vectors), len(vectors) + 1, len(vectors) + 2))
+        vectors += [u, cross(w, u), w]
+    vectors += [vectors[int(i)] for i in rng.integers(len(vectors), size=3)]
+    return vectors, bases
+
+
+def rescaled(vectors, seed):
+    """Each vector times its own random nonzero element of Q[sqrt2], which
+    may flip its sign: the same rays, written differently."""
+    rng = np.random.Generator(np.random.Philox(key=[seed, 17]))
+    out = []
+    for v in vectors:
+        s = ks.Q2(0)
+        while s.is_zero():
+            s = ks.Q2(Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4))),
+                      int(rng.integers(-2, 3)))
+        out.append(tuple(c * s for c in v))
+    return out
+
+
+def oracle_inputs(key):
+    """Raw vectors and bases of a seeded random problem or a bundled file."""
+    if isinstance(key, int):
+        return random_q2_problem(key)
+    problem = bundled_problem(key)
+    return [ray.exact for ray in problem.rays], problem.bases
+
+
+def search_and_verify(problem, seed):
+    """Rays, bases, search status, nodes, depth and coloring, then
+    verify_coloring on four random assignments, the coloring and the
+    coloring with one of its first two marks flipped."""
+    result = ks.search_coloring(problem)
+    rng = np.random.Generator(np.random.Philox(key=[seed, 18]))
+    trials = [tuple(int(x) for x in rng.integers(0, 2, size=len(problem.rays)))
+              for _ in range(4)]
+    coloring = result.assignment
+    if coloring is not None:
+        trials += [coloring] + [coloring[:i] + (1 - coloring[i],) + coloring[i + 1:]
+                                for i in range(2)]
+    return (len(problem.rays), len(problem.bases), result.status, result.stats.nodes,
+            result.stats.max_depth, coloring and "".join(map(str, coloring)),
+            "".join(str(int(ks.verify_coloring(problem, a))) for a in trials))
+
+
+# search_and_verify on the unscaled inputs, as frozen from the ks module of
+# float-tolerant rays.  That module gives the same on all but seed 8, where it
+# kept a ray and its (-144 + 96 sqrt2) multiple apart: 13 rays and 6 bases.
+ORACLE_RESULTS = {
+    0: (16, 7, "colored", 6, 5, "1001000100010100", "0000100"),
+    1: (5, 2, "colored", 2, 1, "00100", "0000100"),
+    2: (20, 8, "colored", 7, 6, "10010010000100001010", "0000100"),
+    3: (5, 2, "colored", 2, 1, "01000", "0000100"),
+    4: (5, 2, "colored", 2, 1, "10000", "0000100"),
+    5: (7, 3, "colored", 2, 1, "0010000", "1000100"),
+    6: (5, 2, "colored", 2, 1, "01000", "0000100"),
+    7: (13, 6, "colored", 4, 3, "1000010000010", "0000100"),
+    8: (11, 5, "colored", 3, 2, "10000000010", "0000100"),
+    9: (8, 3, "colored", 3, 2, "00110000", "0000100"),
+    10: (11, 5, "colored", 4, 3, "00100100010", "0000100"),
+    11: (7, 3, "colored", 3, 2, "1000010", "0100100"),
+    "peres33": (57, 40, "unsat", 17, 4, None, "0000"),
+    "demo_colorable": (7, 3, "colored", 3, 2, "1000010", "1000100"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -208,15 +292,6 @@ fractions = st.fractions(min_value=-8, max_value=8, max_denominator=6)
 
 
 class TestQ2:
-    @given(fractions, fractions)
-    def test_sign_matches_float(self, p, q):
-        x = ks.Q2(p, q)
-        f = float(x)
-        if abs(f) > 1e-12:
-            assert x.sign() == (1 if f > 0 else -1)
-        else:
-            assert (x.sign() == 0) == (p == 0 and q == 0)
-
     @given(fractions, fractions, fractions, fractions)
     def test_field_operations(self, p1, q1, p2, q2):
         a, b = ks.Q2(p1, q1), ks.Q2(p2, q2)
@@ -240,56 +315,91 @@ class TestQ2:
             ("2r2", 0, 2),
             ("1+r2", 1, 1),
             ("1-3/2r2", 1, Fraction(-3, 2)),
+            ("0.25", Fraction(1, 4), 0),
+            ("1e-3", Fraction(1, 1000), 0),
+            ("-2.5E+2", -250, 0),
+            ("1.5r2", 0, Fraction(3, 2)),
+            ("1+2e-3r2", 1, Fraction(1, 500)),
+            ("1e-3-2E-2r2", Fraction(1, 1000), Fraction(-1, 50)),
         ],
     )
     def test_parse_forms(self, token, p, q):
         x = ks.parse_component(token)
         assert x == ks.Q2(p, q)
 
-    def test_parse_float_fallback(self):
-        assert ks.parse_component("0.5") == 0.5
+    @pytest.mark.parametrize("text", ["0.1", "0.70710678", "1e-9", "1e999", "-3.25e-400",
+                                      "1e-09999"])
+    def test_parse_decimal_is_exact(self, text):
+        """A decimal token is the rational it writes, not the nearest float."""
+        assert ks.parse_component(text) == ks.Q2(Fraction(text))
+
+    @pytest.mark.parametrize("text", ["1e10000", "-1E+010000", "2e-10000r2", "1+2e99999r2"])
+    def test_exponent_of_five_digits_rejected(self, text):
+        with pytest.raises(ValueError, match=re.escape(
+                f"ray component {text!r} has a decimal exponent of more than 4 digits")):
+            ks.parse_component(text)
 
     def test_parse_garbage(self):
-        with pytest.raises(ValueError):
-            ks.parse_component("r3")
+        for text in ("r3", "inf", "-nan", "1e", "1/0", "1+e-3r2"):
+            with pytest.raises(ValueError, match=re.escape(f"cannot parse ray component {text!r}")):
+                ks.parse_component(text)
 
 
 class TestRay:
     def test_sign_identification(self):
-        a = ks.Ray.from_components([ks.Q2(1), ks.Q2(-1), ks.Q2(0)])
-        b = ks.Ray.from_components([ks.Q2(-1), ks.Q2(1), ks.Q2(0)])
-        assert a.same_ray(b)
+        a = ks.Ray([ks.Q2(1), ks.Q2(-1), ks.Q2(0)])
+        b = ks.Ray([ks.Q2(-1), ks.Q2(1), ks.Q2(0)])
+        assert a == b and hash(a) == hash(b)
         assert a.exact == b.exact
 
     def test_canonical_idempotent(self):
-        a = ks.Ray.from_components([ks.Q2(2), ks.Q2(0), ks.Q2(-2)])
-        b = ks.Ray.from_components(list(a.exact))
+        a = ks.Ray([ks.Q2(2), ks.Q2(0), ks.Q2(-2)])
+        b = ks.Ray(list(a.exact))
         assert a.exact == b.exact
 
     def test_unit_norm(self):
-        a = ks.Ray.from_components([ks.Q2(1), ks.Q2(1), ks.Q2(0, 1)])
+        a = ks.Ray([ks.Q2(1), ks.Q2(1), ks.Q2(0, 1)])
         assert sum(x * x for x in a.direction) == pytest.approx(1.0, abs=1e-12)
 
     def test_sqrt2_multiple_collapses(self):
-        a = ks.Ray.from_components([ks.Q2(0, 1), ks.Q2(0, 1), ks.Q2(0)])
-        b = ks.Ray.from_components([ks.Q2(1), ks.Q2(1), ks.Q2(0)])
-        assert a.same_ray(b)
+        a = ks.Ray([ks.Q2(0, 1), ks.Q2(0, 1), ks.Q2(0)])
+        b = ks.Ray([ks.Q2(1), ks.Q2(1), ks.Q2(0)])
+        assert a == b
 
     def test_float_rays(self):
-        a = ks.Ray.from_components([0.6, 0.8, 0.0])
-        b = ks.Ray.from_components([-0.6, -0.8, 0.0])
-        assert a.same_ray(b)
-        assert a.orthogonal_to(ks.Ray.from_components([0.8, -0.6, 0.0]))
+        """A float is the binary rational it stores, compared exactly."""
+        a = ks.Ray([0.6, 0.8, 0.0])
+        assert a == ks.Ray([-0.6, -0.8, 0.0])
+        assert a == ks.Ray([ks.Q2(Fraction(0.6)), ks.Q2(Fraction(0.8)), ks.Q2(0)])
+        assert a != ks.Ray([ks.Q2(Fraction(3, 5)), ks.Q2(Fraction(4, 5)), ks.Q2(0)])
+        assert a.orthogonal_to(ks.Ray([0.8, -0.6, 0.0]))
+        assert not a.orthogonal_to(ks.Ray([0.8, -0.6 + 1e-16, 0.0]))
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            ks.Ray.from_components([0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="zero vector is not a ray"):
+            ks.Ray([0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_component_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"ray component {bad} is not a finite number"):
+            ks.Ray([1.0, bad, 0.0])
+
+    def test_ray_needs_three_components(self):
+        with pytest.raises(ValueError, match="ray needs 3 components, got 2"):
+            ks.Ray((1.0, 0.0))
+
+    @pytest.mark.parametrize("big", [10 ** 999, 2 ** 5000 + 1], ids=["10^999", "2^5000+1"])
+    def test_direction_of_huge_coordinates_is_finite(self, big):
+        assert ks.Ray([big, 1, 0]).direction == (1.0, 0.0, 0.0)
+        assert ks.Ray([Fraction(1, big), 0, 1]).direction == (0.0, 0.0, 1.0)
+        tilted = ks.Ray([big, big, ks.Q2(0, big)]).direction
+        assert tilted == pytest.approx((0.5, 0.5, math.sqrt(0.5)), abs=1e-15)
 
 
 AXES = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 # the two public ways to build a problem from vectors
 BUILDERS = [
-    lambda vectors, bases: ks.ColoringProblem([ks.Ray.from_components(v) for v in vectors],
+    lambda vectors, bases: ks.ColoringProblem([ks.Ray(v) for v in vectors],
                                               bases),
     ks.make_problem,
 ]
@@ -308,10 +418,15 @@ class TestValidation:
         assert (len(problem.rays), problem.bases) == (3, [(0, 1, 2)])
 
     def test_non_orthogonal_diagnosed(self):
+        # the second basis is orthogonal to eight places only, so it is not
+        cases = [([[1.0, 0.0, 0.0], [0.1, 0.995, 0.0], [0.0, 0.0, 1.0]], "1.000e-01"),
+                 ([[1, 1, 1.41421356], [1, 1, -1.41421356], [1, -1, 0]], "1.678e-09")]
         for build in BUILDERS:
-            with pytest.raises(ValueError, match=r"basis r0 r1 r2: rays r0 and r1 are not "
-                                                 r"orthogonal \(inner product 1\.000e-01\)"):
-                build([[1.0, 0.0, 0.0], [0.1, 0.995, 0.0], [0.0, 0.0, 1.0]], [(0, 1, 2)])
+            for vectors, inner in cases:
+                with pytest.raises(ValueError, match=re.escape(
+                        f"basis r0 r1 r2: rays r0 and r1 are not orthogonal "
+                        f"(inner product {inner})")):
+                    build(vectors, [(0, 1, 2)])
 
     def test_exact_non_orthogonal_basis_rejected(self):
         o, z = ks.Q2(1), ks.Q2(0)
@@ -333,8 +448,8 @@ class TestValidation:
             ks.make_problem(AXES, [(0, 1)])
 
     def test_duplicate_detection(self):
-        rays = [ks.Ray.from_components([1.0, 0.0, 0.0], name="a"),
-                ks.Ray.from_components([-1.0, 0.0, 0.0], name="b")]
+        rays = [ks.Ray([1.0, 0.0, 0.0], name="a"),
+                ks.Ray([-1.0, 0.0, 0.0], name="b")]
         with pytest.raises(ValueError, match="rays a and b coincide"):
             ks.ColoringProblem(rays, [])
         assert len(ks.make_problem(rays, []).rays) == 1
@@ -344,36 +459,30 @@ class TestValidation:
             ks.ColoringProblem(peres.rays + [peres.rays[0]], [])
 
     def test_collapsing_basis_names_its_rays(self):
-        rays = [ks.Ray.from_components(v, name=n)
+        rays = [ks.Ray(v, name=n)
                 for v, n in ((AXES[0], "a"), (AXES[1], "b"), ([-1.0, 0.0, 0.0], "c"))]
         with pytest.raises(ValueError, match="basis a b c collapses under deduplication: "
                                              "rays a and c coincide"):
             ks.make_problem(rays, [(0, 1, 2)])
 
-    def test_non_unit_direction_rejected(self):
-        with pytest.raises(ValueError, match="not a unit 3-vector"):
-            ks.Ray((1.0, 1.0, 0.0))
-        with pytest.raises(ValueError, match="not a unit 3-vector"):
-            ks.Ray((1.0, 0.0))
-
-    def test_dedup_matches_the_pairwise_scan(self, peres):
-        """Keyed deduplication picks the first same ray, as a pairwise scan
-        does, on a mix of exact and decimal rays."""
-        rays = [ks.Ray.from_components([-c for c in ray.exact]) if i % 3 else ray
-                for i, ray in enumerate(peres.rays[:20])]
-        rays += [ks.Ray.from_components(list(ray.direction)) for ray in peres.rays[5:25]]
-        rays += peres.rays[:10]
-        distinct, remap = ks._dedup(rays)
-        expected_distinct, expected_remap = [], []
-        for ray in rays:
-            j = next((j for j, d in enumerate(expected_distinct) if d.same_ray(ray)), None)
-            if j is None:
-                expected_distinct.append(ray)
-                j = len(expected_distinct) - 1
-            expected_remap.append(j)
-        assert remap == expected_remap
-        assert [(r.direction, r.exact) for r in distinct] == \
-            [(r.direction, r.exact) for r in expected_distinct]
+    def test_dedup_matches_the_pairwise_scan(self):
+        """Keyed deduplication keeps the first ray seen, as a pairwise ==
+        scan does, on the oracle problems written under random scalings."""
+        for key in ORACLE_RESULTS:
+            vectors, _ = oracle_inputs(key)
+            seed = key if isinstance(key, int) else 0
+            rays = [ks.Ray(v) for v in vectors + rescaled(vectors, seed)]
+            distinct, remap = ks._dedup(rays)
+            expected_distinct, expected_remap = [], []
+            for ray in rays:
+                j = next((j for j, d in enumerate(expected_distinct) if d == ray), None)
+                if j is None:
+                    expected_distinct.append(ray)
+                    j = len(expected_distinct) - 1
+                expected_remap.append(j)
+            assert remap == expected_remap
+            assert all(a is b for a, b in zip(distinct, expected_distinct))
+            assert len(distinct) == ORACLE_RESULTS[key][0]
 
 
 class TestSearch:
@@ -484,6 +593,24 @@ class TestOracleAgreement:
         with pytest.raises(ValueError, match="20"):
             oracle_enumerate(peres)
 
+    @pytest.mark.parametrize("scaled", [False, True], ids=["as-drawn", "rescaled"])
+    @pytest.mark.parametrize("key", list(ORACLE_RESULTS))
+    def test_search_and_verify_give_the_frozen_results(self, key, scaled):
+        """Exact rays change no result on exact input, however each ray is
+        scaled."""
+        vectors, bases = oracle_inputs(key)
+        seed = key if isinstance(key, int) else 0
+        if scaled:
+            vectors = rescaled(vectors, seed)
+        problem = ks.make_problem(vectors, bases)
+        assert search_and_verify(problem, seed) == ORACLE_RESULTS[key]
+
+    def test_seed_8_lists_a_ray_and_its_q2_multiple(self):
+        vectors, _ = random_q2_problem(8)
+        scale = ks.Q2(-144, 96)
+        assert [v * scale for v in vectors[5]] == list(vectors[10])
+        assert ks.Ray(vectors[5]) == ks.Ray(vectors[10])
+
 
 class TestSignInvariance:
     def test_negating_file_vectors_changes_nothing(self, tmp_path, demo):
@@ -492,7 +619,7 @@ class TestSignInvariance:
             vec = list(ray.exact)
             if i % 2 == 0:
                 vec = [-c for c in vec]
-            flipped_rays.append(ks.Ray.from_components(vec, name=f"r{i}"))
+            flipped_rays.append(ks.Ray(vec, name=f"r{i}"))
         problem = ks.ColoringProblem(flipped_rays, demo.bases)
         path = str(tmp_path / "flipped.rays")
         save_rays_file(path, problem)
@@ -501,7 +628,7 @@ class TestSignInvariance:
 
     def test_peres_spot_flip(self, peres, tmp_path):
         rays = [
-            ks.Ray.from_components(
+            ks.Ray(
                 [-c for c in ray.exact] if i in (0, 5, 40) else list(ray.exact),
                 name=f"r{i}",
             )
@@ -509,6 +636,19 @@ class TestSignInvariance:
         ]
         problem = ks.ColoringProblem(rays, peres.bases)
         assert ks.search_coloring(problem).status == "unsat"
+
+    def test_peres_ray_written_as_a_q2_multiple_stays_unsat(self, peres):
+        """A ray listed again as its (1 + sqrt2) multiple, in one of its
+        bases, is the same ray: the set stays uncolorable."""
+        vectors = [ray.exact for ray in peres.rays]
+        vectors.append(tuple(c * ks.Q2(1, 1) for c in vectors[0]))
+        bases = [tuple(b) for b in peres.bases]
+        last = max(i for i, b in enumerate(bases) if 0 in b)
+        bases[last] = tuple(len(vectors) - 1 if r == 0 else r for r in bases[last])
+        problem = ks.make_problem(vectors, bases)
+        assert (len(problem.rays), problem.bases) == (PERES_RAYS, peres.bases)
+        result = ks.search_coloring(problem)
+        assert (result.status, result.stats.nodes) == ("unsat", 17)
 
 
 class TestFwtReduction:
@@ -590,8 +730,13 @@ class TestFiles:
          "basis a b c collapses under deduplication: rays a and c coincide"),
         ("ray x 1 0 0\nray y 0 1 0\nray d 1 1 0\nbasis x y d\n",
          "basis x y d: rays x and d are not orthogonal (inner product 7.071e-01)"),
+        ("ray a 1 1 1.41421356\nray b 1 1 -1.41421356\nray c 1 -1 0\nbasis a b c\n",
+         "basis a b c: rays a and b are not orthogonal (inner product 1.678e-09)"),
+        ("ray a 1e999 1 0\nray b 1 0 0\nray c 0 0 1\nbasis a b c\n",
+         "basis a b c: rays a and b are not orthogonal (inner product 1.000e+00)"),
+        ("ray a 1 inf 0\n", "line 2: cannot parse ray component 'inf'"),
     ], ids=["short-ray", "bad-component", "zero-vector", "unknown-ray", "collapsed-basis",
-            "non-orthogonal"])
+            "non-orthogonal", "near-orthogonal-decimals", "huge-coordinate", "infinite"])
     def test_errors_name_the_file(self, tmp_path, body, message):
         path = tmp_path / "bad.rays"
         path.write_text("rays/v1\n" + body)
@@ -607,7 +752,25 @@ class TestFiles:
         )
         problem = ks.load_rays_file(str(path))
         assert problem.bases == [(0, 1, 2)]
-        assert problem.rays[0].exact is None
+        assert problem.rays[0].exact == (ks.Q2(1), ks.Q2(0), ks.Q2(0))
+
+    @pytest.mark.parametrize("body,rays,status", [
+        ("ray a 1e999 0 0\nray b 0 1 0\nray c 0 0 1\nray d 1 0 0\n"
+         "basis a b c\nbasis d b c\n", 3, "colored"),
+        ("ray a 1 1e-9 0\nray b 1 0 0\nray c 0 1 0\nray d 0 0 1\nbasis b c d\n",
+         4, "colored"),
+        ("ray a 1 1 r2\nray b 1 1 -r2\nray c 1 -1 0\nbasis a b c\n", 3, "colored"),
+        ("ray a 0.70710678 0.70710678 0\nray b 0.70710678 -0.70710678 0\nray c 0 0 1\n"
+         "basis a b c\n", 3, "colored"),
+        ("ray a 1+2e-3r2 0 0\nray b 0 1.5r2 0\nray c 0 0 1\nbasis a b c\n", 3, "colored"),
+    ], ids=["huge-equals-unit", "tiny-tilt-is-distinct", "exact-r2-basis",
+            "decimal-orthogonal-as-rationals", "decimal-r2-tokens"])
+    def test_decimal_rays_are_exact(self, tmp_path, body, rays, status):
+        path = tmp_path / "d.rays"
+        path.write_text("rays/v1\n" + body)
+        problem = ks.load_rays_file(str(path))
+        assert len(problem.rays) == rays
+        assert ks.search_coloring(problem).status == status
 
 
 class TestConstruction:
