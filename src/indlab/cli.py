@@ -128,9 +128,10 @@ def _resolve_data_path(name: str) -> str:
 
 
 def cmd_generate(args, manifest: Manifest) -> int:
-    if args.fair_coin:
-        source = sq.SequenceSource("born_sampler", seed=args.seed, probs=[0.5, 0.5])
-    elif args.kind == "born":
+    if args.fair_coin and (args.kind, args.probs) != ("born", "0.5,0.5"):
+        raise ValueError(f"--fair-coin stands for --kind born --probs 0.5,0.5, "
+                         f"got --kind {args.kind} --probs {args.probs}")
+    if args.kind == "born":
         probs = _parse_list("--probs", args.probs, float)
         source = sq.SequenceSource(
             "born_sampler", alphabet_size=max(2, len(probs)), seed=args.seed, probs=probs
@@ -180,6 +181,9 @@ def cmd_analyze(args, manifest: Manifest) -> int:
         }
     if "monkey" in tests:
         target = sq.SymbolString.from_text(args.target, sigma.alphabet_size)
+        if len(target) > len(sigma):
+            raise ValueError(f"--target {args.target} has {len(target)} symbols, "
+                             f"more than the {len(sigma)} of {args.infile}")
         src = sq.SequenceSource.of_file(args.infile, sigma)
         positions = rl.monkey_search(target, src, len(sigma))
         report["tests"]["monkey"] = {

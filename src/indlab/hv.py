@@ -252,13 +252,14 @@ def scenario_one_audit(
 ) -> ScenarioOneReport:
     """Audit scenario 1: the theory supplies h, hence states x outright.
 
-    Runs the model to the largest checkpoint and reports, per checkpoint,
+    Runs the model to the last checkpoint and reports, per checkpoint,
     the Levin-Chaitin margin K_upper(x_|N) - N of
     randomness.levin_chaitin_margin next to stated_bound, the length of the
     model's own description plus N and the machine overhead.  The
     incompatibility flag is randomness.incompressibility_flag with
     c = INCOMPRESSIBILITY_C: raised when some checkpoint has
-    K_upper < N - c.
+    K_upper < N - c.  The checkpoints must be ascending, as
+    levin_chaitin_margin requires; any other order is a ValueError.
     """
     if h.kind != "deterministic_computable":
         raise ValueError(
@@ -267,7 +268,7 @@ def scenario_one_audit(
         )
     if model.n_outcomes > 2:
         raise ValueError("audits cover binary-outcome models")
-    cps = sorted(checkpoints)
+    cps = list(checkpoints)
     if not cps:
         raise ValueError("need at least one checkpoint")
     margins = levin_chaitin_margin(run_model(model, h, cps[-1]), cps)

@@ -30,7 +30,8 @@ Jumps are in instruction units relative to the next instruction index.
 Everything is machine-relative: no universality is claimed, and all
 complexity values produced elsewhere are tied to this instruction set.
 
-The operand layouts are one table, _FIELDS, that the decoder reads.
+The operand layouts are one table, _FIELDS, that both the decoder and the
+encoder, assemble, read: one reader and one writer per field kind.
 enumerate_domain walks the halting domain up to a length.  A run pauses
 at the tape's end without decoding; since the encodings are prefix-free,
 the enumerator extends a paused program by one whole instruction at a
@@ -81,44 +82,33 @@ class _NeedBits(Exception):
     """Internal: the decoder ran past the available program bits."""
 
 
-def _as_bits(values: Sequence[int], what: str) -> Bits:
-    """values as a tuple of the ints 0 and 1, converted and checked in bulk.
+def _as_bits(values: Sequence[int], what: str) -> bytes:
+    """values as bytes of 0 and 1, converted and checked in bulk.
 
-    Integer entries (bools and numpy integers too) become plain ints.  Any
-    other entry, or an integer other than 0 and 1, raises a ValueError that
-    names it: a str "1" or a float 1.0 is not read as a bit.
+    Integer entries (bools and numpy integers too) are taken.  Any other
+    entry, or an integer other than 0 and 1, raises a ValueError that names
+    it: a str "1" or a float 1.0 is not read as a bit.  A bytes object is
+    checked as it is, any other sequence as a tuple of its entries.
     """
-    values = tuple(values)
+    if not isinstance(values, bytes):
+        values = tuple(values)
     try:
         raw = bytes(values)
     except (TypeError, ValueError):  # an entry is no integer, or not in [0, 256)
         raw = None
     if raw is None or raw.translate(None, b"\0\1"):
-        bad = next(v for v in values if not _is_bit(v))
+        bad = next(v for v in values if not _fits(v, 2))
         raise ValueError(f"{what} must be 0/1, got {bad!r}")
-    return tuple(raw)
+    return raw
 
 
-def _is_bit(value) -> bool:
+def _fits(value, stop: Optional[int]) -> bool:
+    """value is an integer (a bool or numpy integer too) >= 0 and below stop."""
     try:
-        return operator.index(value) in (0, 1)
+        v = operator.index(value)
     except TypeError:
         return False
-
-
-def gamma_encode(m: int) -> Bits:
-    """Elias gamma code of m >= 1."""
-    if m < 1:
-        raise ValueError(f"gamma code needs m >= 1, got {m}")
-    b = format(m, "b")
-    return tuple(int(c) for c in "0" * (len(b) - 1) + b)
-
-
-def gamma0_encode(n: int) -> Bits:
-    """Self-delimiting code of n >= 0 (gamma of n+1)."""
-    if n < 0:
-        raise ValueError(f"gamma0 code needs n >= 0, got {n}")
-    return gamma_encode(n + 1)
+    return v >= 0 and (stop is None or v < stop)
 
 
 @dataclass(frozen=True)
@@ -466,7 +456,7 @@ def run_machine(
     consumed prefix alone reproduces the output.  A run that emits forever
     ends on the step budget or the output limit, never as a detected loop.
     """
-    program = _as_bits(program_bits, "program bits")
+    program = tuple(_as_bits(program_bits, "program bits"))
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
     if output_limit < 0:
@@ -548,76 +538,77 @@ def enumerate_domain(
 # -- assembler ------------------------------------------------------------
 
 
-def _op(code: int) -> Bits:
-    return tuple(int(c) for c in format(code, "04b"))
+def _operand(value, stop: Optional[int], what: str) -> int:
+    """value as an int if _fits(value, stop), else a ValueError that names it."""
+    if not _fits(value, stop):
+        bound = "" if stop is None else f" below {stop}"
+        raise ValueError(f"{what} must be an integer >= 0{bound}, got {value!r}")
+    return operator.index(value)
 
 
-def _reg(r: int) -> Bits:
-    if not 0 <= r < NUM_REGISTERS:
-        raise ValueError(f"register {r} out of range")
-    return tuple(int(c) for c in format(r, "02b"))
+def _numeral(value: int, width: int) -> bytes:
+    """value in binary, MSB first and zero-padded to width, one 0/1 byte per bit."""
+    return format(value, f"0{width}b").encode().translate(_NUMERAL_BITS)
 
 
-def asm_halt() -> Bits:
-    return _op(OP_HALT)
+def gamma0_encode(n: int) -> Bits:
+    """Self-delimiting code of n >= 0: the Elias gamma code of m = n + 1,
+    which is m in binary after one 0 per digit past its leading 1."""
+    m = _operand(n, None, "gamma0 value") + 1
+    return tuple(_numeral(m, 2 * m.bit_length() - 1))
 
 
-def asm_out(bit: int) -> Bits:
-    return _op(OP_OUT1 if bit else OP_OUT0)
+def _write_literal(bits: Sequence[int]) -> bytes:
+    raw = _as_bits(bits, "LITN payload bits")
+    return bytes(gamma0_encode(len(raw))) + raw
 
 
-def asm_outb(r: int) -> Bits:
-    return _op(OP_OUTB) + _reg(r)
+# The writer of each field kind of _FIELDS: the inverse of its reader, and
+# the check of its operand.
+_WRITERS = {
+    _REG: lambda r: _numeral(_operand(r, NUM_REGISTERS, "register"), 2),
+    _DIR: lambda d: _as_bits((d,), "jump direction"),
+    _INT: lambda n: bytes(gamma0_encode(n)),
+    _LIT: _write_literal,
+}
 
 
-def asm_litn(data: Sequence[int]) -> Bits:
-    data = _as_bits(data, "LITN payload bits")
-    return _op(OP_LITN) + gamma0_encode(len(data)) + data
+def assemble(*instructions: tuple) -> Bits:
+    """The program bits of instructions, each a tuple as the decoder appends
+    it: the opcode, then one operand per field of _FIELDS[opcode].
 
-
-def asm_seti(r: int, n: int) -> Bits:
-    return _op(OP_SETI) + _reg(r) + gamma0_encode(n)
-
-
-def asm_inc(r: int) -> Bits:
-    return _op(OP_INC) + _reg(r)
-
-
-def asm_jmp(delta: int) -> Bits:
-    d, dist = (1, delta) if delta >= 0 else (0, -delta)
-    return _op(OP_JMP) + (d,) + gamma0_encode(dist)
-
-
-def asm_haltat(n: int) -> Bits:
-    return _op(OP_HALTAT) + gamma0_encode(n)
-
-
-def concat(*parts: Bits) -> Bits:
-    out: Bits = ()
-    for p in parts:
-        out += p
-    return out
+    So (OP_SETI, r, n) sets register r to n, (OP_LITN, bits) emits bits, and
+    (OP_JZ, r, d, delta) and (OP_JMP, d, delta) jump delta instructions from
+    the next one, back for d = 0 and forward for d = 1.  An opcode outside
+    _FIELDS, a wrong operand count or an operand its field cannot hold
+    raises a ValueError.
+    """
+    parts = []
+    for op, *operands in instructions:
+        code = _operand(op, len(_FIELDS), "opcode")
+        fields = _FIELDS[code]
+        if len(operands) != len(fields):
+            raise ValueError(f"opcode {code} takes {len(fields)} operands, got {len(operands)}")
+        parts.append(_numeral(code, 4))
+        parts += [_WRITERS[field](v) for field, v in zip(fields, operands)]
+    return tuple(b"".join(parts))
 
 
 # -- canonical generator programs -----------------------------------------
 
 
-def prog_halt() -> Bits:
-    """Shortest emitter of the empty string."""
-    return asm_halt()
-
-
 def prog_literal(data: Sequence[int]) -> Bits:
     """Verbatim emitter: len = n + 2*floor(log2(n+1)) + LITERAL_OVERHEAD_BITS."""
-    return concat(asm_litn(data), asm_halt())
+    return assemble((OP_LITN, data), (OP_HALT,))
 
 
 def prog_constant(bit: int, n: int) -> Bits:
     """n copies of one bit via an output-capped loop."""
+    (bit,) = _as_bits((bit,), "constant bit")
     if n == 0:
-        return prog_halt()
+        return assemble((OP_HALT,))
     # 0: HALTAT n | 1: OUT bit | 2: JMP -> 1
-    return concat(asm_haltat(n), asm_out(bit), asm_jmp(-2))
+    return assemble((OP_HALTAT, n), (OP_OUT0 + bit,), (OP_JMP, 0, 2))
 
 
 def prog_periodic(pattern: Sequence[int], n: int) -> Bits:
@@ -626,22 +617,16 @@ def prog_periodic(pattern: Sequence[int], n: int) -> Bits:
     if not pattern:
         raise ValueError("pattern must be non-empty")
     if n == 0:
-        return prog_halt()
-    body = concat(*(asm_out(b) for b in pattern))
+        return assemble((OP_HALT,))
     # 0: HALTAT n | 1..p: OUT | p+1: JMP -> 1
-    return concat(asm_haltat(n), body, asm_jmp(-(len(pattern) + 1)))
+    return assemble((OP_HALTAT, n), *((OP_OUT0 + b,) for b in pattern),
+                    (OP_JMP, 0, len(pattern) + 1))
 
 
 def prog_champernowne(n: int, start_at_one: bool = False) -> Bits:
     """First n bits of the base-2 numeral concatenation 0,1,10,11,100,..."""
     if n == 0:
-        return prog_halt()
+        return assemble((OP_HALT,))
     # 0: HALTAT n | 1: SETI R0 | 2: OUTB R0 | 3: INC R0 | 4: JMP -> 2
-    return concat(
-        asm_haltat(n),
-        asm_seti(0, 1 if start_at_one else 0),
-        asm_outb(0),
-        asm_inc(0),
-        asm_jmp(-3),
-    )
-
+    return assemble((OP_HALTAT, n), (OP_SETI, 0, 1 if start_at_one else 0),
+                    (OP_OUTB, 0), (OP_INC, 0), (OP_JMP, 0, 3))

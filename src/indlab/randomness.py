@@ -158,7 +158,7 @@ def k_upper_bound(
     # (program, method); program None stands for the literal encoding
     candidates: list[tuple[Optional[tm.Bits], str]] = []
     if n == 0:
-        candidates.append((tm.prog_halt(), "generator_encoding"))
+        candidates.append((tm.assemble((tm.OP_HALT,)), "generator_encoding"))
     else:
         s = sigma.array.tobytes()
         candidates.append((None, "literal_encoding"))

@@ -204,6 +204,13 @@ def _one_error_line(capsys, *fragments) -> None:
       "--json", "h1.json"], ("--checkpoints: bad entry 'abc'",)),
     (["hv", "audit1", "--model", "fair_coin_counter.json", "--checkpoints", "100,,1000",
       "--json", "h1.json"], ("--checkpoints: bad entry ''",)),
+    (["hv", "audit1", "--model", "fair_coin_counter.json", "--checkpoints", "1000,100",
+      "--json", "h1.json"], ("checkpoints must be ascending",)),
+    (["generate", "--fair-coin", "--kind", "champernowne", "--n", "8", "--out", "g.seq"],
+     ("--fair-coin stands for --kind born --probs 0.5,0.5",
+      "got --kind champernowne --probs 0.5,0.5")),
+    (["generate", "--fair-coin", "--probs", "0.9,0.1", "--n", "8", "--out", "g.seq"],
+     ("--fair-coin stands for", "got --kind born --probs 0.9,0.1")),
     (["generate", "--kind", "born", "--probs", "0.5,x", "--n", "10", "--out", "x.seq"],
      ("--probs: bad entry 'x'",)),
     (["generate", "--kind", "periodic", "--pattern", "0,x", "--n", "10", "--out", "x.seq"],
@@ -221,7 +228,8 @@ def _one_error_line(capsys, *fragments) -> None:
 ], ids=["hv-run-contract", "hv-audit2-contract", "born-nan", "repeated-setting",
         "nan-setting", "omega-negative-steps", "champernowne-base-40", "hv-run-bias-counter",
         "hv-audit1-bias-alternating", "hv-audit2-bias-os", "checkpoints-not-int",
-        "checkpoints-empty-entry", "probs-not-float", "pattern-not-int", "settings-not-float",
+        "checkpoints-empty-entry", "checkpoints-descending", "fair-coin-with-kind",
+        "fair-coin-with-probs", "probs-not-float", "pattern-not-int", "settings-not-float",
         "bias-not-float", "sampler-constant-no-colon", "sampler-constant-two-states",
         "sampler-constant-not-int"])
 def test_bad_input_exits_1_with_one_error_line(argv, fragments, tmp_path, monkeypatch, capsys):
@@ -269,6 +277,9 @@ NON_ORTHOGONAL_RAYS = "rays/v1\nray x 1 0 0\nray y 0 1 0\nray d 1 1 0\nbasis x y
      ("r.json: bell/v1 report field 'empirical' is malformed", "format code")),
     ({"x.seq": "seq/v1 k=2 n=4\n0120\n"}, ["analyze", "--in", "x.seq"],
      ("x.seq: symbol 2 outside alphabet [0, 2)",)),
+    ({"x.seq": "seq/v1 k=2 n=3\n010\n"},
+     ["analyze", "--in", "x.seq", "--tests", "monkey", "--target", "0101"],
+     ("--target 0101 has 4 symbols, more than the 3 of x.seq",)),
     ({"bad.rays": NON_ORTHOGONAL_RAYS},
      ["ks", "search", "--rays", "bad.rays", "--json", "s.json"],
      ("bad.rays: basis x y d: rays x and d are not orthogonal",)),
@@ -296,7 +307,7 @@ NON_ORTHOGONAL_RAYS = "rays/v1\nray x 1 0 0\nray y 0 1 0\nray d 1 1 0\nbasis x y
         "ks-coloring-not-json", "ks-coloring-without-key", "ks-coloring-number",
         "ks-coloring-string",
         "report-input-not-json", "report-missing-field", "report-field-wrong-type",
-        "report-field-not-a-number", "seq-bad-symbol", "ks-search-non-orthogonal",
+        "report-field-not-a-number", "seq-bad-symbol", "monkey-target-past-input", "ks-search-non-orthogonal",
         "ks-verify-non-orthogonal", "ks-rays-short-line", "ks-rays-collapsing-basis",
         "ks-rays-redefined-name", "ks-coloring-bools", "ks-coloring-float-mark"])
 def test_bad_input_file_is_named(files, argv, fragments, tmp_path, monkeypatch, capsys):

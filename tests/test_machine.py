@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -8,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from indlab import machine as tm
+from indlab.machine import (OP_ADD, OP_CPY, OP_DEC, OP_HALT, OP_HALTAT, OP_INC, OP_JMP, OP_JZ,
+                            OP_LITN, OP_OUT0, OP_OUT1, OP_OUTB, OP_SETI, OP_SUB, assemble)
 
-from builders import asm_add, asm_cpy, asm_dec, asm_jz, asm_sub, gamma0_length
+from builders import gamma0_length
 
 
 class TestGammaCoding:
@@ -21,25 +24,108 @@ class TestGammaCoding:
         assert m._read_gamma0() == n
 
     def test_small_codes(self):
-        assert tm.gamma_encode(1) == (1,)
-        assert tm.gamma_encode(2) == (0, 1, 0)
-        assert tm.gamma_encode(3) == (0, 1, 1)
-        assert tm.gamma_encode(4) == (0, 0, 1, 0, 0)
+        assert tm.gamma0_encode(0) == (1,)
+        assert tm.gamma0_encode(1) == (0, 1, 0)
+        assert tm.gamma0_encode(2) == (0, 1, 1)
+        assert tm.gamma0_encode(3) == (0, 0, 1, 0, 0)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            tm.gamma_encode(0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="gamma0 value must be an integer >= 0, got -1$"):
             tm.gamma0_encode(-1)
+        with pytest.raises(ValueError, match="got 1.0$"):
+            tm.gamma0_encode(1.0)
+
+
+# One strategy per field kind of _FIELDS, for operands its field can hold
+FIELD_VALUES = {
+    tm._REG: st.integers(0, tm.NUM_REGISTERS - 1),
+    tm._DIR: st.integers(0, 1),
+    tm._INT: st.integers(0, 10**9),
+    tm._LIT: st.lists(st.integers(0, 1), max_size=40).map(tuple),
+}
+INSTRUCTIONS = st.one_of(*(
+    st.tuples(st.just(op), *(FIELD_VALUES[field] for field in fields))
+    for op, fields in enumerate(tm._FIELDS)
+))
+
+
+class TestAssemble:
+    def test_every_encoding_of_up_to_16_bits(self):
+        # _instruction_encodings lists every instruction by decoding
+        encodings = tm._instruction_encodings(16)
+        assert len(encodings) == 751
+        for bits, instruction in encodings:
+            assert assemble(instruction) == bits, instruction
+
+    @given(st.lists(INSTRUCTIONS, max_size=8))
+    def test_decoding_gives_back_the_instructions(self, instructions):
+        m = tm._Machine(assemble(*instructions))
+        while m.cursor < len(m.tape):
+            assert m._decode_one() is None
+        assert m.instrs == instructions
+        assert m.cursor == len(m.tape)
+
+    def test_no_instructions_is_the_empty_program(self):
+        assert assemble() == ()
+
+    @pytest.mark.parametrize("instruction,message", [
+        ((14,), "opcode must be an integer >= 0 below 14, got 14"),
+        ((15,), "opcode must be an integer >= 0 below 14, got 15"),
+        ((-1,), "opcode must be an integer >= 0 below 14, got -1"),
+        ((OP_HALT, 0), "opcode 0 takes 0 operands, got 1"),
+        ((OP_SETI, 0), "opcode 5 takes 2 operands, got 1"),
+        ((OP_INC, 4), "register must be an integer >= 0 below 4, got 4"),
+        ((OP_INC, 1.0), "register must be an integer >= 0 below 4, got 1.0"),
+        ((OP_JMP, 2, 1), "jump direction must be 0/1, got 2"),
+        ((OP_SETI, 0, -1), "gamma0 value must be an integer >= 0, got -1"),
+    ], ids=["op14", "op15", "op-1", "extra-operand", "missing-operand", "register4",
+            "float-register", "direction2", "negative-int"])
+    def test_rejects_what_no_field_holds(self, instruction, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            assemble((OP_OUT1,), instruction)
+
+
+GRID_N = [*range(70), 1000, 10**5, 2**20 + 3]
+PATTERNS = [(0,), (1,), (0, 1), (1, 1, 0), (0, 0, 1, 0, 1, 1, 1)]
+PAYLOAD = tuple(random.Random(2003).choices((0, 1), k=2**20 + 3))
+
+
+def programs_digest(programs):
+    h = hashlib.sha256()
+    for p in programs:
+        h.update(bytes(p) + b"\2")
+    return h.hexdigest()
+
+
+class TestFrozenPrograms:
+    """The generator programs on a grid of n, against digests frozen from
+    the per-opcode encoders that assemble replaced."""
+
+    def test_constant(self):
+        assert programs_digest(tm.prog_constant(b, n) for b in (0, 1) for n in GRID_N) \
+            == "e203564e8c3ee59f7badcd0a6751fc6a4ed5567f3052be3b9416a98f721ebdd4"
+
+    def test_periodic(self):
+        assert programs_digest(tm.prog_periodic(p, n) for p in PATTERNS for n in GRID_N) \
+            == "1230a84f5e5cbe957234a3a619e2f92d70c8108df816d53e3d005e15e811fc94"
+
+    def test_champernowne(self):
+        assert programs_digest(tm.prog_champernowne(n, s) for s in (False, True)
+                               for n in GRID_N) \
+            == "ab32ca42291a5ee7f0cea1484b7d1c951c7dfad1b007c858ac4488a01be114b4"
+
+    def test_literal(self):
+        assert programs_digest(tm.prog_literal(PAYLOAD[:n]) for n in GRID_N) \
+            == "95ad427fbe729b7c79cd849d7e0aa65fb0a403a8a049390817d9f1e7d0821b6a"
 
 
 class TestRunMachine:
     def test_halt_program(self):
-        res = tm.run_machine(tm.prog_halt(), 100)
+        res = tm.run_machine(assemble((OP_HALT,)), 100)
         assert res.halted and res.output == () and res.bits_consumed == 4
 
     def test_zero_step_budget_times_out(self):
-        assert tm.run_machine(tm.prog_halt(), 0).status == "timeout"
+        assert tm.run_machine(assemble((OP_HALT,)), 0).status == "timeout"
 
     def test_emit_zero_four_times(self):
         # the bundled constant emitter, frozen from one canonical run
@@ -58,13 +144,13 @@ class TestRunMachine:
         assert "ran out" in res.reason
 
     def test_jump_before_start_is_malformed(self):
-        res = tm.run_machine(tm.asm_jmp(-5), 100)
+        res = tm.run_machine(assemble((OP_JMP, 0, 5)), 100)
         assert res.status == "malformed"
 
     def test_negative_output_limit_rejected(self):
         # SETI; HALT used to time out on "output limit exceeded" after 1 step
         with pytest.raises(ValueError, match="output_limit must be >= 0"):
-            tm.run_machine(tm.concat(tm.asm_seti(0, 1), tm.asm_halt()), 10, -1)
+            tm.run_machine(assemble((OP_SETI, 0, 1), (OP_HALT,)), 10, -1)
 
     def test_bad_bits_rejected(self):
         with pytest.raises(ValueError):
@@ -86,14 +172,21 @@ class TestRunMachine:
         ([2, 5], "2"),
         ("01", "'0'"),
         ((0, 0.0), "0.0"),
-    ], ids=["out-of-range", "str", "float"])
+        ((0, "1"), "'1'"),
+    ], ids=["out-of-range", "str", "float", "str-entry"])
     def test_malformed_literal_payload_is_named(self, data, bad):
         with pytest.raises(ValueError, match=f"LITN payload bits must be 0/1, got {bad}$"):
-            tm.asm_litn(data)
+            assemble((OP_LITN, data))
 
     def test_malformed_pattern_is_named(self):
         with pytest.raises(ValueError, match="pattern bits must be 0/1, got 2$"):
             tm.prog_periodic((0, 2), 6)
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_malformed_constant_bit_is_named(self, n):
+        # a bit of 5 used to be read as 1
+        with pytest.raises(ValueError, match="constant bit must be 0/1, got 5$"):
+            tm.prog_constant(5, n)
 
     def test_integer_bits_of_any_type_are_plain_ints(self):
         program = tm.prog_literal((True, False, True))
@@ -116,20 +209,20 @@ class TestRunMachine:
 
     def test_uncapped_loop_output_runs_to_the_limit(self):
         # OUT1 OUT0 JMP -3 never halts and repeats no whole state
-        res = tm.run_machine(tm.concat(tm.asm_out(1), tm.asm_out(0), tm.asm_jmp(-3)), 5000, 64)
+        res = tm.run_machine(assemble((OP_OUT1,), (OP_OUT0,), (OP_JMP, 0, 3)), 5000, 64)
         assert (res.status, res.reason) == ("timeout", "output limit exceeded")
         assert res.output == (1, 0) * 32 + (1,)
 
     def test_loop_detected_early(self):
         # JMP to itself: state recurrence proves divergence within a few steps
-        res = tm.run_machine(tm.asm_jmp(-1), 10_000)
+        res = tm.run_machine(assemble((OP_JMP, 0, 1)), 10_000)
         assert res.status == "timeout"
         assert res.reason == "loop detected"
         assert res.steps < 10
 
     def test_empty_literal_keeps_loop_tracking(self):
         # LITN 0 emits nothing, so it must not reset the loop detector
-        program = tm.concat(tm.asm_litn(()), tm.asm_jmp(-2))
+        program = assemble((OP_LITN, ()), (OP_JMP, 0, 2))
         res = tm.run_machine(program, 100_000)
         assert res.status == "timeout"
         assert res.reason == "loop detected"
@@ -138,7 +231,7 @@ class TestRunMachine:
     def test_growing_loop_is_flagged_by_the_enumerator_rule(self):
         # the same loop under the enumerator's rules: a repeated jump target
         # after INC only, with the same zero registers, proves divergence
-        program = tm.concat(tm.asm_inc(0), tm.asm_jmp(-2))
+        program = assemble((OP_INC, 0), (OP_JMP, 0, 2))
         res = tm._Machine(program, exact_bits=False).run(10_000)
         assert res.status == "timeout"
         assert res.reason == "register growth"
@@ -148,14 +241,14 @@ class TestRunMachine:
         # R0 and R1 both grow from one jump-target visit to the next, with
         # the same zero set, but the SUB on the path brings R1 to 0 and the
         # JZ then reaches the HALT
-        program = tm.concat(
-            tm.asm_seti(1, 1),
-            asm_sub(1, 0),    # loop head: R1 -= R0
-            asm_jz(1, 3),     # to HALT
-            tm.asm_inc(0),
-            tm.asm_inc(1),
-            tm.asm_jmp(-5),      # to the SUB
-            tm.asm_halt(),
+        program = assemble(
+            (OP_SETI, 1, 1),
+            (OP_SUB, 1, 0),     # loop head: R1 -= R0
+            (OP_JZ, 1, 1, 3),   # to HALT
+            (OP_INC, 0),
+            (OP_INC, 1),
+            (OP_JMP, 0, 5),     # to the SUB
+            (OP_HALT,),
         )
         assert len(program) == 55
         res = tm._Machine(program, exact_bits=False).run(1000)
@@ -166,13 +259,13 @@ class TestRunMachine:
     def test_growth_rule_needs_the_same_zero_registers(self):
         # the third pass meets the loop head with R1 no longer zero, so the
         # first JZ now falls through to the HALT
-        program = tm.concat(
-            asm_jz(1, 1),     # loop head: skip the HALT while R1 == 0
-            tm.asm_halt(),
-            asm_jz(0, 1),     # first pass: skip the INC R1
-            tm.asm_inc(1),
-            tm.asm_inc(0),
-            tm.asm_jmp(-6),      # to the loop head
+        program = assemble(
+            (OP_JZ, 1, 1, 1),   # loop head: skip the HALT while R1 == 0
+            (OP_HALT,),
+            (OP_JZ, 0, 1, 1),   # first pass: skip the INC R1
+            (OP_INC, 1),
+            (OP_INC, 0),
+            (OP_JMP, 0, 6),     # to the loop head
         )
         res = tm._Machine(program, exact_bits=False).run(1000)
         assert res.status == "halted"
@@ -180,20 +273,20 @@ class TestRunMachine:
 
     def test_growing_loop_hits_step_budget(self):
         # INC r; JMP back: the register grows, so no state ever recurs
-        program = tm.concat(tm.asm_inc(0), tm.asm_jmp(-2))
+        program = assemble((OP_INC, 0), (OP_JMP, 0, 2))
         res = tm.run_machine(program, 500)
         assert res.status == "timeout"
         assert res.steps == 500
 
     def test_output_limit_guard(self):
-        program = tm.concat(tm.asm_out(1), tm.asm_jmp(-2))
+        program = assemble((OP_OUT1,), (OP_JMP, 0, 2))
         res = tm.run_machine(program, 10**6, output_limit=100)
         assert res.status == "timeout"
         assert "output limit" in res.reason
 
     def test_forward_jump_consumes_skipped_bits(self):
         # jump over an OUT1; the skipped instruction is decoded (bits consumed)
-        program = tm.concat(tm.asm_jmp(1), tm.asm_out(1), tm.asm_out(0), tm.asm_halt())
+        program = assemble((OP_JMP, 1, 1), (OP_OUT1,), (OP_OUT0,), (OP_HALT,))
         res = tm.run_machine(program, 100)
         assert res.halted
         assert res.output == (0,)
@@ -201,33 +294,33 @@ class TestRunMachine:
 
     def test_jz_taken_and_not_taken(self):
         # R0 == 0: skip the OUT1; then R0 = 1: fall through to OUT1
-        program = tm.concat(
-            asm_jz(0, 1),     # skip next
-            tm.asm_out(1),
-            tm.asm_seti(0, 1),
-            asm_jz(0, 1),     # not taken now
-            tm.asm_out(0),
-            tm.asm_halt(),
+        program = assemble(
+            (OP_JZ, 0, 1, 1),   # skip next
+            (OP_OUT1,),
+            (OP_SETI, 0, 1),
+            (OP_JZ, 0, 1, 1),   # not taken now
+            (OP_OUT0,),
+            (OP_HALT,),
         )
         res = tm.run_machine(program, 100)
         assert res.halted and res.output == (0,)
 
     def test_register_arithmetic(self):
         # R0 = 5; R1 = 2; R0 -= R1; R0 += R1... exercised via OUTB numerals
-        program = tm.concat(
-            tm.asm_seti(0, 5),
-            tm.asm_seti(1, 2),
-            asm_sub(0, 1),    # 3
-            tm.asm_outb(0),      # "11"
-            asm_add(0, 1),    # 5
-            tm.asm_outb(0),      # "101"
-            asm_cpy(2, 1),
-            tm.asm_outb(2),      # "10"
-            asm_dec(2),
-            asm_dec(2),
-            asm_dec(2),       # floors at 0
-            tm.asm_outb(2),      # "0"
-            tm.asm_halt(),
+        program = assemble(
+            (OP_SETI, 0, 5),
+            (OP_SETI, 1, 2),
+            (OP_SUB, 0, 1),     # 3
+            (OP_OUTB, 0),       # "11"
+            (OP_ADD, 0, 1),     # 5
+            (OP_OUTB, 0),       # "101"
+            (OP_CPY, 2, 1),
+            (OP_OUTB, 2),       # "10"
+            (OP_DEC, 2),
+            (OP_DEC, 2),
+            (OP_DEC, 2),        # floors at 0
+            (OP_OUTB, 2),       # "0"
+            (OP_HALT,),
         )
         res = tm.run_machine(program, 100)
         assert res.output == (1, 1, 1, 0, 1, 1, 0, 0)
@@ -685,13 +778,13 @@ class PerBitMachine(ReferenceMachine):
 
 LITERAL_8 = (0, 1, 1, 0, 1, 1, 0, 1)
 EMIT_PROGRAMS = {
-    "litn": tm.concat(tm.asm_litn(LITERAL_8), tm.asm_halt()),
-    "litn-capped-mid": tm.concat(tm.asm_haltat(5), tm.asm_litn(LITERAL_8), tm.asm_halt()),
-    "litn-capped-at-end": tm.concat(tm.asm_haltat(8), tm.asm_litn(LITERAL_8), tm.asm_jmp(-2)),
-    "litn-loop": tm.concat(tm.asm_litn((0, 1, 1)), tm.asm_jmp(-2)),
-    "litn-empty-then-out": tm.concat(tm.asm_litn(()), tm.asm_out(0), tm.asm_halt()),
+    "litn": assemble((OP_LITN, LITERAL_8), (OP_HALT,)),
+    "litn-capped-mid": assemble((OP_HALTAT, 5), (OP_LITN, LITERAL_8), (OP_HALT,)),
+    "litn-capped-at-end": assemble((OP_HALTAT, 8), (OP_LITN, LITERAL_8), (OP_JMP, 0, 2)),
+    "litn-loop": assemble((OP_LITN, (0, 1, 1)), (OP_JMP, 0, 2)),
+    "litn-empty-then-out": assemble((OP_LITN, ()), (OP_OUT0,), (OP_HALT,)),
     "champernowne": tm.prog_champernowne(40),
-    "champernowne-uncapped": tm.concat(tm.asm_outb(0), tm.asm_inc(0), tm.asm_jmp(-3)),
+    "champernowne-uncapped": assemble((OP_OUTB, 0), (OP_INC, 0), (OP_JMP, 0, 3)),
     "periodic": tm.prog_periodic((0, 1, 1), 13),
 }
 EMIT_PREFIXES = {
@@ -721,15 +814,13 @@ class TestBulkEmit:
     @settings(max_examples=300, deadline=None)
     @given(
         parts=st.lists(st.one_of(
-            st.lists(st.integers(0, 1), max_size=12).map(tm.asm_litn),
-            st.integers(0, 1).map(tm.asm_out),
-            st.integers(0, 3).map(tm.asm_outb),
-            st.tuples(st.integers(0, 3), st.integers(0, 40)).map(lambda a: tm.asm_seti(*a)),
-            st.integers(0, 3).map(tm.asm_inc),
-            st.integers(0, 3).map(asm_dec),
-            st.integers(0, 30).map(tm.asm_haltat),
-            st.integers(-4, 2).map(tm.asm_jmp),
-            st.tuples(st.integers(0, 3), st.integers(-4, 2)).map(lambda a: asm_jz(*a)),
+            st.tuples(st.just(OP_LITN), st.lists(st.integers(0, 1), max_size=12)),
+            st.tuples(st.sampled_from([OP_OUT0, OP_OUT1])),
+            st.tuples(st.sampled_from([OP_OUTB, OP_INC, OP_DEC]), st.integers(0, 3)),
+            st.tuples(st.just(OP_SETI), st.integers(0, 3), st.integers(0, 40)),
+            st.tuples(st.just(OP_HALTAT), st.integers(0, 30)),
+            st.tuples(st.just(OP_JMP), st.integers(0, 1), st.integers(0, 4)),
+            st.tuples(st.just(OP_JZ), st.integers(0, 3), st.integers(0, 1), st.integers(0, 4)),
         ), max_size=8),
         prefix=st.none() | st.lists(st.integers(0, 1), max_size=30).map(tuple),
         limit=st.sampled_from([tm.DEFAULT_OUTPUT_LIMIT, 5, 17]),
@@ -739,7 +830,7 @@ class TestBulkEmit:
     def test_random_programs_same_result_as_per_bit(self, parts, prefix, limit, exact_bits,
                                                     cut):
         # cut drops trailing bits, so some runs pause or run out of bits
-        program = tm.concat(*parts, tm.asm_halt())
+        program = assemble(*parts, (OP_HALT,))
         program = program[:len(program) - cut]
         runs = [cls(program, exact_bits=exact_bits, output_prefix=prefix).run(500, limit)
                 for cls in (tm._Machine, ReferenceMachine, PerBitMachine)]

@@ -69,7 +69,7 @@ def reference_k_upper_bound(sigma):
     n = len(sigma)
     syms = tuple(sigma)
     if n == 0:
-        return tm.prog_halt(), "generator_encoding"
+        return tm.assemble((tm.OP_HALT,)), "generator_encoding"
     candidates = [(tm.prog_literal(syms), "literal_encoding")]
     if all(s == syms[0] for s in syms):
         candidates.append((tm.prog_constant(syms[0], n), "generator_encoding"))
@@ -160,7 +160,7 @@ class TestKUpperBound:
     def test_empty_string(self):
         est = rl.k_upper_bound(sq.SymbolString(2, ()))
         assert est.value == GOLDEN_K_EMPTY
-        assert est.witness == tm.prog_halt()
+        assert est.witness == tm.assemble((tm.OP_HALT,))
 
     def test_budget_never_hurts(self):
         sigma = sq.bits("0")
