@@ -37,7 +37,10 @@ at the tape's end without decoding; since the encodings are prefix-free,
 the enumerator extends a paused program by one whole instruction at a
 time, taken already decoded from a table of (bits, instruction) pairs.  It
 ends the branches it can prove divergent (see _Machine._loop_check)
-instead of running them to the step budget.
+instead of running them to the step budget.  A caller that needs no longer
+program can lower the length mid-walk with the generator's send(n); a
+search for a shortest program uses that to stop growing programs that
+cannot beat its best find.
 """
 
 from __future__ import annotations
@@ -506,6 +509,15 @@ def enumerate_domain(
     abandoned (used by the exact-K search).  timeout_log, when given,
     records bits_consumed for every branch that exhausts the step budget;
     those branches are unresolved and bound any exactness claim.
+
+    send(n) lowers max_len to n for the rest of the walk (a larger n than
+    the current bound changes nothing; a negative one raises ValueError)
+    and returns the next entry, as next() would.  After it no branch grows
+    past n bits and no entry longer than n is yielded: children forked
+    before the send are skipped, unrun, when their tape is longer.  A run
+    depends only on its tape, so every program of at most n bits is still
+    visited, in the same order and with the same timeouts, as without the
+    send.  next() alone gives the unbounded stream.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
@@ -521,12 +533,18 @@ def enumerate_domain(
         if m is None:
             stack.pop()
             continue
+        if len(m.tape) > max_len:  # forked before a send lowered max_len
+            continue
         res = m.run(max_steps, output_limit)
         if res is None:
             stack.append(map(m._fork, _instruction_encodings(max_len - len(m.tape))))
         elif res.status == "halted":
             if res.bits_consumed == len(m.tape):
-                yield DomainEntry(m.tape, res.output, res.steps)
+                bound = yield DomainEntry(m.tape, res.output, res.steps)
+                if bound is not None:
+                    if bound < 0:
+                        raise ValueError("a sent length bound must be >= 0")
+                    max_len = min(max_len, bound)
             # else: a shorter run already owns this program; unreachable
             # because only bit-hungry prefixes are ever extended.
         elif res.status == "timeout":

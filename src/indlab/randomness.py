@@ -11,7 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import ClassVar, Optional, Sequence
+from functools import partial
+from operator import itemgetter
+from typing import Callable, ClassVar, Optional, Sequence
 
 from . import machine as tm
 from .sequences import (
@@ -115,6 +117,14 @@ def literal_bound(n: int) -> int:
     return n + 2 * (n + 1).bit_length() - 2 + tm.LITERAL_OVERHEAD_BITS
 
 
+def _periodic_bound(p: int, n: int) -> int:
+    """len(tm.prog_periodic(pattern, n)) for a pattern of p bits, n >= 1:
+    HALTAT n (4 + gamma0(n) bits), p OUTs of 4 bits, and JMP back p + 1
+    (5 + gamma0(p + 1) bits), where gamma0(v) has 2 * (v + 1).bit_length()
+    - 1 bits."""
+    return 7 + 4 * p + 2 * ((n + 1).bit_length() + (p + 2).bit_length())
+
+
 # Champernowne's expansion is tested on this many leading bits before the
 # whole text is built.
 _CHAMPERNOWNE_HEAD = 64
@@ -150,39 +160,41 @@ def k_upper_bound(
     when a (max_len, max_steps) budget is supplied, exhaustive search; a
     max_len above EXACT_SEARCH_MAX_LEN is rejected before any search.  The
     shortest candidate wins, the first in that order on a tie; the literal
-    is ranked by literal_bound and built only if it wins.  The chosen
-    witness is re-run and must reproduce sigma.
+    and the periodic emitter, whose programs grow with sigma, are ranked by
+    literal_bound and _periodic_bound and built only if they win.  The
+    chosen witness is re-run and must reproduce sigma.
     """
     _require_base2(sigma)
     n = len(sigma)
-    # (program, method); program None stands for the literal encoding
-    candidates: list[tuple[Optional[tm.Bits], str]] = []
+    # (length, method, build): build() makes the program, called for the winner only
+    candidates: list[tuple[int, str, Callable[[], tm.Bits]]] = []
+
+    def built(program: tm.Bits, method: str = "generator_encoding") -> None:
+        candidates.append((len(program), method, lambda: program))
+
     if n == 0:
-        candidates.append((tm.assemble((tm.OP_HALT,)), "generator_encoding"))
+        built(tm.assemble((tm.OP_HALT,)))
     else:
         s = sigma.array.tobytes()
-        candidates.append((None, "literal_encoding"))
+        candidates.append((literal_bound(n), "literal_encoding", partial(tm.prog_literal, s)))
         if s.count(s[:1]) == n:
-            candidates.append((tm.prog_constant(s[0], n), "generator_encoding"))
+            built(tm.prog_constant(s[0], n))
         else:
             p = _smallest_period(s)
             if p is not None:
-                candidates.append((tm.prog_periodic(s[:p], n), "generator_encoding"))
+                candidates.append((_periodic_bound(p, n), "generator_encoding",
+                                   partial(tm.prog_periodic, s[:p], n)))
         text = sigma.to_text()
         for start_at_one in (False, True):
             head = champernowne_text(2, min(n, _CHAMPERNOWNE_HEAD), start_at_one)
             if text.startswith(head) and champernowne_text(2, n, start_at_one) == text:
-                candidates.append(
-                    (tm.prog_champernowne(n, start_at_one), "generator_encoding")
-                )
+                built(tm.prog_champernowne(n, start_at_one))
     if budget is not None:
         found = exact_k_small(sigma, *budget)
         if isinstance(found, ComplexityEstimate):
-            candidates.append((found.witness, "exhaustive"))
-    program, method = min(
-        candidates, key=lambda c: literal_bound(n) if c[0] is None else len(c[0]))
-    if program is None:
-        program = tm.prog_literal(s)
+            built(found.witness, "exhaustive")
+    _, method, build = min(candidates, key=itemgetter(0))
+    program = build()
     est = ComplexityEstimate(len(program), "upper_bound", program, method)
     if not est.verify(sigma):
         raise AssertionError(f"witness failed to reproduce sigma (method {method})")
@@ -200,6 +212,14 @@ def exact_k_small(
     resolved within the step budget; unresolved timeouts degrade the result
     to an upper bound.  When nothing is found the certificate records that
     no program of length <= max_len produced sigma within the budget.
+
+    The walk is bounded: each new best of length L is answered with send(L
+    - 1), so no program that could not beat it is grown.  Every shorter
+    program is still run, in the same order, so the witness (the first
+    shortest in walk order), its kind and the blocking timeouts are those
+    of the unbounded walk.  A send is read as a request for the next entry,
+    and an entry is kept only if strictly shorter than the best, so a walk
+    that ignores sends gives the same result.
     """
     _require_base2(sigma)
     if max_len > EXACT_SEARCH_MAX_LEN:
@@ -208,12 +228,17 @@ def exact_k_small(
     want = tuple(sigma)
     timeouts: list[int] = []
     best: Optional[tm.DomainEntry] = None
-    for entry in tm.enumerate_domain(
-        max_len, max_steps, output_prefix=want, timeout_log=timeouts
-    ):
-        if entry.output == want:
-            if best is None or len(entry.program) < len(best.program):
-                best = entry
+    walk = tm.enumerate_domain(max_len, max_steps, output_prefix=want, timeout_log=timeouts)
+    bound = None  # sent with the next request: one less than a new best's length
+    while True:
+        try:
+            entry = walk.send(bound)
+        except StopIteration:
+            break
+        bound = None
+        if entry.output == want and (best is None or len(entry.program) < len(best.program)):
+            best = entry
+            bound = len(entry.program) - 1
     if best is None:
         return NoProgramCertificate(max_len, max_steps, tuple(sorted(timeouts)))
     found_len = len(best.program)
@@ -323,14 +348,15 @@ def omega_lower_bound(max_len: int, max_steps: int) -> OmegaEstimate:
     """
     if max_len > EXACT_SEARCH_MAX_LEN:
         raise ValueError(f"max_len {max_len} exceeds cap {EXACT_SEARCH_MAX_LEN}")
-    total = Fraction(0)
+    total = 0  # the sum in units of 2^-max_len
     programs: list[tm.Bits] = []
     for entry in tm.enumerate_domain(max_len, max_steps):
-        total += Fraction(1, 2 ** len(entry.program))
+        total += 1 << (max_len - len(entry.program))
         programs.append(entry.program)
-    if total >= 1:
+    if total >= 1 << max_len:
         raise AssertionError("Kraft sum reached 1: prefix-freeness is broken")
-    return OmegaEstimate(total, len(programs), (max_len, max_steps), tuple(programs))
+    return OmegaEstimate(Fraction(total, 1 << max_len), len(programs),
+                         (max_len, max_steps), tuple(programs))
 
 
 def prefix_free_violations(programs: Sequence[tm.Bits]) -> list[tuple[tm.Bits, tm.Bits]]:

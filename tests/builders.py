@@ -1,7 +1,10 @@
-"""Builders that only tests call: the gamma0 code length and the hv model
-writer.  Test programs are written with machine.assemble."""
+"""Builders that only tests call: the gamma0 code length, the hv model
+writer and the unbounded exact-K search.  Test programs are written with
+machine.assemble."""
 
 from indlab import hv
+from indlab import machine as tm
+from indlab import randomness as rl
 
 
 def gamma0_length(n: int) -> int:
@@ -12,3 +15,23 @@ def save_model(path: str, model: hv.HVModel) -> None:
     with open(path, "w") as f:
         f.write(hv.model_to_json(model))
         f.write("\n")
+
+
+def unbounded_exact_k_small(sigma, max_len, max_steps):
+    """Reference exact_k_small: the loop that walked every program up to
+    max_len, with no send, before the search bounded its walk."""
+    want = tuple(sigma)
+    timeouts: list[int] = []
+    best = None
+    for entry in tm.enumerate_domain(
+        max_len, max_steps, output_prefix=want, timeout_log=timeouts
+    ):
+        if entry.output == want:
+            if best is None or len(entry.program) < len(best.program):
+                best = entry
+    if best is None:
+        return rl.NoProgramCertificate(max_len, max_steps, tuple(sorted(timeouts)))
+    found_len = len(best.program)
+    blocking = tuple(sorted(c for c in timeouts if c < found_len))
+    return rl.ComplexityEstimate(found_len, "upper_bound" if blocking else "exact",
+                                 best.program, "exhaustive", blocking)

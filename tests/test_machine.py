@@ -422,6 +422,50 @@ class TestEnumeration:
         assert log  # a 1-step budget cannot resolve any 2-instruction branch
 
 
+def walk_with_sends(max_len, max_steps, sends, **kwargs):
+    """(entries, timeout log) of enumerate_domain, sending sends[i] in
+    reply to the i-th entry."""
+    log: list[int] = []
+    walk = tm.enumerate_domain(max_len, max_steps, timeout_log=log, **kwargs)
+    entries = []
+    try:
+        entries.append(next(walk))
+        while True:
+            entries.append(walk.send(sends.get(len(entries) - 1)))
+    except StopIteration:
+        return entries, log
+
+
+class TestSendBound:
+    @pytest.mark.parametrize("max_len,max_steps,output_prefix", [
+        (14, 1000, None), (14, 10_000, (0, 1, 1)), (12, 2, None)])
+    @pytest.mark.parametrize("at", [0, 3, 40])
+    @pytest.mark.parametrize("bound", [0, 9, 12])
+    def test_no_longer_entry_after_a_send(self, max_len, max_steps, output_prefix, at, bound):
+        full, full_log = walk_with_sends(max_len, max_steps, {}, output_prefix=output_prefix)
+        at = min(at, len(full) - 1)
+        entries, log = walk_with_sends(max_len, max_steps, {at: bound},
+                                       output_prefix=output_prefix)
+        # every program of at most bound bits, and its timeouts, as before
+        assert entries == full[:at + 1] + [e for e in full[at + 1:] if len(e.program) <= bound]
+        assert [c for c in log if c <= bound] == [c for c in full_log if c <= bound]
+        assert Counter(log) <= Counter(full_log)
+
+    def test_a_send_at_or_above_max_len_changes_nothing(self):
+        full = walk_with_sends(13, 1000, {})
+        for bound in (13, 14, 100):
+            assert walk_with_sends(13, 1000, {0: bound, 5: bound}) == full
+
+    def test_a_larger_send_does_not_loosen_the_bound(self):
+        assert walk_with_sends(14, 1000, {2: 10, 4: 14}) == walk_with_sends(14, 1000, {2: 10})
+
+    def test_negative_send_rejected(self):
+        walk = tm.enumerate_domain(10, 100)
+        next(walk)
+        with pytest.raises(ValueError, match="bound must be >= 0"):
+            walk.send(-1)
+
+
 def replay_leaves(max_len, max_steps, output_limit=tm.DEFAULT_OUTPUT_LIMIT,
                   output_prefix=None, exact_bits=False):
     """Reference enumerator: re-runs every demanded prefix from bit 0.

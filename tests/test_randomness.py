@@ -12,7 +12,7 @@ from indlab import machine as tm
 from indlab import randomness as rl
 from indlab import sequences as sq
 
-from builders import gamma0_length
+from builders import gamma0_length, unbounded_exact_k_small
 
 # frozen: one canonical enumeration at the acceptance budget
 GOLDEN_OMEGA_16_10K = Fraction(11737, 65536)
@@ -183,6 +183,14 @@ class TestKUpperBound:
         est = rl.k_upper_bound(sigma)
         assert est.method == method and est.verify(sigma)
 
+    def test_periodic_bound_is_the_program_length(self):
+        rng = random.Random(4)
+        cases = [(p, n) for n in range(1, 100) for p in range(1, n + 1)]
+        cases += [(rng.randint(100, 1000), rng.randint(1000, 10**6)) for _ in range(40)]
+        for p, n in cases:
+            pattern = [rng.randint(0, 1) for _ in range(p)]
+            assert rl._periodic_bound(p, n) == len(tm.prog_periodic(pattern, n)), (p, n)
+
     def test_every_estimate_is_witnessed(self):
         for text in ("0", "0000000000", "0110110110", "01101110", "10011"):
             sigma = sq.bits(text)
@@ -228,6 +236,59 @@ class TestExactK:
         # a big enough budget resolves everything and finds the true 12
         assert rl.exact_k_small(sq.bits("00"), 13, 100).kind == "exact"
         assert rl.exact_k_small(sq.bits("00"), 13, 100).value == 12
+
+
+def every_string(max_bits):
+    for n in range(max_bits + 1):
+        for bits in itertools.product((0, 1), repeat=n):
+            yield sq.SymbolString(2, bits)
+
+
+class TestBoundedSearch:
+    def test_same_results_as_the_unbounded_walk_at_the_acceptance_budget(self):
+        for sigma in every_string(3):
+            assert rl.exact_k_small(sigma, 16, 10_000) == \
+                unbounded_exact_k_small(sigma, 16, 10_000), tuple(sigma)
+
+    @pytest.mark.parametrize("max_len,max_steps", [(12, 1), (13, 2), (14, 50)])
+    def test_same_results_as_the_unbounded_walk_with_timeouts(self, max_len, max_steps):
+        results = []
+        for sigma in every_string(5):
+            found = rl.exact_k_small(sigma, max_len, max_steps)
+            assert found == unbounded_exact_k_small(sigma, max_len, max_steps), tuple(sigma)
+            results.append(found)
+        # the grid reaches both exact values and certificates
+        kinds = {getattr(r, "kind", "certificate") for r in results}
+        assert "exact" in kinds and "certificate" in kinds
+        if max_steps == 2:  # and unresolved timeouts that block the exact claim
+            assert "upper_bound" in kinds
+
+    def test_a_walk_that_ignores_sends_gives_the_same_results(self, monkeypatch):
+        # a wrapper that forwards only next(), as a tracing wrapper may
+        # (yield from would forward send too)
+        walk = tm.enumerate_domain
+
+        def next_only(*args, **kwargs):
+            for entry in walk(*args, **kwargs):
+                yield entry
+
+        expected = [rl.exact_k_small(sigma, 13, 2) for sigma in every_string(3)]
+        monkeypatch.setattr(tm, "enumerate_domain", next_only)
+        assert [rl.exact_k_small(sigma, 13, 2) for sigma in every_string(3)] == expected
+
+    @pytest.mark.parametrize("text,runs", [("0", 27), ("01", 285)])
+    def test_machine_runs_per_search(self, monkeypatch, text, runs):
+        # the unbounded walk runs about 10k machines for either string
+        calls = []
+        run = tm._Machine.run
+
+        def counting_run(m, *args):
+            calls.append(len(m.tape))
+            return run(m, *args)
+
+        monkeypatch.setattr(tm._Machine, "run", counting_run)
+        assert rl.exact_k_small(sq.bits(text), 16, 10_000).kind == "exact"
+        assert len(calls) == runs
 
 
 class TestLevinChaitinMargin:
@@ -417,3 +478,12 @@ class TestOmega:
     def test_cap(self):
         with pytest.raises(ValueError, match="cap"):
             rl.omega_lower_bound(30, 10)
+
+    @pytest.mark.parametrize("max_len,max_steps", [(0, 100), (4, 100), (9, 1), (12, 500),
+                                                   (16, 10_000)])
+    def test_same_estimate_as_a_fraction_sum(self, max_len, max_steps):
+        # reference: one Fraction added per program
+        programs = tuple(e.program for e in tm.enumerate_domain(max_len, max_steps))
+        total = sum((Fraction(1, 2 ** len(p)) for p in programs), Fraction(0))
+        assert rl.omega_lower_bound(max_len, max_steps) == \
+            rl.OmegaEstimate(total, len(programs), (max_len, max_steps), programs)
