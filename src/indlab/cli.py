@@ -116,10 +116,10 @@ def data_dir() -> str:
 
 
 def _resolve_data_path(name: str) -> str:
-    if os.path.exists(name):
+    if os.path.isfile(name):
         return name
     candidate = os.path.join(data_dir(), name)
-    if os.path.exists(candidate):
+    if os.path.isfile(candidate):
         return candidate
     raise FileNotFoundError(f"no such file {name!r} (also looked in {data_dir()})")
 
@@ -258,30 +258,16 @@ def cmd_omega(args, manifest: Manifest) -> int:
 
 
 def _load_sampler(args) -> hv.Sampler:
-    name = args.sampler
-    if args.bias and name != "prng":
-        raise ValueError(f"--bias applies only to --sampler prng, not {name!r}")
-    if name == "counter":
-        return hv.Sampler.counter()
-    if name == "alternating":
-        return hv.Sampler.alternating()
-    kind, colon, state = name.partition(":")
-    if kind == "constant":
-        try:
-            value = int(state) if colon else 0
-        except ValueError:
-            raise ValueError(f"--sampler: bad state {state!r} in {name!r}") from None
-        return hv.Sampler.constant(value)
-    if name == "prng":
-        probs = None
-        if args.bias:
-            probs = _parse_list("--bias", args.bias, float)
-        return hv.Sampler.prng(args.seed, probs)
-    if name == "os":
-        return hv.Sampler.os_entropy()
-    if name.startswith("file:"):
-        return hv.Sampler.recorded(name.split(":", 1)[1])
-    raise ValueError(f"--sampler: unknown sampler {name!r}")
+    if args.bias and args.sampler != "prng":
+        raise ValueError(f"--bias applies only to --sampler prng, not {args.sampler!r}")
+    prng = {}
+    if args.sampler == "prng":
+        prng = {"seed": args.seed,
+                "probs": _parse_list("--bias", args.bias, float) if args.bias else None}
+    try:
+        return hv.Sampler(args.sampler, **prng)
+    except ValueError as exc:
+        raise ValueError(f"--sampler: {exc}") from None
 
 
 def cmd_hv(args, manifest: Manifest) -> int:
@@ -298,19 +284,19 @@ def cmd_hv(args, manifest: Manifest) -> int:
     if args.hv_command == "audit1":
         checkpoints = _parse_list("--checkpoints", args.checkpoints, int)
         rep = hv.scenario_one_audit(model, sampler, checkpoints)
-        _write_json(args.json, rep.to_dict())
-        for p in rep.checkpoints:
+        _write_json(args.json, rep)
+        for p in rep["checkpoints"]:
             print(f"N={p['n']}: K_upper={p['k_upper']} margin={p['margin']}")
-        print(f"incompatible with 1-randomness: {rep.flagged}; "
-              f"pushforward matches target: {rep.pushforward_ok}")
-        if not rep.pushforward_ok:
+        print(f"incompatible with 1-randomness: {rep['incompatible_with_1_randomness']}; "
+              f"pushforward matches target: {rep['pushforward_matches_target']}")
+        if not rep["pushforward_matches_target"]:
             raise CheckFailed("model violates its compatibility contract")
         return EXIT_OK
     rep = hv.scenario_two_audit(model, sampler, args.n)
-    _write_json(args.json, rep.to_dict())
-    print(f"sampling fairness at 6 sigma: {'pass' if rep.fair else 'FAIL'} "
-          f"(randomness origin: {rep.randomness_origin})")
-    if not rep.fair:
+    _write_json(args.json, rep)
+    print(f"sampling fairness at 6 sigma: {'pass' if rep['fair'] else 'FAIL'} "
+          f"(randomness origin: {rep['randomness_origin']})")
+    if not rep["fair"]:
         raise CheckFailed("sampler failed the Born-measure fairness check")
     return EXIT_OK
 
@@ -577,23 +563,25 @@ def build_parser() -> argparse.ArgumentParser:
     h = sub.add_parser("hv", help="hidden-variable model runs and audits")
     h.set_defaults(func=cmd_hv)
     hsub = h.add_subparsers(dest="hv_command", required=True)
-    hr = hsub.add_parser("run")
-    hr.add_argument("--model", required=True)
-    hr.add_argument("--sampler", default="counter")
-    hr.add_argument("--bias", help="prng sampling distribution override, e.g. 0.6,0.4")
+
+    def hv_parser(name, sampler):
+        # argparse shares a parent's argument objects among its children, so
+        # a parents= parser cannot give audit2 its own --sampler default
+        sp = hsub.add_parser(name)
+        sp.add_argument("--model", required=True)
+        sp.add_argument("--sampler", default=sampler,
+                        help="counter | alternating | constant[:v] | prng | os | file:PATH")
+        sp.add_argument("--bias", help="prng sampling distribution override, e.g. 0.6,0.4")
+        return sp
+
+    hr = hv_parser("run", "counter")
     hr.add_argument("--n", type=int, required=True)
     hr.add_argument("--out", required=True)
     common(hr, json_out=False)
-    h1 = hsub.add_parser("audit1")
-    h1.add_argument("--model", required=True)
-    h1.add_argument("--sampler", default="counter")
-    h1.add_argument("--bias")
+    h1 = hv_parser("audit1", "counter")
     h1.add_argument("--checkpoints", default="100,1000,10000")
     common(h1)
-    h2 = hsub.add_parser("audit2")
-    h2.add_argument("--model", required=True)
-    h2.add_argument("--sampler", default="prng")
-    h2.add_argument("--bias")
+    h2 = hv_parser("audit2", "prng")
     h2.add_argument("--n", type=int, default=100_000)
     common(h2)
 

@@ -3,13 +3,16 @@
 A model owns the outcome map g and a compatibility measure mu on its
 hidden state space, stated as numbers in its hv/v1 file: a Bohmian
 |psi(q)|^2 dq over position bins or a 't Hooft |c_m|^2 over basis labels is
-written there as mu.  The per-run state supplier h is a pluggable sampler
-whose provenance (deterministic rule, seeded PRNG, OS entropy, recorded
-trace) is tracked explicitly, because where the randomness comes from is
-the whole point of the two audit scenarios.  The scenario-1 audit takes its
-Levin-Chaitin margins from randomness.levin_chaitin_margin and its flag
-from randomness.incompressibility_flag.  Bundled models are JSON files in
-the data directory, read by load_model.
+written there as mu.  The per-run state supplier h is a Sampler, named by
+the same spec that `--sampler` takes (counter, alternating, constant[:v],
+prng, os, file:PATH); its provenance (deterministic rule, seeded PRNG, OS
+entropy, recorded trace) is tracked explicitly, because where the randomness
+comes from is the whole point of the two audit scenarios.  Each audit
+returns the JSON report it is written as (hv-audit1/v1, hv-audit2/v1).  The
+scenario-1 audit takes its Levin-Chaitin margins from
+randomness.levin_chaitin_margin and its flag from
+randomness.incompressibility_flag.  Bundled models are JSON files in the
+data directory, read by load_model.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -32,13 +35,12 @@ HV_SCHEMA = "hv/v1"
 PUSHFORWARD_TOL = 1e-10
 INCOMPRESSIBILITY_C = 64  # the c of K(x|n) >= n - c that the scenario-1 audit tests
 SCENARIO2_MIN_N = 10_000
-DETERMINISTIC_RULES = ("counter", "alternating", "constant")
-# The keywords each sampler kind reads.
-SAMPLER_KEYWORDS = {
-    "deterministic_computable": ("rule", "value"),
-    "seeded_prng": ("seed", "probs"),
-    "external_entropy": (),
-    "recorded_file": ("path",),
+# Provenance note per sampler kind: whatever randomness x shows originates here.
+RANDOMNESS_ORIGIN = {
+    "deterministic_computable": "none (stated by the sampler itself)",
+    "seeded_prng": "external to the model (seeded pseudorandomness)",
+    "external_entropy": "external to the model (operating-system entropy)",
+    "recorded_file": "none (replayed trace)",
 }
 
 
@@ -55,6 +57,8 @@ class HVSpace:
             raise ValueError(f"unknown space kind {self.kind!r}")
         if self.size < 1:
             raise ValueError("space needs at least one state")
+        if type(self.size) is not int:
+            raise ValueError(f"space size must be an integer, got {self.size!r}")
 
 
 @dataclass(frozen=True)
@@ -75,6 +79,9 @@ class HVModel:
     def __post_init__(self):
         if len(self.outcome_map) != self.space.size:
             raise ValueError("outcome map must be total on the hidden space")
+        for v in self.outcome_map:
+            if type(v) is not int or v < 0:
+                raise ValueError(f"g entries must be non-negative integers, got {v!r}")
         if len(self.mu) != self.space.size:
             raise ValueError("mu must cover the hidden space")
         if not all(math.isfinite(p) for p in self.mu):
@@ -88,9 +95,6 @@ class HVModel:
     @property
     def n_outcomes(self) -> int:
         return max(self.outcome_map) + 1
-
-    def g(self, lam: int) -> int:
-        return self.outcome_map[lam]
 
     def pushforward(self) -> tuple[float, ...]:
         """The distribution of g(lambda) under mu (exact summation)."""
@@ -113,64 +117,44 @@ class HVModel:
 
 
 class Sampler:
-    """A supplier of hidden states h(0), h(1), ... with tracked provenance.
+    """A supplier of hidden states h(0), h(1), ... with tracked provenance,
+    named by the spec that `--sampler` takes.
 
-    The deterministic kind follows one of DETERMINISTIC_RULES, of which
-    only "constant" reads a value, and reproduces exactly; seeded PRNGs reproduce per seed but their
-    randomness is external to any model; OS entropy is external and
-    non-reproducible; a recorded file replays a trace.
+    counter, alternating and constant[:v] (v defaults to 0) are
+    deterministic_computable rules and reproduce exactly; prng draws from
+    probs (default mu) with seed, so it reproduces per seed but its
+    randomness is external to any model; os reads operating-system entropy,
+    external and non-reproducible; file:PATH replays a recorded seq/v1
+    trace.  Only prng reads seed (required) and probs.  An unknown spec, or
+    a seed or probs the spec does not read, raises a ValueError naming it.
     """
 
-    def __init__(self, kind: str, **params):
-        if kind not in SAMPLER_KEYWORDS:
-            raise ValueError(f"unknown sampler kind {kind!r}")
-        unread = set(params) - set(SAMPLER_KEYWORDS[kind])
-        if unread:
-            raise ValueError(f"sampler kind {kind!r} does not read "
-                             f"{', '.join(map(repr, sorted(unread)))}")
-        self.kind = kind
-        self.params = params
-        if kind == "deterministic_computable":
-            rule = params.get("rule")
-            if rule not in DETERMINISTIC_RULES:
-                raise ValueError(f"unknown deterministic rule {rule!r}")
-            if rule != "constant" and "value" in params:
-                raise ValueError(f"sampler rule {rule!r} does not read 'value'")
-
-    @staticmethod
-    def counter() -> "Sampler":
-        return Sampler("deterministic_computable", rule="counter")
-
-    @staticmethod
-    def alternating() -> "Sampler":
-        return Sampler("deterministic_computable", rule="alternating")
-
-    @staticmethod
-    def constant(value: int = 0) -> "Sampler":
-        return Sampler("deterministic_computable", rule="constant", value=value)
-
-    @staticmethod
-    def prng(seed: int, probs: Optional[Sequence[float]] = None) -> "Sampler":
-        return Sampler("seeded_prng", seed=seed,
-                       probs=None if probs is None else tuple(probs))
-
-    @staticmethod
-    def os_entropy() -> "Sampler":
-        return Sampler("external_entropy")
-
-    @staticmethod
-    def recorded(path: str) -> "Sampler":
-        return Sampler("recorded_file", path=path)
-
-    @property
-    def randomness_origin(self) -> str:
-        """Provenance note: whatever randomness x shows originates here."""
-        return {
-            "deterministic_computable": "none (stated by the sampler itself)",
-            "seeded_prng": "external to the model (seeded pseudorandomness)",
-            "external_entropy": "external to the model (operating-system entropy)",
-            "recorded_file": "none (replayed trace)",
-        }[self.kind]
+    def __init__(self, spec: str, seed: Optional[int] = None,
+                 probs: Optional[Sequence[float]] = None):
+        name, colon, arg = spec.partition(":")
+        if spec in ("counter", "alternating"):
+            self.kind, self.params = "deterministic_computable", {"rule": spec}
+        elif name == "constant":
+            try:
+                value = int(arg) if colon else 0
+            except ValueError:
+                raise ValueError(f"bad state {arg!r} in {spec!r}") from None
+            self.kind = "deterministic_computable"
+            self.params = {"rule": "constant", "value": value}
+        elif spec == "prng":
+            if seed is None:
+                raise ValueError("sampler 'prng' needs a seed")
+            self.kind = "seeded_prng"
+            self.params = {"seed": seed, "probs": None if probs is None else tuple(probs)}
+        elif spec == "os":
+            self.kind, self.params = "external_entropy", {}
+        elif name == "file" and arg:
+            self.kind, self.params = "recorded_file", {"path": arg}
+        else:
+            raise ValueError(f"unknown sampler {spec!r}")
+        unread = [k for k, v in (("seed", seed), ("probs", probs)) if v is not None]
+        if unread and self.kind != "seeded_prng":
+            raise ValueError(f"sampler {spec!r} does not read {', '.join(map(repr, unread))}")
 
     def states(self, model: HVModel, n: int) -> np.ndarray:
         """h(0..n-1) as indices into the model's hidden space."""
@@ -181,7 +165,7 @@ class Sampler:
                 return np.arange(n, dtype=np.int64) % m
             if rule == "alternating":
                 return np.arange(n, dtype=np.int64) % min(2, m)
-            return np.full(n, self.params.get("value", 0), dtype=np.int64)
+            return np.full(n, self.params["value"], dtype=np.int64)
         if self.kind == "seeded_prng":
             probs = self.params.get("probs") or model.mu
             if len(probs) != m:
@@ -217,45 +201,14 @@ def run_model(model: HVModel, h: Sampler, n: int) -> SymbolString:
     return SymbolString(max(2, model.n_outcomes), x)
 
 
-@dataclass
-class ScenarioOneReport:
-    """Compressibility audit of a model that states its own h."""
-
-    model_name: str
-    sampler: dict
-    description_bits: int
-    checkpoints: list[dict]
-    flagged: bool
-    flag_threshold: int
-    pushforward_ok: bool
-    note: ClassVar[str] = (
-        "an upper bound this far below N refutes 1-randomness of the "
-        "stated sequence relative to the bundled machine"
-    )
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": "hv-audit1/v1",
-            "model": self.model_name,
-            "sampler": self.sampler,
-            "description_bits": self.description_bits,
-            "checkpoints": self.checkpoints,
-            "incompatible_with_1_randomness": self.flagged,
-            "flag_threshold_bits": self.flag_threshold,
-            "pushforward_matches_target": self.pushforward_ok,
-            "note": self.note,
-        }
-
-
-def scenario_one_audit(
-    model: HVModel, h: Sampler, checkpoints: Sequence[int]
-) -> ScenarioOneReport:
+def scenario_one_audit(model: HVModel, h: Sampler, checkpoints: Sequence[int]) -> dict:
     """Audit scenario 1: the theory supplies h, hence states x outright.
 
-    Runs the model to the last checkpoint and reports, per checkpoint,
-    the Levin-Chaitin margin K_upper(x_|N) - N of
-    randomness.levin_chaitin_margin next to stated_bound, the length of the
-    model's own description plus N and the machine overhead.  The
+    Runs the model to the last checkpoint and returns the hv-audit1/v1
+    report, which holds per checkpoint the Levin-Chaitin margin
+    K_upper(x_|N) - N of randomness.levin_chaitin_margin next to
+    stated_bound, the length of the model's own description plus N and the
+    machine overhead.  The
     incompatibility flag is randomness.incompressibility_flag with
     c = INCOMPRESSIBILITY_C: raised when some checkpoint has
     K_upper < N - c.  The checkpoints must be ascending, as
@@ -283,50 +236,28 @@ def scenario_one_audit(
         }
         for pt in margins
     ]
-    return ScenarioOneReport(
-        model.name,
-        h.describe(),
-        model.description_bits,
-        checkpoint_rows,
-        incompressibility_flag(margins, INCOMPRESSIBILITY_C) is not None,
-        -INCOMPRESSIBILITY_C,
-        model.compatible(),
-    )
+    return {
+        "schema": "hv-audit1/v1",
+        "model": model.name,
+        "sampler": h.describe(),
+        "description_bits": model.description_bits,
+        "checkpoints": checkpoint_rows,
+        "incompatible_with_1_randomness":
+            incompressibility_flag(margins, INCOMPRESSIBILITY_C) is not None,
+        "flag_threshold_bits": -INCOMPRESSIBILITY_C,
+        "pushforward_matches_target": model.compatible(),
+        "note": "an upper bound this far below N refutes 1-randomness of the "
+                "stated sequence relative to the bundled machine",
+    }
 
 
-@dataclass
-class ScenarioTwoReport:
-    """Sampling-fairness audit of a model that outsources h."""
-
-    model_name: str
-    sampler: dict
-    randomness_origin: str
-    n: int
-    cell_checks: list[dict]
-    outcome_checks: list[dict]
-    fair: bool
-    pushforward_ok: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": "hv-audit2/v1",
-            "model": self.model_name,
-            "sampler": self.sampler,
-            "randomness_origin": self.randomness_origin,
-            "n": self.n,
-            "cell_checks": self.cell_checks,
-            "outcome_checks": self.outcome_checks,
-            "fair": self.fair,
-            "pushforward_matches_target": self.pushforward_ok,
-        }
-
-
-def scenario_two_audit(model: HVModel, h: Sampler, n: int) -> ScenarioTwoReport:
+def scenario_two_audit(model: HVModel, h: Sampler, n: int) -> dict:
     """Audit scenario 2: h is an outside source that must sample mu.
 
     Checks each hidden-state cell frequency against mu and each outcome
     frequency against the pushforward, both at six binomial sigma, and
-    records that the randomness originates outside the model.
+    returns the hv-audit2/v1 report, which records that the randomness
+    originates outside the model.
     """
     if h.kind not in ("seeded_prng", "external_entropy"):
         raise ValueError(
@@ -339,11 +270,17 @@ def scenario_two_audit(model: HVModel, h: Sampler, n: int) -> ScenarioTwoReport:
     cell_checks = _six_sigma_checks("cell", lam, model.mu)
     x = np.asarray(model.outcome_map, dtype=np.int64)[lam]
     outcome_checks = _six_sigma_checks("outcome", x, model.pushforward())
-    fair = all(c["pass"] for c in cell_checks) and all(c["pass"] for c in outcome_checks)
-    return ScenarioTwoReport(
-        model.name, h.describe(), h.randomness_origin, n,
-        cell_checks, outcome_checks, fair, model.compatible(),
-    )
+    return {
+        "schema": "hv-audit2/v1",
+        "model": model.name,
+        "sampler": h.describe(),
+        "randomness_origin": RANDOMNESS_ORIGIN[h.kind],
+        "n": n,
+        "cell_checks": cell_checks,
+        "outcome_checks": outcome_checks,
+        "fair": all(c["pass"] for c in cell_checks + outcome_checks),
+        "pushforward_matches_target": model.compatible(),
+    }
 
 
 def _six_sigma_checks(key: str, values: np.ndarray, probs: Sequence[float]) -> list[dict]:
@@ -393,7 +330,7 @@ def model_from_json(text: str) -> HVModel:
         obj["space"]["size"],
         interval=tuple(obj["space"]["interval"]) if "interval" in obj["space"] else None,
     )
-    mu = tuple(float(p) for p in obj["mu"])
+    mu = _numbers(obj, "mu")
     if len(mu) != space.size:  # before a g rule is expanded to space.size entries
         raise ValueError("mu must cover the hidden space")
     g = obj["g"]
@@ -407,11 +344,23 @@ def model_from_json(text: str) -> HVModel:
             raise ValueError(f"unknown g rule {rule!r}")
     return HVModel(
         space=space,
-        outcome_map=tuple(int(v) for v in g),
+        outcome_map=tuple(g),
         mu=mu,
         name=obj.get("name", "model"),
-        target=tuple(float(p) for p in obj["target"]) if "target" in obj else None,
+        target=_numbers(obj, "target") if "target" in obj else None,
     )
+
+
+def _numbers(obj: dict, field: str) -> tuple[float, ...]:
+    """obj[field], a list of JSON numbers, as floats; anything else raises a
+    ValueError naming field."""
+    values = obj[field]
+    if not isinstance(values, list):
+        raise ValueError(f"{field} must be a list of numbers, got {values!r}")
+    for v in values:
+        if type(v) not in (int, float):
+            raise ValueError(f"{field} entries must be numbers, got {v!r}")
+    return tuple(float(v) for v in values)
 
 
 def load_model(path: str) -> HVModel:

@@ -225,13 +225,19 @@ def _one_error_line(capsys, *fragments) -> None:
       "--n", "8", "--out", "h.seq"], ("--sampler: bad state '1:2' in 'constant:1:2'",)),
     (["hv", "run", "--model", "fair_coin_counter.json", "--sampler", "constant:x",
       "--n", "8", "--out", "h.seq"], ("--sampler: bad state 'x' in 'constant:x'",)),
+    (["hv", "run", "--model", "fair_coin_counter.json", "--sampler", "file:",
+      "--n", "8", "--out", "h.seq"], ("--sampler: unknown sampler 'file:'",)),
+    (["hv", "run", "--model", "", "--n", "8", "--out", "h.seq"],
+     ("no such file ''", cli.data_dir())),
+    (["ks", "search", "--rays", ""], ("no such file ''", cli.data_dir())),
 ], ids=["hv-run-contract", "hv-audit2-contract", "born-nan", "repeated-setting",
         "nan-setting", "omega-negative-steps", "champernowne-base-40", "hv-run-bias-counter",
         "hv-audit1-bias-alternating", "hv-audit2-bias-os", "checkpoints-not-int",
         "checkpoints-empty-entry", "checkpoints-descending", "fair-coin-with-kind",
         "fair-coin-with-probs", "probs-not-float", "pattern-not-int", "settings-not-float",
         "bias-not-float", "sampler-constant-no-colon", "sampler-constant-two-states",
-        "sampler-constant-not-int"])
+        "sampler-constant-not-int", "sampler-file-no-path", "hv-model-empty-name",
+        "ks-rays-empty-name"])
 def test_bad_input_exits_1_with_one_error_line(argv, fragments, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.dispatch(argv) == cli.EXIT_USAGE
@@ -240,6 +246,13 @@ def test_bad_input_exits_1_with_one_error_line(argv, fragments, tmp_path, monkey
 
 
 NON_ORTHOGONAL_RAYS = "rays/v1\nray x 1 0 0\nray y 0 1 0\nray d 1 1 0\nbasis x y d\n"
+HV_RUN_M = ["hv", "run", "--model", "m.json", "--n", "8", "--out", "h.seq"]
+
+
+def _hv_model(**fields) -> str:
+    """The hv/v1 text of a fair-coin model with the given fields replaced."""
+    return json.dumps({"schema": "hv/v1", "space": {"kind": "discrete", "size": 2},
+                       "g": [0, 1], "mu": [0.5, 0.5], **fields})
 
 
 @pytest.mark.parametrize("files,argv,fragments", [
@@ -254,6 +267,20 @@ NON_ORTHOGONAL_RAYS = "rays/v1\nray x 1 0 0\nray y 0 1 0\nray d 1 1 0\nbasis x y
                                   "g": [0, 1], "mu": [0.5, 0.5]})},
      ["hv", "run", "--model", "strsize.json", "--n", "8", "--out", "h.seq"],
      ("strsize.json: '<' not supported",)),
+    ({"m.json": _hv_model(g=[0, 1.7])}, HV_RUN_M,
+     ("m.json: g entries must be non-negative integers, got 1.7",)),
+    ({"m.json": _hv_model(g=[0, True])}, HV_RUN_M,
+     ("m.json: g entries must be non-negative integers, got True",)),
+    ({"m.json": _hv_model(g=[0, -1])},
+     ["hv", "audit2", "--model", "m.json", "--n", "10000", "--json", "a.json"],
+     ("m.json: g entries must be non-negative integers, got -1",)),
+    ({"m.json": _hv_model(mu=["0.5", "0.5"])}, HV_RUN_M,
+     ("m.json: mu entries must be numbers, got '0.5'",)),
+    ({"m.json": _hv_model(mu=0.5)}, HV_RUN_M, ("m.json: mu must be a list of numbers",)),
+    ({"m.json": _hv_model(target=[0.5, None])}, HV_RUN_M,
+     ("m.json: target entries must be numbers, got None",)),
+    ({"m.json": _hv_model(space={"kind": "discrete", "size": True}, g=[0], mu=[1.0])},
+     HV_RUN_M, ("m.json: space size must be an integer, got True",)),
     ({"c.json": "[0, 1"}, ["ks", "verify", "--rays", "peres33.rays", "--coloring", "c.json"],
      ("c.json: Expecting",)),
     ({"c.json": json.dumps({"colors": [1]})},
@@ -304,6 +331,8 @@ NON_ORTHOGONAL_RAYS = "rays/v1\nray x 1 0 0\nray y 0 1 0\nray d 1 1 0\nbasis x y
      ["ks", "verify", "--rays", "demo_colorable.rays", "--coloring", "c.json"],
      ("c.json: assignment must be total over {0,1}, found 1.0",)),
 ], ids=["hv-model-not-json", "hv-model-without-space", "hv-model-string-size",
+        "hv-model-float-g", "hv-model-bool-g", "hv-model-negative-g", "hv-model-string-mu",
+        "hv-model-scalar-mu", "hv-model-null-target", "hv-model-bool-size",
         "ks-coloring-not-json", "ks-coloring-without-key", "ks-coloring-number",
         "ks-coloring-string",
         "report-input-not-json", "report-missing-field", "report-field-wrong-type",
@@ -566,6 +595,20 @@ GOLDEN_RUNS = [
     (["generate", "--kind", "constant", "--symbol", "1", "--n", "5000",
       "--out", "constant.seq"], 0),
     (["komplexity", "--in", "constant.seq", "--json", "constant.k.json"], 0),
+    # hv runs and audit reports, frozen with the per-kind Sampler factories and
+    # the report dataclasses
+    (["hv", "run", "--model", "fair_coin_counter.json", "--sampler", "alternating",
+      "--n", "1000", "--out", "hv_alt.seq"], 0),
+    (["hv", "run", "--model", "fair_coin_counter.json", "--sampler", "file:coin.seq",
+      "--n", "5000", "--out", "hv_replay.seq"], 0),
+    (["hv", "audit1", "--model", "fair_coin_counter.json", "--sampler", "counter",
+      "--json", "hv_counter.json"], 0),
+    (["hv", "audit1", "--model", "parity4.json", "--sampler", "constant:1",
+      "--checkpoints", "100,1000", "--json", "hv_constant.json"], 0),
+    (["hv", "audit2", "--model", "parity4.json", "--seed", "7", "--n", "20000",
+      "--json", "hv_prng.json"], 0),
+    (["hv", "audit2", "--model", "fair_coin_counter.json", "--bias", "0.6,0.4",
+      "--seed", "7", "--n", "20000", "--json", "hv_bias.json"], 2),
 ]
 GOLDEN_SHA256 = {
     "born16.json": "3f0985cdb4f5f0e91c61030b49ff5b25cd4c9c8ca342f231204900aad6cfc8f5",
@@ -578,6 +621,12 @@ GOLDEN_SHA256 = {
     "coin.seq": "8ec6a5dc387fbf73a3f26bbd7943bd97f3aaf7ca992d4267b275e8e7cb19eee9",
     "constant.k.json": "50a8a4a54a9fe85a581262ba355933bb84e5cd1b781b9834e98805027b93113a",
     "constant.seq": "0f57a37c663826561f92896455b57203774b3d239f080616f5b8e82c3d5aa683",
+    "hv_alt.seq": "8f6c2bd55fdc6c616150f2664ee1d16a13191c7953d9b8f4d96343209b0db1e1",
+    "hv_bias.json": "1a4624ccabe6d18ded75a837aaf1b79953018fa60740fecb35c5754f0fc42ec8",
+    "hv_constant.json": "beb35a7b22bc9b48a2a8b31ee8e9910d382b58cef2930e033bafcb72347bd875",
+    "hv_counter.json": "28f197be379498cc37946f6f688a70eba72283885bcc6c22ccbd4a39b25c0ded",
+    "hv_prng.json": "f53190c4c7b7b058f68e96ddfb8d3a50460bf81da78df73d08f7fb636460cbb7",
+    "hv_replay.seq": "8ec6a5dc387fbf73a3f26bbd7943bd97f3aaf7ca992d4267b275e8e7cb19eee9",
     "periodic.k.json": "41932ba3fe23c93a1da6d94e2c8ae95258e1de19e0966430b95bd61421d4003f",
     "periodic.seq": "4605d4caf5c917968193cea2a6ba738db73b731bf376d091f46f1466be1e55c4",
     "q.csv": "d0e632dbcec639368d6408c641bb3bd192acd78af271a9bfef536dc1ae9d5a12",

@@ -34,6 +34,11 @@ class TestSpacesAndModels:
         with pytest.raises(ValueError, match="total"):
             hv.HVModel(hv.HVSpace("discrete", 3), (0, 1), (0.5, 0.25, 0.25))
 
+    @pytest.mark.parametrize("g", [(0, 1.0), (0, True), (0, -1)])
+    def test_outcomes_are_non_negative_integers(self, g):
+        with pytest.raises(ValueError, match="g entries must be non-negative integers"):
+            hv.HVModel(hv.HVSpace("discrete", 2), g, (0.5, 0.5))
+
     def test_mu_must_normalize(self):
         with pytest.raises(ValueError, match="sums to"):
             hv.HVModel(hv.HVSpace("discrete", 2), (0, 1), (0.5, 0.6))
@@ -71,53 +76,53 @@ class TestSpacesAndModels:
 class TestRunModel:
     def test_identity_alternating(self):
         model = FAIR_COIN
-        x = hv.run_model(model, hv.Sampler.alternating(), 8)
+        x = hv.run_model(model, hv.Sampler("alternating"), 8)
         assert x.to_text() == "01010101"
 
     def test_parity_counter(self):
-        x = hv.run_model(PARITY4, hv.Sampler.counter(), 8)
+        x = hv.run_model(PARITY4, hv.Sampler("counter"), 8)
         assert x.to_text() == "01010101"
 
     def test_constant_sampler(self):
         model = FAIR_COIN
-        assert hv.run_model(model, hv.Sampler.constant(1), 5).to_text() == "11111"
+        assert hv.run_model(model, hv.Sampler("constant:1"), 5).to_text() == "11111"
 
     def test_recorded_replay(self, tmp_path):
         path = str(tmp_path / "trace.txt")
         sq.write_sequence_file(path, sq.bits("0110"))
-        x = hv.run_model(FAIR_COIN, hv.Sampler.recorded(path), 4)
+        x = hv.run_model(FAIR_COIN, hv.Sampler(f"file:{path}"), 4)
         assert x.to_text() == "0110"
 
     def test_out_of_space_state_rejected(self, tmp_path):
         path = str(tmp_path / "trace.txt")
         sq.write_sequence_file(path, sq.SymbolString(4, (0, 3)))
         with pytest.raises(ContractViolationError, match="outside the space"):
-            hv.run_model(FAIR_COIN, hv.Sampler.recorded(path), 2)
+            hv.run_model(FAIR_COIN, hv.Sampler(f"file:{path}"), 2)
 
     def test_factorization_replay(self):
         # x equals the pointwise composition g(h(i))
         model = PARITY4
-        sampler = hv.Sampler.counter()
+        sampler = hv.Sampler("counter")
         x = hv.run_model(model, sampler, 100)
         lam = sampler.states(model, 100)
-        assert all(x[i] == model.g(int(lam[i])) for i in range(100))
+        assert all(x[i] == model.outcome_map[lam[i]] for i in range(100))
 
 
 class TestScenarioOne:
     def test_counter_model_flagged_at_10k(self):
         rep = hv.scenario_one_audit(
-            FAIR_COIN, hv.Sampler.counter(), [100, 1000, 10_000]
+            FAIR_COIN, hv.Sampler("counter"), [100, 1000, 10_000]
         )
-        final = rep.checkpoints[-1]
+        final = rep["checkpoints"][-1]
         assert final["margin"] <= -9000
-        assert rep.flagged
-        assert rep.pushforward_ok
+        assert rep["incompatible_with_1_randomness"]
+        assert rep["pushforward_matches_target"]
 
     def test_witness_bound_inside_stated_bound(self):
         rep = hv.scenario_one_audit(
-            PARITY4, hv.Sampler.counter(), [64, 512, 4096]
+            PARITY4, hv.Sampler("counter"), [64, 512, 4096]
         )
-        for point in rep.checkpoints:
+        for point in rep["checkpoints"]:
             assert point["k_upper"] <= point["stated_bound"]
 
     @pytest.mark.parametrize("margins,flagged", [
@@ -132,20 +137,20 @@ class TestScenarioOne:
 
         monkeypatch.setattr(hv, "levin_chaitin_margin", fixed_margins)
         checkpoints = [100 * (i + 1) for i in range(len(margins))]
-        rep = hv.scenario_one_audit(FAIR_COIN, hv.Sampler.counter(), checkpoints)
-        assert [p["margin"] for p in rep.checkpoints] == margins
-        assert rep.flagged == flagged
-        assert rep.to_dict()["flag_threshold_bits"] == -64
+        rep = hv.scenario_one_audit(FAIR_COIN, hv.Sampler("counter"), checkpoints)
+        assert [p["margin"] for p in rep["checkpoints"]] == margins
+        assert rep["incompatible_with_1_randomness"] == flagged
+        assert rep["flag_threshold_bits"] == -64
 
     def test_flag_withheld_at_small_n(self):
-        rep = hv.scenario_one_audit(FAIR_COIN, hv.Sampler.counter(), [8])
-        assert rep.checkpoints[-1]["margin"] > rep.flag_threshold
-        assert not rep.flagged
+        rep = hv.scenario_one_audit(FAIR_COIN, hv.Sampler("counter"), [8])
+        assert rep["checkpoints"][-1]["margin"] > rep["flag_threshold_bits"]
+        assert not rep["incompatible_with_1_randomness"]
 
     def test_refuses_nondeterministic_sampler(self):
         with pytest.raises(ValueError, match="deterministic_computable"):
             hv.scenario_one_audit(
-                FAIR_COIN, hv.Sampler.prng(1), [100]
+                FAIR_COIN, hv.Sampler("prng", seed=1), [100]
             )
 
     def test_binary_outcomes_only(self):
@@ -153,45 +158,45 @@ class TestScenarioOne:
             hv.HVSpace("discrete", 3), (0, 1, 2), (1 / 3, 1 / 3, 1 / 3)
         )
         with pytest.raises(ValueError, match="binary"):
-            hv.scenario_one_audit(model, hv.Sampler.counter(), [100])
+            hv.scenario_one_audit(model, hv.Sampler("counter"), [100])
 
 
 class TestScenarioTwo:
     def test_fair_prng_passes(self):
         rep = hv.scenario_two_audit(
-            FAIR_COIN, hv.Sampler.prng(7), 100_000
+            FAIR_COIN, hv.Sampler("prng", seed=7), 100_000
         )
-        assert rep.fair
-        assert "external" in rep.randomness_origin
+        assert rep["fair"]
+        assert "external" in rep["randomness_origin"]
 
     def test_biased_prng_fails(self):
         rep = hv.scenario_two_audit(
-            FAIR_COIN, hv.Sampler.prng(7, probs=[0.6, 0.4]), 100_000
+            FAIR_COIN, hv.Sampler("prng", seed=7, probs=[0.6, 0.4]), 100_000
         )
-        assert not rep.fair
+        assert not rep["fair"]
 
     def test_point_mass_passes_trivially(self):
         model = hv.HVModel(
             hv.HVSpace("discrete", 2), (0, 1), (1.0, 0.0), target=(1.0, 0.0)
         )
-        rep = hv.scenario_two_audit(model, hv.Sampler.prng(3), 10_000)
-        assert rep.fair
+        rep = hv.scenario_two_audit(model, hv.Sampler("prng", seed=3), 10_000)
+        assert rep["fair"]
 
     def test_minimum_n(self):
         with pytest.raises(ValueError, match="10000"):
-            hv.scenario_two_audit(FAIR_COIN, hv.Sampler.prng(1), 100)
+            hv.scenario_two_audit(FAIR_COIN, hv.Sampler("prng", seed=1), 100)
 
     def test_deterministic_sampler_rejected(self):
         with pytest.raises(ValueError, match="sampling h"):
             hv.scenario_two_audit(
-                FAIR_COIN, hv.Sampler.counter(), 10_000
+                FAIR_COIN, hv.Sampler("counter"), 10_000
             )
 
     def test_os_entropy_accepted(self):
         rep = hv.scenario_two_audit(
-            FAIR_COIN, hv.Sampler.os_entropy(), 10_000
+            FAIR_COIN, hv.Sampler("os"), 10_000
         )
-        assert "operating-system entropy" in rep.randomness_origin
+        assert "operating-system entropy" in rep["randomness_origin"]
 
 
 class TestModelFiles:
@@ -233,21 +238,21 @@ class TestModelFiles:
 class TestSamplerContracts:
     def test_prng_reproducible(self):
         model = FAIR_COIN
-        a = hv.Sampler.prng(5).states(model, 100)
-        b = hv.Sampler.prng(5).states(model, 100)
+        a = hv.Sampler("prng", seed=5).states(model, 100)
+        b = hv.Sampler("prng", seed=5).states(model, 100)
         assert (a == b).all()
 
     def test_entropy_not_reproducible(self):
         model = FAIR_COIN
-        a = hv.Sampler.os_entropy().states(model, 64)
-        b = hv.Sampler.os_entropy().states(model, 64)
+        a = hv.Sampler("os").states(model, 64)
+        b = hv.Sampler("os").states(model, 64)
         assert (a != b).any()
 
     @pytest.mark.parametrize("size", [3, 256])
     def test_entropy_states_cover_the_space(self, size):
         g = tuple(i % 2 for i in range(size))
         model = hv.HVModel(hv.HVSpace("discrete", size), g, (1 / size,) * size)
-        lam = hv.Sampler.os_entropy().states(model, 4096)
+        lam = hv.Sampler("os").states(model, 4096)
         assert lam.dtype == np.int64 and len(lam) == 4096
         assert 0 <= lam.min() and lam.max() < size and len(set(lam.tolist())) > size // 2
 
@@ -255,35 +260,46 @@ class TestSamplerContracts:
         g = tuple(i % 2 for i in range(300))
         model = hv.HVModel(hv.HVSpace("discrete", 300), g, (1 / 300,) * 300)
         with pytest.raises(ValueError, match="up to 256 symbols"):
-            hv.Sampler.os_entropy().states(model, 10)
+            hv.Sampler("os").states(model, 10)
 
     def test_describe_is_kind_and_params(self):
-        assert hv.Sampler.constant(1).describe() == {
+        assert hv.Sampler("constant:1").describe() == {
             "kind": "deterministic_computable", "rule": "constant", "value": 1}
-        assert hv.Sampler.os_entropy().describe() == {"kind": "external_entropy"}
+        assert hv.Sampler("constant").describe()["value"] == 0
+        assert hv.Sampler("prng", seed=3).describe() == {
+            "kind": "seeded_prng", "seed": 3, "probs": None}
+        assert hv.Sampler("os").describe() == {"kind": "external_entropy"}
+        assert hv.Sampler("file:a:b.seq").describe() == {"kind": "recorded_file",
+                                                         "path": "a:b.seq"}
 
     @pytest.mark.parametrize("rule", ["counter", "alternating"])
     def test_only_the_constant_rule_reads_value(self, rule):
-        with pytest.raises(ValueError, match=f"sampler rule '{rule}' does not read 'value'"):
-            hv.Sampler("deterministic_computable", rule=rule, value=5)
-        assert hv.Sampler("deterministic_computable", rule="constant", value=5).describe() == {
+        with pytest.raises(ValueError, match=f"unknown sampler '{rule}:5'"):
+            hv.Sampler(f"{rule}:5")
+        assert hv.Sampler("constant:5").describe() == {
             "kind": "deterministic_computable", "rule": "constant", "value": 5}
 
     def test_unknown_kind_and_rule(self):
-        with pytest.raises(ValueError):
-            hv.Sampler("telepathy")
-        with pytest.raises(ValueError, match="unknown deterministic rule 'oracle'"):
-            hv.Sampler("deterministic_computable", rule="oracle")
-        with pytest.raises(ValueError, match="unknown deterministic rule None"):
-            hv.Sampler("deterministic_computable")
+        for spec in ("telepathy", "constant5", "file:", "prng:1", "os:1", ""):
+            with pytest.raises(ValueError, match=f"unknown sampler '{spec}'"):
+                hv.Sampler(spec)
+        with pytest.raises(ValueError, match="bad state '1:2' in 'constant:1:2'"):
+            hv.Sampler("constant:1:2")
+
+    def test_prng_needs_a_seed(self):
+        with pytest.raises(ValueError, match="sampler 'prng' needs a seed"):
+            hv.Sampler("prng", probs=[0.5, 0.5])
 
     @pytest.mark.parametrize("kind,params,keyword", [
-        ("seeded_prng", {"seed": 1, "probz": [0.9, 0.1]}, "probz"),
-        ("external_entropy", {"seed": 1}, "seed"),
-        ("deterministic_computable", {"rule": "counter", "probs": [0.5, 0.5]}, "probs"),
-        ("deterministic_computable", {"program": (0, 0, 0, 0)}, "program"),
-        ("recorded_file", {"path": "x.seq", "value": 0}, "value"),
+        ("seeded_prng", {"spec": "prng", "seed": 1, "probz": [0.9, 0.1]}, "probz"),
+        ("external_entropy", {"spec": "os", "seed": 1}, "seed"),
+        ("deterministic_computable", {"spec": "counter", "probs": [0.5, 0.5]}, "probs"),
+        ("deterministic_computable", {"spec": "constant:1", "program": (0, 0, 0, 0)}, "program"),
+        ("recorded_file", {"spec": "file:x.seq", "value": 0}, "value"),
     ])
     def test_a_keyword_the_kind_does_not_read_is_rejected(self, kind, params, keyword):
-        with pytest.raises(ValueError, match=f"sampler kind '{kind}' does not read '{keyword}'"):
-            hv.Sampler(kind, **params)
+        # seed and probs are rejected by Sampler, any other keyword by Python
+        with pytest.raises((TypeError, ValueError), match=f"'{keyword}'"):
+            hv.Sampler(**params)
+        read = {k: v for k, v in params.items() if k != keyword}
+        assert hv.Sampler(**read).kind == kind
