@@ -609,6 +609,17 @@ GOLDEN_RUNS = [
       "--json", "hv_prng.json"], 0),
     (["hv", "audit2", "--model", "fair_coin_counter.json", "--bias", "0.6,0.4",
       "--seed", "7", "--n", "20000", "--json", "hv_bias.json"], 2),
+    # bell analyze reports and the report built from them, frozen with the
+    # TestReport and FunctionalEstimate classes
+    (["bell", "analyze", "--in", "q.csv", "--json", "q.json"], 0),
+    (["bell", "run", "--model", "signaling", "--n", "20000", "--seed", "7",
+      "--out", "sig.csv"], 0),
+    (["bell", "analyze", "--in", "sig.csv", "--json", "sig.json"], 2),
+    (["bell", "run", "--settings", "0,45,22.5,-22.5", "--n", "20000", "--seed", "7",
+      "--out", "chsh.csv"], 0),
+    (["bell", "analyze", "--in", "chsh.csv", "--functional", "chsh", "--json", "chsh.json"], 0),
+    (["report", "--in", "q.json", "sig.json", "chsh.json", "--json", "report.json",
+      "--csv", "report.csv"], 0),
 ]
 GOLDEN_SHA256 = {
     "born16.json": "3f0985cdb4f5f0e91c61030b49ff5b25cd4c9c8ca342f231204900aad6cfc8f5",
@@ -616,6 +627,9 @@ GOLDEN_SHA256 = {
     "champ10.seq": "55d18fe1a1a7d741a6a8f34be02535c27ff7cc110dd7b32166f1e13de170ecb2",
     "champ2.k.json": "d15f89d6ac69ac59cf1a83f08f98644889355c1323b344532a912a0142fd880f",
     "champ2.seq": "8c9d5dc7aade4b5d9cd6ac8b8da231c9247812a910aaa3059cb51eb728aa44f4",
+    "chsh.csv": "c8f7f58603d0e92706e5a5d5a2df26a76687279d8b9737ab50609475e8957107",
+    "chsh.csv.meta.json": "db9bb411ec5f8b11fe4fc97e46cb8670f0f0963e2295972d54c13164dfe23066",
+    "chsh.json": "325fa214b02e514c4298e54501cb3e7a83b640c13cfecdf176e9b5627482eb42",
     "coin.json": "0d2dd3ccd5a8ddd13c724242b7ac7f564fa25697a2028198fad9c18131e65b77",
     "coin.k.json": "893fc4049712c236a58fc856fcf33a2a4a98bb2800422669af624fc66dad0285",
     "coin.seq": "8ec6a5dc387fbf73a3f26bbd7943bd97f3aaf7ca992d4267b275e8e7cb19eee9",
@@ -631,6 +645,12 @@ GOLDEN_SHA256 = {
     "periodic.seq": "4605d4caf5c917968193cea2a6ba738db73b731bf376d091f46f1466be1e55c4",
     "q.csv": "d0e632dbcec639368d6408c641bb3bd192acd78af271a9bfef536dc1ae9d5a12",
     "q.csv.meta.json": "52ce58ddfc1f60641b60173285c9c5e3b263ef111d5663fe9ab511e0c0651fee",
+    "q.json": "f8aa1f41063b82d115679d5f55a6229dd0ebffc566fa6083aff3294637b322bb",
+    "report.csv": "16ce1fb9477afd0bd1cedbe68c02567e507bbf1e3276f8fbad99847fb49c65ad",
+    "report.json": "c480d296db9dca85ccb8de2435224d8dd9904343882b2d6a728b7693d840e261",
+    "sig.csv": "7765f3647bad8d75559ecdb531c62ec6bb35383bd92a525a6de63909e5ddeda9",
+    "sig.csv.meta.json": "51e051b554ef593c7f65e0dec71abc95adc18b434e83c9d997c365159c4960c7",
+    "sig.json": "9ea4f7283f0adced8ace38e1526d3754946420a80b8c274c998a4905e2ed2a26",
 }
 
 
@@ -646,3 +666,18 @@ def test_golden_outputs(tmp_path, monkeypatch):
     codes, digests = golden_outputs()
     assert codes == [code for _, code in GOLDEN_RUNS]
     assert digests == GOLDEN_SHA256
+
+
+def test_golden_free_choice_report(tmp_path, monkeypatch):
+    """Only a library-made CSV carries lambda_id, so the free-choice path of
+    bell analyze is frozen here: a two-strategy hv ensemble, 20,000 trials."""
+    monkeypatch.chdir(tmp_path)
+    ensemble = [(0.5, bell.LocalDeterministicStrategy((0, 1, 0), (0, 1, 0))),
+                (0.5, bell.LocalDeterministicStrategy((1, 1, 0), (1, 1, 0)))]
+    trials = bell.run_bipartite("hv", bell.DEFAULT_SETTINGS, 20000, seed=7,
+                                hv_ensemble=ensemble)
+    bell.save_trials_csv("hv.csv", trials)
+    assert cli.dispatch(["bell", "analyze", "--in", "hv.csv", "--json", "hv.json"]) \
+        == cli.EXIT_OK
+    assert cli._sha256("hv.json") == \
+        "69fcc34bb397daf77ebadcbd5724b604731a99ef49621607b9c1a337313c6575"
