@@ -17,7 +17,6 @@ from .machine import MachineResult, run_machine
 from .randomness import (
     ComplexityEstimate,
     OmegaEstimate,
-    TestReport,
     borel_normality_test,
     exact_k_small,
     k_upper_bound,

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import CapacityError
-from .randomness import DEFAULT_Z_THRESHOLD, TestReport
+from .randomness import _z_check
 from .sequences import seeded_stream
 
 MAX_SETTINGS = 16
@@ -311,9 +311,11 @@ def _chi2_z(table: np.ndarray) -> tuple[float, bool]:
     return -NormalDist().inv_cdf(max(p, 1e-300)), False
 
 
-def no_signaling_check(trials: TrialSet) -> tuple[TestReport, TestReport]:
+def no_signaling_check(trials: TrialSet) -> tuple[dict, dict]:
     """Marginal independence both ways: Alice's outcome distribution must
-    not depend on Bob's setting, and vice versa, at z <= DEFAULT_Z_THRESHOLD."""
+    not depend on Bob's setting, and vice versa, at z <= DEFAULT_Z_THRESHOLD.
+    Returns the (alice, bob) check dicts of randomness._z_check; parameters
+    holds each own setting's z, None where its table is degenerate."""
     s = len(trials.settings)
     counts = _contingency((s, s), trials.a_idx, trials.b_idx)
     counts = counts[counts > 0]
@@ -336,14 +338,14 @@ def no_signaling_check(trials: TrialSet) -> tuple[TestReport, TestReport]:
             z, degenerate = _chi2_z(tables[setting])
             details[f"setting_{setting}_z"] = z if not degenerate else None
             worst = max(worst, z)  # a degenerate table has z = 0
-        reports.append(TestReport(
-            test_name=f"no_signaling[{wing}]", statistic=worst, expected=0.0, z_score=worst,
-            passed=worst <= DEFAULT_Z_THRESHOLD, parameters=details))
+        reports.append(_z_check(f"no_signaling[{wing}]", worst, 0.0, worst, details))
     return reports[0], reports[1]
 
 
-def free_choice_check(trials: TrialSet) -> TestReport:
-    """Independence of (a, b), (a, lambda), and (b, lambda), at z <= DEFAULT_Z_THRESHOLD.
+def free_choice_check(trials: TrialSet) -> dict:
+    """Independence of (a, b), (a, lambda), and (b, lambda), at z <= DEFAULT_Z_THRESHOLD,
+    as one check dict of randomness._z_check whose parameters hold each
+    pair's z.
 
     Degenerate marginals (a single observed setting or hidden value) make
     the test inconclusive: reported as skipped, never as passed.
@@ -367,11 +369,8 @@ def free_choice_check(trials: TrialSet) -> TestReport:
         z, degenerate = _chi2_z(_contingency(shape, u, v))
         details[name + "_z"] = None if degenerate else z
         worst = max(worst, z)  # a degenerate table has z = 0
-    skipped = all(z is None for z in details.values())
-    return TestReport(
-        test_name="free_choice", statistic=worst, expected=0.0, z_score=worst,
-        passed=not skipped and worst <= DEFAULT_Z_THRESHOLD, parameters=details,
-        skipped=skipped)
+    return _z_check("free_choice", worst, 0.0, worst, details,
+                    skipped=all(z is None for z in details.values()))
 
 
 def perfect_correlation_violations(trials: TrialSet) -> int:
@@ -380,18 +379,11 @@ def perfect_correlation_violations(trials: TrialSet) -> int:
     return int(np.sum(trials.alpha[mask] != trials.beta[mask]))
 
 
-@dataclass
-class FunctionalEstimate:
-    value: float
-    per_term: list[dict]
-
-    @property
-    def six_sigma(self) -> float:
-        return float(sum(abs(t["coeff"]) * 6 * t["sigma"] for t in self.per_term))
-
-
-def empirical_functional(trials: TrialSet, functional: MismatchFunctional) -> FunctionalEstimate:
-    """The functional evaluated on empirical mismatch frequencies."""
+def empirical_functional(trials: TrialSet, functional: MismatchFunctional) -> dict:
+    """The functional evaluated on empirical mismatch frequencies, as the
+    keys empirical (the value), six_sigma (six standard errors summed over
+    the terms by |coeff|) and per_term (a, b, coeff, n, mismatch, quantum
+    and sigma of each term)."""
     settings = trials.settings
     value = 0.0
     per_term = []
@@ -408,7 +400,8 @@ def empirical_functional(trials: TrialSet, functional: MismatchFunctional) -> Fu
             {"a": a, "b": b, "coeff": float(coeff), "n": n,
              "mismatch": freq, "quantum": expected, "sigma": sigma}
         )
-    return FunctionalEstimate(value, per_term)
+    return {"empirical": value, "per_term": per_term,
+            "six_sigma": float(sum(abs(t["coeff"]) * 6 * t["sigma"] for t in per_term))}
 
 
 # -- persistence -------------------------------------------------------------

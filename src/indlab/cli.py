@@ -171,9 +171,8 @@ def cmd_analyze(args, manifest: Manifest) -> int:
                     "n": len(sigma), "alphabet": sigma.alphabet_size, "tests": {}}
     failed = False
     if "borel" in tests:
-        reports = rl.borel_normality_test(sigma, args.max_block)
-        report["tests"]["borel"] = [r.to_dict() for r in reports]
-        failed |= any(not r.passed for r in reports)
+        reports = report["tests"]["borel"] = rl.borel_normality_test(sigma, args.max_block)
+        failed |= any(not r["pass"] for r in reports)
     if "blocks" in tests:
         report["tests"]["blocks"] = {
             str(ell): sq.block_frequencies(sigma, ell)
@@ -335,29 +334,22 @@ def cmd_bell(args, manifest: Manifest) -> int:
         report["functional"] = {"name": functional.name, "skipped": "degenerate"}
         print("functional: skipped (all coefficients zero)")
     else:
-        est = bell.empirical_functional(trials, functional)
+        est = report["functional"] = bell.empirical_functional(trials, functional)
         bound, _ = bell.local_bound_bruteforce(functional.settings(), functional)
         qv = bell.quantum_value(functional)
-        report["functional"] = {
-            "name": functional.name,
-            "empirical": est.value,
-            "six_sigma": est.six_sigma,
-            "quantum": qv,
-            "local_bound": bound,
-            "per_term": est.per_term,
-        }
+        est.update(name=functional.name, quantum=qv, local_bound=bound)
         model_kind = trials.metadata.get("model")
-        if model_kind == "hv" and est.value > float(bound) + est.six_sigma:
+        if model_kind == "hv" and est["empirical"] > float(bound) + est["six_sigma"]:
             failures.append(
-                f"local-model run reports functional {est.value:.4f} beyond the "
+                f"local-model run reports functional {est['empirical']:.4f} beyond the "
                 f"exact local bound {bound} - impossible claim"
             )
-        if model_kind == "quantum" and abs(est.value - qv) > est.six_sigma:
+        if model_kind == "quantum" and abs(est["empirical"] - qv) > est["six_sigma"]:
             failures.append(
-                f"quantum run functional {est.value:.4f} not within 6 sigma of "
+                f"quantum run functional {est['empirical']:.4f} not within 6 sigma of "
                 f"the quantum value {qv:.4f}"
             )
-        print(f"functional {functional.name}: empirical {est.value:.4f} "
+        print(f"functional {functional.name}: empirical {est['empirical']:.4f} "
               f"(quantum {qv:.4f}, local bound {float(bound):.4f})")
     mismatches = bell.perfect_correlation_violations(trials)
     report["equal_setting_mismatches"] = mismatches
@@ -365,19 +357,18 @@ def cmd_bell(args, manifest: Manifest) -> int:
         failures.append(f"{mismatches} equal-setting mismatches in a quantum run")
     try:
         ra, rb = bell.no_signaling_check(trials)
-        report["no_signaling"] = {"alice": ra.to_dict(), "bob": rb.to_dict()}
-        print(f"no-signaling: alice {'pass' if ra.passed else 'FAIL'}, "
-              f"bob {'pass' if rb.passed else 'FAIL'}")
-        if not (ra.passed and rb.passed):
+        report["no_signaling"] = {"alice": ra, "bob": rb}
+        print(f"no-signaling: alice {'pass' if ra['pass'] else 'FAIL'}, "
+              f"bob {'pass' if rb['pass'] else 'FAIL'}")
+        if not (ra["pass"] and rb["pass"]):
             failures.append("no-signaling marginal independence failed")
     except ValueError as exc:
         report["no_signaling"] = {"skipped": str(exc)}
     if trials.lam is not None:
-        fc = bell.free_choice_check(trials)
-        report["free_choice"] = fc.to_dict()
-        status = "skip" if fc.skipped else ("pass" if fc.passed else "FAIL")
+        fc = report["free_choice"] = bell.free_choice_check(trials)
+        status = "skip" if fc["skipped"] else ("pass" if fc["pass"] else "FAIL")
         print(f"free-choice independence: {status}")
-        if not fc.passed and not fc.skipped:
+        if status == "FAIL":
             failures.append("free-choice independence failed")
     _write_json(args.json, report)
     if failures:

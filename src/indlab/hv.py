@@ -205,14 +205,14 @@ def scenario_one_audit(model: HVModel, h: Sampler, checkpoints: Sequence[int]) -
     """Audit scenario 1: the theory supplies h, hence states x outright.
 
     Runs the model to the last checkpoint and returns the hv-audit1/v1
-    report, which holds per checkpoint the Levin-Chaitin margin
-    K_upper(x_|N) - N of randomness.levin_chaitin_margin next to
-    stated_bound, the length of the model's own description plus N and the
-    machine overhead.  The
-    incompatibility flag is randomness.incompressibility_flag with
-    c = INCOMPRESSIBILITY_C: raised when some checkpoint has
-    K_upper < N - c.  The checkpoints must be ascending, as
-    levin_chaitin_margin requires; any other order is a ValueError.
+    report, whose checkpoints are the rows of randomness.levin_chaitin_margin
+    (n, k_upper, margin = K_upper(x_|N) - N, method), each with
+    stated_bound added: the length of the model's own description plus N
+    and the machine overhead.  The incompatibility flag is
+    randomness.incompressibility_flag with c = INCOMPRESSIBILITY_C: raised
+    when some checkpoint has K_upper < N - c.  The checkpoints must be
+    ascending, as levin_chaitin_margin requires; any other order is a
+    ValueError.
     """
     if h.kind != "deterministic_computable":
         raise ValueError(
@@ -224,26 +224,18 @@ def scenario_one_audit(model: HVModel, h: Sampler, checkpoints: Sequence[int]) -
     cps = list(checkpoints)
     if not cps:
         raise ValueError("need at least one checkpoint")
-    margins = levin_chaitin_margin(run_model(model, h, cps[-1]), cps)
-    checkpoint_rows = [
-        {
-            "n": pt.n,
-            "k_upper": pt.k_upper,
-            "margin": pt.margin,
-            "method": pt.method,
-            "stated_bound": model.description_bits + 2 * math.ceil(math.log2(pt.n + 1))
-            + tm.MACHINE_OVERHEAD_BITS,
-        }
-        for pt in margins
-    ]
+    rows = levin_chaitin_margin(run_model(model, h, cps[-1]), cps)
+    for row in rows:
+        row["stated_bound"] = (model.description_bits + 2 * math.ceil(math.log2(row["n"] + 1))
+                               + tm.MACHINE_OVERHEAD_BITS)
     return {
         "schema": "hv-audit1/v1",
         "model": model.name,
         "sampler": h.describe(),
         "description_bits": model.description_bits,
-        "checkpoints": checkpoint_rows,
+        "checkpoints": rows,
         "incompatible_with_1_randomness":
-            incompressibility_flag(margins, INCOMPRESSIBILITY_C) is not None,
+            incompressibility_flag(rows, INCOMPRESSIBILITY_C) is not None,
         "flag_threshold_bits": -INCOMPRESSIBILITY_C,
         "pushforward_matches_target": model.compatible(),
         "note": "an upper bound this far below N refutes 1-randomness of the "

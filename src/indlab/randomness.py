@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from operator import itemgetter
-from typing import Callable, ClassVar, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import machine as tm
 from .sequences import (
@@ -81,30 +81,14 @@ class OmegaEstimate:
     programs: tuple[tm.Bits, ...] = field(repr=False)
 
 
-@dataclass(frozen=True)
-class TestReport:
-    """One statistical check: pass iff |z| <= threshold (unless skipped)."""
-
-    test_name: str
-    statistic: float
-    expected: float
-    z_score: float
-    passed: bool
-    threshold: ClassVar[float] = DEFAULT_Z_THRESHOLD
-    parameters: dict = field(default_factory=dict)
-    skipped: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "test_name": self.test_name,
-            "statistic": self.statistic,
-            "expected": self.expected,
-            "z_score": self.z_score,
-            "pass": self.passed,
-            "threshold": self.threshold,
-            "parameters": self.parameters,
-            "skipped": self.skipped,
-        }
+def _z_check(test_name: str, statistic: float, expected: float, z: float,
+             parameters: dict, skipped: bool = False) -> dict:
+    """One statistical check as the JSON object it is written as, with the
+    keys test_name, statistic, expected, z_score, pass, threshold,
+    parameters and skipped: pass iff not skipped and |z| <= DEFAULT_Z_THRESHOLD."""
+    return {"test_name": test_name, "statistic": statistic, "expected": expected,
+            "z_score": z, "pass": not skipped and abs(z) <= DEFAULT_Z_THRESHOLD,
+            "threshold": DEFAULT_Z_THRESHOLD, "parameters": parameters, "skipped": skipped}
 
 
 def _require_base2(sigma: SymbolString) -> None:
@@ -247,16 +231,9 @@ def exact_k_small(
                               best.program, "exhaustive", blocking)
 
 
-@dataclass(frozen=True)
-class MarginPoint:
-    n: int
-    k_upper: int
-    margin: int
-    method: str
-
-
-def levin_chaitin_margin(x: SymbolString, checkpoints: Sequence[int]) -> list[MarginPoint]:
-    """Series of K_upper(x_|n) - n at the given checkpoints, each in [0, len(x)].
+def levin_chaitin_margin(x: SymbolString, checkpoints: Sequence[int]) -> list[dict]:
+    """Series of K_upper(x_|n) - n at the given checkpoints, each in [0, len(x)],
+    as one row per checkpoint with the keys n, k_upper, margin and method.
 
     A strongly negative margin refutes 1-randomness relative to this
     machine (see incompressibility_flag); a positive margin confirms nothing.
@@ -266,11 +243,12 @@ def levin_chaitin_margin(x: SymbolString, checkpoints: Sequence[int]) -> list[Ma
         raise ValueError("checkpoints must be ascending")
     if cps and (cps[0] < 0 or cps[-1] > len(x)):
         raise ValueError(f"checkpoints must lie in [0, {len(x)}], got {cps}")
-    points = []
+    rows = []
     for n in cps:
         est = k_upper_bound(SymbolString(x.alphabet_size, x.array[:n]))
-        points.append(MarginPoint(n, est.value, est.value - n, est.method))
-    return points
+        rows.append({"n": n, "k_upper": est.value, "margin": est.value - n,
+                     "method": est.method})
+    return rows
 
 
 def _overlap_count_variance(pattern: Sequence[int], k: int, windows: int) -> float:
@@ -286,8 +264,9 @@ def _overlap_count_variance(pattern: Sequence[int], k: int, windows: int) -> flo
     return var
 
 
-def borel_normality_test(sigma: SymbolString, max_block_len: int) -> list[TestReport]:
-    """Every block frequency against k^-l, l = 1..max, passing at |z| <= DEFAULT_Z_THRESHOLD.
+def borel_normality_test(sigma: SymbolString, max_block_len: int) -> list[dict]:
+    """Every block frequency against k^-l, l = 1..max, passing at |z| <= DEFAULT_Z_THRESHOLD,
+    one check dict (see _z_check) per block.
 
     Uses the exact variance of overlapping window counts, so the scores are
     honest N(0,1) statistics for a truly i.i.d. uniform source.
@@ -308,16 +287,10 @@ def borel_normality_test(sigma: SymbolString, max_block_len: int) -> list[TestRe
             pattern = _block_symbols(code, k, ell)
             var = _overlap_count_variance(pattern, k, windows)
             z = float(counts[code] - expected) / math.sqrt(var)
-            reports.append(
-                TestReport(
-                    test_name=f"block_frequency[l={ell},block={_format_symbols(pattern, k)}]",
-                    statistic=float(counts[code]),
-                    expected=expected,
-                    z_score=float(z),
-                    passed=abs(z) <= DEFAULT_Z_THRESHOLD,
-                    parameters={"block_len": ell, "windows": windows},
-                )
-            )
+            reports.append(_z_check(
+                f"block_frequency[l={ell},block={_format_symbols(pattern, k)}]",
+                float(counts[code]), expected, z,
+                {"block_len": ell, "windows": windows}))
     return reports
 
 
@@ -365,16 +338,17 @@ def prefix_free_violations(programs: Sequence[tm.Bits]) -> list[tuple[tm.Bits, t
     return [(q[:k], q) for q in programs for k in range(len(q)) if q[:k] in present]
 
 
-def incompressibility_flag(margin_points: Sequence[MarginPoint], c: int) -> Optional[str]:
-    """The exact one-sided claim an upper bound supports, or None.
+def incompressibility_flag(margin_rows: Sequence[dict], c: int) -> Optional[str]:
+    """The exact one-sided claim an upper bound supports, or None, read from
+    levin_chaitin_margin rows.
 
     The claim is made when some checkpoint has K_upper < n - c, that is a
     margin below -c; a margin of exactly -c is not flagged.
     """
-    for pt in margin_points:
-        if pt.margin < -c:
+    for row in margin_rows:
+        if row["margin"] < -c:
             return (
                 f"not {c}-incompressible relative to this machine: "
-                f"K_upper(x|{pt.n}) = {pt.k_upper} < {pt.n} - {c}"
+                f"K_upper(x|{row['n']}) = {row['k_upper']} < {row['n']} - {c}"
             )
     return None

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from indlab import hv
-from indlab import randomness as rl
 from indlab import sequences as sq
 from indlab.errors import ContractViolationError
 
@@ -132,7 +131,7 @@ class TestScenarioOne:
     ], ids=["at-minus-c", "below-minus-c", "early-checkpoint-below"])
     def test_flag_is_the_incompressibility_rule(self, margins, flagged, monkeypatch):
         def fixed_margins(x, checkpoints):
-            return [rl.MarginPoint(n, n + m, m, "literal_encoding")
+            return [{"n": n, "k_upper": n + m, "margin": m, "method": "literal_encoding"}
                     for n, m in zip(checkpoints, margins)]
 
         monkeypatch.setattr(hv, "levin_chaitin_margin", fixed_margins)

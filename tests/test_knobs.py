@@ -37,8 +37,6 @@ machine.enumerate_domain: timeout_log=None
 machine.prog_champernowne: start_at_one=False
 machine.run_machine: output_limit=1048576
 randomness.ComplexityEstimate: unresolved_bits_consumed=()
-randomness.TestReport: parameters=<factory>
-randomness.TestReport: skipped=False
 randomness.k_upper_bound: budget=None
 sequences.SequenceSource: alphabet_size=2
 sequences.champernowne: start_at_one=False

@@ -295,20 +295,20 @@ class TestLevinChaitinMargin:
     def test_constant_source_diverges_down(self):
         src = sq.SequenceSource("constant", symbol=1)
         points = rl.levin_chaitin_margin(src.prefix(5000), [100, 1000, 5000])
-        margins = [p.margin for p in points]
+        margins = [p["margin"] for p in points]
         assert margins[0] > margins[1] > margins[2]
         assert margins[2] < -4800
 
     def test_champernowne_margin(self):
         src = sq.SequenceSource("champernowne")
         (point,) = rl.levin_chaitin_margin(src.prefix(10**4), [10**4])
-        assert point.margin <= -(10**4) + 2 * math.ceil(math.log2(10**4)) + 40
+        assert point["margin"] <= -(10**4) + 2 * math.ceil(math.log2(10**4)) + 40
 
     def test_fair_coin_margin_stays_positive(self):
         # upper bounds cannot refute randomness of a typical sample
         src = sq.SequenceSource("born_sampler", seed=3)
         (point,) = rl.levin_chaitin_margin(src.prefix(1000), [1000])
-        assert point.margin > 0
+        assert point["margin"] > 0
 
     def test_checkpoints_must_ascend(self):
         with pytest.raises(ValueError):
@@ -328,8 +328,8 @@ class TestLevinChaitinMargin:
         ([0, -64], False),
     ], ids=["at-minus-c", "below-minus-c", "early-checkpoint-below", "last-at-minus-c"])
     def test_flag_boundary(self, margins, flagged):
-        points = [rl.MarginPoint(100 * (i + 1), 100 * (i + 1) + m, m, "literal_encoding")
-                  for i, m in enumerate(margins)]
+        points = [{"n": 100 * (i + 1), "k_upper": 100 * (i + 1) + m, "margin": m,
+                   "method": "literal_encoding"} for i, m in enumerate(margins)]
         assert (rl.incompressibility_flag(points, c=64) is not None) == flagged
 
     @pytest.mark.parametrize("checkpoints", [[0, 11], [-1, 5]])
@@ -360,18 +360,18 @@ class TestBorelBattery:
     def test_fair_coin_passes(self):
         sigma = fair_coin(10**5, seed=21)
         reports = rl.borel_normality_test(sigma, 2)
-        assert all(r.passed for r in reports)
+        assert all(r["pass"] for r in reports)
         assert len(reports) == 2 + 4
 
     def test_constant_fails_at_one(self):
         sigma = sq.bits("0" * 1000)
         reports = rl.borel_normality_test(sigma, 1)
-        assert all(not r.passed for r in reports)
+        assert all(not r["pass"] for r in reports)
 
     def test_champernowne_z_far_out(self):
         sigma = sq.champernowne(2, 10**5)
         reports = rl.borel_normality_test(sigma, 1)
-        assert not reports[0].passed  # |z| >> 4 despite asymptotic normality
+        assert not reports[0]["pass"]  # |z| >> 4 despite asymptotic normality
 
     def test_insufficient_length_names_minimum(self):
         with pytest.raises(ValueError, match="at least 800"):
@@ -380,7 +380,7 @@ class TestBorelBattery:
     def test_report_invariant(self):
         sigma = fair_coin(2000, seed=2)
         for r in rl.borel_normality_test(sigma, 1):
-            assert r.passed == (abs(r.z_score) <= r.threshold)
+            assert r["pass"] == (abs(r["z_score"]) <= r["threshold"])
 
 
 class TestMonkeySearch:
