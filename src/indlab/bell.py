@@ -463,13 +463,21 @@ def load_trials_csv(path: str) -> TrialSet:
     header other than CSV_HEADER, a row with other than five fields, an
     outcome other than 0 or 1, an angle outside the settings, or a
     lambda_id that is negative or blank on only some rows raises a
-    ValueError naming the header, the row or the value.  Only the distinct
-    lines are kept and parsed, so beyond one pass over the file the cost
-    follows them; the worst case is all rows distinct."""
+    ValueError naming the header, the row or the value, and so does a
+    sidecar that is not a JSON object or whose settings are not a list of
+    numbers, naming the sidecar.  Only the distinct lines are kept and
+    parsed, so beyond one pass over the file the cost follows them; the
+    worst case is all rows distinct."""
     meta = {}
-    if os.path.exists(path + ".meta.json"):
-        with open(path + ".meta.json") as f:
-            meta = json.load(f)
+    sidecar = path + ".meta.json"
+    if os.path.exists(sidecar):
+        with open(sidecar) as f:
+            try:
+                meta = json.load(f)
+            except ValueError as exc:
+                raise ValueError(f"{sidecar}: {exc}") from None
+        if not isinstance(meta, dict):
+            raise ValueError(f"{sidecar}: expected a JSON object, got a {type(meta).__name__}")
     with open(path) as f:
         header = f.readline().rstrip("\n")
         if header != ",".join(CSV_HEADER):
@@ -508,6 +516,8 @@ def load_trials_csv(path: str) -> TrialSet:
     angles = meta.get("settings")
     if angles is None:
         angles = np.unique(np.concatenate([rows["a_deg"], rows["b_deg"]])).tolist()
+    elif not (isinstance(angles, list) and all(type(a) in (int, float) for a in angles)):
+        raise ValueError(f"{sidecar}: settings must be a list of numbers, got {angles!r}")
     settings = SettingSet(tuple(angles))
     a_idx, b_idx = (_indices(rows[c], settings.angles, c, codes) for c in ("a_deg", "b_deg"))
     alpha, beta = (_indices(rows[c], (0, 1), c, codes) for c in ("alpha", "beta"))

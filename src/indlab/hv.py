@@ -46,7 +46,11 @@ RANDOMNESS_ORIGIN = {
 
 @dataclass(frozen=True)
 class HVSpace:
-    """Hidden state space: discrete, or a discretized interval (serialized with the model)."""
+    """Hidden state space: discrete, or a discretized interval (serialized with the model).
+
+    size is an int >= 1; an interval, two finite numbers lo < hi, is
+    allowed only on an interval_discretized space.
+    """
 
     kind: str  # "discrete" | "interval_discretized"
     size: int
@@ -55,10 +59,21 @@ class HVSpace:
     def __post_init__(self):
         if self.kind not in ("discrete", "interval_discretized"):
             raise ValueError(f"unknown space kind {self.kind!r}")
-        if self.size < 1:
-            raise ValueError("space needs at least one state")
         if type(self.size) is not int:
             raise ValueError(f"space size must be an integer, got {self.size!r}")
+        if self.size < 1:
+            raise ValueError("space needs at least one state")
+        iv = self.interval
+        if iv is None:
+            return
+        if self.kind != "interval_discretized":
+            raise ValueError(f"space interval is allowed only on an interval_discretized "
+                             f"space, not {self.kind!r}")
+        if not (isinstance(iv, (list, tuple)) and len(iv) == 2
+                and all(type(v) in (int, float) and math.isfinite(v) for v in iv)
+                and iv[0] < iv[1]):
+            raise ValueError(f"space interval must be two finite numbers lo < hi, got {iv!r}")
+        object.__setattr__(self, "interval", tuple(iv))
 
 
 @dataclass(frozen=True)
@@ -317,11 +332,7 @@ def model_from_json(text: str) -> HVModel:
     schema = obj.get("schema") if isinstance(obj, dict) else None
     if schema != HV_SCHEMA:
         raise ValueError(f"expected schema {HV_SCHEMA}, got {schema!r}")
-    space = HVSpace(
-        obj["space"]["kind"],
-        obj["space"]["size"],
-        interval=tuple(obj["space"]["interval"]) if "interval" in obj["space"] else None,
-    )
+    space = HVSpace(obj["space"]["kind"], obj["space"]["size"], obj["space"].get("interval"))
     mu = _numbers(obj, "mu")
     if len(mu) != space.size:  # before a g rule is expanded to space.size entries
         raise ValueError("mu must cover the hidden space")
@@ -334,6 +345,8 @@ def model_from_json(text: str) -> HVModel:
             g = [i % 2 for i in range(space.size)]
         else:
             raise ValueError(f"unknown g rule {rule!r}")
+    elif not isinstance(g, list):
+        raise ValueError(f"g must be a list of outcomes or a rule object, got {g!r}")
     return HVModel(
         space=space,
         outcome_map=tuple(g),

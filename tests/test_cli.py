@@ -266,7 +266,16 @@ def _hv_model(**fields) -> str:
                                   "space": {"kind": "discrete", "size": "2"},
                                   "g": [0, 1], "mu": [0.5, 0.5]})},
      ["hv", "run", "--model", "strsize.json", "--n", "8", "--out", "h.seq"],
-     ("strsize.json: '<' not supported",)),
+     ("strsize.json: space size must be an integer, got '2'",)),
+    ({"m.json": _hv_model(space={"kind": "discrete", "size": 2, "interval": ["a", "b", "c"]})},
+     HV_RUN_M, ("m.json: space interval is allowed only on an interval_discretized space",)),
+    ({"m.json": _hv_model(space={"kind": "interval_discretized", "size": 2, "interval": 5})},
+     HV_RUN_M, ("m.json: space interval must be two finite numbers lo < hi, got 5",)),
+    ({"m.json": _hv_model(space={"kind": "interval_discretized", "size": 2,
+                                 "interval": [1, -1]})},
+     HV_RUN_M, ("m.json: space interval must be two finite numbers lo < hi, got [1, -1]",)),
+    ({"m.json": _hv_model(g=5)}, HV_RUN_M,
+     ("m.json: g must be a list of outcomes or a rule object, got 5",)),
     ({"m.json": _hv_model(g=[0, 1.7])}, HV_RUN_M,
      ("m.json: g entries must be non-negative integers, got 1.7",)),
     ({"m.json": _hv_model(g=[0, True])}, HV_RUN_M,
@@ -331,6 +340,8 @@ def _hv_model(**fields) -> str:
      ["ks", "verify", "--rays", "demo_colorable.rays", "--coloring", "c.json"],
      ("c.json: assignment must be total over {0,1}, found 1.0",)),
 ], ids=["hv-model-not-json", "hv-model-without-space", "hv-model-string-size",
+        "hv-model-interval-on-discrete", "hv-model-scalar-interval",
+        "hv-model-reversed-interval", "hv-model-scalar-g",
         "hv-model-float-g", "hv-model-bool-g", "hv-model-negative-g", "hv-model-string-mu",
         "hv-model-scalar-mu", "hv-model-null-target", "hv-model-bool-size",
         "ks-coloring-not-json", "ks-coloring-without-key", "ks-coloring-number",
@@ -428,6 +439,25 @@ def test_bell_analyze_names_the_bad_functional(functional, fragments, tmp_path, 
     _hv_csv_with_row(lambda row: row)
     assert cli.dispatch(["bell", "analyze", "--in", "run.csv", "--functional", functional,
                          "--json", "b.json"]) == cli.EXIT_USAGE
+    _one_error_line(capsys, *fragments)
+    assert not os.path.exists("b.json")
+
+
+@pytest.mark.parametrize("sidecar,fragments", [
+    ("[1, 2]", ("q.csv.meta.json: expected a JSON object, got a list",)),
+    ('{"settings": 5}', ("q.csv.meta.json: settings must be a list of numbers, got 5",)),
+    ('{"settings": [0, "30", 60]}', ("q.csv.meta.json: settings must be a list of numbers",)),
+    ("{bad", ("q.csv.meta.json: Expecting property name",)),
+], ids=["list", "scalar-settings", "string-angle", "not-json"])
+def test_bell_analyze_names_a_malformed_sidecar(sidecar, fragments, tmp_path, monkeypatch,
+                                                capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.dispatch(["bell", "run", "--n", "3000", "--out", "q.csv"]) == cli.EXIT_OK
+    with open("q.csv.meta.json", "w") as f:
+        f.write(sidecar)
+    capsys.readouterr()
+    assert cli.dispatch(["bell", "analyze", "--in", "q.csv", "--json", "b.json"]) \
+        == cli.EXIT_USAGE
     _one_error_line(capsys, *fragments)
     assert not os.path.exists("b.json")
 
