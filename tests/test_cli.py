@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -651,6 +652,34 @@ GOLDEN_RUNS = [
     (["report", "--in", "q.json", "sig.json", "chsh.json", "--json", "report.json",
       "--csv", "report.csv"], 0),
 ]
+# the sha256 of each GOLDEN_RUNS command's stdout, in order
+GOLDEN_STDOUT_SHA256 = [
+    "a1652e63f63c004a1e69197085d70bf6bda708aed58925a415ae9397cfc587ba",
+    "ae48ac0c8298058f6f6bb39c9b0535fa21d039b293bb0547f844a355fbd7436a",
+    "f39a816d361d8072087df55dfa04a1e4bc61765f09719921529b9e835f7552e4",
+    "bfa29014aae39b97d5563110b8b64243e2b7c9cb897c54a27cef497614797a47",
+    "76433e1cdbca235fe4745058752d9551ba1f63d9f412862b81c2655858f73383",
+    "7024332a8d4e54aad482ab7c9457c02ded990b820006be595725315735649b57",
+    "b59af008cc1e1fa23f7e5fc1f27a7a78eae7826bcad26f2c4276ce7984f344d0",
+    "7a4cee6438dfa9f56b3258cc8c086ee852e342b563d169c2feadeed0160ce6a4",
+    "93edfa6dc1e38d2bdedc61d47e2e216b9d5d70c08c0afc43f52cab69f61c0dd8",
+    "2d167922cca2bd7fe45523e301a36d159717889669516c31bbadab496b2431ef",
+    "fb34c6c4ad5cb5479ac855da1dc9aaacfc40cc2e011bc6d62967476069273c1e",
+    "9c9690eb87fbafbbd6ad980ec3858268cbf3120151525dcc2afaf41f32bfea1a",
+    "a058135def6f471063b3b2d7fb6f68b9f129676b167fba16daac996f2e6ab3fc",
+    "78f22ff227d420003a8067062eea4ae3ed35fd06960cffee60bd6b98850508d3",
+    "b6d7be244efa790a97506514fafb33f1b51e18b5ffb6bfd0dd4018284aa9fc1d",
+    "58738c7359f9e4209b8362d166dce15bf246dbb52ca55f18d03fefbd91875b1d",
+    "3a3ec1c089e27254c8356ab6507bb5130aa26e2fd5aff397747734eea4c1b320",
+    "2b44f38b7e8fdf211b1f42be08159def94988dfd821032ca91e1f0d3cee50856",
+    "33f0e89d1b9567c4782713039105d9e08c7ea9d02a23f0dfa6f027c993e16bec",
+    "83e4e2f6a64f4d645e6eba35abe2f0dfc82838c868da5ee684717aa4227f1247",
+    "f29e64535a02bca0eacc9cc5796afe0d25ed167b392f7a524171d2d601d9e9da",
+    "f8be393dd93845c86184376bd744d5e3a71d1c400e62bd83a4e5b41f294fad75",
+    "286c33d0a2b9f1be319a5feaae2d4e9cc19f4e2404a872296ef9a31348910c7e",
+    "1c694a4463129e73c928112a4802ad72fafdd5333df12c6a2a7e91f2932d9e8e",
+    "be38c79a20dfdb69d44df389f39f28f95cb83266dc14c1e64c17cfbe2a53f791",
+]
 GOLDEN_SHA256 = {
     "born16.json": "3f0985cdb4f5f0e91c61030b49ff5b25cd4c9c8ca342f231204900aad6cfc8f5",
     "born16.seq": "9705adc20edff79281aa252d61bbf368f31a0e3e200fbf36792cc87e6d83d5d0",
@@ -684,17 +713,23 @@ GOLDEN_SHA256 = {
 }
 
 
-def golden_outputs() -> tuple[list[int], dict[str, str]]:
-    """Exit codes of GOLDEN_RUNS and the sha256 of each .seq, .json and .csv they write."""
-    codes = [cli.dispatch(argv) for argv, _ in GOLDEN_RUNS]
-    return codes, {name: cli._sha256(name) for name in sorted(os.listdir())
-                   if name.endswith((".seq", ".json", ".csv")) and "manifest" not in name}
+def golden_outputs(capsys) -> tuple[list[int], list[str], dict[str, str]]:
+    """Exit codes and stdout sha256 of GOLDEN_RUNS, and the sha256 of each
+    .seq, .json and .csv they write."""
+    codes, stdouts = [], []
+    for argv, _ in GOLDEN_RUNS:
+        codes.append(cli.dispatch(argv))
+        stdouts.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    return codes, stdouts, {name: cli._sha256(name) for name in sorted(os.listdir())
+                            if name.endswith((".seq", ".json", ".csv"))
+                            and "manifest" not in name}
 
 
-def test_golden_outputs(tmp_path, monkeypatch):
+def test_golden_outputs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    codes, digests = golden_outputs()
+    codes, stdouts, digests = golden_outputs(capsys)
     assert codes == [code for _, code in GOLDEN_RUNS]
+    assert stdouts == GOLDEN_STDOUT_SHA256
     assert digests == GOLDEN_SHA256
 
 
