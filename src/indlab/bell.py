@@ -442,16 +442,17 @@ def save_trials_csv(path: str, trials: TrialSet) -> None:
         f.write("\n")
 
 
-def _indices(values: np.ndarray, allowed: Sequence, column: str, codes: np.ndarray) -> np.ndarray:
+def _indices(values: np.ndarray, allowed: Sequence, label: str, codes: np.ndarray) -> np.ndarray:
     """Index in allowed, whose entries are distinct, of each row's value values[codes];
-    a value not in allowed raises a ValueError naming it and the first row with it."""
+    a value not in allowed raises a ValueError naming label, the value and the
+    first row with it."""
     allowed = np.asarray(allowed)
     order = np.argsort(allowed)
     found = order[np.minimum(np.searchsorted(allowed, values, sorter=order), len(allowed) - 1)]
     missing = np.flatnonzero(allowed[found] != values)
     if missing.size:
         i = missing[0]
-        raise ValueError(f"{column} {values[i]} on data row {np.argmax(codes == i) + 1} "
+        raise ValueError(f"{label} {values[i]} on data row {np.argmax(codes == i) + 1} "
                          f"is not among {allowed.tolist()}")
     return found[codes]
 
@@ -463,9 +464,9 @@ def load_trials_csv(path: str) -> TrialSet:
     header other than CSV_HEADER, a row with other than five fields, an
     outcome other than 0 or 1, an angle outside the settings, or a
     lambda_id that is negative or blank on only some rows raises a
-    ValueError naming the header, the row or the value, and so does a
-    sidecar that is not a JSON object or whose settings are not a list of
-    numbers, naming the sidecar.  Only the distinct lines are kept and
+    ValueError naming the file and the header, the row or the value, and so
+    does a sidecar that is not a JSON object or whose settings are not two
+    or more distinct finite numbers, naming the sidecar.  Only the distinct lines are kept and
     parsed, so beyond one pass over the file the cost follows them; the
     worst case is all rows distinct."""
     meta = {}
@@ -508,17 +509,20 @@ def load_trials_csv(path: str) -> TrialSet:
         raise
     blank = np.count_nonzero((rows["lambda_id"] == b"")[codes]) if any_blank else 0
     if 0 < blank < len(codes):
-        raise ValueError(f"lambda_id is blank on {blank} of {len(codes)} rows; "
+        raise ValueError(f"{path}: lambda_id is blank on {blank} of {len(codes)} rows; "
                          "it must be given on every row or on none")
     lam = None if blank else rows["lambda_id"][codes]
     if lam is not None and lam.min() < 0:
-        raise ValueError(f"lambda_id must be >= 0, found {lam.min()}")
-    angles = meta.get("settings")
+        raise ValueError(f"{path}: lambda_id must be >= 0, found {lam.min()}")
+    angles, source = meta.get("settings"), sidecar
     if angles is None:
-        angles = np.unique(np.concatenate([rows["a_deg"], rows["b_deg"]])).tolist()
+        angles, source = np.unique(np.concatenate([rows["a_deg"], rows["b_deg"]])).tolist(), path
     elif not (isinstance(angles, list) and all(type(a) in (int, float) for a in angles)):
         raise ValueError(f"{sidecar}: settings must be a list of numbers, got {angles!r}")
-    settings = SettingSet(tuple(angles))
-    a_idx, b_idx = (_indices(rows[c], settings.angles, c, codes) for c in ("a_deg", "b_deg"))
-    alpha, beta = (_indices(rows[c], (0, 1), c, codes) for c in ("alpha", "beta"))
+    try:
+        settings = SettingSet(tuple(angles))
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
+    a_idx, b_idx, alpha, beta = (_indices(rows[c], allowed, f"{path}: {c}", codes) for c, allowed
+                                 in zip(CSV_HEADER, [settings.angles] * 2 + [(0, 1)] * 2))
     return TrialSet(settings, a_idx, b_idx, alpha, beta, lam, meta)

@@ -52,7 +52,7 @@ def test_bell_analyze_rejects_partly_blank_lambda_column(tmp_path, monkeypatch, 
     _hv_csv_with_first_lambda("")
     assert cli.dispatch(["bell", "analyze", "--in", "run.csv", "--json", "b.json"]) \
         == cli.EXIT_USAGE
-    assert "lambda_id is blank on 1 of 1200 rows" in capsys.readouterr().err
+    assert "run.csv: lambda_id is blank on 1 of 1200 rows" in capsys.readouterr().err
     assert not os.path.exists("b.json")
 
 
@@ -61,7 +61,7 @@ def test_bell_analyze_rejects_negative_lambda_id(tmp_path, monkeypatch, capsys):
     _hv_csv_with_first_lambda("-1")
     assert cli.dispatch(["bell", "analyze", "--in", "run.csv", "--json", "b.json"]) \
         == cli.EXIT_USAGE
-    assert "lambda_id must be >= 0, found -1" in capsys.readouterr().err
+    assert "run.csv: lambda_id must be >= 0, found -1" in capsys.readouterr().err
     assert not os.path.exists("b.json")
 
 
@@ -122,25 +122,52 @@ def test_bell_analyze_exit_2_still_writes_report_and_manifest(tmp_path, monkeypa
     assert set(manifest["outputs"]) == {"s.json"}
 
 
-@pytest.mark.parametrize("files,argv,schema", [
-    ({"c.seq": "seq/v1 k=2 n=1000\n" + "0" * 1000 + "\n"},
-     ["analyze", "--in", "c.seq", "--tests", "borel", "--max-block", "2", "--json", "r.json"],
-     "randlab/v1"),
-    ({"skew.json": json.dumps({"schema": "hv/v1", "space": {"kind": "discrete", "size": 2},
-                               "g": [0, 1], "mu": [0.5, 0.5], "target": [0.9, 0.1]})},
-     ["hv", "audit1", "--model", "skew.json", "--json", "r.json"], "hv-audit1/v1"),
-    ({}, ["hv", "audit2", "--model", "parity4.json", "--bias", "0.7,0.1,0.1,0.1",
-          "--n", "10000", "--json", "r.json"], "hv-audit2/v1"),
-    ({"marks.json": json.dumps([1, 1, 0, 0, 0, 0, 0])},  # two marks in basis (0, 1, 2)
-     ["ks", "verify", "--rays", "demo_colorable.rays", "--coloring", "marks.json",
-      "--json", "r.json"], "ks/v1"),
-], ids=["analyze-borel", "hv-audit1-target", "hv-audit2-bias", "ks-verify-two-marks"])
-def test_exit_2_still_writes_report_and_manifest(files, argv, schema, tmp_path, monkeypatch,
-                                                 capsys):
-    monkeypatch.chdir(tmp_path)
+def _patch(module, name: str, value):
+    """A case setup that monkeypatches module.name to value."""
+    return lambda monkeypatch: monkeypatch.setattr(module, name, value)
+
+
+# a fair-coin model whose declared target its pushforward misses
+SKEW_MODEL = {"skew.json": json.dumps({"schema": "hv/v1",
+                                       "space": {"kind": "discrete", "size": 2}, "g": [0, 1],
+                                       "mu": [0.5, 0.5], "target": [0.9, 0.1]})}
+# id: (files, argv writing the report r.json, its schema, patch or None), each exiting 2
+EXIT_2_CASES = {
+    "analyze-borel": (
+        {"c.seq": "seq/v1 k=2 n=1000\n" + "0" * 1000 + "\n"},
+        ["analyze", "--in", "c.seq", "--tests", "borel", "--max-block", "2", "--json", "r.json"],
+        "randlab/v1", None),
+    "hv-audit1-target": (SKEW_MODEL, ["hv", "audit1", "--model", "skew.json", "--json", "r.json"],
+                         "hv-audit1/v1", None),
+    "hv-audit2-bias": ({}, ["hv", "audit2", "--model", "parity4.json", "--bias", "0.7,0.1,0.1,0.1",
+                            "--n", "10000", "--json", "r.json"], "hv-audit2/v1", None),
+    "hv-audit2-target": (SKEW_MODEL, ["hv", "audit2", "--model", "skew.json", "--n", "10000",
+                                      "--json", "r.json"], "hv-audit2/v1", None),
+    "ks-verify-two-marks": (
+        {"marks.json": json.dumps([1, 1, 0, 0, 0, 0, 0])},  # two marks in basis (0, 1, 2)
+        ["ks", "verify", "--rays", "demo_colorable.rays", "--coloring", "marks.json",
+         "--json", "r.json"], "ks/v1", None),
+    "omega-prefix-pair": ({}, ["omega", "--max-len", "6", "--steps", "100", "--json", "r.json"],
+                          "randlab/v1",
+                          _patch(rl, "prefix_free_violations", lambda programs: [("0", "01")])),
+    "ks-search-rejected": ({}, ["ks", "search", "--rays", "demo_colorable.rays", "--json", "r.json"],
+                           "ks/v1", _patch(ks, "verify_coloring", lambda problem, marks: False)),
+}
+
+
+def _set_up(files: dict, patch, monkeypatch) -> None:
     for name, text in files.items():
         with open(name, "w") as f:
             f.write(text)
+    if patch:
+        patch(monkeypatch)
+
+
+@pytest.mark.parametrize("case", EXIT_2_CASES.values(), ids=EXIT_2_CASES)
+def test_exit_2_still_writes_report_and_manifest(case, tmp_path, monkeypatch, capsys):
+    files, argv, schema, patch = case
+    monkeypatch.chdir(tmp_path)
+    _set_up(files, patch, monkeypatch)
     assert cli.dispatch(argv) == cli.EXIT_CHECK_FAILED
     assert capsys.readouterr().err.startswith("CHECK FAILED: ")
     with open("r.json") as f:
@@ -149,6 +176,30 @@ def test_exit_2_still_writes_report_and_manifest(files, argv, schema, tmp_path, 
         manifest = json.load(f)
     assert manifest["schema"] == "manifest/v1"
     assert set(manifest["outputs"]) == {"r.json"}
+
+
+@pytest.mark.parametrize("case", [None, *EXIT_2_CASES.values()],
+                         ids=["golden-runs", *EXIT_2_CASES])
+def test_exit_2_iff_a_claim_failed(case, tmp_path, monkeypatch, capsys):
+    """Each JSON report lists its claims; a run exits 2 iff one failed, and
+    stderr names exactly the failed claims' why."""
+    monkeypatch.chdir(tmp_path)
+    runs = [argv for argv, _ in GOLDEN_RUNS]
+    if case:
+        files, argv, _, patch = case
+        _set_up(files, patch, monkeypatch)
+        runs = [argv]
+    for argv in runs:
+        code, err = cli.dispatch(argv), capsys.readouterr().err
+        claims = []
+        if "--json" in argv:
+            with open(argv[argv.index("--json") + 1]) as f:
+                claims = json.load(f)["claims"]
+        assert all(set(c) == {"claim", "status", "why"} and c["status"] in cli.CLAIM_STATUSES
+                   for c in claims), claims
+        failed = [c["why"] for c in claims if c["status"] == "fail"]
+        assert code == (cli.EXIT_CHECK_FAILED if failed else cli.EXIT_OK), argv
+        assert err == ("CHECK FAILED: " + "; ".join(failed) + "\n" if failed else ""), argv
 
 
 def test_report_skips_manifests_but_rejects_other_schemas(tmp_path, monkeypatch):
@@ -305,13 +356,19 @@ def _hv_model(**fields) -> str:
     ({"r.json": "{"}, ["report", "--in", "r.json"], ("r.json: Expecting",)),
     ({"r.json": json.dumps({"schema": "hv-audit1/v1"})}, ["report", "--in", "r.json"],
      ("r.json: hv-audit1/v1 report field 'checkpoints' is missing",)),
-    ({"r.json": json.dumps({"schema": "randlab/v1", "tests": {"borel": 5}})},
+    # a report written before reports listed their claims
+    ({"r.json": json.dumps({"schema": "ks/v1", "status": "unsat"})},
+     ["report", "--in", "r.json"], ("r.json: ks/v1 report field 'claims' is missing",)),
+    ({"r.json": json.dumps({"schema": "ks/v1", "claims": {"valid": "pass"}})},
      ["report", "--in", "r.json"],
-     ("r.json: randlab/v1 report field 'borel' is malformed", "not iterable")),
-    ({"r.json": json.dumps({"schema": "bell/v1", "functional": {
-        "name": "chsh", "empirical": "high", "local_bound": 2}})},
+     ("r.json: ks/v1 report field 'claims' is malformed: expected a list, got a dict",)),
+    ({"r.json": json.dumps({"schema": "randlab/v1",
+                            "claims": [{"claim": "prefix_free", "why": "0 pairs"}]})},
+     ["report", "--in", "r.json"], ("r.json: randlab/v1 report field 'status' is missing",)),
+    ({"r.json": json.dumps({"schema": "bell/v1", "claims": [
+        {"claim": "no_signaling", "status": "maybe", "why": "worst z 1.0"}]})},
      ["report", "--in", "r.json"],
-     ("r.json: bell/v1 report field 'empirical' is malformed", "format code")),
+     ("r.json: bell/v1 report field 'status' is malformed: unknown status 'maybe'",)),
     ({"x.seq": "seq/v1 k=2 n=4\n0120\n"}, ["analyze", "--in", "x.seq"],
      ("x.seq: symbol 2 outside alphabet [0, 2)",)),
     ({"x.seq": "seq/v1 k=2 n=3\n010\n"},
@@ -347,8 +404,10 @@ def _hv_model(**fields) -> str:
         "hv-model-scalar-mu", "hv-model-null-target", "hv-model-bool-size",
         "ks-coloring-not-json", "ks-coloring-without-key", "ks-coloring-number",
         "ks-coloring-string",
-        "report-input-not-json", "report-missing-field", "report-field-wrong-type",
-        "report-field-not-a-number", "seq-bad-symbol", "monkey-target-past-input", "ks-search-non-orthogonal",
+        "report-input-not-json", "report-missing-field", "report-without-claims",
+        "report-claims-not-a-list", "report-claim-without-status",
+        "report-claim-unknown-status", "seq-bad-symbol", "monkey-target-past-input",
+        "ks-search-non-orthogonal",
         "ks-verify-non-orthogonal", "ks-rays-short-line", "ks-rays-collapsing-basis",
         "ks-rays-redefined-name", "ks-coloring-bools", "ks-coloring-float-mark"])
 def test_bad_input_file_is_named(files, argv, fragments, tmp_path, monkeypatch, capsys):
@@ -449,7 +508,11 @@ def test_bell_analyze_names_the_bad_functional(functional, fragments, tmp_path, 
     ('{"settings": 5}', ("q.csv.meta.json: settings must be a list of numbers, got 5",)),
     ('{"settings": [0, "30", 60]}', ("q.csv.meta.json: settings must be a list of numbers",)),
     ("{bad", ("q.csv.meta.json: Expecting property name",)),
-], ids=["list", "scalar-settings", "string-angle", "not-json"])
+    ('{"settings": [0, 0]}', ("q.csv.meta.json: settings repeat an angle: [0.0, 0.0]",)),
+    # usable settings that the data's angles miss: the CSV is named
+    ('{"settings": [0, 45]}', ("q.csv: a_deg 30.0 on data row 3 is not among [0.0, 45.0]",)),
+], ids=["list", "scalar-settings", "string-angle", "not-json", "repeated-angle",
+        "angles-outside-settings"])
 def test_bell_analyze_names_a_malformed_sidecar(sidecar, fragments, tmp_path, monkeypatch,
                                                 capsys):
     monkeypatch.chdir(tmp_path)
@@ -465,15 +528,15 @@ def test_bell_analyze_names_a_malformed_sidecar(sidecar, fragments, tmp_path, mo
 
 @pytest.fixture(scope="module")
 def contract_dir(tmp_path_factory):
-    """Tiny inputs for every leaf subcommand."""
+    """Tiny inputs for every leaf subcommand; c.json is the report of a ks
+    search, whose coloring ks verify reads."""
     d = tmp_path_factory.mktemp("contract")
     sq.write_sequence_file(str(d / "x.seq"),
                            sq.SequenceSource("born_sampler", seed=1).prefix(400))
     trials = bell.run_bipartite("quantum", bell.DEFAULT_SETTINGS, 3000, seed=2)
     bell.save_trials_csv(str(d / "q.csv"), trials)
-    coloring = ks.search_coloring(bundled_problem("demo_colorable")).assignment
-    with open(d / "c.json", "w") as f:
-        json.dump({"schema": "ks/v1", "coloring": list(coloring)}, f)
+    assert cli.dispatch(["ks", "search", "--rays", "demo_colorable.rays",
+                         "--json", str(d / "c.json")]) == cli.EXIT_OK
     return d
 
 
@@ -498,22 +561,22 @@ LEAF_COMMANDS = {
 
 # The top-level keys of every JSON report a leaf command above writes.
 REPORT_KEYS = {
-    "analyze": {"a.json": {"alphabet", "input", "n", "schema", "tests"}},
-    "komplexity": {"k.json": {"k_upper", "kind", "margin", "method", "n", "schema",
+    "analyze": {"a.json": {"alphabet", "claims", "input", "n", "schema", "tests"}},
+    "komplexity": {"k.json": {"claims", "k_upper", "kind", "margin", "method", "n", "schema",
                               "witness_bits"}},
-    "omega": {"o.json": {"budget", "omega_lower_bound", "prefix_free_violations",
+    "omega": {"o.json": {"budget", "claims", "omega_lower_bound", "prefix_free_violations",
                          "programs_found", "schema"}},
-    "hv-audit1": {"h1.json": {"checkpoints", "description_bits", "flag_threshold_bits",
-                              "incompatible_with_1_randomness", "model", "note",
-                              "pushforward_matches_target", "sampler", "schema"}},
-    "hv-audit2": {"h2.json": {"cell_checks", "fair", "model", "n", "outcome_checks",
+    "hv-audit1": {"h1.json": {"checkpoints", "claims", "description_bits",
+                              "flag_threshold_bits", "incompatible_with_1_randomness", "model",
+                              "note", "pushforward_matches_target", "sampler", "schema"}},
+    "hv-audit2": {"h2.json": {"cell_checks", "claims", "fair", "model", "n", "outcome_checks",
                               "pushforward_matches_target", "randomness_origin", "sampler",
                               "schema"}},
     "bell-run": {"b.csv.meta.json": {"model", "n_trials", "seed", "settings"}},
-    "bell-analyze": {"b.json": {"equal_setting_mismatches", "functional", "input", "model",
-                                "n_trials", "no_signaling", "schema"}},
-    "ks-search": {"s.json": {"bases", "coloring", "max_depth", "nodes", "rays", "schema",
-                             "status", "verified"}},
+    "bell-analyze": {"b.json": {"claims", "equal_setting_mismatches", "functional", "input",
+                                "model", "n_trials", "no_signaling", "schema"}},
+    "ks-search": {"s.json": {"bases", "claims", "coloring", "max_depth", "nodes", "rays",
+                             "schema", "status", "verified"}},
 }
 
 
@@ -603,7 +666,8 @@ def test_komplexity_names_the_bad_header_field(header, field, tmp_path, monkeypa
 
 # frozen: exit codes of these runs and the sha256 of each seq/v1 file, JSON report
 # and Bell trials CSV (with its sidecar) they write, computed with the earlier
-# tuple-backed SymbolString and row-by-row csv.writer
+# tuple-backed SymbolString and row-by-row csv.writer; the JSON reports were
+# pinned again when they gained their claims lists (GOLDEN_SHA256_BEFORE_CLAIMS)
 GOLDEN_RUNS = [
     (["generate", "--fair-coin", "--n", "5000", "--seed", "7", "--out", "coin.seq"], 0),
     (["analyze", "--in", "coin.seq", "--tests", "borel,blocks,monkey", "--target", "0110",
@@ -678,37 +742,57 @@ GOLDEN_STDOUT_SHA256 = [
     "f8be393dd93845c86184376bd744d5e3a71d1c400e62bd83a4e5b41f294fad75",
     "286c33d0a2b9f1be319a5feaae2d4e9cc19f4e2404a872296ef9a31348910c7e",
     "1c694a4463129e73c928112a4802ad72fafdd5333df12c6a2a7e91f2932d9e8e",
-    "be38c79a20dfdb69d44df389f39f28f95cb83266dc14c1e64c17cfbe2a53f791",
+    # report lists its inputs' claims: the one stdout that moved with them
+    "58f00ea42e3ec9bcdee8495ad86cad1a6aeded92ab821eadccf4a8fd8e61437c",
 ]
 GOLDEN_SHA256 = {
-    "born16.json": "3f0985cdb4f5f0e91c61030b49ff5b25cd4c9c8ca342f231204900aad6cfc8f5",
+    "born16.json": "e0017fa2f321c4e18c7e72a50019a8e61f198497cee9e2f48aea648997d8ef02",
     "born16.seq": "9705adc20edff79281aa252d61bbf368f31a0e3e200fbf36792cc87e6d83d5d0",
     "champ10.seq": "55d18fe1a1a7d741a6a8f34be02535c27ff7cc110dd7b32166f1e13de170ecb2",
-    "champ2.k.json": "d15f89d6ac69ac59cf1a83f08f98644889355c1323b344532a912a0142fd880f",
+    "champ2.k.json": "24680d3d7cdea1f3dadfa352b54ea0dbd81f122bb6e9feb1e730c59266c62466",
     "champ2.seq": "8c9d5dc7aade4b5d9cd6ac8b8da231c9247812a910aaa3059cb51eb728aa44f4",
     "chsh.csv": "c8f7f58603d0e92706e5a5d5a2df26a76687279d8b9737ab50609475e8957107",
     "chsh.csv.meta.json": "db9bb411ec5f8b11fe4fc97e46cb8670f0f0963e2295972d54c13164dfe23066",
+    "chsh.json": "3d8b74d5645c8a5e982d1adb3ed3a5e64a59fea2a9e3dbc6ec86de03bc727e8a",
+    "coin.json": "ea0a348df2af22ddca9ef6a0a6090ac9dc51a6dfa5f98348165053674ddbdb24",
+    "coin.k.json": "f94383bb00852e171654539ba97436adcd4dbb9e46ab40d69dc0206153fd3211",
+    "coin.seq": "8ec6a5dc387fbf73a3f26bbd7943bd97f3aaf7ca992d4267b275e8e7cb19eee9",
+    "constant.k.json": "f0b5c9929dc0ad7cdb885fc9de486ce1e0dfc5a66a375c27cd9446d8f5a11096",
+    "constant.seq": "0f57a37c663826561f92896455b57203774b3d239f080616f5b8e82c3d5aa683",
+    "hv_alt.seq": "8f6c2bd55fdc6c616150f2664ee1d16a13191c7953d9b8f4d96343209b0db1e1",
+    "hv_bias.json": "be236340dcd04889d95da4d4fe8bed5839f65bf7946723b97f494d9f43b250e8",
+    "hv_constant.json": "297a6b061c99f69b68eacc08f4981c9a93d7f5524db023e2c072fce270b766af",
+    "hv_counter.json": "f8c8209bf98779ac88bd5309c0fe8c3fbd2c3de0e72492b30beb845d00705a33",
+    "hv_prng.json": "c1e81be4e0ef39c2c38af549759eeb47b49df9ab746bd78e73fa8303ffa5f2b1",
+    "hv_replay.seq": "8ec6a5dc387fbf73a3f26bbd7943bd97f3aaf7ca992d4267b275e8e7cb19eee9",
+    "periodic.k.json": "568defa2af9ed910d3575a4475e56ca0c182db8a5144f6399966e2c8fb0783d1",
+    "periodic.seq": "4605d4caf5c917968193cea2a6ba738db73b731bf376d091f46f1466be1e55c4",
+    "q.csv": "d0e632dbcec639368d6408c641bb3bd192acd78af271a9bfef536dc1ae9d5a12",
+    "q.csv.meta.json": "52ce58ddfc1f60641b60173285c9c5e3b263ef111d5663fe9ab511e0c0651fee",
+    "q.json": "4eb5b54a6aeab1f155e99e309cda90a05ae8cbf5e7460e279bbc60c5216e44ba",
+    "report.csv": "16ce1fb9477afd0bd1cedbe68c02567e507bbf1e3276f8fbad99847fb49c65ad",
+    "report.json": "f392a33af8003b1d1af8693b8d57c0e34a899253df5b75a46bc8d10713979032",
+    "sig.csv": "7765f3647bad8d75559ecdb531c62ec6bb35383bd92a525a6de63909e5ddeda9",
+    "sig.csv.meta.json": "51e051b554ef593c7f65e0dec71abc95adc18b434e83c9d997c365159c4960c7",
+    "sig.json": "7b4bb9419a27aebfc36d14b0f91b8ba0b7a88748d9b80b9b5dee526aca5b5521",
+}
+# the sha256 of each golden JSON report at the parent of the claims lists, which
+# must still be its digest with "claims" popped and the rest re-dumped as
+# cli._write_json writes it: the claims are all that moved.  report.json is
+# pinned whole only, since its text lists the claims.
+GOLDEN_SHA256_BEFORE_CLAIMS = {
+    "born16.json": "3f0985cdb4f5f0e91c61030b49ff5b25cd4c9c8ca342f231204900aad6cfc8f5",
+    "champ2.k.json": "d15f89d6ac69ac59cf1a83f08f98644889355c1323b344532a912a0142fd880f",
     "chsh.json": "325fa214b02e514c4298e54501cb3e7a83b640c13cfecdf176e9b5627482eb42",
     "coin.json": "0d2dd3ccd5a8ddd13c724242b7ac7f564fa25697a2028198fad9c18131e65b77",
     "coin.k.json": "893fc4049712c236a58fc856fcf33a2a4a98bb2800422669af624fc66dad0285",
-    "coin.seq": "8ec6a5dc387fbf73a3f26bbd7943bd97f3aaf7ca992d4267b275e8e7cb19eee9",
     "constant.k.json": "50a8a4a54a9fe85a581262ba355933bb84e5cd1b781b9834e98805027b93113a",
-    "constant.seq": "0f57a37c663826561f92896455b57203774b3d239f080616f5b8e82c3d5aa683",
-    "hv_alt.seq": "8f6c2bd55fdc6c616150f2664ee1d16a13191c7953d9b8f4d96343209b0db1e1",
     "hv_bias.json": "1a4624ccabe6d18ded75a837aaf1b79953018fa60740fecb35c5754f0fc42ec8",
     "hv_constant.json": "beb35a7b22bc9b48a2a8b31ee8e9910d382b58cef2930e033bafcb72347bd875",
     "hv_counter.json": "28f197be379498cc37946f6f688a70eba72283885bcc6c22ccbd4a39b25c0ded",
     "hv_prng.json": "f53190c4c7b7b058f68e96ddfb8d3a50460bf81da78df73d08f7fb636460cbb7",
-    "hv_replay.seq": "8ec6a5dc387fbf73a3f26bbd7943bd97f3aaf7ca992d4267b275e8e7cb19eee9",
     "periodic.k.json": "41932ba3fe23c93a1da6d94e2c8ae95258e1de19e0966430b95bd61421d4003f",
-    "periodic.seq": "4605d4caf5c917968193cea2a6ba738db73b731bf376d091f46f1466be1e55c4",
-    "q.csv": "d0e632dbcec639368d6408c641bb3bd192acd78af271a9bfef536dc1ae9d5a12",
-    "q.csv.meta.json": "52ce58ddfc1f60641b60173285c9c5e3b263ef111d5663fe9ab511e0c0651fee",
     "q.json": "f8aa1f41063b82d115679d5f55a6229dd0ebffc566fa6083aff3294637b322bb",
-    "report.csv": "16ce1fb9477afd0bd1cedbe68c02567e507bbf1e3276f8fbad99847fb49c65ad",
-    "report.json": "c480d296db9dca85ccb8de2435224d8dd9904343882b2d6a728b7693d840e261",
-    "sig.csv": "7765f3647bad8d75559ecdb531c62ec6bb35383bd92a525a6de63909e5ddeda9",
-    "sig.csv.meta.json": "51e051b554ef593c7f65e0dec71abc95adc18b434e83c9d997c365159c4960c7",
     "sig.json": "9ea4f7283f0adced8ace38e1526d3754946420a80b8c274c998a4905e2ed2a26",
 }
 
@@ -725,12 +809,26 @@ def golden_outputs(capsys) -> tuple[list[int], list[str], dict[str, str]]:
                             and "manifest" not in name}
 
 
+def _sha256_without_claims(path: str, out_dir) -> str:
+    """The sha256 of the JSON report at path with "claims" popped, re-dumped
+    into out_dir by cli._write_json."""
+    with open(path) as f:
+        report = json.load(f)
+    del report["claims"]
+    out = os.path.join(out_dir, os.path.basename(path))
+    cli._write_json(out, report)
+    return cli._sha256(out)
+
+
 def test_golden_outputs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     codes, stdouts, digests = golden_outputs(capsys)
     assert codes == [code for _, code in GOLDEN_RUNS]
     assert stdouts == GOLDEN_STDOUT_SHA256
     assert digests == GOLDEN_SHA256
+    (tmp_path / "popped").mkdir()
+    assert {name: _sha256_without_claims(name, tmp_path / "popped")
+            for name in GOLDEN_SHA256_BEFORE_CLAIMS} == GOLDEN_SHA256_BEFORE_CLAIMS
 
 
 def test_golden_free_choice_report(tmp_path, monkeypatch):
@@ -745,4 +843,8 @@ def test_golden_free_choice_report(tmp_path, monkeypatch):
     assert cli.dispatch(["bell", "analyze", "--in", "hv.csv", "--json", "hv.json"]) \
         == cli.EXIT_OK
     assert cli._sha256("hv.json") == \
+        "dbac13d346dc5694209eacbf62fb57f2394a2e71ba324b0d59eb994d1d9dc9f3"
+    (tmp_path / "popped").mkdir()
+    # the digest before the report listed its claims
+    assert _sha256_without_claims("hv.json", tmp_path / "popped") == \
         "69fcc34bb397daf77ebadcbd5724b604731a99ef49621607b9c1a337313c6575"
