@@ -466,6 +466,36 @@ class TestSendBound:
             walk.send(-1)
 
 
+class TestSameWalk:
+    """Entry streams and timeout logs, frozen from the walk that decoded
+    its instruction table room by room and dropped the children a send made
+    too long only after forking them."""
+
+    @pytest.mark.parametrize("max_len,max_steps,output_prefix,sends,entries,timeouts,digest", [
+        (12, 1000, None, {}, 114, 0,
+         "0007f59e4b90e72b615da4332cfedb054123201ebc9281ce9003b689756ae322"),
+        (16, 10_000, None, {}, 985, 0,
+         "c42c8e08be35d161d075bdf14bb6d259c83b64200d52fbf6753651abac9f2114"),
+        (16, 10_000, (0, 1, 1), {}, 698, 0,
+         "7b5e876c2d4e5109991a887537e875f390910ae2e74d1c29929f9c0464c52dd2"),
+        (16, 10_000, None, {40: 12, 300: 14}, 151, 0,
+         "87fcf47026003ba52783acf05038c3cf5f8027becce73527471086a0071d5f32"),
+        (16, 10_000, (0, 1, 1), {5: 13}, 190, 0,
+         "1a49f8a24c450934c919773b08f1385402147d8d73cb1cef4382d8c977ade808"),
+        (14, 2, None, {}, 208, 2693,
+         "ecc1ead743d0fa644c75726208961b1245d46b76c096b47d42c781ee10fb16c9"),
+        (16, 3, (0, 1, 1), {10: 13}, 193, 97,
+         "947e118b5dfffcb731805e61c9e47ef1cf0c8306f83c60f5becdeca8ac6720ef"),
+    ], ids=["12-1e3", "16-1e4", "16-1e4-011", "16-1e4-send", "16-1e4-011-send",
+            "14-2-timeouts", "16-3-011-send-timeouts"])
+    def test_stream_and_log_as_pinned(self, max_len, max_steps, output_prefix, sends,
+                                      entries, timeouts, digest):
+        found, log = walk_with_sends(max_len, max_steps, sends, output_prefix=output_prefix)
+        assert (len(found), len(log)) == (entries, timeouts)
+        stream = [(e.program, e.output, e.steps) for e in found]
+        assert hashlib.sha256(repr((stream, log)).encode()).hexdigest() == digest
+
+
 def replay_leaves(max_len, max_steps, output_limit=tm.DEFAULT_OUTPUT_LIMIT,
                   output_prefix=None, exact_bits=False):
     """Reference enumerator: re-runs every demanded prefix from bit 0.
