@@ -35,7 +35,8 @@ encoder, assemble, read: one reader and one writer per field kind.
 enumerate_domain walks the halting domain up to a length.  A run pauses
 at the tape's end without decoding; since the encodings are prefix-free,
 the enumerator extends a paused program by one whole instruction at a
-time, taken already decoded from a table of (bits, instruction) pairs.  It
+time, taken from a table of (bits, instruction) pairs that is composed
+from _FIELDS with the writers, never decoded, once per walk.  It
 ends the branches it can prove divergent (see _Machine._loop_check)
 instead of running them to the step budget.  A caller that needs no longer
 program can lower the length mid-walk with the generator's send(n); a
@@ -48,6 +49,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cache, partial
+from itertools import product
 from typing import Iterator, Optional, Sequence
 
 NUM_REGISTERS = 4
@@ -421,31 +423,49 @@ _FIELDS = (
 )
 
 
-@cache
-def _instruction_encodings(room: int) -> tuple[tuple[Bits, tuple], ...]:
-    """Every valid instruction of at most room bits as (bits, instruction).
+def _field_encodings(field, room: int) -> Iterator[tuple[bytes, object]]:
+    """(bits, operand) for every operand of a field kind of _FIELDS whose
+    bits, as its writer in _WRITERS gives them, fit in room."""
+    if field is _REG or field is _DIR:
+        operands = range(NUM_REGISTERS if field is _REG else 2)
+    else:
+        counts = range((1 << (room + 1) // 2) - 1)  # every n whose gamma0 code fits
+        operands = counts if field is _INT else (
+            payload for n in counts if n + len(gamma0_encode(n)) <= room
+            for payload in product((0, 1), repeat=n))
+    for value in operands:
+        bits = _WRITERS[field](value)
+        if len(bits) <= room:
+            yield bits, value
 
-    Found by decoding: a string is extended only while the decoder asks for
-    more bits, so each encoding is visited once, 0 before 1, which is
-    sorted order for a prefix-free set.  Invalid opcodes are dropped.  An
-    entry holds its decoded instruction, so a forked child never decodes.
-    A table is built on first use and kept for the process: 751 encodings
-    at room 16, 25,647 at room 24, where LITN payloads are most of them.
+
+@cache
+def _instruction_encodings(max_len: int) -> tuple[tuple[tuple[Bits, tuple], ...], ...]:
+    """tables[room]: every valid instruction of at most room bits as (bits,
+    instruction), sorted by bits, for rooms 0 to max_len.
+
+    Composed, not decoded: each opcode's numeral, then every operand of each
+    field that still fits, in the bits assemble writes.  An entry holds its
+    instruction, so a forked child never decodes.  Sorted order is the
+    order in which a walk over single bits, 0 before 1, meets a prefix-free
+    set.  Built on first use per max_len and kept: 751 encodings at room
+    16, 25,647 at room 24, most of them LITN payloads.
     """
     found = []
-    stack: list[Bits] = [()]
-    while stack:
-        bits = stack.pop()
-        m = _Machine(bits)
-        try:
-            err = m._decode_one()
-        except _NeedBits:
-            if len(bits) < room:
-                stack += [bits + (1,), bits + (0,)]
-            continue
-        if err is None:
-            found.append((bits, m.instrs[0]))
-    return tuple(found)
+
+    def compose(bits: bytes, instruction: tuple, fields: tuple) -> None:
+        if not fields:
+            found.append((bits, instruction))
+            return
+        for field_bits, value in _field_encodings(fields[0], max_len - len(bits)):
+            compose(bits + field_bits, (*instruction, value), fields[1:])
+
+    if max_len >= 4:  # an opcode takes 4 bits
+        for op, fields in enumerate(_FIELDS):
+            compose(_numeral(op, 4), (op,), fields)
+    found.sort(key=operator.itemgetter(0))
+    table = [(tuple(bits), instruction) for bits, instruction in found]
+    return tuple(tuple(e for e in table if len(e[0]) <= room) for room in range(max_len + 1))
 
 
 def run_machine(
@@ -492,8 +512,8 @@ def enumerate_domain(
     next instruction, and decodes nothing there.  Its children are the
     paused machine forked once per valid instruction encoding that fits in
     the remaining length, in bit order, each gaining the encoding's bits
-    and its decoded instruction from _instruction_encodings (so no child
-    decodes) and resuming from the paused state (so no prefix is re-run).
+    and its instruction from _instruction_encodings (so no child decodes)
+    and resuming from the paused state (so no prefix is re-run).
     The encodings are prefix-free, so this is the order in which a walk
     over single bits, 0 before 1, meets them, and the entry order is the
     same as re-running each bit prefix from bit 0.  An invalid opcode or an
@@ -511,20 +531,28 @@ def enumerate_domain(
     those branches are unresolved and bound any exactness claim.
 
     send(n) lowers max_len to n for the rest of the walk (a larger n than
-    the current bound changes nothing; a negative one raises ValueError)
-    and returns the next entry, as next() would.  After it no branch grows
-    past n bits and no entry longer than n is yielded: children forked
-    before the send are skipped, unrun, when their tape is longer.  A run
-    depends only on its tape, so every program of at most n bits is still
-    visited, in the same order and with the same timeouts, as without the
-    send.  next() alone gives the unbounded stream.
+    the current bound changes nothing; anything but an integer >= 0 raises
+    ValueError) and returns the next entry, as next() would.  After it no
+    branch grows past n bits and no entry longer than n is yielded: a
+    machine paused before the send is forked only onto encodings that fit
+    in n bits.  A run depends only on its tape, so every program of at
+    most n bits is still visited, in the same order and with the same
+    timeouts, as without the send.  next() alone gives the unbounded stream.
     """
-    if max_len < 0:
-        raise ValueError("max_len must be >= 0")
+    max_len = _operand(max_len, None, "max_len")
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
     if output_limit < 0:
         raise ValueError("output_limit must be >= 0")
+    tables = _instruction_encodings(max_len)
+
+    def children(m: _Machine) -> Iterator[_Machine]:
+        """m forked once per encoding that fits in max_len as it stands at
+        the fork, which a send may have lowered since the pause."""
+        for encoding in tables[max_len - len(m.tape)]:
+            if len(m.tape) + len(encoding[0]) <= max_len:
+                yield m._fork(encoding)
+
     stack: list[Iterator[_Machine]] = [
         iter([_Machine((), exact_bits=False, output_prefix=output_prefix)])
     ]
@@ -533,18 +561,14 @@ def enumerate_domain(
         if m is None:
             stack.pop()
             continue
-        if len(m.tape) > max_len:  # forked before a send lowered max_len
-            continue
         res = m.run(max_steps, output_limit)
         if res is None:
-            stack.append(map(m._fork, _instruction_encodings(max_len - len(m.tape))))
+            stack.append(children(m))
         elif res.status == "halted":
             if res.bits_consumed == len(m.tape):
                 bound = yield DomainEntry(m.tape, res.output, res.steps)
                 if bound is not None:
-                    if bound < 0:
-                        raise ValueError("a sent length bound must be >= 0")
-                    max_len = min(max_len, bound)
+                    max_len = min(max_len, _operand(bound, None, "a sent length bound"))
             # else: a shorter run already owns this program; unreachable
             # because only bit-hungry prefixes are ever extended.
         elif res.status == "timeout":

@@ -51,8 +51,8 @@ INSTRUCTIONS = st.one_of(*(
 
 class TestAssemble:
     def test_every_encoding_of_up_to_16_bits(self):
-        # _instruction_encodings lists every instruction by decoding
-        encodings = tm._instruction_encodings(16)
+        # each composed entry's bits are those assemble writes for its instruction
+        encodings = tm._instruction_encodings(16)[16]
         assert len(encodings) == 751
         for bits, instruction in encodings:
             assert assemble(instruction) == bits, instruction
@@ -395,6 +395,8 @@ class TestEnumeration:
             list(tm.enumerate_domain(8, -1))
         with pytest.raises(ValueError, match="output_limit must be >= 0"):
             list(tm.enumerate_domain(8, 100, -1))
+        with pytest.raises(ValueError, match=r"^max_len must be an integer >= 0, got 7\.5$"):
+            list(tm.enumerate_domain(7.5, 100))
 
     def test_empty_budget(self):
         assert list(tm.enumerate_domain(0, 100)) == []
@@ -462,8 +464,18 @@ class TestSendBound:
     def test_negative_send_rejected(self):
         walk = tm.enumerate_domain(10, 100)
         next(walk)
-        with pytest.raises(ValueError, match="bound must be >= 0"):
+        with pytest.raises(ValueError,
+                           match="^a sent length bound must be an integer >= 0, got -1$"):
             walk.send(-1)
+
+    @pytest.mark.parametrize("bound", [7.5, "5"], ids=["float", "str"])
+    def test_non_integer_send_rejected(self, bound):
+        # 7.5 was read as 7, and "5" raised a bare TypeError from a comparison
+        walk = tm.enumerate_domain(10, 100)
+        next(walk)
+        with pytest.raises(ValueError) as error:
+            walk.send(bound)
+        assert str(error.value) == f"a sent length bound must be an integer >= 0, got {bound!r}"
 
 
 class TestSameWalk:
@@ -591,7 +603,36 @@ class TestTableDecoder:
                 assert outcomes[0] == outcomes[1], bits
 
 
+def reference_encodings(room):
+    """The decoding search that composing the table replaced: a string is
+    extended only while the decoder asks for more bits, so each encoding is
+    met once, 0 before 1."""
+    found = []
+    stack: list[tm.Bits] = [()]
+    while stack:
+        bits = stack.pop()
+        m = tm._Machine(bits)
+        try:
+            err = m._decode_one()
+        except tm._NeedBits:
+            if len(bits) < room:
+                stack += [bits + (1,), bits + (0,)]
+            continue
+        if err is None:
+            found.append((bits, m.instrs[0]))
+    return tuple(found)
+
+
 class TestInstructionEncodings:
+    def test_composed_table_is_the_decoding_search(self):
+        tables = tm._instruction_encodings(20)
+        assert len(tables) == 21
+        for room, table in enumerate(tables):
+            assert table == reference_encodings(room), room
+            # a room filtered from a larger table is the table composed there
+            assert table == tm._instruction_encodings(room)[room], room
+        assert len(tables[16]) == 751
+
     @pytest.mark.parametrize("room", range(13))
     def test_table_is_every_fully_decoded_string(self, room):
         decoded = []
@@ -604,14 +645,14 @@ class TestInstructionEncodings:
                     continue
                 if err is None and m.cursor == n:
                     decoded.append((bits, m.instrs[0]))
-        assert tm._instruction_encodings(room) == tuple(sorted(decoded))
+        assert tm._instruction_encodings(room)[room] == tuple(sorted(decoded))
 
     def test_forked_children_never_decode(self, monkeypatch):
-        # with every table built, no decode is left: each child carries its
-        # decoded instruction, and a pause, the tape's end, decodes nothing
-        # (ReferenceMachine, which decodes at a pause, makes 11,341 calls)
-        for room in range(17):
-            tm._instruction_encodings(room)
+        # from a cold table cache, no decode at all: the table is composed,
+        # each child carries its instruction, and a pause, the tape's end,
+        # decodes nothing (ReferenceMachine, which decodes at a pause, makes
+        # 11,341 calls)
+        tm._instruction_encodings.cache_clear()
         calls = []
         decode = tm._Machine._decode_one
 

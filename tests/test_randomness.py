@@ -290,6 +290,21 @@ class TestBoundedSearch:
         assert rl.exact_k_small(sq.bits(text), 16, 10_000).kind == "exact"
         assert len(calls) == runs
 
+    @pytest.mark.parametrize("text,forks", [("0", 26), ("01", 284)])
+    def test_forks_per_search(self, monkeypatch, text, forks):
+        # a child that a send made too long is never forked (the unbounded
+        # walk forks 12,921 children)
+        calls = []
+        fork = tm._Machine._fork
+
+        def counting_fork(m, encoding):
+            calls.append(len(encoding[0]))
+            return fork(m, encoding)
+
+        monkeypatch.setattr(tm._Machine, "_fork", counting_fork)
+        assert rl.exact_k_small(sq.bits(text), 16, 10_000).kind == "exact"
+        assert len(calls) == forks
+
 
 class TestLevinChaitinMargin:
     def test_constant_source_diverges_down(self):
