@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -276,34 +277,26 @@ class TestBoundedSearch:
         monkeypatch.setattr(tm, "enumerate_domain", next_only)
         assert [rl.exact_k_small(sigma, 13, 2) for sigma in every_string(3)] == expected
 
-    @pytest.mark.parametrize("text,runs", [("0", 27), ("01", 285)])
-    def test_machine_runs_per_search(self, monkeypatch, text, runs):
-        # the unbounded walk runs about 10k machines for either string
-        calls = []
-        run = tm._Machine.run
+    @pytest.mark.parametrize("text,runs,forks", [("0", 27, 26), ("01", 285, 284)],
+                             ids=["0-27", "01-285"])
+    def test_machine_runs_per_search(self, monkeypatch, text, runs, forks):
+        # the unbounded walk runs about 10k machines for either string, and
+        # forks 12,921; a child that a send made too long is never forked
+        calls = Counter()
+        run, fork = tm._Machine.run, tm._Machine._fork
 
         def counting_run(m, *args):
-            calls.append(len(m.tape))
+            calls["run"] += 1
             return run(m, *args)
 
-        monkeypatch.setattr(tm._Machine, "run", counting_run)
-        assert rl.exact_k_small(sq.bits(text), 16, 10_000).kind == "exact"
-        assert len(calls) == runs
-
-    @pytest.mark.parametrize("text,forks", [("0", 26), ("01", 284)])
-    def test_forks_per_search(self, monkeypatch, text, forks):
-        # a child that a send made too long is never forked (the unbounded
-        # walk forks 12,921 children)
-        calls = []
-        fork = tm._Machine._fork
-
         def counting_fork(m, encoding):
-            calls.append(len(encoding[0]))
+            calls["fork"] += 1
             return fork(m, encoding)
 
+        monkeypatch.setattr(tm._Machine, "run", counting_run)
         monkeypatch.setattr(tm._Machine, "_fork", counting_fork)
         assert rl.exact_k_small(sq.bits(text), 16, 10_000).kind == "exact"
-        assert len(calls) == forks
+        assert calls == {"run": runs, "fork": forks}
 
 
 class TestLevinChaitinMargin:
