@@ -42,6 +42,13 @@ instead of running them to the step budget.  A caller that needs no longer
 program can lower the length mid-walk with the generator's send(n); a
 search for a shortest program uses that to stop growing programs that
 cannot beat its best find.
+
+Inside the machine bits are bytes of 0 and 1: the tape, the output prefix
+and LITN's operand are bytes, the output a bytearray, and the table's
+encodings bytes, so a long program or output is one byte per bit and a
+slice copies no Python objects.  At the public edge (MachineResult,
+DomainEntry, assemble, gamma0_encode and the prog_* generators) bits are
+tuples of plain ints.
 """
 
 from __future__ import annotations
@@ -77,10 +84,13 @@ LITERAL_OVERHEAD_BITS = 9
 # Loop scaffolding allowance used when bounding compiled generator programs.
 MACHINE_OVERHEAD_BITS = 64
 
+# Bits at the public edge; inside _Machine they are bytes of 0 and 1
 Bits = tuple[int, ...]
 
 # OUTB's numeral: format(v, "b") as bytes, mapped to the bits 0 and 1
 _NUMERAL_BITS = bytes.maketrans(b"01", b"\0\1")
+# what OUT0 and OUT1 emit
+_BIT = (b"\0", b"\1")
 
 
 class _NeedBits(Exception):
@@ -139,6 +149,9 @@ class _Machine:
     tape ends right there, and the domain enumerator forks the paused
     machine onto longer tapes (see _fork); otherwise the run is malformed.
     exact_bits=False also selects the enumerator's loop rules (_loop_check).
+
+    Bits are bytes of 0 and 1 here: the tape and output_prefix are bytes
+    and out is a bytearray; only a MachineResult's output is a tuple.
     """
 
     __slots__ = ("tape", "cursor", "exact_bits", "instrs", "pc", "regs", "out", "steps",
@@ -146,16 +159,16 @@ class _Machine:
 
     def __init__(self, program: Sequence[int], exact_bits: bool = True,
                  output_prefix: Optional[Sequence[int]] = None):
-        self.tape = tuple(program)
+        self.tape = bytes(program)
         self.cursor = 0
         self.exact_bits = exact_bits
         self.instrs: list[tuple] = []
         self.pc = 0
         self.regs = [0] * NUM_REGISTERS
-        self.out: list[int] = []
+        self.out = bytearray()
         self.steps = 0
         self.cap: Optional[int] = None
-        self.output_prefix = tuple(output_prefix) if output_prefix is not None else None
+        self.output_prefix = bytes(output_prefix) if output_prefix is not None else None
         # step count at the last executed instruction other than INC, JZ, JMP
         self.other_step = 0
         self._seen: set[tuple] = set()
@@ -170,7 +183,7 @@ class _Machine:
         self.cursor += 1
         return b
 
-    def _take(self, n: int) -> Bits:
+    def _take(self, n: int) -> bytes:
         """The next n tape bits, all or none."""
         start = self.cursor
         end = start + n
@@ -191,7 +204,7 @@ class _Machine:
             zeros += 1
         return (1 << zeros) - 1 + self._read_fixed(zeros)
 
-    def _read_literal(self) -> Bits:
+    def _read_literal(self) -> bytes:
         """LITN's operand: a gamma0 count n, then n bits taken whole."""
         return self._take(self._read_gamma0())
 
@@ -281,15 +294,15 @@ class _Machine:
                 if op == OP_LITN:
                     symbols = instr[1]
                 elif op == OP_OUTB:
-                    symbols = tuple(format(regs[instr[1]], "b").encode().translate(_NUMERAL_BITS))
+                    symbols = format(regs[instr[1]], "b").encode().translate(_NUMERAL_BITS)
                 else:
-                    symbols = (op - OP_OUT0,)
+                    symbols = _BIT[op - OP_OUT0]
                 start = len(out)
                 if cap is not None:
                     symbols = symbols[:cap - start]  # start < cap, or the run had halted
                 if prefix is not None and prefix[start:start + len(symbols)] != symbols:
-                    i = next(i for i, b in enumerate(symbols)
-                             if prefix[start + i:start + i + 1] != (b,))
+                    i = next(i for i in range(len(symbols))
+                             if prefix[start + i:start + i + 1] != symbols[i:i + 1])
                     out += symbols[:i + 1]  # through the first bit off the prefix
                     status, reason = "mismatch", "output left the requested prefix"
                     break
@@ -384,7 +397,7 @@ class _Machine:
             self._grown[key] = (steps, zeros)
         return ""
 
-    def _fork(self, encoding: tuple[Bits, tuple]) -> "_Machine":
+    def _fork(self, encoding: tuple[bytes, tuple]) -> "_Machine":
         """A copy of this paused machine whose tape gains one instruction.
 
         encoding is a (bits, instruction) entry of _instruction_encodings;
@@ -431,7 +444,7 @@ def _field_encodings(field, room: int) -> Iterator[tuple[bytes, object]]:
     else:
         counts = range((1 << (room + 1) // 2) - 1)  # every n whose gamma0 code fits
         operands = counts if field is _INT else (
-            payload for n in counts if n + len(gamma0_encode(n)) <= room
+            bytes(payload) for n in counts if n + len(gamma0_encode(n)) <= room
             for payload in product((0, 1), repeat=n))
     for value in operands:
         bits = _WRITERS[field](value)
@@ -440,7 +453,7 @@ def _field_encodings(field, room: int) -> Iterator[tuple[bytes, object]]:
 
 
 @cache
-def _instruction_encodings(max_len: int) -> tuple[tuple[tuple[Bits, tuple], ...], ...]:
+def _instruction_encodings(max_len: int) -> tuple[tuple[tuple[bytes, tuple], ...], ...]:
     """tables[room]: every valid instruction of at most room bits as (bits,
     instruction), sorted by bits, for rooms 0 to max_len.
 
@@ -464,8 +477,7 @@ def _instruction_encodings(max_len: int) -> tuple[tuple[tuple[Bits, tuple], ...]
         for op, fields in enumerate(_FIELDS):
             compose(_numeral(op, 4), (op,), fields)
     found.sort(key=operator.itemgetter(0))
-    table = [(tuple(bits), instruction) for bits, instruction in found]
-    return tuple(tuple(e for e in table if len(e[0]) <= room) for room in range(max_len + 1))
+    return tuple(tuple(e for e in found if len(e[0]) <= room) for room in range(max_len + 1))
 
 
 def run_machine(
@@ -479,11 +491,9 @@ def run_machine(
     consumed prefix alone reproduces the output.  A run that emits forever
     ends on the step budget or the output limit, never as a detected loop.
     """
-    program = tuple(_as_bits(program_bits, "program bits"))
-    if max_steps < 0:
-        raise ValueError("max_steps must be >= 0")
-    if output_limit < 0:
-        raise ValueError("output_limit must be >= 0")
+    program = _as_bits(program_bits, "program bits")
+    max_steps = _operand(max_steps, None, "max_steps")
+    output_limit = _operand(output_limit, None, "output_limit")
     return _Machine(program, exact_bits=True).run(max_steps, output_limit)
 
 
@@ -526,7 +536,8 @@ def enumerate_domain(
     branch as a non-halting timeout that resolves it.
 
     With output_prefix set, branches whose output leaves that prefix are
-    abandoned (used by the exact-K search).  timeout_log, when given,
+    abandoned (used by the exact-K search); a prefix entry other than 0 and
+    1 raises ValueError.  timeout_log, when given,
     records bits_consumed for every branch that exhausts the step budget;
     those branches are unresolved and bound any exactness claim.
 
@@ -540,10 +551,10 @@ def enumerate_domain(
     timeouts, as without the send.  next() alone gives the unbounded stream.
     """
     max_len = _operand(max_len, None, "max_len")
-    if max_steps < 0:
-        raise ValueError("max_steps must be >= 0")
-    if output_limit < 0:
-        raise ValueError("output_limit must be >= 0")
+    max_steps = _operand(max_steps, None, "max_steps")
+    output_limit = _operand(output_limit, None, "output_limit")
+    if output_prefix is not None:
+        output_prefix = _as_bits(output_prefix, "output prefix bits")
     tables = _instruction_encodings(max_len)
 
     def children(m: _Machine) -> Iterator[_Machine]:
@@ -566,7 +577,7 @@ def enumerate_domain(
             stack.append(children(m))
         elif res.status == "halted":
             if res.bits_consumed == len(m.tape):
-                bound = yield DomainEntry(m.tape, res.output, res.steps)
+                bound = yield DomainEntry(tuple(m.tape), res.output, res.steps)
                 if bound is not None:
                     max_len = min(max_len, _operand(bound, None, "a sent length bound"))
             # else: a shorter run already owns this program; unreachable

@@ -49,7 +49,7 @@ class ComplexityEstimate:
     def verify(self, sigma: SymbolString) -> bool:
         """Re-run the witness (8n + 256 steps, n output bits, n = len(sigma)) against sigma."""
         res = tm.run_machine(self.witness, 8 * len(sigma) + 256, len(sigma))
-        return res.halted and res.output == tuple(sigma)
+        return res.halted and bytes(res.output) == sigma.array.tobytes()
 
 
 @dataclass(frozen=True)

@@ -242,7 +242,8 @@ def _one_error_line(capsys, *fragments) -> None:
      ("repeat an angle",)),
     (["bell", "run", "--settings", "0,nan,30", "--n", "600", "--out", "b.csv"],
      ("must be finite angles",)),
-    (["omega", "--steps", "-3", "--json", "o.json"], ("max_steps must be >= 0",)),
+    (["omega", "--steps", "-3", "--json", "o.json"],
+     ("max_steps must be an integer >= 0, got -3",)),
     (["generate", "--kind", "champernowne", "--base", "40", "--n", "100", "--out", "z.seq"],
      ("champernowne base must be in 2..36", "got 40")),
     (["hv", "run", "--model", "fair_coin_counter.json", "--bias", "0.6,0.4", "--n", "8",
@@ -484,7 +485,7 @@ def test_komplexity_rejects_negative_steps(tmp_path, monkeypatch, capsys):
     sq.write_sequence_file("x.seq", sq.bits("0110"))
     assert cli.dispatch(["komplexity", "--in", "x.seq", "--exact-max-len", "4",
                          "--steps", "-1", "--json", "k.json"]) == cli.EXIT_USAGE
-    _one_error_line(capsys, "max_steps must be >= 0")
+    _one_error_line(capsys, "max_steps must be an integer >= 0, got -1")
     assert not os.path.exists("k.json")
 
 

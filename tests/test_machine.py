@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from indlab import machine as tm
+from indlab import randomness as rl
+from indlab import sequences as sq
 from indlab.machine import (OP_ADD, OP_CPY, OP_DEC, OP_HALT, OP_HALTAT, OP_INC, OP_JMP, OP_JZ,
                             OP_LITN, OP_OUT0, OP_OUT1, OP_OUTB, OP_SETI, OP_SUB, assemble)
 
@@ -49,20 +51,26 @@ INSTRUCTIONS = st.one_of(*(
 ))
 
 
+def as_tuples(instrs):
+    """instrs with each LITN operand as a tuple of ints, as assemble takes it."""
+    return [(op, tuple(operands[0])) if op == OP_LITN else (op, *operands)
+            for op, *operands in instrs]
+
+
 class TestAssemble:
     def test_every_encoding_of_up_to_16_bits(self):
         # each composed entry's bits are those assemble writes for its instruction
         encodings = tm._instruction_encodings(16)[16]
         assert len(encodings) == 751
         for bits, instruction in encodings:
-            assert assemble(instruction) == bits, instruction
+            assert bytes(assemble(instruction)) == bits, instruction
 
     @given(st.lists(INSTRUCTIONS, max_size=8))
     def test_decoding_gives_back_the_instructions(self, instructions):
         m = tm._Machine(assemble(*instructions))
         while m.cursor < len(m.tape):
             assert m._decode_one() is None
-        assert m.instrs == instructions
+        assert as_tuples(m.instrs) == instructions
         assert m.cursor == len(m.tape)
 
     def test_no_instructions_is_the_empty_program(self):
@@ -149,8 +157,18 @@ class TestRunMachine:
 
     def test_negative_output_limit_rejected(self):
         # SETI; HALT used to time out on "output limit exceeded" after 1 step
-        with pytest.raises(ValueError, match="output_limit must be >= 0"):
+        with pytest.raises(ValueError, match="^output_limit must be an integer >= 0, got -1$"):
             tm.run_machine(assemble((OP_SETI, 0, 1), (OP_HALT,)), 10, -1)
+
+    @pytest.mark.parametrize("value", [7.5, "5", -1], ids=["float", "str", "negative"])
+    @pytest.mark.parametrize("name", ["max_steps", "output_limit"])
+    def test_budget_not_an_integer_rejected(self, name, value):
+        # a max_steps of 7.5 let prog_constant(0, 4) halt after 8 steps, where
+        # 7 times out, and "5" raised a bare TypeError from a comparison
+        budget = {"max_steps": 1000, name: value}
+        with pytest.raises(ValueError) as error:
+            tm.run_machine(tm.prog_constant(0, 4), **budget)
+        assert str(error.value) == f"{name} must be an integer >= 0, got {value!r}"
 
     def test_bad_bits_rejected(self):
         with pytest.raises(ValueError):
@@ -326,6 +344,37 @@ class TestRunMachine:
         assert res.output == (1, 1, 1, 0, 1, 1, 0, 0)
 
 
+class TestPublicEdge:
+    """Bits leave the machine as tuples of plain ints, whatever it keeps inside."""
+
+    @pytest.mark.parametrize("bits", [
+        pytest.param(lambda: tm.run_machine(tm.prog_champernowne(40), 1000).output,
+                     id="run_machine-output"),
+        pytest.param(lambda: tm.run_machine(tm.prog_literal((1, 0, 1)), 100).output,
+                     id="run_machine-literal-output"),
+        pytest.param(lambda: tm.run_machine(tm.prog_constant(1, 4), 3).output,
+                     id="run_machine-timeout-output"),
+        pytest.param(lambda: next(tm.enumerate_domain(8, 100)).program,
+                     id="DomainEntry-program"),
+        pytest.param(lambda: [e for e in tm.enumerate_domain(13, 100)
+                              if e.output][-1].output, id="DomainEntry-output"),
+        pytest.param(lambda: assemble((OP_LITN, b"\1\0"), (OP_HALT,)), id="assemble"),
+        pytest.param(lambda: tm.gamma0_encode(5), id="gamma0_encode"),
+        pytest.param(lambda: tm.prog_literal(b"\1\0"), id="prog_literal"),
+        pytest.param(lambda: tm.prog_periodic(b"\1\0", 9), id="prog_periodic"),
+        pytest.param(lambda: tm.prog_constant(1, 9), id="prog_constant"),
+        pytest.param(lambda: tm.prog_champernowne(9), id="prog_champernowne"),
+        pytest.param(lambda: rl.k_upper_bound(sq.bits("0110100110010110")).witness,
+                     id="k_upper_bound-witness"),
+        pytest.param(lambda: rl.exact_k_small(sq.bits("01"), 14, 1000).witness,
+                     id="exact_k_small-witness"),
+    ])
+    def test_bits_are_a_tuple_of_plain_ints(self, bits):
+        value = bits()
+        assert type(value) is tuple and value
+        assert all(type(b) is int and b in (0, 1) for b in value)
+
+
 class TestGeneratorPrograms:
     @given(st.lists(st.integers(0, 1), min_size=0, max_size=40))
     def test_literal_emits_exactly(self, data):
@@ -391,12 +440,26 @@ class TestEnumeration:
         assert all(len(e.program) <= 9 for e in tm.enumerate_domain(9, 100))
 
     def test_negative_budget_rejected(self):
-        with pytest.raises(ValueError, match="max_steps"):
+        with pytest.raises(ValueError, match="^max_steps must be an integer >= 0, got -1$"):
             list(tm.enumerate_domain(8, -1))
-        with pytest.raises(ValueError, match="output_limit must be >= 0"):
+        with pytest.raises(ValueError, match="^output_limit must be an integer >= 0, got -1$"):
             list(tm.enumerate_domain(8, 100, -1))
         with pytest.raises(ValueError, match=r"^max_len must be an integer >= 0, got 7\.5$"):
             list(tm.enumerate_domain(7.5, 100))
+
+    @pytest.mark.parametrize("value", [7.5, "5", -1], ids=["float", "str", "negative"])
+    @pytest.mark.parametrize("name", ["max_steps", "output_limit"])
+    def test_budget_not_an_integer_rejected(self, name, value):
+        budget = {"max_steps": 100, name: value}
+        with pytest.raises(ValueError) as error:
+            list(tm.enumerate_domain(8, **budget))
+        assert str(error.value) == f"{name} must be an integer >= 0, got {value!r}"
+
+    @pytest.mark.parametrize("prefix,bad", [((0, 2), "2"), ((1, 0.0), "0.0"), ("01", "'0'")],
+                             ids=["two", "float", "str"])
+    def test_malformed_output_prefix_is_named(self, prefix, bad):
+        with pytest.raises(ValueError, match=f"^output prefix bits must be 0/1, got {bad}$"):
+            list(tm.enumerate_domain(8, 100, output_prefix=prefix))
 
     def test_empty_budget(self):
         assert list(tm.enumerate_domain(0, 100)) == []
@@ -608,7 +671,7 @@ def reference_encodings(room):
     extended only while the decoder asks for more bits, so each encoding is
     met once, 0 before 1."""
     found = []
-    stack: list[tm.Bits] = [()]
+    stack = [b""]
     while stack:
         bits = stack.pop()
         m = tm._Machine(bits)
@@ -616,7 +679,7 @@ def reference_encodings(room):
             err = m._decode_one()
         except tm._NeedBits:
             if len(bits) < room:
-                stack += [bits + (1,), bits + (0,)]
+                stack += [bits + b"\1", bits + b"\0"]
             continue
         if err is None:
             found.append((bits, m.instrs[0]))
@@ -644,7 +707,7 @@ class TestInstructionEncodings:
                 except tm._NeedBits:
                     continue
                 if err is None and m.cursor == n:
-                    decoded.append((bits, m.instrs[0]))
+                    decoded.append((bytes(bits), m.instrs[0]))
         assert tm._instruction_encodings(room)[room] == tuple(sorted(decoded))
 
     def test_forked_children_never_decode(self, monkeypatch):
@@ -731,10 +794,32 @@ class ReferenceMachine(tm._Machine):
 
     run reads and writes the machine's fields on every step, emits through
     _emit, checks every loop rule in _loop_check and decodes at every pause,
-    where the decode can only fail.
+    where the decode can only fail.  It keeps bits as the machine did before
+    they became bytes: the tape and output prefix are tuples of ints, out is
+    a list and a LITN operand is a tuple.
     """
 
     __slots__ = ()
+
+    def __init__(self, program, exact_bits=True, output_prefix=None):
+        self.tape = tuple(program)
+        self.cursor = 0
+        self.exact_bits = exact_bits
+        self.instrs = []
+        self.pc = 0
+        self.regs = [0] * tm.NUM_REGISTERS
+        self.out = []
+        self.steps = 0
+        self.cap = None
+        self.output_prefix = tuple(output_prefix) if output_prefix is not None else None
+        self.other_step = 0
+        self._seen = set()
+        self._grown = {}
+
+    def _fork(self, encoding):
+        # the table's bits and LITN operands are bytes: the child gets tuples
+        bits, instruction = encoding
+        return super()._fork((tuple(bits), *as_tuples([instruction])))
 
     def run(self, max_steps, output_limit=tm.DEFAULT_OUTPUT_LIMIT):
         emit = self._emit
@@ -982,14 +1067,16 @@ class TestBulkEmit:
 def run_both(program, exact_bits, output_prefix, max_steps, output_limit):
     """The run of the local-state loop and of ReferenceMachine on one tape.
 
-    A paused run is given as the state that _fork copies into each child.
+    A paused run is given as the state that _fork copies into each child,
+    with its output and LITN operands as tuples of ints.
     """
     outcomes = []
     for cls in (tm._Machine, ReferenceMachine):
         m = cls(program, exact_bits=exact_bits, output_prefix=output_prefix)
         res = m.run(max_steps, output_limit)
         outcomes.append(res if res is not None else (
-            m.cursor, m.instrs, m.pc, m.regs, m.out, m.steps, m.cap, m.other_step))
+            m.cursor, as_tuples(m.instrs), m.pc, m.regs, tuple(m.out), m.steps, m.cap,
+            m.other_step))
     return outcomes
 
 

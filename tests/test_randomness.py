@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -183,6 +184,24 @@ class TestKUpperBound:
         sigma = make(tm.DEFAULT_OUTPUT_LIMIT + 2)
         est = rl.k_upper_bound(sigma)
         assert est.method == method and est.verify(sigma)
+
+    @pytest.mark.parametrize("make,peak_mib", [
+        (fair_coin, 24),
+        (lambda n: sq.champernowne(2, n), 14),
+    ], ids=["fair-coin", "champernowne"])
+    def test_memory_peak_at_a_million_bits(self, make, peak_mib):
+        # the machine keeps bits as bytes, so the witness re-run copies no
+        # tuple of 10^6 ints but the result's output: with tuples inside it,
+        # the peaks were 40.1 and 24.8 MiB
+        sigma = make(10**6)
+        tracemalloc.start()
+        try:
+            est = rl.k_upper_bound(sigma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.value < 10**6 + 64
+        assert peak <= peak_mib * 2**20, peak / 2**20
 
     def test_periodic_bound_is_the_program_length(self):
         rng = random.Random(4)
