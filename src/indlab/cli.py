@@ -2,10 +2,11 @@
 
 A subcommand that judges something returns its report with a "claims"
 list: one {claim, status, why} per verdict, status pass, fail or skipped,
-why the numbers it rests on.  dispatch alone turns the claims into the exit
-code: 0 success, 1 usage or I/O error, 2 iff some claim failed (the run
-itself succeeded, the claim did not), naming each failed claim's why on
-stderr.  The JSON report is written either way when --json was given.
+why the numbers it rests on.  dispatch alone prints the claims, one line
+each as report lists them, and turns them into the exit code: 0 success,
+1 usage or I/O error, 2 iff some claim failed (the run itself succeeded,
+the claim did not), naming each failed claim's why on stderr.  The JSON
+report is written either way when --json was given.
 Every run emits a manifest (parameters, seeds, input/output digests, wall
 time) next to its primary output.
 """
@@ -34,6 +35,11 @@ def _claim(claim: str, ok, why: str) -> dict:
     """One entry of a report's claims: pass or fail by ok, skipped when ok is None."""
     return {"claim": claim, "status": "skipped" if ok is None else "pass" if ok else "fail",
             "why": why}
+
+
+def _claim_line(c: dict) -> str:
+    """A claim as one line of text: its status, its name and its why."""
+    return f"{c['status']:7} {c['claim']}: {c['why']}"
 
 
 def _sha256(path: str) -> str:
@@ -174,7 +180,6 @@ def cmd_analyze(args, manifest: Manifest) -> dict:
         n_pass = sum(1 for r in borel if r["pass"])
         report["claims"].append(_claim("borel_normality", n_pass == len(borel),
                                        f"borel battery: {n_pass}/{len(borel)} block tests pass"))
-        print(f"borel: {n_pass}/{len(borel)} block tests pass")
     if "blocks" in tests:
         report["tests"]["blocks"] = {
             str(ell): sq.block_frequencies(sigma, ell)
@@ -223,8 +228,6 @@ def cmd_komplexity(args, manifest: Manifest) -> dict:
             }
         search["unresolved_bits_consumed"] = list(exact.unresolved_bits_consumed)
         out["exact_search"] = search
-    print(f"K_upper = {out['k_upper']} bits ({out['method']}), "
-          f"margin {out['margin']} over n={out['n']}")
     return out
 
 
@@ -241,8 +244,6 @@ def cmd_omega(args, manifest: Manifest) -> dict:
                           f"omega >= {est.lower_bound} from {est.programs_found} halting "
                           f"programs, {len(violations)} proper-prefix pairs among them")],
     }
-    print(f"omega >= {est.lower_bound} = {float(est.lower_bound):.8f} "
-          f"({est.programs_found} halting programs)")
     return out
 
 
@@ -278,10 +279,6 @@ def cmd_hv(args, manifest: Manifest) -> dict | None:
     if args.hv_command == "audit1":
         checkpoints = _parse_list("--checkpoints", args.checkpoints, int)
         rep = hv.scenario_one_audit(model, sampler, checkpoints)
-        for p in rep["checkpoints"]:
-            print(f"N={p['n']}: K_upper={p['k_upper']} margin={p['margin']}")
-        print(f"incompatible with 1-randomness: {rep['incompatible_with_1_randomness']}; "
-              f"pushforward matches target: {rep['pushforward_matches_target']}")
         margins = ", ".join(f"{p['margin']} at N={p['n']}" for p in rep["checkpoints"])
         # the scenario-1 flag refutes 1-randomness when it fires and proves nothing when not
         rep["claims"] = [compatible, _claim(
@@ -290,8 +287,6 @@ def cmd_hv(args, manifest: Manifest) -> dict | None:
             f"{rep['flag_threshold_bits']} bits")]
         return rep
     rep = hv.scenario_two_audit(model, sampler, args.n)
-    print(f"sampling fairness at 6 sigma: {'pass' if rep['fair'] else 'FAIL'} "
-          f"(randomness origin: {rep['randomness_origin']})")
     checks = rep["cell_checks"] + rep["outcome_checks"]
     rep["claims"] = [compatible, _claim(
         "fair_sampling", rep["fair"], f"{sum(c['pass'] for c in checks)}/{len(checks)} cell "
@@ -334,7 +329,6 @@ def cmd_bell(args, manifest: Manifest) -> dict | None:
     if functional.degenerate:
         report["functional"] = {"name": functional.name, "skipped": "degenerate"}
         claims.append(_claim("functional", None, f"{functional.name}: all coefficients zero"))
-        print("functional: skipped (all coefficients zero)")
     else:
         est = report["functional"] = bell.empirical_functional(trials, functional)
         bound, _ = bell.local_bound_bruteforce(functional.settings(), functional)
@@ -350,8 +344,6 @@ def cmd_bell(args, manifest: Manifest) -> dict | None:
         claims.append(_claim("functional", ok, f"functional {functional.name}: empirical "
                              f"{e:.4f}, quantum {qv:.4f}, local bound {float(bound):.4f}, "
                              f"6 sigma {six_sigma:.4f}; {rule}"))
-        print(f"functional {functional.name}: empirical {est['empirical']:.4f} "
-              f"(quantum {qv:.4f}, local bound {float(bound):.4f})")
     mismatches = bell.perfect_correlation_violations(trials)
     report["equal_setting_mismatches"] = mismatches
     if model_kind == "quantum":
@@ -364,17 +356,13 @@ def cmd_bell(args, manifest: Manifest) -> dict | None:
         claims.append(_claim("no_signaling", None, f"no-signaling check skipped: {exc}"))
     else:
         report["no_signaling"] = {"alice": ra, "bob": rb}
-        print(f"no-signaling: alice {'pass' if ra['pass'] else 'FAIL'}, "
-              f"bob {'pass' if rb['pass'] else 'FAIL'}")
         ok = ra["pass"] and rb["pass"]
         claims.append(_claim("no_signaling", ok, f"no-signaling marginal independence "
                              f"{'holds' if ok else 'failed'}: worst z alice {ra['z_score']:.2f}, "
                              f"bob {rb['z_score']:.2f}, threshold {ra['threshold']}"))
     if trials.lam is not None:
         fc = report["free_choice"] = bell.free_choice_check(trials)
-        status = "skip" if fc["skipped"] else ("pass" if fc["pass"] else "FAIL")
-        print(f"free-choice independence: {status}")
-        verdict = {"skip": "skipped", "pass": "holds", "FAIL": "failed"}[status]
+        verdict = "skipped" if fc["skipped"] else "holds" if fc["pass"] else "failed"
         claims.append(_claim("free_choice", None if fc["skipped"] else fc["pass"],
                              f"free-choice independence {verdict}: worst pair z "
                              f"{fc['z_score']:.2f}, threshold {fc['threshold']}"))
@@ -400,7 +388,6 @@ def cmd_ks(args, manifest: Manifest) -> dict:
             report["claims"] = [_claim("coloring_verified", ok, f"the verifier "
                                        f"{'accepts' if ok else 'rejects'} the searcher's "
                                        f"coloring of {size}")]
-        print(f"{result.status.upper()} ({size}, {result.stats.nodes} nodes)")
         return report
     obj = _read_json(args.coloring)
     manifest.add_input(args.coloring)
@@ -414,7 +401,6 @@ def cmd_ks(args, manifest: Manifest) -> dict:
         ok = ks.verify_coloring(problem, assignment)
     except ValueError as exc:
         raise ValueError(f"{args.coloring}: {exc}") from None
-    print("VALID" if ok else "INVALID")
     return {"schema": "ks/v1", "valid": bool(ok), "claims": [_claim(
         "coloring_valid", ok, f"{args.coloring} {'marks' if ok else 'fails to mark'} exactly "
         f"one ray in every basis of {size}")]}
@@ -467,10 +453,12 @@ def cmd_report(args, manifest: Manifest) -> dict:
             if not isinstance(claims, list):
                 raise TypeError(f"expected a list, got a {type(claims).__name__}")
             for c in claims:
-                if field(c, "status") not in CLAIM_STATUSES:
+                # status is read last, so it is the field named when its check fails
+                c = {key: field(c, key) for key in ("claim", "why", "status")}
+                if c["status"] not in CLAIM_STATUSES:
                     raise ValueError(f"unknown status {c['status']!r}, "
                                      f"expected one of {list(CLAIM_STATUSES)}")
-                lines.append(f"  {c['status']:7} {field(c, 'claim')}: {field(c, 'why')}")
+                lines.append("  " + _claim_line(c))
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             why = "missing" if isinstance(exc, KeyError) else f"malformed: {exc}"
             raise ValueError(f"{path}: {schema} report field {last[0]!r} is {why}") from None
@@ -612,7 +600,10 @@ def dispatch(argv: list[str]) -> int:
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    failed = [c["why"] for c in report.get("claims", []) if c["status"] == "fail"]
+    claims = report.get("claims", [])
+    for c in claims:
+        print(_claim_line(c))
+    failed = [c["why"] for c in claims if c["status"] == "fail"]
     if failed:
         print("CHECK FAILED: " + "; ".join(failed), file=sys.stderr)
     for attr in ("out", "json", "csv"):

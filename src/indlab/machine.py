@@ -655,15 +655,6 @@ def prog_literal(data: Sequence[int]) -> Bits:
     return assemble((OP_LITN, data), (OP_HALT,))
 
 
-def prog_constant(bit: int, n: int) -> Bits:
-    """n copies of one bit via an output-capped loop."""
-    (bit,) = _as_bits((bit,), "constant bit")
-    if n == 0:
-        return assemble((OP_HALT,))
-    # 0: HALTAT n | 1: OUT bit | 2: JMP -> 1
-    return assemble((OP_HALTAT, n), (OP_OUT0 + bit,), (OP_JMP, 0, 2))
-
-
 def prog_periodic(pattern: Sequence[int], n: int) -> Bits:
     """Pattern repeated (and truncated) to exactly n bits."""
     pattern = _as_bits(pattern, "pattern bits")

@@ -140,9 +140,10 @@ def k_upper_bound(
     """Best witnessed upper bound on the description length of sigma.
 
     Tries the literal encoding, generator encodings for recognized structure
-    (constant, periodic, counter-concatenation a.k.a. Champernowne), and,
-    when a (max_len, max_steps) budget is supplied, exhaustive search; a
-    max_len above EXACT_SEARCH_MAX_LEN is rejected before any search.  The
+    (periodic, constant strings among them as period 1, and
+    counter-concatenation a.k.a. Champernowne), and, when a (max_len,
+    max_steps) budget is supplied, exhaustive search; a max_len above
+    EXACT_SEARCH_MAX_LEN is rejected before any search.  The
     shortest candidate wins, the first in that order on a tie; the literal
     and the periodic emitter, whose programs grow with sigma, are ranked by
     literal_bound and _periodic_bound and built only if they win.  The
@@ -161,13 +162,10 @@ def k_upper_bound(
     else:
         s = sigma.array.tobytes()
         candidates.append((literal_bound(n), "literal_encoding", partial(tm.prog_literal, s)))
-        if s.count(s[:1]) == n:
-            built(tm.prog_constant(s[0], n))
-        else:
-            p = _smallest_period(s)
-            if p is not None:
-                candidates.append((_periodic_bound(p, n), "generator_encoding",
-                                   partial(tm.prog_periodic, s[:p], n)))
+        p = _smallest_period(s)
+        if p is not None:
+            candidates.append((_periodic_bound(p, n), "generator_encoding",
+                               partial(tm.prog_periodic, s[:p], n)))
         text = sigma.to_text()
         for start_at_one in (False, True):
             head = champernowne_text(2, min(n, _CHAMPERNOWNE_HEAD), start_at_one)
@@ -209,7 +207,7 @@ def exact_k_small(
     if max_len > EXACT_SEARCH_MAX_LEN:
         raise ValueError(f"max_len {max_len} exceeds the tractability cap "
                          f"{EXACT_SEARCH_MAX_LEN}")
-    want = tuple(sigma)
+    want = sigma.array.tobytes()
     timeouts: list[int] = []
     best: Optional[tm.DomainEntry] = None
     walk = tm.enumerate_domain(max_len, max_steps, output_prefix=want, timeout_log=timeouts)
@@ -220,7 +218,7 @@ def exact_k_small(
         except StopIteration:
             break
         bound = None
-        if entry.output == want and (best is None or len(entry.program) < len(best.program)):
+        if bytes(entry.output) == want and (best is None or len(entry.program) < len(best.program)):
             best = entry
             bound = len(entry.program) - 1
     if best is None:

@@ -1,8 +1,8 @@
 """Finite symbol strings and reproducible prefix-consistent sequence sources.
 
-A sequence is never materialized as an infinite object: sources hand out
-finite prefixes, and for every deterministic source the prefix of length n
-is a prefix of the prefix of length m > n.
+A sequence is never materialized as an infinite object: a source computes
+the finite prefix it is asked for, and for every deterministic source the
+prefix of length n is a prefix of the prefix of length m > n.
 """
 
 from __future__ import annotations
@@ -154,12 +154,14 @@ def seeded_stream(seed: int) -> np.random.Generator:
 
 
 class SequenceSource:
-    """A stateful cursor over a (conceptually infinite) symbol sequence.
+    """A (conceptually infinite) symbol sequence named by its kind and parameters.
 
-    For a fixed kind and parameters (a born_sampler's seed among them) the
-    emitted prefixes are reproducible bit for bit, except for kind
-    "os_entropy".  Requesting n then m > n symbols yields an extension of
-    the first request.
+    prefix(n) computes the first n symbols afresh from the kind and its
+    parameters, so for a fixed kind and parameters (a born_sampler's seed
+    among them) every prefix is reproducible bit for bit and a prefix of
+    every longer one, except for kind "os_entropy", which draws anew on
+    each call.  A "file" source reads its path, unless of_file gave it the
+    symbols already read from there.
     """
 
     def __init__(self, kind: str, alphabet_size: int = 2, **parameters):
@@ -175,7 +177,7 @@ class SequenceSource:
         self.kind = kind
         self.alphabet_size = alphabet_size
         self.parameters = {**SOURCE_KEYWORDS[kind], **parameters}
-        self._cache = np.empty(0, dtype=np.int64)
+        self._read: SymbolString | None = None
         self._validate()
 
     def _validate(self) -> None:
@@ -197,39 +199,33 @@ class SequenceSource:
         """The "file" source of path, serving sigma, the symbols already read
         from it, without reading the file again."""
         source = cls("file", alphabet_size=sigma.alphabet_size, path=path)
-        source._cache = sigma.array
+        source._read = sigma
         return source
 
     def prefix(self, n: int) -> SymbolString:
         """The first n symbols of the sequence."""
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
-        if n > len(self._cache):
-            self._extend(n)
-        return SymbolString(self.alphabet_size, self._cache[:n])
-
-    def _extend(self, n: int) -> None:
         k = self.alphabet_size
         p = self.parameters
         if self.kind == "constant":
-            self._cache = np.full(n, p["symbol"], dtype=np.int64)
-        elif self.kind == "periodic":
-            self._cache = np.resize(np.array(p["pattern"], dtype=np.int64), n)
-        elif self.kind == "champernowne":
-            self._cache = champernowne(k, n, p["start_at_one"]).array
-        elif self.kind == "born_sampler":
-            self._cache = sample_indices(p["probs"], n, p["seed"])
-        elif self.kind == "file":
+            return SymbolString(k, np.full(n, p["symbol"], dtype=np.int64))
+        if self.kind == "periodic":
+            return SymbolString(k, np.resize(np.array(p["pattern"], dtype=np.int64), n))
+        if self.kind == "champernowne":
+            return champernowne(k, n, p["start_at_one"])
+        if self.kind == "born_sampler":
+            return SymbolString(k, sample_indices(p["probs"], n, p["seed"]))
+        if self.kind == "os_entropy":
+            return SymbolString(k, os_entropy_symbols(k, n))
+        sigma = self._read
+        if sigma is None or n > len(sigma):
             sigma = read_sequence_file(p["path"])
             if sigma.alphabet_size != k:
-                raise ValueError(
-                    f"file alphabet {sigma.alphabet_size} != source alphabet {k}"
-                )
+                raise ValueError(f"file alphabet {sigma.alphabet_size} != source alphabet {k}")
             if n > len(sigma):
                 raise ValueError(f"file holds {len(sigma)} symbols, {n} requested")
-            self._cache = sigma.array[:n]
-        elif self.kind == "os_entropy":
-            self._cache = np.append(self._cache, os_entropy_symbols(k, n - len(self._cache)))
+        return SymbolString(k, sigma.array[:n])
 
     def __repr__(self) -> str:
         return f"SequenceSource({self.kind!r}, k={self.alphabet_size}, {self.parameters})"

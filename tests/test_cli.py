@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 
 import pytest
 
@@ -200,6 +201,33 @@ def test_exit_2_iff_a_claim_failed(case, tmp_path, monkeypatch, capsys):
         failed = [c["why"] for c in claims if c["status"] == "fail"]
         assert code == (cli.EXIT_CHECK_FAILED if failed else cli.EXIT_OK), argv
         assert err == ("CHECK FAILED: " + "; ".join(failed) + "\n" if failed else ""), argv
+
+
+# a claim line as dispatch prints it; report's own lines are indented
+CLAIM_LINE = re.compile(r"^(pass|fail|skipped) +\S+: ", re.MULTILINE)
+
+
+@pytest.mark.parametrize("case", [None, *EXIT_2_CASES.values()],
+                         ids=["golden-runs", *EXIT_2_CASES])
+def test_stdout_ends_with_the_claims(case, tmp_path, monkeypatch, capsys):
+    """A run prints each claim of its report once, last, as report lists it;
+    generate, hv run, bell run and report print no claim line."""
+    monkeypatch.chdir(tmp_path)
+    runs = [argv for argv, _ in GOLDEN_RUNS]
+    if case:
+        files, argv, _, patch = case
+        _set_up(files, patch, monkeypatch)
+        runs = [argv]
+    for argv in runs:
+        cli.dispatch(argv)
+        out = capsys.readouterr().out
+        claims = []
+        if "--json" in argv:
+            with open(argv[argv.index("--json") + 1]) as f:
+                claims = json.load(f)["claims"]
+        assert bool(claims) != (argv[0] in ("generate", "report") or argv[1] == "run"), argv
+        assert len(CLAIM_LINE.findall(out)) == len(claims), (argv, out)
+        assert out.endswith("".join(cli._claim_line(c) + "\n" for c in claims)), (argv, out)
 
 
 def test_report_skips_manifests_but_rejects_other_schemas(tmp_path, monkeypatch):
@@ -717,32 +745,33 @@ GOLDEN_RUNS = [
     (["report", "--in", "q.json", "sig.json", "chsh.json", "--json", "report.json",
       "--csv", "report.csv"], 0),
 ]
-# the sha256 of each GOLDEN_RUNS command's stdout, in order
+# the sha256 of each GOLDEN_RUNS command's stdout, in order; the judging
+# runs' entries were pinned again when dispatch began printing their claims
 GOLDEN_STDOUT_SHA256 = [
     "a1652e63f63c004a1e69197085d70bf6bda708aed58925a415ae9397cfc587ba",
-    "ae48ac0c8298058f6f6bb39c9b0535fa21d039b293bb0547f844a355fbd7436a",
-    "f39a816d361d8072087df55dfa04a1e4bc61765f09719921529b9e835f7552e4",
+    "ea62a84ec488c4ed5532cba0ee5a4780fb7c1bbe5526ec9116a86087703ff097",
+    "ea03126a6f052a12666f09ee8fb4773f044ae309ca8a27a6666257cefcbd4967",
     "bfa29014aae39b97d5563110b8b64243e2b7c9cb897c54a27cef497614797a47",
-    "76433e1cdbca235fe4745058752d9551ba1f63d9f412862b81c2655858f73383",
+    "31b5570edb763286722a8dd416ae3043fb0491d5a0b16a8cc58ee70554b42fbe",
     "7024332a8d4e54aad482ab7c9457c02ded990b820006be595725315735649b57",
     "b59af008cc1e1fa23f7e5fc1f27a7a78eae7826bcad26f2c4276ce7984f344d0",
     "7a4cee6438dfa9f56b3258cc8c086ee852e342b563d169c2feadeed0160ce6a4",
-    "93edfa6dc1e38d2bdedc61d47e2e216b9d5d70c08c0afc43f52cab69f61c0dd8",
+    "81be6a5d101202bac9498679cacdab8def3fb6e30bebbb6c5f5553d42b34110c",
     "2d167922cca2bd7fe45523e301a36d159717889669516c31bbadab496b2431ef",
-    "fb34c6c4ad5cb5479ac855da1dc9aaacfc40cc2e011bc6d62967476069273c1e",
+    "3dfa0baa8f69e1bc7b431dabba6cd1db706cc94378776fa7bae7342074d01c60",
     "9c9690eb87fbafbbd6ad980ec3858268cbf3120151525dcc2afaf41f32bfea1a",
-    "a058135def6f471063b3b2d7fb6f68b9f129676b167fba16daac996f2e6ab3fc",
+    "758afdb3e8ddb4d5fda3b48ed5ff282749f96c7937f18d8e21d3aa64924a1cb9",
     "78f22ff227d420003a8067062eea4ae3ed35fd06960cffee60bd6b98850508d3",
     "b6d7be244efa790a97506514fafb33f1b51e18b5ffb6bfd0dd4018284aa9fc1d",
-    "58738c7359f9e4209b8362d166dce15bf246dbb52ca55f18d03fefbd91875b1d",
-    "3a3ec1c089e27254c8356ab6507bb5130aa26e2fd5aff397747734eea4c1b320",
-    "2b44f38b7e8fdf211b1f42be08159def94988dfd821032ca91e1f0d3cee50856",
-    "33f0e89d1b9567c4782713039105d9e08c7ea9d02a23f0dfa6f027c993e16bec",
-    "83e4e2f6a64f4d645e6eba35abe2f0dfc82838c868da5ee684717aa4227f1247",
+    "4acae8e298b69ce5097e320da36d42ae930d2131c2f026cb8920a148fc2b9cfa",
+    "12b95fe03a761abf08a181f49949ad94e5d98e5e0f2f62df01f6a19d4011b524",
+    "fc93a7194f86e4d3f50885cad175904af9a864e80ee0352d7a56b26712327692",
+    "4570181539917f55bc433d2482df198f1b3adab77114067f34ad7c6109b06af9",
+    "f501beed11cd68de4a26bbda40b9acd3fd846d37e71aa5f2b7a9ce066bad5954",
     "f29e64535a02bca0eacc9cc5796afe0d25ed167b392f7a524171d2d601d9e9da",
-    "f8be393dd93845c86184376bd744d5e3a71d1c400e62bd83a4e5b41f294fad75",
+    "6cb5d384547710227a867dee5dfc0536f3d8da018db11b08e82ce72e7ec2325b",
     "286c33d0a2b9f1be319a5feaae2d4e9cc19f4e2404a872296ef9a31348910c7e",
-    "1c694a4463129e73c928112a4802ad72fafdd5333df12c6a2a7e91f2932d9e8e",
+    "98dd730d1646f405b6373b8c4c40edd4c02097887805eca2a491533de25190ba",
     # report lists its inputs' claims: the one stdout that moved with them
     "58f00ea42e3ec9bcdee8495ad86cad1a6aeded92ab821eadccf4a8fd8e61437c",
 ]

@@ -110,7 +110,8 @@ class TestFrozenPrograms:
     the per-opcode encoders that assemble replaced."""
 
     def test_constant(self):
-        assert programs_digest(tm.prog_constant(b, n) for b in (0, 1) for n in GRID_N) \
+        # the constant emitter is the periodic one on a one-bit pattern
+        assert programs_digest(tm.prog_periodic((b,), n) for b in (0, 1) for n in GRID_N) \
             == "e203564e8c3ee59f7badcd0a6751fc6a4ed5567f3052be3b9416a98f721ebdd4"
 
     def test_periodic(self):
@@ -137,7 +138,7 @@ class TestRunMachine:
 
     def test_emit_zero_four_times(self):
         # the bundled constant emitter, frozen from one canonical run
-        res = tm.run_machine(tm.prog_constant(0, 4), 1000)
+        res = tm.run_machine(tm.prog_periodic((0,), 4), 1000)
         assert res.status == "halted"
         assert res.output == (0, 0, 0, 0)
 
@@ -163,11 +164,11 @@ class TestRunMachine:
     @pytest.mark.parametrize("value", [7.5, "5", -1], ids=["float", "str", "negative"])
     @pytest.mark.parametrize("name", ["max_steps", "output_limit"])
     def test_budget_not_an_integer_rejected(self, name, value):
-        # a max_steps of 7.5 let prog_constant(0, 4) halt after 8 steps, where
+        # a max_steps of 7.5 let prog_periodic((0,), 4) halt after 8 steps, where
         # 7 times out, and "5" raised a bare TypeError from a comparison
         budget = {"max_steps": 1000, name: value}
         with pytest.raises(ValueError) as error:
-            tm.run_machine(tm.prog_constant(0, 4), **budget)
+            tm.run_machine(tm.prog_periodic((0,), 4), **budget)
         assert str(error.value) == f"{name} must be an integer >= 0, got {value!r}"
 
     def test_bad_bits_rejected(self):
@@ -200,12 +201,6 @@ class TestRunMachine:
         with pytest.raises(ValueError, match="pattern bits must be 0/1, got 2$"):
             tm.prog_periodic((0, 2), 6)
 
-    @pytest.mark.parametrize("n", [0, 3])
-    def test_malformed_constant_bit_is_named(self, n):
-        # a bit of 5 used to be read as 1
-        with pytest.raises(ValueError, match="constant bit must be 0/1, got 5$"):
-            tm.prog_constant(5, n)
-
     def test_integer_bits_of_any_type_are_plain_ints(self):
         program = tm.prog_literal((True, False, True))
         assert program == tm.prog_literal((1, 0, 1))
@@ -213,7 +208,7 @@ class TestRunMachine:
 
     def test_consumed_prefix_reproduces_output(self):
         # prefix-freeness witness: rerun exactly the consumed bits
-        program = tm.prog_constant(1, 3) + (1, 0, 1)  # trailing junk
+        program = tm.prog_periodic((1,), 3) + (1, 0, 1)  # trailing junk
         res = tm.run_machine(program, 1000)
         assert res.halted and res.bits_consumed == len(program) - 3
         again = tm.run_machine(program[: res.bits_consumed], 1000)
@@ -352,7 +347,7 @@ class TestPublicEdge:
                      id="run_machine-output"),
         pytest.param(lambda: tm.run_machine(tm.prog_literal((1, 0, 1)), 100).output,
                      id="run_machine-literal-output"),
-        pytest.param(lambda: tm.run_machine(tm.prog_constant(1, 4), 3).output,
+        pytest.param(lambda: tm.run_machine(tm.prog_periodic((1,), 4), 3).output,
                      id="run_machine-timeout-output"),
         pytest.param(lambda: next(tm.enumerate_domain(8, 100)).program,
                      id="DomainEntry-program"),
@@ -362,7 +357,6 @@ class TestPublicEdge:
         pytest.param(lambda: tm.gamma0_encode(5), id="gamma0_encode"),
         pytest.param(lambda: tm.prog_literal(b"\1\0"), id="prog_literal"),
         pytest.param(lambda: tm.prog_periodic(b"\1\0", 9), id="prog_periodic"),
-        pytest.param(lambda: tm.prog_constant(1, 9), id="prog_constant"),
         pytest.param(lambda: tm.prog_champernowne(9), id="prog_champernowne"),
         pytest.param(lambda: rl.k_upper_bound(sq.bits("0110100110010110")).witness,
                      id="k_upper_bound-witness"),
@@ -389,7 +383,7 @@ class TestGeneratorPrograms:
 
     @given(st.integers(0, 1), st.integers(0, 300))
     def test_constant_program(self, bit, n):
-        res = tm.run_machine(tm.prog_constant(bit, n), 4 * n + 64)
+        res = tm.run_machine(tm.prog_periodic((bit,), n), 4 * n + 64)
         assert res.halted and res.output == (bit,) * n
 
     @settings(max_examples=40)
@@ -1085,7 +1079,7 @@ SEEDED_BITS = tuple(random.Random(3554).choices((0, 1), k=10_000))
 LONG_PROGRAMS = {
     "champernowne": tm.prog_champernowne(10_000),
     "periodic": tm.prog_periodic((0, 1, 1), 10_000),
-    "constant": tm.prog_constant(1, 10_000),
+    "constant": tm.prog_periodic((1,), 10_000),
     "literal": tm.prog_literal(SEEDED_BITS),
 }
 

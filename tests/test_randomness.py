@@ -74,7 +74,9 @@ def reference_k_upper_bound(sigma):
         return tm.assemble((tm.OP_HALT,)), "generator_encoding"
     candidates = [(tm.prog_literal(syms), "literal_encoding")]
     if all(s == syms[0] for s in syms):
-        candidates.append((tm.prog_constant(syms[0], n), "generator_encoding"))
+        # 0: HALTAT n | 1: OUT bit | 2: JMP -> 1
+        constant = tm.assemble((tm.OP_HALTAT, n), (tm.OP_OUT0 + syms[0],), (tm.OP_JMP, 0, 2))
+        candidates.append((constant, "generator_encoding"))
     elif (p := half_period(syms)) is not None:
         candidates.append((tm.prog_periodic(syms[:p], n), "generator_encoding"))
     for start_at_one in (False, True):
@@ -256,6 +258,19 @@ class TestExactK:
         # a big enough budget resolves everything and finds the true 12
         assert rl.exact_k_small(sq.bits("00"), 13, 100).kind == "exact"
         assert rl.exact_k_small(sq.bits("00"), 13, 100).value == 12
+
+    def test_memory_peak_at_a_million_bits(self):
+        # the search compares outputs with sigma's bytes: with a list and a
+        # tuple of 10^6 ints as the output prefix the peak was 15.3 MiB
+        sigma = fair_coin(10**6, seed=5)
+        tracemalloc.start()
+        try:
+            found = rl.exact_k_small(sigma, 16, 10**4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(found, rl.NoProgramCertificate)
+        assert peak <= 4 * 2**20, peak / 2**20
 
 
 def every_string(max_bits):
