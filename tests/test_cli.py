@@ -744,6 +744,12 @@ GOLDEN_RUNS = [
     (["bell", "analyze", "--in", "chsh.csv", "--functional", "chsh", "--json", "chsh.json"], 0),
     (["report", "--in", "q.json", "sig.json", "chsh.json", "--json", "report.json",
       "--csv", "report.csv"], 0),
+    # omega and the KS search and verifier, frozen with the recursive search
+    (["omega", "--max-len", "12", "--steps", "1000", "--json", "omega.json"], 0),
+    (["ks", "search", "--rays", "peres33.rays", "--json", "peres.json"], 0),
+    (["ks", "search", "--rays", "demo_colorable.rays", "--json", "demo.json"], 0),
+    (["ks", "verify", "--rays", "demo_colorable.rays", "--coloring", "demo.json",
+      "--json", "demo_verify.json"], 0),
 ]
 # the sha256 of each GOLDEN_RUNS command's stdout, in order; the judging
 # runs' entries were pinned again when dispatch began printing their claims
@@ -774,6 +780,10 @@ GOLDEN_STDOUT_SHA256 = [
     "98dd730d1646f405b6373b8c4c40edd4c02097887805eca2a491533de25190ba",
     # report lists its inputs' claims: the one stdout that moved with them
     "58f00ea42e3ec9bcdee8495ad86cad1a6aeded92ab821eadccf4a8fd8e61437c",
+    "91ea61462eea7a99b3793538f1765434771d2c54d8f592fbcbdeb89579f73099",
+    "ee4e93a29fd2c985fb0004768cd10a5807249ce1fbc74293a111635bb0084f0c",
+    "ad646612a99f8df1e9ba7972e90ab8b8d8aa141966f70fa309530418530f3d69",
+    "58ba7a4fa964535e45924806cdeb614d1a47bde04b49ad5fcc5c81a25e791aac",
 ]
 GOLDEN_SHA256 = {
     "born16.json": "e0017fa2f321c4e18c7e72a50019a8e61f198497cee9e2f48aea648997d8ef02",
@@ -789,12 +799,16 @@ GOLDEN_SHA256 = {
     "coin.seq": "8ec6a5dc387fbf73a3f26bbd7943bd97f3aaf7ca992d4267b275e8e7cb19eee9",
     "constant.k.json": "f0b5c9929dc0ad7cdb885fc9de486ce1e0dfc5a66a375c27cd9446d8f5a11096",
     "constant.seq": "0f57a37c663826561f92896455b57203774b3d239f080616f5b8e82c3d5aa683",
+    "demo.json": "eec3745e9bb161842a7c9830680e49c7fcb50e4b5751d10795956c99ebafb434",
+    "demo_verify.json": "5e711c9cb77a06e1464e2642920e51b7964e9ef3611afa1b7bde7402bfcf576c",
     "hv_alt.seq": "8f6c2bd55fdc6c616150f2664ee1d16a13191c7953d9b8f4d96343209b0db1e1",
     "hv_bias.json": "be236340dcd04889d95da4d4fe8bed5839f65bf7946723b97f494d9f43b250e8",
     "hv_constant.json": "297a6b061c99f69b68eacc08f4981c9a93d7f5524db023e2c072fce270b766af",
     "hv_counter.json": "f8c8209bf98779ac88bd5309c0fe8c3fbd2c3de0e72492b30beb845d00705a33",
     "hv_prng.json": "c1e81be4e0ef39c2c38af549759eeb47b49df9ab746bd78e73fa8303ffa5f2b1",
     "hv_replay.seq": "8ec6a5dc387fbf73a3f26bbd7943bd97f3aaf7ca992d4267b275e8e7cb19eee9",
+    "omega.json": "75d4b062c73c2038d7a40a319f5e86c35c132a2c4d9fd8645de8fcf315b58d5d",
+    "peres.json": "15989e1974fdc17786bc16a191c968f3de745bc094661b358d6baae662dcff20",
     "periodic.k.json": "568defa2af9ed910d3575a4475e56ca0c182db8a5144f6399966e2c8fb0783d1",
     "periodic.seq": "4605d4caf5c917968193cea2a6ba738db73b731bf376d091f46f1466be1e55c4",
     "q.csv": "d0e632dbcec639368d6408c641bb3bd192acd78af271a9bfef536dc1ae9d5a12",
