@@ -12,6 +12,7 @@ import collections
 import itertools
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +21,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CapacityError
 from .randomness import _z_check
 from .sequences import seeded_stream
 
@@ -146,13 +146,10 @@ class LocalDeterministicStrategy:
     response_l: tuple[int, ...]
     response_r: tuple[int, ...]
 
-    def value(self, functional: MismatchFunctional, settings: SettingSet) -> Fraction:
-        total = Fraction(0)
-        for coeff, a, b in functional.terms:
-            mismatch = self.response_l[settings.index(a)] != self.response_r[settings.index(b)]
-            if mismatch:
-                total += coeff
-        return total
+    def __post_init__(self):
+        for r in (*self.response_l, *self.response_r):
+            if isinstance(r, bool) or not isinstance(r, numbers.Integral) or r not in (0, 1):
+                raise ValueError(f"strategy response {r!r} is not 0 or 1 in {self}")
 
 
 def local_bound_bruteforce(
@@ -168,7 +165,7 @@ def local_bound_bruteforce(
     """
     s = len(settings)
     if s > MAX_SETTINGS:
-        raise CapacityError(f"{s} settings exceeds the {MAX_SETTINGS}-setting cap")
+        raise ValueError(f"{s} settings exceeds the {MAX_SETTINGS}-setting cap")
     terms_by_b: dict[int, list[tuple[Fraction, int]]] = {}
     for coeff, a, b in functional.terms:
         terms_by_b.setdefault(settings.index(b), []).append((coeff, settings.index(a)))
@@ -251,6 +248,9 @@ def run_bipartite(
         weights = np.asarray([w for w, _ in hv_ensemble], dtype=float)
         if abs(weights.sum() - 1.0) > 1e-9 or np.any(weights < 0):
             raise ValueError("ensemble weights must form a distribution")
+        for _, st in hv_ensemble:
+            if not len(st.response_l) == len(st.response_r) == s:
+                raise ValueError(f"{st} does not give one response per setting of {s}")
         lam = gen.choice(len(hv_ensemble), size=n_trials, p=weights / weights.sum())
         l_tables = np.asarray([st.response_l for _, st in hv_ensemble], dtype=np.int64)
         r_tables = np.asarray([st.response_r for _, st in hv_ensemble], dtype=np.int64)

@@ -14,8 +14,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError
-
 HERMITIAN_TOL = 1e-12
 MEASURE_TOL = 1e-10
 TENSOR_CAP = 4096
@@ -192,9 +190,7 @@ def equivalence_check(omega1: State, a: Observable, n: int) -> EquivalenceReport
     if omega1.dim != a.dim:
         raise ValueError("state and observable dimensions differ")
     if a.dim**n > TENSOR_CAP:
-        raise CapacityError(
-            f"tensor power dimension {a.dim}^{n} exceeds cap {TENSOR_CAP}"
-        )
+        raise ValueError(f"tensor power dimension {a.dim}^{n} exceeds cap {TENSOR_CAP}")
     probs = np.asarray(born_measure(omega1, a).probabilities)
     prod = reduce(np.multiply.outer, [probs] * n)
     joint = _tensor_power_probabilities(omega1, spectral_decompose(a).projections, n)

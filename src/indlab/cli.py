@@ -148,7 +148,7 @@ def cmd_generate(args, manifest: Manifest) -> None:
             "champernowne", alphabet_size=args.base, start_at_one=args.start_at_one
         )
     elif args.kind == "constant":
-        source = sq.SequenceSource("constant", alphabet_size=args.base, symbol=args.symbol)
+        source = sq.SequenceSource("periodic", alphabet_size=args.base, pattern=(args.symbol,))
     elif args.kind == "periodic":
         pattern = _parse_list("--pattern", args.pattern, int)
         source = sq.SequenceSource("periodic", alphabet_size=args.base, pattern=pattern)
@@ -224,7 +224,7 @@ def cmd_komplexity(args, manifest: Manifest) -> dict:
             search = {
                 "no_program_within": exact.max_len,
                 "steps": exact.max_steps,
-                "unresolved_timeouts": exact.unresolved_timeouts,
+                "unresolved_timeouts": len(exact.unresolved_bits_consumed),
             }
         search["unresolved_bits_consumed"] = list(exact.unresolved_bits_consumed)
         out["exact_search"] = search
@@ -234,17 +234,16 @@ def cmd_komplexity(args, manifest: Manifest) -> dict:
 def cmd_omega(args, manifest: Manifest) -> dict:
     est = rl.omega_lower_bound(args.max_len, args.steps)
     violations = rl.prefix_free_violations(est.programs)
-    out = {
+    return {
         "schema": "randlab/v1",
         "omega_lower_bound": est.lower_bound,
-        "programs_found": est.programs_found,
+        "programs_found": len(est.programs),
         "budget": {"max_len": est.search_budget[0], "max_steps": est.search_budget[1]},
         "prefix_free_violations": len(violations),
         "claims": [_claim("prefix_free", not violations,
-                          f"omega >= {est.lower_bound} from {est.programs_found} halting "
+                          f"omega >= {est.lower_bound} from {len(est.programs)} halting "
                           f"programs, {len(violations)} proper-prefix pairs among them")],
     }
-    return out
 
 
 def _load_sampler(args) -> hv.Sampler:

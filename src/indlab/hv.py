@@ -25,7 +25,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import machine as tm
-from .errors import ContractViolationError
 # k_upper_bound stays bound here: bench/tracer.py wraps it on every module
 # that names it, and bench/test_bench.py reads hv.k_upper_bound.
 from .randomness import incompressibility_flag, k_upper_bound, levin_chaitin_margin
@@ -184,17 +183,13 @@ class Sampler:
         if self.kind == "seeded_prng":
             probs = self.params.get("probs") or model.mu
             if len(probs) != m:
-                raise ContractViolationError(
-                    f"sampler distribution covers {len(probs)} states, space has {m}"
-                )
+                raise ValueError(f"sampler distribution covers {len(probs)} states, space has {m}")
             return sample_indices(probs, n, self.params["seed"])
         if self.kind == "external_entropy":
             return os_entropy_symbols(m, n)
         sigma = read_sequence_file(self.params["path"])
         if len(sigma) < n:
-            raise ContractViolationError(
-                f"recorded trace holds {len(sigma)} states, {n} requested"
-            )
+            raise ValueError(f"recorded trace holds {len(sigma)} states, {n} requested")
         return sigma.array[:n]
 
     def describe(self) -> dict:
@@ -208,7 +203,7 @@ def run_model(model: HVModel, h: Sampler, n: int) -> SymbolString:
     lam = h.states(model, n)
     if len(lam) and (lam.min() < 0 or lam.max() >= model.space.size):
         bad = lam[(lam < 0) | (lam >= model.space.size)][0]
-        raise ContractViolationError(
+        raise ValueError(
             f"sampler emitted state {bad} outside the space of size {model.space.size}"
         )
     gmap = np.asarray(model.outcome_map, dtype=np.int64)

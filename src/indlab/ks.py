@@ -298,28 +298,29 @@ def _choose_ray(colors: list[int], bases: list[tuple[int, int, int]]) -> int:
 
 def search_coloring(problem: ColoringProblem) -> ColoringResult:
     """Complete backtracking with exactly-one constraint propagation; stops
-    at the first coloring in trace order."""
-    stats = SearchStats()
+    at the first coloring in trace order.
 
-    def rec(state: list[int], depth: int) -> Optional[tuple[int, ...]]:
+    The depth-first search runs from an explicit stack, so a problem that
+    needs one level per ray (a ray in no basis costs a level too) is not
+    bounded by the interpreter's recursion limit.  Each node pushes its 0
+    child and then its 1 child, so 1 is tried first.
+    """
+    stats = SearchStats()
+    stack = [([-1] * len(problem.rays), 0)]
+    while stack:
+        work, depth = stack.pop()
         stats.nodes += 1
         stats.max_depth = max(stats.max_depth, depth)
-        work = state[:]
         if not _propagate(work, problem.bases):
-            return None
+            continue
         if -1 not in work:
-            return tuple(work)
+            return ColoringResult("colored", tuple(work), stats)
         idx = _choose_ray(work, problem.bases)
-        for value in (1, 0):
+        for value in (0, 1):
             child = work[:]
             child[idx] = value
-            found = rec(child, depth + 1)
-            if found is not None:
-                return found
-        return None
-
-    assignment = rec([-1] * len(problem.rays), 0)
-    return ColoringResult("unsat" if assignment is None else "colored", assignment, stats)
+            stack.append((child, depth + 1))
+    return ColoringResult("unsat", None, stats)
 
 
 def verify_coloring(problem: ColoringProblem, assignment: Sequence[int]) -> bool:

@@ -66,17 +66,12 @@ class NoProgramCertificate:
     max_steps: int
     unresolved_bits_consumed: tuple[int, ...]
 
-    @property
-    def unresolved_timeouts(self) -> int:
-        return len(self.unresolved_bits_consumed)
-
 
 @dataclass(frozen=True)
 class OmegaEstimate:
     """Exact dyadic lower bound on the machine's halting probability."""
 
     lower_bound: Fraction
-    programs_found: int
     search_budget: tuple[int, int]  # (max program length, max steps)
     programs: tuple[tm.Bits, ...] = field(repr=False)
 
@@ -326,8 +321,7 @@ def omega_lower_bound(max_len: int, max_steps: int) -> OmegaEstimate:
         programs.append(entry.program)
     if total >= 1 << max_len:
         raise AssertionError("Kraft sum reached 1: prefix-freeness is broken")
-    return OmegaEstimate(Fraction(total, 1 << max_len), len(programs),
-                         (max_len, max_steps), tuple(programs))
+    return OmegaEstimate(Fraction(total, 1 << max_len), (max_len, max_steps), tuple(programs))
 
 
 def prefix_free_violations(programs: Sequence[tm.Bits]) -> list[tuple[tm.Bits, tm.Bits]]:

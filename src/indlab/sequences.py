@@ -17,11 +17,11 @@ import numpy as np
 SEQ_SCHEMA = "seq/v1"
 
 # The keywords each source kind reads, with their defaults; a file source
-# has no default path.
+# has no default path.  A constant sequence is the periodic one of a
+# one-symbol pattern.
 SOURCE_KEYWORDS = {
     "born_sampler": {"probs": (0.5, 0.5), "seed": 0},
     "champernowne": {"start_at_one": False},
-    "constant": {"symbol": 0},
     "periodic": {"pattern": ()},
     "file": {"path": None},
     "os_entropy": {},
@@ -85,11 +85,6 @@ class SymbolString:
             return SymbolString(k, np.frombuffer(text.encode(), np.uint8) - ord("0"))
         tokens = text.split(",") if text else []
         return SymbolString(k, np.array(tokens, dtype=str).astype(np.int64))
-
-
-def bits(text: str) -> SymbolString:
-    """Shorthand for a base-2 SymbolString from a literal like "0110"."""
-    return SymbolString.from_text(text, 2)
 
 
 def champernowne_text(base: int, n: int, start_at_one: bool = False) -> str:
@@ -182,9 +177,7 @@ class SequenceSource:
 
     def _validate(self) -> None:
         p = self.parameters
-        if self.kind == "constant":
-            SymbolString(self.alphabet_size, (p["symbol"],))
-        elif self.kind == "periodic":
+        if self.kind == "periodic":
             p["pattern"] = tuple(SymbolString(self.alphabet_size, p["pattern"]))
             if not p["pattern"]:
                 raise ValueError("periodic source requires a non-empty pattern")
@@ -208,8 +201,6 @@ class SequenceSource:
             raise ValueError(f"n must be >= 0, got {n}")
         k = self.alphabet_size
         p = self.parameters
-        if self.kind == "constant":
-            return SymbolString(k, np.full(n, p["symbol"], dtype=np.int64))
         if self.kind == "periodic":
             return SymbolString(k, np.resize(np.array(p["pattern"], dtype=np.int64), n))
         if self.kind == "champernowne":

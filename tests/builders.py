@@ -1,10 +1,19 @@
-"""Builders that only tests call: the gamma0 code length, the hv model
-writer and the unbounded exact-K search.  Test programs are written with
+"""Builders that only tests call: base-2 literals, the gamma0 code length,
+the hv model writer, the unbounded exact-K search and the value of one
+deterministic Bell strategy.  Test programs are written with
 machine.assemble."""
+
+from fractions import Fraction
 
 from indlab import hv
 from indlab import machine as tm
 from indlab import randomness as rl
+from indlab import sequences as sq
+
+
+def bits(text: str) -> sq.SymbolString:
+    """A base-2 SymbolString from a literal like "0110"."""
+    return sq.SymbolString.from_text(text, 2)
 
 
 def gamma0_length(n: int) -> int:
@@ -35,3 +44,14 @@ def unbounded_exact_k_small(sigma, max_len, max_steps):
     blocking = tuple(sorted(c for c in timeouts if c < found_len))
     return rl.ComplexityEstimate(found_len, "upper_bound" if blocking else "exact",
                                  best.program, "exhaustive", blocking)
+
+
+def strategy_value(strategy, functional, settings) -> Fraction:
+    """The functional on one deterministic strategy: the sum of the
+    coefficients of the terms whose two responses differ.  The oracle for
+    bell.local_bound_bruteforce."""
+    total = Fraction(0)
+    for coeff, a, b in functional.terms:
+        if strategy.response_l[settings.index(a)] != strategy.response_r[settings.index(b)]:
+            total += coeff
+    return total

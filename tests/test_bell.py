@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from indlab import bell
-from indlab.errors import CapacityError
+
+from builders import strategy_value
 
 RNG = np.random.Generator(np.random.Philox(key=[77, 0]))
 
@@ -26,7 +27,7 @@ def local_bound_enumerate_all(settings, functional):
     strategies examined)."""
     s = len(settings)
     if s > 8:
-        raise CapacityError("oracle enumeration limited to 8 settings")
+        raise ValueError("oracle enumeration limited to 8 settings")
     best = None
     count = 0
     for l_bits in iter_product((0, 1), repeat=s):
@@ -34,7 +35,8 @@ def local_bound_enumerate_all(settings, functional):
             count += 1
             if functional.perfect_correlation and l_bits != r_bits:
                 continue
-            v = bell.LocalDeterministicStrategy(l_bits, r_bits).value(functional, settings)
+            strategy = bell.LocalDeterministicStrategy(l_bits, r_bits)
+            v = strategy_value(strategy, functional, settings)
             if best is None or v > best:
                 best = v
     return best, count
@@ -75,7 +77,7 @@ class TestLocalBound:
         f = bell.default_functional()
         bound, witness = bell.local_bound_bruteforce(f.settings(), f)
         assert bound == Fraction(0)
-        assert witness.value(f, f.settings()) == bound
+        assert strategy_value(witness, f, f.settings()) == bound
 
     def test_oracle_agreement_default(self):
         f = bell.default_functional()
@@ -89,7 +91,7 @@ class TestLocalBound:
         f = bell.MismatchFunctional(bell.default_functional().terms, "raw")
         bound, witness = bell.local_bound_bruteforce(f.settings(), f)
         assert bound == Fraction(1)
-        assert witness.value(f, f.settings()) == 1
+        assert strategy_value(witness, f, f.settings()) == 1
 
     def test_single_term_maximum_one(self):
         f = bell.MismatchFunctional(((Fraction(1), 0.0, 30.0),))
@@ -122,7 +124,7 @@ class TestLocalBound:
     def test_capacity(self):
         settings = bell.SettingSet(tuple(float(i) for i in range(17)))
         f = bell.MismatchFunctional(((Fraction(1), 0.0, 1.0),))
-        with pytest.raises(CapacityError):
+        with pytest.raises(ValueError, match="17 settings exceeds the 16-setting cap"):
             bell.local_bound_bruteforce(settings, f)
 
     def test_mixture_closure(self):
@@ -138,7 +140,7 @@ class TestLocalBound:
             w = RNG.random(len(strategies))
             w /= w.sum()
             value = sum(
-                wi * float(s.value(f, settings)) for wi, s in zip(w, strategies)
+                wi * float(strategy_value(s, f, settings)) for wi, s in zip(w, strategies)
             )
             assert value <= float(bound) + 1e-12
 
@@ -206,6 +208,30 @@ class TestRunBipartite:
             bell.run_bipartite(
                 "hv", bell.DEFAULT_SETTINGS, 10, seed=1, hv_ensemble=[(0.7, strat)]
             )
+
+
+    @pytest.mark.parametrize("response", [2, -1, 1.0, True, "1"])
+    def test_a_response_other_than_0_or_1_is_rejected(self, response):
+        # a response of 2 would run as alpha = 2, into a CSV bell's own loader rejects
+        with pytest.raises(ValueError, match=f"strategy response {response!r} is not 0 or 1"):
+            bell.LocalDeterministicStrategy((0, response, 1), (0, 1, 1))
+        with pytest.raises(ValueError, match=f"response {response!r} is not 0 or 1"):
+            bell.LocalDeterministicStrategy((0, 1, 1), (response, 1, 1))
+
+    @pytest.mark.parametrize("responses", [
+        [((0, 1), (0, 1))],  # fewer responses than settings
+        [((0, 1, 0, 1), (0, 1, 0, 1))],  # more: the extra ones would go unread
+        [((0, 1, 0), (0, 1, 0)), ((0, 1), (0, 1))],  # a ragged ensemble
+        [((0, 1, 0), (0, 1))],  # the wings disagree
+    ], ids=["fewer", "more", "ragged", "uneven-wings"])
+    def test_a_strategy_must_answer_each_setting_once(self, responses):
+        ensemble = [(1 / len(responses), bell.LocalDeterministicStrategy(left, right))
+                    for left, right in responses]
+        left, right = responses[-1]
+        with pytest.raises(ValueError, match=re.escape(
+                f"LocalDeterministicStrategy(response_l={left}, response_r={right}) "
+                "does not give one response per setting of 3")):
+            bell.run_bipartite("hv", bell.DEFAULT_SETTINGS, 10, seed=1, hv_ensemble=ensemble)
 
 
 class TestNoSignaling:

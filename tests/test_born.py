@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from indlab import born
-from indlab.errors import CapacityError
 
 RNG = np.random.Generator(np.random.Philox(key=[2024, 0]))
 
@@ -200,7 +199,7 @@ class TestEquivalence:
 
     def test_capacity(self):
         psi = random_vector_state(4)
-        with pytest.raises(CapacityError):
+        with pytest.raises(ValueError, match=r"dimension 4\^7 exceeds cap 4096"):
             born.equivalence_check(psi, random_hermitian(4), 7)
 
 

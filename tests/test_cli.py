@@ -9,9 +9,8 @@ from indlab import bell, cli, hv, ks
 from indlab import machine as tm
 from indlab import randomness as rl
 from indlab import sequences as sq
-from indlab.errors import CapacityError, ContractViolationError
 
-from builders import save_model
+from builders import bits, save_model
 from bundled import bundled_path, bundled_problem
 
 
@@ -21,7 +20,7 @@ def test_komplexity_rejects_exact_max_len_above_cap(tmp_path, monkeypatch):
 
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(tm, "enumerate_domain", no_search)
-    sq.write_sequence_file("x.seq", sq.bits("0110"))
+    sq.write_sequence_file("x.seq", bits("0110"))
     code = cli.dispatch(["komplexity", "--in", "x.seq", "--exact-max-len",
                          str(rl.EXACT_SEARCH_MAX_LEN + 1), "--json", "k.json"])
     assert code == cli.EXIT_USAGE
@@ -230,6 +229,21 @@ def test_stdout_ends_with_the_claims(case, tmp_path, monkeypatch, capsys):
         assert out.endswith("".join(cli._claim_line(c) + "\n" for c in claims)), (argv, out)
 
 
+def test_ks_search_needs_no_recursion_per_ray(tmp_path, monkeypatch):
+    """1,200 rays in no basis take one search level each, more than the
+    interpreter's default recursion limit of 1,000 frames."""
+    monkeypatch.chdir(tmp_path)
+    with open("loose.rays", "w") as f:
+        f.write("rays/v1\n" + "".join(f"ray r{i} 1 {i} 0\n" for i in range(1200)))
+    assert cli.dispatch(["ks", "search", "--rays", "loose.rays", "--json", "s.json"]) \
+        == cli.EXIT_OK
+    with open("s.json") as f:
+        report = json.load(f)
+    assert (report["status"], report["nodes"], report["verified"]) == ("colored", 1201, True)
+    assert cli.dispatch(["ks", "verify", "--rays", "loose.rays", "--coloring", "s.json",
+                         "--json", "v.json"]) == cli.EXIT_OK
+
+
 def test_report_skips_manifests_but_rejects_other_schemas(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert cli.dispatch(["omega", "--max-len", "6", "--steps", "100", "--json", "o.json"]) \
@@ -296,6 +310,8 @@ def _one_error_line(capsys, *fragments) -> None:
      ("--probs: bad entry 'x'",)),
     (["generate", "--kind", "periodic", "--pattern", "0,x", "--n", "10", "--out", "x.seq"],
      ("--pattern: bad entry 'x'",)),
+    (["generate", "--kind", "constant", "--symbol", "2", "--n", "10", "--out", "x.seq"],
+     ("symbol 2 outside alphabet [0, 2)",)),
     (["bell", "run", "--settings", "0,x", "--n", "600", "--out", "b.csv"],
      ("--settings: bad entry 'x'",)),
     (["hv", "audit2", "--model", "parity4.json", "--bias", "0.5,y", "--n", "10000",
@@ -315,7 +331,8 @@ def _one_error_line(capsys, *fragments) -> None:
         "nan-setting", "omega-negative-steps", "champernowne-base-40", "hv-run-bias-counter",
         "hv-audit1-bias-alternating", "hv-audit2-bias-os", "checkpoints-not-int",
         "checkpoints-empty-entry", "checkpoints-descending", "fair-coin-with-kind",
-        "fair-coin-with-probs", "probs-not-float", "pattern-not-int", "settings-not-float",
+        "fair-coin-with-probs", "probs-not-float", "pattern-not-int", "constant-symbol-outside-alphabet",
+        "settings-not-float",
         "bias-not-float", "sampler-constant-no-colon", "sampler-constant-two-states",
         "sampler-constant-not-int", "sampler-file-no-path", "hv-model-empty-name",
         "ks-rays-empty-name"])
@@ -449,11 +466,6 @@ def test_bad_input_file_is_named(files, argv, fragments, tmp_path, monkeypatch, 
     assert sorted(os.listdir()) == sorted(files)
 
 
-def test_library_errors_are_value_errors():
-    assert all(issubclass(e, ValueError)
-               for e in (ContractViolationError, CapacityError))
-
-
 @pytest.mark.parametrize("extra,fragments", [
     (["--max-block", "0"], ("--max-block must be >= 1",)),
     (["--tests", "bogus"], ("unknown --tests ['bogus']",)),
@@ -480,7 +492,7 @@ def test_vacuous_analyze_is_a_usage_error(extra, fragments, tmp_path, monkeypatc
 def test_komplexity_names_the_timeouts_that_block_exact(steps, max_len, search, blocked,
                                                         tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    sq.write_sequence_file("x.seq", sq.bits("00"))
+    sq.write_sequence_file("x.seq", bits("00"))
     assert cli.dispatch(["komplexity", "--in", "x.seq", "--exact-max-len", max_len,
                          "--steps", steps, "--json", "k.json"]) == cli.EXIT_OK
     with open("k.json") as f:
@@ -489,7 +501,7 @@ def test_komplexity_names_the_timeouts_that_block_exact(steps, max_len, search, 
     assert out == search
     assert len(blocking) == blocked and blocking == sorted(blocking)
     assert blocking[:1] == [8][:blocked] and all(c < 13 for c in blocking)
-    exact = rl.exact_k_small(sq.bits("00"), int(max_len), int(steps))
+    exact = rl.exact_k_small(bits("00"), int(max_len), int(steps))
     assert tuple(blocking) == exact.unresolved_bits_consumed
 
 
@@ -510,7 +522,7 @@ def test_analyze_reads_its_input_once(tmp_path, monkeypatch):
 
 def test_komplexity_rejects_negative_steps(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    sq.write_sequence_file("x.seq", sq.bits("0110"))
+    sq.write_sequence_file("x.seq", bits("0110"))
     assert cli.dispatch(["komplexity", "--in", "x.seq", "--exact-max-len", "4",
                          "--steps", "-1", "--json", "k.json"]) == cli.EXIT_USAGE
     _one_error_line(capsys, "max_steps must be an integer >= 0, got -1")

@@ -6,9 +6,8 @@ import pytest
 
 from indlab import hv
 from indlab import sequences as sq
-from indlab.errors import ContractViolationError
 
-from builders import save_model
+from builders import bits, save_model
 from bundled import bundled_path
 
 FAIR_COIN = hv.load_model(bundled_path("fair_coin_counter.json"))
@@ -88,14 +87,14 @@ class TestRunModel:
 
     def test_recorded_replay(self, tmp_path):
         path = str(tmp_path / "trace.txt")
-        sq.write_sequence_file(path, sq.bits("0110"))
+        sq.write_sequence_file(path, bits("0110"))
         x = hv.run_model(FAIR_COIN, hv.Sampler(f"file:{path}"), 4)
         assert x.to_text() == "0110"
 
     def test_out_of_space_state_rejected(self, tmp_path):
         path = str(tmp_path / "trace.txt")
         sq.write_sequence_file(path, sq.SymbolString(4, (0, 3)))
-        with pytest.raises(ContractViolationError, match="outside the space"):
+        with pytest.raises(ValueError, match="outside the space"):
             hv.run_model(FAIR_COIN, hv.Sampler(f"file:{path}"), 2)
 
     def test_factorization_replay(self):

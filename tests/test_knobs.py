@@ -1,8 +1,8 @@
 """Inventory of the library's knobs and callers.
 
-The table below lists, for every public function and class that
-indlab.__all__ reaches (the names it exports, and the public members of the
-modules it exports), each parameter that has a default, as
+The table below lists, for every public function and class defined in the
+modules that indlab.__all__ names (it names only modules), each parameter
+that has a default, as
 "module.qualname: name=default".  A class contributes its constructor and
 the public methods it defines.  A new option therefore shows up as a
 one-line diff here, and a removed one as a deleted line.  Each of those
@@ -48,15 +48,11 @@ def _callables():
     """(qualified name, callable) for every public function and class reached."""
     seen = {}
     for name in indlab.__all__:
-        obj = getattr(indlab, name)
-        if isinstance(obj, types.ModuleType):
-            members = [v for k, v in vars(obj).items() if not k.startswith("_")
-                       and getattr(v, "__module__", None) == obj.__name__]
-        else:
-            members = [obj]
-        for m in members:
-            if inspect.isfunction(m) or inspect.isclass(m):
-                seen[f"{m.__module__.removeprefix('indlab.')}.{m.__qualname__}"] = m
+        module = getattr(indlab, name)
+        for k, v in vars(module).items():
+            if (not k.startswith("_") and getattr(v, "__module__", None) == module.__name__
+                    and (inspect.isfunction(v) or inspect.isclass(v))):
+                seen[f"{name}.{v.__qualname__}"] = v
     for qualname, obj in list(seen.items()):
         if inspect.isclass(obj):
             for attr, member in vars(obj).items():
@@ -79,6 +75,10 @@ def knob_inventory() -> list[str]:
     return sorted(rows)
 
 
+def test_the_package_exports_only_modules():
+    assert all(isinstance(getattr(indlab, name), types.ModuleType) for name in indlab.__all__)
+
+
 def test_knob_inventory_matches_the_frozen_table():
     assert knob_inventory() == KNOBS.split("\n")[1:-1]
 
@@ -88,29 +88,51 @@ def test_knob_inventory_matches_the_frozen_table():
 UNCALLED_ALLOWED = {"ks.fwt_reduction_check", "ks.coloring_to_value_map", "ks.outcome_tuples"}
 
 
-def _used_names() -> tuple[set[str], set[str]]:
-    """The names read as a variable, and those read as an attribute, in
-    src/indlab (its modules, not the re-exports of __init__.py) and in bench/."""
+def _reads() -> tuple[set[tuple[str, str]], set[str]]:
+    """The (module, name) pairs read through their own module, and the names
+    read as an attribute of anything, in src/indlab and in bench/.
+
+    A module-level name is read through its module when it is imported from
+    that module, read as an attribute of a name bound to that module (such as
+    tm.run_machine), or read inside that module outside its own definition.
+    """
     src = Path(indlab.__file__).parent
-    files = [f for f in src.glob("*.py") if f.name != "__init__.py"]
-    files += (Path(__file__).resolve().parents[1] / "bench").glob("*.py")
-    variables, attributes = set(), set()
+    modules = {f.stem for f in src.glob("*.py")}
+    files = [*src.glob("*.py"), *(Path(__file__).resolve().parents[1] / "bench").glob("*.py")]
+    reads, attributes = set(), set()
     for path in files:
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Name):
-                variables.add(node.id)
+        tree = ast.parse(path.read_text(), str(path))
+        bound = {}  # a local name -> the indlab module it is bound to
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module == "indlab"
+                                                     or node.module.startswith("indlab.")):
+                source = (node.module or "").removeprefix("indlab").lstrip(".")
+                for alias in node.names:
+                    if source:
+                        reads.add((source, alias.name))
+                    elif alias.name in modules:
+                        bound[alias.asname or alias.name] = alias.name
             elif isinstance(node, ast.Attribute):
                 attributes.add(node.attr)
-    return variables, attributes
+        reads |= {(bound[node.value.id], node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in bound}
+        if path.parent == src:
+            for stmt in tree.body:
+                reads |= {(path.stem, node.id) for node in ast.walk(stmt)
+                          if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                          and node.id != getattr(stmt, "name", None)}
+    return reads, attributes
 
 
 def test_every_public_name_has_a_caller():
-    # A class member counts as called only when read as an attribute: a
-    # local variable of the same name does not call a method.
-    variables, attributes = _used_names()
+    # A class member counts as called when read as an attribute of anything:
+    # a local variable of the same name does not call a method.  A module's
+    # own name counts only when read through that module.
+    reads, attributes = _reads()
     uncalled = set()
     for q in _callables():
         owner, name = q.rsplit(".", 1)
-        if name not in attributes and ("." in owner or name not in variables):
+        if not (name in attributes if "." in owner else (owner, name) in reads):
             uncalled.add(q)
     assert uncalled == UNCALLED_ALLOWED

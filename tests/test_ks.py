@@ -46,6 +46,33 @@ def subproblem(problem, ray_indices):
     return ks.ColoringProblem(rays, bases)
 
 
+def recursive_search(problem):
+    """The recursive search that search_coloring's stack replaced: (status,
+    assignment, nodes, max_depth)."""
+    stats = ks.SearchStats()
+
+    def rec(state, depth):
+        stats.nodes += 1
+        stats.max_depth = max(stats.max_depth, depth)
+        work = state[:]
+        if not ks._propagate(work, problem.bases):
+            return None
+        if -1 not in work:
+            return tuple(work)
+        idx = ks._choose_ray(work, problem.bases)
+        for value in (1, 0):
+            child = work[:]
+            child[idx] = value
+            found = rec(child, depth + 1)
+            if found is not None:
+                return found
+        return None
+
+    assignment = rec([-1] * len(problem.rays), 0)
+    return ("unsat" if assignment is None else "colored", assignment, stats.nodes,
+            stats.max_depth)
+
+
 def token(x):
     """File token of a Q2: "3", "r2", "-r2", "2r2", "1/2", "1+r2", "1-2r2"."""
     if x.q == 0:
@@ -588,6 +615,20 @@ class TestOracleAgreement:
             assert (search.status == "colored") == bool(oracle)
             if oracle:
                 assert search.assignment in oracle
+
+    def test_same_result_as_the_recursive_search(self, peres, demo):
+        problems = [peres, demo]
+        for _ in range(300):
+            size = int(RNG.integers(1, len(peres.bases) + 1))
+            chosen = RNG.choice(len(peres.bases), size=size, replace=False)
+            problems.append(ks.ColoringProblem(peres.rays,
+                                               [peres.bases[int(i)] for i in sorted(chosen)]))
+        for problem in problems:
+            result = ks.search_coloring(problem)
+            assert (result.status, result.assignment, result.stats.nodes,
+                    result.stats.max_depth) == recursive_search(problem)
+        result = ks.search_coloring(peres)
+        assert (result.status, result.stats.nodes, result.stats.max_depth) == ("unsat", 17, 4)
 
     def test_oracle_cap(self, peres):
         with pytest.raises(ValueError, match="20"):

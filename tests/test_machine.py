@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 
 from indlab import machine as tm
 from indlab import randomness as rl
-from indlab import sequences as sq
 from indlab.machine import (OP_ADD, OP_CPY, OP_DEC, OP_HALT, OP_HALTAT, OP_INC, OP_JMP, OP_JZ,
                             OP_LITN, OP_OUT0, OP_OUT1, OP_OUTB, OP_SETI, OP_SUB, assemble)
 
-from builders import gamma0_length
+from builders import bits, gamma0_length
 
 
 class TestGammaCoding:
@@ -358,9 +357,9 @@ class TestPublicEdge:
         pytest.param(lambda: tm.prog_literal(b"\1\0"), id="prog_literal"),
         pytest.param(lambda: tm.prog_periodic(b"\1\0", 9), id="prog_periodic"),
         pytest.param(lambda: tm.prog_champernowne(9), id="prog_champernowne"),
-        pytest.param(lambda: rl.k_upper_bound(sq.bits("0110100110010110")).witness,
+        pytest.param(lambda: rl.k_upper_bound(bits("0110100110010110")).witness,
                      id="k_upper_bound-witness"),
-        pytest.param(lambda: rl.exact_k_small(sq.bits("01"), 14, 1000).witness,
+        pytest.param(lambda: rl.exact_k_small(bits("01"), 14, 1000).witness,
                      id="exact_k_small-witness"),
     ])
     def test_bits_are_a_tuple_of_plain_ints(self, bits):

@@ -14,7 +14,7 @@ from indlab import machine as tm
 from indlab import randomness as rl
 from indlab import sequences as sq
 
-from builders import gamma0_length, unbounded_exact_k_small
+from builders import bits, gamma0_length, unbounded_exact_k_small
 
 # frozen: one canonical enumeration at the acceptance budget
 GOLDEN_OMEGA_16_10K = Fraction(11737, 65536)
@@ -125,8 +125,8 @@ class TestKUpperBound:
                 assert est.value == len(est.witness)
 
     @pytest.mark.parametrize("sigma", [
-        *(sq.bits(c * n) for c in "01" for n in (7, 8, 9, 64, 1000)),
-        *(sq.bits((pattern * 400)[:n]) for pattern in ("01", "011", "0110100")
+        *(bits(c * n) for c in "01" for n in (7, 8, 9, 64, 1000)),
+        *(bits((pattern * 400)[:n]) for pattern in ("01", "011", "0110100")
           for n in (9, 14, 15, 16, 17, 100, 2799)),
         *(sq.champernowne(2, n, start) for start in (False, True)
           for n in (1, 2, 5, 30, 31, 64, 65, 66, 1000)),
@@ -136,11 +136,11 @@ class TestKUpperBound:
         assert (est.witness, est.method) == reference_k_upper_bound(sigma)
 
     def test_constant_run_far_below_length(self):
-        est = rl.k_upper_bound(sq.bits("1" * 30))
+        est = rl.k_upper_bound(bits("1" * 30))
         assert est.kind == "upper_bound"
         assert est.method == "generator_encoding"
         assert est.value < 30
-        assert est.verify(sq.bits("1" * 30))
+        assert est.verify(bits("1" * 30))
 
     def test_champernowne_logarithmic(self):
         n = 10**4
@@ -156,7 +156,7 @@ class TestKUpperBound:
         assert est.value <= 20 + 2 * math.ceil(math.log2(21)) + tm.LITERAL_OVERHEAD_BITS
 
     def test_periodic_structure_recognized(self):
-        sigma = sq.bits("011" * 50)
+        sigma = bits("011" * 50)
         est = rl.k_upper_bound(sigma)
         assert est.method == "generator_encoding"
         assert est.value < rl.literal_bound(150)
@@ -167,7 +167,7 @@ class TestKUpperBound:
         assert est.witness == tm.assemble((tm.OP_HALT,))
 
     def test_budget_never_hurts(self):
-        sigma = sq.bits("0")
+        sigma = bits("0")
         plain = rl.k_upper_bound(sigma)
         with_budget = rl.k_upper_bound(sigma, budget=(10, 500))
         assert with_budget.value <= plain.value
@@ -215,7 +215,7 @@ class TestKUpperBound:
 
     def test_every_estimate_is_witnessed(self):
         for text in ("0", "0000000000", "0110110110", "01101110", "10011"):
-            sigma = sq.bits(text)
+            sigma = bits(text)
             est = rl.k_upper_bound(sigma)
             assert est.verify(sigma)
 
@@ -226,14 +226,14 @@ class TestExactK:
         assert est.kind == "exact" and est.value == GOLDEN_K_EMPTY
 
     def test_single_zero_exact(self):
-        est = rl.exact_k_small(sq.bits("0"), 10, 1000)
+        est = rl.exact_k_small(bits("0"), 10, 1000)
         assert est.kind == "exact" and est.value == GOLDEN_K_ZERO
         res = tm.run_machine(est.witness, 1000)
         assert res.output == (0,)
 
     def test_not_monotone_claim_avoided(self):
         # K("0") > K(empty) here, but that is a computed fact, not an axiom
-        k0 = rl.exact_k_small(sq.bits("0"), 10, 1000).value
+        k0 = rl.exact_k_small(bits("0"), 10, 1000).value
         ke = rl.exact_k_small(sq.SymbolString(2, ()), 10, 1000).value
         assert k0 >= ke
 
@@ -245,19 +245,19 @@ class TestExactK:
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError, match="cap"):
-            rl.exact_k_small(sq.bits("0"), 25, 10)
+            rl.exact_k_small(bits("0"), 25, 10)
 
     def test_unresolved_timeouts_degrade_to_upper_bound(self):
         # at 2 steps only the one-shot literal emitter (13 bits) finishes
         # on "00"; the 12-bit OUT0;OUT0;HALT branch stalls unresolved at 8
         # consumed bits, so the 13 cannot be claimed exact
-        est = rl.exact_k_small(sq.bits("00"), 13, 2)
+        est = rl.exact_k_small(bits("00"), 13, 2)
         assert isinstance(est, rl.ComplexityEstimate)
         assert est.kind == "upper_bound"
         assert est.value == 13
         # a big enough budget resolves everything and finds the true 12
-        assert rl.exact_k_small(sq.bits("00"), 13, 100).kind == "exact"
-        assert rl.exact_k_small(sq.bits("00"), 13, 100).value == 12
+        assert rl.exact_k_small(bits("00"), 13, 100).kind == "exact"
+        assert rl.exact_k_small(bits("00"), 13, 100).value == 12
 
     def test_memory_peak_at_a_million_bits(self):
         # the search compares outputs with sigma's bytes: with a list and a
@@ -329,13 +329,13 @@ class TestBoundedSearch:
 
         monkeypatch.setattr(tm._Machine, "run", counting_run)
         monkeypatch.setattr(tm._Machine, "_fork", counting_fork)
-        assert rl.exact_k_small(sq.bits(text), 16, 10_000).kind == "exact"
+        assert rl.exact_k_small(bits(text), 16, 10_000).kind == "exact"
         assert calls == {"run": runs, "fork": forks}
 
 
 class TestLevinChaitinMargin:
     def test_constant_source_diverges_down(self):
-        src = sq.SequenceSource("constant", symbol=1)
+        src = sq.SequenceSource("periodic", pattern=(1,))
         points = rl.levin_chaitin_margin(src.prefix(5000), [100, 1000, 5000])
         margins = [p["margin"] for p in points]
         assert margins[0] > margins[1] > margins[2]
@@ -354,10 +354,10 @@ class TestLevinChaitinMargin:
 
     def test_checkpoints_must_ascend(self):
         with pytest.raises(ValueError):
-            rl.levin_chaitin_margin(sq.SequenceSource("constant").prefix(10), [10, 5])
+            rl.levin_chaitin_margin(bits("0" * 10), [10, 5])
 
     def test_flag_semantics(self):
-        src = sq.SequenceSource("constant", symbol=0)
+        src = sq.SequenceSource("periodic", pattern=(0,))
         points = rl.levin_chaitin_margin(src.prefix(1000), [1000])
         claim = rl.incompressibility_flag(points, c=64)
         assert claim is not None and "not 64-incompressible" in claim
@@ -377,7 +377,7 @@ class TestLevinChaitinMargin:
     @pytest.mark.parametrize("checkpoints", [[0, 11], [-1, 5]])
     def test_checkpoints_must_lie_within_x(self, checkpoints):
         with pytest.raises(ValueError, match="lie in"):
-            rl.levin_chaitin_margin(sq.SequenceSource("constant").prefix(10), checkpoints)
+            rl.levin_chaitin_margin(bits("0" * 10), checkpoints)
 
 
 class TestOverlapVariance:
@@ -406,7 +406,7 @@ class TestBorelBattery:
         assert len(reports) == 2 + 4
 
     def test_constant_fails_at_one(self):
-        sigma = sq.bits("0" * 1000)
+        sigma = bits("0" * 1000)
         reports = rl.borel_normality_test(sigma, 1)
         assert all(not r["pass"] for r in reports)
 
@@ -417,7 +417,7 @@ class TestBorelBattery:
 
     def test_insufficient_length_names_minimum(self):
         with pytest.raises(ValueError, match="at least 800"):
-            rl.borel_normality_test(sq.bits("01" * 100), 3)
+            rl.borel_normality_test(bits("01" * 100), 3)
 
     def test_report_invariant(self):
         sigma = fair_coin(2000, seed=2)
@@ -428,14 +428,14 @@ class TestBorelBattery:
 class TestMonkeySearch:
     def test_positions_overlapping(self):
         src = sq.SequenceSource("periodic", pattern=(0, 1))
-        assert rl.monkey_search(sq.bits("01"), src, 4) == [0, 2]
+        assert rl.monkey_search(bits("01"), src, 4) == [0, 2]
 
     def test_absent_target(self):
-        src = sq.SequenceSource("constant", symbol=0)
-        assert rl.monkey_search(sq.bits("1"), src, 100) == []
+        src = sq.SequenceSource("periodic", pattern=(0,))
+        assert rl.monkey_search(bits("1"), src, 100) == []
 
     def test_expected_count_in_fair_sample(self):
-        target = sq.bits("10111010")
+        target = bits("10111010")
         src = sq.SequenceSource("born_sampler", seed=17)
         count = len(rl.monkey_search(target, src, 10**6))
         expect = (10**6 - 7) / 256
@@ -444,11 +444,11 @@ class TestMonkeySearch:
 
     def test_horizon_validation(self):
         with pytest.raises(ValueError):
-            rl.monkey_search(sq.bits("0101"), sq.SequenceSource("constant"), 2)
+            rl.monkey_search(bits("0101"), sq.SequenceSource("periodic", pattern=(0,)), 2)
 
     def test_self_overlapping_target(self):
-        src = sq.SequenceSource("constant", symbol=1)
-        assert rl.monkey_search(sq.bits("11"), src, 5) == [0, 1, 2, 3]
+        src = sq.SequenceSource("periodic", pattern=(1,))
+        assert rl.monkey_search(bits("11"), src, 5) == [0, 1, 2, 3]
 
     @settings(max_examples=300)
     @given(st.sampled_from([2, 3, 10, 11, 16, 200]), st.data())
@@ -472,7 +472,7 @@ class TestMonkeySearch:
 class TestOmega:
     def test_zero_budget(self):
         est = rl.omega_lower_bound(0, 100)
-        assert est.lower_bound == 0 and est.programs_found == 0
+        assert est.lower_bound == 0 and est.programs == ()
 
     def test_monotone_in_length(self):
         small = rl.omega_lower_bound(10, 200)
@@ -487,7 +487,7 @@ class TestOmega:
     def test_golden_value(self):
         est = rl.omega_lower_bound(16, 10_000)
         assert est.lower_bound == GOLDEN_OMEGA_16_10K
-        assert est.programs_found == GOLDEN_OMEGA_16_10K_PROGRAMS
+        assert len(est.programs) == GOLDEN_OMEGA_16_10K_PROGRAMS
 
     def test_strictly_dyadic_and_bounded(self):
         est = rl.omega_lower_bound(12, 500)
@@ -528,4 +528,4 @@ class TestOmega:
         programs = tuple(e.program for e in tm.enumerate_domain(max_len, max_steps))
         total = sum((Fraction(1, 2 ** len(p)) for p in programs), Fraction(0))
         assert rl.omega_lower_bound(max_len, max_steps) == \
-            rl.OmegaEstimate(total, len(programs), (max_len, max_steps), programs)
+            rl.OmegaEstimate(total, (max_len, max_steps), programs)

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from indlab import sequences as sq
 
+from builders import bits
+
 # frozen: one Philox run of the fair-coin sampler, seed 42
 GOLDEN_FAIR_COIN_SEED42_N8 = "10100000"
 # frozen before chunked sampling was removed: sha256 of the int64 bytes of
@@ -67,7 +69,7 @@ class TestSymbolString:
         assert sq.SymbolString(300, (0, 299)).array.dtype == np.int64
 
     def test_iteration_yields_python_ints(self):
-        assert tuple(sq.bits("011")) == (0, 1, 1)
+        assert tuple(bits("011")) == (0, 1, 1)
         assert all(type(v) is int for v in sq.SymbolString(300, (5, 299)))
 
     def test_caller_array_is_copied(self):
@@ -77,7 +79,7 @@ class TestSymbolString:
         assert s.to_text() == "011"
 
     def test_text_roundtrip_binary(self):
-        s = sq.bits("0110")
+        s = bits("0110")
         assert s.to_text() == "0110"
         assert sq.SymbolString.from_text("0110", 2) == s
 
@@ -141,7 +143,7 @@ class TestChampernowne:
 
 class TestSources:
     def test_constant_truncate(self):
-        src = sq.SequenceSource("constant", symbol=1)
+        src = sq.SequenceSource("periodic", pattern=(1,))
         assert src.prefix(5).to_text() == "11111"
 
     def test_born_sampler_golden(self):
@@ -157,7 +159,7 @@ class TestSources:
         [
             ("born_sampler", {"seed": 9, "probs": [0.3, 0.7]}),
             ("champernowne", {}),
-            ("constant", {"symbol": 1}),
+            ("periodic", {"pattern": (1,)}),
             ("periodic", {"pattern": (0, 1, 1)}),
         ],
     )
@@ -176,7 +178,7 @@ class TestSources:
 
     def test_file_source(self, tmp_path):
         path = tmp_path / "s.txt"
-        sq.write_sequence_file(str(path), sq.bits("010011"))
+        sq.write_sequence_file(str(path), bits("010011"))
         src = sq.SequenceSource("file", path=str(path))
         assert src.prefix(4).to_text() == "0100"
         with pytest.raises(ValueError, match="holds 6"):
@@ -184,7 +186,7 @@ class TestSources:
 
     def test_file_source_of_symbols_already_read(self, tmp_path, monkeypatch):
         path = str(tmp_path / "s.seq")
-        sq.write_sequence_file(path, sq.bits("010011"))
+        sq.write_sequence_file(path, bits("010011"))
         sigma = sq.read_sequence_file(path)
         reads = []
         monkeypatch.setattr(sq, "read_sequence_file",
@@ -200,13 +202,16 @@ class TestSources:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown source kind"):
             sq.SequenceSource("magic")
+        # a constant sequence is the periodic source of a one-symbol pattern
+        with pytest.raises(ValueError, match="unknown source kind 'constant'"):
+            sq.SequenceSource("constant", symbol=1)
 
     @pytest.mark.parametrize("kind,kwargs,keyword", [
         ("born_sampler", {"seed": 1, "probz": [0.1, 0.9]}, "probz"),
-        ("constant", {"chunk_size": 4}, "chunk_size"),
+        ("periodic", {"chunk_size": 4}, "chunk_size"),
         ("champernowne", {"symbol": 1}, "symbol"),
         ("os_entropy", {"probs": [0.5, 0.5]}, "probs"),
-        ("constant", {"seed": 5}, "seed"),
+        ("periodic", {"seed": 5}, "seed"),
         ("champernowne", {"seed": 9}, "seed"),
     ])
     def test_a_keyword_the_kind_does_not_read_is_rejected(self, kind, kwargs, keyword):
@@ -218,7 +223,7 @@ class TestSources:
         assert fair.prefix(8).to_text() == GOLDEN_FAIR_COIN_SEED42_N8
         assert sq.SequenceSource("born_sampler").prefix(8) == \
             sq.SequenceSource("born_sampler", seed=0).prefix(8)
-        assert sq.SequenceSource("constant").prefix(3).to_text() == "000"
+        assert sq.SequenceSource("champernowne").prefix(3).to_text() == "011"
         with pytest.raises(ValueError, match="requires path="):
             sq.SequenceSource("file")
 
@@ -230,7 +235,7 @@ class TestSources:
 
     def test_non_integer_parameters_rejected(self):
         with pytest.raises(ValueError, match="integer"):
-            sq.SequenceSource("constant", symbol=0.5)
+            sq.SequenceSource("periodic", pattern=(0.5,))
         with pytest.raises(ValueError, match="integer"):
             sq.SequenceSource("periodic", pattern=(0, 1.7))
 
@@ -275,16 +280,16 @@ class TestSampling:
 
 class TestBlockFrequencies:
     def test_single_symbols(self):
-        freqs = sq.block_frequencies(sq.bits("0101"), 1)
+        freqs = sq.block_frequencies(bits("0101"), 1)
         assert freqs == {"0": 0.5, "1": 0.5}
 
     def test_pairs_constant(self):
-        freqs = sq.block_frequencies(sq.bits("1111"), 2)
+        freqs = sq.block_frequencies(bits("1111"), 2)
         assert freqs["11"] == 1.0
         assert freqs["00"] == freqs["01"] == freqs["10"] == 0.0
 
     def test_overlapping_windows(self):
-        over = sq.block_frequencies(sq.bits("010101"), 2)
+        over = sq.block_frequencies(bits("010101"), 2)
         assert over["01"] == pytest.approx(3 / 5)
 
     @settings(max_examples=40)
@@ -296,7 +301,7 @@ class TestBlockFrequencies:
 
     def test_block_longer_than_string(self):
         with pytest.raises(ValueError, match="exceeds"):
-            sq.block_frequencies(sq.bits("01"), 3)
+            sq.block_frequencies(bits("01"), 3)
 
     @pytest.mark.parametrize("k,block_len", [(2, 40), (2, 63), (3, 39), (16, 15)])
     def test_long_blocks_key_only_observed_blocks(self, k, block_len):
@@ -310,7 +315,7 @@ class TestBlockFrequencies:
 
     def test_block_codes_past_int64_rejected(self):
         with pytest.raises(ValueError, match="block length 64: 2\\^64 codes overflow int64"):
-            sq.block_frequencies(sq.bits("01" * 40), 64)
+            sq.block_frequencies(bits("01" * 40), 64)
 
     def test_champernowne_calibration(self):
         # frozen calibration: exactly 530198 ones in the first 1e6 bits
