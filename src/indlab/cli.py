@@ -134,29 +134,29 @@ def _resolve_data_path(name: str) -> str:
 # -- subcommands -------------------------------------------------------------
 
 
+# generate --kind -> the SequenceSource kind it builds, which reads the options
+# that spell its SOURCE_KEYWORDS and --base, its alphabet (born's comes from --probs)
+GENERATE_KINDS = {"born": "born_sampler", "champernowne": "champernowne",
+                  "periodic": "periodic", "os": "os_entropy"}
+
+
 def cmd_generate(args, manifest: Manifest) -> None:
-    if args.fair_coin and (args.kind, args.probs) != ("born", "0.5,0.5"):
-        raise ValueError(f"--fair-coin stands for --kind born --probs 0.5,0.5, "
-                         f"got --kind {args.kind} --probs {args.probs}")
-    if args.kind == "born":
-        probs = _parse_list("--probs", args.probs, float)
-        source = sq.SequenceSource(
-            "born_sampler", alphabet_size=max(2, len(probs)), seed=args.seed, probs=probs
-        )
-    elif args.kind == "champernowne":
-        source = sq.SequenceSource(
-            "champernowne", alphabet_size=args.base, start_at_one=args.start_at_one
-        )
-    elif args.kind == "constant":
-        source = sq.SequenceSource("periodic", alphabet_size=args.base, pattern=(args.symbol,))
-    elif args.kind == "periodic":
-        pattern = _parse_list("--pattern", args.pattern, int)
-        source = sq.SequenceSource("periodic", alphabet_size=args.base, pattern=pattern)
-    elif args.kind == "os":
-        source = sq.SequenceSource("os_entropy", alphabet_size=args.base)
-    else:
-        raise ValueError(f"unknown kind {args.kind!r}")
-    sigma = source.prefix(args.n)
+    fair = "0.5,0.5"
+    if args.fair_coin and (args.kind, args.probs or fair) != ("born", fair):
+        raise ValueError(f"--fair-coin stands for --kind born --probs {fair}, "
+                         f"got --kind {args.kind} --probs {args.probs or fair}")
+    kind = GENERATE_KINDS[args.kind]
+    for key in ("base", "probs", "pattern", "seed", "start_at_one"):
+        reads = key in sq.SOURCE_KEYWORDS[kind] or (key == "base" and args.kind != "born")
+        if getattr(args, key) is not None and not reads:
+            raise ValueError(f"--kind {args.kind} does not read --{key.replace('_', '-')}")
+    keywords = {key: getattr(args, key) for key in sq.SOURCE_KEYWORDS[kind]
+                if getattr(args, key) is not None}
+    for key, convert in (("probs", float), ("pattern", int)):
+        if key in keywords:
+            keywords[key] = _parse_list(f"--{key}", keywords[key], convert)
+    alphabet = max(2, len(keywords.get("probs", ()))) if args.base is None else args.base
+    sigma = sq.SequenceSource(kind, alphabet, **keywords).prefix(args.n)
     sq.write_sequence_file(args.out, sigma)
     print(f"wrote {len(sigma)} base-{sigma.alphabet_size} symbols to {args.out}")
 
@@ -169,43 +169,53 @@ def cmd_analyze(args, manifest: Manifest) -> dict:
     unknown = [t for t in tests if t not in ANALYZE_TESTS]
     if unknown:
         raise ValueError(f"unknown --tests {unknown}; choose from {list(ANALYZE_TESTS)}")
-    if args.max_block < 1:
-        raise ValueError(f"--max-block must be >= 1, got {args.max_block}")
+    if args.max_block is not None and not {"borel", "blocks"} & set(tests):
+        raise ValueError(f"--max-block applies only to --tests borel or blocks, "
+                         f"not {args.tests!r}")
+    if args.target is not None and "monkey" not in tests:
+        raise ValueError(f"--target applies only to --tests monkey, not {args.tests!r}")
+    max_block = 3 if args.max_block is None else args.max_block
+    target = "01" if args.target is None else args.target
+    if max_block < 1:
+        raise ValueError(f"--max-block must be >= 1, got {max_block}")
     sigma = sq.read_sequence_file(args.infile)
     manifest.add_input(args.infile)
     report: dict = {"schema": "randlab/v1", "input": args.infile,
                     "n": len(sigma), "alphabet": sigma.alphabet_size, "tests": {}, "claims": []}
     if "borel" in tests:
-        borel = report["tests"]["borel"] = rl.borel_normality_test(sigma, args.max_block)
+        borel = report["tests"]["borel"] = rl.borel_normality_test(sigma, max_block)
         n_pass = sum(1 for r in borel if r["pass"])
         report["claims"].append(_claim("borel_normality", n_pass == len(borel),
                                        f"borel battery: {n_pass}/{len(borel)} block tests pass"))
     if "blocks" in tests:
         report["tests"]["blocks"] = {
             str(ell): sq.block_frequencies(sigma, ell)
-            for ell in range(1, args.max_block + 1)
+            for ell in range(1, max_block + 1)
         }
         print("blocks: written")
     if "monkey" in tests:
-        target = sq.SymbolString.from_text(args.target, sigma.alphabet_size)
-        if len(target) > len(sigma):
-            raise ValueError(f"--target {args.target} has {len(target)} symbols, "
+        symbols = sq.SymbolString.from_text(target, sigma.alphabet_size)
+        if len(symbols) > len(sigma):
+            raise ValueError(f"--target {target} has {len(symbols)} symbols, "
                              f"more than the {len(sigma)} of {args.infile}")
         src = sq.SequenceSource.of_file(args.infile, sigma)
-        positions = rl.monkey_search(target, src, len(sigma))
+        positions = rl.monkey_search(symbols, src, len(sigma))
         report["tests"]["monkey"] = {
-            "target": args.target,
+            "target": target,
             "occurrences": len(positions),
             "positions_head": positions[:100],
         }
-        print(f"monkey: {len(positions)} occurrences of {args.target}")
+        print(f"monkey: {len(positions)} occurrences of {target}")
     return report
 
 
 def cmd_komplexity(args, manifest: Manifest) -> dict:
+    if args.steps is not None and args.exact_max_len is None:
+        raise ValueError("--steps applies only with --exact-max-len")
     sigma = sq.read_sequence_file(args.infile)
     manifest.add_input(args.infile)
-    budget = None if args.exact_max_len is None else (args.exact_max_len, args.steps)
+    budget = None if args.exact_max_len is None else (
+        args.exact_max_len, 10_000 if args.steps is None else args.steps)
     est = rl.k_upper_bound(sigma, budget=budget)
     margin = est.value - len(sigma)
     out = {
@@ -247,12 +257,14 @@ def cmd_omega(args, manifest: Manifest) -> dict:
 
 
 def _load_sampler(args) -> hv.Sampler:
-    if args.bias and args.sampler != "prng":
-        raise ValueError(f"--bias applies only to --sampler prng, not {args.sampler!r}")
+    seed = getattr(args, "seed", None)  # audit1 refuses prng, so it has no --seed
+    for option, value in (("--bias", args.bias), ("--seed", seed)):
+        if value is not None and args.sampler != "prng":
+            raise ValueError(f"{option} applies only to --sampler prng, not {args.sampler!r}")
     prng = {}
     if args.sampler == "prng":
-        prng = {"seed": args.seed,
-                "probs": _parse_list("--bias", args.bias, float) if args.bias else None}
+        prng = {"seed": 0 if seed is None else seed,
+                "probs": None if args.bias is None else _parse_list("--bias", args.bias, float)}
     try:
         return hv.Sampler(args.sampler, **prng)
     except ValueError as exc:
@@ -484,23 +496,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"indlab {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, seed=True, json_out=True):
-        if seed:
-            sp.add_argument("--seed", type=int, default=0)
+    def common(sp, json_out=True):
         if json_out:
             sp.add_argument("--json", help="write a JSON report here")
         sp.add_argument("--manifest", help="manifest path (default: <out>.manifest.json)")
 
     g = sub.add_parser("generate", help="write a seq/v1 sequence file")
-    g.add_argument("--kind", default="born",
-                   choices=["born", "champernowne", "constant", "periodic", "os"])
+    g.add_argument("--kind", default="born", choices=list(GENERATE_KINDS))
     g.add_argument("--fair-coin", action="store_true",
                    help="shorthand for --kind born --probs 0.5,0.5")
-    g.add_argument("--probs", default="0.5,0.5")
-    g.add_argument("--base", type=int, default=2)
-    g.add_argument("--symbol", type=int, default=0)
-    g.add_argument("--pattern", default="0,1")
-    g.add_argument("--start-at-one", action="store_true")
+    g.add_argument("--probs")
+    g.add_argument("--base", type=int)
+    g.add_argument("--pattern")
+    g.add_argument("--seed", type=int)
+    g.add_argument("--start-at-one", action="store_true", default=None)
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_generate)
@@ -509,23 +518,23 @@ def build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("analyze", help="statistical batteries on a sequence file")
     a.add_argument("--in", dest="infile", required=True)
     a.add_argument("--tests", default="borel,blocks")
-    a.add_argument("--max-block", type=int, default=3)
-    a.add_argument("--target", default="01", help="monkey-search target block")
+    a.add_argument("--max-block", type=int, help="borel and blocks: longest block (default 3)")
+    a.add_argument("--target", help="monkey-search target block (default 01)")
     a.set_defaults(func=cmd_analyze)
-    common(a, seed=False)
+    common(a)
 
     k = sub.add_parser("komplexity", help="description-length estimates")
     k.add_argument("--in", dest="infile", required=True)
     k.add_argument("--exact-max-len", type=int, default=None)
-    k.add_argument("--steps", type=int, default=10_000)
+    k.add_argument("--steps", type=int, help="--exact-max-len's step budget (default 10000)")
     k.set_defaults(func=cmd_komplexity)
-    common(k, seed=False)
+    common(k)
 
     o = sub.add_parser("omega", help="halting-probability lower bound")
     o.add_argument("--max-len", type=int, default=16)
     o.add_argument("--steps", type=int, default=10_000)
     o.set_defaults(func=cmd_omega)
-    common(o, seed=False)
+    common(o)
 
     h = sub.add_parser("hv", help="hidden-variable model runs and audits")
     h.set_defaults(func=cmd_hv)
@@ -539,6 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--sampler", default=sampler,
                         help="counter | alternating | constant[:v] | prng | os | file:PATH")
         sp.add_argument("--bias", help="prng sampling distribution override, e.g. 0.6,0.4")
+        if name != "audit1":
+            sp.add_argument("--seed", type=int, help="prng seed (default 0)")
         return sp
 
     hr = hv_parser("run", "counter")
@@ -560,28 +571,29 @@ def build_parser() -> argparse.ArgumentParser:
     br.add_argument("--settings", default="0,30,60")
     br.add_argument("--n", type=int, required=True)
     br.add_argument("--out", required=True)
+    br.add_argument("--seed", type=int, default=0)
     common(br, json_out=False)
     ba = bsub.add_parser("analyze")
     ba.add_argument("--in", dest="infile", required=True)
     ba.add_argument("--functional", default="default")
-    common(ba, seed=False)
+    common(ba)
 
     kk = sub.add_parser("ks", help="Kochen-Specker coloring search")
     kk.set_defaults(func=cmd_ks)
     ksub = kk.add_subparsers(dest="ks_command", required=True)
     ksearch = ksub.add_parser("search")
     ksearch.add_argument("--rays", required=True)
-    common(ksearch, seed=False)
+    common(ksearch)
     kverify = ksub.add_parser("verify")
     kverify.add_argument("--rays", required=True)
     kverify.add_argument("--coloring", required=True)
-    common(kverify, seed=False)
+    common(kverify)
 
     r = sub.add_parser("report", help="consolidate JSON reports")
     r.add_argument("--in", dest="inputs", nargs="+", required=True)
     r.add_argument("--csv", help="write plot-ready series here")
     r.set_defaults(func=cmd_report)
-    common(r, seed=False)
+    common(r)
     return p
 
 

@@ -279,7 +279,9 @@ def _propagate(colors: list[int], bases: list[tuple[int, int, int]]) -> bool:
 
 def _choose_ray(colors: list[int], bases: list[tuple[int, int, int]]) -> int:
     """Most-constrained unassigned ray: highest count of undecided bases,
-    ties broken by lowest index (keeps traces reproducible)."""
+    ties broken by lowest index (keeps traces reproducible).  After
+    _propagate every unassigned ray lies in a basis with no mark, because
+    search_coloring marks a ray in no basis before it starts."""
     score: dict[int, int] = {}
     for basis in bases:
         if any(colors[r] == 1 for r in basis):
@@ -287,11 +289,6 @@ def _choose_ray(colors: list[int], bases: list[tuple[int, int, int]]) -> int:
         for r in basis:
             if colors[r] == -1:
                 score[r] = score.get(r, 0) + 1
-    if not score:
-        for r, c in enumerate(colors):
-            if c == -1:
-                return r
-        return -1
     best = max(score.items(), key=lambda kv: (kv[1], -kv[0]))
     return best[0]
 
@@ -300,13 +297,15 @@ def search_coloring(problem: ColoringProblem) -> ColoringResult:
     """Complete backtracking with exactly-one constraint propagation; stops
     at the first coloring in trace order.
 
+    A ray in no basis is marked 1 before the search and costs no decision.
     The depth-first search runs from an explicit stack, so a problem that
-    needs one level per ray (a ray in no basis costs a level too) is not
-    bounded by the interpreter's recursion limit.  Each node pushes its 0
-    child and then its 1 child, so 1 is tried first.
+    needs one level per ray is not bounded by the interpreter's recursion
+    limit.  Each node pushes its 0 child and then its 1 child, so 1 is
+    tried first.
     """
     stats = SearchStats()
-    stack = [([-1] * len(problem.rays), 0)]
+    in_basis = {r for basis in problem.bases for r in basis}
+    stack = [([-1 if r in in_basis else 1 for r in range(len(problem.rays))], 0)]
     while stack:
         work, depth = stack.pop()
         stats.nodes += 1

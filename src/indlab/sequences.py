@@ -22,7 +22,7 @@ SEQ_SCHEMA = "seq/v1"
 SOURCE_KEYWORDS = {
     "born_sampler": {"probs": (0.5, 0.5), "seed": 0},
     "champernowne": {"start_at_one": False},
-    "periodic": {"pattern": ()},
+    "periodic": {"pattern": (0, 1)},
     "file": {"path": None},
     "os_entropy": {},
 }

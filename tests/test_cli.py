@@ -230,17 +230,25 @@ def test_stdout_ends_with_the_claims(case, tmp_path, monkeypatch, capsys):
 
 
 def test_ks_search_needs_no_recursion_per_ray(tmp_path, monkeypatch):
-    """1,200 rays in no basis take one search level each, more than the
-    interpreter's default recursion limit of 1,000 frames."""
+    """1,200 rays in no basis, more than the interpreter's default recursion
+    limit of 1,000 frames, are marked before the search: one node.  1,050
+    disjoint bases take one search level each."""
     monkeypatch.chdir(tmp_path)
     with open("loose.rays", "w") as f:
         f.write("rays/v1\n" + "".join(f"ray r{i} 1 {i} 0\n" for i in range(1200)))
-    assert cli.dispatch(["ks", "search", "--rays", "loose.rays", "--json", "s.json"]) \
-        == cli.EXIT_OK
-    with open("s.json") as f:
-        report = json.load(f)
-    assert (report["status"], report["nodes"], report["verified"]) == ("colored", 1201, True)
-    assert cli.dispatch(["ks", "verify", "--rays", "loose.rays", "--coloring", "s.json",
+    with open("deep.rays", "w") as f:
+        # (1, k, 1), (k, -1, 0) and their cross product are a basis of their own
+        f.write("rays/v1\n" + "".join(f"ray a{k} 1 {k} 1\nray b{k} {k} -1 0\n"
+                                      f"ray c{k} 1 {k} {-1 - k * k}\nbasis a{k} b{k} c{k}\n"
+                                      for k in range(1, 1051)))
+    for rays, nodes, depth in (("loose.rays", 1, 0), ("deep.rays", 1051, 1050)):
+        assert cli.dispatch(["ks", "search", "--rays", rays, "--json", f"{rays}.json"]) \
+            == cli.EXIT_OK
+        with open(f"{rays}.json") as f:
+            report = json.load(f)
+        assert (report["status"], report["nodes"], report["max_depth"], report["verified"]) \
+            == ("colored", nodes, depth, True)
+    assert cli.dispatch(["ks", "verify", "--rays", "loose.rays", "--coloring", "loose.rays.json",
                          "--json", "v.json"]) == cli.EXIT_OK
 
 
@@ -310,7 +318,7 @@ def _one_error_line(capsys, *fragments) -> None:
      ("--probs: bad entry 'x'",)),
     (["generate", "--kind", "periodic", "--pattern", "0,x", "--n", "10", "--out", "x.seq"],
      ("--pattern: bad entry 'x'",)),
-    (["generate", "--kind", "constant", "--symbol", "2", "--n", "10", "--out", "x.seq"],
+    (["generate", "--kind", "periodic", "--pattern", "2", "--n", "10", "--out", "x.seq"],
      ("symbol 2 outside alphabet [0, 2)",)),
     (["bell", "run", "--settings", "0,x", "--n", "600", "--out", "b.csv"],
      ("--settings: bad entry 'x'",)),
@@ -642,11 +650,87 @@ def test_every_leaf_subcommand_exits_0_with_a_manifest(name, contract_dir, monke
     ["hv", "run", "--model", "fair_coin_counter.json", "--n", "8", "--out", "h.seq",
      "--json", "h.json"],
     ["bell", "run", "--n", "8", "--out", "b.csv", "--json", "b.json"],
-], ids=["threads", "generate-json", "hv-run-json", "bell-run-json"])
+    ["generate", "--kind", "constant", "--n", "8", "--out", "g.seq"],
+    ["generate", "--symbol", "1", "--n", "8", "--out", "g.seq"],
+    ["hv", "audit1", "--model", "fair_coin_counter.json", "--seed", "3", "--json", "h1.json"],
+], ids=["threads", "generate-json", "hv-run-json", "bell-run-json", "generate-kind-constant",
+        "generate-symbol", "hv-audit1-seed"])
 def test_removed_options_are_usage_errors(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert cli.dispatch(argv) == cli.EXIT_USAGE
     assert os.listdir() == []
+
+
+@pytest.mark.parametrize("argv,fragment", [
+    (["generate", "--kind", "born", "--probs", "0.5,0.5", "--base", "7", "--n", "4",
+      "--out", "g.seq"], "--kind born does not read --base"),
+    (["generate", "--kind", "os", "--pattern", "9", "--n", "4", "--out", "g.seq"],
+     "--kind os does not read --pattern"),
+    (["generate", "--kind", "champernowne", "--seed", "3", "--n", "4", "--out", "g.seq"],
+     "--kind champernowne does not read --seed"),
+    (["generate", "--kind", "born", "--start-at-one", "--n", "4", "--out", "g.seq"],
+     "--kind born does not read --start-at-one"),
+    (["hv", "run", "--model", "fair_coin_counter.json", "--sampler", "counter", "--seed", "3",
+      "--n", "8", "--out", "h.seq"], "--seed applies only to --sampler prng, not 'counter'"),
+    (["hv", "audit2", "--model", "parity4.json", "--sampler", "alternating", "--seed", "3",
+      "--n", "10000", "--json", "h2.json"],
+     "--seed applies only to --sampler prng, not 'alternating'"),
+    (["analyze", "--in", "x.seq", "--target", "01", "--json", "a.json"],
+     "--target applies only to --tests monkey, not 'borel,blocks'"),
+    (["analyze", "--in", "x.seq", "--tests", "monkey", "--max-block", "2", "--json", "a.json"],
+     "--max-block applies only to --tests borel or blocks, not 'monkey'"),
+    (["komplexity", "--in", "x.seq", "--steps", "100", "--json", "k.json"],
+     "--steps applies only with --exact-max-len"),
+], ids=["generate-born-base", "generate-os-pattern", "generate-champernowne-seed",
+        "generate-born-start-at-one", "hv-run-seed-counter", "hv-audit2-seed-alternating",
+        "analyze-target-without-monkey", "analyze-max-block-with-only-monkey",
+        "komplexity-steps-without-exact-max-len"])
+def test_an_option_the_run_does_not_read_exits_1_naming_it(argv, fragment, tmp_path,
+                                                          monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    sq.write_sequence_file("x.seq", bits("0110100110010110"))
+    assert cli.dispatch(argv) == cli.EXIT_USAGE
+    _one_error_line(capsys, fragment)
+    assert os.listdir() == ["x.seq"]
+
+
+def test_an_empty_bias_is_a_bad_entry(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.dispatch(["hv", "audit2", "--model", "parity4.json", "--bias", "",
+                         "--n", "10000", "--json", "h2.json"]) == cli.EXIT_USAGE
+    _one_error_line(capsys, "--bias: bad entry ''")
+    assert os.listdir() == []
+
+
+def _subcommand_options(name: str) -> dict[str, str]:
+    """dest -> option string of each option of the subcommand name."""
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    return {a.dest: a.option_strings[0] for a in sub.choices[name]._actions if a.dest != "help"}
+
+
+# a value each source option can take, whichever kind reads it
+SOURCE_OPTION_VALUES = {"probs": ["0.5,0.5"], "pattern": ["1"], "seed": ["3"],
+                        "start_at_one": []}
+
+
+def test_generate_options_are_the_source_keywords(tmp_path, monkeypatch, capsys):
+    """Every generate option but six spells a SOURCE_KEYWORDS keyword, and
+    every keyword but a file's path has one; each kind runs with the options
+    that spell its own keywords and refuses the others, naming them."""
+    monkeypatch.chdir(tmp_path)
+    spelled = {dest: option for dest, option in _subcommand_options("generate").items()
+               if option not in ("--kind", "--fair-coin", "--base", "--n", "--out", "--manifest")}
+    assert set(spelled) == {key for kw in sq.SOURCE_KEYWORDS.values() for key in kw} - {"path"}
+    for kind, source_kind in cli.GENERATE_KINDS.items():
+        for dest, option in spelled.items():
+            code = cli.dispatch(["generate", "--kind", kind, option, *SOURCE_OPTION_VALUES[dest],
+                                 "--n", "4", "--out", "g.seq"])
+            err = capsys.readouterr().err
+            if dest in sq.SOURCE_KEYWORDS[source_kind]:
+                assert code == cli.EXIT_OK, (kind, option, err)
+            else:
+                assert code == cli.EXIT_USAGE and \
+                    err == f"error: --kind {kind} does not read {option}\n", (kind, option)
 
 
 def test_report_rejects_a_json_list(tmp_path, monkeypatch, capsys):
@@ -728,7 +812,7 @@ GOLDEN_RUNS = [
     (["generate", "--kind", "periodic", "--pattern", "0,1,1,0,1", "--n", "4998",
       "--out", "periodic.seq"], 0),
     (["komplexity", "--in", "periodic.seq", "--json", "periodic.k.json"], 0),
-    (["generate", "--kind", "constant", "--symbol", "1", "--n", "5000",
+    (["generate", "--kind", "periodic", "--pattern", "1", "--n", "5000",
       "--out", "constant.seq"], 0),
     (["komplexity", "--in", "constant.seq", "--json", "constant.k.json"], 0),
     # hv runs and audit reports, frozen with the per-kind Sampler factories and

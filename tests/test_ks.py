@@ -47,7 +47,8 @@ def subproblem(problem, ray_indices):
 
 
 def recursive_search(problem):
-    """The recursive search that search_coloring's stack replaced: (status,
+    """The recursive search that search_coloring's stack replaced, started
+    as search_coloring is, with every ray in no basis marked: (status,
     assignment, nodes, max_depth)."""
     stats = ks.SearchStats()
 
@@ -68,7 +69,8 @@ def recursive_search(problem):
                 return found
         return None
 
-    assignment = rec([-1] * len(problem.rays), 0)
+    in_basis = {r for basis in problem.bases for r in basis}
+    assignment = rec([-1 if r in in_basis else 1 for r in range(len(problem.rays))], 0)
     return ("unsat" if assignment is None else "colored", assignment, stats.nodes,
             stats.max_depth)
 

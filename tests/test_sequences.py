@@ -224,6 +224,7 @@ class TestSources:
         assert sq.SequenceSource("born_sampler").prefix(8) == \
             sq.SequenceSource("born_sampler", seed=0).prefix(8)
         assert sq.SequenceSource("champernowne").prefix(3).to_text() == "011"
+        assert sq.SequenceSource("periodic").prefix(5).to_text() == "01010"
         with pytest.raises(ValueError, match="requires path="):
             sq.SequenceSource("file")
 
