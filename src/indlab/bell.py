@@ -353,7 +353,7 @@ def free_choice_check(trials: TrialSet) -> dict:
     if trials.lam is None:
         raise ValueError("free-choice check needs lambda_id on the records")
     if len(trials) < MIN_TRIALS_PER_PAIR:
-        raise ValueError(f"need >= {MIN_TRIALS_PER_PAIR} trials")
+        raise ValueError(f"need >= {MIN_TRIALS_PER_PAIR} trials, got {len(trials)}")
     s = len(trials.settings)
     # lambda is indexed by its distinct values, so no table grows with the ids
     lam = np.unique(trials.lam, return_inverse=True)[1]

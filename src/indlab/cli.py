@@ -21,8 +21,6 @@ import sys
 import time
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__, bell, hv, ks, randomness as rl, sequences as sq
 
 EXIT_OK = 0
@@ -73,11 +71,8 @@ class Manifest:
 
     def write(self, explicit: str | None, primary_output: str | None) -> None:
         self.data["wall_time_s"] = round(time.time() - self._t0, 4)
-        path = explicit or (primary_output + ".manifest.json" if primary_output else None)
-        if path:
-            with open(path, "w") as f:
-                json.dump(self.data, f, indent=2, sort_keys=True)
-                f.write("\n")
+        _write_json(explicit or (primary_output + ".manifest.json" if primary_output else None),
+                    self.data)
 
 
 def _write_json(path: str | None, obj: dict) -> None:
@@ -91,8 +86,6 @@ def _json_default(o):
     if isinstance(o, Fraction):
         return {"numerator": o.numerator, "denominator": o.denominator,
                 "value": float(o)}
-    if isinstance(o, (np.bool_, np.integer, np.floating)):
-        return o.item()
     raise TypeError(f"cannot serialize {type(o)}")
 
 
@@ -115,6 +108,14 @@ def _parse_list(option: str, text: str, convert) -> list:
         except ValueError:
             raise ValueError(f"{option}: bad entry {token!r} in {text!r}") from None
     return values
+
+
+def _in_range(option: str, value: int | None, low: int, high: int | None = None) -> None:
+    """Refuse an int option's value below low or above high, naming the option."""
+    if value is None or low <= value and (high is None or value <= high):
+        return
+    rule = f">= {low}" if high is None else f"in {low}..{high}"
+    raise ValueError(f"{option} must be {rule}, got {value}")
 
 
 def data_dir() -> str:
@@ -145,6 +146,8 @@ def cmd_generate(args, manifest: Manifest) -> None:
     if args.fair_coin and (args.kind, args.probs or fair) != ("born", fair):
         raise ValueError(f"--fair-coin stands for --kind born --probs {fair}, "
                          f"got --kind {args.kind} --probs {args.probs or fair}")
+    _in_range("--n", args.n, 0)
+    _in_range("--base", args.base, 2)
     kind = GENERATE_KINDS[args.kind]
     for key in ("base", "probs", "pattern", "seed", "start_at_one"):
         reads = key in sq.SOURCE_KEYWORDS[kind] or (key == "base" and args.kind != "born")
@@ -174,10 +177,11 @@ def cmd_analyze(args, manifest: Manifest) -> dict:
                          f"not {args.tests!r}")
     if args.target is not None and "monkey" not in tests:
         raise ValueError(f"--target applies only to --tests monkey, not {args.tests!r}")
+    if args.target == "":
+        raise ValueError("--target must be non-empty")
+    _in_range("--max-block", args.max_block, 1)
     max_block = 3 if args.max_block is None else args.max_block
     target = "01" if args.target is None else args.target
-    if max_block < 1:
-        raise ValueError(f"--max-block must be >= 1, got {max_block}")
     sigma = sq.read_sequence_file(args.infile)
     manifest.add_input(args.infile)
     report: dict = {"schema": "randlab/v1", "input": args.infile,
@@ -212,6 +216,8 @@ def cmd_analyze(args, manifest: Manifest) -> dict:
 def cmd_komplexity(args, manifest: Manifest) -> dict:
     if args.steps is not None and args.exact_max_len is None:
         raise ValueError("--steps applies only with --exact-max-len")
+    _in_range("--exact-max-len", args.exact_max_len, 0, rl.EXACT_SEARCH_MAX_LEN)
+    _in_range("--steps", args.steps, 0)
     sigma = sq.read_sequence_file(args.infile)
     manifest.add_input(args.infile)
     budget = None if args.exact_max_len is None else (
@@ -242,6 +248,8 @@ def cmd_komplexity(args, manifest: Manifest) -> dict:
 
 
 def cmd_omega(args, manifest: Manifest) -> dict:
+    _in_range("--max-len", args.max_len, 0, rl.EXACT_SEARCH_MAX_LEN)
+    _in_range("--steps", args.steps, 0)
     est = rl.omega_lower_bound(args.max_len, args.steps)
     violations = rl.prefix_free_violations(est.programs)
     return {
@@ -278,6 +286,7 @@ def cmd_hv(args, manifest: Manifest) -> dict | None:
     if sampler.kind == "recorded_file":
         manifest.add_input(sampler.params["path"])
     if args.hv_command == "run":
+        _in_range("--n", args.n, 0)
         x = hv.run_model(model, sampler, args.n)
         sq.write_sequence_file(args.out, x)
         print(f"wrote {len(x)} outcomes of {model.name} to {args.out}")
@@ -324,6 +333,7 @@ def _load_functional(name: str) -> bell.MismatchFunctional:
 
 def cmd_bell(args, manifest: Manifest) -> dict | None:
     if args.bell_command == "run":
+        _in_range("--n", args.n, 1)
         settings = bell.SettingSet(tuple(_parse_list("--settings", args.settings, float)))
         trials = bell.run_bipartite(args.model, settings, args.n, args.seed)
         bell.save_trials_csv(args.out, trials)
@@ -372,11 +382,16 @@ def cmd_bell(args, manifest: Manifest) -> dict | None:
                              f"{'holds' if ok else 'failed'}: worst z alice {ra['z_score']:.2f}, "
                              f"bob {rb['z_score']:.2f}, threshold {ra['threshold']}"))
     if trials.lam is not None:
-        fc = report["free_choice"] = bell.free_choice_check(trials)
-        verdict = "skipped" if fc["skipped"] else "holds" if fc["pass"] else "failed"
-        claims.append(_claim("free_choice", None if fc["skipped"] else fc["pass"],
-                             f"free-choice independence {verdict}: worst pair z "
-                             f"{fc['z_score']:.2f}, threshold {fc['threshold']}"))
+        try:
+            fc = report["free_choice"] = bell.free_choice_check(trials)
+        except ValueError as exc:
+            report["free_choice"] = {"skipped": str(exc)}
+            claims.append(_claim("free_choice", None, f"free-choice check skipped: {exc}"))
+        else:
+            verdict = "skipped" if fc["skipped"] else "holds" if fc["pass"] else "failed"
+            claims.append(_claim("free_choice", None if fc["skipped"] else fc["pass"],
+                                 f"free-choice independence {verdict}: worst pair z "
+                                 f"{fc['z_score']:.2f}, threshold {fc['threshold']}"))
     return report
 
 

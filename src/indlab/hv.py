@@ -34,12 +34,11 @@ HV_SCHEMA = "hv/v1"
 PUSHFORWARD_TOL = 1e-10
 INCOMPRESSIBILITY_C = 64  # the c of K(x|n) >= n - c that the scenario-1 audit tests
 SCENARIO2_MIN_N = 10_000
-# Provenance note per sampler kind: whatever randomness x shows originates here.
+# The sampler kinds the scenario-2 audit accepts, each with the provenance
+# note its report carries: whatever randomness x shows originates here.
 RANDOMNESS_ORIGIN = {
-    "deterministic_computable": "none (stated by the sampler itself)",
     "seeded_prng": "external to the model (seeded pseudorandomness)",
     "external_entropy": "external to the model (operating-system entropy)",
-    "recorded_file": "none (replayed trace)",
 }
 
 
@@ -245,7 +244,7 @@ def scenario_one_audit(model: HVModel, h: Sampler, checkpoints: Sequence[int]) -
         "description_bits": model.description_bits,
         "checkpoints": rows,
         "incompatible_with_1_randomness":
-            incompressibility_flag(rows, INCOMPRESSIBILITY_C) is not None,
+            incompressibility_flag(rows, INCOMPRESSIBILITY_C),
         "flag_threshold_bits": -INCOMPRESSIBILITY_C,
         "pushforward_matches_target": model.compatible(),
         "note": "an upper bound this far below N refutes 1-randomness of the "
@@ -261,7 +260,7 @@ def scenario_two_audit(model: HVModel, h: Sampler, n: int) -> dict:
     returns the hv-audit2/v1 report, which records that the randomness
     originates outside the model.
     """
-    if h.kind not in ("seeded_prng", "external_entropy"):
+    if h.kind not in RANDOMNESS_ORIGIN:
         raise ValueError(
             f"scenario-2 audit expects a sampling h (seeded_prng or "
             f"external_entropy), got {h.kind!r}"

@@ -332,101 +332,10 @@ def verify_coloring(problem: ColoringProblem, assignment: Sequence[int]) -> bool
             f"assignment covers {len(assignment)} rays, problem has {len(problem.rays)}"
         )
     for v in assignment:
-        if not _is_mark(v):
+        # a mark is the integer 0 or 1: True and 1.0 are not
+        if not (isinstance(v, numbers.Integral) and not isinstance(v, bool) and v in (0, 1)):
             raise ValueError(f"assignment must be total over {{0,1}}, found {v!r}")
     return all(sum(assignment[r] for r in basis) == 1 for basis in problem.bases)
-
-
-def _is_mark(v) -> bool:
-    """A mark or outcome is the integer 0 or 1: True and 1.0 are not."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v in (0, 1)
-
-
-# -- the free-will-theorem reduction ---------------------------------------
-
-
-@dataclass
-class FwtReport:
-    """Outcome of checking a claimed deterministic value map.
-
-    Perfect correlation at shared rays forces each ray's value to be basis
-    independent; a consistent map then induces a coloring, which the
-    independent verifier accepts or rejects.
-    """
-
-    consistent: bool
-    coloring_valid: bool
-    violations: list[str]
-    induced_coloring: Optional[tuple[int, ...]]
-
-    @property
-    def passed(self) -> bool:
-        return self.consistent and self.coloring_valid
-
-
-def fwt_reduction_check(problem: ColoringProblem, value_map: dict) -> FwtReport:
-    """Check a map (basis_index, position) -> {0,1} of claimed outcomes.
-
-    Outcomes are squared spin components, so the per-basis outcome triple
-    must contain exactly one 0; the marked ray of the induced coloring is
-    the one with outcome 0.
-    """
-    values: dict[tuple[int, int], int] = {}
-    for key, v in value_map.items():
-        bi, pos = key
-        if not (0 <= bi < len(problem.bases) and 0 <= pos < 3):
-            raise ValueError(f"value map key {key!r} out of range")
-        if not _is_mark(v):
-            raise ValueError(f"outcome must be 0 or 1, got {v!r}")
-        values[(bi, pos)] = v
-    for bi in range(len(problem.bases)):
-        for pos in range(3):
-            if (bi, pos) not in values:
-                raise ValueError(f"value map is partial: missing basis {bi} position {pos}")
-
-    by_ray: dict[int, dict[int, int]] = {}
-    for bi, basis in enumerate(problem.bases):
-        for pos, r in enumerate(basis):
-            by_ray.setdefault(r, {})[bi] = values[(bi, pos)]
-    violations = []
-    ray_value: dict[int, int] = {}
-    for r, per_basis in sorted(by_ray.items()):
-        vals = set(per_basis.values())
-        if len(vals) > 1:
-            bs = sorted(per_basis)
-            violations.append(
-                f"ray {r} takes value {per_basis[bs[0]]} in basis {bs[0]} but "
-                f"{[per_basis[b] for b in bs[1:]]} in bases {bs[1:]}: "
-                "shared-ray outcomes must agree"
-            )
-        else:
-            ray_value[r] = vals.pop()
-    if violations:
-        return FwtReport(False, False, violations, None)
-    coloring = tuple(
-        1 - ray_value.get(r, 1) for r in range(len(problem.rays))
-    )  # marked <-> outcome 0
-    valid = verify_coloring(problem, coloring)
-    if not valid:
-        violations.append("induced coloring violates the one-mark-per-basis rule")
-    return FwtReport(True, valid, violations, coloring)
-
-
-def coloring_to_value_map(problem: ColoringProblem, assignment: Sequence[int]) -> dict:
-    """Outcome map induced by a coloring: marked ray gets outcome 0."""
-    out = {}
-    for bi, basis in enumerate(problem.bases):
-        for pos, r in enumerate(basis):
-            out[(bi, pos)] = 0 if assignment[r] == 1 else 1
-    return out
-
-
-def outcome_tuples(problem: ColoringProblem, assignment: Sequence[int]) -> list[tuple[int, ...]]:
-    """Per-basis squared-spin outcome tuples under marked <-> eigenvalue 0."""
-    return [
-        tuple(0 if assignment[r] == 1 else 1 for r in basis)
-        for basis in problem.bases
-    ]
 
 
 # -- file format ------------------------------------------------------------

@@ -235,14 +235,12 @@ class _Machine:
         An emit appends one slice, as if bit by bit, cut at the HALTAT cap or
         just past the first bit that leaves output_prefix.  Only an emit or
         HALTAT can reach the cap, and only an emit the output limit, so only
-        there (and the cap on entry) are they checked.  At a jump, run inlines
-        the one loop rule of exact_bits; the enumerator's are in _loop_check.
+        there are they checked.  At a jump, run inlines the one loop rule of
+        exact_bits; the enumerator's are in _loop_check.
         """
         instrs, regs, out, prefix, seen, exact = (
             self.instrs, self.regs, self.out, self.output_prefix, self._seen, self.exact_bits)
         pc, steps, cap, other_step = self.pc, self.steps, self.cap, self.other_step
-        if cap is not None and len(out) >= cap:
-            return MachineResult("halted", tuple(out), self.cursor, steps, "")
         status, reason = "halted", ""  # the exit of a bare break
         while True:
             if steps >= max_steps:

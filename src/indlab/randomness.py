@@ -330,17 +330,11 @@ def prefix_free_violations(programs: Sequence[tm.Bits]) -> list[tuple[tm.Bits, t
     return [(q[:k], q) for q in programs for k in range(len(q)) if q[:k] in present]
 
 
-def incompressibility_flag(margin_rows: Sequence[dict], c: int) -> Optional[str]:
-    """The exact one-sided claim an upper bound supports, or None, read from
-    levin_chaitin_margin rows.
+def incompressibility_flag(margin_rows: Sequence[dict], c: int) -> bool:
+    """Whether levin_chaitin_margin rows support the exact one-sided claim an
+    upper bound can make: x is not c-incompressible relative to this machine.
 
     The claim is made when some checkpoint has K_upper < n - c, that is a
     margin below -c; a margin of exactly -c is not flagged.
     """
-    for row in margin_rows:
-        if row["margin"] < -c:
-            return (
-                f"not {c}-incompressible relative to this machine: "
-                f"K_upper(x|{row['n']}) = {row['k_upper']} < {row['n']} - {c}"
-            )
-    return None
+    return any(row["margin"] < -c for row in margin_rows)

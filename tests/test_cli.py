@@ -131,6 +131,11 @@ def _patch(module, name: str, value):
 SKEW_MODEL = {"skew.json": json.dumps({"schema": "hv/v1",
                                        "space": {"kind": "discrete", "size": 2}, "g": [0, 1],
                                        "mu": [0.5, 0.5], "target": [0.9, 0.1]})}
+# a model whose target lists more outcomes than g reaches
+LONG_TARGET_MODEL = {"long.json": json.dumps({"schema": "hv/v1",
+                                              "space": {"kind": "discrete", "size": 2},
+                                              "g": [0, 1], "mu": [0.5, 0.5],
+                                              "target": [0.5, 0.25, 0.25]})}
 # id: (files, argv writing the report r.json, its schema, patch or None), each exiting 2
 EXIT_2_CASES = {
     "analyze-borel": (
@@ -143,6 +148,9 @@ EXIT_2_CASES = {
                             "--n", "10000", "--json", "r.json"], "hv-audit2/v1", None),
     "hv-audit2-target": (SKEW_MODEL, ["hv", "audit2", "--model", "skew.json", "--n", "10000",
                                       "--json", "r.json"], "hv-audit2/v1", None),
+    "hv-audit2-target-length": (LONG_TARGET_MODEL, ["hv", "audit2", "--model", "long.json",
+                                                    "--n", "10000", "--json", "r.json"],
+                                "hv-audit2/v1", None),
     "ks-verify-two-marks": (
         {"marks.json": json.dumps([1, 1, 0, 0, 0, 0, 0])},  # two marks in basis (0, 1, 2)
         ["ks", "verify", "--rays", "demo_colorable.rays", "--coloring", "marks.json",
@@ -292,8 +300,7 @@ def _one_error_line(capsys, *fragments) -> None:
      ("repeat an angle",)),
     (["bell", "run", "--settings", "0,nan,30", "--n", "600", "--out", "b.csv"],
      ("must be finite angles",)),
-    (["omega", "--steps", "-3", "--json", "o.json"],
-     ("max_steps must be an integer >= 0, got -3",)),
+    (["omega", "--steps", "-3", "--json", "o.json"], ("--steps must be >= 0, got -3",)),
     (["generate", "--kind", "champernowne", "--base", "40", "--n", "100", "--out", "z.seq"],
      ("champernowne base must be in 2..36", "got 40")),
     (["hv", "run", "--model", "fair_coin_counter.json", "--bias", "0.6,0.4", "--n", "8",
@@ -444,6 +451,10 @@ def _hv_model(**fields) -> str:
                     "basis a b c\n"},
      ["ks", "search", "--rays", "redef.rays", "--json", "s.json"],
      ("redef.rays: line 5: ray 'a' is already defined on line 2",)),
+    ({"pair.rays": "rays/v1\nray a 1 0 0\nray b 0 1 0\nbasis a b\n"},
+     ["ks", "search", "--rays", "pair.rays"], ("pair.rays: line 4: basis needs 3 ray names",)),
+    ({"typo.rays": "rays/v1\nray a 1 0 0\nbases a\n"},
+     ["ks", "search", "--rays", "typo.rays"], ("typo.rays: line 3: unknown directive 'bases'",)),
     # the demo set's own coloring, as JSON booleans and with a float mark
     ({"c.json": json.dumps({"coloring": [True, False, False, False, False, True, False]})},
      ["ks", "verify", "--rays", "demo_colorable.rays", "--coloring", "c.json"],
@@ -463,7 +474,8 @@ def _hv_model(**fields) -> str:
         "report-claim-unknown-status", "seq-bad-symbol", "monkey-target-past-input",
         "ks-search-non-orthogonal",
         "ks-verify-non-orthogonal", "ks-rays-short-line", "ks-rays-collapsing-basis",
-        "ks-rays-redefined-name", "ks-coloring-bools", "ks-coloring-float-mark"])
+        "ks-rays-redefined-name", "ks-rays-two-ray-basis", "ks-rays-unknown-directive",
+        "ks-coloring-bools", "ks-coloring-float-mark"])
 def test_bad_input_file_is_named(files, argv, fragments, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
@@ -528,12 +540,60 @@ def test_analyze_reads_its_input_once(tmp_path, monkeypatch):
     assert monkey["positions_head"] == [i for i in range(399) if sigma[i:i + 2] == "01"][:100]
 
 
+GEN = ["--n", "4", "--out", "g.seq"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["generate", "--kind", "periodic", "--base", "1", *GEN], "--base must be >= 2, got 1"),
+    (["generate", "--kind", "champernowne", "--base", "1", *GEN], "--base must be >= 2, got 1"),
+    (["generate", "--kind", "os", "--base", "1", *GEN], "--base must be >= 2, got 1"),
+    (["generate", "--fair-coin", "--n", "-3", "--out", "g.seq"], "--n must be >= 0, got -3"),
+    (["hv", "run", "--model", "fair_coin_counter.json", "--n", "-1", "--out", "h.seq"],
+     "--n must be >= 0, got -1"),
+    (["bell", "run", "--n", "0", "--out", "b.csv"], "--n must be >= 1, got 0"),
+    (["komplexity", "--in", "x.seq", "--exact-max-len", "-2", "--json", "k.json"],
+     "--exact-max-len must be in 0..24, got -2"),
+    (["komplexity", "--in", "x.seq", "--exact-max-len", "30", "--json", "k.json"],
+     "--exact-max-len must be in 0..24, got 30"),
+    (["omega", "--max-len", "-1", "--json", "o.json"], "--max-len must be in 0..24, got -1"),
+    (["omega", "--max-len", "30", "--json", "o.json"], "--max-len must be in 0..24, got 30"),
+    (["analyze", "--in", "x.seq", "--tests", "monkey", "--target", "", "--json", "a.json"],
+     "--target must be non-empty"),
+], ids=["periodic-base-1", "champernowne-base-1", "os-base-1", "generate-negative-n",
+        "hv-run-negative-n", "bell-run-zero-n", "exact-max-len-negative",
+        "exact-max-len-above-cap", "max-len-negative", "max-len-above-cap", "empty-target"])
+def test_an_option_out_of_range_is_named(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    sq.write_sequence_file("x.seq", bits("0110"))
+    assert cli.dispatch(argv) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert os.listdir() == ["x.seq"]
+
+
+@pytest.mark.parametrize("n,functional,claim,why", [
+    (500, "default", "free_choice", "free-choice check skipped: need >= 1000 trials, got 500"),
+    (1200, "0,0,30", "functional", "custom: all coefficients zero"),
+], ids=["short-hv-run", "all-zero-functional"])
+def test_bell_analyze_skips_a_claim_it_cannot_judge(n, functional, claim, why, tmp_path,
+                                                    monkeypatch):
+    """The report is still written, with the claim skipped and its why."""
+    monkeypatch.chdir(tmp_path)
+    strat = bell.LocalDeterministicStrategy((0, 1, 0), (0, 1, 0))
+    bell.save_trials_csv("hv.csv", bell.run_bipartite("hv", bell.DEFAULT_SETTINGS, n, seed=7,
+                                                      hv_ensemble=[(1.0, strat)]))
+    assert cli.dispatch(["bell", "analyze", "--in", "hv.csv", "--functional", functional,
+                         "--json", "b.json"]) == cli.EXIT_OK
+    with open("b.json") as f:
+        claims = json.load(f)["claims"]
+    assert {"claim": claim, "status": "skipped", "why": why} in claims
+
+
 def test_komplexity_rejects_negative_steps(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     sq.write_sequence_file("x.seq", bits("0110"))
     assert cli.dispatch(["komplexity", "--in", "x.seq", "--exact-max-len", "4",
                          "--steps", "-1", "--json", "k.json"]) == cli.EXIT_USAGE
-    _one_error_line(capsys, "max_steps must be an integer >= 0, got -1")
+    _one_error_line(capsys, "--steps must be >= 0, got -1")
     assert not os.path.exists("k.json")
 
 

@@ -83,11 +83,6 @@ def test_knob_inventory_matches_the_frozen_table():
     assert knob_inventory() == KNOBS.split("\n")[1:-1]
 
 
-# Public names kept without a caller: the free-will-theorem reduction has no
-# CLI subcommand yet (ROADMAP item 8).
-UNCALLED_ALLOWED = {"ks.fwt_reduction_check", "ks.coloring_to_value_map", "ks.outcome_tuples"}
-
-
 def _reads() -> tuple[set[tuple[str, str]], set[str]]:
     """The (module, name) pairs read through their own module, and the names
     read as an attribute of anything, in src/indlab and in bench/.
@@ -135,4 +130,4 @@ def test_every_public_name_has_a_caller():
         owner, name = q.rsplit(".", 1)
         if not (name in attributes if "." in owner else (owner, name) in reads):
             uncalled.add(q)
-    assert uncalled == UNCALLED_ALLOWED
+    assert not uncalled

@@ -695,49 +695,6 @@ class TestSignInvariance:
 
 
 class TestFwtReduction:
-    def test_valid_coloring_induces_passing_map(self, demo):
-        coloring = ks.search_coloring(demo).assignment
-        value_map = ks.coloring_to_value_map(demo, coloring)
-        report = ks.fwt_reduction_check(demo, value_map)
-        assert report.passed
-        assert report.induced_coloring == coloring
-
-    def test_outcome_tuples_in_o_set(self, demo):
-        coloring = ks.search_coloring(demo).assignment
-        for t in ks.outcome_tuples(demo, coloring):
-            assert sorted(t) == [0, 1, 1]
-
-    def test_basis_dependent_value_reported(self, demo):
-        coloring = ks.search_coloring(demo).assignment
-        value_map = ks.coloring_to_value_map(demo, coloring)
-        # demo ray 0 (x) sits in bases 0 and 1: give it conflicting outcomes
-        positions = [
-            (bi, pos)
-            for bi, basis in enumerate(demo.bases)
-            for pos, r in enumerate(basis)
-            if r == 0
-        ]
-        assert len(positions) >= 2
-        value_map[positions[0]] = 0
-        value_map[positions[1]] = 1
-        report = ks.fwt_reduction_check(demo, value_map)
-        assert not report.consistent
-        assert any("ray 0" in v for v in report.violations)
-
-    def test_partial_map_rejected(self, demo):
-        value_map = ks.coloring_to_value_map(demo, ks.search_coloring(demo).assignment)
-        value_map.pop((0, 0))
-        with pytest.raises(ValueError, match="partial"):
-            ks.fwt_reduction_check(demo, value_map)
-
-    @pytest.mark.parametrize("outcome", [False, 0.0])
-    def test_outcomes_are_the_integers_0_and_1(self, demo, outcome):
-        value_map = ks.coloring_to_value_map(demo, ks.search_coloring(demo).assignment)
-        key = next(k for k, v in value_map.items() if v == 0)
-        value_map[key] = outcome
-        with pytest.raises(ValueError, match=f"outcome must be 0 or 1, got {outcome}$"):
-            ks.fwt_reduction_check(demo, value_map)
-
     def test_no_consistent_map_on_ks_set(self, peres):
         # any basis-independent map induces a coloring; the search says none
         # exists, which is the theorem's content at desk scale
