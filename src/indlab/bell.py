@@ -101,12 +101,8 @@ class MismatchFunctional:
         return all(c == 0 for c, _, _ in self.terms)
 
     def settings(self) -> SettingSet:
-        angles: list[float] = []
-        for _, a, b in self.terms:
-            for x in (a, b):
-                if x not in angles:
-                    angles.append(x)
-        return SettingSet(tuple(angles))
+        """The angles the terms name, in first-named order."""
+        return SettingSet(tuple(dict.fromkeys(x for _, a, b in self.terms for x in (a, b))))
 
 
 def default_functional() -> MismatchFunctional:
@@ -311,45 +307,40 @@ def _chi2_z(table: np.ndarray) -> tuple[float, bool]:
     return -NormalDist().inv_cdf(max(p, 1e-300)), False
 
 
+def _independence_check(name: str, tables: dict) -> dict:
+    """The randomness._z_check of independence in each named table, at the
+    worst _chi2_z; parameters holds each name + "_z", None where the table
+    is degenerate.  When every table is, none can witness dependence, and
+    the check is skipped, never passed."""
+    zs = {key + "_z": _chi2_z(table) for key, table in tables.items()}
+    worst = max(z for z, _ in zs.values())  # a degenerate table has z = 0
+    return _z_check(name, worst, 0.0, worst, {k: None if d else z for k, (z, d) in zs.items()},
+                    skipped=all(d for _, d in zs.values()))
+
+
 def no_signaling_check(trials: TrialSet) -> tuple[dict, dict]:
     """Marginal independence both ways: Alice's outcome distribution must
     not depend on Bob's setting, and vice versa, at z <= DEFAULT_Z_THRESHOLD.
-    Returns the (alice, bob) check dicts of randomness._z_check; parameters
-    holds each own setting's z, None where its table is degenerate."""
+    Returns the (alice, bob) _independence_check over one table per own
+    setting; a wing with one settings pair alone, say, is skipped."""
     s = len(trials.settings)
     counts = _contingency((s, s), trials.a_idx, trials.b_idx)
-    counts = counts[counts > 0]
-    deficit = counts[counts < MIN_TRIALS_PER_PAIR]
-    if deficit.size or not counts.size:
-        raise ValueError(
-            f"need >= {MIN_TRIALS_PER_PAIR} trials per settings pair; "
-            f"smallest observed count {deficit.min() if deficit.size else 0}"
-        )
-    reports = []
-    for wing, own_idx, other_idx, outcome in (
-        ("alice", trials.a_idx, trials.b_idx, trials.alpha),
-        ("bob", trials.b_idx, trials.a_idx, trials.beta),
-    ):
-        # tables[setting] counts (other setting, outcome) at own setting
-        tables = _contingency((s, s, 2), own_idx, other_idx, outcome)
-        worst = 0.0
-        details = {}
-        for setting in range(s):
-            z, degenerate = _chi2_z(tables[setting])
-            details[f"setting_{setting}_z"] = z if not degenerate else None
-            worst = max(worst, z)  # a degenerate table has z = 0
-        reports.append(_z_check(f"no_signaling[{wing}]", worst, 0.0, worst, details))
-    return reports[0], reports[1]
+    smallest = counts[counts > 0].min() if counts.any() else 0
+    if smallest < MIN_TRIALS_PER_PAIR:
+        raise ValueError(f"need >= {MIN_TRIALS_PER_PAIR} trials per settings pair; "
+                         f"smallest observed count {smallest}")
+    # per wing, at each own setting, a table of (other setting, outcome) counts
+    wings = {"alice": _contingency((s, s, 2), trials.a_idx, trials.b_idx, trials.alpha),
+             "bob": _contingency((s, s, 2), trials.b_idx, trials.a_idx, trials.beta)}
+    alice, bob = (_independence_check(f"no_signaling[{wing}]", {
+        f"setting_{i}": table for i, table in enumerate(tables)}) for wing, tables in wings.items())
+    return alice, bob
 
 
 def free_choice_check(trials: TrialSet) -> dict:
     """Independence of (a, b), (a, lambda), and (b, lambda), at z <= DEFAULT_Z_THRESHOLD,
-    as one check dict of randomness._z_check whose parameters hold each
-    pair's z.
-
-    Degenerate marginals (a single observed setting or hidden value) make
-    the test inconclusive: reported as skipped, never as passed.
-    """
+    as the _independence_check of those three tables: skipped, never passed,
+    when the marginals are degenerate (a single observed setting or hidden value)."""
     if trials.lam is None:
         raise ValueError("free-choice check needs lambda_id on the records")
     if len(trials) < MIN_TRIALS_PER_PAIR:
@@ -358,19 +349,10 @@ def free_choice_check(trials: TrialSet) -> dict:
     # lambda is indexed by its distinct values, so no table grows with the ids
     lam = np.unique(trials.lam, return_inverse=True)[1]
     n_lam = int(lam.max()) + 1
-    pairs = {
-        "a_vs_b": (trials.a_idx, trials.b_idx, (s, s)),
-        "a_vs_lambda": (trials.a_idx, lam, (s, n_lam)),
-        "b_vs_lambda": (trials.b_idx, lam, (s, n_lam)),
-    }
-    worst = 0.0
-    details = {}
-    for name, (u, v, shape) in pairs.items():
-        z, degenerate = _chi2_z(_contingency(shape, u, v))
-        details[name + "_z"] = None if degenerate else z
-        worst = max(worst, z)  # a degenerate table has z = 0
-    return _z_check("free_choice", worst, 0.0, worst, details,
-                    skipped=all(z is None for z in details.values()))
+    return _independence_check("free_choice", {
+        "a_vs_b": _contingency((s, s), trials.a_idx, trials.b_idx),
+        "a_vs_lambda": _contingency((s, n_lam), trials.a_idx, lam),
+        "b_vs_lambda": _contingency((s, n_lam), trials.b_idx, lam)})
 
 
 def perfect_correlation_violations(trials: TrialSet) -> int:
@@ -383,7 +365,8 @@ def empirical_functional(trials: TrialSet, functional: MismatchFunctional) -> di
     """The functional evaluated on empirical mismatch frequencies, as the
     keys empirical (the value), six_sigma (six standard errors summed over
     the terms by |coeff|) and per_term (a, b, coeff, n, mismatch, quantum
-    and sigma of each term)."""
+    and sigma of each term); only the key skipped, naming the pair, when a
+    term's settings pair has no trials."""
     settings = trials.settings
     value = 0.0
     per_term = []
@@ -391,7 +374,7 @@ def empirical_functional(trials: TrialSet, functional: MismatchFunctional) -> di
         mask = (trials.a_idx == settings.index(a)) & (trials.b_idx == settings.index(b))
         n = int(mask.sum())
         if n == 0:
-            raise ValueError(f"no trials at settings pair ({a}, {b})")
+            return {"skipped": f"no trials at settings pair ({a}, {b})"}
         freq = float(np.mean(trials.alpha[mask] != trials.beta[mask]))
         expected = quantum_mismatch(a, b)
         sigma = math.sqrt(max(freq * (1 - freq), 1.0 / n) / n)
@@ -410,31 +393,33 @@ def empirical_functional(trials: TrialSet, functional: MismatchFunctional) -> di
 CSV_HEADER = ("a_deg", "b_deg", "alpha", "beta", "lambda_id")
 
 
-def _decimal(values: np.ndarray) -> np.ndarray:
-    """Integers as the byte strings str(int) gives, each distinct value rendered once."""
-    distinct, codes = np.unique(values, return_inverse=True)
-    return np.array([str(v).encode() for v in distinct.tolist()], dtype=bytes)[codes]
-
-
 def save_trials_csv(path: str, trials: TrialSet) -> None:
-    """CSV of a_deg,b_deg,alpha,beta,lambda_id plus a JSON metadata sidecar.
-
-    Written as csv.writer writes it: angles as str(float), a blank
-    lambda_id when there is none, and CRLF line ends.  Beyond copying bytes,
-    the cost follows the distinct values: each is rendered once.
-    """
-    n = len(trials)
-    angles = np.array([str(a).encode() for a in trials.settings.angles])
-    lam = np.zeros(n, "S1") if trials.lam is None else _decimal(trials.lam)
-    columns = [angles[trials.a_idx], angles[trials.b_idx],
-               _decimal(trials.alpha), _decimal(trials.beta), lam]
-    # Each column becomes an (n, width) byte matrix padded with NULs; the
-    # rows are joined side by side and the padding dropped in one pass.
-    parts = []
-    for col in columns:
-        parts += [col.view(np.uint8).reshape(n, col.itemsize), np.full((n, 1), ord(","), np.uint8)]
-    parts[-1] = np.tile(np.frombuffer(b"\r\n", np.uint8), (n, 1))
-    body = np.concatenate(parts, axis=1).tobytes().replace(b"\0", b"")
+    """CSV of a_deg,b_deg,alpha,beta,lambda_id plus a JSON metadata sidecar,
+    written as csv.writer writes it: angles as str(float), a blank lambda_id
+    when there is none, CRLF line ends.  As load_trials_csv parses each
+    distinct line once, each distinct row is rendered once and gathered.  A
+    setting index outside the settings or an outcome other than 0 or 1
+    raises a ValueError naming its column before anything is written."""
+    n, s = len(trials), len(trials.settings)
+    columns = {"a_idx": trials.a_idx, "b_idx": trials.b_idx, "alpha": trials.alpha,
+               "beta": trials.beta}
+    for (name, column), size in zip(columns.items(), (s, s, 2, 2)):
+        bad = np.flatnonzero((column < 0) | (column >= size))
+        if bad.size:
+            raise ValueError(f"{name} {column[bad[0]]} on trial {bad[0]} is outside 0..{size - 1}")
+    # one code per trial over its row's fields, lambda_id by its rank
+    lam = np.zeros(n, np.int64) if trials.lam is None else np.unique(
+        trials.lam, return_inverse=True)[1]
+    code = ((lam * s + trials.a_idx) * s + trials.b_idx) * 4 + trials.alpha * 2 + trials.beta
+    distinct, row_of = np.unique(code, return_inverse=True)
+    pick = np.empty(len(distinct), np.int64)
+    pick[row_of] = np.arange(n)  # a trial of each distinct row
+    angles = [str(a) for a in trials.settings.angles]
+    lam_ids = [""] * len(pick) if trials.lam is None else trials.lam[pick].tolist()
+    rows = np.array([f"{angles[a]},{angles[b]},{x},{y},{l}\r\n".encode() for a, b, x, y, l in
+                     zip(*(c[pick].tolist() for c in columns.values()), lam_ids)], dtype=bytes)
+    # the rows are NUL-padded to one width; the gather keeps it, the strip drops it
+    body = rows[row_of].tobytes().replace(b"\0", b"")
     with open(path, "wb") as f:
         f.write(",".join(CSV_HEADER).encode() + b"\r\n" + body)
     with open(path + ".meta.json", "w") as f:

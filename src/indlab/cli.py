@@ -135,10 +135,9 @@ def _resolve_data_path(name: str) -> str:
 # -- subcommands -------------------------------------------------------------
 
 
-# generate --kind -> the SequenceSource kind it builds, which reads the options
-# that spell its SOURCE_KEYWORDS and --base, its alphabet (born's comes from --probs)
-GENERATE_KINDS = {"born": "born_sampler", "champernowne": "champernowne",
-                  "periodic": "periodic", "os": "os_entropy"}
+# generate --kind names the SequenceSource kind it builds, which reads the options that
+# spell its SOURCE_KEYWORDS and --base, its alphabet (born's comes from --probs)
+GENERATE_KINDS = tuple(kind for kind in sq.SOURCE_KEYWORDS if kind != "file")
 
 
 def cmd_generate(args, manifest: Manifest) -> None:
@@ -147,19 +146,20 @@ def cmd_generate(args, manifest: Manifest) -> None:
         raise ValueError(f"--fair-coin stands for --kind born --probs {fair}, "
                          f"got --kind {args.kind} --probs {args.probs or fair}")
     _in_range("--n", args.n, 0)
-    _in_range("--base", args.base, 2)
-    kind = GENERATE_KINDS[args.kind]
+    _in_range("--base", args.base, 2, sq.MAX_ALPHABET.get(args.kind))
     for key in ("base", "probs", "pattern", "seed", "start_at_one"):
-        reads = key in sq.SOURCE_KEYWORDS[kind] or (key == "base" and args.kind != "born")
+        reads = key in sq.SOURCE_KEYWORDS[args.kind] or (key == "base" and args.kind != "born")
         if getattr(args, key) is not None and not reads:
             raise ValueError(f"--kind {args.kind} does not read --{key.replace('_', '-')}")
-    keywords = {key: getattr(args, key) for key in sq.SOURCE_KEYWORDS[kind]
+    keywords = {key: getattr(args, key) for key in sq.SOURCE_KEYWORDS[args.kind]
                 if getattr(args, key) is not None}
     for key, convert in (("probs", float), ("pattern", int)):
         if key in keywords:
             keywords[key] = _parse_list(f"--{key}", keywords[key], convert)
     alphabet = max(2, len(keywords.get("probs", ()))) if args.base is None else args.base
-    sigma = sq.SequenceSource(kind, alphabet, **keywords).prefix(args.n)
+    for symbol in keywords.get("pattern", ()):
+        _in_range("--pattern", symbol, 0, alphabet - 1)
+    sigma = sq.SequenceSource(args.kind, alphabet, **keywords).prefix(args.n)
     sq.write_sequence_file(args.out, sigma)
     print(f"wrote {len(sigma)} base-{sigma.alphabet_size} symbols to {args.out}")
 
@@ -283,6 +283,9 @@ def cmd_hv(args, manifest: Manifest) -> dict | None:
     model = hv.load_model(_resolve_data_path(args.model))
     manifest.add_input(args.model)
     sampler = _load_sampler(args)
+    bias = sampler.params.get("probs")
+    if bias is not None and len(bias) != model.space.size:
+        raise ValueError(f"--bias covers {len(bias)} states, space has {model.space.size}")
     if sampler.kind == "recorded_file":
         manifest.add_input(sampler.params["path"])
     if args.hv_command == "run":
@@ -298,6 +301,7 @@ def cmd_hv(args, manifest: Manifest) -> dict | None:
                         f"contract needs them within {hv.PUSHFORWARD_TOL}")
     if args.hv_command == "audit1":
         checkpoints = _parse_list("--checkpoints", args.checkpoints, int)
+        _in_range("--checkpoints", min(checkpoints), 0)
         rep = hv.scenario_one_audit(model, sampler, checkpoints)
         margins = ", ".join(f"{p['margin']} at N={p['n']}" for p in rep["checkpoints"])
         # the scenario-1 flag refutes 1-randomness when it fires and proves nothing when not
@@ -306,6 +310,7 @@ def cmd_hv(args, manifest: Manifest) -> dict | None:
             f"K_upper - N is {margins} bits; the flag fires below "
             f"{rep['flag_threshold_bits']} bits")]
         return rep
+    _in_range("--n", args.n, hv.SCENARIO2_MIN_N)
     rep = hv.scenario_two_audit(model, sampler, args.n)
     checks = rep["cell_checks"] + rep["outcome_checks"]
     rep["claims"] = [compatible, _claim(
@@ -347,14 +352,16 @@ def cmd_bell(args, manifest: Manifest) -> dict | None:
     claims: list[dict] = []
     report: dict = {"schema": "bell/v1", "input": args.infile,
                     "n_trials": len(trials), "model": model_kind, "claims": claims}
-    if functional.degenerate:
-        report["functional"] = {"name": functional.name, "skipped": "degenerate"}
-        claims.append(_claim("functional", None, f"{functional.name}: all coefficients zero"))
+    est = report["functional"] = ({"skipped": "degenerate"} if functional.degenerate
+                                  else bell.empirical_functional(trials, functional))
+    est["name"] = functional.name
+    if "skipped" in est:  # a degenerate functional, or a term's pair with no trials
+        claims.append(_claim("functional", None, f"{functional.name}: " + (
+            "all coefficients zero" if functional.degenerate else est["skipped"])))
     else:
-        est = report["functional"] = bell.empirical_functional(trials, functional)
         bound, _ = bell.local_bound_bruteforce(functional.settings(), functional)
         qv = bell.quantum_value(functional)
-        est.update(name=functional.name, quantum=qv, local_bound=bound)
+        est.update(quantum=qv, local_bound=bound)
         e, six_sigma = est["empirical"], est["six_sigma"]
         ok, rule = {
             "hv": (not e > float(bound) + six_sigma,
@@ -368,8 +375,10 @@ def cmd_bell(args, manifest: Manifest) -> dict | None:
     mismatches = bell.perfect_correlation_violations(trials)
     report["equal_setting_mismatches"] = mismatches
     if model_kind == "quantum":
-        claims.append(_claim("perfect_correlation", not mismatches,
-                             f"{mismatches} equal-setting mismatches in a quantum run"))
+        equal = (trials.a_idx == trials.b_idx).any()
+        claims.append(_claim("perfect_correlation", not mismatches if equal else None,
+                             f"{mismatches} equal-setting mismatches in a quantum run"
+                             if equal else "no equal-setting trials in a quantum run"))
     try:
         ra, rb = bell.no_signaling_check(trials)
     except ValueError as exc:
@@ -377,10 +386,14 @@ def cmd_bell(args, manifest: Manifest) -> dict | None:
         claims.append(_claim("no_signaling", None, f"no-signaling check skipped: {exc}"))
     else:
         report["no_signaling"] = {"alice": ra, "bob": rb}
-        ok = ra["pass"] and rb["pass"]
+        # skipped when both wings are; else each wing that ran must pass
+        ok = None if ra["skipped"] and rb["skipped"] else all(
+            r["pass"] or r["skipped"] for r in (ra, rb))
+        verdict = "skipped" if ok is None else "holds" if ok else "failed"
+        worst = ", ".join(f"{wing} " + ("skipped" if r["skipped"] else f"{r['z_score']:.2f}")
+                          for wing, r in (("alice", ra), ("bob", rb)))
         claims.append(_claim("no_signaling", ok, f"no-signaling marginal independence "
-                             f"{'holds' if ok else 'failed'}: worst z alice {ra['z_score']:.2f}, "
-                             f"bob {rb['z_score']:.2f}, threshold {ra['threshold']}"))
+                             f"{verdict}: worst z {worst}, threshold {ra['threshold']}"))
     if trials.lam is not None:
         try:
             fc = report["free_choice"] = bell.free_choice_check(trials)
@@ -517,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--manifest", help="manifest path (default: <out>.manifest.json)")
 
     g = sub.add_parser("generate", help="write a seq/v1 sequence file")
-    g.add_argument("--kind", default="born", choices=list(GENERATE_KINDS))
+    g.add_argument("--kind", default="born", choices=GENERATE_KINDS)
     g.add_argument("--fair-coin", action="store_true",
                    help="shorthand for --kind born --probs 0.5,0.5")
     g.add_argument("--probs")
@@ -623,7 +636,7 @@ def dispatch(argv: list[str]) -> int:
     try:
         report = args.func(args, manifest) or {}
         _write_json(getattr(args, "json", None), report)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     claims = report.get("claims", [])

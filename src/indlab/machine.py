@@ -574,12 +574,9 @@ def enumerate_domain(
         if res is None:
             stack.append(children(m))
         elif res.status == "halted":
-            if res.bits_consumed == len(m.tape):
-                bound = yield DomainEntry(tuple(m.tape), res.output, res.steps)
-                if bound is not None:
-                    max_len = min(max_len, _operand(bound, None, "a sent length bound"))
-            # else: a shorter run already owns this program; unreachable
-            # because only bit-hungry prefixes are ever extended.
+            bound = yield DomainEntry(tuple(m.tape), res.output, res.steps)
+            if bound is not None:
+                max_len = min(max_len, _operand(bound, None, "a sent length bound"))
         elif res.status == "timeout":
             if timeout_log is not None and res.reason == "step budget exhausted":
                 timeout_log.append(res.bits_consumed)

@@ -20,12 +20,14 @@ SEQ_SCHEMA = "seq/v1"
 # has no default path.  A constant sequence is the periodic one of a
 # one-symbol pattern.
 SOURCE_KEYWORDS = {
-    "born_sampler": {"probs": (0.5, 0.5), "seed": 0},
+    "born": {"probs": (0.5, 0.5), "seed": 0},
     "champernowne": {"start_at_one": False},
     "periodic": {"pattern": (0, 1)},
     "file": {"path": None},
-    "os_entropy": {},
+    "os": {},
 }
+# The largest alphabet of a kind that has one: digits 0-9 then a-z; a byte a symbol
+MAX_ALPHABET = {"champernowne": 36, "os": 256}
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +91,7 @@ class SymbolString:
 
 def champernowne_text(base: int, n: int, start_at_one: bool = False) -> str:
     """First n digits of the base-k concatenation 0,1,2,... (or 1,2,3,...)."""
-    if not 2 <= base <= 36:
+    if not 2 <= base <= MAX_ALPHABET["champernowne"]:
         raise ValueError(f"champernowne base must be in 2..36 (digits 0-9 then a-z), got {base}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -152,9 +154,9 @@ class SequenceSource:
     """A (conceptually infinite) symbol sequence named by its kind and parameters.
 
     prefix(n) computes the first n symbols afresh from the kind and its
-    parameters, so for a fixed kind and parameters (a born_sampler's seed
+    parameters, so for a fixed kind and parameters (a born source's seed
     among them) every prefix is reproducible bit for bit and a prefix of
-    every longer one, except for kind "os_entropy", which draws anew on
+    every longer one, except for kind "os", which draws anew on
     each call.  A "file" source reads its path, unless of_file gave it the
     symbols already read from there.
     """
@@ -181,7 +183,7 @@ class SequenceSource:
             p["pattern"] = tuple(SymbolString(self.alphabet_size, p["pattern"]))
             if not p["pattern"]:
                 raise ValueError("periodic source requires a non-empty pattern")
-        elif self.kind == "born_sampler":
+        elif self.kind == "born":
             if len(p["probs"]) > self.alphabet_size:
                 raise ValueError("more outcomes than alphabet symbols")
         elif self.kind == "file" and p["path"] is None:
@@ -205,9 +207,9 @@ class SequenceSource:
             return SymbolString(k, np.resize(np.array(p["pattern"], dtype=np.int64), n))
         if self.kind == "champernowne":
             return champernowne(k, n, p["start_at_one"])
-        if self.kind == "born_sampler":
+        if self.kind == "born":
             return SymbolString(k, sample_indices(p["probs"], n, p["seed"]))
-        if self.kind == "os_entropy":
+        if self.kind == "os":
             return SymbolString(k, os_entropy_symbols(k, n))
         sigma = self._read
         if sigma is None or n > len(sigma):
@@ -224,7 +226,7 @@ class SequenceSource:
 
 def os_entropy_symbols(k: int, n: int) -> np.ndarray:
     """n uniform symbols in [0, k) from OS entropy via rejection sampling on bytes."""
-    if k > 256:
+    if k > MAX_ALPHABET["os"]:
         raise ValueError("os_entropy supports alphabets up to 256 symbols")
     limit = 256 - (256 % k)
     out = np.empty(n, dtype=np.int64)

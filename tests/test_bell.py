@@ -263,6 +263,15 @@ class TestNoSignaling:
         with pytest.raises(ValueError, match="1000"):
             bell.no_signaling_check(tr)
 
+    def test_single_settings_pair_skipped_not_passed(self):
+        # every trial at (0, 60): no table has two of the other wing's settings
+        tr = bell.run_bipartite("quantum", bell.DEFAULT_SETTINGS, 12_000, seed=4)
+        at = (tr.a_idx == 0) & (tr.b_idx == 2)
+        pair = bell.TrialSet(tr.settings, tr.a_idx[at], tr.b_idx[at], tr.alpha[at], tr.beta[at])
+        for rep in bell.no_signaling_check(pair):
+            assert rep["skipped"] and not rep["pass"]
+            assert set(rep["parameters"].values()) == {None}
+
 
 class TestFreeChoice:
     def _ensemble(self):
@@ -422,6 +431,20 @@ class TestPersistence:
         bell.save_trials_csv(again, back)
         with open(path, "rb") as f, open(again, "rb") as g:
             assert f.read() == g.read()
+
+    @pytest.mark.parametrize("column,value,message", [
+        ("alpha", 2, "alpha 2 on trial 1 is outside 0..1"),
+        ("beta", -1, "beta -1 on trial 1 is outside 0..1"),
+        ("a_idx", 3, "a_idx 3 on trial 1 is outside 0..2"),
+        ("b_idx", -1, "b_idx -1 on trial 1 is outside 0..2"),
+    ], ids=["alpha", "beta", "a_idx", "b_idx"])
+    def test_a_value_the_reader_would_refuse_is_not_written(self, column, value, message,
+                                                            tmp_path):
+        tr = bell.run_bipartite("quantum", bell.DEFAULT_SETTINGS, 50, seed=6)
+        getattr(tr, column)[1] = value
+        with pytest.raises(ValueError, match=re.escape(message)):
+            bell.save_trials_csv(str(tmp_path / "run.csv"), tr)
+        assert os.listdir(tmp_path) == []
 
 
 def reference_save_trials_csv(path, trials):

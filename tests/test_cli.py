@@ -302,7 +302,7 @@ def _one_error_line(capsys, *fragments) -> None:
      ("must be finite angles",)),
     (["omega", "--steps", "-3", "--json", "o.json"], ("--steps must be >= 0, got -3",)),
     (["generate", "--kind", "champernowne", "--base", "40", "--n", "100", "--out", "z.seq"],
-     ("champernowne base must be in 2..36", "got 40")),
+     ("--base must be in 2..36, got 40",)),
     (["hv", "run", "--model", "fair_coin_counter.json", "--bias", "0.6,0.4", "--n", "8",
       "--out", "h.seq"], ("--bias applies only to --sampler prng", "'counter'")),
     (["hv", "audit1", "--model", "fair_coin_counter.json", "--sampler", "alternating",
@@ -326,7 +326,7 @@ def _one_error_line(capsys, *fragments) -> None:
     (["generate", "--kind", "periodic", "--pattern", "0,x", "--n", "10", "--out", "x.seq"],
      ("--pattern: bad entry 'x'",)),
     (["generate", "--kind", "periodic", "--pattern", "2", "--n", "10", "--out", "x.seq"],
-     ("symbol 2 outside alphabet [0, 2)",)),
+     ("--pattern must be in 0..1, got 2",)),
     (["bell", "run", "--settings", "0,x", "--n", "600", "--out", "b.csv"],
      ("--settings: bad entry 'x'",)),
     (["hv", "audit2", "--model", "parity4.json", "--bias", "0.5,y", "--n", "10000",
@@ -494,7 +494,7 @@ def test_bad_input_file_is_named(files, argv, fragments, tmp_path, monkeypatch, 
 ], ids=["max-block-0", "unknown-test", "empty-test-name", "blocks-past-int64"])
 def test_vacuous_analyze_is_a_usage_error(extra, fragments, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    sq.write_sequence_file("x.seq", sq.SequenceSource("born_sampler", seed=1).prefix(400))
+    sq.write_sequence_file("x.seq", sq.SequenceSource("born", seed=1).prefix(400))
     assert cli.dispatch(["analyze", "--in", "x.seq", "--json", "a.json"] + extra) \
         == cli.EXIT_USAGE
     _one_error_line(capsys, *fragments)
@@ -527,7 +527,7 @@ def test_komplexity_names_the_timeouts_that_block_exact(steps, max_len, search, 
 
 def test_analyze_reads_its_input_once(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    sq.write_sequence_file("x.seq", sq.SequenceSource("born_sampler", seed=1).prefix(400))
+    sq.write_sequence_file("x.seq", sq.SequenceSource("born", seed=1).prefix(400))
     read = sq.read_sequence_file
     reads = []
     monkeypatch.setattr(sq, "read_sequence_file", lambda path: reads.append(path) or read(path))
@@ -545,8 +545,9 @@ GEN = ["--n", "4", "--out", "g.seq"]
 
 @pytest.mark.parametrize("argv,message", [
     (["generate", "--kind", "periodic", "--base", "1", *GEN], "--base must be >= 2, got 1"),
-    (["generate", "--kind", "champernowne", "--base", "1", *GEN], "--base must be >= 2, got 1"),
-    (["generate", "--kind", "os", "--base", "1", *GEN], "--base must be >= 2, got 1"),
+    (["generate", "--kind", "champernowne", "--base", "1", *GEN],
+     "--base must be in 2..36, got 1"),
+    (["generate", "--kind", "os", "--base", "1", *GEN], "--base must be in 2..256, got 1"),
     (["generate", "--fair-coin", "--n", "-3", "--out", "g.seq"], "--n must be >= 0, got -3"),
     (["hv", "run", "--model", "fair_coin_counter.json", "--n", "-1", "--out", "h.seq"],
      "--n must be >= 0, got -1"),
@@ -559,15 +560,72 @@ GEN = ["--n", "4", "--out", "g.seq"]
     (["omega", "--max-len", "30", "--json", "o.json"], "--max-len must be in 0..24, got 30"),
     (["analyze", "--in", "x.seq", "--tests", "monkey", "--target", "", "--json", "a.json"],
      "--target must be non-empty"),
+    (["hv", "audit1", "--model", "fair_coin_counter.json", "--checkpoints", "-1",
+      "--json", "h1.json"], "--checkpoints must be >= 0, got -1"),
+    (["generate", "--kind", "os", "--base", "300", *GEN], "--base must be in 2..256, got 300"),
+    (["generate", "--kind", "champernowne", "--base", "40", *GEN],
+     "--base must be in 2..36, got 40"),
+    (["hv", "audit2", "--model", "fair_coin_counter.json", "--n", "5", "--json", "h2.json"],
+     "--n must be >= 10000, got 5"),
+    (["hv", "audit2", "--model", "parity4.json", "--bias", "0.5,0.5", "--json", "h2.json"],
+     "--bias covers 2 states, space has 4"),
+    (["generate", "--kind", "periodic", "--pattern", "0,5", "--base", "3", *GEN],
+     "--pattern must be in 0..2, got 5"),
 ], ids=["periodic-base-1", "champernowne-base-1", "os-base-1", "generate-negative-n",
         "hv-run-negative-n", "bell-run-zero-n", "exact-max-len-negative",
-        "exact-max-len-above-cap", "max-len-negative", "max-len-above-cap", "empty-target"])
+        "exact-max-len-above-cap", "max-len-negative", "max-len-above-cap", "empty-target",
+        "negative-checkpoint", "os-base-300", "champernowne-base-40", "audit2-n-5",
+        "bias-short-of-the-space", "pattern-symbol-outside-base"])
 def test_an_option_out_of_range_is_named(argv, message, tmp_path, monkeypatch, capsys):
+    """The message names the option typed, one that the subcommand's parser defines."""
     monkeypatch.chdir(tmp_path)
     sq.write_sequence_file("x.seq", bits("0110"))
     assert cli.dispatch(argv) == cli.EXIT_USAGE
     assert capsys.readouterr().err == f"error: {message}\n"
     assert os.listdir() == ["x.seq"]
+    subcommand = argv[:2] if argv[0] in ("hv", "bell", "ks") else argv[:1]
+    assert message.split()[0] in _subcommand_options(*subcommand).values()
+
+
+def test_a_run_that_cannot_allocate_exits_1(tmp_path, monkeypatch, capsys):
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(hv, "scenario_one_audit", no_memory)
+    assert cli.dispatch(["hv", "audit1", "--model", "fair_coin_counter.json",
+                         "--checkpoints", "100,100000000000", "--json", "h1.json"]) == \
+        cli.EXIT_USAGE
+    _one_error_line(capsys, "Unable to allocate 745. GiB")
+    assert os.listdir() == []
+
+
+@pytest.mark.parametrize("functional,status,why", [
+    ("default", "skipped", "default: no trials at settings pair (0.0, 30.0)"),
+    ("1,0,60", "pass", "functional custom: empirical "),
+], ids=["default", "the-pair-alone"])
+def test_bell_analyze_on_one_settings_pair_skips_what_it_has_no_data_for(
+        functional, status, why, tmp_path, monkeypatch):
+    """A quantum run cut to its trials at settings (0, 60) has no
+    equal-setting trial, gives each no-signaling table one setting of the
+    other wing, and leaves the default functional's other pairs empty: each
+    of those claims is skipped, with the report written, never passed."""
+    monkeypatch.chdir(tmp_path)
+    tr = bell.run_bipartite("quantum", bell.DEFAULT_SETTINGS, 60_000, seed=4)
+    at = (tr.a_idx == 0) & (tr.b_idx == 2)
+    bell.save_trials_csv("q.csv", bell.TrialSet(tr.settings, tr.a_idx[at], tr.b_idx[at],
+                                                tr.alpha[at], tr.beta[at], None, tr.metadata))
+    assert cli.dispatch(["bell", "analyze", "--in", "q.csv", "--functional", functional,
+                         "--json", "b.json"]) == cli.EXIT_OK
+    with open("b.json") as f:
+        report = json.load(f)
+    assert report["n_trials"] >= bell.MIN_TRIALS_PER_PAIR
+    claims = {c["claim"]: (c["status"], c["why"]) for c in report["claims"]}
+    assert claims.keys() == {"functional", "perfect_correlation", "no_signaling"}
+    assert claims["functional"][0] == status and claims["functional"][1].startswith(why)
+    assert claims["perfect_correlation"] == ("skipped", "no equal-setting trials in a quantum run")
+    assert claims["no_signaling"] == ("skipped", "no-signaling marginal independence skipped: "
+                                      "worst z alice skipped, bob skipped, threshold 4.0")
 
 
 @pytest.mark.parametrize("n,functional,claim,why", [
@@ -641,7 +699,7 @@ def contract_dir(tmp_path_factory):
     search, whose coloring ks verify reads."""
     d = tmp_path_factory.mktemp("contract")
     sq.write_sequence_file(str(d / "x.seq"),
-                           sq.SequenceSource("born_sampler", seed=1).prefix(400))
+                           sq.SequenceSource("born", seed=1).prefix(400))
     trials = bell.run_bipartite("quantum", bell.DEFAULT_SETTINGS, 3000, seed=2)
     bell.save_trials_csv(str(d / "q.csv"), trials)
     assert cli.dispatch(["ks", "search", "--rays", "demo_colorable.rays",
@@ -762,10 +820,14 @@ def test_an_empty_bias_is_a_bad_entry(tmp_path, monkeypatch, capsys):
     assert os.listdir() == []
 
 
-def _subcommand_options(name: str) -> dict[str, str]:
-    """dest -> option string of each option of the subcommand name."""
-    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
-    return {a.dest: a.option_strings[0] for a in sub.choices[name]._actions if a.dest != "help"}
+def _subcommand_options(*names: str) -> dict[str, str]:
+    """dest -> option string of each option of the subcommand that names
+    spell, such as ("generate",) or ("hv", "audit2")."""
+    parser = cli.build_parser()
+    for name in names:
+        parser = next(a for a in parser._actions if a.dest.endswith("command")).choices[name]
+    return {a.dest: a.option_strings[0] for a in parser._actions
+            if a.option_strings and a.dest != "help"}
 
 
 # a value each source option can take, whichever kind reads it
@@ -781,12 +843,12 @@ def test_generate_options_are_the_source_keywords(tmp_path, monkeypatch, capsys)
     spelled = {dest: option for dest, option in _subcommand_options("generate").items()
                if option not in ("--kind", "--fair-coin", "--base", "--n", "--out", "--manifest")}
     assert set(spelled) == {key for kw in sq.SOURCE_KEYWORDS.values() for key in kw} - {"path"}
-    for kind, source_kind in cli.GENERATE_KINDS.items():
+    for kind in cli.GENERATE_KINDS:
         for dest, option in spelled.items():
             code = cli.dispatch(["generate", "--kind", kind, option, *SOURCE_OPTION_VALUES[dest],
                                  "--n", "4", "--out", "g.seq"])
             err = capsys.readouterr().err
-            if dest in sq.SOURCE_KEYWORDS[source_kind]:
+            if dest in sq.SOURCE_KEYWORDS[kind]:
                 assert code == cli.EXIT_OK, (kind, option, err)
             else:
                 assert code == cli.EXIT_USAGE and \

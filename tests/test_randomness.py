@@ -27,7 +27,7 @@ CHAMPERNOWNE_PROGRAM_OVERHEAD = len(tm.prog_champernowne(1)) - gamma0_length(1)
 
 
 def fair_coin(n, seed=11):
-    return sq.SequenceSource("born_sampler", seed=seed, probs=[0.5, 0.5]).prefix(n)
+    return sq.SequenceSource("born", seed=seed, probs=[0.5, 0.5]).prefix(n)
 
 
 def text_monkey_search(target, source, horizon):
@@ -348,7 +348,7 @@ class TestLevinChaitinMargin:
 
     def test_fair_coin_margin_stays_positive(self):
         # upper bounds cannot refute randomness of a typical sample
-        src = sq.SequenceSource("born_sampler", seed=3)
+        src = sq.SequenceSource("born", seed=3)
         (point,) = rl.levin_chaitin_margin(src.prefix(1000), [1000])
         assert point["margin"] > 0
 
@@ -435,7 +435,7 @@ class TestMonkeySearch:
 
     def test_expected_count_in_fair_sample(self):
         target = bits("10111010")
-        src = sq.SequenceSource("born_sampler", seed=17)
+        src = sq.SequenceSource("born", seed=17)
         count = len(rl.monkey_search(target, src, 10**6))
         expect = (10**6 - 7) / 256
         sigma = math.sqrt(10**6 * (1 / 256) * (255 / 256))

@@ -147,7 +147,7 @@ class TestSources:
         assert src.prefix(5).to_text() == "11111"
 
     def test_born_sampler_golden(self):
-        src = sq.SequenceSource("born_sampler", seed=42, probs=[0.5, 0.5])
+        src = sq.SequenceSource("born", seed=42, probs=[0.5, 0.5])
         assert src.prefix(8).to_text() == GOLDEN_FAIR_COIN_SEED42_N8
 
     def test_champernowne_source(self):
@@ -157,7 +157,7 @@ class TestSources:
     @pytest.mark.parametrize(
         "kind,kwargs",
         [
-            ("born_sampler", {"seed": 9, "probs": [0.3, 0.7]}),
+            ("born", {"seed": 9, "probs": [0.3, 0.7]}),
             ("champernowne", {}),
             ("periodic", {"pattern": (1,)}),
             ("periodic", {"pattern": (0, 1, 1)}),
@@ -172,8 +172,8 @@ class TestSources:
         assert src.prefix(150).is_prefix_of(src.prefix(200))
 
     def test_os_entropy_not_reproducible(self):
-        a = sq.SequenceSource("os_entropy").prefix(64)
-        b = sq.SequenceSource("os_entropy").prefix(64)
+        a = sq.SequenceSource("os").prefix(64)
+        b = sq.SequenceSource("os").prefix(64)
         assert a != b  # 2^-64 false-failure odds
 
     def test_file_source(self, tmp_path):
@@ -207,10 +207,10 @@ class TestSources:
             sq.SequenceSource("constant", symbol=1)
 
     @pytest.mark.parametrize("kind,kwargs,keyword", [
-        ("born_sampler", {"seed": 1, "probz": [0.1, 0.9]}, "probz"),
+        ("born", {"seed": 1, "probz": [0.1, 0.9]}, "probz"),
         ("periodic", {"chunk_size": 4}, "chunk_size"),
         ("champernowne", {"symbol": 1}, "symbol"),
-        ("os_entropy", {"probs": [0.5, 0.5]}, "probs"),
+        ("os", {"probs": [0.5, 0.5]}, "probs"),
         ("periodic", {"seed": 5}, "seed"),
         ("champernowne", {"seed": 9}, "seed"),
     ])
@@ -219,10 +219,10 @@ class TestSources:
             sq.SequenceSource(kind, **kwargs)
 
     def test_defaults_come_from_the_keyword_table(self):
-        fair = sq.SequenceSource("born_sampler", seed=42)
+        fair = sq.SequenceSource("born", seed=42)
         assert fair.prefix(8).to_text() == GOLDEN_FAIR_COIN_SEED42_N8
-        assert sq.SequenceSource("born_sampler").prefix(8) == \
-            sq.SequenceSource("born_sampler", seed=0).prefix(8)
+        assert sq.SequenceSource("born").prefix(8) == \
+            sq.SequenceSource("born", seed=0).prefix(8)
         assert sq.SequenceSource("champernowne").prefix(3).to_text() == "011"
         assert sq.SequenceSource("periodic").prefix(5).to_text() == "01010"
         with pytest.raises(ValueError, match="requires path="):
