@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .randomness import _z_check
-from .sequences import seeded_stream
+from .sequences import distribution, seeded_stream
 
 MAX_SETTINGS = 16
 MIN_TRIALS_PER_PAIR = 1000
@@ -241,9 +241,7 @@ def run_bipartite(
     if model == "hv":
         if not hv_ensemble:
             raise ValueError("hv model needs a strategy ensemble")
-        weights = np.asarray([w for w, _ in hv_ensemble], dtype=float)
-        if abs(weights.sum() - 1.0) > 1e-9 or np.any(weights < 0):
-            raise ValueError("ensemble weights must form a distribution")
+        weights = np.asarray(distribution([w for w, _ in hv_ensemble], "ensemble weights"))
         for _, st in hv_ensemble:
             if not len(st.response_l) == len(st.response_r) == s:
                 raise ValueError(f"{st} does not give one response per setting of {s}")

@@ -14,6 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .sequences import distribution
+
 HERMITIAN_TOL = 1e-12
 MEASURE_TOL = 1e-10
 TENSOR_CAP = 4096
@@ -111,7 +113,8 @@ def spectral_decompose(a: Observable) -> Spectrum:
 
 @dataclass(frozen=True)
 class BornMeasure:
-    """Probabilities over a finite outcome set of eigenvalues."""
+    """Probabilities over a finite outcome set of eigenvalues.  They must pass
+    sequences.distribution once each entry in [-MEASURE_TOL, 0], rounding, is 0.0."""
 
     outcomes: tuple
     probabilities: tuple[float, ...]
@@ -119,14 +122,9 @@ class BornMeasure:
     def __post_init__(self):
         if len(self.outcomes) != len(self.probabilities):
             raise ValueError("outcomes and probabilities differ in length")
-        p = np.asarray(self.probabilities, dtype=float)
-        if np.any(p < -MEASURE_TOL):
-            raise ValueError(f"negative probability {p.min()!r}")
-        if abs(p.sum() - 1.0) > MEASURE_TOL:
-            raise ValueError(f"probabilities sum to {p.sum()!r}, need 1")
-        object.__setattr__(
-            self, "probabilities", tuple(float(max(0.0, x)) for x in p)
-        )
+        p = [0.0 if isinstance(x, float) and -MEASURE_TOL <= x <= 0 else x
+             for x in self.probabilities]
+        object.__setattr__(self, "probabilities", distribution(p, "probabilities"))
 
 
 def born_measure(omega: State, a: Observable) -> BornMeasure:

@@ -153,9 +153,10 @@ def cmd_generate(args, manifest: Manifest) -> None:
             raise ValueError(f"--kind {args.kind} does not read --{key.replace('_', '-')}")
     keywords = {key: getattr(args, key) for key in sq.SOURCE_KEYWORDS[args.kind]
                 if getattr(args, key) is not None}
-    for key, convert in (("probs", float), ("pattern", int)):
-        if key in keywords:
-            keywords[key] = _parse_list(f"--{key}", keywords[key], convert)
+    if "probs" in keywords:
+        keywords["probs"] = sq.distribution(_parse_list("--probs", args.probs, float), "--probs")
+    if "pattern" in keywords:
+        keywords["pattern"] = _parse_list("--pattern", args.pattern, int)
     alphabet = max(2, len(keywords.get("probs", ()))) if args.base is None else args.base
     for symbol in keywords.get("pattern", ()):
         _in_range("--pattern", symbol, 0, alphabet - 1)
@@ -271,8 +272,8 @@ def _load_sampler(args) -> hv.Sampler:
             raise ValueError(f"{option} applies only to --sampler prng, not {args.sampler!r}")
     prng = {}
     if args.sampler == "prng":
-        prng = {"seed": 0 if seed is None else seed,
-                "probs": None if args.bias is None else _parse_list("--bias", args.bias, float)}
+        prng = {"seed": 0 if seed is None else seed, "probs": None if args.bias is None
+                else sq.distribution(_parse_list("--bias", args.bias, float), "--bias")}
     try:
         return hv.Sampler(args.sampler, **prng)
     except ValueError as exc:
@@ -286,6 +287,8 @@ def cmd_hv(args, manifest: Manifest) -> dict | None:
     bias = sampler.params.get("probs")
     if bias is not None and len(bias) != model.space.size:
         raise ValueError(f"--bias covers {len(bias)} states, space has {model.space.size}")
+    if sampler.kind == "external_entropy" and model.space.size > sq.MAX_ALPHABET["os"]:
+        raise ValueError(f"--sampler os draws up to 256 states, the model has {model.space.size}")
     if sampler.kind == "recorded_file":
         manifest.add_input(sampler.params["path"])
     if args.hv_command == "run":

@@ -3,16 +3,17 @@
 A model owns the outcome map g and a compatibility measure mu on its
 hidden state space, stated as numbers in its hv/v1 file: a Bohmian
 |psi(q)|^2 dq over position bins or a 't Hooft |c_m|^2 over basis labels is
-written there as mu.  The per-run state supplier h is a Sampler, named by
-the same spec that `--sampler` takes (counter, alternating, constant[:v],
-prng, os, file:PATH); its provenance (deterministic rule, seeded PRNG, OS
-entropy, recorded trace) is tracked explicitly, because where the randomness
-comes from is the whole point of the two audit scenarios.  Each audit
-returns the JSON report it is written as (hv-audit1/v1, hv-audit2/v1).  The
-scenario-1 audit takes its Levin-Chaitin margins from
-randomness.levin_chaitin_margin and its flag from
-randomness.incompressibility_flag.  Bundled models are JSON files in the
-data directory, read by load_model.
+written there as mu.  An optional target, the outcome measure the model
+claims, is checked like mu, by sequences.distribution.  The per-run state
+supplier h is a Sampler, named by the same spec that `--sampler` takes
+(counter, alternating, constant[:v], prng, os, file:PATH); its provenance
+(deterministic rule, seeded PRNG, OS entropy, recorded trace) is tracked
+explicitly, because where the randomness comes from is the whole point of
+the two audit scenarios.  Each audit returns the JSON report it is written
+as (hv-audit1/v1, hv-audit2/v1).  The scenario-1 audit takes its
+Levin-Chaitin margins from randomness.levin_chaitin_margin and its flag
+from randomness.incompressibility_flag.  Bundled models are JSON files in
+the data directory, read by load_model.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from . import machine as tm
 # k_upper_bound stays bound here: bench/tracer.py wraps it on every module
 # that names it, and bench/test_bench.py reads hv.k_upper_bound.
 from .randomness import incompressibility_flag, k_upper_bound, levin_chaitin_margin
-from .sequences import SymbolString, os_entropy_symbols, read_sequence_file, sample_indices
+from .sequences import (SymbolString, distribution, os_entropy_symbols, read_sequence_file,
+                        sample_indices)
 
 HV_SCHEMA = "hv/v1"
 PUSHFORWARD_TOL = 1e-10
@@ -78,9 +80,10 @@ class HVSpace:
 class HVModel:
     """State space, total outcome map g, and compatibility measure mu.
 
-    description_bits is the serialized self-description length; the
-    scenario-1 audit uses it to bound what the model "states" about an
-    outcome sequence.
+    target, when given, is the outcome measure the model claims; it must
+    pass sequences.distribution, as mu must.  description_bits is the
+    serialized self-description length; the scenario-1 audit uses it to
+    bound what the model "states" about an outcome sequence.
     """
 
     space: HVSpace
@@ -97,13 +100,9 @@ class HVModel:
                 raise ValueError(f"g entries must be non-negative integers, got {v!r}")
         if len(self.mu) != self.space.size:
             raise ValueError("mu must cover the hidden space")
-        if not all(math.isfinite(p) for p in self.mu):
-            raise ValueError(f"mu has non-finite weights: {self.mu}")
-        total = math.fsum(self.mu)
-        if abs(total - 1.0) > PUSHFORWARD_TOL:
-            raise ValueError(f"mu sums to {total!r}, need 1")
-        if any(p < 0 for p in self.mu):
-            raise ValueError("mu has negative weights")
+        distribution(self.mu, "mu")
+        if self.target is not None:
+            distribution(self.target, "target")
 
     @property
     def n_outcomes(self) -> int:
@@ -118,11 +117,10 @@ class HVModel:
 
     def compatible(self) -> bool:
         """Does the pushforward match the declared target measure, within PUSHFORWARD_TOL?"""
-        target = self.target if self.target is not None else self.pushforward()
         push = self.pushforward()
-        if len(push) != len(target):
-            return False
-        return all(abs(a - b) <= PUSHFORWARD_TOL for a, b in zip(push, target))
+        target = self.target or push
+        return len(push) == len(target) and all(
+            abs(a - b) <= PUSHFORWARD_TOL for a, b in zip(push, target))
 
     @property
     def description_bits(self) -> int:

@@ -7,9 +7,11 @@ prefix of length n is a prefix of the prefix of length m > n.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from dataclasses import dataclass
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -126,21 +128,22 @@ def _to_base(t: int, base: int) -> str:
             return out
 
 
+def distribution(values: Sequence[float], what: str) -> tuple[float, ...]:
+    """values as a tuple of floats if they are one or more finite numbers >= 0 whose
+    math.fsum is within 1e-9 of 1; otherwise a ValueError naming what and the values."""
+    p = [float(v) if isinstance(v, Real) else v for v in values]
+    if not (p and all(isinstance(x, float) and math.isfinite(x) and x >= 0 for x in p)
+            and abs(math.fsum(p) - 1.0) <= 1e-9):
+        raise ValueError(f"{what} must be finite, non-negative and sum to 1, got {p}")
+    return tuple(p)
+
+
 def sample_indices(probs: Sequence[float], n: int, seed: int) -> np.ndarray:
-    """n i.i.d. int64 draws from a finite distribution: the first n uniforms
+    """n i.i.d. int64 draws from distribution(probs): the first n uniforms
     of seeded_stream(seed), each mapped to its outcome by inverse CDF."""
-    p = np.asarray(probs, dtype=float)
-    if p.ndim != 1 or len(p) == 0:
-        raise ValueError("probs must be a non-empty 1-d sequence")
-    if not np.isfinite(p).all():
-        raise ValueError(f"probabilities must be finite, got {p.tolist()}")
-    if np.any(p < -1e-12):
-        raise ValueError("probabilities must be non-negative")
-    if abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError(f"probabilities must sum to 1, got {p.sum()!r}")
     if n < 0:
         raise ValueError("n must be >= 0")
-    cdf = np.cumsum(p)
+    cdf = np.cumsum(distribution(probs, "probs"))
     cdf[-1] = 1.0
     return np.searchsorted(cdf, seeded_stream(seed).random(n), side="right")
 
@@ -227,7 +230,7 @@ class SequenceSource:
 def os_entropy_symbols(k: int, n: int) -> np.ndarray:
     """n uniform symbols in [0, k) from OS entropy via rejection sampling on bytes."""
     if k > MAX_ALPHABET["os"]:
-        raise ValueError("os_entropy supports alphabets up to 256 symbols")
+        raise ValueError(f"os supports alphabets up to 256 symbols, got {k}")
     limit = 256 - (256 % k)
     out = np.empty(n, dtype=np.int64)
     filled = 0

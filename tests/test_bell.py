@@ -204,7 +204,7 @@ class TestRunBipartite:
 
     def test_ensemble_weights_checked(self):
         strat = bell.LocalDeterministicStrategy((0, 0, 0), (0, 0, 0))
-        with pytest.raises(ValueError, match="distribution"):
+        with pytest.raises(ValueError, match="ensemble weights must be finite, non-negative"):
             bell.run_bipartite(
                 "hv", bell.DEFAULT_SETTINGS, 10, seed=1, hv_ensemble=[(0.7, strat)]
             )

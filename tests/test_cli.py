@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 
@@ -277,9 +278,12 @@ def test_hv_audit2_os_sampler_on_300_states_exits_1(tmp_path, monkeypatch, capsy
     monkeypatch.chdir(tmp_path)
     g = tuple(i % 2 for i in range(300))
     save_model("big.json", hv.HVModel(hv.HVSpace("discrete", 300), g, (1 / 300,) * 300))
-    assert cli.dispatch(["hv", "audit2", "--model", "big.json", "--sampler", "os",
-                         "--n", "10000", "--json", "a.json"]) == cli.EXIT_USAGE
-    assert "up to 256 symbols" in capsys.readouterr().err
+    for argv in (["hv", "audit2", "--n", "10000", "--json", "a.json"],
+                 ["hv", "run", "--n", "8", "--out", "h.seq"]):
+        assert cli.dispatch(argv + ["--model", "big.json", "--sampler", "os"]) \
+            == cli.EXIT_USAGE
+        _one_error_line(capsys, "--sampler os draws up to 256 states, the model has 300")
+        assert os.listdir() == ["big.json"]
 
 
 def _one_error_line(capsys, *fragments) -> None:
@@ -295,7 +299,7 @@ def _one_error_line(capsys, *fragments) -> None:
     (["hv", "audit2", "--model", "parity4.json", "--bias", "0.5,0.5", "--n", "10000",
       "--json", "a.json"], ("covers 2 states, space has 4",)),
     (["generate", "--kind", "born", "--probs", "0.5,nan", "--n", "10", "--out", "x.seq"],
-     ("probabilities must be finite",)),
+     ("--probs must be finite, non-negative and sum to 1, got [0.5, nan]",)),
     (["bell", "run", "--settings", "0,0,30", "--n", "600", "--out", "b.csv"],
      ("repeat an angle",)),
     (["bell", "run", "--settings", "0,nan,30", "--n", "600", "--out", "b.csv"],
@@ -342,6 +346,19 @@ def _one_error_line(capsys, *fragments) -> None:
     (["hv", "run", "--model", "", "--n", "8", "--out", "h.seq"],
      ("no such file ''", cli.data_dir())),
     (["ks", "search", "--rays", ""], ("no such file ''", cli.data_dir())),
+    (["generate", "--kind", "born", "--probs=-0.1,1.1", "--n", "10", "--out", "x.seq"],
+     ("--probs must be finite, non-negative and sum to 1, got [-0.1, 1.1]",)),
+    (["generate", "--kind", "born", "--probs", "0.6,0.5", "--n", "10", "--out", "x.seq"],
+     ("--probs must be finite, non-negative and sum to 1, got [0.6, 0.5]",)),
+    (["hv", "audit2", "--model", "parity4.json", "--bias", "nan,0.5,0.25,0.25",
+      "--n", "10000", "--json", "h2.json"],
+     ("--bias must be finite, non-negative and sum to 1, got [nan, 0.5, 0.25, 0.25]",)),
+    (["hv", "audit2", "--model", "parity4.json", "--bias=-0.1,0.6,0.25,0.25",
+      "--n", "10000", "--json", "h2.json"],
+     ("--bias must be finite, non-negative and sum to 1, got [-0.1, 0.6, 0.25, 0.25]",)),
+    (["hv", "audit2", "--model", "parity4.json", "--bias", "0.6,0.5,0,0",
+      "--n", "10000", "--json", "h2.json"],
+     ("--bias must be finite, non-negative and sum to 1, got [0.6, 0.5, 0.0, 0.0]",)),
 ], ids=["hv-run-contract", "hv-audit2-contract", "born-nan", "repeated-setting",
         "nan-setting", "omega-negative-steps", "champernowne-base-40", "hv-run-bias-counter",
         "hv-audit1-bias-alternating", "hv-audit2-bias-os", "checkpoints-not-int",
@@ -350,7 +367,8 @@ def _one_error_line(capsys, *fragments) -> None:
         "settings-not-float",
         "bias-not-float", "sampler-constant-no-colon", "sampler-constant-two-states",
         "sampler-constant-not-int", "sampler-file-no-path", "hv-model-empty-name",
-        "ks-rays-empty-name"])
+        "ks-rays-empty-name", "born-negative", "born-sum-1.1", "bias-nan", "bias-negative",
+        "bias-sum-1.1"])
 def test_bad_input_exits_1_with_one_error_line(argv, fragments, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.dispatch(argv) == cli.EXIT_USAGE
@@ -360,6 +378,7 @@ def test_bad_input_exits_1_with_one_error_line(argv, fragments, tmp_path, monkey
 
 NON_ORTHOGONAL_RAYS = "rays/v1\nray x 1 0 0\nray y 0 1 0\nray d 1 1 0\nbasis x y d\n"
 HV_RUN_M = ["hv", "run", "--model", "m.json", "--n", "8", "--out", "h.seq"]
+HV_AUDIT2_M = ["hv", "audit2", "--model", "m.json", "--n", "10000", "--json", "a.json"]
 
 
 def _hv_model(**fields) -> str:
@@ -401,6 +420,22 @@ def _hv_model(**fields) -> str:
     ({"m.json": _hv_model(mu=0.5)}, HV_RUN_M, ("m.json: mu must be a list of numbers",)),
     ({"m.json": _hv_model(target=[0.5, None])}, HV_RUN_M,
      ("m.json: target entries must be numbers, got None",)),
+    ({"m.json": _hv_model(mu=[math.nan, 1.0])}, HV_RUN_M,
+     ("m.json: mu must be finite, non-negative and sum to 1, got [nan, 1.0]",)),
+    ({"m.json": _hv_model(mu=[-0.5, 1.5])}, HV_RUN_M,
+     ("m.json: mu must be finite, non-negative and sum to 1, got [-0.5, 1.5]",)),
+    ({"m.json": _hv_model(mu=[0.6, 0.5])}, HV_RUN_M,
+     ("m.json: mu must be finite, non-negative and sum to 1, got [0.6, 0.5]",)),
+    ({"m.json": _hv_model(target=[math.nan, 1.0])}, HV_AUDIT2_M,
+     ("m.json: target must be finite, non-negative and sum to 1, got [nan, 1.0]",)),
+    ({"m.json": _hv_model(target=[2, -1])}, HV_AUDIT2_M,
+     ("m.json: target must be finite, non-negative and sum to 1, got [2.0, -1.0]",)),
+    ({"m.json": _hv_model(target=[0.6, 0.5])}, HV_AUDIT2_M,
+     ("m.json: target must be finite, non-negative and sum to 1, got [0.6, 0.5]",)),
+    ({"m.json": _hv_model(target=[0.3, 0.3])}, HV_AUDIT2_M,
+     ("m.json: target must be finite, non-negative and sum to 1, got [0.3, 0.3]",)),
+    ({"m.json": _hv_model(target=[])}, HV_AUDIT2_M,
+     ("m.json: target must be finite, non-negative and sum to 1, got []",)),
     ({"m.json": _hv_model(space={"kind": "discrete", "size": True}, g=[0], mu=[1.0])},
      HV_RUN_M, ("m.json: space size must be an integer, got True",)),
     ({"c.json": "[0, 1"}, ["ks", "verify", "--rays", "peres33.rays", "--coloring", "c.json"],
@@ -466,7 +501,10 @@ def _hv_model(**fields) -> str:
         "hv-model-interval-on-discrete", "hv-model-scalar-interval",
         "hv-model-reversed-interval", "hv-model-scalar-g",
         "hv-model-float-g", "hv-model-bool-g", "hv-model-negative-g", "hv-model-string-mu",
-        "hv-model-scalar-mu", "hv-model-null-target", "hv-model-bool-size",
+        "hv-model-scalar-mu", "hv-model-null-target", "hv-model-nan-mu",
+        "hv-model-negative-mu", "hv-model-mu-sum-1.1", "hv-model-nan-target",
+        "hv-model-negative-target", "hv-model-target-sum-1.1", "hv-model-target-sum-0.6",
+        "hv-model-empty-target", "hv-model-bool-size",
         "ks-coloring-not-json", "ks-coloring-without-key", "ks-coloring-number",
         "ks-coloring-string",
         "report-input-not-json", "report-missing-field", "report-without-claims",

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from indlab import bell, born, hv
 from indlab import sequences as sq
 
 from builders import bits
@@ -277,6 +278,42 @@ class TestSampling:
             sq.sample_indices([], 10, 0)
         with pytest.raises(ValueError):
             sq.sample_indices([0.5, 0.5], -1, 0)
+
+
+class TestDistribution:
+    def test_returns_plain_floats(self):
+        p = sq.distribution(np.array([1, 0]), "probs")
+        assert p == (1.0, 0.0) and all(type(x) is float for x in p)
+
+    @pytest.mark.parametrize("values", [[0.5, 0.6], [1.5, -0.5], [math.nan, 1.0],
+                                        [math.inf, 0.0], [[0.5, 0.5]], ["0.5", "0.5"]],
+                             ids=["sum-1.1", "negative", "nan", "inf", "nested", "strings"])
+    def test_every_caller_refuses_alike(self, values):
+        """sample_indices, HVModel (mu and target), run_bipartite and BornMeasure
+        raise one message, told apart only by the name of what they check."""
+        n = len(values)
+        strat = bell.LocalDeterministicStrategy((0, 0, 0), (0, 0, 0))
+        calls = {
+            "probs": lambda: sq.sample_indices(values, 10, 0),
+            "mu": lambda: hv.HVModel(hv.HVSpace("discrete", n), tuple(range(n)), tuple(values)),
+            "target": lambda: hv.HVModel(hv.HVSpace("discrete", 2), (0, 1), (0.5, 0.5),
+                                         target=tuple(values)),
+            "ensemble weights": lambda: bell.run_bipartite(
+                "hv", bell.DEFAULT_SETTINGS, 10, seed=1, hv_ensemble=[(w, strat) for w in values]),
+            "probabilities": lambda: born.BornMeasure(tuple(range(n)), tuple(values)),
+        }
+        rests = set()
+        for what, call in calls.items():
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value).startswith(what + " must be "), str(exc.value)
+            rests.add(str(exc.value)[len(what):])
+        assert len(rests) == 1, rests
+
+    def test_born_rounds_only_a_computed_zero(self):
+        assert born.BornMeasure((0, 1), (1.0, -1e-11)).probabilities == (1.0, 0.0)
+        with pytest.raises(ValueError, match=r"probabilities must be .* got \[1.0, -1e-09\]"):
+            born.BornMeasure((0, 1), (1.0, -1e-9))
 
 
 class TestBlockFrequencies:
