@@ -285,10 +285,10 @@ def cmd_hv(args, manifest: Manifest) -> dict | None:
     manifest.add_input(args.model)
     sampler = _load_sampler(args)
     bias = sampler.params.get("probs")
-    if bias is not None and len(bias) != model.space.size:
-        raise ValueError(f"--bias covers {len(bias)} states, space has {model.space.size}")
-    if sampler.kind == "external_entropy" and model.space.size > sq.MAX_ALPHABET["os"]:
-        raise ValueError(f"--sampler os draws up to 256 states, the model has {model.space.size}")
+    if bias is not None and len(bias) != model.size:
+        raise ValueError(f"--bias covers {len(bias)} states, space has {model.size}")
+    if sampler.kind == "external_entropy" and model.size > sq.MAX_ALPHABET["os"]:
+        raise ValueError(f"--sampler os draws up to 256 states, the model has {model.size}")
     if sampler.kind == "recorded_file":
         manifest.add_input(sampler.params["path"])
     if args.hv_command == "run":

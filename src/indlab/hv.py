@@ -1,13 +1,15 @@
 """Hidden-variable models as an explicit factorization x = g(h(n)).
 
 A model owns the outcome map g and a compatibility measure mu on its
-hidden state space, stated as numbers in its hv/v1 file: a Bohmian
-|psi(q)|^2 dq over position bins or a 't Hooft |c_m|^2 over basis labels is
-written there as mu.  An optional target, the outcome measure the model
-claims, is checked like mu, by sequences.distribution.  The per-run state
-supplier h is a Sampler, named by the same spec that `--sampler` takes
-(counter, alternating, constant[:v], prng, os, file:PATH); its provenance
-(deterministic rule, seeded PRNG, OS entropy, recorded trace) is tracked
+hidden states, which are the indices 0 .. len(mu) - 1 of mu: a Bohmian
+|psi(q)|^2 dq over position bins and a 't Hooft |c_m|^2 over basis labels
+are both written in its hv/v1 file as mu over those indices, and the file's
+space block states their number.  An optional target, the outcome measure
+the model claims, is checked like mu, by sequences.distribution.  The
+per-run state supplier h is a Sampler, named by the same spec that
+`--sampler` takes (counter, alternating, constant[:v], prng, os,
+file:PATH); its provenance (deterministic rule, seeded PRNG, OS entropy,
+recorded trace) is tracked
 explicitly, because where the randomness comes from is the whole point of
 the two audit scenarios.  Each audit returns the JSON report it is written
 as (hv-audit1/v1, hv-audit2/v1).  The scenario-1 audit takes its
@@ -45,40 +47,10 @@ RANDOMNESS_ORIGIN = {
 
 
 @dataclass(frozen=True)
-class HVSpace:
-    """Hidden state space: discrete, or a discretized interval (serialized with the model).
-
-    size is an int >= 1; an interval, two finite numbers lo < hi, is
-    allowed only on an interval_discretized space.
-    """
-
-    kind: str  # "discrete" | "interval_discretized"
-    size: int
-    interval: Optional[tuple[float, float]] = None
-
-    def __post_init__(self):
-        if self.kind not in ("discrete", "interval_discretized"):
-            raise ValueError(f"unknown space kind {self.kind!r}")
-        if type(self.size) is not int:
-            raise ValueError(f"space size must be an integer, got {self.size!r}")
-        if self.size < 1:
-            raise ValueError("space needs at least one state")
-        iv = self.interval
-        if iv is None:
-            return
-        if self.kind != "interval_discretized":
-            raise ValueError(f"space interval is allowed only on an interval_discretized "
-                             f"space, not {self.kind!r}")
-        if not (isinstance(iv, (list, tuple)) and len(iv) == 2
-                and all(type(v) in (int, float) and math.isfinite(v) for v in iv)
-                and iv[0] < iv[1]):
-            raise ValueError(f"space interval must be two finite numbers lo < hi, got {iv!r}")
-        object.__setattr__(self, "interval", tuple(iv))
-
-
-@dataclass(frozen=True)
 class HVModel:
-    """State space, total outcome map g, and compatibility measure mu.
+    """Total outcome map g and compatibility measure mu on the hidden
+    states 0 .. len(mu) - 1, the indices of mu; position bins and basis
+    labels alike are such indices.
 
     target, when given, is the outcome measure the model claims; it must
     pass sequences.distribution, as mu must.  description_bits is the
@@ -86,23 +58,25 @@ class HVModel:
     bound what the model "states" about an outcome sequence.
     """
 
-    space: HVSpace
     outcome_map: tuple[int, ...]
     mu: tuple[float, ...]
     name: str = "model"
     target: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
-        if len(self.outcome_map) != self.space.size:
+        if len(self.outcome_map) != len(self.mu):
             raise ValueError("outcome map must be total on the hidden space")
         for v in self.outcome_map:
             if type(v) is not int or v < 0:
                 raise ValueError(f"g entries must be non-negative integers, got {v!r}")
-        if len(self.mu) != self.space.size:
-            raise ValueError("mu must cover the hidden space")
         distribution(self.mu, "mu")
         if self.target is not None:
             distribution(self.target, "target")
+
+    @property
+    def size(self) -> int:
+        """The number of hidden states."""
+        return len(self.mu)
 
     @property
     def n_outcomes(self) -> int:
@@ -156,7 +130,8 @@ class Sampler:
             if seed is None:
                 raise ValueError("sampler 'prng' needs a seed")
             self.kind = "seeded_prng"
-            self.params = {"seed": seed, "probs": None if probs is None else tuple(probs)}
+            self.params = {"seed": seed,
+                           "probs": None if probs is None else distribution(probs, "probs")}
         elif spec == "os":
             self.kind, self.params = "external_entropy", {}
         elif name == "file" and arg:
@@ -169,7 +144,7 @@ class Sampler:
 
     def states(self, model: HVModel, n: int) -> np.ndarray:
         """h(0..n-1) as indices into the model's hidden space."""
-        m = model.space.size
+        m = model.size
         if self.kind == "deterministic_computable":
             rule = self.params["rule"]
             if rule == "counter":
@@ -198,11 +173,10 @@ def run_model(model: HVModel, h: Sampler, n: int) -> SymbolString:
     if n < 0:
         raise ValueError("n must be >= 0")
     lam = h.states(model, n)
-    if len(lam) and (lam.min() < 0 or lam.max() >= model.space.size):
-        bad = lam[(lam < 0) | (lam >= model.space.size)][0]
-        raise ValueError(
-            f"sampler emitted state {bad} outside the space of size {model.space.size}"
-        )
+    m = model.size
+    if len(lam) and (lam.min() < 0 or lam.max() >= m):
+        bad = lam[(lam < 0) | (lam >= m)][0]
+        raise ValueError(f"sampler emitted state {bad} outside the space of size {m}")
     gmap = np.asarray(model.outcome_map, dtype=np.int64)
     x = gmap[lam]
     return SymbolString(max(2, model.n_outcomes), x)
@@ -298,19 +272,16 @@ def _six_sigma_checks(key: str, values: np.ndarray, probs: Sequence[float]) -> l
 # -- JSON format --------------------------------------------------------------
 
 
+# The fields of an hv/v1 file and of its space block; any other is refused.
+MODEL_FIELDS = ("schema", "name", "space", "g", "mu", "target")
+SPACE_FIELDS = ("kind", "size")
+
+
 def model_to_json(model: HVModel) -> str:
     obj = {
         "schema": HV_SCHEMA,
         "name": model.name,
-        "space": {
-            "kind": model.space.kind,
-            "size": model.space.size,
-            **(
-                {"interval": list(model.space.interval)}
-                if model.space.interval
-                else {}
-            ),
-        },
+        "space": {"kind": "discrete", "size": model.size},
         "g": list(model.outcome_map),
         "mu": list(model.mu),
     }
@@ -324,28 +295,34 @@ def model_from_json(text: str) -> HVModel:
     schema = obj.get("schema") if isinstance(obj, dict) else None
     if schema != HV_SCHEMA:
         raise ValueError(f"expected schema {HV_SCHEMA}, got {schema!r}")
-    space = HVSpace(obj["space"]["kind"], obj["space"]["size"], obj["space"].get("interval"))
+    _only_fields(obj, MODEL_FIELDS, "hv model")
+    space = _only_fields(obj["space"], SPACE_FIELDS, "space")
+    if space["kind"] != "discrete":
+        raise ValueError(f"space kind must be 'discrete', got {space['kind']!r}")
+    size = space["size"]
+    if type(size) is not int:
+        raise ValueError(f"space size must be an integer, got {size!r}")
     mu = _numbers(obj, "mu")
-    if len(mu) != space.size:  # before a g rule is expanded to space.size entries
+    if len(mu) != size:  # before g is read, whatever size claims
         raise ValueError("mu must cover the hidden space")
     g = obj["g"]
-    if isinstance(g, dict):
-        rule = g.get("rule")
-        if rule == "identity":
-            g = list(range(space.size))
-        elif rule == "parity":
-            g = [i % 2 for i in range(space.size)]
-        else:
-            raise ValueError(f"unknown g rule {rule!r}")
-    elif not isinstance(g, list):
-        raise ValueError(f"g must be a list of outcomes or a rule object, got {g!r}")
-    return HVModel(
-        space=space,
-        outcome_map=tuple(g),
-        mu=mu,
-        name=obj.get("name", "model"),
-        target=_numbers(obj, "target") if "target" in obj else None,
-    )
+    if not isinstance(g, list):
+        raise ValueError(f"g must be a list of outcomes, got {g!r}")
+    name = obj.get("name", "model")
+    if not isinstance(name, str):
+        raise ValueError(f"name must be a string, got {name!r}")
+    return HVModel(tuple(g), mu, name, _numbers(obj, "target") if "target" in obj else None)
+
+
+def _only_fields(obj, fields: tuple[str, ...], what: str) -> dict:
+    """obj, a JSON object with no key outside fields; anything else raises a
+    ValueError naming what and the first key refused."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {obj!r}")
+    for key in obj:
+        if key not in fields:
+            raise ValueError(f"{what} field {key!r} is not one of {', '.join(fields)}")
+    return obj
 
 
 def _numbers(obj: dict, field: str) -> tuple[float, ...]:

@@ -187,6 +187,7 @@ class SequenceSource:
             if not p["pattern"]:
                 raise ValueError("periodic source requires a non-empty pattern")
         elif self.kind == "born":
+            p["probs"] = distribution(p["probs"], "probs")
             if len(p["probs"]) > self.alphabet_size:
                 raise ValueError("more outcomes than alphabet symbols")
         elif self.kind == "file" and p["path"] is None:
@@ -319,6 +320,9 @@ def read_sequence_file(path: str) -> SymbolString:
         if not re.fullmatch("[0-9]+", fields.get(name, "")):
             raise ValueError(f"{path}: {SEQ_SCHEMA} header field {name}= is missing or "
                              f"not a non-negative integer: header {header!r}")
+    if len(parts) != 3:
+        raise ValueError(f"{path}: {SEQ_SCHEMA} header holds one k= and one n= and nothing "
+                         f"else: header {header!r}")
     k = int(fields["k"])
     n = int(fields["n"])
     text = "".join(body.split()) if k <= 10 else ",".join(body.split())

@@ -277,7 +277,7 @@ def test_report_skips_manifests_but_rejects_other_schemas(tmp_path, monkeypatch)
 def test_hv_audit2_os_sampler_on_300_states_exits_1(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     g = tuple(i % 2 for i in range(300))
-    save_model("big.json", hv.HVModel(hv.HVSpace("discrete", 300), g, (1 / 300,) * 300))
+    save_model("big.json", hv.HVModel(g, (1 / 300,) * 300))
     for argv in (["hv", "audit2", "--n", "10000", "--json", "a.json"],
                  ["hv", "run", "--n", "8", "--out", "h.seq"]):
         assert cli.dispatch(argv + ["--model", "big.json", "--sampler", "os"]) \
@@ -400,14 +400,26 @@ def _hv_model(**fields) -> str:
      ["hv", "run", "--model", "strsize.json", "--n", "8", "--out", "h.seq"],
      ("strsize.json: space size must be an integer, got '2'",)),
     ({"m.json": _hv_model(space={"kind": "discrete", "size": 2, "interval": ["a", "b", "c"]})},
-     HV_RUN_M, ("m.json: space interval is allowed only on an interval_discretized space",)),
+     HV_RUN_M, ("m.json: space field 'interval' is not one of kind, size",)),
     ({"m.json": _hv_model(space={"kind": "interval_discretized", "size": 2, "interval": 5})},
-     HV_RUN_M, ("m.json: space interval must be two finite numbers lo < hi, got 5",)),
+     HV_RUN_M, ("m.json: space field 'interval' is not one of kind, size",)),
     ({"m.json": _hv_model(space={"kind": "interval_discretized", "size": 2,
                                  "interval": [1, -1]})},
-     HV_RUN_M, ("m.json: space interval must be two finite numbers lo < hi, got [1, -1]",)),
-    ({"m.json": _hv_model(g=5)}, HV_RUN_M,
-     ("m.json: g must be a list of outcomes or a rule object, got 5",)),
+     HV_RUN_M, ("m.json: space field 'interval' is not one of kind, size",)),
+    ({"m.json": _hv_model(g=5)}, HV_RUN_M, ("m.json: g must be a list of outcomes, got 5",)),
+    ({"m.json": _hv_model(space={"kind": "interval_discretized", "size": 2})}, HV_RUN_M,
+     ("m.json: space kind must be 'discrete', got 'interval_discretized'",)),
+    ({"m.json": _hv_model(space={"kind": "discrete", "size": 2, "units": "m"})}, HV_RUN_M,
+     ("m.json: space field 'units' is not one of kind, size",)),
+    ({"m.json": _hv_model(space=2)}, HV_RUN_M, ("m.json: space must be a JSON object, got 2",)),
+    ({"m.json": _hv_model(g={"rule": "parity"})}, HV_RUN_M,
+     ("m.json: g must be a list of outcomes, got {'rule': 'parity'}",)),
+    ({"m.json": _hv_model(space={"kind": "discrete", "size": 0}, g=[], mu=[])}, HV_RUN_M,
+     ("m.json: mu must be finite, non-negative and sum to 1, got []",)),
+    # read as its own target, this model passed compatibility and fair_sampling
+    ({"m.json": _hv_model(mu=[0.9, 0.1], targt=[0.5, 0.5])}, HV_AUDIT2_M,
+     ("m.json: hv model field 'targt' is not one of schema, name, space, g, mu, target",)),
+    ({"m.json": _hv_model(name=7)}, HV_RUN_M, ("m.json: name must be a string, got 7",)),
     ({"m.json": _hv_model(g=[0, 1.7])}, HV_RUN_M,
      ("m.json: g entries must be non-negative integers, got 1.7",)),
     ({"m.json": _hv_model(g=[0, True])}, HV_RUN_M,
@@ -467,6 +479,15 @@ def _hv_model(**fields) -> str:
      ("r.json: bell/v1 report field 'status' is malformed: unknown status 'maybe'",)),
     ({"x.seq": "seq/v1 k=2 n=4\n0120\n"}, ["analyze", "--in", "x.seq"],
      ("x.seq: symbol 2 outside alphabet [0, 2)",)),
+    ({"x.seq": "seq/v1 k=10 n=4 k=2\n0110\n"}, ["analyze", "--in", "x.seq"],
+     ("x.seq: seq/v1 header holds one k= and one n= and nothing else",
+      "'seq/v1 k=10 n=4 k=2'")),
+    ({"x.seq": "seq/v1 n=4 k=2 n=5\n0110\n"}, ["analyze", "--in", "x.seq"],
+     ("x.seq: seq/v1 header holds one k= and one n= and nothing else",
+      "'seq/v1 n=4 k=2 n=5'")),
+    ({"x.seq": "seq/v1 k=2 n=4 bits=8 ordr=msb\n0110\n"}, ["analyze", "--in", "x.seq"],
+     ("x.seq: seq/v1 header holds one k= and one n= and nothing else",
+      "'seq/v1 k=2 n=4 bits=8 ordr=msb'")),
     ({"x.seq": "seq/v1 k=2 n=3\n010\n"},
      ["analyze", "--in", "x.seq", "--tests", "monkey", "--target", "0101"],
      ("--target 0101 has 4 symbols, more than the 3 of x.seq",)),
@@ -499,7 +520,10 @@ def _hv_model(**fields) -> str:
      ("c.json: assignment must be total over {0,1}, found 1.0",)),
 ], ids=["hv-model-not-json", "hv-model-without-space", "hv-model-string-size",
         "hv-model-interval-on-discrete", "hv-model-scalar-interval",
-        "hv-model-reversed-interval", "hv-model-scalar-g",
+        "hv-model-reversed-interval", "hv-model-scalar-g", "hv-model-interval-kind",
+        "hv-model-space-units", "hv-model-scalar-space",
+        "hv-model-g-rule", "hv-model-no-states", "hv-model-misspelled-target",
+        "hv-model-number-name",
         "hv-model-float-g", "hv-model-bool-g", "hv-model-negative-g", "hv-model-string-mu",
         "hv-model-scalar-mu", "hv-model-null-target", "hv-model-nan-mu",
         "hv-model-negative-mu", "hv-model-mu-sum-1.1", "hv-model-nan-target",
@@ -509,7 +533,8 @@ def _hv_model(**fields) -> str:
         "ks-coloring-string",
         "report-input-not-json", "report-missing-field", "report-without-claims",
         "report-claims-not-a-list", "report-claim-without-status",
-        "report-claim-unknown-status", "seq-bad-symbol", "monkey-target-past-input",
+        "report-claim-unknown-status", "seq-bad-symbol", "seq-header-two-k",
+        "seq-header-two-n", "seq-header-extra-fields", "monkey-target-past-input",
         "ks-search-non-orthogonal",
         "ks-verify-non-orthogonal", "ks-rays-short-line", "ks-rays-collapsing-basis",
         "ks-rays-redefined-name", "ks-rays-two-ray-basis", "ks-rays-unknown-directive",

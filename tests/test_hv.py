@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -14,43 +15,49 @@ FAIR_COIN = hv.load_model(bundled_path("fair_coin_counter.json"))
 PARITY4 = hv.load_model(bundled_path("parity4.json"))
 
 
+def _model_text(**fields) -> str:
+    """The hv/v1 text of a four-state parity model with the given fields replaced."""
+    return json.dumps({"schema": "hv/v1", "space": {"kind": "discrete", "size": 4},
+                       "g": [0, 1, 0, 1], "mu": [0.25] * 4, **fields})
+
+
 class TestSpacesAndModels:
-    def test_interval_model_json_round_trip(self):
-        model = hv.HVModel(hv.HVSpace("interval_discretized", 4, interval=(-1.0, 1.0)),
-                           (0, 1, 1, 0), (0.1, 0.4, 0.4, 0.1), "interval-4", (0.2, 0.8))
-        text = hv.model_to_json(model)
-        assert '"interval": [-1.0, 1.0]' in text
-        back = hv.model_from_json(text)
-        assert back == model and back.space.interval == (-1.0, 1.0)
-        assert hv.model_to_json(back) == text
+    def test_an_interval_space_is_refused(self):
+        """Position bins are the indices of mu: a space states their number, nothing else."""
+        space = {"kind": "interval_discretized", "size": 4, "interval": [-1.0, 1.0]}
+        with pytest.raises(ValueError, match=r"^space field 'interval' is not one of kind, size$"):
+            hv.model_from_json(_model_text(space=space))
+        del space["interval"]
+        with pytest.raises(ValueError, match=r"^space kind must be 'discrete', "
+                                             r"got 'interval_discretized'$"):
+            hv.model_from_json(_model_text(space=space))
 
     def test_needs_a_state(self):
-        with pytest.raises(ValueError):
-            hv.HVSpace("discrete", 0)
+        with pytest.raises(ValueError, match=r"mu must be finite, .* got \[\]"):
+            hv.HVModel((), ())
 
     def test_outcome_map_must_be_total(self):
         with pytest.raises(ValueError, match="total"):
-            hv.HVModel(hv.HVSpace("discrete", 3), (0, 1), (0.5, 0.25, 0.25))
+            hv.HVModel((0, 1), (0.5, 0.25, 0.25))
 
     @pytest.mark.parametrize("g", [(0, 1.0), (0, True), (0, -1)])
     def test_outcomes_are_non_negative_integers(self, g):
         with pytest.raises(ValueError, match="g entries must be non-negative integers"):
-            hv.HVModel(hv.HVSpace("discrete", 2), g, (0.5, 0.5))
+            hv.HVModel(g, (0.5, 0.5))
 
     def test_mu_must_normalize(self):
         with pytest.raises(ValueError, match="mu must be finite, non-negative and sum to 1"):
-            hv.HVModel(hv.HVSpace("discrete", 2), (0, 1), (0.5, 0.6))
+            hv.HVModel((0, 1), (0.5, 0.6))
 
     @pytest.mark.parametrize("mu", [(math.nan, 1.0), (math.inf, 1.0)])
     def test_mu_must_be_finite(self, mu):
         with pytest.raises(ValueError, match="mu must be finite, non-negative and sum to 1"):
-            hv.HVModel(hv.HVSpace("discrete", 2), (0, 1), mu)
+            hv.HVModel((0, 1), mu)
 
     @pytest.mark.parametrize("filename,model", [
         ("fair_coin_counter.json", hv.HVModel(
-            hv.HVSpace("discrete", 2), (0, 1), (0.5, 0.5), "fair-coin-counter", (0.5, 0.5))),
-        ("parity4.json", hv.HVModel(
-            hv.HVSpace("discrete", 4), (0, 1, 0, 1), (0.25,) * 4, "parity-4", (0.5, 0.5))),
+            (0, 1), (0.5, 0.5), "fair-coin-counter", (0.5, 0.5))),
+        ("parity4.json", hv.HVModel((0, 1, 0, 1), (0.25,) * 4, "parity-4", (0.5, 0.5))),
     ])
     def test_bundled_model_files(self, filename, model):
         with open(bundled_path(filename)) as f:
@@ -61,9 +68,7 @@ class TestSpacesAndModels:
         model = PARITY4
         assert model.pushforward() == (0.5, 0.5)
         assert model.compatible()
-        bad = hv.HVModel(
-            hv.HVSpace("discrete", 2), (0, 1), (0.6, 0.4), target=(0.5, 0.5)
-        )
+        bad = hv.HVModel((0, 1), (0.6, 0.4), target=(0.5, 0.5))
         assert not bad.compatible()
 
     def test_description_bits_positive_and_stable(self):
@@ -152,9 +157,7 @@ class TestScenarioOne:
             )
 
     def test_binary_outcomes_only(self):
-        model = hv.HVModel(
-            hv.HVSpace("discrete", 3), (0, 1, 2), (1 / 3, 1 / 3, 1 / 3)
-        )
+        model = hv.HVModel((0, 1, 2), (1 / 3, 1 / 3, 1 / 3))
         with pytest.raises(ValueError, match="binary"):
             hv.scenario_one_audit(model, hv.Sampler("counter"), [100])
 
@@ -174,9 +177,7 @@ class TestScenarioTwo:
         assert not rep["fair"]
 
     def test_point_mass_passes_trivially(self):
-        model = hv.HVModel(
-            hv.HVSpace("discrete", 2), (0, 1), (1.0, 0.0), target=(1.0, 0.0)
-        )
+        model = hv.HVModel((0, 1), (1.0, 0.0), target=(1.0, 0.0))
         rep = hv.scenario_two_audit(model, hv.Sampler("prng", seed=3), 10_000)
         assert rep["fair"]
 
@@ -205,15 +206,25 @@ class TestModelFiles:
         back = hv.load_model(path)
         assert back == model
 
-    def test_named_rules(self):
-        text = (
-            '{"schema": "hv/v1", "space": {"kind": "discrete", "size": 4}, '
-            '"g": {"rule": "parity"}, "mu": [0.25, 0.25, 0.25, 0.25]}'
-        )
-        model = hv.model_from_json(text)
-        assert model.outcome_map == (0, 1, 0, 1)
-        identity = hv.model_from_json(text.replace("parity", "identity"))
-        assert identity.outcome_map == (0, 1, 2, 3)
+    def test_a_g_rule_object_is_refused(self):
+        """g lists every outcome, as mu lists every state; no rule stands for it."""
+        for rule in ("parity", "identity"):
+            with pytest.raises(ValueError, match=r"^g must be a list of outcomes, got \{'rule': "):
+                hv.model_from_json(_model_text(g={"rule": rule}))
+
+    def test_the_writer_emits_only_what_the_reader_accepts(self):
+        """model_to_json of a model with a name and a target writes every field
+        model_from_json reads and no other, and a space of kind and size alone."""
+        model = hv.HVModel((0, 1, 1), (0.25, 0.25, 0.5), "three", (0.25, 0.75))
+        obj = json.loads(hv.model_to_json(model))
+        assert set(obj) == set(hv.MODEL_FIELDS)
+        assert obj["space"] == {"kind": "discrete", "size": 3}
+        assert set(obj["space"]) == set(hv.SPACE_FIELDS)
+        assert hv.model_from_json(hv.model_to_json(model)) == model
+        obj["targt"] = obj["target"]
+        with pytest.raises(ValueError, match="hv model field 'targt' is not one of schema, "
+                                             "name, space, g, mu, target"):
+            hv.model_from_json(json.dumps(obj))
 
     def test_schema_checked(self):
         with pytest.raises(ValueError, match="hv/v1"):
@@ -221,6 +232,8 @@ class TestModelFiles:
 
     @pytest.mark.parametrize("size", [10 ** 6, 10 ** 12])
     def test_mu_is_checked_before_a_g_rule_is_expanded(self, size):
+        """A size that mu does not cover is refused before g is read, so
+        nothing of that size is ever allocated."""
         text = ('{"schema": "hv/v1", "space": {"kind": "discrete", "size": %d}, '
                 '"g": {"rule": "identity"}, "mu": [1.0]}' % size)
         tracemalloc.start()
@@ -249,14 +262,14 @@ class TestSamplerContracts:
     @pytest.mark.parametrize("size", [3, 256])
     def test_entropy_states_cover_the_space(self, size):
         g = tuple(i % 2 for i in range(size))
-        model = hv.HVModel(hv.HVSpace("discrete", size), g, (1 / size,) * size)
+        model = hv.HVModel(g, (1 / size,) * size)
         lam = hv.Sampler("os").states(model, 4096)
         assert lam.dtype == np.int64 and len(lam) == 4096
         assert 0 <= lam.min() and lam.max() < size and len(set(lam.tolist())) > size // 2
 
     def test_entropy_rejects_spaces_above_256_states(self):
         g = tuple(i % 2 for i in range(300))
-        model = hv.HVModel(hv.HVSpace("discrete", 300), g, (1 / 300,) * 300)
+        model = hv.HVModel(g, (1 / 300,) * 300)
         with pytest.raises(ValueError, match="os supports alphabets up to 256 symbols, got 300"):
             hv.Sampler("os").states(model, 10)
 

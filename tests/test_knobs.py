@@ -24,7 +24,6 @@ bell.TrialSet: metadata=None
 bell.run_bipartite: hv_ensemble=None
 hv.HVModel: name='model'
 hv.HVModel: target=None
-hv.HVSpace: interval=None
 hv.Sampler: probs=None
 hv.Sampler: seed=None
 ks.Q2: q=0

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -289,26 +290,37 @@ class TestDistribution:
                                         [math.inf, 0.0], [[0.5, 0.5]], ["0.5", "0.5"]],
                              ids=["sum-1.1", "negative", "nan", "inf", "nested", "strings"])
     def test_every_caller_refuses_alike(self, values):
-        """sample_indices, HVModel (mu and target), run_bipartite and BornMeasure
-        raise one message, told apart only by the name of what they check."""
+        """sample_indices, the born SequenceSource and the prng Sampler (when
+        built), HVModel (mu and target), run_bipartite and BornMeasure raise one
+        message, told apart only by the name of what they check."""
         n = len(values)
         strat = bell.LocalDeterministicStrategy((0, 0, 0), (0, 0, 0))
-        calls = {
-            "probs": lambda: sq.sample_indices(values, 10, 0),
-            "mu": lambda: hv.HVModel(hv.HVSpace("discrete", n), tuple(range(n)), tuple(values)),
-            "target": lambda: hv.HVModel(hv.HVSpace("discrete", 2), (0, 1), (0.5, 0.5),
-                                         target=tuple(values)),
-            "ensemble weights": lambda: bell.run_bipartite(
-                "hv", bell.DEFAULT_SETTINGS, 10, seed=1, hv_ensemble=[(w, strat) for w in values]),
-            "probabilities": lambda: born.BornMeasure(tuple(range(n)), tuple(values)),
-        }
+        calls = [
+            ("probs", lambda: sq.sample_indices(values, 10, 0)),
+            ("probs", lambda: sq.SequenceSource("born", probs=values)),
+            ("probs", lambda: hv.Sampler("prng", seed=0, probs=values)),
+            ("mu", lambda: hv.HVModel(tuple(range(n)), tuple(values))),
+            ("target", lambda: hv.HVModel((0, 1), (0.5, 0.5), target=tuple(values))),
+            ("ensemble weights", lambda: bell.run_bipartite(
+                "hv", bell.DEFAULT_SETTINGS, 10, seed=1, hv_ensemble=[(w, strat) for w in values])),
+            ("probabilities", lambda: born.BornMeasure(tuple(range(n)), tuple(values))),
+        ]
         rests = set()
-        for what, call in calls.items():
+        for what, call in calls:
             with pytest.raises(ValueError) as exc:
                 call()
             assert str(exc.value).startswith(what + " must be "), str(exc.value)
             rests.add(str(exc.value)[len(what):])
         assert len(rests) == 1, rests
+
+    def test_a_source_and_a_sampler_refuse_an_empty_measure(self):
+        """Built with no outcomes, a born source and a prng sampler are refused
+        before any prefix or state is asked of them."""
+        message = re.escape("probs must be finite, non-negative and sum to 1, got []")
+        with pytest.raises(ValueError, match=message):
+            sq.SequenceSource("born", probs=[])
+        with pytest.raises(ValueError, match=message):
+            hv.Sampler("prng", seed=0, probs=[])
 
     def test_born_rounds_only_a_computed_zero(self):
         assert born.BornMeasure((0, 1), (1.0, -1e-11)).probabilities == (1.0, 0.0)
