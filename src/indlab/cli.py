@@ -234,6 +234,7 @@ def cmd_komplexity(args, manifest: Manifest) -> dict:
                           "the input")],
     }
     if budget is not None:
+        # k_upper_bound searched with these arguments: a memo hit, no second walk
         exact = rl.exact_k_small(sigma, *budget)
         if isinstance(exact, rl.ComplexityEstimate):
             search = {"value": exact.value, "kind": exact.kind}

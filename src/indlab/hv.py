@@ -295,7 +295,7 @@ def model_from_json(text: str) -> HVModel:
     schema = obj.get("schema") if isinstance(obj, dict) else None
     if schema != HV_SCHEMA:
         raise ValueError(f"expected schema {HV_SCHEMA}, got {schema!r}")
-    _only_fields(obj, MODEL_FIELDS, "hv model")
+    _only_fields(obj, MODEL_FIELDS, "hv model", optional=("name", "target"))
     space = _only_fields(obj["space"], SPACE_FIELDS, "space")
     if space["kind"] != "discrete":
         raise ValueError(f"space kind must be 'discrete', got {space['kind']!r}")
@@ -314,14 +314,18 @@ def model_from_json(text: str) -> HVModel:
     return HVModel(tuple(g), mu, name, _numbers(obj, "target") if "target" in obj else None)
 
 
-def _only_fields(obj, fields: tuple[str, ...], what: str) -> dict:
-    """obj, a JSON object with no key outside fields; anything else raises a
-    ValueError naming what and the first key refused."""
+def _only_fields(obj, fields: tuple[str, ...], what: str, optional: tuple[str, ...] = ()) -> dict:
+    """obj, a JSON object with no key outside fields and every field not in
+    optional; anything else raises a ValueError naming what and the first
+    key refused or missing."""
     if not isinstance(obj, dict):
         raise ValueError(f"{what} must be a JSON object, got {obj!r}")
     for key in obj:
         if key not in fields:
             raise ValueError(f"{what} field {key!r} is not one of {', '.join(fields)}")
+    for key in fields:
+        if key not in obj and key not in optional:
+            raise ValueError(f"{what} has no field {key!r}")
     return obj
 
 
@@ -342,7 +346,5 @@ def load_model(path: str) -> HVModel:
     try:
         with open(path) as f:
             return model_from_json(f.read())
-    except KeyError as exc:
-        raise ValueError(f"{path}: hv model has no field {exc}") from None
     except (TypeError, ValueError) as exc:  # TypeError: a field of the wrong JSON type
         raise ValueError(f"{path}: {exc}") from None

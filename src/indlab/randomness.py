@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
@@ -197,12 +197,27 @@ def exact_k_small(
     of the unbounded walk.  A send is read as a request for the next entry,
     and an entry is kept only if strictly shorter than the best, so a walk
     that ignores sends gives the same result.
+
+    The last answer is kept, keyed on (sigma's bytes, max_len, max_steps)
+    after both budgets are checked, so a refused call is never answered.
+    The search is a pure function of that key (the walk is deterministic,
+    and a base-2 string's bytes are the string), and both results are
+    frozen dataclasses of tuples, so one object can answer every repeat.  cli's komplexity
+    asks twice per query, once through k_upper_bound and once for its
+    report; the second is this hit.  Once it reads the search from
+    k_upper_bound instead, the memo can go.
     """
     _require_base2(sigma)
     if max_len > EXACT_SEARCH_MAX_LEN:
         raise ValueError(f"max_len {max_len} exceeds the tractability cap "
                          f"{EXACT_SEARCH_MAX_LEN}")
-    want = sigma.array.tobytes()
+    return _exact_k_walk(sigma.array.tobytes(), tm._operand(max_len, None, "max_len"),
+                         tm._operand(max_steps, None, "max_steps"))
+
+
+@lru_cache(maxsize=1)
+def _exact_k_walk(want: bytes, max_len: int, max_steps: int
+                  ) -> ComplexityEstimate | NoProgramCertificate:
     timeouts: list[int] = []
     best: Optional[tm.DomainEntry] = None
     walk = tm.enumerate_domain(max_len, max_steps, output_prefix=want, timeout_log=timeouts)

@@ -1,7 +1,7 @@
 """Builders that only tests call: base-2 literals, the gamma0 code length,
-the hv model writer, the unbounded exact-K search and the value of one
-deterministic Bell strategy.  Test programs are written with
-machine.assemble."""
+the hv model writer, the unbounded exact-K search, a counter of domain
+walks and the value of one deterministic Bell strategy.  Test programs are
+written with machine.assemble."""
 
 from fractions import Fraction
 
@@ -44,6 +44,21 @@ def unbounded_exact_k_small(sigma, max_len, max_steps):
     blocking = tuple(sorted(c for c in timeouts if c < found_len))
     return rl.ComplexityEstimate(found_len, "upper_bound" if blocking else "exact",
                                  best.program, "exhaustive", blocking)
+
+
+def count_walks(monkeypatch) -> list:
+    """Wrap machine.enumerate_domain so that each walk started appends its
+    arguments to the list returned; the wrapper forwards send, so a bounded
+    search walks as it would unwrapped."""
+    walk = tm.enumerate_domain
+    walks: list = []
+
+    def counting(*args, **kwargs):
+        walks.append(args)
+        return (yield from walk(*args, **kwargs))
+
+    monkeypatch.setattr(tm, "enumerate_domain", counting)
+    return walks
 
 
 def strategy_value(strategy, functional, settings) -> Fraction:

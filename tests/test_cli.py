@@ -11,7 +11,7 @@ from indlab import machine as tm
 from indlab import randomness as rl
 from indlab import sequences as sq
 
-from builders import bits, save_model
+from builders import bits, count_walks, save_model
 from bundled import bundled_path, bundled_problem
 
 
@@ -394,6 +394,9 @@ def _hv_model(**fields) -> str:
     ({"nospace.json": json.dumps({"schema": "hv/v1", "g": [0, 1], "mu": [0.5, 0.5]})},
      ["hv", "run", "--model", "nospace.json", "--n", "8", "--out", "h.seq"],
      ("nospace.json: hv model has no field 'space'",)),
+    ({"m.json": _hv_model(space={"size": 2})}, HV_RUN_M, ("m.json: space has no field 'kind'",)),
+    ({"m.json": _hv_model(space={"kind": "discrete"})}, HV_RUN_M,
+     ("m.json: space has no field 'size'",)),
     ({"strsize.json": json.dumps({"schema": "hv/v1",
                                   "space": {"kind": "discrete", "size": "2"},
                                   "g": [0, 1], "mu": [0.5, 0.5]})},
@@ -518,7 +521,8 @@ def _hv_model(**fields) -> str:
     ({"c.json": "[1.0, 0, 0, 0, 0, 1, 0]"},
      ["ks", "verify", "--rays", "demo_colorable.rays", "--coloring", "c.json"],
      ("c.json: assignment must be total over {0,1}, found 1.0",)),
-], ids=["hv-model-not-json", "hv-model-without-space", "hv-model-string-size",
+], ids=["hv-model-not-json", "hv-model-without-space", "hv-model-space-without-kind",
+        "hv-model-space-without-size", "hv-model-string-size",
         "hv-model-interval-on-discrete", "hv-model-scalar-interval",
         "hv-model-reversed-interval", "hv-model-scalar-g", "hv-model-interval-kind",
         "hv-model-space-units", "hv-model-scalar-space",
@@ -586,6 +590,25 @@ def test_komplexity_names_the_timeouts_that_block_exact(steps, max_len, search, 
     assert blocking[:1] == [8][:blocked] and all(c < 13 for c in blocking)
     exact = rl.exact_k_small(bits("00"), int(max_len), int(steps))
     assert tuple(blocking) == exact.unresolved_bits_consumed
+
+
+# sha256 of k.json from komplexity --exact-max-len 16 --steps 10000, pinned
+# while both calls still walked: "011" finds an exact 16 bits, and no
+# program of at most 16 bits prints "10110"
+@pytest.mark.parametrize("target,digest", [
+    ("011", "183b5b060bee7904a85db37e9b4a9a0b4d3a2cdab00f51e8127406e54ab9d77f"),
+    ("10110", "b0cf0fee39562b3e049464321c52503d0cd8648462cd4ad4e199ded2534ce352"),
+])
+def test_komplexity_walks_the_domain_once_per_query(target, digest, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    sq.write_sequence_file("x.seq", bits(target))
+    rl._exact_k_walk.cache_clear()
+    walks = count_walks(monkeypatch)
+    assert cli.dispatch(["komplexity", "--in", "x.seq", "--exact-max-len", "16",
+                         "--steps", "10000", "--json", "k.json"]) == cli.EXIT_OK
+    assert walks == [(16, 10_000)]
+    with open("k.json", "rb") as f:
+        assert hashlib.sha256(f.read()).hexdigest() == digest
 
 
 def test_analyze_reads_its_input_once(tmp_path, monkeypatch):

@@ -14,7 +14,7 @@ from indlab import machine as tm
 from indlab import randomness as rl
 from indlab import sequences as sq
 
-from builders import bits, gamma0_length, unbounded_exact_k_small
+from builders import bits, count_walks, gamma0_length, unbounded_exact_k_small
 
 # frozen: one canonical enumeration at the acceptance budget
 GOLDEN_OMEGA_16_10K = Fraction(11737, 65536)
@@ -331,6 +331,70 @@ class TestBoundedSearch:
         monkeypatch.setattr(tm._Machine, "_fork", counting_fork)
         assert rl.exact_k_small(bits(text), 16, 10_000).kind == "exact"
         assert calls == {"run": runs, "fork": forks}
+
+
+class TestLastAnswerKept:
+    """exact_k_small keeps its last answer: a repeat walks nothing, and every
+    answer, kept or walked, is the unbounded walk's."""
+
+    @pytest.mark.parametrize("max_len,max_steps,max_bits",
+                             [(12, 1, 5), (13, 2, 5), (14, 50, 5), (16, 10_000, 3)])
+    def test_repeats_give_the_unbounded_walks_answer(self, monkeypatch, max_len, max_steps,
+                                                      max_bits):
+        strings = list(every_string(max_bits))
+        expected = [unbounded_exact_k_small(s, max_len, max_steps) for s in strings]
+        rl._exact_k_walk.cache_clear()
+        walks = count_walks(monkeypatch)
+        for a, b, want_a, want_b in zip(strings, strings[1:], expected, expected[1:]):
+            walks.clear()
+            # A twice in a row, then A, B, A: only the first A, B and the last A walk
+            for sigma, want in ((a, want_a), (a, want_a), (b, want_b), (a, want_a)):
+                assert rl.exact_k_small(sigma, max_len, max_steps) == want, tuple(sigma)
+            assert len(walks) == 3, (tuple(a), tuple(b))
+
+    def test_the_same_bytes_at_another_budget_walk_again(self, monkeypatch):
+        budgets = [(13, 2), (13, 100), (12, 100), (13, 2)]
+        strings = list(every_string(3))
+        expected = [[unbounded_exact_k_small(s, *b) for b in budgets] for s in strings]
+        # at 2 steps a timeout blocks "00"'s 13 bits; at 100 steps it is an exact 12
+        assert any(answers[0] != answers[1] for answers in expected)
+        walks = count_walks(monkeypatch)
+        for sigma, answers in zip(strings, expected):
+            walks.clear()
+            assert [rl.exact_k_small(sigma, *b) for b in budgets] == answers, tuple(sigma)
+            assert walks == budgets
+
+    def test_a_refused_call_is_never_answered(self):
+        sigma = bits("01")
+        found = rl.exact_k_small(sigma, 16, 1000)
+        assert isinstance(found, rl.ComplexityEstimate)
+        with pytest.raises(ValueError, match=r"^max_len must be an integer >= 0, got 16\.0$"):
+            rl.exact_k_small(sigma, 16.0, 1000)
+        with pytest.raises(ValueError, match=r"^max_steps must be an integer >= 0, got -1$"):
+            rl.exact_k_small(sigma, 16, -1)
+        with pytest.raises(ValueError, match=r"^max_steps must be an integer >= 0, got 1000\.0$"):
+            rl.exact_k_small(sigma, 16, 1000.0)
+        with pytest.raises(ValueError, match="exceeds the tractability cap 24"):
+            rl.exact_k_small(sigma, 25, 1000)
+        # an integer of another type is the same key
+        assert rl.exact_k_small(sigma, np.int64(16), 1000) is found
+
+    def test_a_walk_that_raises_caches_nothing(self, monkeypatch):
+        walk = tm.enumerate_domain
+
+        def breaks(*args, **kwargs):
+            it = walk(*args, **kwargs)
+            yield next(it)
+            raise RuntimeError("walk broken partway")
+
+        monkeypatch.setattr(tm, "enumerate_domain", breaks)
+        with pytest.raises(RuntimeError, match="partway"):
+            rl.exact_k_small(bits("0"), 12, 1000)
+        monkeypatch.setattr(tm, "enumerate_domain", walk)
+        expected = unbounded_exact_k_small(bits("0"), 12, 1000)
+        walks = count_walks(monkeypatch)
+        assert rl.exact_k_small(bits("0"), 12, 1000) == expected
+        assert walks == [(12, 1000)]
 
 
 class TestLevinChaitinMargin:
