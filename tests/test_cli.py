@@ -732,6 +732,57 @@ def test_bell_analyze_skips_a_claim_it_cannot_judge(n, functional, claim, why, t
     assert {"claim": claim, "status": "skipped", "why": why} in claims
 
 
+def _skip_path_csv(model: str, n: int, pair=None) -> None:
+    """Save b.csv: a one-strategy hv run at seed 7 or a quantum run at seed
+    4, of n trials, cut to the trials at settings indices pair if given."""
+    strat = bell.LocalDeterministicStrategy((0, 1, 0), (0, 1, 0))
+    tr = bell.run_bipartite(model, bell.DEFAULT_SETTINGS, n, seed=7 if model == "hv" else 4,
+                            hv_ensemble=[(1.0, strat)] if model == "hv" else None)
+    if pair:
+        at = (tr.a_idx == pair[0]) & (tr.b_idx == pair[1])
+        tr = bell.TrialSet(tr.settings, tr.a_idx[at], tr.b_idx[at], tr.alpha[at], tr.beta[at],
+                           None, tr.metadata)
+    bell.save_trials_csv("b.csv", tr)
+
+
+@pytest.mark.parametrize("csv,functional,entries,json_sha256,stdout_sha256", [
+    (("hv", 1200), "0,0,30",
+     {"functional": {"name": "custom", "skipped": "degenerate"},
+      "no_signaling": {"skipped": "need >= 1000 trials per settings pair; "
+                                  "smallest observed count 121"}},
+     "5af40de293a277c9ae7a415e3a278849a660b6d7f99136a32e02b94446f0862a",
+     "60de27eb2804a7f6c4d290a852c913c211e0c61aa67d04bc332dba029642f47c"),
+    (("quantum", 60_000, (0, 2)), "default",
+     {"functional": {"name": "default", "skipped": "no trials at settings pair (0.0, 30.0)"}},
+     "419275970c320733cfbe62207858a475e842e1332de8b08d90f2f3f2c4ddb8c4",
+     "ef3671ade9b78fd09926e28487b19a5789371bd55f628ffb4f2074dfa7d1d203"),
+    (("quantum", 5000), "default",
+     {"no_signaling": {"skipped": "need >= 1000 trials per settings pair; "
+                                  "smallest observed count 519"}},
+     "0a3104d21fdd6b9c12414cc8f0a4d916c8b15dd7e579bb5ca2644d278d48fa48",
+     "1ef353bd97a4d74a56186e7e11ffd4e7110cd3fd0c307423215dc5207ab23d7f"),
+    (("hv", 500), "default",
+     {"no_signaling": {"skipped": "need >= 1000 trials per settings pair; "
+                                  "smallest observed count 46"},
+      "free_choice": {"skipped": "need >= 1000 trials, got 500"}},
+     "cd1f0e7440f58c1e13049011ef78e342df3cb880fdb64549cfc46db1d4526cb9",
+     "4bb36aef5c6eef4abab72c90c468378912cb7ab7ff39b5f4dccb562ac7bf36e9"),
+], ids=["all-zero-functional", "pair-without-trials", "few-trials-per-pair", "short-hv-run"])
+def test_golden_bell_analyze_skip_paths(csv, functional, entries, json_sha256, stdout_sha256,
+                                        tmp_path, monkeypatch, capsys):
+    """Each way bell analyze skips a check, frozen: the skipped entries the
+    report holds, the sha256 of the whole report and of the claim lines."""
+    monkeypatch.chdir(tmp_path)
+    _skip_path_csv(*csv)
+    assert cli.dispatch(["bell", "analyze", "--in", "b.csv", "--functional", functional,
+                         "--json", "b.json"]) == cli.EXIT_OK
+    with open("b.json") as f:
+        report = json.load(f)
+    assert {key: report[key] for key in entries} == entries
+    assert cli._sha256("b.json") == json_sha256
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha256
+
+
 def test_komplexity_rejects_negative_steps(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     sq.write_sequence_file("x.seq", bits("0110"))
