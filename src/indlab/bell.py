@@ -148,49 +148,37 @@ class LocalDeterministicStrategy:
                 raise ValueError(f"strategy response {r!r} is not 0 or 1 in {self}")
 
 
-def local_bound_bruteforce(
-    settings: SettingSet, functional: MismatchFunctional
-) -> tuple[Fraction, LocalDeterministicStrategy]:
-    """Exact maximum of the functional over all deterministic strategies.
+def local_bound(functional: MismatchFunctional) -> Fraction:
+    """Exact maximum of the functional over all deterministic strategies on
+    the angles its terms name; an angle no term names adds nothing.
 
-    Enumerates Alice's 2^|S| responses; for each, Bob's optimum separates
-    across his settings, so the maximum over all 2^|S| x 2^|S| strategies
-    is computed exactly (rational arithmetic) without listing the products.
+    Enumerates Alice's 2^s responses; for each, Bob's optimum separates
+    across his settings, so the maximum over all 2^s x 2^s strategies is
+    computed exactly (rational arithmetic) without listing the products.
     Under a perfect_correlation functional Bob's responses are pinned to
-    Alice's instead.
+    Alice's instead.  More than MAX_SETTINGS angles raise a ValueError.
     """
+    settings = functional.settings()
     s = len(settings)
     if s > MAX_SETTINGS:
         raise ValueError(f"{s} settings exceeds the {MAX_SETTINGS}-setting cap")
     terms_by_b: dict[int, list[tuple[Fraction, int]]] = {}
     for coeff, a, b in functional.terms:
         terms_by_b.setdefault(settings.index(b), []).append((coeff, settings.index(a)))
-    best: Optional[Fraction] = None
-    best_strategy: Optional[LocalDeterministicStrategy] = None
-    for l_mask in range(1 << s):
-        response_l = tuple((l_mask >> i) & 1 for i in range(s))
+
+    def value(l_mask: int) -> Fraction:
+        """The functional at Alice's responses, bit i of l_mask at setting i, and
+        Bob's best ones, or his equal ones under perfect_correlation."""
         total = Fraction(0)
-        response_r = [0] * s
-        for bi in range(s):
-            options = []
-            for rv in (0, 1):
-                v = Fraction(0)
-                for coeff, ai in terms_by_b.get(bi, []):
-                    if response_l[ai] != rv:
-                        v += coeff
-                options.append(v)
-            if functional.perfect_correlation:
-                response_r[bi] = response_l[bi]
-                total += options[response_l[bi]]
-            elif options[1] > options[0]:
-                response_r[bi] = 1
-                total += options[1]
-            else:
-                total += options[0]
-        if best is None or total > best:
-            best = total
-            best_strategy = LocalDeterministicStrategy(response_l, tuple(response_r))
-    return best, best_strategy
+        for bi, terms in terms_by_b.items():
+            # the terms at Bob's setting bi that his response rv makes mismatch
+            options = [sum((c for c, ai in terms if (l_mask >> ai) & 1 != rv), Fraction(0))
+                       for rv in (0, 1)]
+            total += options[(l_mask >> bi) & 1] if functional.perfect_correlation \
+                else max(options)
+        return total
+
+    return max(map(value, range(1 << s)))
 
 
 def quantum_value(functional: MismatchFunctional) -> float:
@@ -316,33 +304,36 @@ def _independence_check(name: str, tables: dict) -> dict:
                     skipped=all(d for _, d in zs.values()))
 
 
-def no_signaling_check(trials: TrialSet) -> tuple[dict, dict]:
+def no_signaling_check(trials: TrialSet) -> dict:
     """Marginal independence both ways: Alice's outcome distribution must
     not depend on Bob's setting, and vice versa, at z <= DEFAULT_Z_THRESHOLD.
-    Returns the (alice, bob) _independence_check over one table per own
-    setting; a wing with one settings pair alone, say, is skipped."""
+    Returns the report entry {"alice": ..., "bob": ...}, each wing's
+    _independence_check over one table per own setting (a wing with one
+    settings pair alone, say, is skipped), or {"skipped": reason} when an
+    observed settings pair has fewer than MIN_TRIALS_PER_PAIR trials."""
     s = len(trials.settings)
     counts = _contingency((s, s), trials.a_idx, trials.b_idx)
     smallest = counts[counts > 0].min() if counts.any() else 0
     if smallest < MIN_TRIALS_PER_PAIR:
-        raise ValueError(f"need >= {MIN_TRIALS_PER_PAIR} trials per settings pair; "
-                         f"smallest observed count {smallest}")
+        return {"skipped": f"need >= {MIN_TRIALS_PER_PAIR} trials per settings pair; "
+                           f"smallest observed count {smallest}"}
     # per wing, at each own setting, a table of (other setting, outcome) counts
     wings = {"alice": _contingency((s, s, 2), trials.a_idx, trials.b_idx, trials.alpha),
              "bob": _contingency((s, s, 2), trials.b_idx, trials.a_idx, trials.beta)}
-    alice, bob = (_independence_check(f"no_signaling[{wing}]", {
-        f"setting_{i}": table for i, table in enumerate(tables)}) for wing, tables in wings.items())
-    return alice, bob
+    return {wing: _independence_check(f"no_signaling[{wing}]", {
+        f"setting_{i}": table for i, table in enumerate(tables)}) for wing, tables in wings.items()}
 
 
 def free_choice_check(trials: TrialSet) -> dict:
     """Independence of (a, b), (a, lambda), and (b, lambda), at z <= DEFAULT_Z_THRESHOLD,
     as the _independence_check of those three tables: skipped, never passed,
-    when the marginals are degenerate (a single observed setting or hidden value)."""
+    when the marginals are degenerate (a single observed setting or hidden value).
+    Fewer than MIN_TRIALS_PER_PAIR trials give only {"skipped": reason}; trials
+    without lambda_id raise a ValueError."""
     if trials.lam is None:
         raise ValueError("free-choice check needs lambda_id on the records")
     if len(trials) < MIN_TRIALS_PER_PAIR:
-        raise ValueError(f"need >= {MIN_TRIALS_PER_PAIR} trials, got {len(trials)}")
+        return {"skipped": f"need >= {MIN_TRIALS_PER_PAIR} trials, got {len(trials)}"}
     s = len(trials.settings)
     # lambda is indexed by its distinct values, so no table grows with the ids
     lam = np.unique(trials.lam, return_inverse=True)[1]
@@ -363,8 +354,10 @@ def empirical_functional(trials: TrialSet, functional: MismatchFunctional) -> di
     """The functional evaluated on empirical mismatch frequencies, as the
     keys empirical (the value), six_sigma (six standard errors summed over
     the terms by |coeff|) and per_term (a, b, coeff, n, mismatch, quantum
-    and sigma of each term); only the key skipped, naming the pair, when a
-    term's settings pair has no trials."""
+    and sigma of each term); only the key skipped, with the reason, when all
+    coefficients are zero or a term's settings pair has no trials."""
+    if functional.degenerate:
+        return {"skipped": "all coefficients zero"}
     settings = trials.settings
     value = 0.0
     per_term = []

@@ -356,14 +356,12 @@ def cmd_bell(args, manifest: Manifest) -> dict | None:
     claims: list[dict] = []
     report: dict = {"schema": "bell/v1", "input": args.infile,
                     "n_trials": len(trials), "model": model_kind, "claims": claims}
-    est = report["functional"] = ({"skipped": "degenerate"} if functional.degenerate
-                                  else bell.empirical_functional(trials, functional))
+    est = report["functional"] = bell.empirical_functional(trials, functional)
     est["name"] = functional.name
-    if "skipped" in est:  # a degenerate functional, or a term's pair with no trials
-        claims.append(_claim("functional", None, f"{functional.name}: " + (
-            "all coefficients zero" if functional.degenerate else est["skipped"])))
+    if "skipped" in est:
+        claims.append(_claim("functional", None, f"{functional.name}: {est['skipped']}"))
     else:
-        bound, _ = bell.local_bound_bruteforce(functional.settings(), functional)
+        bound = bell.local_bound(functional)
         qv = bell.quantum_value(functional)
         est.update(quantum=qv, local_bound=bound)
         e, six_sigma = est["empirical"], est["six_sigma"]
@@ -383,27 +381,23 @@ def cmd_bell(args, manifest: Manifest) -> dict | None:
         claims.append(_claim("perfect_correlation", not mismatches if equal else None,
                              f"{mismatches} equal-setting mismatches in a quantum run"
                              if equal else "no equal-setting trials in a quantum run"))
-    try:
-        ra, rb = bell.no_signaling_check(trials)
-    except ValueError as exc:
-        report["no_signaling"] = {"skipped": str(exc)}
-        claims.append(_claim("no_signaling", None, f"no-signaling check skipped: {exc}"))
+    ns = report["no_signaling"] = bell.no_signaling_check(trials)
+    if "skipped" in ns:
+        claims.append(_claim("no_signaling", None, f"no-signaling check skipped: {ns['skipped']}"))
     else:
-        report["no_signaling"] = {"alice": ra, "bob": rb}
         # skipped when both wings are; else each wing that ran must pass
-        ok = None if ra["skipped"] and rb["skipped"] else all(
-            r["pass"] or r["skipped"] for r in (ra, rb))
+        ok = None if all(r["skipped"] for r in ns.values()) else all(
+            r["pass"] or r["skipped"] for r in ns.values())
         verdict = "skipped" if ok is None else "holds" if ok else "failed"
         worst = ", ".join(f"{wing} " + ("skipped" if r["skipped"] else f"{r['z_score']:.2f}")
-                          for wing, r in (("alice", ra), ("bob", rb)))
-        claims.append(_claim("no_signaling", ok, f"no-signaling marginal independence "
-                             f"{verdict}: worst z {worst}, threshold {ra['threshold']}"))
+                          for wing, r in ns.items())
+        claims.append(_claim("no_signaling", ok, f"no-signaling marginal independence {verdict}: "
+                             f"worst z {worst}, threshold {ns['alice']['threshold']}"))
     if trials.lam is not None:
-        try:
-            fc = report["free_choice"] = bell.free_choice_check(trials)
-        except ValueError as exc:
-            report["free_choice"] = {"skipped": str(exc)}
-            claims.append(_claim("free_choice", None, f"free-choice check skipped: {exc}"))
+        fc = report["free_choice"] = bell.free_choice_check(trials)
+        if "pass" not in fc:  # too few trials to run
+            claims.append(_claim("free_choice", None,
+                                 f"free-choice check skipped: {fc['skipped']}"))
         else:
             verdict = "skipped" if fc["skipped"] else "holds" if fc["pass"] else "failed"
             claims.append(_claim("free_choice", None if fc["skipped"] else fc["pass"],

@@ -188,12 +188,12 @@ def scenario_one_audit(model: HVModel, h: Sampler, checkpoints: Sequence[int]) -
     Runs the model to the last checkpoint and returns the hv-audit1/v1
     report, whose checkpoints are the rows of randomness.levin_chaitin_margin
     (n, k_upper, margin = K_upper(x_|N) - N, method), each with
-    stated_bound added: the length of the model's own description plus N
-    and the machine overhead.  The incompatibility flag is
-    randomness.incompressibility_flag with c = INCOMPRESSIBILITY_C: raised
-    when some checkpoint has K_upper < N - c.  The checkpoints must be
-    ascending, as levin_chaitin_margin requires; any other order is a
-    ValueError.
+    stated_bound added: the length of the model's own description, plus
+    2 ceil(log2(N + 1)) bits to give N, plus machine.MACHINE_OVERHEAD_BITS.
+    The incompatibility flag is randomness.incompressibility_flag with
+    c = INCOMPRESSIBILITY_C: raised when some checkpoint has K_upper < N - c.
+    The checkpoints must be ascending, as levin_chaitin_margin requires;
+    any other order is a ValueError.
     """
     if h.kind != "deterministic_computable":
         raise ValueError(

@@ -178,6 +178,16 @@ def k_upper_bound(
     return est
 
 
+def _search_len(max_len) -> int:
+    """max_len as an int, if machine._operand takes it and it is at most
+    EXACT_SEARCH_MAX_LEN; else a ValueError."""
+    max_len = tm._operand(max_len, None, "max_len")
+    if max_len > EXACT_SEARCH_MAX_LEN:
+        raise ValueError(f"max_len {max_len} exceeds the tractability cap "
+                         f"{EXACT_SEARCH_MAX_LEN}")
+    return max_len
+
+
 def exact_k_small(
     sigma: SymbolString,
     max_len: int,
@@ -208,10 +218,7 @@ def exact_k_small(
     k_upper_bound instead, the memo can go.
     """
     _require_base2(sigma)
-    if max_len > EXACT_SEARCH_MAX_LEN:
-        raise ValueError(f"max_len {max_len} exceeds the tractability cap "
-                         f"{EXACT_SEARCH_MAX_LEN}")
-    return _exact_k_walk(sigma.array.tobytes(), tm._operand(max_len, None, "max_len"),
+    return _exact_k_walk(sigma.array.tobytes(), _search_len(max_len),
                          tm._operand(max_steps, None, "max_steps"))
 
 
@@ -327,8 +334,7 @@ def omega_lower_bound(max_len: int, max_steps: int) -> OmegaEstimate:
     once; the sum is exact dyadic arithmetic and, by the Kraft inequality
     for a prefix-free set, strictly below 1 at any finite budget.
     """
-    if max_len > EXACT_SEARCH_MAX_LEN:
-        raise ValueError(f"max_len {max_len} exceeds cap {EXACT_SEARCH_MAX_LEN}")
+    max_len = _search_len(max_len)
     total = 0  # the sum in units of 2^-max_len
     programs: list[tm.Bits] = []
     for entry in tm.enumerate_domain(max_len, max_steps):

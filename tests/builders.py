@@ -64,7 +64,7 @@ def count_walks(monkeypatch) -> list:
 def strategy_value(strategy, functional, settings) -> Fraction:
     """The functional on one deterministic strategy: the sum of the
     coefficients of the terms whose two responses differ.  The oracle for
-    bell.local_bound_bruteforce."""
+    bell.local_bound."""
     total = Fraction(0)
     for coeff, a, b in functional.terms:
         if strategy.response_l[settings.index(a)] != strategy.response_r[settings.index(b)]:

@@ -74,10 +74,7 @@ class TestSettings:
 
 class TestLocalBound:
     def test_default_functional_bound_zero(self):
-        f = bell.default_functional()
-        bound, witness = bell.local_bound_bruteforce(f.settings(), f)
-        assert bound == Fraction(0)
-        assert strategy_value(witness, f, f.settings()) == bound
+        assert bell.local_bound(bell.default_functional()) == Fraction(0)
 
     def test_oracle_agreement_default(self):
         f = bell.default_functional()
@@ -89,49 +86,52 @@ class TestLocalBound:
         # without the perfect-correlation constraint the same three terms
         # are beaten by mismatched wings; kept as a regression anchor
         f = bell.MismatchFunctional(bell.default_functional().terms, "raw")
-        bound, witness = bell.local_bound_bruteforce(f.settings(), f)
-        assert bound == Fraction(1)
-        assert strategy_value(witness, f, f.settings()) == 1
+        assert bell.local_bound(f) == Fraction(1)
+        assert local_bound_enumerate_all(f.settings(), f)[0] == 1
 
     def test_single_term_maximum_one(self):
         f = bell.MismatchFunctional(((Fraction(1), 0.0, 30.0),))
-        bound, _ = bell.local_bound_bruteforce(bell.SettingSet((0.0, 30.0)), f)
-        assert bound == Fraction(1)
+        assert bell.local_bound(f) == Fraction(1)
 
     def test_all_zero_coefficients(self):
         f = bell.MismatchFunctional(((Fraction(0), 0.0, 30.0),))
-        bound, _ = bell.local_bound_bruteforce(bell.SettingSet((0.0, 30.0)), f)
-        assert bound == Fraction(0)
+        assert bell.local_bound(f) == Fraction(0)
         assert f.degenerate
 
     def test_factored_matches_oracle_random_functionals(self):
-        settings = bell.SettingSet((0.0, 20.0, 45.0, 80.0))
-        for trial in range(25):
-            terms = tuple(
+        # terms over 2 to 6 angles; the oracle also gets the angles with one
+        # more that no term names, which must leave the maximum unchanged
+        for trial in range(100):
+            pool = [float(a) for a in RNG.choice(180, int(RNG.integers(2, 7)), replace=False)]
+            terms = ((Fraction(int(RNG.integers(1, 4)), int(RNG.integers(1, 4))),
+                      pool[0], pool[1]),) + tuple(
                 (
                     Fraction(int(RNG.integers(-3, 4)), int(RNG.integers(1, 4))),
-                    float(settings.angles[RNG.integers(0, 4)]),
-                    float(settings.angles[RNG.integers(0, 4)]),
+                    pool[RNG.integers(0, len(pool))],
+                    pool[RNG.integers(0, len(pool))],
                 )
-                for _ in range(int(RNG.integers(1, 6)))
+                for _ in range(int(RNG.integers(0, 6)))
             )
             for pc in (False, True):
                 f = bell.MismatchFunctional(terms, perfect_correlation=pc)
-                fast, _ = bell.local_bound_bruteforce(settings, f)
-                slow, _ = local_bound_enumerate_all(settings, f)
-                assert fast == slow
+                named = f.settings().angles
+                superset = bell.SettingSet(named + (max(named) + 1.5,))
+                bound = bell.local_bound(f)
+                assert bound == local_bound_enumerate_all(f.settings(), f)[0]
+                assert bound == local_bound_enumerate_all(superset, f)[0]
 
     def test_capacity(self):
-        settings = bell.SettingSet(tuple(float(i) for i in range(17)))
-        f = bell.MismatchFunctional(((Fraction(1), 0.0, 1.0),))
+        # 16 terms over 17 angles
+        f = bell.MismatchFunctional(tuple((Fraction(1), float(i), float(i + 1))
+                                          for i in range(16)))
         with pytest.raises(ValueError, match="17 settings exceeds the 16-setting cap"):
-            bell.local_bound_bruteforce(settings, f)
+            bell.local_bound(f)
 
     def test_mixture_closure(self):
         # random mixtures of admissible strategies never beat the bound
         f = bell.default_functional()
         settings = f.settings()
-        bound, _ = bell.local_bound_bruteforce(settings, f)
+        bound = bell.local_bound(f)
         strategies = [
             bell.LocalDeterministicStrategy(resp, resp)
             for resp in ((0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1))
@@ -160,8 +160,7 @@ class TestQuantumValue:
     def test_chsh(self):
         f = bell.chsh_functional()
         assert bell.quantum_value(f) == pytest.approx(math.sqrt(2) - 1, abs=1e-12)
-        bound, _ = bell.local_bound_bruteforce(f.settings(), f)
-        assert bound == Fraction(0)
+        assert bell.local_bound(f) == Fraction(0)
 
 
 class TestRunBipartite:
@@ -237,14 +236,14 @@ class TestRunBipartite:
 class TestNoSignaling:
     def test_quantum_passes(self):
         tr = bell.run_bipartite("quantum", bell.DEFAULT_SETTINGS, 60_000, seed=2)
-        ra, rb = bell.no_signaling_check(tr)
-        assert ra["pass"] and rb["pass"]
+        ns = bell.no_signaling_check(tr)
+        assert ns["alice"]["pass"] and ns["bob"]["pass"]
 
     def test_signaling_model_fails(self):
         tr = bell.run_bipartite("signaling", bell.DEFAULT_SETTINGS, 60_000, seed=2)
-        ra, rb = bell.no_signaling_check(tr)
-        assert not ra["pass"]
-        assert ra["z_score"] > 10
+        alice = bell.no_signaling_check(tr)["alice"]
+        assert not alice["pass"]
+        assert alice["z_score"] > 10
 
     def test_hv_strategies_pass(self):
         strats = [
@@ -255,20 +254,21 @@ class TestNoSignaling:
         tr = bell.run_bipartite(
             "hv", bell.DEFAULT_SETTINGS, 60_000, seed=9, hv_ensemble=strats
         )
-        ra, rb = bell.no_signaling_check(tr)
-        assert ra["pass"] and rb["pass"]
+        ns = bell.no_signaling_check(tr)
+        assert ns["alice"]["pass"] and ns["bob"]["pass"]
 
     def test_insufficient_trials_names_deficit(self):
         tr = bell.run_bipartite("quantum", bell.DEFAULT_SETTINGS, 500, seed=1)
-        with pytest.raises(ValueError, match="1000"):
-            bell.no_signaling_check(tr)
+        smallest = np.bincount(tr.a_idx * 3 + tr.b_idx).min()
+        assert bell.no_signaling_check(tr) == {"skipped": "need >= 1000 trials per settings "
+                                               f"pair; smallest observed count {smallest}"}
 
     def test_single_settings_pair_skipped_not_passed(self):
         # every trial at (0, 60): no table has two of the other wing's settings
         tr = bell.run_bipartite("quantum", bell.DEFAULT_SETTINGS, 12_000, seed=4)
         at = (tr.a_idx == 0) & (tr.b_idx == 2)
         pair = bell.TrialSet(tr.settings, tr.a_idx[at], tr.b_idx[at], tr.alpha[at], tr.beta[at])
-        for rep in bell.no_signaling_check(pair):
+        for rep in bell.no_signaling_check(pair).values():
             assert rep["skipped"] and not rep["pass"]
             assert set(rep["parameters"].values()) == {None}
 
@@ -308,6 +308,11 @@ class TestFreeChoice:
         rep = bell.free_choice_check(tr)
         assert rep["skipped"]
         assert not rep["pass"]
+
+    def test_short_run_skipped_not_judged(self):
+        tr = bell.run_bipartite("hv", bell.DEFAULT_SETTINGS, 999, seed=4,
+                                hv_ensemble=self._ensemble())
+        assert bell.free_choice_check(tr) == {"skipped": "need >= 1000 trials, got 999"}
 
     def test_needs_lambda(self):
         tr = bell.run_bipartite("quantum", bell.DEFAULT_SETTINGS, 2000, seed=1)
@@ -390,6 +395,12 @@ class TestEmpiricalFunctional:
         assert len(est["per_term"]) == 3
         for t in est["per_term"]:
             assert abs(t["mismatch"] - t["quantum"]) <= 6 * t["sigma"]
+
+    def test_all_zero_coefficients_skipped(self):
+        # skipped before its angles are looked up: 45 is not among the settings
+        f = bell.MismatchFunctional(((Fraction(0), 0.0, 30.0), (Fraction(0), 45.0, 60.0)))
+        tr = bell.run_bipartite("quantum", bell.DEFAULT_SETTINGS, 2000, seed=13)
+        assert bell.empirical_functional(tr, f) == {"skipped": "all coefficients zero"}
 
 
 class TestPersistence:

@@ -747,10 +747,11 @@ def _skip_path_csv(model: str, n: int, pair=None) -> None:
 
 @pytest.mark.parametrize("csv,functional,entries,json_sha256,stdout_sha256", [
     (("hv", 1200), "0,0,30",
-     {"functional": {"name": "custom", "skipped": "degenerate"},
+     {"functional": {"name": "custom", "skipped": "all coefficients zero"},
       "no_signaling": {"skipped": "need >= 1000 trials per settings pair; "
                                   "smallest observed count 121"}},
-     "5af40de293a277c9ae7a415e3a278849a660b6d7f99136a32e02b94446f0862a",
+     # with "degenerate" as functional.skipped, the report's sha256 was 5af40de2...
+     "f725cd3db872cb63759d7a1ef4a6bd1565602ba3bb02c1c7b86c4a9ff4274aae",
      "60de27eb2804a7f6c4d290a852c913c211e0c61aa67d04bc332dba029642f47c"),
     (("quantum", 60_000, (0, 2)), "default",
      {"functional": {"name": "default", "skipped": "no trials at settings pair (0.0, 30.0)"}},

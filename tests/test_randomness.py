@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -592,3 +593,21 @@ class TestOmega:
         total = sum((Fraction(1, 2 ** len(p)) for p in programs), Fraction(0))
         assert rl.omega_lower_bound(max_len, max_steps) == \
             rl.OmegaEstimate(total, (max_len, max_steps), programs)
+
+
+@pytest.mark.parametrize("search", [
+    lambda max_len: rl.exact_k_small(bits("01"), max_len, 10),
+    lambda max_len: rl.omega_lower_bound(max_len, 10),
+], ids=["exact_k_small", "omega_lower_bound"])
+@pytest.mark.parametrize("max_len,message", [
+    ("16", "max_len must be an integer >= 0, got '16'"),
+    ("8", "max_len must be an integer >= 0, got '8'"),
+    (16.0, "max_len must be an integer >= 0, got 16.0"),
+    (25.0, "max_len must be an integer >= 0, got 25.0"),
+    (-1, "max_len must be an integer >= 0, got -1"),
+    (25, "max_len 25 exceeds the tractability cap 24"),
+])
+def test_both_searches_check_max_len_alike(search, max_len, message):
+    # the operand first, then the one cap
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        search(max_len)
