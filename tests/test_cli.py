@@ -784,6 +784,24 @@ def test_golden_bell_analyze_skip_paths(csv, functional, entries, json_sha256, s
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha256
 
 
+def test_golden_quiet_audit1_and_its_report_csv(tmp_path, monkeypatch, capsys):
+    """An audit whose flag stays quiet (margins 15 and -29, above -64),
+    frozen: the sha256 of its report and of its claim lines, and the margin
+    rows that report --csv writes from it."""
+    monkeypatch.chdir(tmp_path)
+    assert cli.dispatch(["hv", "audit1", "--model", "fair_coin_counter.json", "--sampler",
+                         "alternating", "--checkpoints", "8,64", "--json", "a.json"]) \
+        == cli.EXIT_OK
+    assert cli._sha256("a.json") == \
+        "ac59aeb71179e2ecde7647b27dff436a7a8539a4468ba2173f49b1f7b819deb6"
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
+        "37462e4b708a6a96fc348c9222ddbb5ee1fdd1686f1dad8bb04b05df32c2ab85"
+    assert cli.dispatch(["report", "--in", "a.json", "--csv", "r.csv"]) == cli.EXIT_OK
+    with open("r.csv") as f:
+        assert f.read().splitlines() == ["source,series,x,y", "a.json,margin,8,15",
+                                         "a.json,margin,64,-29"]
+
+
 def test_komplexity_rejects_negative_steps(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     sq.write_sequence_file("x.seq", bits("0110"))
