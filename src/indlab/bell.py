@@ -100,10 +100,6 @@ class MismatchFunctional:
     def degenerate(self) -> bool:
         return all(c == 0 for c, _, _ in self.terms)
 
-    def settings(self) -> SettingSet:
-        """The angles the terms name, in first-named order."""
-        return SettingSet(tuple(dict.fromkeys(x for _, a, b in self.terms for x in (a, b))))
-
 
 def default_functional() -> MismatchFunctional:
     """P(0,60) - P(0,30) - P(30,60): at most 0 for every local model that
@@ -156,15 +152,19 @@ def local_bound(functional: MismatchFunctional) -> Fraction:
     across his settings, so the maximum over all 2^s x 2^s strategies is
     computed exactly (rational arithmetic) without listing the products.
     Under a perfect_correlation functional Bob's responses are pinned to
-    Alice's instead.  More than MAX_SETTINGS angles raise a ValueError.
+    Alice's instead.  One named angle is enough; a non-finite angle, or
+    more than MAX_SETTINGS angles, raise a ValueError.
     """
-    settings = functional.settings()
-    s = len(settings)
+    index = {x: i for i, x in enumerate(dict.fromkeys(
+        x for _, a, b in functional.terms for x in (a, b)))}
+    if not all(map(math.isfinite, index)):
+        raise ValueError(f"settings must be finite angles: {list(index)}")
+    s = len(index)
     if s > MAX_SETTINGS:
         raise ValueError(f"{s} settings exceeds the {MAX_SETTINGS}-setting cap")
     terms_by_b: dict[int, list[tuple[Fraction, int]]] = {}
     for coeff, a, b in functional.terms:
-        terms_by_b.setdefault(settings.index(b), []).append((coeff, settings.index(a)))
+        terms_by_b.setdefault(index[b], []).append((coeff, index[a]))
 
     def value(l_mask: int) -> Fraction:
         """The functional at Alice's responses, bit i of l_mask at setting i, and

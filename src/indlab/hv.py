@@ -12,10 +12,10 @@ file:PATH); its provenance (deterministic rule, seeded PRNG, OS entropy,
 recorded trace) is tracked
 explicitly, because where the randomness comes from is the whole point of
 the two audit scenarios.  Each audit returns the JSON report it is written
-as (hv-audit1/v1, hv-audit2/v1).  The scenario-1 audit takes its
-Levin-Chaitin margins from randomness.levin_chaitin_margin and its flag
-from randomness.incompressibility_flag.  Bundled models are JSON files in
-the data directory, read by load_model.
+as (hv-audit1/v1, hv-audit2/v1).  The scenario-1 audit bounds K(x_|N) at
+each checkpoint N with randomness.k_upper_bound and flags x as not
+1-random when some bound falls more than INCOMPRESSIBILITY_C bits below N.
+Bundled models are JSON files in the data directory, read by load_model.
 """
 
 from __future__ import annotations
@@ -28,9 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import machine as tm
-# k_upper_bound stays bound here: bench/tracer.py wraps it on every module
-# that names it, and bench/test_bench.py reads hv.k_upper_bound.
-from .randomness import incompressibility_flag, k_upper_bound, levin_chaitin_margin
+from .randomness import k_upper_bound
 from .sequences import (SymbolString, distribution, os_entropy_symbols, read_sequence_file,
                         sample_indices)
 
@@ -186,14 +184,14 @@ def scenario_one_audit(model: HVModel, h: Sampler, checkpoints: Sequence[int]) -
     """Audit scenario 1: the theory supplies h, hence states x outright.
 
     Runs the model to the last checkpoint and returns the hv-audit1/v1
-    report, whose checkpoints are the rows of randomness.levin_chaitin_margin
-    (n, k_upper, margin = K_upper(x_|N) - N, method), each with
-    stated_bound added: the length of the model's own description, plus
-    2 ceil(log2(N + 1)) bits to give N, plus machine.MACHINE_OVERHEAD_BITS.
-    The incompatibility flag is randomness.incompressibility_flag with
-    c = INCOMPRESSIBILITY_C: raised when some checkpoint has K_upper < N - c.
-    The checkpoints must be ascending, as levin_chaitin_margin requires;
-    any other order is a ValueError.
+    report, with one row per checkpoint N: k_upper and method from
+    randomness.k_upper_bound(x_|N), margin = k_upper - N, and stated_bound,
+    the length of the model's own description plus 2 ceil(log2(N + 1)) bits
+    to give N plus machine.MACHINE_OVERHEAD_BITS.  The flag
+    incompatible_with_1_randomness is raised when some margin is below
+    -INCOMPRESSIBILITY_C; a higher margin confirms nothing.  Checkpoints
+    that are empty, descending or negative raise a ValueError before the
+    model runs.
     """
     if h.kind != "deterministic_computable":
         raise ValueError(
@@ -205,18 +203,26 @@ def scenario_one_audit(model: HVModel, h: Sampler, checkpoints: Sequence[int]) -
     cps = list(checkpoints)
     if not cps:
         raise ValueError("need at least one checkpoint")
-    rows = levin_chaitin_margin(run_model(model, h, cps[-1]), cps)
-    for row in rows:
-        row["stated_bound"] = (model.description_bits + 2 * math.ceil(math.log2(row["n"] + 1))
-                               + tm.MACHINE_OVERHEAD_BITS)
+    if cps != sorted(cps):
+        raise ValueError("checkpoints must be ascending")
+    if cps[0] < 0:
+        raise ValueError(f"checkpoints must be >= 0, got {cps}")
+    x = run_model(model, h, cps[-1])
+    description_bits = model.description_bits  # serialises the model on each read
+    rows = []
+    for n in cps:
+        est = k_upper_bound(SymbolString(x.alphabet_size, x.array[:n]))
+        rows.append({"n": n, "k_upper": est.value, "margin": est.value - n, "method": est.method,
+                     "stated_bound": description_bits + 2 * math.ceil(math.log2(n + 1))
+                     + tm.MACHINE_OVERHEAD_BITS})
     return {
         "schema": "hv-audit1/v1",
         "model": model.name,
         "sampler": h.describe(),
-        "description_bits": model.description_bits,
+        "description_bits": description_bits,
         "checkpoints": rows,
         "incompatible_with_1_randomness":
-            incompressibility_flag(rows, INCOMPRESSIBILITY_C),
+            any(row["margin"] < -INCOMPRESSIBILITY_C for row in rows),
         "flag_threshold_bits": -INCOMPRESSIBILITY_C,
         "pushforward_matches_target": model.compatible(),
         "note": "an upper bound this far below N refutes 1-randomness of the "

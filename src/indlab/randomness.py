@@ -246,26 +246,6 @@ def _exact_k_walk(want: bytes, max_len: int, max_steps: int
                               best.program, "exhaustive", blocking)
 
 
-def levin_chaitin_margin(x: SymbolString, checkpoints: Sequence[int]) -> list[dict]:
-    """Series of K_upper(x_|n) - n at the given checkpoints, each in [0, len(x)],
-    as one row per checkpoint with the keys n, k_upper, margin and method.
-
-    A strongly negative margin refutes 1-randomness relative to this
-    machine (see incompressibility_flag); a positive margin confirms nothing.
-    """
-    cps = list(checkpoints)
-    if cps != sorted(cps):
-        raise ValueError("checkpoints must be ascending")
-    if cps and (cps[0] < 0 or cps[-1] > len(x)):
-        raise ValueError(f"checkpoints must lie in [0, {len(x)}], got {cps}")
-    rows = []
-    for n in cps:
-        est = k_upper_bound(SymbolString(x.alphabet_size, x.array[:n]))
-        rows.append({"n": n, "k_upper": est.value, "margin": est.value - n,
-                     "method": est.method})
-    return rows
-
-
 def _overlap_count_variance(pattern: Sequence[int], k: int, windows: int) -> float:
     """Variance of the overlapping occurrence count of a pattern in an
     i.i.d. uniform base-k string, via the pattern's autocorrelation."""
@@ -349,13 +329,3 @@ def prefix_free_violations(programs: Sequence[tm.Bits]) -> list[tuple[tm.Bits, t
     """Pairs (p, q) with p a proper prefix of q; empty for a sound log."""
     present = set(programs)
     return [(q[:k], q) for q in programs for k in range(len(q)) if q[:k] in present]
-
-
-def incompressibility_flag(margin_rows: Sequence[dict], c: int) -> bool:
-    """Whether levin_chaitin_margin rows support the exact one-sided claim an
-    upper bound can make: x is not c-incompressible relative to this machine.
-
-    The claim is made when some checkpoint has K_upper < n - c, that is a
-    margin below -c; a margin of exactly -c is not flagged.
-    """
-    return any(row["margin"] < -c for row in margin_rows)

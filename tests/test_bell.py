@@ -21,6 +21,12 @@ from builders import strategy_value
 RNG = np.random.Generator(np.random.Philox(key=[77, 0]))
 
 
+def named_settings(functional):
+    """The angles the functional's terms name, in first-named order."""
+    return bell.SettingSet(tuple(dict.fromkeys(x for _, a, b in functional.terms
+                                               for x in (a, b))))
+
+
 def local_bound_enumerate_all(settings, functional):
     """Plain double enumeration over every (L, R) pair; the oracle for the
     factored search.  Returns (maximum over admissible strategies,
@@ -78,7 +84,7 @@ class TestLocalBound:
 
     def test_oracle_agreement_default(self):
         f = bell.default_functional()
-        oracle, examined = local_bound_enumerate_all(f.settings(), f)
+        oracle, examined = local_bound_enumerate_all(named_settings(f), f)
         assert oracle == Fraction(0)
         assert examined == 64
 
@@ -87,11 +93,23 @@ class TestLocalBound:
         # are beaten by mismatched wings; kept as a regression anchor
         f = bell.MismatchFunctional(bell.default_functional().terms, "raw")
         assert bell.local_bound(f) == Fraction(1)
-        assert local_bound_enumerate_all(f.settings(), f)[0] == 1
+        assert local_bound_enumerate_all(named_settings(f), f)[0] == 1
 
     def test_single_term_maximum_one(self):
         f = bell.MismatchFunctional(((Fraction(1), 0.0, 30.0),))
         assert bell.local_bound(f) == Fraction(1)
+
+    @pytest.mark.parametrize("pc,bound", [(False, 1), (True, 0)], ids=["free", "perfect"])
+    def test_one_angle(self, pc, bound):
+        # P(L != R | 0, 0): the oracle needs a second angle, which no term names
+        f = bell.MismatchFunctional(((Fraction(1), 0.0, 0.0),), perfect_correlation=pc)
+        assert bell.local_bound(f) == bound
+        assert local_bound_enumerate_all(bell.SettingSet((0.0, 1.5)), f)[0] == bound
+
+    def test_non_finite_angle_rejected(self):
+        f = bell.MismatchFunctional(((Fraction(1), math.nan, 0.0),))
+        with pytest.raises(ValueError, match="settings must be finite angles"):
+            bell.local_bound(f)
 
     def test_all_zero_coefficients(self):
         f = bell.MismatchFunctional(((Fraction(0), 0.0, 30.0),))
@@ -114,10 +132,10 @@ class TestLocalBound:
             )
             for pc in (False, True):
                 f = bell.MismatchFunctional(terms, perfect_correlation=pc)
-                named = f.settings().angles
+                named = named_settings(f).angles
                 superset = bell.SettingSet(named + (max(named) + 1.5,))
                 bound = bell.local_bound(f)
-                assert bound == local_bound_enumerate_all(f.settings(), f)[0]
+                assert bound == local_bound_enumerate_all(named_settings(f), f)[0]
                 assert bound == local_bound_enumerate_all(superset, f)[0]
 
     def test_capacity(self):
@@ -130,7 +148,7 @@ class TestLocalBound:
     def test_mixture_closure(self):
         # random mixtures of admissible strategies never beat the bound
         f = bell.default_functional()
-        settings = f.settings()
+        settings = named_settings(f)
         bound = bell.local_bound(f)
         strategies = [
             bell.LocalDeterministicStrategy(resp, resp)
@@ -384,13 +402,13 @@ def test_import_does_not_load_scipy():
 class TestEmpiricalFunctional:
     def test_converges_to_quantum_value(self):
         f = bell.default_functional()
-        tr = bell.run_bipartite("quantum", f.settings(), 3 * 10**5, seed=31)
+        tr = bell.run_bipartite("quantum", named_settings(f), 3 * 10**5, seed=31)
         est = bell.empirical_functional(tr, f)
         assert abs(est["empirical"] - 0.25) <= est["six_sigma"]
 
     def test_per_term_fields(self):
         f = bell.default_functional()
-        tr = bell.run_bipartite("quantum", f.settings(), 50_000, seed=13)
+        tr = bell.run_bipartite("quantum", named_settings(f), 50_000, seed=13)
         est = bell.empirical_functional(tr, f)
         assert len(est["per_term"]) == 3
         for t in est["per_term"]:
@@ -430,7 +448,7 @@ class TestPersistence:
             (0.5, bell.LocalDeterministicStrategy((1, 1, 0, 0), (1, 0, 0, 1))),
             (0.3, bell.LocalDeterministicStrategy((0, 0, 1, 1), (0, 0, 1, 1))),
         ]
-        settings = bell.chsh_functional().settings()
+        settings = named_settings(bell.chsh_functional())
         tr = bell.run_bipartite("hv", settings, 5000, seed=12, hv_ensemble=ensemble)
         path = str(tmp_path / "hv.csv")
         bell.save_trials_csv(path, tr)

@@ -732,6 +732,20 @@ def test_bell_analyze_skips_a_claim_it_cannot_judge(n, functional, claim, why, t
     assert {"claim": claim, "status": "skipped", "why": why} in claims
 
 
+@pytest.mark.parametrize("functional", ["1,0,0", "1,0,0;0,0,30"],
+                         ids=["alone", "with-zero-term"])
+def test_bell_analyze_one_angle_functional(functional, tmp_path, monkeypatch):
+    """P(L != R | 0, 0) names one angle; a local model can make it 1."""
+    monkeypatch.chdir(tmp_path)
+    strat = bell.LocalDeterministicStrategy((0, 1, 0), (0, 1, 0))
+    bell.save_trials_csv("hv.csv", bell.run_bipartite("hv", bell.DEFAULT_SETTINGS, 1200, seed=7,
+                                                      hv_ensemble=[(1.0, strat)]))
+    assert cli.dispatch(["bell", "analyze", "--in", "hv.csv", "--functional", functional,
+                         "--json", "b.json"]) == cli.EXIT_OK
+    with open("b.json") as f:
+        assert json.load(f)["functional"]["local_bound"]["value"] == 1.0
+
+
 def _skip_path_csv(model: str, n: int, pair=None) -> None:
     """Save b.csv: a one-strategy hv run at seed 7 or a quantum run at seed
     4, of n trials, cut to the trials at settings indices pair if given."""
@@ -815,7 +829,8 @@ def test_komplexity_rejects_negative_steps(tmp_path, monkeypatch, capsys):
     ("1,0,45", ("angle 45.0 is not among the settings [0.0, 30.0, 60.0]",)),
     ("x", ("--functional term 'x'",)),
     ("1,0,30;1,0", ("--functional term '1,0'",)),
-], ids=["missing-angle", "not-a-term", "short-term"])
+    ("1,nan,0", ("angle nan is not among the settings [0.0, 30.0, 60.0]",)),
+], ids=["missing-angle", "not-a-term", "short-term", "non-finite-angle"])
 def test_bell_analyze_names_the_bad_functional(functional, fragments, tmp_path, monkeypatch,
                                                capsys):
     monkeypatch.chdir(tmp_path)

@@ -1,6 +1,8 @@
 import json
 import math
+import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -132,18 +134,32 @@ class TestScenarioOne:
         ([-64], False),
         ([-65], True),
         ([-65, 10], True),
-    ], ids=["at-minus-c", "below-minus-c", "early-checkpoint-below"])
+        ([0, -64], False),
+    ], ids=["at-minus-c", "below-minus-c", "early-checkpoint-below", "last-at-minus-c"])
     def test_flag_is_the_incompressibility_rule(self, margins, flagged, monkeypatch):
-        def fixed_margins(x, checkpoints):
-            return [{"n": n, "k_upper": n + m, "margin": m, "method": "literal_encoding"}
-                    for n, m in zip(checkpoints, margins)]
-
-        monkeypatch.setattr(hv, "levin_chaitin_margin", fixed_margins)
         checkpoints = [100 * (i + 1) for i in range(len(margins))]
+        margin_at = dict(zip(checkpoints, margins))
+
+        def fixed_bound(prefix):
+            n = len(prefix)
+            return SimpleNamespace(value=n + margin_at[n], method="literal_encoding")
+
+        monkeypatch.setattr(hv, "k_upper_bound", fixed_bound)
         rep = hv.scenario_one_audit(FAIR_COIN, hv.Sampler("counter"), checkpoints)
         assert [p["margin"] for p in rep["checkpoints"]] == margins
         assert rep["incompatible_with_1_randomness"] == flagged
         assert rep["flag_threshold_bits"] == -64
+
+    @pytest.mark.parametrize("checkpoints,message", [
+        ([], "need at least one checkpoint"),
+        ([10, 5], "checkpoints must be ascending"),
+        # a negative n would slice x from its end
+        ([-1, 5], "checkpoints must be >= 0, got [-1, 5]"),
+    ], ids=["empty", "descending", "negative"])
+    def test_checkpoints_refused_before_the_run(self, checkpoints, message, monkeypatch):
+        monkeypatch.setattr(hv, "run_model", None)  # refused before the model runs
+        with pytest.raises(ValueError, match=re.escape(message)):
+            hv.scenario_one_audit(FAIR_COIN, hv.Sampler("counter"), checkpoints)
 
     def test_flag_withheld_at_small_n(self):
         rep = hv.scenario_one_audit(FAIR_COIN, hv.Sampler("counter"), [8])

@@ -130,3 +130,23 @@ def test_every_public_name_has_a_caller():
         if not (name in attributes if "." in owner else (owner, name) in reads):
             uncalled.add(q)
     assert not uncalled
+
+
+def test_every_imported_name_is_read():
+    # __init__ reads the modules it imports through __all__; a __future__
+    # import is a compiler switch, not a name
+    src = Path(indlab.__file__).parent
+    unread = set()
+    for path in src.glob("*.py"):
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        if path.stem == "__init__":
+            read |= set(indlab.__all__)
+        unread |= {f"{path.stem}.{name}" for name in imported - read}
+    assert not unread

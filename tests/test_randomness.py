@@ -399,49 +399,23 @@ class TestLastAnswerKept:
 
 
 class TestLevinChaitinMargin:
+    """The margin K_upper(x_|n) - n that the scenario-1 audit reports, on sources."""
+
     def test_constant_source_diverges_down(self):
         src = sq.SequenceSource("periodic", pattern=(1,))
-        points = rl.levin_chaitin_margin(src.prefix(5000), [100, 1000, 5000])
-        margins = [p["margin"] for p in points]
+        margins = [rl.k_upper_bound(src.prefix(n)).value - n for n in (100, 1000, 5000)]
         assert margins[0] > margins[1] > margins[2]
         assert margins[2] < -4800
 
     def test_champernowne_margin(self):
         src = sq.SequenceSource("champernowne")
-        (point,) = rl.levin_chaitin_margin(src.prefix(10**4), [10**4])
-        assert point["margin"] <= -(10**4) + 2 * math.ceil(math.log2(10**4)) + 40
+        margin = rl.k_upper_bound(src.prefix(10**4)).value - 10**4
+        assert margin <= -(10**4) + 2 * math.ceil(math.log2(10**4)) + 40
 
     def test_fair_coin_margin_stays_positive(self):
         # upper bounds cannot refute randomness of a typical sample
         src = sq.SequenceSource("born", seed=3)
-        (point,) = rl.levin_chaitin_margin(src.prefix(1000), [1000])
-        assert point["margin"] > 0
-
-    def test_checkpoints_must_ascend(self):
-        with pytest.raises(ValueError):
-            rl.levin_chaitin_margin(bits("0" * 10), [10, 5])
-
-    def test_flag_semantics(self):
-        src = sq.SequenceSource("periodic", pattern=(0,))
-        points = rl.levin_chaitin_margin(src.prefix(1000), [1000])
-        assert rl.incompressibility_flag(points, c=64) is True
-        assert rl.incompressibility_flag(points, c=2000) is False
-
-    @pytest.mark.parametrize("margins,flagged", [
-        ([-64], False),
-        ([-65], True),
-        ([-65, 10], True),
-        ([0, -64], False),
-    ], ids=["at-minus-c", "below-minus-c", "early-checkpoint-below", "last-at-minus-c"])
-    def test_flag_boundary(self, margins, flagged):
-        points = [{"n": 100 * (i + 1), "k_upper": 100 * (i + 1) + m, "margin": m,
-                   "method": "literal_encoding"} for i, m in enumerate(margins)]
-        assert rl.incompressibility_flag(points, c=64) is flagged
-
-    @pytest.mark.parametrize("checkpoints", [[0, 11], [-1, 5]])
-    def test_checkpoints_must_lie_within_x(self, checkpoints):
-        with pytest.raises(ValueError, match="lie in"):
-            rl.levin_chaitin_margin(bits("0" * 10), checkpoints)
+        assert rl.k_upper_bound(src.prefix(1000)).value - 1000 > 0
 
 
 class TestOverlapVariance:
