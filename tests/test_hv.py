@@ -134,8 +134,7 @@ class TestScenarioOne:
         ([-64], False),
         ([-65], True),
         ([-65, 10], True),
-        ([0, -64], False),
-    ], ids=["at-minus-c", "below-minus-c", "early-checkpoint-below", "last-at-minus-c"])
+    ], ids=["at-minus-c", "below-minus-c", "early-checkpoint-below"])
     def test_flag_is_the_incompressibility_rule(self, margins, flagged, monkeypatch):
         checkpoints = [100 * (i + 1) for i in range(len(margins))]
         margin_at = dict(zip(checkpoints, margins))

@@ -5,17 +5,20 @@ import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from indlab import hv
 from indlab import machine as tm
 from indlab import randomness as rl
 from indlab import sequences as sq
 
 from builders import bits, count_walks, gamma0_length, unbounded_exact_k_small
+from bundled import bundled_path
 
 # frozen: one canonical enumeration at the acceptance budget
 GOLDEN_OMEGA_16_10K = Fraction(11737, 65536)
@@ -416,6 +419,28 @@ class TestLevinChaitinMargin:
         # upper bounds cannot refute randomness of a typical sample
         src = sq.SequenceSource("born", seed=3)
         assert rl.k_upper_bound(src.prefix(1000)).value - 1000 > 0
+
+    @pytest.mark.parametrize("margins,flagged", [
+        ([-64], False),
+        ([-65], True),
+        ([-65, 10], True),
+        ([0, -64], False),
+    ], ids=["at-minus-c", "below-minus-c", "early-checkpoint-below", "last-at-minus-c"])
+    def test_flag_boundary(self, margins, flagged, monkeypatch):
+        # the audit flags x when some K_upper(x_|n) - n is below -c, c = 64
+        checkpoints = [100 * (i + 1) for i in range(len(margins))]
+        margin_at = dict(zip(checkpoints, margins))
+
+        def fixed_bound(prefix):
+            n = len(prefix)
+            return SimpleNamespace(value=n + margin_at[n], method="literal_encoding")
+
+        monkeypatch.setattr(hv, "k_upper_bound", fixed_bound)
+        model = hv.load_model(bundled_path("fair_coin_counter.json"))
+        rep = hv.scenario_one_audit(model, hv.Sampler("counter"), checkpoints)
+        assert [p["k_upper"] for p in rep["checkpoints"]] == [
+            n + m for n, m in zip(checkpoints, margins)]
+        assert rep["incompatible_with_1_randomness"] is flagged
 
 
 class TestOverlapVariance:
