@@ -1103,3 +1103,84 @@ class TestLocalStateLoop:
         assert result.halted and len(result.output) == 10_000
         monkeypatch.setattr(tm, "_Machine", ReferenceMachine)
         assert tm.run_machine(program, max_steps) == result
+
+
+def result_pin(result):
+    """A run's result with its output as length and sha256."""
+    return (result.status, result.steps, result.bits_consumed, result.reason,
+            len(result.output), hashlib.sha256(bytes(result.output)).hexdigest())
+
+
+PERIODIC_011 = tm.prog_periodic((0, 1, 1), 10**4)
+OUT1_LOOP = assemble((OP_OUT1,), (OP_JMP, 0, 2))
+LITN_LOOP = assemble((OP_LITN, (0, 1, 1)), (OP_JMP, 0, 2))
+# name: (program, max_steps, output_limit)
+REPEATING_RUNS = {
+    # the audit's witnesses for x_|N, re-run under 8N + 256 steps and N output bits
+    **{f"periodic-01-{n}": (tm.prog_periodic((0, 1), n), 8 * n + 256, n)
+       for n in (10**3, 10**4, 10**5)},
+    # HALTAT, then passes of 4 steps and 3 bits: pass 1000 ends at step 4001
+    # with 3000 bits, and the cap of 10^4 falls inside a pass
+    "periodic-011": (PERIODIC_011, 80_256, tm.DEFAULT_OUTPUT_LIMIT),
+    **{f"periodic-011-steps-{s}": (PERIODIC_011, s, tm.DEFAULT_OUTPUT_LIMIT)
+       for s in (4000, 4001, 4002)},
+    **{f"periodic-011-limit-{n}": (PERIODIC_011, 80_256, n) for n in (2999, 3000, 3001)},
+    "out1-loop": (OUT1_LOOP, 3 << 20, tm.DEFAULT_OUTPUT_LIMIT),
+    "out1-loop-steps": (OUT1_LOOP, 100_001, tm.DEFAULT_OUTPUT_LIMIT),
+    "litn-loop": (LITN_LOOP, 3 << 20, tm.DEFAULT_OUTPUT_LIMIT),
+    "litn-loop-steps": (LITN_LOOP, 100_001, tm.DEFAULT_OUTPUT_LIMIT),
+    "haltat-in-body": (assemble((OP_OUT1,), (OP_HALTAT, 5000), (OP_OUT0,), (OP_JMP, 0, 4)),
+                       100_000, tm.DEFAULT_OUTPUT_LIMIT),
+    # the cap is 10^5 at every jump, but 10^4 while each pass emits
+    "two-caps-in-body": (assemble((OP_HALTAT, 10_000), (OP_OUT1,), (OP_HALTAT, 100_000),
+                                  (OP_JMP, 0, 4)), 10**6, tm.DEFAULT_OUTPUT_LIMIT),
+}
+# name: (status, steps, bits_consumed, reason, output length, output sha256)
+REPEATING_PINS = {
+    "periodic-01-1000": ("halted", 1500, 41, "", 1000,
+                         "a397a563ae79e726a32a764b5336d80c7b7f34c8e721acdd429c328a739a0779"),
+    "periodic-01-10000": ("halted", 15000, 49, "", 10000,
+                          "e59fdd28f0002f60f10655da4064d901e835f5534859ea76fb06f981a2e251c1"),
+    "periodic-01-100000": ("halted", 150000, 55, "", 100000,
+                           "b727cad0bd1f37c227110bdedb465d1fa50aaaaf0655037dd4df1340f4e991fc"),
+    "periodic-011": ("halted", 13334, 53, "", 10000,
+                     "802ee20e773eb04dd7d6943c5c07bcd43d060ffd21298f6fda7df97f144757a2"),
+    "periodic-011-steps-4000": (
+        "timeout", 4000, 53, "step budget exhausted", 3000,
+        "a9276a3ff1adbeb50e14448862f3fcc3a82661620eab5310eb8b6f997e9a899b"),
+    "periodic-011-steps-4001": (
+        "timeout", 4001, 53, "step budget exhausted", 3000,
+        "a9276a3ff1adbeb50e14448862f3fcc3a82661620eab5310eb8b6f997e9a899b"),
+    "periodic-011-steps-4002": (
+        "timeout", 4002, 53, "step budget exhausted", 3001,
+        "891f1f91d04c063060166d7f6d72ec302e919874704c0540ff682f1d7b1bba93"),
+    "periodic-011-limit-2999": (
+        "timeout", 4000, 53, "output limit exceeded", 3000,
+        "a9276a3ff1adbeb50e14448862f3fcc3a82661620eab5310eb8b6f997e9a899b"),
+    "periodic-011-limit-3000": (
+        "timeout", 4002, 53, "output limit exceeded", 3001,
+        "891f1f91d04c063060166d7f6d72ec302e919874704c0540ff682f1d7b1bba93"),
+    "periodic-011-limit-3001": (
+        "timeout", 4003, 53, "output limit exceeded", 3002,
+        "591eb38765b2afab6dd65038924e2b2a0bc02b195b1075a000f661e095ed52a0"),
+    "out1-loop": ("timeout", 2097153, 12, "output limit exceeded", 1048577,
+                  "9301803fdab97f7cc1553cac441bf2bf045c0c5da11270bfbf4c92606c6ea491"),
+    "out1-loop-steps": ("timeout", 100001, 12, "step budget exhausted", 50001,
+                        "d4c25f70992c99d096279b173a6d111d25f404a7c75613db4eef81d4bda54818"),
+    "litn-loop": ("timeout", 699051, 20, "output limit exceeded", 1048578,
+                  "944f7962be225722f1698d8090dce4592493210bc4785e1184efa003a62b975e"),
+    "litn-loop-steps": ("timeout", 100001, 20, "step budget exhausted", 150003,
+                        "d5f50abc6080b8cc6a64ed4700b73059b80c2e4c4b5832b107eb4f92422b8a01"),
+    "haltat-in-body": ("halted", 9999, 47, "", 5000,
+                       "5004b6bb19512c61272331810def8833b030565fe830b150754dbda64f4b24e2"),
+    "two-caps-in-body": ("halted", 39998, 82, "", 10000,
+                         "684ad25fdc2bbb80cbc910dd1bde6d5499ccf860ca6ee44704b77ec445271353"),
+}
+
+
+class TestRepeatingLoops:
+    """run_machine on loops whose state recurs with more output each pass."""
+
+    @pytest.mark.parametrize("name", REPEATING_RUNS)
+    def test_result_pinned(self, name):
+        assert result_pin(tm.run_machine(*REPEATING_RUNS[name])) == REPEATING_PINS[name]
