@@ -43,6 +43,21 @@ program can lower the length mid-walk with the generator's send(n); a
 search for a shortest program uses that to stop growing programs that
 cannot beat its best find.
 
+An exact run (run_machine: exact_bits, no output prefix) skips whole passes
+of a loop whose state recurs with more output.  At each taken jump it
+compares (pc, cursor, cap, registers) with one saved state, re-saved at
+jump counts 1, 2, 4, 8, ... (Brent's cycle test).  A match with more output
+than at the save, and no HALTAT run since, appends copies of the output of
+the pass since the save and counts their steps, leaving one whole pass
+before the HALTAT cap, the output limit and the step budget, so that each
+fires where a step-by-step run fires it.  Control reads only the registers,
+the decoded instructions and cap, and an equal cursor means the same
+instructions were decoded, so the pass repeats exactly: output steers
+nothing but those thresholds.  The exact-recurrence rule is never skipped
+over: a state can only repeat with the same output length inside a stretch
+with no emit, and then the machine never emits again, while each skipped
+pass emits.
+
 Inside the machine bits are bytes of 0 and 1: the tape, the output prefix
 and LITN's operand are bytes, the output a bytearray, and the table's
 encodings bytes, so a long program or output is one byte per bit and a
@@ -237,16 +252,35 @@ class _Machine:
         HALTAT can reach the cap, and only an emit the output limit, so only
         there are they checked.  At a jump, run inlines the one loop rule of
         exact_bits; the enumerator's are in _loop_check.
+
+        With exact_bits and no output_prefix, a taken jump then runs Brent's
+        cycle test: it compares (pc, cursor, cap, registers) with one saved
+        state, re-saved with the output length and step count at jumps 1, 2,
+        4, 8, ...; a HALTAT drops it.  A match whose output grew by L bits
+        over S steps since the save appends k copies of those L bits and adds
+        k*S steps, where k = min((T - 1 - len(out)) // L,
+        (max_steps - 1 - steps) // S) - 1 and T = min(cap, output_limit + 1):
+        one whole pass is left before any threshold, and the last passes run
+        step by step.  The skipped passes would run exactly so: control reads
+        only the registers, the decoded instructions and cap, an equal cursor
+        means the same instructions were decoded, and the output steers
+        nothing but the thresholds.  No skipped pass would have hit the
+        exact-recurrence rule: a key can only repeat inside a stretch with no
+        emit, and a repeat means the machine never emits again, while each
+        skipped pass emits.
         """
         instrs, regs, out, prefix, seen, exact = (
             self.instrs, self.regs, self.out, self.output_prefix, self._seen, self.exact_bits)
         pc, steps, cap, other_step = self.pc, self.steps, self.cap, self.other_step
+        n_instrs = len(instrs)
+        # Brent's saved (pc, cursor, cap) and registers, output length and steps then
+        saved, saved_regs, saved_len, saved_steps, jumps, power = None, None, 0, 0, 0, 1
         status, reason = "halted", ""  # the exit of a bare break
         while True:
             if steps >= max_steps:
                 status, reason = "timeout", "step budget exhausted"
                 break
-            if pc >= len(instrs):
+            if pc >= n_instrs:
                 start = self.cursor
                 if start < len(self.tape):
                     try:
@@ -255,6 +289,7 @@ class _Machine:
                         self.cursor = start
                     else:
                         if err is None:
+                            n_instrs += 1
                             continue
                         status, reason = "malformed", err
                         break
@@ -267,22 +302,38 @@ class _Machine:
                 if op == OP_JZ and regs[instr[1]]:
                     pc += 1
                     continue
-                d, delta = instr[-2:]
-                target = pc + 1 + delta if d else pc + 1 - delta
+                target = pc + 1 + instr[-1] if instr[-2] else pc + 1 - instr[-1]
                 if target < 0:
                     status, reason = "malformed", "jump before program start"
                     break
                 pc = target
-                if exact:  # the exact-recurrence rule of _loop_check
-                    key = (pc, self.cursor, len(out), cap, tuple(regs))
-                    reason = "loop detected" if key in seen else ""
-                    if len(seen) < LOOP_TRACK_LIMIT:
-                        seen.add(key)
-                else:
+                if not exact:
                     reason = self._loop_check(pc, steps, other_step, cap)
-                if reason:
-                    status = "timeout"
+                    if reason:
+                        status = "timeout"
+                        break
+                    continue
+                regs_now = tuple(regs)
+                key = (pc, self.cursor, cap, regs_now, len(out))  # the exact-recurrence rule
+                if key in seen:
+                    status, reason = "timeout", "loop detected"
                     break
+                if len(seen) < LOOP_TRACK_LIMIT:
+                    seen.add(key)
+                jumps += 1
+                if regs_now == saved_regs and key[:3] == saved:  # the pass since the save repeats
+                    grown, spent = len(out) - saved_len, steps - saved_steps
+                    if grown and prefix is None:
+                        last = output_limit if cap is None else min(cap - 1, output_limit)
+                        k = min((last - len(out)) // grown, (max_steps - 1 - steps) // spent) - 1
+                        if k > 0:
+                            out += out[-grown:] * k
+                            steps += k * spent
+                            other_step += k * spent
+                    saved_len, saved_steps = len(out), steps
+                elif jumps >= power:
+                    saved, saved_regs, saved_len, saved_steps = key[:3], regs_now, len(out), steps
+                    power *= 2
                 continue
             if op == OP_INC:
                 regs[instr[1]] += 1
@@ -328,7 +379,7 @@ class _Machine:
             elif op == OP_CPY:
                 regs[instr[1]] = regs[instr[2]]
             else:  # OP_HALTAT, the last opcode of _FIELDS
-                cap = instr[1]
+                cap, saved_regs = instr[1], None
                 if len(out) >= cap:
                     break
             # INC, JZ and JMP continued above; the growth rule sees the rest
@@ -350,7 +401,7 @@ class _Machine:
         - Exact recurrence: (pc, cursor, len(out), cap, regs) repeats.  An
           equal output length means nothing was emitted in between, so the
           whole state repeats.  Holds everywhere; run inlines it as the one
-          rule of exact_bits=True.  Since keys with an older output length
+          loop rule of exact_bits=True, next to its fast-forward of a pass.  Since keys with an older output length
           can never recur, the set is cleared on each emit.
         - Output loop: (pc, cursor, regs) repeats.  Needs that no HALTAT cap
           is set (a cap is never unset, so none was set in between): then
@@ -488,6 +539,9 @@ def run_machine(
     "halted" implies bits_consumed <= len(program_bits), and re-running the
     consumed prefix alone reproduces the output.  A run that emits forever
     ends on the step budget or the output limit, never as a detected loop.
+    A loop whose state recurs with more output is fast-forwarded (see
+    _Machine.run): it costs a few interpreted passes, not one per pass, and
+    steps still counts every step it stands for.
     """
     program = _as_bits(program_bits, "program bits")
     max_steps = _operand(max_steps, None, "max_steps")

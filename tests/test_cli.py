@@ -320,6 +320,8 @@ def _one_error_line(capsys, *fragments) -> None:
       "--json", "h1.json"], ("--checkpoints: bad entry ''",)),
     (["hv", "audit1", "--model", "fair_coin_counter.json", "--checkpoints", "1000,100",
       "--json", "h1.json"], ("checkpoints must be ascending",)),
+    (["hv", "audit1", "--model", "fair_coin_counter.json", "--sampler", "counter",
+      "--checkpoints", "5,5", "--json", "h1.json"], ("checkpoints must be ascending",)),
     (["generate", "--fair-coin", "--kind", "champernowne", "--n", "8", "--out", "g.seq"],
      ("--fair-coin stands for --kind born --probs 0.5,0.5",
       "got --kind champernowne --probs 0.5,0.5")),
@@ -362,7 +364,8 @@ def _one_error_line(capsys, *fragments) -> None:
 ], ids=["hv-run-contract", "hv-audit2-contract", "born-nan", "repeated-setting",
         "nan-setting", "omega-negative-steps", "champernowne-base-40", "hv-run-bias-counter",
         "hv-audit1-bias-alternating", "hv-audit2-bias-os", "checkpoints-not-int",
-        "checkpoints-empty-entry", "checkpoints-descending", "fair-coin-with-kind",
+        "checkpoints-empty-entry", "checkpoints-descending", "checkpoints-repeated",
+        "fair-coin-with-kind",
         "fair-coin-with-probs", "probs-not-float", "pattern-not-int", "constant-symbol-outside-alphabet",
         "settings-not-float",
         "bias-not-float", "sampler-constant-no-colon", "sampler-constant-two-states",

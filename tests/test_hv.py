@@ -152,9 +152,11 @@ class TestScenarioOne:
     @pytest.mark.parametrize("checkpoints,message", [
         ([], "need at least one checkpoint"),
         ([10, 5], "checkpoints must be ascending"),
+        # a repeat would bound x_|5 twice and report the same row twice
+        ([5, 5], "checkpoints must be ascending"),
         # a negative n would slice x from its end
         ([-1, 5], "checkpoints must be >= 0, got [-1, 5]"),
-    ], ids=["empty", "descending", "negative"])
+    ], ids=["empty", "descending", "repeated", "negative"])
     def test_checkpoints_refused_before_the_run(self, checkpoints, message, monkeypatch):
         monkeypatch.setattr(hv, "run_model", None)  # refused before the model runs
         with pytest.raises(ValueError, match=re.escape(message)):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -1184,3 +1185,74 @@ class TestRepeatingLoops:
     @pytest.mark.parametrize("name", REPEATING_RUNS)
     def test_result_pinned(self, name):
         assert result_pin(tm.run_machine(*REPEATING_RUNS[name])) == REPEATING_PINS[name]
+
+    def test_fast_forward_skips_the_passes(self):
+        # a step-by-step run of x_|N's witness interprets all 50,000 passes,
+        # each at least one traced line of _Machine.run per step
+        run_code = tm._Machine.run.__code__
+        lines = 0
+
+        def count_lines(frame, event, arg):
+            nonlocal lines
+            lines += event == "line"
+            return count_lines
+
+        def trace_run(frame, event, arg):
+            return count_lines if frame.f_code is run_code else None
+
+        previous = sys.gettrace()
+        sys.settrace(trace_run)
+        try:
+            result = tm.run_machine(*REPEATING_RUNS["periodic-01-100000"])
+        finally:
+            sys.settrace(previous)
+        assert result_pin(result) == REPEATING_PINS["periodic-01-100000"]
+        assert 0 < lines < 5_000
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        prologue=st.lists(st.one_of(
+            st.tuples(st.just(OP_SETI), st.integers(0, 3), st.integers(0, 6)),
+            st.tuples(st.just(OP_HALTAT), st.integers(0, 3000)),
+        ), max_size=3),
+        body=st.lists(st.one_of(
+            st.tuples(st.sampled_from([OP_OUT0, OP_OUT1])),
+            st.tuples(st.just(OP_LITN), st.lists(st.integers(0, 1), max_size=5)),
+            st.tuples(st.sampled_from([OP_OUTB, OP_INC, OP_DEC]), st.integers(0, 3)),
+            st.tuples(st.sampled_from([OP_ADD, OP_SUB, OP_CPY]), st.integers(0, 3),
+                      st.integers(0, 3)),
+            st.tuples(st.just(OP_SETI), st.integers(0, 3), st.integers(0, 6)),
+            st.tuples(st.just(OP_HALTAT), st.integers(0, 3000)),
+            # forward within the body, to the back jump, to the HALT or past the tape
+            st.tuples(st.just(OP_JZ), st.integers(0, 3), st.just(1), st.integers(0, 3)),
+        ), max_size=5),
+        emit=st.one_of(
+            st.tuples(st.sampled_from([OP_OUT0, OP_OUT1])),
+            st.tuples(st.just(OP_LITN), st.lists(st.integers(0, 1), min_size=1, max_size=5)),
+            st.tuples(st.just(OP_OUTB), st.integers(0, 3)),
+            st.none(),
+        ),
+        at=st.integers(0, 5),
+        passes=st.integers(1, 3000),
+        offset=st.integers(-2, 2),
+        budget=st.one_of(st.integers(100, 20_000), st.none()),
+        limit_near_passes=st.booleans(),
+    )
+    def test_random_loops_match_the_reference(self, prologue, body, emit, at, passes, offset,
+                                              budget, limit_near_passes):
+        # the body, most often with an emit in it, then a jump back to its
+        # start; a JZ can leave for the HALT
+        if emit is not None:
+            body.insert(at, emit)
+        if not body:
+            body = [(OP_OUT1,)]
+        program = assemble(*prologue, *body, (OP_JMP, 0, len(body) + 1), (OP_HALT,))
+        period = sum(1 if op in (OP_OUT0, OP_OUT1) else len(args[0]) if op == OP_LITN else 0
+                     for op, *args in body)
+        if budget is None:  # near the end of a pass that runs every instruction once
+            budget = max(0, len(prologue) + passes * (len(body) + 1) + offset)
+        limit = max(0, passes * period + offset) if limit_near_passes else tm.DEFAULT_OUTPUT_LIMIT
+        ours = tm._Machine(program).run(budget, limit)
+        reference = ReferenceMachine(program).run(budget, limit)
+        for field in ("status", "reason", "steps", "bits_consumed", "output"):
+            assert getattr(ours, field) == getattr(reference, field), field
