@@ -273,8 +273,8 @@ class _Machine:
             self.instrs, self.regs, self.out, self.output_prefix, self._seen, self.exact_bits)
         pc, steps, cap, other_step = self.pc, self.steps, self.cap, self.other_step
         n_instrs = len(instrs)
-        # Brent's saved (pc, cursor, cap) and registers, output length and steps then
-        saved, saved_regs, saved_len, saved_steps, jumps, power = None, None, 0, 0, 0, 1
+        # Brent's saved registers; saved, saved_len and saved_steps are set with them
+        saved_regs, jumps, power = None, 0, 1
         status, reason = "halted", ""  # the exit of a bare break
         while True:
             if steps >= max_steps:
