@@ -329,7 +329,6 @@ class _Machine:
                         if k > 0:
                             out += out[-grown:] * k
                             steps += k * spent
-                            other_step += k * spent
                     saved_len, saved_steps = len(out), steps
                 elif jumps >= power:
                     saved, saved_regs, saved_len, saved_steps = key[:3], regs_now, len(out), steps
