@@ -1115,6 +1115,10 @@ def result_pin(result):
 PERIODIC_011 = tm.prog_periodic((0, 1, 1), 10**4)
 OUT1_LOOP = assemble((OP_OUT1,), (OP_JMP, 0, 2))
 LITN_LOOP = assemble((OP_LITN, (0, 1, 1)), (OP_JMP, 0, 2))
+# R0 counts down from 5000 to 0 and is set again: a loop that never emits,
+# with 5001 jump states per pass
+SILENT_CYCLE = assemble((OP_SETI, 0, 5000), (OP_DEC, 0), (OP_JZ, 0, 1, 1), (OP_JMP, 0, 3),
+                        (OP_JMP, 0, 5))
 # name: (program, max_steps, output_limit)
 REPEATING_RUNS = {
     # the audit's witnesses for x_|N, re-run under 8N + 256 steps and N output bits
@@ -1135,6 +1139,7 @@ REPEATING_RUNS = {
     # the cap is 10^5 at every jump, but 10^4 while each pass emits
     "two-caps-in-body": (assemble((OP_HALTAT, 10_000), (OP_OUT1,), (OP_HALTAT, 100_000),
                                   (OP_JMP, 0, 4)), 10**6, tm.DEFAULT_OUTPUT_LIMIT),
+    "silent-cycle": (SILENT_CYCLE, 10**6, tm.DEFAULT_OUTPUT_LIMIT),
 }
 # name: (status, steps, bits_consumed, reason, output length, output sha256)
 REPEATING_PINS = {
@@ -1176,6 +1181,8 @@ REPEATING_PINS = {
                        "5004b6bb19512c61272331810def8833b030565fe830b150754dbda64f4b24e2"),
     "two-caps-in-body": ("halted", 39998, 82, "", 10000,
                          "684ad25fdc2bbb80cbc910dd1bde6d5499ccf860ca6ee44704b77ec445271353"),
+    "silent-cycle": ("timeout", 10**6, 67, "step budget exhausted", 0,
+                     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 }
 
 
