@@ -43,20 +43,11 @@ program can lower the length mid-walk with the generator's send(n); a
 search for a shortest program uses that to stop growing programs that
 cannot beat its best find.
 
-An exact run (run_machine: exact_bits, no output prefix) skips whole passes
-of a loop whose state recurs with more output.  At each taken jump it
-compares (pc, cursor, cap, registers) with one saved state, re-saved at
-jump counts 1, 2, 4, 8, ... (Brent's cycle test).  A match with more output
-than at the save, and no HALTAT run since, appends copies of the output of
-the pass since the save and counts their steps, leaving one whole pass
-before the HALTAT cap, the output limit and the step budget, so that each
-fires where a step-by-step run fires it.  Control reads only the registers,
-the decoded instructions and cap, and an equal cursor means the same
-instructions were decoded, so the pass repeats exactly: output steers
-nothing but those thresholds.  The exact-recurrence rule is never skipped
-over: a state can only repeat with the same output length inside a stretch
-with no emit, and then the machine never emits again, while each skipped
-pass emits.
+An exact run (exact_bits, as in run_machine) proves no loop: it returns
+what a step-by-step run returns.  Its one cycle test, Brent's, finds a pass
+that repeats and skips the passes that would repeat it, counting their
+steps and output, up to one pass before the first threshold that could end
+the run (see _Machine.run).
 
 Inside the machine bits are bytes of 0 and 1: the tape, the output prefix
 and LITN's operand are bytes, the output a bytearray, and the table's
@@ -250,31 +241,32 @@ class _Machine:
         An emit appends one slice, as if bit by bit, cut at the HALTAT cap or
         just past the first bit that leaves output_prefix.  Only an emit or
         HALTAT can reach the cap, and only an emit the output limit, so only
-        there are they checked.  At a jump, run inlines the one loop rule of
-        exact_bits; the enumerator's are in _loop_check.
+        there are they checked.  At a taken jump the enumerator
+        (exact_bits=False) applies its loop rules, _loop_check.
 
-        With exact_bits and no output_prefix, a taken jump then runs Brent's
-        cycle test: it compares (pc, cursor, cap, registers) with one saved
-        state, re-saved with the output length and step count at jumps 1, 2,
-        4, 8, ...; a HALTAT drops it.  A match whose output grew by L bits
-        over S steps since the save appends k copies of those L bits and adds
-        k*S steps, where k = min((T - 1 - len(out)) // L,
-        (max_steps - 1 - steps) // S) - 1 and T = min(cap, output_limit + 1):
-        one whole pass is left before any threshold, and the last passes run
-        step by step.  The skipped passes would run exactly so: control reads
-        only the registers, the decoded instructions and cap, an equal cursor
-        means the same instructions were decoded, and the output steers
-        nothing but the thresholds.  No skipped pass would have hit the
-        exact-recurrence rule: a key can only repeat inside a stretch with no
-        emit, and a repeat means the machine never emits again, while each
-        skipped pass emits.
+        With exact_bits a taken jump runs Brent's cycle test instead, which
+        changes no result.  It compares (pc, cursor, cap, registers) with one
+        saved state, re-saved with the output length and step count at jumps
+        1, 2, 4, 8, ....  A match means the S steps since the save repeat:
+        control reads only the registers, the decoded instructions and cap,
+        an equal cursor means the same instructions were decoded, and the
+        output steers nothing but the thresholds.  The run adds k*S steps and
+        k copies of the L bits the pass emitted, k = (max_steps-1-steps)//S - 1
+        or for L > 0 the lesser of that and (T-1-len(out))//L - 1, where
+        T = min(cap, output_limit + 1): one whole pass is left before any
+        threshold, and the last passes run step by step.  A silent pass
+        (L = 0) can end only on the step budget: it fills no cap, passes no
+        output limit, leaves no output_prefix, and a HALTAT in it that did
+        not halt once never will.  A pass with output is skipped only with no
+        output_prefix and no HALTAT since the save, which can move the cap.
         """
-        instrs, regs, out, prefix, seen, exact = (
-            self.instrs, self.regs, self.out, self.output_prefix, self._seen, self.exact_bits)
+        instrs, regs, out, prefix, exact = (
+            self.instrs, self.regs, self.out, self.output_prefix, self.exact_bits)
         pc, steps, cap, other_step = self.pc, self.steps, self.cap, self.other_step
         n_instrs = len(instrs)
-        # Brent's saved registers; saved, saved_len and saved_steps are set with them
-        saved_regs, jumps, power = None, 0, 1
+        # Brent's saved state; saved_len, saved_steps and haltat (a HALTAT ran
+        # since the save) are set with it
+        saved, jumps, power = None, 0, 1
         status, reason = "halted", ""  # the exit of a bare break
         while True:
             if steps >= max_steps:
@@ -313,25 +305,21 @@ class _Machine:
                         status = "timeout"
                         break
                     continue
-                regs_now = tuple(regs)
-                key = (pc, self.cursor, cap, regs_now, len(out))  # the exact-recurrence rule
-                if key in seen:
-                    status, reason = "timeout", "loop detected"
-                    break
-                if len(seen) < LOOP_TRACK_LIMIT:
-                    seen.add(key)
                 jumps += 1
-                if regs_now == saved_regs and key[:3] == saved:  # the pass since the save repeats
+                state = (pc, self.cursor, cap, tuple(regs))
+                if state == saved:  # the pass since the save repeats
                     grown, spent = len(out) - saved_len, steps - saved_steps
-                    if grown and prefix is None:
+                    k = (max_steps - 1 - steps) // spent - 1
+                    if grown:
                         last = output_limit if cap is None else min(cap - 1, output_limit)
-                        k = min((last - len(out)) // grown, (max_steps - 1 - steps) // spent) - 1
-                        if k > 0:
-                            out += out[-grown:] * k
-                            steps += k * spent
-                    saved_len, saved_steps = len(out), steps
+                        k = 0 if haltat or prefix is not None else min(
+                            k, (last - len(out)) // grown - 1)
+                    if k > 0:
+                        out += out[len(out) - grown:] * k
+                        steps += k * spent
+                    saved_len, saved_steps, haltat = len(out), steps, False
                 elif jumps >= power:
-                    saved, saved_regs, saved_len, saved_steps = key[:3], regs_now, len(out), steps
+                    saved, saved_len, saved_steps, haltat = state, len(out), steps, False
                     power *= 2
                 continue
             if op == OP_INC:
@@ -356,10 +344,10 @@ class _Machine:
                     break
                 if symbols:
                     out += symbols
-                    if exact or cap is not None:
-                        seen.clear()
                     if not exact:
                         self._grown.clear()
+                        if cap is not None:
+                            self._seen.clear()
                     if cap is not None and len(out) >= cap:
                         break
                     if len(out) > output_limit:
@@ -378,7 +366,7 @@ class _Machine:
             elif op == OP_CPY:
                 regs[instr[1]] = regs[instr[2]]
             else:  # OP_HALTAT, the last opcode of _FIELDS
-                cap, saved_regs = instr[1], None
+                cap, haltat = instr[1], True
                 if len(out) >= cap:
                     break
             # INC, JZ and JMP continued above; the growth rule sees the rest
@@ -397,20 +385,17 @@ class _Machine:
         was read in between, so the decoded program is the same too.  Three
         rules, each sound under its condition:
 
-        - Exact recurrence: (pc, cursor, len(out), cap, regs) repeats.  An
-          equal output length means nothing was emitted in between, so the
-          whole state repeats.  Holds everywhere; run inlines it as the one
-          loop rule of exact_bits=True, next to its fast-forward of a pass.  Since keys with an older output length
-          can never recur, the set is cleared on each emit.
+        - Exact recurrence, while a HALTAT cap is set: (pc, cursor, len(out),
+          cap, regs) repeats.  An equal output length means nothing was
+          emitted in between, so the whole state repeats.  Since keys with
+          an older output length can never recur, the set is cleared on
+          each emit.
         - Output loop: (pc, cursor, regs) repeats.  Needs that no HALTAT cap
           is set (a cap is never unset, so none was set in between): then
           output cannot steer control, and emitted bits can only end the run
           by an output-limit timeout or a prefix mismatch, never by a halt.
-          Used only with exact_bits=False (the domain enumerator);
-          run_machine returns an uncapped loop's output up to
-          output_limit, so it keeps only the first rule.  Under this rule
-          the set is not cleared on emit.
-        - Register growth, also enumerator-only: (pc, cursor, len(out), cap)
+          Under this rule the set is not cleared on emit.
+        - Register growth: (pc, cursor, len(out), cap)
           repeats, only INC, JZ and JMP ran since the last visit to it, and
           the set of zero registers is unchanged.  Only INC wrote, so every
           register is >= its value at that visit and the zero set can only
@@ -536,11 +521,11 @@ def run_machine(
     """Run the machine on a fixed bit string.
 
     "halted" implies bits_consumed <= len(program_bits), and re-running the
-    consumed prefix alone reproduces the output.  A run that emits forever
-    ends on the step budget or the output limit, never as a detected loop.
-    A loop whose state recurs with more output is fast-forwarded (see
-    _Machine.run): it costs a few interpreted passes, not one per pass, and
-    steps still counts every step it stands for.
+    consumed prefix alone reproduces the output.  A run that never halts
+    ends on the step budget or the output limit, as a step-by-step run does.
+    A loop whose state recurs is fast-forwarded (see _Machine.run): it costs
+    a few interpreted passes, not one per pass, and steps still counts every
+    step it stands for.
     """
     program = _as_bits(program_bits, "program bits")
     max_steps = _operand(max_steps, None, "max_steps")

@@ -227,19 +227,20 @@ class TestRunMachine:
         assert res.output == (1, 0) * 32 + (1,)
 
     def test_loop_detected_early(self):
-        # JMP to itself: state recurrence proves divergence within a few steps
-        res = tm.run_machine(assemble((OP_JMP, 0, 1)), 10_000)
-        assert res.status == "timeout"
-        assert res.reason == "loop detected"
-        assert res.steps < 10
+        # JMP to itself: Brent's test sees the state repeat within a few
+        # jumps, and the run ends on the step budget as a step-by-step run
+        # does, without interpreting the steps
+        res, lines = traced_run(assemble((OP_JMP, 0, 1)), 10**9)
+        assert (res.status, res.reason, res.steps) == ("timeout", "step budget exhausted", 10**9)
+        assert lines < 200
 
     def test_empty_literal_keeps_loop_tracking(self):
-        # LITN 0 emits nothing, so it must not reset the loop detector
-        program = assemble((OP_LITN, ()), (OP_JMP, 0, 2))
-        res = tm.run_machine(program, 100_000)
-        assert res.status == "timeout"
-        assert res.reason == "loop detected"
-        assert res.steps < 10
+        # LITN 0 emits nothing, so the pass is silent and skips to the budget
+        res, lines = traced_run(assemble((OP_LITN, ()), (OP_JMP, 0, 2)), 100_000)
+        assert (res.status, res.reason, res.steps) == (
+            "timeout", "step budget exhausted", 100_000)
+        assert res.output == ()
+        assert lines < 200
 
     def test_growing_loop_is_flagged_by_the_enumerator_rule(self):
         # the same loop under the enumerator's rules: a repeated jump target
@@ -787,8 +788,9 @@ class ReferenceMachine(tm._Machine):
     """The step machine that the run loop over local state replaced.
 
     run reads and writes the machine's fields on every step, emits through
-    _emit, checks every loop rule in _loop_check and decodes at every pause,
-    where the decode can only fail.  It keeps bits as the machine did before
+    _emit, checks the enumerator's loop rules in _loop_check (an exact run has
+    none, so it runs every step) and decodes at every pause, where the decode
+    can only fail.  It keeps bits as the machine did before
     they became bytes: the tape and output prefix are tuples of ints, out is
     a list and a LITN operand is a tuple.
     """
@@ -907,20 +909,18 @@ class ReferenceMachine(tm._Machine):
             out.extend(symbols[:end - start + 1])
             return ("mismatch", "output left the requested prefix")
         out.extend(symbols)
-        if symbols:
-            if self.exact_bits:
+        if symbols and not self.exact_bits:
+            self._grown.clear()
+            if self.cap is not None:
                 self._seen.clear()
-            else:
-                self._grown.clear()
-                if self.cap is not None:
-                    self._seen.clear()
         if self.cap is not None and len(out) >= self.cap:
             return ("halted", "")
         return None
 
     def _loop_check(self):
-        exact = self.exact_bits
-        if self.cap is None and not exact:
+        if self.exact_bits:  # an exact run proves no loop
+            return ""
+        if self.cap is None:
             key = (self.pc, self.cursor, tuple(self.regs))
         else:
             key = (self.pc, self.cursor, len(self.out), self.cap, tuple(self.regs))
@@ -928,8 +928,6 @@ class ReferenceMachine(tm._Machine):
             return "loop detected"
         if len(self._seen) < tm.LOOP_TRACK_LIMIT:
             self._seen.add(key)
-        if exact:
-            return ""
         key = (self.pc, self.cursor, len(self.out), self.cap)
         zeros = self.regs.count(0)
         last = self._grown.get(key)
@@ -958,13 +956,10 @@ class PerBitMachine(ReferenceMachine):
                 i = len(out) - 1
                 if i >= len(self.output_prefix) or self.output_prefix[i] != b:
                     return ("mismatch", "output left the requested prefix")
-        if symbols:
-            if self.exact_bits:
+        if symbols and not self.exact_bits:
+            self._grown.clear()
+            if self.cap is not None:
                 self._seen.clear()
-            else:
-                self._grown.clear()
-                if self.cap is not None:
-                    self._seen.clear()
         if self.cap is not None and len(out) >= self.cap:
             return ("halted", "")
         return None
@@ -1106,6 +1101,30 @@ class TestLocalStateLoop:
         assert tm.run_machine(program, max_steps) == result
 
 
+def traced_run(*args):
+    """run_machine(*args) and the number of lines of _Machine.run it traced.
+
+    A step-by-step run traces at least one line per step."""
+    run_code = tm._Machine.run.__code__
+    lines = 0
+
+    def count_lines(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return count_lines
+
+    def trace_run(frame, event, arg):
+        return count_lines if frame.f_code is run_code else None
+
+    previous = sys.gettrace()
+    sys.settrace(trace_run)
+    try:
+        result = tm.run_machine(*args)
+    finally:
+        sys.settrace(previous)
+    return result, lines
+
+
 def result_pin(result):
     """A run's result with its output as length and sha256."""
     return (result.status, result.steps, result.bits_consumed, result.reason,
@@ -1140,6 +1159,9 @@ REPEATING_RUNS = {
     "two-caps-in-body": (assemble((OP_HALTAT, 10_000), (OP_OUT1,), (OP_HALTAT, 100_000),
                                   (OP_JMP, 0, 4)), 10**6, tm.DEFAULT_OUTPUT_LIMIT),
     "silent-cycle": (SILENT_CYCLE, 10**6, tm.DEFAULT_OUTPUT_LIMIT),
+    # each pass runs a HALTAT whose cap is above the output, and emits nothing
+    "haltat-in-silent-body": (assemble((OP_OUT1,), (OP_HALTAT, 10), (OP_JMP, 0, 2)), 10**9,
+                              tm.DEFAULT_OUTPUT_LIMIT),
 }
 # name: (status, steps, bits_consumed, reason, output length, output sha256)
 REPEATING_PINS = {
@@ -1183,11 +1205,13 @@ REPEATING_PINS = {
                          "684ad25fdc2bbb80cbc910dd1bde6d5499ccf860ca6ee44704b77ec445271353"),
     "silent-cycle": ("timeout", 10**6, 67, "step budget exhausted", 0,
                      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "haltat-in-silent-body": ("timeout", 10**9, 23, "step budget exhausted", 1,
+                              "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a"),
 }
 
 
 class TestRepeatingLoops:
-    """run_machine on loops whose state recurs with more output each pass."""
+    """run_machine on loops whose state recurs, most with more output each pass."""
 
     @pytest.mark.parametrize("name", REPEATING_RUNS)
     def test_result_pinned(self, name):
@@ -1196,25 +1220,21 @@ class TestRepeatingLoops:
     def test_fast_forward_skips_the_passes(self):
         # a step-by-step run of x_|N's witness interprets all 50,000 passes,
         # each at least one traced line of _Machine.run per step
-        run_code = tm._Machine.run.__code__
-        lines = 0
-
-        def count_lines(frame, event, arg):
-            nonlocal lines
-            lines += event == "line"
-            return count_lines
-
-        def trace_run(frame, event, arg):
-            return count_lines if frame.f_code is run_code else None
-
-        previous = sys.gettrace()
-        sys.settrace(trace_run)
-        try:
-            result = tm.run_machine(*REPEATING_RUNS["periodic-01-100000"])
-        finally:
-            sys.settrace(previous)
+        result, lines = traced_run(*REPEATING_RUNS["periodic-01-100000"])
         assert result_pin(result) == REPEATING_PINS["periodic-01-100000"]
         assert 0 < lines < 5_000
+
+    @pytest.mark.parametrize("name,most_lines", [
+        # Brent's test needs 8,192 jumps and a pass of 5,001 jumps to see the
+        # repeat, and the last two passes run step by step: fewer lines than
+        # the 10^6 steps, not the 3 or more per step of a step-by-step run
+        ("silent-cycle", 10**6),
+        ("haltat-in-silent-body", 1_000),
+    ])
+    def test_silent_passes_skip_to_the_step_budget(self, name, most_lines):
+        result, lines = traced_run(*REPEATING_RUNS[name])
+        assert result_pin(result) == REPEATING_PINS[name]
+        assert 0 < lines < most_lines
 
     @settings(max_examples=200, deadline=None)
     @given(
