@@ -290,6 +290,9 @@ def cmd_hv(args, manifest: Manifest) -> dict | None:
         raise ValueError(f"--bias covers {len(bias)} states, space has {model.size}")
     if sampler.kind == "external_entropy" and model.size > sq.MAX_ALPHABET["os"]:
         raise ValueError(f"--sampler os draws up to 256 states, the model has {model.size}")
+    if not 0 <= sampler.params.get("value", 0) < model.size:  # constant:v
+        raise ValueError(f"--sampler {args.sampler} emits state {sampler.params['value']} "
+                         f"outside the space of size {model.size} of the model")
     if sampler.kind == "recorded_file":
         manifest.add_input(sampler.params["path"])
     if args.hv_command == "run":
@@ -343,7 +346,11 @@ def _load_functional(name: str) -> bell.MismatchFunctional:
 def cmd_bell(args, manifest: Manifest) -> dict | None:
     if args.bell_command == "run":
         _in_range("--n", args.n, 1)
-        settings = bell.SettingSet(tuple(_parse_list("--settings", args.settings, float)))
+        angles = _parse_list("--settings", args.settings, float)
+        try:
+            settings = bell.SettingSet(tuple(angles))
+        except ValueError as exc:
+            raise ValueError(f"--settings: {exc}") from None
         trials = bell.run_bipartite(args.model, settings, args.n, args.seed)
         bell.save_trials_csv(args.out, trials)
         manifest.add_output(args.out + ".meta.json")
@@ -454,8 +461,11 @@ CLAIM_STATUSES = ("pass", "fail", "skipped")
 
 
 def cmd_report(args, manifest: Manifest) -> dict:
-    sections = []
-    for path in sorted(args.inputs):
+    sections, paths = [], sorted(args.inputs)
+    repeated = [a for a, b in zip(paths, paths[1:]) if a == b]
+    if repeated:
+        raise ValueError(f"--in names {repeated[0]} more than once")
+    for path in paths:
         manifest.add_input(path)
         obj = _read_json(path)
         if not isinstance(obj, dict):

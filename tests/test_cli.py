@@ -295,15 +295,16 @@ def _one_error_line(capsys, *fragments) -> None:
 
 @pytest.mark.parametrize("argv,fragments", [
     (["hv", "run", "--model", "fair_coin_counter.json", "--sampler", "constant:5",
-      "--n", "8", "--out", "h.seq"], ("state 5 outside the space of size 2",)),
+      "--n", "8", "--out", "h.seq"],
+     ("--sampler constant:5 emits", "state 5 outside the space of size 2")),
     (["hv", "audit2", "--model", "parity4.json", "--bias", "0.5,0.5", "--n", "10000",
       "--json", "a.json"], ("covers 2 states, space has 4",)),
     (["generate", "--kind", "born", "--probs", "0.5,nan", "--n", "10", "--out", "x.seq"],
      ("--probs must be finite, non-negative and sum to 1, got [0.5, nan]",)),
     (["bell", "run", "--settings", "0,0,30", "--n", "600", "--out", "b.csv"],
-     ("repeat an angle",)),
+     ("error: --settings: ", "repeat an angle")),
     (["bell", "run", "--settings", "0,nan,30", "--n", "600", "--out", "b.csv"],
-     ("must be finite angles",)),
+     ("error: --settings: ", "must be finite angles")),
     (["omega", "--steps", "-3", "--json", "o.json"], ("--steps must be >= 0, got -3",)),
     (["generate", "--kind", "champernowne", "--base", "40", "--n", "100", "--out", "z.seq"],
      ("--base must be in 2..36, got 40",)),
@@ -361,6 +362,10 @@ def _one_error_line(capsys, *fragments) -> None:
     (["hv", "audit2", "--model", "parity4.json", "--bias", "0.6,0.5,0,0",
       "--n", "10000", "--json", "h2.json"],
      ("--bias must be finite, non-negative and sum to 1, got [0.6, 0.5, 0.0, 0.0]",)),
+    (["hv", "audit1", "--model", "fair_coin_counter.json", "--sampler", "constant:7",
+      "--json", "h1.json"],
+     ("--sampler constant:7 emits state 7 outside the space of size 2 of the model",)),
+    (["report", "--in", "a.json", "a.json"], ("--in names a.json more than once",)),
 ], ids=["hv-run-contract", "hv-audit2-contract", "born-nan", "repeated-setting",
         "nan-setting", "omega-negative-steps", "champernowne-base-40", "hv-run-bias-counter",
         "hv-audit1-bias-alternating", "hv-audit2-bias-os", "checkpoints-not-int",
@@ -371,7 +376,7 @@ def _one_error_line(capsys, *fragments) -> None:
         "bias-not-float", "sampler-constant-no-colon", "sampler-constant-two-states",
         "sampler-constant-not-int", "sampler-file-no-path", "hv-model-empty-name",
         "ks-rays-empty-name", "born-negative", "born-sum-1.1", "bias-nan", "bias-negative",
-        "bias-sum-1.1"])
+        "bias-sum-1.1", "hv-audit1-constant-outside-space", "report-repeated-input"])
 def test_bad_input_exits_1_with_one_error_line(argv, fragments, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.dispatch(argv) == cli.EXIT_USAGE
