@@ -461,10 +461,14 @@ CLAIM_STATUSES = ("pass", "fail", "skipped")
 
 
 def cmd_report(args, manifest: Manifest) -> dict:
-    sections, paths = [], sorted(args.inputs)
-    repeated = [a for a, b in zip(paths, paths[1:]) if a == b]
-    if repeated:
-        raise ValueError(f"--in names {repeated[0]} more than once")
+    sections, paths, spellings = [], sorted(args.inputs), {}
+    for path in paths:  # one file may be spelled two ways
+        real = os.path.realpath(path)
+        if real in spellings:
+            first = spellings[real]
+            also = "" if first == path else f", also as {path}"
+            raise ValueError(f"--in names {first} more than once{also}")
+        spellings[real] = path
     for path in paths:
         manifest.add_input(path)
         obj = _read_json(path)

@@ -22,7 +22,7 @@ from .sequences import (
     _block_symbols,
     _format_symbols,
     _window_counts,
-    champernowne_text,
+    champernowne,
 )
 
 EXACT_SEARCH_MAX_LEN = 24
@@ -105,7 +105,7 @@ def _periodic_bound(p: int, n: int) -> int:
 
 
 # Champernowne's expansion is tested on this many leading bits before the
-# whole text is built.
+# whole prefix is built.
 _CHAMPERNOWNE_HEAD = 64
 
 
@@ -161,10 +161,9 @@ def k_upper_bound(
         if p is not None:
             candidates.append((_periodic_bound(p, n), "generator_encoding",
                                partial(tm.prog_periodic, s[:p], n)))
-        text = sigma.to_text()
         for start_at_one in (False, True):
-            head = champernowne_text(2, min(n, _CHAMPERNOWNE_HEAD), start_at_one)
-            if text.startswith(head) and champernowne_text(2, n, start_at_one) == text:
+            head = champernowne(2, min(n, _CHAMPERNOWNE_HEAD), start_at_one)
+            if head.is_prefix_of(sigma) and champernowne(2, n, start_at_one) == sigma:
                 built(tm.prog_champernowne(n, start_at_one))
     if budget is not None:
         found = exact_k_small(sigma, *budget)

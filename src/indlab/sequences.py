@@ -47,8 +47,8 @@ class SymbolString:
         if arr.ndim != 1 or (len(arr) and not np.issubdtype(arr.dtype, np.integer)):
             raise ValueError(f"symbols must be a 1-d integer sequence, got {arr.dtype} "
                              f"of shape {arr.shape}")
-        outside = (arr < 0) | (arr >= k)
-        if outside.any():
+        if len(arr) and (arr.min() < 0 or arr.max() >= k):
+            outside = (arr < 0) | (arr >= k)
             raise ValueError(f"symbol {arr[outside][0]} outside alphabet [0, {k})")
         arr = arr.astype(np.uint8 if k <= 256 else np.int64)
         arr.flags.writeable = False
@@ -78,54 +78,87 @@ class SymbolString:
         return _format_symbols(self.array, self.alphabet_size)
 
     @staticmethod
-    def from_text(text: str, alphabet_size: int) -> "SymbolString":
-        """Inverse of to_text: ASCII digits, comma-separated beyond base 10."""
-        text = text.strip()
+    def from_text(text: str | bytes, alphabet_size: int) -> "SymbolString":
+        """Inverse of to_text, and the parser of every seq/v1 body: ASCII digits,
+        comma-separated beyond base 10, at most 18 digits a symbol, with each
+        run of ASCII whitespace a separator (none at all up to base 10).
+        Anything else raises a ValueError naming the first bad text."""
         k = alphabet_size
-        bad = re.search("[^0-9]" if k <= 10 else "[^0-9,]|[0-9]{19}|^,|,,|,$", text)
-        if bad:
+        symbols = _parse_symbols(text.encode("ascii", "replace") if isinstance(text, str)
+                                 else text, k)
+        if symbols is None:
+            if not isinstance(text, str):
+                text = text.decode("utf-8", "surrogateescape")
+            words = re.findall(f"[^{re.escape(_SPACE.decode())}]+", text)
+            text = ("" if k <= 10 else ",").join(words)
+            bad = re.search("[^0-9]" if k <= 10 else "[^0-9,]|[0-9]{19}|^,|,,|,$", text)
             raise ValueError(f"bad base-{k} symbol text {bad.group()!r}")
-        if k <= 10:
-            return SymbolString(k, np.frombuffer(text.encode(), np.uint8) - ord("0"))
-        tokens = text.split(",") if text else []
-        return SymbolString(k, np.array(tokens, dtype=str).astype(np.int64))
+        return SymbolString(k, symbols)
 
 
-def champernowne_text(base: int, n: int, start_at_one: bool = False) -> str:
-    """First n digits of the base-k concatenation 0,1,2,... (or 1,2,3,...)."""
+# seq/v1 text is ASCII, and only these bytes separate symbols
+_SPACE = b" \t\n\r\x0b\x0c"
+_IS_SPACE = np.zeros(256, bool)
+_IS_SPACE[list(_SPACE)] = True
+# each ASCII digit to its value, for bytes.translate
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+# the numeral of every symbol below 256
+_NUMERALS = tuple(map(str, range(256)))
+
+
+def _parse_symbols(data: bytes, k: int) -> np.ndarray | None:
+    """The symbols of SymbolString.from_text's text as ASCII bytes, or None
+    if it is malformed."""
+    if k <= 10:
+        if data.translate(None, b"0123456789" + _SPACE):
+            return None
+        return np.frombuffer(data.translate(_DIGIT_VALUES, _SPACE), np.uint8)
+    if data.translate(None, b"0123456789," + _SPACE):
+        return None
+    chars = np.frombuffer(data.strip(_SPACE), np.uint8)
+    if not len(chars):
+        return np.empty(0, np.int64)
+    space = _IS_SPACE[chars]
+    if space.any():  # each run of whitespace becomes one comma
+        chars = chars[np.insert(~(space[1:] & space[:-1]), 0, True)]
+        chars[_IS_SPACE[chars]] = ord(",")
+    del space  # drop per-byte and per-token arrays before the column passes
+    # token i is chars[starts[i] : ends[i]]
+    ends = np.append(np.flatnonzero(chars == ord(",")), len(chars))
+    starts = np.insert(ends[:-1] + 1, 0, 0)
+    lengths = ends - starts
+    del ends
+    if lengths.min() < 1 or lengths.max() > 18:
+        return None
+    # one pass per digit column, over the tokens that reach it
+    values = np.subtract(chars[starts], ord("0"), dtype=np.int64)
+    for j in range(1, lengths.max()):
+        live = np.flatnonzero(lengths > j)
+        values[live] = values[live] * 10 + (chars[starts[live] + j] - ord("0"))
+    return values
+
+
+def champernowne(base: int, n: int, start_at_one: bool = False) -> SymbolString:
+    """First n digits of Champernowne's expansion in the given base, 2..36: the
+    base-k numerals 0,1,2,... (or 1,2,3,...) concatenated, digits 0-9 then a-z."""
     if not 2 <= base <= MAX_ALPHABET["champernowne"]:
         raise ValueError(f"champernowne base must be in 2..36 (digits 0-9 then a-z), got {base}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    chunks: list[str] = []
-    total = 0
-    t = 1 if start_at_one else 0
-    while total < n:
-        numeral = _to_base(t, base)
-        chunks.append(numeral)
-        total += len(numeral)
-        t += 1
-    return "".join(chunks)[:n]
-
-
-def champernowne(base: int, n: int, start_at_one: bool = False) -> SymbolString:
-    """First n digits of Champernowne's expansion in the given base, 2..36."""
-    raw = np.frombuffer(champernowne_text(base, n, start_at_one).encode(), np.uint8)
-    return SymbolString(base, np.where(raw >= ord("a"), raw - (ord("a") - 10), raw - ord("0")))
-
-
-def _to_base(t: int, base: int) -> str:
-    """Numeral of t >= 0 in the given base, digits 0-9 then a-z."""
-    if base == 2:
-        return format(t, "b")
-    if base == 10:
-        return str(t)
-    out = ""
-    while True:
-        t, r = divmod(t, base)
-        out = "0123456789abcdefghijklmnopqrstuvwxyz"[r] + out
-        if t == 0:
-            return out
+    out = np.empty(n, np.uint8)
+    filled, width, first = 0, 1, int(start_at_one)
+    while filled < n:
+        # the numerals of this width still needed, one row of digits each
+        count = min(base**width - first, -(-(n - filled) // width))
+        t = np.arange(first, first + count, dtype=np.int64)
+        digits = np.empty((count, width), np.uint8)
+        for column in range(width - 1, -1, -1):
+            t, digits[:, column] = np.divmod(t, base)
+        take = min(count * width, n - filled)
+        out[filled : filled + take] = digits.reshape(-1)[:take]
+        filled += take
+        first, width = base**width, width + 1
+    return SymbolString(base, out)
 
 
 def distribution(values: Sequence[float], what: str) -> tuple[float, ...]:
@@ -298,7 +331,7 @@ def _format_symbols(symbols: Sequence[int], k: int) -> str:
     """The SymbolString.to_text form of any base-k symbol sequence."""
     if k <= 10:
         return (np.asarray(symbols, dtype=np.uint8) + ord("0")).tobytes().decode()
-    return ",".join(map(str, np.asarray(symbols).tolist()))
+    return ",".join(map(_NUMERALS.__getitem__ if k <= 256 else str, np.asarray(symbols).tolist()))
 
 
 def write_sequence_file(path: str, sigma: SymbolString) -> None:
@@ -309,10 +342,24 @@ def write_sequence_file(path: str, sigma: SymbolString) -> None:
 
 
 def read_sequence_file(path: str) -> SymbolString:
-    with open(path) as f:
-        header = f.readline().strip()
-        body = f.read()
-    parts = header.split()
+    """The symbols of the seq/v1 file at path.
+
+    The file is ASCII.  Its first line is the header "seq/v1 k=K n=N": the
+    alphabet size K >= 2 and the symbol count N, each a run of ASCII digits,
+    and nothing else.  The body that follows is SymbolString.from_text's text.
+    Up to base 10 it is one digit a symbol, and ASCII whitespace may stand
+    anywhere.  Beyond base 10 it is decimal symbols of 1 to 18 digits, each
+    parted from the next by one comma or by one run of ASCII whitespace, not
+    both; whitespace may also lead or trail.  Every symbol must be below K,
+    and there must be N of them.  Any other text, non-ASCII bytes included,
+    raises a ValueError whose message begins with path.
+    """
+    with open(path, "rb") as f:
+        # a lone CR ends the header line too
+        header, _, rest = f.readline().partition(b"\r")
+        body = rest + f.read()
+    parts = [p.decode("ascii", "surrogateescape") for p in header.split()]
+    header = header.strip(_SPACE).decode("utf-8", "surrogateescape")
     if not parts or parts[0] != SEQ_SCHEMA:
         raise ValueError(f"{path}: not a {SEQ_SCHEMA} file: header {header!r}")
     fields = dict(p.partition("=")[::2] for p in parts[1:])
@@ -325,9 +372,8 @@ def read_sequence_file(path: str) -> SymbolString:
                          f"else: header {header!r}")
     k = int(fields["k"])
     n = int(fields["n"])
-    text = "".join(body.split()) if k <= 10 else ",".join(body.split())
     try:
-        sigma = SymbolString.from_text(text, k)
+        sigma = SymbolString.from_text(body, k)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     if len(sigma) != n:

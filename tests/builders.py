@@ -1,7 +1,8 @@
-"""Builders that only tests call: base-2 literals, the gamma0 code length,
-the hv model writer, the unbounded exact-K search, a counter of domain
-walks and the value of one deterministic Bell strategy.  Test programs are
-written with machine.assemble."""
+"""Builders that only tests call: base-2 literals, base-k numerals and
+the concatenated Champernowne text, the gamma0 code length, the hv model
+writer, the unbounded exact-K search, a counter of domain walks and the
+value of one deterministic Bell strategy.  Test programs are written with
+machine.assemble."""
 
 from fractions import Fraction
 
@@ -14,6 +15,29 @@ from indlab import sequences as sq
 def bits(text: str) -> sq.SymbolString:
     """A base-2 SymbolString from a literal like "0110"."""
     return sq.SymbolString.from_text(text, 2)
+
+
+def numeral(t: int, base: int) -> str:
+    """Numeral of t >= 0 in the given base, digits 0-9 then a-z."""
+    out = ""
+    while True:
+        t, r = divmod(t, base)
+        out = "0123456789abcdefghijklmnopqrstuvwxyz"[r] + out
+        if t == 0:
+            return out
+
+
+def champernowne_text(base: int, n: int, start_at_one: bool = False) -> str:
+    """First n digits of the base-k concatenation 0,1,2,... (or 1,2,3,...),
+    numeral by numeral: the oracle for sequences.champernowne."""
+    chunks: list[str] = []
+    total = 0
+    t = 1 if start_at_one else 0
+    while total < n:
+        chunks.append(numeral(t, base))
+        total += len(chunks[-1])
+        t += 1
+    return "".join(chunks)[:n]
 
 
 def gamma0_length(n: int) -> int:

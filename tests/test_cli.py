@@ -366,6 +366,8 @@ def _one_error_line(capsys, *fragments) -> None:
       "--json", "h1.json"],
      ("--sampler constant:7 emits state 7 outside the space of size 2 of the model",)),
     (["report", "--in", "a.json", "a.json"], ("--in names a.json more than once",)),
+    (["report", "--in", "a.json", "./a.json"],
+     ("--in names ./a.json more than once, also as a.json",)),
 ], ids=["hv-run-contract", "hv-audit2-contract", "born-nan", "repeated-setting",
         "nan-setting", "omega-negative-steps", "champernowne-base-40", "hv-run-bias-counter",
         "hv-audit1-bias-alternating", "hv-audit2-bias-os", "checkpoints-not-int",
@@ -376,12 +378,28 @@ def _one_error_line(capsys, *fragments) -> None:
         "bias-not-float", "sampler-constant-no-colon", "sampler-constant-two-states",
         "sampler-constant-not-int", "sampler-file-no-path", "hv-model-empty-name",
         "ks-rays-empty-name", "born-negative", "born-sum-1.1", "bias-nan", "bias-negative",
-        "bias-sum-1.1", "hv-audit1-constant-outside-space", "report-repeated-input"])
+        "bias-sum-1.1", "hv-audit1-constant-outside-space", "report-repeated-input",
+        "report-input-spelled-twice"])
 def test_bad_input_exits_1_with_one_error_line(argv, fragments, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.dispatch(argv) == cli.EXIT_USAGE
     _one_error_line(capsys, *fragments)
     assert os.listdir() == []
+
+
+@pytest.mark.parametrize("k,body,shown", [
+    (2, "01\u00a001".encode(), "'\\xa0'"),
+    (16, b"1\x1c2,3", "'\\x1c'"),
+    (2, b"01\xff1", "'\\udcff'"),
+], ids=["no-break-space", "file-separator", "non-utf8-byte"])
+def test_non_ascii_sequence_text_exits_1_naming_the_file(k, body, shown, tmp_path, monkeypatch,
+                                                         capsys):
+    # seq/v1 is ASCII: these read as symbols, or failed without the file's name
+    monkeypatch.chdir(tmp_path)
+    with open("x.seq", "wb") as f:
+        f.write(b"seq/v1 k=%d n=4\n%s\n" % (k, body))
+    assert cli.dispatch(["komplexity", "--in", "x.seq"]) == cli.EXIT_USAGE
+    _one_error_line(capsys, f"x.seq: bad base-{k} symbol text {shown}")
 
 
 NON_ORTHOGONAL_RAYS = "rays/v1\nray x 1 0 0\nray y 0 1 0\nray d 1 1 0\nbasis x y d\n"

@@ -39,7 +39,6 @@ randomness.ComplexityEstimate: unresolved_bits_consumed=()
 randomness.k_upper_bound: budget=None
 sequences.SequenceSource: alphabet_size=2
 sequences.champernowne: start_at_one=False
-sequences.champernowne_text: start_at_one=False
 """
 
 

@@ -17,7 +17,8 @@ from indlab import machine as tm
 from indlab import randomness as rl
 from indlab import sequences as sq
 
-from builders import bits, count_walks, gamma0_length, unbounded_exact_k_small
+from builders import (bits, champernowne_text, count_walks, gamma0_length,
+                      unbounded_exact_k_small)
 from bundled import bundled_path
 
 # frozen: one canonical enumeration at the acceptance budget
@@ -84,7 +85,7 @@ def reference_k_upper_bound(sigma):
     elif (p := half_period(syms)) is not None:
         candidates.append((tm.prog_periodic(syms[:p], n), "generator_encoding"))
     for start_at_one in (False, True):
-        if sq.champernowne_text(2, n, start_at_one) == sigma.to_text():
+        if champernowne_text(2, n, start_at_one) == sigma.to_text():
             candidates.append((tm.prog_champernowne(n, start_at_one), "generator_encoding"))
     return min(candidates, key=lambda c: len(c[0]))
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from indlab import bell, born, hv
 from indlab import sequences as sq
 
-from builders import bits
+from builders import bits, champernowne_text, numeral
 
 # frozen: one Philox run of the fair-coin sampler, seed 42
 GOLDEN_FAIR_COIN_SEED42_N8 = "10100000"
@@ -23,10 +23,44 @@ def champernowne_digit_at(base: int, position: int) -> int:
     """Digit at a position of the base-k concatenation 0,1,2,..., by stepping
     over whole numerals: the oracle for the concatenating generator."""
     t = 0
-    while position >= len(numeral := sq._to_base(t, base)):
-        position -= len(numeral)
+    while position >= len(digits := numeral(t, base)):
+        position -= len(digits)
         t += 1
-    return int(numeral[position], 36)
+    return int(digits[position], 36)
+
+
+ASCII_SPACE = " \t\n\r\x0b\x0c"
+# base-36 digit characters to their values
+DIGIT_VALUES_36 = bytes.maketrans(b"0123456789abcdefghijklmnopqrstuvwxyz", bytes(range(36)))
+
+
+def regex_from_text(text: str, k: int) -> sq.SymbolString:
+    """The regex path: each run of ASCII whitespace joined away (up to base
+    10) or made a comma, one regex naming the first bad text, then one Python
+    str per symbol.  The oracle for SymbolString.from_text."""
+    words = re.split(f"[{ASCII_SPACE}]+", text.strip(ASCII_SPACE))
+    text = ("" if k <= 10 else ",").join(words)
+    bad = re.search("[^0-9]" if k <= 10 else "[^0-9,]|[0-9]{19}|^,|,,|,$", text)
+    if bad:
+        raise ValueError(f"bad base-{k} symbol text {bad.group()!r}")
+    if k <= 10:
+        return sq.SymbolString(k, np.frombuffer(text.encode(), np.uint8) - ord("0"))
+    return sq.SymbolString(k, np.array(text.split(",") if text else [], dtype=str)
+                           .astype(np.int64))
+
+
+def symbols_or_message(parse):
+    try:
+        return tuple(parse())
+    except ValueError as exc:
+        return str(exc)
+
+
+# symbol text: digit runs up to 20 long, separators and a few bad characters
+SYMBOL_TEXT = st.lists(st.one_of(
+    st.text("0123456789", min_size=1, max_size=20),
+    st.sampled_from([",", ",,", *ASCII_SPACE, "  ", " ,", "x", "-", "\x1c", "\xa0", "\u0661"]),
+), max_size=12).map("".join)
 
 
 class TestSymbolString:
@@ -53,12 +87,15 @@ class TestSymbolString:
         with pytest.raises(ValueError, match="symbol 7 outside alphabet"):
             sq.SymbolString(3, np.array([0, 7, 9]))
 
-    @pytest.mark.parametrize("text", ["01x", "0\u0661"])
+    # only ASCII whitespace separates: not a no-break space, a file separator
+    # or a next-line character, and no byte that is not ASCII
+    @pytest.mark.parametrize("text", ["01x", "0\u0661", "01\u00a001", "\x1c01", "0\u0085",
+                                      b"01\xff1"])
     def test_from_text_rejects_non_ascii_digits(self, text):
         with pytest.raises(ValueError, match="bad base-2 symbol text"):
             sq.SymbolString.from_text(text, 2)
 
-    @pytest.mark.parametrize("text", ["0,,1", ",1", "1,", "1;2", "1" * 19])
+    @pytest.mark.parametrize("text", ["0,,1", ",1", "1,", "1;2", "1" * 19, "1\x1c2,3"])
     def test_from_text_rejects_malformed_large_base_text(self, text):
         with pytest.raises(ValueError, match="bad base-16 symbol text"):
             sq.SymbolString.from_text(text, 16)
@@ -90,6 +127,14 @@ class TestSymbolString:
         assert s.to_text() == "0,15,7"
         assert sq.SymbolString.from_text(s.to_text(), 16) == s
 
+    @settings(max_examples=300)
+    @given(SYMBOL_TEXT, st.sampled_from([2, 3, 10, 11, 16, 256, 257, 10**18]))
+    def test_from_text_matches_the_regex_path(self, text, k):
+        # the same symbols or the same message, from the text as str and as bytes
+        want = symbols_or_message(lambda: regex_from_text(text, k))
+        assert symbols_or_message(lambda: sq.SymbolString.from_text(text, k)) == want
+        assert symbols_or_message(lambda: sq.SymbolString.from_text(text.encode(), k)) == want
+
     @given(st.lists(st.integers(0, 1), max_size=30), st.lists(st.integers(0, 1), max_size=30))
     def test_prefix_relation(self, a, b):
         sa, sab = sq.SymbolString(2, tuple(a)), sq.SymbolString(2, tuple(a + b))
@@ -118,17 +163,32 @@ class TestChampernowne:
         # through every numeral t < 1000 in each base, letters included
         for base in (2, 10, 16, 36):
             n = sum(
-                len(sq._to_base(t, base)) for t in range(1000)
+                len(numeral(t, base)) for t in range(1000)
             )
             s = sq.champernowne(base, n)
             for pos in range(0, n, 97):
                 assert s[pos] == champernowne_digit_at(base, pos)
 
+    @pytest.mark.parametrize("start_at_one", [False, True])
+    def test_matches_the_concatenating_oracle_across_widths(self, start_at_one):
+        # every base, at the lengths around the end of the width-1, -2 and -3
+        # numerals, and one width-4 numeral further
+        for base in range(2, 37):
+            ends = [(base - start_at_one) + sum(w * (base - 1) * base ** (w - 1)
+                                                for w in range(2, top + 1))
+                    for top in (1, 2, 3)]
+            want = champernowne_text(base, ends[-1] + 5, start_at_one).encode()
+            for n in [0, 1] + [end + d for end in ends for d in (-1, 0, 1)] + [ends[-1] + 5]:
+                got = sq.champernowne(base, n, start_at_one)
+                assert got.alphabet_size == base and len(got) == n
+                assert got.array.tobytes() == want[:n].translate(DIGIT_VALUES_36), (base, n)
+
     @pytest.mark.parametrize("base", [2, 3, 7, 10, 16, 36])
     def test_numerals_parse_back(self, base):
+        # the oracle's numerals
         for t in list(range(200)) + [base**5 - 1, base**5, 10**9 + 7]:
-            numeral = sq._to_base(t, base)
-            assert int(numeral, base) == t and (numeral == "0" or numeral[0] != "0")
+            digits = numeral(t, base)
+            assert int(digits, base) == t and (digits == "0" or digits[0] != "0")
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
@@ -138,9 +198,8 @@ class TestChampernowne:
 
     @pytest.mark.parametrize("base", [1, 37, 40])
     def test_base_outside_2_to_36_rejected(self, base):
-        for build in (sq.champernowne_text, sq.champernowne):
-            with pytest.raises(ValueError, match="2..36"):
-                build(base, 5)
+        with pytest.raises(ValueError, match="2..36"):
+            sq.champernowne(base, 5)
 
 
 class TestSources:
@@ -386,6 +445,28 @@ class TestSequenceFile:
         s = sq.SymbolString(12, (0, 11, 5, 5))
         sq.write_sequence_file(path, s)
         assert sq.read_sequence_file(path) == s
+
+    @pytest.mark.parametrize("k", [2, 10, 11, 16, 256, 257, 10**18])
+    def test_roundtrip_matches_an_independent_writer(self, tmp_path, k):
+        # k = 10^18 brings 18-digit symbols, the longest a file may hold
+        rng = np.random.default_rng(k % 2**32)
+        values = [0, k - 1, *rng.integers(0, k, 3000).tolist(), k // 10, k - 1]
+        sigma = sq.SymbolString(k, values)
+        sep = "" if k <= 10 else ","
+        path = tmp_path / "x.seq"
+        sq.write_sequence_file(str(path), sigma)
+        assert path.read_bytes() == \
+            f"seq/v1 k={k} n={len(values)}\n{sep.join(map(str, values))}\n".encode()
+        assert sq.read_sequence_file(str(path)) == sigma
+        # wrapped at every separator, and with CRLF line ends
+        wrapped = ("\r\n" if k <= 10 else " \n\t").join(map(str, values))
+        path.write_bytes(f"seq/v1 k={k} n={len(values)}\r\n{wrapped}\r\n".encode())
+        assert sq.read_sequence_file(str(path)) == sigma
+
+    def test_a_lone_cr_ends_the_header(self, tmp_path):
+        path = tmp_path / "x.seq"
+        path.write_bytes(b"seq/v1 k=2 n=4\r0110\r")
+        assert sq.read_sequence_file(str(path)) == bits("0110")
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.txt"
